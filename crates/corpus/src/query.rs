@@ -52,11 +52,11 @@ impl QueryLogConfig {
 
 impl Default for QueryLogConfig {
     fn default() -> Self {
-        // Calibrated (see x100-bench's scratch_tune probe) so conjunctive
-        // result sets are far larger than the top-20 cutoff: the paper's
-        // query terms occur "in 775 thousand documents on average" — long
-        // posting lists are what make unranked boolean retrieval useless
-        // (Table 2's p@20 of 0.013) while tf-aware BM25 stays precise.
+        // Calibrated so conjunctive result sets are far larger than the
+        // top-20 cutoff: the paper's query terms occur "in 775 thousand
+        // documents on average" — long posting lists are what make
+        // unranked boolean retrieval useless (Table 2's p@20 of 0.013)
+        // while tf-aware BM25 stays precise.
         QueryLogConfig {
             avg_terms: 2.3,
             max_terms: 8,

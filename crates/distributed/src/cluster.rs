@@ -15,23 +15,28 @@ use std::time::Duration;
 
 use std::time::Instant;
 
-use x100_corpus::{CollectionStream, CollectionTail, SyntheticCollection};
+use x100_corpus::{CollectionStream, CollectionTail, Document, SyntheticCollection};
 use x100_ir::{
     ExecError, HitsResponse, IndexConfig, InvertedIndex, QueryEngine, ScratchPool, SearchStrategy,
-    SegmentError, SpillConfig, SpillError, SpillStats, SpillingIndexBuilder, StreamingIndexBuilder,
+    SegmentError, SpillConfig, SpillError, SpillStats, SpillingIndexBuilder,
 };
 use x100_storage::{BufferManager, BufferMode, DiskModel, IoStats};
 
-use crate::partition::{partition_collection, partition_of, Partition};
+use crate::partition::partition_of;
+
+/// Why the unbudgeted constructors may unwrap the spill path's errors.
+const NEVER_SPILLS: &str = "an unbounded budget never spills, so the build never touches disk";
 
 /// A typed per-node failure the coordinator can report (and a failover
 /// layer can consume) instead of aborting the whole scatter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The node's fan-out worker died (panicked) before reporting a
-    /// result; the partition contributed nothing to the merge.
+    /// The node's local search failed — the engine returned an error (e.g.
+    /// a materialized-score strategy over a partition built without score
+    /// columns) or its fan-out worker panicked; the partition contributed
+    /// nothing to the merge.
     NodeFailed {
-        /// Which partition's worker died.
+        /// Which partition failed.
         partition: usize,
     },
 }
@@ -176,11 +181,12 @@ pub struct ScatterResponse {
     pub node_timings: Vec<NodeTiming>,
     /// Time the coordinator spent merging the per-node top-N lists.
     pub merge_time: Duration,
-    /// Nodes whose fan-out worker died mid-query (empty on the happy
-    /// path). A failed node contributed no hits: `results` covers the
-    /// surviving partitions only, and the caller decides whether partial
-    /// coverage is acceptable — the networked coordinator consumes this
-    /// shape by retrying the partition on a replica instead.
+    /// Nodes whose local search errored or whose fan-out worker died
+    /// mid-query (empty on the happy path). A failed node contributed no
+    /// hits: `results` covers the surviving partitions only, and the caller
+    /// decides whether partial coverage is acceptable — the networked
+    /// coordinator consumes this shape by retrying the partition on a
+    /// replica instead.
     pub failures: Vec<ClusterError>,
 }
 
@@ -194,38 +200,27 @@ pub struct SimulatedCluster {
 
 impl SimulatedCluster {
     /// Partitions `collection` into `num_partitions` nodes and indexes each.
+    ///
+    /// # Panics
+    /// Panics if `num_partitions == 0`.
     pub fn build(
         collection: &SyntheticCollection,
         num_partitions: usize,
         index_config: &IndexConfig,
     ) -> Self {
-        let partitions = partition_collection(collection, num_partitions);
-        let nodes = partitions
-            .into_iter()
-            .map(
-                |Partition {
-                     collection,
-                     global_ids,
-                 }| {
-                    let index = InvertedIndex::build(&collection, index_config);
-                    let buffers = Arc::new(BufferManager::with_mode(
-                        DiskModel::instant(), // index held in RAM (§3.4)
-                        BufferMode::Hot,
-                        0,
-                    ));
-                    Arc::new(Node::new(index, global_ids, buffers))
-                },
-            )
-            .collect();
-        SimulatedCluster { nodes }
+        let vocab = &collection.vocab;
+        Self::build_routed(vocab, num_partitions, index_config, usize::MAX, |route| {
+            route(&collection.docs)
+        })
+        .expect(NEVER_SPILLS)
+        .0
     }
 
     /// Builds the cluster by *streaming* the collection: documents are
-    /// routed round-robin by global docid to per-partition
-    /// [`StreamingIndexBuilder`]s as each chunk arrives, and dropped
+    /// routed to per-partition builders as each chunk arrives, and dropped
     /// immediately after — the `medium`/`large` scale path, where
-    /// materializing per-partition [`SyntheticCollection`]s (each carrying
-    /// a full vocabulary and query-log copy) would dominate memory.
+    /// materializing the whole [`SyntheticCollection`] would dominate
+    /// memory.
     ///
     /// Returns the cluster together with the workload tail (judged queries
     /// + efficiency log), which only exists once the stream is drained.
@@ -233,27 +228,20 @@ impl SimulatedCluster {
     /// # Panics
     /// Panics if `num_partitions == 0`.
     pub fn build_streaming(
-        mut stream: CollectionStream,
+        stream: CollectionStream,
         num_partitions: usize,
         index_config: &IndexConfig,
         chunk_size: usize,
     ) -> (Self, CollectionTail) {
-        assert!(num_partitions > 0, "at least one partition required");
-        let vocab = stream.vocab();
-        let mut builders: Vec<StreamingIndexBuilder> = (0..num_partitions)
-            .map(|_| StreamingIndexBuilder::new(vocab.len(), index_config))
-            .collect();
-        let mut global_ids: Vec<Vec<u32>> = vec![Vec::new(); num_partitions];
-        while let Some(chunk) = stream.next_chunk(chunk_size) {
-            for doc in &chunk {
-                let p = partition_of(doc.id, num_partitions);
-                builders[p].push_doc(&doc.name, &doc.terms, doc.len);
-                global_ids[p].push(doc.id);
-            }
-        }
-        let tail = stream.finish();
-        let parts = builders.into_iter().zip(global_ids).collect();
-        (Self::from_partition_builders(parts, &vocab), tail)
+        let (cluster, tail, _) = Self::build_streaming_spill(
+            stream,
+            num_partitions,
+            index_config,
+            chunk_size,
+            usize::MAX,
+        )
+        .expect(NEVER_SPILLS);
+        (cluster, tail)
     }
 
     /// [`Self::build_streaming`] under a total posting-memory budget: each
@@ -277,8 +265,41 @@ impl SimulatedCluster {
         chunk_size: usize,
         budget_bytes: usize,
     ) -> Result<(Self, CollectionTail, Vec<SpillStats>), SpillError> {
-        assert!(num_partitions > 0, "at least one partition required");
         let vocab = stream.vocab();
+        let (cluster, stats) = Self::build_routed(
+            &vocab,
+            num_partitions,
+            index_config,
+            budget_bytes,
+            |route| {
+                // Lives only while routing: the builders' finish phase must
+                // not also hold the last chunk of documents.
+                let mut chunk = Vec::new();
+                while stream.next_chunk_into(chunk_size, &mut chunk) > 0 {
+                    route(&chunk)?;
+                }
+                Ok(())
+            },
+        )?;
+        Ok((cluster, stream.finish(), stats))
+    }
+
+    /// The one build path behind every constructor that indexes documents:
+    /// `feed` hands document slices (in global docid order) to the routing
+    /// loop, which places each on its [`partition_of`] builder; the
+    /// builders then finish one after another. A [`SpillingIndexBuilder`]
+    /// whose share of `budget_bytes` is never reached *is* the in-memory
+    /// streaming builder, so the unbudgeted constructors pass `usize::MAX`.
+    fn build_routed(
+        vocab: &[String],
+        num_partitions: usize,
+        index_config: &IndexConfig,
+        budget_bytes: usize,
+        feed: impl FnOnce(
+            &mut dyn FnMut(&[Document]) -> Result<(), SpillError>,
+        ) -> Result<(), SpillError>,
+    ) -> Result<(Self, Vec<SpillStats>), SpillError> {
+        assert!(num_partitions > 0, "at least one partition required");
         let per_partition = (budget_bytes / num_partitions).max(1);
         let mut builders: Vec<SpillingIndexBuilder> = (0..num_partitions)
             .map(|_| {
@@ -290,27 +311,27 @@ impl SimulatedCluster {
             })
             .collect();
         let mut global_ids: Vec<Vec<u32>> = vec![Vec::new(); num_partitions];
-        let mut chunk = Vec::new();
-        while stream.next_chunk_into(chunk_size, &mut chunk) > 0 {
-            for doc in &chunk {
+        feed(&mut |docs| {
+            for doc in docs {
                 let p = partition_of(doc.id, num_partitions);
                 builders[p].push_doc(&doc.name, &doc.terms, doc.len)?;
                 global_ids[p].push(doc.id);
             }
-        }
-        let tail = stream.finish();
+            Ok(())
+        })?;
         let mut stats = Vec::with_capacity(num_partitions);
         let mut parts = Vec::with_capacity(num_partitions);
         for (builder, ids) in builders.into_iter().zip(global_ids) {
-            let (index, s) = builder.finish(&vocab)?;
+            let (index, s) = builder.finish(vocab)?;
             stats.push(s);
             parts.push((index, ids));
         }
-        Ok((Self::from_partition_indexes(parts), tail, stats))
+        Ok((Self::from_partition_indexes(parts), stats))
     }
 
     /// Assembles a cluster from already-finished per-partition indexes and
-    /// their local→global docid mappings.
+    /// their local→global docid mappings — the single assembly point every
+    /// constructor ends in.
     ///
     /// # Panics
     /// Panics if `parts` is empty or a mapping's length disagrees with its
@@ -326,7 +347,7 @@ impl SimulatedCluster {
                     "global-id mapping does not cover the partition"
                 );
                 let buffers = Arc::new(BufferManager::with_mode(
-                    DiskModel::instant(),
+                    DiskModel::instant(), // index held in RAM (§3.4)
                     BufferMode::Hot,
                     0,
                 ));
@@ -334,28 +355,6 @@ impl SimulatedCluster {
             })
             .collect();
         SimulatedCluster { nodes }
-    }
-
-    /// Assembles a cluster from per-partition streaming builders and their
-    /// local→global docid mappings (entry `i` of a partition's mapping is
-    /// the global docid of the `i`-th document pushed to its builder).
-    /// Useful when the caller drives one [`CollectionStream`] into several
-    /// consumers at once and routes documents itself.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or a mapping's length disagrees with its
-    /// builder's document count.
-    pub fn from_partition_builders(
-        parts: Vec<(StreamingIndexBuilder, Vec<u32>)>,
-        vocab: &[String],
-    ) -> Self {
-        assert!(!parts.is_empty(), "at least one partition required");
-        Self::from_partition_indexes(
-            parts
-                .into_iter()
-                .map(|(builder, global_ids)| (builder.finish(vocab), global_ids))
-                .collect(),
-        )
     }
 
     /// Writes one partition segment per node next to `base`: node `i` goes
@@ -408,12 +407,22 @@ impl SimulatedCluster {
     /// engine's earlier-row preference. Nodes are searched sequentially on
     /// the calling thread; [`Self::search_scatter`] is the concurrent
     /// fan-out with identical results.
+    ///
+    /// # Panics
+    /// Panics if a node's search fails: this is the reference the scatter
+    /// path is tested against, and a merge over partial coverage would be
+    /// a silently wrong reference.
     pub fn search(&self, terms: &[u32], strategy: SearchStrategy, n: usize) -> Vec<MergedResult> {
         let per_node = self
             .nodes
             .iter()
             .enumerate()
-            .map(|(ni, node)| Self::node_search(node, ni, terms, strategy, n).0)
+            .map(
+                |(ni, node)| match Self::node_search(node, ni, terms, strategy, n) {
+                    Ok((hits, _)) => hits,
+                    Err(e) => panic!("sequential cluster search lost coverage: {e}"),
+                },
+            )
             .collect();
         Self::merge_top_n(per_node, n)
     }
@@ -425,37 +434,32 @@ impl SimulatedCluster {
         terms: &[u32],
         strategy: SearchStrategy,
         n: usize,
-    ) -> (Vec<MergedResult>, NodeTiming) {
+    ) -> Result<(Vec<MergedResult>, NodeTiming), ClusterError> {
         let started = Instant::now();
         node.check_injected_fault();
         let engine = node.engine();
         let mut scratch = node.scratch.acquire();
         let searched = engine.search_with_scratch(terms, strategy, n, &mut scratch);
         node.scratch.release(scratch);
-        let (results, cpu_time, io, passes) = match searched {
-            Ok(resp) => {
-                let hits = resp
-                    .results
-                    .into_iter()
-                    .map(|r| MergedResult {
-                        docid: node.global_id(r.docid),
-                        score: r.score,
-                        name: r.name,
-                        node: ni,
-                    })
-                    .collect();
-                (hits, resp.cpu_time, resp.io, resp.passes)
-            }
-            Err(_) => (Vec::new(), Duration::ZERO, IoStats::default(), 1),
-        };
+        let resp = searched.map_err(|_| ClusterError::NodeFailed { partition: ni })?;
         let timing = NodeTiming {
             node: ni,
             wall: started.elapsed(),
-            cpu_time,
-            io,
-            passes,
+            cpu_time: resp.cpu_time,
+            io: resp.io,
+            passes: resp.passes,
         };
-        (results, timing)
+        let hits = resp
+            .results
+            .into_iter()
+            .map(|r| MergedResult {
+                docid: node.global_id(r.docid),
+                score: r.score,
+                name: r.name,
+                node: ni,
+            })
+            .collect();
+        Ok((hits, timing))
     }
 
     /// Coordinator merge: concatenates per-node top-`n` lists (given in
@@ -480,12 +484,12 @@ impl SimulatedCluster {
     /// deterministic merge, so thread completion order cannot leak into
     /// the ranking.
     ///
-    /// A node thread that *panics* does not abort the query: the join
-    /// error is caught and reported as a [`ClusterError::NodeFailed`]
-    /// entry in [`ScatterResponse::failures`] (with a zeroed timing slot),
-    /// and the merge covers the surviving partitions. Callers that cannot
-    /// accept partial coverage check `failures`; the networked coordinator
-    /// instead retries the partition on a replica.
+    /// A node whose search *errors or panics* does not abort the query: it
+    /// is reported as a [`ClusterError::NodeFailed`] entry in
+    /// [`ScatterResponse::failures`] (with a zeroed timing slot), and the
+    /// merge covers the surviving partitions. Callers that cannot accept
+    /// partial coverage check `failures`; the networked coordinator instead
+    /// retries the partition on a replica.
     pub fn search_scatter(
         &self,
         terms: &[u32],
@@ -508,14 +512,16 @@ impl SimulatedCluster {
             // `handles` is in node order; joining in order re-establishes a
             // deterministic gather regardless of completion order.
             for (ni, h) in handles.into_iter().enumerate() {
-                match h.join() {
+                // A panicked worker's payload is already printed by the
+                // default hook; what the coordinator needs is the typed
+                // fact that this partition reported nothing.
+                let found = h
+                    .join()
+                    .unwrap_or(Err(ClusterError::NodeFailed { partition: ni }));
+                match found {
                     Ok(found) => per_node.push(found),
-                    Err(_) => {
-                        // The worker's panic payload is already printed by
-                        // the default hook; what the coordinator needs is
-                        // the typed fact that this partition reported
-                        // nothing.
-                        failures.push(ClusterError::NodeFailed { partition: ni });
+                    Err(e) => {
+                        failures.push(e);
                         per_node.push((
                             Vec::new(),
                             NodeTiming {
@@ -577,19 +583,17 @@ impl SimulatedCluster {
                             .iter()
                             .map(|q| {
                                 node.check_injected_fault();
-                                engine
-                                    .search(q, strategy, n)
-                                    .map(|r| r.cpu_time)
-                                    .unwrap_or(Duration::ZERO)
+                                engine.search(q, strategy, n).map(|r| r.cpu_time)
                             })
-                            .collect::<Vec<_>>()
+                            .collect::<Result<Vec<_>, _>>()
                     })
                 })
                 .collect();
             for (ni, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(row) => per_node.push(row),
-                    Err(_) => {
+                    Ok(Ok(row)) => per_node.push(row),
+                    // A search error is a failed node, not a zero-cost query.
+                    Ok(Err(_)) | Err(_) => {
                         // Keep joining the rest so no thread is leaked past
                         // the scope, then report the first dead node.
                         failed.get_or_insert(ClusterError::NodeFailed { partition: ni });
@@ -612,6 +616,7 @@ impl SimulatedCluster {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
     use x100_corpus::CollectionConfig;
 
     fn setup(n: usize) -> (SyntheticCollection, SimulatedCluster) {
@@ -816,8 +821,12 @@ mod tests {
     fn reopened_segment_cluster_is_bit_identical() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
         let cluster = SimulatedCluster::build(&c, 3, &IndexConfig::materialized_q8());
-        let mut base = std::env::temp_dir();
-        base.push(format!("x100-cluster-segments-{}", std::process::id()));
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let base = std::env::temp_dir().join(format!(
+            "x100-cluster-segments-{}-{}",
+            std::process::id(),
+            CALLS.fetch_add(1, Ordering::Relaxed)
+        ));
         let paths = cluster.persist_segments(&base).unwrap();
         assert_eq!(paths.len(), 3);
         let reopened = SimulatedCluster::open_segments(&paths).unwrap();
@@ -841,24 +850,77 @@ mod tests {
     }
 
     #[test]
-    fn streaming_placement_agrees_with_partition_of() {
-        // The third copy of the placement rule lived here before it was
-        // factored into `partition_of`; pin that the streaming builders
-        // and the batch partitioner route every document identically.
+    fn placement_agrees_with_partition_of_and_covers_every_doc_once() {
+        // The routing loop places every document where `partition_of` says,
+        // exactly once, round-robin balanced, numbered densely per node.
         let cfg = CollectionConfig::tiny();
-        for n in [2usize, 3, 5] {
+        for n in [1usize, 2, 3, 5, 8] {
             let (streamed, _) = SimulatedCluster::build_streaming(
                 CollectionStream::new(&cfg),
                 n,
                 &IndexConfig::compressed(),
                 64,
             );
+            let mut seen = vec![false; cfg.num_docs];
             for (pi, node) in streamed.nodes().iter().enumerate() {
+                assert_eq!(
+                    node.index().stats().num_docs as usize,
+                    node.global_ids.len()
+                );
+                assert!(node.global_ids.len().abs_diff(cfg.num_docs / n) <= 1);
                 for &g in &node.global_ids {
                     assert_eq!(partition_of(g, n), pi, "doc {g} with {n} partitions");
+                    assert!(!seen[g as usize], "doc {g} in two partitions");
+                    seen[g as usize] = true;
                 }
             }
+            assert!(seen.iter().all(|&s| s));
         }
+    }
+
+    #[test]
+    fn more_partitions_than_docs_leaves_empty_nodes_searchable() {
+        let mut cfg = CollectionConfig::tiny();
+        cfg.num_docs = 3;
+        cfg.relevant_per_query = 2;
+        let c = SyntheticCollection::generate(&cfg);
+        let cluster = SimulatedCluster::build(&c, 8, &IndexConfig::compressed());
+        let sizes: Vec<usize> = cluster.nodes().iter().map(|n| n.global_ids.len()).collect();
+        assert_eq!(sizes, [1, 1, 1, 0, 0, 0, 0, 0]);
+        let q = &c.eval_queries[0].terms;
+        let resp = cluster.search_scatter(q, SearchStrategy::Bm25, 10);
+        assert!(resp.failures.is_empty());
+        assert_eq!(resp.results, cluster.search(q, SearchStrategy::Bm25, 10));
+    }
+
+    #[test]
+    fn failed_node_search_is_a_typed_failure_not_an_empty_result() {
+        // A materialized-score strategy over partitions built without score
+        // columns is a planning error on every node. It used to merge as
+        // "no hits"; it must surface per partition instead.
+        let (c, cluster) = setup(3);
+        let q = &c.eval_queries[0].terms;
+        let resp = cluster.search_scatter(q, SearchStrategy::Bm25Materialized, 10);
+        assert_eq!(
+            resp.failures,
+            (0..3)
+                .map(|partition| ClusterError::NodeFailed { partition })
+                .collect::<Vec<_>>()
+        );
+        assert!(resp.results.is_empty());
+        assert_eq!(resp.node_timings.len(), 3);
+        assert!(cluster
+            .measure_compute(
+                std::slice::from_ref(q),
+                SearchStrategy::Bm25Materialized,
+                10
+            )
+            .is_err());
+        // The sequential reference refuses partial coverage outright.
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster.search(q, SearchStrategy::Bm25Materialized, 10)
+        }));
+        assert!(refused.is_err());
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub use net::{
     Coordinator, CoordinatorConfig, CoordinatorStats, Fault, NetCluster, NetError,
     NetSearchOutcome, NodeServer, PartitionAttempt, PartitionServeStats,
 };
-pub use partition::{partition_collection, partition_of, Partition};
+pub use partition::partition_of;
 pub use schedule::{simulate_run, JitterModel, RunConfig, RunStats};
 pub use serve::{
-    run_closed_loop, run_open_loop, AdmissionQueue, Lane, LatencyHistogram, QueryOutcome,
-    QueryService, ServeConfig, ServeReport, ServedQuery, TwoLaneQueue,
+    run_closed_loop, run_open_loop, Lane, LatencyHistogram, QueryOutcome, QueryService,
+    ServeConfig, ServeReport, ServedQuery, TwoLaneQueue,
 };

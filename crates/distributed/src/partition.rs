@@ -3,10 +3,10 @@
 //! The collection is split into `n` partitions round-robin by docid, so
 //! every partition sees the same term distribution in expectation (the
 //! paper's "we can easily split up the document collection into N
-//! partitions"). Each partition is itself a valid [`SyntheticCollection`]
-//! with *local* dense docids; the original global docid is recoverable via
-//! the per-partition `global_ids` mapping (and redundantly via the
-//! preserved document names).
+//! partitions"). Each partition's builder assigns *local* dense docids in
+//! arrival order; the original global docid is recoverable via the
+//! per-node `global_ids` mapping (and redundantly via the preserved
+//! document names).
 //!
 //! Note the statistics consequence the paper's setup shares: each node
 //! computes BM25 from its *local* `f_D`, `f_{T,D}` and `avgdl`. With
@@ -14,162 +14,16 @@
 //! statistics, so idf (a ratio) and avgdl are nearly unchanged and per-node
 //! scores are directly mergeable.
 
-use x100_corpus::{Document, SyntheticCollection};
-
 /// The one doc→partition placement rule: global docid `doc_id` lives on
-/// partition `doc_id mod n`. Every placement path — batch
-/// [`partition_collection`], the streaming cluster builders, and any
-/// networked router — must go through this function; duplicated copies of
-/// the formula can silently drift, and a drift corrupts global-id routing
-/// (a query would merge hits whose global ids were minted under a
-/// different placement than the one used to route documents).
+/// partition `doc_id mod n`. Every placement path — the cluster's routing
+/// loop and any networked router — must go through this function;
+/// duplicated copies of the formula can silently drift, and a drift
+/// corrupts global-id routing (a query would merge hits whose global ids
+/// were minted under a different placement than the one used to route
+/// documents).
 ///
 /// # Panics
 /// Panics if `n == 0`.
 pub fn partition_of(doc_id: u32, n: usize) -> usize {
     (doc_id as usize) % n
-}
-
-/// One partition plus its local→global docid mapping.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// The partition as a standalone collection (local docids).
-    pub collection: SyntheticCollection,
-    /// `global_ids[local_docid] = global docid`.
-    pub global_ids: Vec<u32>,
-}
-
-/// Splits `collection` into `n` round-robin partitions.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn partition_collection(collection: &SyntheticCollection, n: usize) -> Vec<Partition> {
-    assert!(n > 0, "at least one partition required");
-    let mut parts: Vec<(Vec<Document>, Vec<u32>)> = (0..n).map(|_| Default::default()).collect();
-    for doc in &collection.docs {
-        let p = partition_of(doc.id, n);
-        let (docs, globals) = &mut parts[p];
-        let local = docs.len() as u32;
-        globals.push(doc.id);
-        docs.push(Document {
-            id: local,
-            name: doc.name.clone(), // global identity preserved
-            terms: doc.terms.clone(),
-            len: doc.len,
-        });
-    }
-    parts
-        .into_iter()
-        .map(|(docs, global_ids)| Partition {
-            collection: SyntheticCollection {
-                config: collection.config.clone(),
-                docs,
-                vocab: collection.vocab.clone(),
-                eval_queries: collection.eval_queries.clone(),
-                efficiency_log: collection.efficiency_log.clone(),
-            },
-            global_ids,
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use x100_corpus::CollectionConfig;
-
-    fn tiny() -> SyntheticCollection {
-        SyntheticCollection::generate(&CollectionConfig::tiny())
-    }
-
-    #[test]
-    fn partitions_cover_collection_exactly() {
-        let c = tiny();
-        let parts = partition_collection(&c, 4);
-        let total: usize = parts.iter().map(|p| p.collection.docs.len()).sum();
-        assert_eq!(total, c.docs.len());
-        // Every global id appears exactly once.
-        let mut seen = vec![false; c.docs.len()];
-        for p in &parts {
-            for &g in &p.global_ids {
-                assert!(!seen[g as usize], "doc {g} in two partitions");
-                seen[g as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn round_robin_balances_sizes() {
-        let c = tiny();
-        let parts = partition_collection(&c, 8);
-        let sizes: Vec<usize> = parts.iter().map(|p| p.collection.docs.len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "{sizes:?}");
-    }
-
-    #[test]
-    fn local_ids_dense_and_names_global() {
-        let c = tiny();
-        let parts = partition_collection(&c, 3);
-        for (pi, p) in parts.iter().enumerate() {
-            for (i, d) in p.collection.docs.iter().enumerate() {
-                assert_eq!(d.id as usize, i);
-                let g = p.global_ids[i];
-                assert_eq!(g as usize % 3, pi);
-                assert_eq!(d.name, format!("doc-{g:08}"));
-                assert_eq!(d.terms, c.docs[g as usize].terms);
-            }
-        }
-    }
-
-    #[test]
-    fn single_partition_is_identity_modulo_ids() {
-        let c = tiny();
-        let parts = partition_collection(&c, 1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].collection.docs.len(), c.docs.len());
-        assert!(parts[0]
-            .global_ids
-            .iter()
-            .enumerate()
-            .all(|(i, &g)| i as u32 == g));
-    }
-
-    #[test]
-    fn more_partitions_than_docs() {
-        let mut cfg = CollectionConfig::tiny();
-        cfg.num_docs = 3;
-        cfg.relevant_per_query = 2;
-        let c = SyntheticCollection::generate(&cfg);
-        let parts = partition_collection(&c, 8);
-        let nonempty = parts
-            .iter()
-            .filter(|p| !p.collection.docs.is_empty())
-            .count();
-        assert_eq!(nonempty, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one partition")]
-    fn zero_partitions_rejected() {
-        partition_collection(&tiny(), 0);
-    }
-
-    #[test]
-    fn batch_placement_agrees_with_partition_of() {
-        // Regression pin for the placement rule: `partition_collection`
-        // must put every document exactly where `partition_of` says (the
-        // streaming builders are pinned against the same rule in
-        // `cluster::tests::streaming_placement_agrees_with_partition_of`).
-        let c = tiny();
-        for n in [1usize, 2, 3, 7] {
-            let parts = partition_collection(&c, n);
-            for (pi, p) in parts.iter().enumerate() {
-                for &g in &p.global_ids {
-                    assert_eq!(partition_of(g, n), pi, "doc {g} with {n} partitions");
-                }
-            }
-        }
-    }
 }

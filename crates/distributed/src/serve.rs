@@ -7,10 +7,11 @@
 //! single query waits on the slowest node or on I/O. This module makes
 //! that claim executable:
 //!
-//! * [`AdmissionQueue`] — a bounded MPMC queue between load generators and
+//! * [`TwoLaneQueue`] — a bounded MPMC queue between load generators and
 //!   workers. Bounded means **backpressure**: when the pool is saturated,
 //!   submitters block instead of buffering unboundedly (the difference
-//!   between a latency spike and an OOM under overload).
+//!   between a latency spike and an OOM under overload). Short queries may
+//!   ride a priority lane; with that lane unused it is a plain bounded FIFO.
 //! * [`QueryService`] — what a worker runs per query. Implemented by
 //!   [`x100_ir::QueryExecutor`] (one node, executors cloned per worker over
 //!   a shared index + lock-striped buffer pool) and by
@@ -48,125 +49,6 @@ use crate::cluster::SimulatedCluster;
 // Bounded admission queue
 // ---------------------------------------------------------------------------
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer / multi-consumer FIFO with blocking push
-/// (backpressure) and blocking pop. Closing wakes everyone: pending items
-/// still drain, then `pop` returns `None`.
-pub struct AdmissionQueue<T> {
-    capacity: usize,
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `capacity` undelivered items.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "admission queue needs capacity at least 1");
-        AdmissionQueue {
-            capacity,
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Returns the item
-    /// back as `Err` if the queue was closed before space appeared.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.items.len() < self.capacity {
-                st.items.push_back(item);
-                drop(st);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Like [`Self::push`], but constructs the item *at admission time*:
-    /// `make` runs under the queue lock, immediately before the item
-    /// becomes visible to workers, after any backpressure wait has already
-    /// passed. Closed-loop submitters use this to stamp timestamps at
-    /// admission — stamping before a blocking `push` would count the
-    /// submitter's own backpressure wait as query latency. Returns `false`
-    /// if the queue closed before space appeared (`make` is not called).
-    pub fn push_with(&self, make: impl FnOnce() -> T) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.items.len() < self.capacity {
-                let item = make();
-                st.items.push_back(item);
-                drop(st);
-                self.not_empty.notify_one();
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty and not
-    /// closed. Returns `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue: no further pushes are admitted; pending items
-    /// still drain through `pop`.
-    pub fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Undelivered items currently queued.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Two-lane admission queue
-// ---------------------------------------------------------------------------
-
 /// Which admission lane a job rides: `Short` is the priority lane for
 /// small (cheap) queries, `Long` carries the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,16 +68,21 @@ struct TwoLaneState<T> {
     short_run: usize,
 }
 
-/// A bounded two-lane MPMC queue: the short lane is dequeued
-/// preferentially so cheap queries are not stuck behind expensive ones,
-/// but the long lane is **starvation-free** — whenever it is non-empty, at
-/// least one of every `guarantee` consecutive dequeues takes from it.
-/// Each lane is independently bounded at `capacity`, pushes block per
-/// lane, and closing behaves exactly like [`AdmissionQueue::close`]: no
-/// further admissions, pending items in both lanes still drain.
+/// While the long lane has work, at least one of every this-many dequeues
+/// serves it.
+const LONG_LANE_GUARANTEE: usize = 4;
+
+/// A bounded two-lane MPMC queue with blocking push (backpressure) and
+/// blocking pop: the short lane is dequeued preferentially so cheap
+/// queries are not stuck behind expensive ones, but the long lane is
+/// **starvation-free** — whenever it is non-empty, at least one of every
+/// four consecutive dequeues takes from it. Each lane is independently
+/// bounded at `capacity` and pushes block per lane, so a queue whose short
+/// lane is never used is exactly a bounded FIFO. Closing wakes everyone:
+/// no further admissions, pending items in both lanes still drain, then
+/// `pop` returns `None`.
 pub struct TwoLaneQueue<T> {
     capacity: usize,
-    guarantee: usize,
     state: Mutex<TwoLaneState<T>>,
     not_empty: Condvar,
     not_full_short: Condvar,
@@ -203,21 +90,14 @@ pub struct TwoLaneQueue<T> {
 }
 
 impl<T> TwoLaneQueue<T> {
-    /// A queue admitting at most `capacity` undelivered items *per lane*,
-    /// serving the long lane at least once per `guarantee` dequeues while
-    /// it has items.
+    /// A queue admitting at most `capacity` undelivered items *per lane*.
     ///
     /// # Panics
-    /// Panics if `capacity == 0` or `guarantee == 0`.
-    pub fn new(capacity: usize, guarantee: usize) -> Self {
-        assert!(capacity > 0, "two-lane queue needs capacity at least 1");
-        assert!(
-            guarantee > 0,
-            "long-lane guarantee must be at least every 1st dequeue"
-        );
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "admission queue needs capacity at least 1");
         TwoLaneQueue {
             capacity,
-            guarantee,
             state: Mutex::new(TwoLaneState {
                 short: VecDeque::with_capacity(capacity),
                 long: VecDeque::with_capacity(capacity),
@@ -247,10 +127,13 @@ impl<T> TwoLaneQueue<T> {
         }
     }
 
-    /// Like [`Self::push`], but constructs the item at admission time,
-    /// under the queue lock, after any backpressure wait — the two-lane
-    /// analogue of [`AdmissionQueue::push_with`]. Returns `false` if the
-    /// queue closed before space appeared (`make` is not called).
+    /// Like [`Self::push`], but constructs the item *at admission time*:
+    /// `make` runs under the queue lock, immediately before the item
+    /// becomes visible to workers, after any backpressure wait has already
+    /// passed. Closed-loop submitters use this to stamp timestamps at
+    /// admission — stamping before a blocking `push` would count the
+    /// submitter's own backpressure wait as query latency. Returns `false`
+    /// if the queue closed before space appeared (`make` is not called).
     pub fn push_with(&self, lane: Lane, make: impl FnOnce() -> T) -> bool {
         self.push_impl(lane, make).is_ok()
     }
@@ -289,7 +172,7 @@ impl<T> TwoLaneQueue<T> {
             } else {
                 // Long lane has work: take it when the short lane is idle
                 // or when the anti-starvation quota comes due.
-                st.short.is_empty() || st.short_run + 1 >= self.guarantee
+                st.short.is_empty() || st.short_run + 1 >= LONG_LANE_GUARANTEE
             };
             let (lane, item) = if take_long {
                 (Lane::Long, st.long.pop_front())
@@ -603,14 +486,11 @@ pub struct ServeConfig {
     pub strategy: SearchStrategy,
     /// Top-N to retrieve per query.
     pub top_n: usize,
-    /// When `Some(t)`, admission becomes two-lane: queries with at most
-    /// `t` terms ride a priority lane so cheap lookups are not stuck
-    /// behind expensive disjunctions (each lane is bounded at
-    /// `queue_depth`). `None` keeps the single FIFO lane.
+    /// When `Some(t)`, queries with at most `t` terms ride the priority
+    /// lane so cheap lookups are not stuck behind expensive disjunctions
+    /// (each lane is bounded at `queue_depth`). `None` sends every query
+    /// down the long lane: a single bounded FIFO.
     pub short_query_max_terms: Option<usize>,
-    /// Anti-starvation bound for the two-lane mode: while the long lane
-    /// has work, at least one of every this-many dequeues serves it.
-    pub long_lane_guarantee: usize,
 }
 
 impl ServeConfig {
@@ -624,16 +504,7 @@ impl ServeConfig {
             strategy: SearchStrategy::Bm25TwoPass,
             top_n: 20,
             short_query_max_terms: None,
-            long_lane_guarantee: 4,
         }
-    }
-
-    /// Builder-style switch to two-lane admission: queries with at most
-    /// `max_terms` terms take the priority lane.
-    #[must_use]
-    pub fn with_short_lane(mut self, max_terms: usize) -> Self {
-        self.short_query_max_terms = Some(max_terms);
-        self
     }
 }
 
@@ -741,66 +612,11 @@ pub fn run_open_loop<S: QueryService + Clone>(
     run(service, config, queries, Some(rate_qps))
 }
 
-/// The admission frontend `run` drives: a single FIFO, or the two-lane
-/// priority queue when [`ServeConfig::short_query_max_terms`] is set.
-/// Both present the same push/pop/close contract to the load loop.
-enum JobQueue {
-    Single(AdmissionQueue<QueryJob>),
-    TwoLane {
-        lanes: TwoLaneQueue<QueryJob>,
-        max_terms: usize,
-    },
-}
-
-impl JobQueue {
-    fn for_config(config: &ServeConfig) -> Self {
-        match config.short_query_max_terms {
-            Some(max_terms) => JobQueue::TwoLane {
-                lanes: TwoLaneQueue::new(config.queue_depth, config.long_lane_guarantee),
-                max_terms,
-            },
-            None => JobQueue::Single(AdmissionQueue::new(config.queue_depth)),
-        }
-    }
-
-    fn push(&self, n_terms: usize, job: QueryJob) -> Result<(), QueryJob> {
-        match self {
-            JobQueue::Single(q) => q.push(job),
-            JobQueue::TwoLane { lanes, max_terms } => {
-                lanes.push(lane_for(n_terms, *max_terms), job)
-            }
-        }
-    }
-
-    fn push_with(&self, n_terms: usize, make: impl FnOnce() -> QueryJob) -> bool {
-        match self {
-            JobQueue::Single(q) => q.push_with(make),
-            JobQueue::TwoLane { lanes, max_terms } => {
-                lanes.push_with(lane_for(n_terms, *max_terms), make)
-            }
-        }
-    }
-
-    fn pop(&self) -> Option<QueryJob> {
-        match self {
-            JobQueue::Single(q) => q.pop(),
-            JobQueue::TwoLane { lanes, .. } => lanes.pop().map(|(_, job)| job),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            JobQueue::Single(q) => q.close(),
-            JobQueue::TwoLane { lanes, .. } => lanes.close(),
-        }
-    }
-}
-
-fn lane_for(n_terms: usize, max_terms: usize) -> Lane {
-    if n_terms <= max_terms {
-        Lane::Short
-    } else {
-        Lane::Long
+/// The lane a query of `n_terms` terms rides under `config`.
+fn lane_for(n_terms: usize, config: &ServeConfig) -> Lane {
+    match config.short_query_max_terms {
+        Some(max_terms) if n_terms <= max_terms => Lane::Short,
+        _ => Lane::Long,
     }
 }
 
@@ -811,7 +627,7 @@ fn run<S: QueryService + Clone>(
     arrival_rate: Option<f64>,
 ) -> ServeReport {
     assert!(config.workers > 0, "at least one worker required");
-    let queue = JobQueue::for_config(config);
+    let queue = TwoLaneQueue::<QueryJob>::new(config.queue_depth);
     let slots: Vec<Mutex<Option<QueryOutcome>>> =
         (0..queries.len()).map(|_| Mutex::new(None)).collect();
     let io_before = service.io_stats();
@@ -821,7 +637,7 @@ fn run<S: QueryService + Clone>(
     /// never strand the load generator in a blocking `push` with no
     /// consumers left (closing an already-closed queue is a no-op, so the
     /// normal exit path is unaffected).
-    struct CloseOnDrop<'a>(&'a JobQueue);
+    struct CloseOnDrop<'a>(&'a TwoLaneQueue<QueryJob>);
     impl Drop for CloseOnDrop<'_> {
         fn drop(&mut self) {
             self.0.close();
@@ -835,7 +651,7 @@ fn run<S: QueryService + Clone>(
             let slots = &slots;
             s.spawn(move || {
                 let _close_on_panic = CloseOnDrop(queue);
-                while let Some(job) = queue.pop() {
+                while let Some((_, job)) = queue.pop() {
                     let dequeued = Instant::now();
                     let served = svc.execute(&job.terms, config.strategy, config.top_n);
                     let done = Instant::now();
@@ -856,6 +672,7 @@ fn run<S: QueryService + Clone>(
 
         // Load generation on the calling thread.
         for (id, terms) in queries.iter().enumerate() {
+            let lane = lane_for(terms.len(), config);
             let admitted = match arrival_rate {
                 Some(rate) => {
                     // Open loop: the latency clock starts at the scheduled
@@ -868,7 +685,7 @@ fn run<S: QueryService + Clone>(
                     }
                     queue
                         .push(
-                            terms.len(),
+                            lane,
                             QueryJob {
                                 id,
                                 terms: terms.clone(),
@@ -881,7 +698,7 @@ fn run<S: QueryService + Clone>(
                 // Closed loop: the query exists only once the bounded
                 // queue admits it, so both clocks start at admission —
                 // inside `push_with`, after any backpressure wait.
-                None => queue.push_with(terms.len(), || {
+                None => queue.push_with(lane, || {
                     let now = Instant::now();
                     QueryJob {
                         id,
@@ -946,99 +763,41 @@ mod tests {
     }
 
     #[test]
-    fn queue_delivers_every_item_exactly_once() {
-        let queue: Arc<AdmissionQueue<usize>> = Arc::new(AdmissionQueue::new(4));
-        let seen = Arc::new(Mutex::new(Vec::new()));
+    fn single_lane_use_is_a_strict_bounded_fifo() {
+        // With the short lane never used the queue is the plain bounded
+        // FIFO: items leave in push order, the long lane never holds more
+        // than its capacity, and the short lane stays empty.
+        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(3);
         std::thread::scope(|s| {
-            for _ in 0..3 {
-                let queue = queue.clone();
-                let seen = seen.clone();
-                s.spawn(move || {
-                    while let Some(v) = queue.pop() {
-                        seen.lock().unwrap().push(v);
-                    }
-                });
+            s.spawn(|| {
+                for v in 0..100 {
+                    q.push(Lane::Long, v).unwrap();
+                }
+                q.close();
+            });
+            for expect in 0..100 {
+                let (short, long) = q.lane_lens();
+                assert_eq!(short, 0);
+                assert!(long <= 3, "long lane over capacity: {long}");
+                assert_eq!(q.pop(), Some((Lane::Long, expect)));
             }
-            for v in 0..100 {
-                queue.push(v).unwrap();
-            }
-            queue.close();
+            assert_eq!(q.pop(), None);
         });
-        let mut got = seen.lock().unwrap().clone();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn queue_push_after_close_is_rejected() {
-        let queue: AdmissionQueue<u32> = AdmissionQueue::new(2);
-        queue.push(1).unwrap();
-        queue.close();
-        assert_eq!(queue.push(2), Err(2));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn close_unparks_blocked_pushers_with_clean_rejection() {
-        // The close-then-drain race, pinned: a submitter parked in a
-        // blocking `push` on a full depth-1 queue observes `close()` and
-        // must get a clean rejection — its item handed back, not silently
-        // dropped, and no deadlock. The already-admitted item still
-        // drains. (`close` wakes `not_full` waiters and the push loop
-        // re-checks `closed` before re-checking capacity, so the parked
-        // pusher cannot slip its item in after the close either.)
-        let queue: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(1));
-        queue.push(1).unwrap();
-        let pusher = {
-            let queue = queue.clone();
-            std::thread::spawn(move || queue.push(2))
-        };
-        let with_pusher = {
-            let queue = queue.clone();
-            std::thread::spawn(move || queue.push_with(|| 3))
-        };
-        // Let both submitters reach the parked wait on the full queue.
-        std::thread::sleep(Duration::from_millis(50));
-        queue.close();
-        assert_eq!(
-            pusher.join().unwrap(),
-            Err(2),
-            "parked push must be rejected with its item returned"
-        );
-        assert!(
-            !with_pusher.join().unwrap(),
-            "parked push_with must report rejection (its closure never ran)"
-        );
-        // Close-then-drain: the admitted item survives, the rejected ones
-        // never appear.
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn close_rejects_parked_pusher_even_when_space_appears_first() {
-        // The nastier interleaving: the queue is closed *and* drained
-        // while the pusher is parked, so the pusher wakes to a queue with
-        // free space. The closed check must still win — an item admitted
-        // after close would either be lost (drain already finished) or
-        // resurrect a "done" queue.
-        let queue: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(1));
-        queue.push(1).unwrap();
-        let pusher = {
-            let queue = queue.clone();
-            std::thread::spawn(move || queue.push(2))
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        queue.close();
-        assert_eq!(queue.pop(), Some(1)); // space appears after close
-        assert_eq!(pusher.join().unwrap(), Err(2));
-        assert_eq!(queue.pop(), None);
+        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(2);
+        q.push(Lane::Long, 1).unwrap();
+        q.close();
+        assert_eq!(q.push(Lane::Long, 2), Err(2));
+        assert_eq!(q.pop(), Some((Lane::Long, 1)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn two_lane_short_queries_overtake_queued_long() {
-        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(4, 3);
+        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(4);
         q.push(Lane::Long, 100).unwrap();
         q.push(Lane::Long, 101).unwrap();
         q.push(Lane::Short, 1).unwrap();
@@ -1055,9 +814,9 @@ mod tests {
     #[test]
     fn two_lane_long_lane_is_starvation_free() {
         // A constantly replenished short lane must not starve the long
-        // lane: with guarantee N = 4, a queued long job is dequeued within
-        // 4 pops even though a short job is always available.
-        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(8, 4);
+        // lane: a queued long job is dequeued within LONG_LANE_GUARANTEE
+        // pops even though a short job is always available.
+        let q: TwoLaneQueue<u32> = TwoLaneQueue::new(8);
         q.push(Lane::Long, 999).unwrap();
         let mut next_short = 0u32;
         for _ in 0..6 {
@@ -1077,16 +836,16 @@ mod tests {
                 break;
             }
             assert!(
-                dequeues < 4,
+                dequeues < LONG_LANE_GUARANTEE,
                 "long job starved past the guarantee: {dequeues} short dequeues"
             );
         }
-        assert!(dequeues <= 4);
+        assert!(dequeues <= LONG_LANE_GUARANTEE);
     }
 
     #[test]
     fn two_lane_delivers_every_item_exactly_once() {
-        let q: Arc<TwoLaneQueue<usize>> = Arc::new(TwoLaneQueue::new(4, 3));
+        let q: Arc<TwoLaneQueue<usize>> = Arc::new(TwoLaneQueue::new(4));
         let seen = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             for _ in 0..3 {
@@ -1115,7 +874,7 @@ mod tests {
         // each full lane observes `close()` and gets a clean rejection —
         // item handed back (or closure never run), no deadlock — while the
         // already-admitted items still drain.
-        let q: Arc<TwoLaneQueue<u32>> = Arc::new(TwoLaneQueue::new(1, 2));
+        let q: Arc<TwoLaneQueue<u32>> = Arc::new(TwoLaneQueue::new(1));
         q.push(Lane::Short, 1).unwrap();
         q.push(Lane::Long, 2).unwrap();
         let short_pusher = {
@@ -1144,10 +903,12 @@ mod tests {
 
     #[test]
     fn two_lane_close_rejects_parked_pusher_even_when_space_appears_first() {
-        // Mirror of the single-lane pin: the queue is closed and drained
-        // while the pusher is parked, so it wakes to free space — the
-        // closed check must still win or the item would be stranded.
-        let q: Arc<TwoLaneQueue<u32>> = Arc::new(TwoLaneQueue::new(1, 2));
+        // The nastier interleaving: the queue is closed *and* drained while
+        // the pusher is parked, so the pusher wakes to a queue with free
+        // space. The closed check must still win — an item admitted after
+        // close would either be lost (drain already finished) or resurrect
+        // a "done" queue.
+        let q: Arc<TwoLaneQueue<u32>> = Arc::new(TwoLaneQueue::new(1));
         q.push(Lane::Short, 1).unwrap();
         let pusher = {
             let q = q.clone();
@@ -1168,7 +929,7 @@ mod tests {
         let mut cfg = ServeConfig::new(2);
         cfg.top_n = 10;
         let reference = run_closed_loop(&exec, &cfg, &queries);
-        let cfg = cfg.with_short_lane(2);
+        cfg.short_query_max_terms = Some(2);
         let report = run_closed_loop(&exec, &cfg, &queries);
         assert_eq!(report.completed, queries.len());
         for (a, b) in report.outcomes.iter().zip(&reference.outcomes) {
@@ -1185,7 +946,7 @@ mod tests {
     fn queue_bounds_create_backpressure() {
         // One worker consuming a 10 ms job at a time from a depth-1 queue:
         // the fifth push cannot complete before ~3 services have finished.
-        let queue: AdmissionQueue<u32> = AdmissionQueue::new(1);
+        let queue: TwoLaneQueue<u32> = TwoLaneQueue::new(1);
         std::thread::scope(|s| {
             s.spawn(|| {
                 while queue.pop().is_some() {
@@ -1194,7 +955,7 @@ mod tests {
             });
             let start = Instant::now();
             for v in 0..5 {
-                queue.push(v).unwrap();
+                queue.push(Lane::Long, v).unwrap();
             }
             let elapsed = start.elapsed();
             queue.close();

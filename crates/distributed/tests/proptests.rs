@@ -1,10 +1,9 @@
-//! Property tests for partitioning and the discrete-event scheduler.
+//! Property tests for the discrete-event scheduler.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use x100_corpus::{CollectionConfig, SyntheticCollection};
-use x100_distributed::{partition_collection, simulate_run, JitterModel, RunConfig};
+use x100_distributed::{simulate_run, JitterModel, RunConfig};
 
 fn compute_matrix() -> impl Strategy<Value = Vec<Vec<Duration>>> {
     (1usize..40, 1usize..9).prop_flat_map(|(queries, partitions)| {
@@ -17,24 +16,6 @@ fn compute_matrix() -> impl Strategy<Value = Vec<Vec<Duration>>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn partitions_always_cover_exactly(n in 1usize..12) {
-        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let parts = partition_collection(&c, n);
-        prop_assert_eq!(parts.len(), n);
-        let mut seen = vec![false; c.docs.len()];
-        for p in &parts {
-            prop_assert_eq!(p.collection.docs.len(), p.global_ids.len());
-            for (local, &g) in p.global_ids.iter().enumerate() {
-                prop_assert!(!seen[g as usize]);
-                seen[g as usize] = true;
-                prop_assert_eq!(p.collection.docs[local].id as usize, local);
-                prop_assert_eq!(&p.collection.docs[local].terms, &c.docs[g as usize].terms);
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
 
     #[test]
     fn scheduler_is_deterministic(compute in compute_matrix(), streams in 1usize..6) {

@@ -175,22 +175,25 @@ impl StreamingIndexBuilder {
     }
 }
 
-/// Drives a [`CollectionStream`] to completion through a
-/// [`StreamingIndexBuilder`]: generate → index without ever materializing
-/// the collection. Returns the index together with the workload tail
-/// (judged queries + efficiency log).
+/// Drives a [`CollectionStream`] to completion through the streaming
+/// builder: generate → index without ever materializing the collection.
+/// Returns the index together with the workload tail (judged queries +
+/// efficiency log). This is [`crate::build_index_streaming_spill`] with a
+/// budget that is never reached — a spilling builder that never spills *is*
+/// the [`StreamingIndexBuilder`] it embeds, so there is one drive loop.
 pub fn build_index_streaming(
-    mut stream: CollectionStream,
+    stream: CollectionStream,
     index_config: &IndexConfig,
     chunk_size: usize,
 ) -> (InvertedIndex, CollectionTail) {
-    let vocab = stream.vocab();
-    let mut builder = StreamingIndexBuilder::new(vocab.len(), index_config);
-    while let Some(chunk) = stream.next_chunk(chunk_size) {
-        builder.push_docs(&chunk);
-    }
-    let tail = stream.finish();
-    (builder.finish(&vocab), tail)
+    let (index, tail, _) = crate::spill::build_index_streaming_spill(
+        stream,
+        index_config,
+        chunk_size,
+        crate::spill::SpillConfig::unbounded(),
+    )
+    .expect("an unbounded budget never spills, so the build never touches disk");
+    (index, tail)
 }
 
 #[cfg(test)]

@@ -263,14 +263,13 @@ impl<'a> QueryEngine<'a> {
             .filter(|&t| !self.index.term_range(t).is_empty())
             .collect();
 
-        let io_before = self.buffers.stats();
-        let started = Instant::now();
-        let mut passes = 1u8;
-
-        let mut ranked = if terms.is_empty() {
-            Vec::new()
-        } else {
-            match strategy {
+        let mut ranked = Vec::new();
+        let meta = self.timed(|| {
+            let mut passes = 1u8;
+            if terms.is_empty() {
+                return Ok(passes);
+            }
+            ranked = match strategy {
                 SearchStrategy::BoolAnd => self.run_boolean(&terms, n, true)?,
                 SearchStrategy::BoolOr => self.run_boolean(&terms, n, false)?,
                 // The oracle for the pruned modes is the exhaustive
@@ -294,14 +293,39 @@ impl<'a> QueryEngine<'a> {
                         self.run_ranked(&terms, n, materialized)?
                     }
                 }
-            }
-        };
-        ranked.truncate(n);
+            };
+            ranked.truncate(n);
+            Ok(passes)
+        })?;
+        Ok(self.named_response(ranked, meta))
+    }
 
+    /// Runs `query` between the I/O-counter and wall-clock snapshots every
+    /// response carries; `query` returns its pass count.
+    fn timed(
+        &self,
+        query: impl FnOnce() -> Result<u8, ExecError>,
+    ) -> Result<HitsResponse, ExecError> {
+        let io_before = self.buffers.stats();
+        let started = Instant::now();
+        let passes = query()?;
         let cpu_time = started.elapsed();
         let io = self.buffers.stats().delta_since(&io_before);
+        Ok(HitsResponse {
+            passes,
+            io,
+            cpu_time,
+        })
+    }
 
-        let results = ranked
+    /// Materializes `(docid, score)` hits into a full response: one D-table
+    /// name lookup per hit.
+    fn named_response(
+        &self,
+        hits: impl IntoIterator<Item = (u32, f32)>,
+        meta: HitsResponse,
+    ) -> SearchResponse {
+        let results = hits
             .into_iter()
             .map(|(docid, score)| SearchResult {
                 docid,
@@ -309,12 +333,26 @@ impl<'a> QueryEngine<'a> {
                 name: self.index.doc_name(docid).unwrap_or_default(),
             })
             .collect();
-        Ok(SearchResponse {
+        SearchResponse {
             results,
-            passes,
-            io,
-            cpu_time,
-        })
+            passes: meta.passes,
+            io: meta.io,
+            cpu_time: meta.cpu_time,
+        }
+    }
+
+    /// Runs an allocation-free `fill` over the arena's own hit staging and
+    /// materializes the named response from it.
+    fn scratch_response(
+        &self,
+        scratch: &mut QueryScratch,
+        fill: impl FnOnce(&mut QueryScratch, &mut Vec<(u32, f32)>) -> Result<HitsResponse, ExecError>,
+    ) -> Result<SearchResponse, ExecError> {
+        let mut hits = std::mem::take(&mut scratch.hits);
+        let meta = fill(scratch, &mut hits);
+        let response = meta.map(|meta| self.named_response(hits.iter().copied(), meta));
+        scratch.hits = hits;
+        response
     }
 
     /// Runs one query through the fused allocation-free path
@@ -331,23 +369,8 @@ impl<'a> QueryEngine<'a> {
         n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, ExecError> {
-        let mut hits = std::mem::take(&mut scratch.hits);
-        let meta = self.search_hits_into(term_ids, strategy, n, scratch, &mut hits);
-        let results = hits
-            .iter()
-            .map(|&(docid, score)| SearchResult {
-                docid,
-                score,
-                name: self.index.doc_name(docid).unwrap_or_default(),
-            })
-            .collect();
-        scratch.hits = hits;
-        let meta = meta?;
-        Ok(SearchResponse {
-            results,
-            passes: meta.passes,
-            io: meta.io,
-            cpu_time: meta.cpu_time,
+        self.scratch_response(scratch, |scratch, hits| {
+            self.search_hits_into(term_ids, strategy, n, scratch, hits)
         })
     }
 
@@ -364,24 +387,17 @@ impl<'a> QueryEngine<'a> {
         scratch: &mut QueryScratch,
         out: &mut Vec<(u32, f32)>,
     ) -> Result<HitsResponse, ExecError> {
-        let io_before = self.buffers.stats();
-        let started = Instant::now();
-        let passes = crate::hot::search_into(
-            self.index,
-            &self.buffers,
-            self.vector_size,
-            term_ids,
-            strategy,
-            n,
-            scratch,
-            out,
-        )?;
-        let cpu_time = started.elapsed();
-        let io = self.buffers.stats().delta_since(&io_before);
-        Ok(HitsResponse {
-            passes,
-            io,
-            cpu_time,
+        self.timed(|| {
+            crate::hot::search_into(
+                self.index,
+                &self.buffers,
+                self.vector_size,
+                term_ids,
+                strategy,
+                n,
+                scratch,
+                out,
+            )
         })
     }
 
@@ -435,20 +451,7 @@ impl<'a> QueryEngine<'a> {
             plan = joined;
         }
         // Unranked: emit in docid order, truncated to n.
-        let mut out = Vec::with_capacity(n);
-        let mut op = plan;
-        op.open()?;
-        'outer: while let Some(mut batch) = op.next()? {
-            batch.compact();
-            for &d in batch.column(0).as_i32() {
-                out.push((d as u32, 0.0));
-                if out.len() >= n {
-                    break 'outer;
-                }
-            }
-        }
-        op.close();
-        Ok(out)
+        Self::drain_docids(plan, n)
     }
 
     /// Ranked retrieval over the disjunctive (outer-join) plan.
@@ -595,39 +598,33 @@ impl<'a> QueryEngine<'a> {
         query: &crate::boolean::BooleanQuery,
         n: usize,
     ) -> Result<SearchResponse, ExecError> {
-        let io_before = self.buffers.stats();
-        let started = Instant::now();
-
-        let mut op = self.boolean_plan(query)?;
         let mut docids = Vec::new();
+        let meta = self.timed(|| {
+            docids = Self::drain_docids(self.boolean_plan(query)?, n)?;
+            Ok(1)
+        })?;
+        Ok(self.named_response(docids, meta))
+    }
+
+    /// Drains a plan producing one docid column into the first `n`
+    /// `(docid, 0.0)` rows — unranked, in docid order.
+    fn drain_docids(
+        mut op: Box<dyn Operator + '_>,
+        n: usize,
+    ) -> Result<Vec<(u32, f32)>, ExecError> {
+        let mut out = Vec::new();
         op.open()?;
         'outer: while let Some(mut batch) = op.next()? {
             batch.compact();
             for &d in batch.column(0).as_i32() {
-                docids.push(d as u32);
-                if docids.len() >= n {
+                out.push((d as u32, 0.0));
+                if out.len() >= n {
                     break 'outer;
                 }
             }
         }
         op.close();
-
-        let cpu_time = started.elapsed();
-        let io = self.buffers.stats().delta_since(&io_before);
-        let results = docids
-            .into_iter()
-            .map(|docid| SearchResult {
-                docid,
-                score: 0.0,
-                name: self.index.doc_name(docid).unwrap_or_default(),
-            })
-            .collect();
-        Ok(SearchResponse {
-            results,
-            passes: 1,
-            io,
-            cpu_time,
-        })
+        Ok(out)
     }
 
     /// Recursively compiles a boolean tree into an operator producing one
@@ -706,23 +703,8 @@ impl<'a> QueryEngine<'a> {
         n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, ExecError> {
-        let mut hits = std::mem::take(&mut scratch.hits);
-        let meta = self.search_conjunctive_skipping_hits_into(term_ids, n, scratch, &mut hits);
-        let results = hits
-            .iter()
-            .map(|&(docid, score)| SearchResult {
-                docid,
-                score,
-                name: self.index.doc_name(docid).unwrap_or_default(),
-            })
-            .collect();
-        scratch.hits = hits;
-        let meta = meta?;
-        Ok(SearchResponse {
-            results,
-            passes: meta.passes,
-            io: meta.io,
-            cpu_time: meta.cpu_time,
+        self.scratch_response(scratch, |scratch, hits| {
+            self.search_conjunctive_skipping_hits_into(term_ids, n, scratch, hits)
         })
     }
 
@@ -738,23 +720,17 @@ impl<'a> QueryEngine<'a> {
         scratch: &mut QueryScratch,
         out: &mut Vec<(u32, f32)>,
     ) -> Result<HitsResponse, ExecError> {
-        let io_before = self.buffers.stats();
-        let started = Instant::now();
-        crate::hot::conjunctive_skipping_into(
-            self.index,
-            &self.buffers,
-            self.vector_size,
-            term_ids,
-            n,
-            scratch,
-            out,
-        )?;
-        let cpu_time = started.elapsed();
-        let io = self.buffers.stats().delta_since(&io_before);
-        Ok(HitsResponse {
-            passes: 1,
-            io,
-            cpu_time,
+        self.timed(|| {
+            crate::hot::conjunctive_skipping_into(
+                self.index,
+                &self.buffers,
+                self.vector_size,
+                term_ids,
+                n,
+                scratch,
+                out,
+            )
+            .map(|()| 1)
         })
     }
 

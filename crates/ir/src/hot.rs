@@ -15,7 +15,7 @@
 //! steady-state sizes, executing a query performs **zero heap
 //! allocations** (pinned by `tests/hot_path_allocs.rs`).
 //!
-//! Results are bit-identical to the relational path for all six
+//! Results are bit-identical to the relational path for all eight
 //! [`SearchStrategy`] rungs; `tests/scratch_differential.rs` holds the two
 //! paths against each other property-style, including after deliberately
 //! corrupting the scratch with [`QueryScratch::poison`]. The equivalence
@@ -43,7 +43,7 @@ use std::ops::Range;
 
 use x100_compress::ENTRY_POINT_STRIDE;
 use x100_exec::ExecError;
-use x100_storage::{BufferManager, Column};
+use x100_storage::{BufferManager, Column, StorageError};
 
 use crate::bm25::idf;
 use crate::engine::SearchStrategy;
@@ -60,7 +60,7 @@ use crate::index::{InvertedIndex, Materialize, MetaView};
 /// its single-block path, which decodes into the reused buffer without
 /// allocating.
 #[derive(Debug, Default)]
-struct Window {
+pub(crate) struct Window {
     stage: Vec<u32>,
     start: usize,
     pinned_block: Option<usize>,
@@ -83,13 +83,13 @@ impl Window {
 
     /// The value at absolute position `pos`, refilling the window if `pos`
     /// is not staged.
-    fn value_at(
+    pub(crate) fn value_at(
         &mut self,
         col: &Column,
         buffers: &BufferManager,
         vector_size: usize,
         pos: usize,
-    ) -> Result<u32, ExecError> {
+    ) -> Result<u32, StorageError> {
         // `start` may be the usize::MAX sentinel; wrapping keeps the
         // in-range check branchless and correct (a huge offset misses).
         let off = pos.wrapping_sub(self.start);
@@ -107,8 +107,7 @@ impl Window {
             buffers.touch(col, block_idx);
             self.pinned_block = Some(block_idx);
         }
-        col.read_range(aligned, want_end - aligned, &mut self.stage)
-            .map_err(ExecError::from)?;
+        col.read_range(aligned, want_end - aligned, &mut self.stage)?;
         self.start = aligned;
         self.refills += (want_end - aligned).div_ceil(ENTRY_POINT_STRIDE) as u64;
         Ok(self.stage[pos - aligned])
@@ -173,13 +172,30 @@ impl TermCursor {
         self.load(doc_col, buffers, vector_size)
     }
 
+    /// Walks forward posting by posting to the first docid `>= target` —
+    /// the full-scan catch-up of the merge-join plans (every window is
+    /// decoded and charged, exactly like `ColumnScan`); [`Self::seek`] is
+    /// the skipping one.
+    fn walk_to(
+        &mut self,
+        target: u32,
+        doc_col: &Column,
+        buffers: &BufferManager,
+        vector_size: usize,
+    ) -> Result<(), ExecError> {
+        while self.cur.is_some_and(|d| d < target) {
+            self.advance(doc_col, buffers, vector_size)?;
+        }
+        Ok(())
+    }
+
     /// The payload (tf or materialized score code) of the current posting.
     fn payload(
         &mut self,
         pay_col: &Column,
         buffers: &BufferManager,
         vector_size: usize,
-    ) -> Result<u32, ExecError> {
+    ) -> Result<u32, StorageError> {
         self.pay.value_at(pay_col, buffers, vector_size, self.pos)
     }
 
@@ -328,7 +344,7 @@ impl TermCursor {
         &mut self,
         doc_col: &Column,
         buffers: &BufferManager,
-    ) -> Result<u32, ExecError> {
+    ) -> Result<u32, StorageError> {
         let stride_end = (self.pos / ENTRY_POINT_STRIDE + 1) * ENTRY_POINT_STRIDE;
         let last = stride_end.min(self.end) - 1;
         self.doc.value_at(doc_col, buffers, 1, last)
@@ -721,7 +737,7 @@ fn doc_freq_of(
     buffers: &BufferManager,
     vector_size: usize,
     term: u32,
-) -> Result<u32, ExecError> {
+) -> Result<u32, StorageError> {
     match view {
         MetaView::Mem { doc_freqs, .. } => Ok(doc_freqs.get(term as usize).copied().unwrap_or(0)),
         MetaView::Paged {
@@ -763,13 +779,45 @@ fn doc_len_u32(
     buffers: &BufferManager,
     vector_size: usize,
     docid: u32,
-) -> Result<u32, ExecError> {
+) -> Result<u32, StorageError> {
     match view {
         MetaView::Mem { doc_lens, .. } => Ok(doc_lens[docid as usize] as u32),
         MetaView::Paged { doc_lens, .. } => {
             window.value_at(doc_lens, buffers, vector_size, docid as usize)
         }
     }
+}
+
+/// The k-way union's next candidate: the smallest current docid among
+/// `cursors`, `None` once all are exhausted.
+fn min_docid<'a>(cursors: impl IntoIterator<Item = &'a TermCursor>) -> Option<u32> {
+    cursors.into_iter().filter_map(|c| c.cur).min()
+}
+
+/// The k-way intersection's next match: leapfrogs `cursors` to the next
+/// docid all of them hold (`None` once any list is exhausted), bringing
+/// each laggard up to the current target with `catch_up` — a posting walk
+/// for the merge-join plans, a galloping seek for the skipping one.
+fn next_common(
+    cursors: &mut [TermCursor],
+    mut catch_up: impl FnMut(&mut TermCursor, u32) -> Result<(), ExecError>,
+) -> Result<Option<u32>, ExecError> {
+    let Some(mut target) = cursors[0].cur else {
+        return Ok(None);
+    };
+    let mut i = 1;
+    while i < cursors.len() {
+        catch_up(&mut cursors[i], target)?;
+        match cursors[i].cur {
+            None => return Ok(None),
+            Some(d) if d == target => i += 1,
+            Some(d) => {
+                target = d;
+                i = 0;
+            }
+        }
+    }
+    Ok(Some(target))
 }
 
 /// Conjunctive BM25 retrieval by galloping leapfrog intersection over the
@@ -793,19 +841,9 @@ pub(crate) fn conjunctive_skipping_into(
 ) -> Result<(), ExecError> {
     out.clear();
     let view = index.meta_view();
-    scratch.terms.clear();
-    for &t in term_ids {
-        let range = term_range_of(&view, &mut scratch.off_window, buffers, vector_size, t)?;
-        if !range.is_empty() {
-            scratch.terms.push(t);
-        }
-    }
-    let k = scratch.terms.len();
+    let k = live_terms(&view, buffers, vector_size, term_ids, scratch)?;
     if k == 0 {
         return Ok(());
-    }
-    while scratch.cursors.len() < k {
-        scratch.cursors.push(TermCursor::default());
     }
     let td = index.td();
     let doc_col = td.column("docid").map_err(ExecError::from)?;
@@ -831,21 +869,9 @@ pub(crate) fn conjunctive_skipping_into(
     let stats = index.stats();
     heap.clear();
     let mut seq = 0u64;
-    'outer: while let Some(mut target) = cursors[0].cur {
-        // Leapfrog with galloping seeks: the laggard jumps to the current
-        // target in O(log gap) stride probes instead of walking postings.
-        let mut i = 1;
-        while i < k {
-            cursors[i].seek(target, false, doc_col, buffers, v)?;
-            match cursors[i].cur {
-                None => break 'outer,
-                Some(d) if d == target => i += 1,
-                Some(d) => {
-                    target = d;
-                    i = 0;
-                }
-            }
-        }
+    // Leapfrog with galloping seeks: the laggard jumps to the current
+    // target in O(log gap) stride probes instead of walking postings.
+    while let Some(target) = next_common(cursors, |c, t| c.seek(t, false, doc_col, buffers, v))? {
         let doc_len = doc_len_u32(&view, len_window, buffers, v, target)?;
         let mut score = 0.0f32;
         for (i, c) in cursors.iter_mut().enumerate() {
@@ -894,19 +920,9 @@ pub(crate) fn search_into(
         ));
     }
     let view = index.meta_view();
-    scratch.terms.clear();
-    for &t in term_ids {
-        let range = term_range_of(&view, &mut scratch.off_window, buffers, vector_size, t)?;
-        if !range.is_empty() {
-            scratch.terms.push(t);
-        }
-    }
-    let k = scratch.terms.len();
+    let k = live_terms(&view, buffers, vector_size, term_ids, scratch)?;
     if k == 0 {
         return Ok(1);
-    }
-    while scratch.cursors.len() < k {
-        scratch.cursors.push(TermCursor::default());
     }
 
     let td = index.td();
@@ -1002,6 +1018,31 @@ pub(crate) fn search_into(
     Ok(passes)
 }
 
+/// Fills `scratch.terms` with the query terms that have postings (unknown
+/// and empty ones contribute nothing to any strategy; duplicates are kept,
+/// matching the relational path), makes sure a cursor exists for each, and
+/// returns their count.
+fn live_terms(
+    view: &MetaView,
+    buffers: &BufferManager,
+    vector_size: usize,
+    term_ids: &[u32],
+    scratch: &mut QueryScratch,
+) -> Result<usize, ExecError> {
+    scratch.terms.clear();
+    for &t in term_ids {
+        let range = term_range_of(view, &mut scratch.off_window, buffers, vector_size, t)?;
+        if !range.is_empty() {
+            scratch.terms.push(t);
+        }
+    }
+    let k = scratch.terms.len();
+    while scratch.cursors.len() < k {
+        scratch.cursors.push(TermCursor::default());
+    }
+    Ok(k)
+}
+
 /// Re-aims the first `terms.len()` cursors at their term ranges.
 fn reset_cursors(
     view: &MetaView,
@@ -1071,25 +1112,9 @@ fn run_boolean(
     out: &mut Vec<(u32, f32)>,
 ) -> Result<(), ExecError> {
     if conjunctive {
-        'outer: while let Some(mut target) = cursors[0].cur {
-            let mut i = 1;
-            while i < cursors.len() {
-                while let Some(d) = cursors[i].cur {
-                    if d < target {
-                        cursors[i].advance(doc_col, buffers, vector_size)?;
-                    } else {
-                        break;
-                    }
-                }
-                match cursors[i].cur {
-                    None => break 'outer,
-                    Some(d) if d == target => i += 1,
-                    Some(d) => {
-                        target = d;
-                        i = 0;
-                    }
-                }
-            }
+        while let Some(target) =
+            next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, vector_size))?
+        {
             out.push((target, 0.0));
             if out.len() >= n {
                 break;
@@ -1099,17 +1124,7 @@ fn run_boolean(
             }
         }
     } else {
-        loop {
-            let mut m: Option<u32> = None;
-            for c in cursors.iter() {
-                if let Some(d) = c.cur {
-                    m = Some(match m {
-                        None => d,
-                        Some(x) => x.min(d),
-                    });
-                }
-            }
-            let Some(d) = m else { break };
+        while let Some(d) = min_docid(cursors.iter()) {
             for c in cursors.iter_mut() {
                 if c.cur == Some(d) {
                     c.advance(doc_col, buffers, vector_size)?;
@@ -1187,25 +1202,7 @@ fn run_ranked(
     }
 
     if conjunctive {
-        'outer: while let Some(mut target) = cursors[0].cur {
-            let mut i = 1;
-            while i < k {
-                while let Some(d) = cursors[i].cur {
-                    if d < target {
-                        cursors[i].advance(doc_col, buffers, v)?;
-                    } else {
-                        break;
-                    }
-                }
-                match cursors[i].cur {
-                    None => break 'outer,
-                    Some(d) if d == target => i += 1,
-                    Some(d) => {
-                        target = d;
-                        i = 0;
-                    }
-                }
-            }
+        while let Some(target) = next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, v))? {
             let j = batch_docids.len();
             batch_docids.push(target);
             for (i, c) in cursors.iter_mut().enumerate() {
@@ -1217,17 +1214,7 @@ fn run_ranked(
             }
         }
     } else {
-        loop {
-            let mut m: Option<u32> = None;
-            for c in cursors.iter() {
-                if let Some(d) = c.cur {
-                    m = Some(match m {
-                        None => d,
-                        Some(x) => x.min(d),
-                    });
-                }
-            }
-            let Some(d) = m else { break };
+        while let Some(d) = min_docid(cursors.iter()) {
             let j = batch_docids.len();
             batch_docids.push(d);
             for (i, c) in cursors.iter_mut().enumerate() {
@@ -1409,16 +1396,8 @@ fn run_pruned(
             break;
         }
         // Next candidate: min docid across essential cursors.
-        let mut cand: Option<u32> = None;
-        for &si in &sorted_terms[ness..] {
-            if let Some(d) = cursors[si as usize].cur {
-                cand = Some(match cand {
-                    None => d,
-                    Some(x) => x.min(d),
-                });
-            }
-        }
-        let Some(d) = cand else { break };
+        let essential = sorted_terms[ness..].iter().map(|&si| &cursors[si as usize]);
+        let Some(d) = min_docid(essential) else { break };
         if let Some(t) = theta {
             // Stage one — stride metadata only, no posting decodes: each
             // live non-essential cursor's suffix bound from its current

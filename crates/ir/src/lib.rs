@@ -61,7 +61,7 @@ pub use executor::QueryExecutor;
 pub use hot::{HotPathStats, QueryScratch, ScratchPool};
 pub use index::{IndexConfig, InvertedIndex, Materialize};
 pub use segment::SegmentOpenStats;
-pub use skipping::{intersect_skipping, PostingCursor};
+pub use skipping::PostingCursor;
 pub use spill::{
     build_index_streaming_spill, merge_run_sources, SpillConfig, SpillError, SpillStats,
     SpillingIndexBuilder,

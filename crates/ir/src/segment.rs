@@ -560,12 +560,16 @@ fn open_segment_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use x100_corpus::{CollectionConfig, SyntheticCollection};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("x100-ir-segment-{name}-{}", std::process::id()));
-        p
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "x100-ir-segment-{name}-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     #[test]

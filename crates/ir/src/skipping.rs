@@ -1,4 +1,4 @@
-//! Skipping-based conjunctive list merging.
+//! Skipping-based posting-list access.
 //!
 //! §2.1 motivates the entry points of the compressed block format with
 //! inverted-list merging: "An entry point section holds for every 128 values
@@ -10,19 +10,20 @@
 //! one list is much shorter than the other (a rare term ANDed with a common
 //! one — precisely the queries the two-pass strategy sends down the
 //! conjunctive path), most of the long list's decoded values are discarded.
-//! This module implements the classic *leapfrog* intersection over
-//! [`PostingCursor`]s that seek by docid: galloping probe over entry-point-
-//! aligned windows, decoding only the 128-value windows actually touched.
-//!
-//! The `skipping` Criterion bench and the `bool_and_skipping_*` tests
-//! compare this path against the full-scan merge join; the two must agree
-//! exactly on results.
+//! [`PostingCursor`] is the standalone by-docid seekable cursor over one
+//! list: galloping probe over entry-point-aligned windows, decoding only
+//! the 128-value windows actually touched. The leapfrog *intersection* over
+//! such cursors runs inside the scratch arena
+//! ([`crate::QueryEngine::search_conjunctive_skipping`]); both stage
+//! postings through the same `hot::Window`, so there is one copy of the
+//! refill and block-pin accounting.
 
 use std::ops::Range;
 
 use x100_compress::ENTRY_POINT_STRIDE;
-use x100_storage::{BufferManager, StorageError};
+use x100_storage::{BufferManager, Column, StorageError};
 
+use crate::hot::Window;
 use crate::index::InvertedIndex;
 
 /// A by-docid seekable cursor over one term's posting list.
@@ -32,18 +33,14 @@ use crate::index::InvertedIndex;
 /// skipped windows are neither decompressed nor charged beyond their
 /// block's residency.
 pub struct PostingCursor<'a> {
-    index: &'a InvertedIndex,
+    docids: &'a Column,
     buffers: &'a BufferManager,
     /// Absolute TD row range of this posting list.
     range: Range<usize>,
     /// Cursor position, absolute TD row.
     pos: usize,
-    /// Decoded docid window covering `[win_start, win_start + window.len())`.
-    window: Vec<u32>,
-    win_start: usize,
-    /// The block the cursor currently holds (pins): charged once on entry,
-    /// not on every window refill within it.
-    pinned_block: Option<usize>,
+    /// The staged docid window and the block it pins.
+    window: Window,
 }
 
 impl<'a> PostingCursor<'a> {
@@ -51,13 +48,14 @@ impl<'a> PostingCursor<'a> {
     pub fn new(index: &'a InvertedIndex, buffers: &'a BufferManager, term: u32) -> Self {
         let range = index.term_range(term);
         PostingCursor {
-            index,
+            docids: index
+                .td()
+                .column("docid")
+                .expect("every index is built with a docid column"),
             buffers,
             pos: range.start,
             range,
-            window: Vec::new(),
-            win_start: usize::MAX,
-            pinned_block: None,
+            window: Window::default(),
         }
     }
 
@@ -86,26 +84,10 @@ impl<'a> PostingCursor<'a> {
         self.docid_at(pos)
     }
 
-    /// Docid at an absolute TD row, decoding (and caching) its 128-aligned
-    /// window.
+    /// Docid at an absolute TD row, staging one stride per miss so a seek
+    /// decodes only the windows its probes land in.
     fn docid_at(&mut self, pos: usize) -> Result<u32, StorageError> {
-        let win_end = self.win_start.saturating_add(self.window.len());
-        if pos < self.win_start || pos >= win_end {
-            let aligned = pos - pos % ENTRY_POINT_STRIDE;
-            let column = self.index.td().column("docid")?;
-            // Touch the owning block so buffer-manager accounting matches
-            // what a real read would charge — once per block entry; while
-            // the cursor walks windows of one block it pins it.
-            let block_idx = aligned / column.block_size();
-            if self.pinned_block != Some(block_idx) {
-                self.buffers.touch(column, block_idx);
-                self.pinned_block = Some(block_idx);
-            }
-            let len = ENTRY_POINT_STRIDE.min(column.len() - aligned);
-            column.read_range(aligned, len, &mut self.window)?;
-            self.win_start = aligned;
-        }
-        Ok(self.window[pos - self.win_start])
+        self.window.value_at(self.docids, self.buffers, 1, pos)
     }
 
     /// Advances the cursor to the first posting with `docid >= target`,
@@ -119,7 +101,9 @@ impl<'a> PostingCursor<'a> {
         if self.docid_at(self.pos)? >= target {
             return self.current().map(Some);
         }
-        // Gallop: find a probe position whose docid is >= target.
+        // Gallop: find a probe position whose docid is >= target. The
+        // current stride is already staged and known to fall short, so the
+        // first probe jumps a whole stride ahead.
         let mut step = ENTRY_POINT_STRIDE;
         let mut lo = self.pos; // docid_at(lo) < target
         let mut hi = loop {
@@ -161,81 +145,9 @@ impl<'a> PostingCursor<'a> {
     }
 }
 
-/// Leapfrog intersection of the given terms' posting lists, returning at
-/// most `limit` docids (in increasing order) with their TD rows per term.
-///
-/// Equivalent to the relational `MergeJoin` fold but touching only the
-/// windows the galloping seeks land on. Terms with empty lists yield an
-/// empty result immediately (AND semantics).
-pub fn intersect_skipping(
-    index: &InvertedIndex,
-    buffers: &BufferManager,
-    terms: &[u32],
-    limit: usize,
-) -> Result<Vec<(u32, Vec<usize>)>, StorageError> {
-    if terms.is_empty() || limit == 0 {
-        return Ok(Vec::new());
-    }
-    let mut cursors: Vec<PostingCursor> = terms
-        .iter()
-        .map(|&t| PostingCursor::new(index, buffers, t))
-        .collect();
-    if cursors.iter().any(PostingCursor::is_empty) {
-        return Ok(Vec::new());
-    }
-    // Drive from the shortest list: fewest candidates to verify.
-    cursors.sort_by_key(PostingCursor::len);
-    // Remember the permutation so TD rows come back in `terms` order.
-    let mut order: Vec<usize> = (0..terms.len()).collect();
-    order.sort_by_key(|&i| index.term_range(terms[i]).len());
-
-    let mut out = Vec::new();
-    'outer: while out.len() < limit {
-        let (driver, rest) = cursors.split_first_mut().expect("non-empty");
-        if driver.is_done() {
-            break;
-        }
-        let mut candidate = driver.current()?;
-        // Ask every other list to catch up; restart on overshoot.
-        let mut verified;
-        loop {
-            verified = true;
-            for c in rest.iter_mut() {
-                match c.seek_docid(candidate)? {
-                    Some(d) if d == candidate => {}
-                    Some(d) => {
-                        // Overshoot: the driver must catch up to d.
-                        match driver.seek_docid(d)? {
-                            Some(nd) => {
-                                candidate = nd;
-                                verified = false;
-                                break;
-                            }
-                            None => break 'outer,
-                        }
-                    }
-                    None => break 'outer,
-                }
-            }
-            if verified {
-                break;
-            }
-        }
-        // All cursors sit on `candidate`; record TD rows in `terms` order.
-        let mut rows = vec![0usize; terms.len()];
-        for (slot, c) in cursors.iter().enumerate() {
-            rows[order[slot]] = c.td_row();
-        }
-        out.push((candidate, rows));
-        cursors[0].advance();
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{QueryEngine, SearchStrategy};
     use crate::index::IndexConfig;
     use x100_corpus::{CollectionConfig, SyntheticCollection};
     use x100_storage::{BufferMode, DiskModel};
@@ -276,97 +188,12 @@ mod tests {
             assert_eq!(got, expect, "probe {probe}");
         }
     }
-
-    #[test]
-    fn skipping_intersection_matches_merge_join_plan() {
-        let (c, idx, bm) = setup();
-        let engine = QueryEngine::new(&idx);
-        for q in &c.eval_queries {
-            let via_join: Vec<u32> = engine
-                .search(&q.terms, SearchStrategy::BoolAnd, c.docs.len())
-                .unwrap()
-                .results
-                .iter()
-                .map(|r| r.docid)
-                .collect();
-            let via_skip: Vec<u32> = intersect_skipping(&idx, &bm, &q.terms, c.docs.len())
-                .unwrap()
-                .into_iter()
-                .map(|(d, _)| d)
-                .collect();
-            assert_eq!(via_skip, via_join, "terms {:?}", q.terms);
-        }
-    }
-
-    #[test]
-    fn td_rows_point_at_the_right_postings() {
-        let (c, idx, bm) = setup();
-        let docids = idx.td().column("docid").unwrap().read_all();
-        let q = &c.eval_queries[0];
-        for (docid, rows) in intersect_skipping(&idx, &bm, &q.terms, 50).unwrap() {
-            for (ti, &row) in rows.iter().enumerate() {
-                assert_eq!(docids[row], docid, "term {} row {row}", q.terms[ti]);
-                assert!(idx.term_range(q.terms[ti]).contains(&row));
-            }
-        }
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let (c, idx, bm) = setup();
-        let q = &c.eval_queries[0];
-        let all = intersect_skipping(&idx, &bm, &q.terms, usize::MAX).unwrap();
-        let some = intersect_skipping(&idx, &bm, &q.terms, 3).unwrap();
-        assert_eq!(&all[..some.len()], &some[..]);
-        assert!(some.len() <= 3);
-    }
-
-    #[test]
-    fn empty_and_unknown_terms_short_circuit() {
-        let (_, idx, bm) = setup();
-        assert!(intersect_skipping(&idx, &bm, &[], 10).unwrap().is_empty());
-        assert!(intersect_skipping(&idx, &bm, &[999_999], 10)
-            .unwrap()
-            .is_empty());
-        assert!(intersect_skipping(&idx, &bm, &[10, 999_999], 10)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn rare_common_intersection_touches_fewer_blocks_than_full_scan() {
-        // A rare term ANDed with a common term: skipping should charge the
-        // buffer manager for (far) fewer reads than scanning the common list.
-        let c = SyntheticCollection::generate(&CollectionConfig::small());
-        let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
-        // Find a rare and a common term.
-        let common = (0..c.vocab.len() as u32)
-            .max_by_key(|&t| idx.doc_freq(t))
-            .unwrap();
-        let rare = (0..c.vocab.len() as u32)
-            .filter(|&t| idx.doc_freq(t) >= 2)
-            .min_by_key(|&t| idx.doc_freq(t))
-            .unwrap();
-
-        let bm_skip = BufferManager::with_mode(DiskModel::raid12(), BufferMode::Hot, 0);
-        let skip = intersect_skipping(&idx, &bm_skip, &[rare, common], usize::MAX).unwrap();
-
-        let engine = QueryEngine::new(&idx);
-        let joined = engine
-            .search(&[rare, common], SearchStrategy::BoolAnd, c.docs.len())
-            .unwrap();
-        let join_docids: Vec<u32> = joined.results.iter().map(|r| r.docid).collect();
-        let skip_docids: Vec<u32> = skip.iter().map(|&(d, _)| d).collect();
-        assert_eq!(skip_docids, join_docids);
-        // The win shows up as decoded-window work rather than block count on
-        // this small index; assert at least no *more* I/O than the full scan.
-        assert!(bm_skip.stats().bytes <= joined.io.bytes.max(1) * 2);
-    }
 }
 
 #[cfg(test)]
 mod engine_integration_tests {
     use crate::engine::{QueryEngine, SearchStrategy};
+    use crate::hot::QueryScratch;
     use crate::index::{IndexConfig, InvertedIndex};
     use x100_corpus::{CollectionConfig, SyntheticCollection};
 
@@ -411,6 +238,49 @@ mod engine_integration_tests {
         assert!(
             compared > 0,
             "fixture must exercise at least one 1-pass query"
+        );
+    }
+
+    /// A rare term ANDed with a common one: the galloping leapfrog must
+    /// find the same documents as the full-scan conjunctive pass while
+    /// decoding fewer posting strides.
+    #[test]
+    fn rare_common_skipping_decodes_fewer_strides_than_the_full_scan() {
+        let c = SyntheticCollection::generate(&CollectionConfig::small());
+        let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
+        let terms = 0..c.vocab.len() as u32;
+        let common = terms.clone().max_by_key(|&t| idx.doc_freq(t)).unwrap();
+        let rare = terms
+            .filter(|&t| idx.doc_freq(t) >= 2)
+            .min_by_key(|&t| idx.doc_freq(t))
+            .unwrap();
+        let engine = QueryEngine::new(&idx);
+        let (mut skip, mut scan) = (QueryScratch::new(), QueryScratch::new());
+        let (mut skipped, mut scanned) = (Vec::new(), Vec::new());
+        engine
+            .search_conjunctive_skipping_hits_into(&[rare, common], 1, &mut skip, &mut skipped)
+            .unwrap();
+        let full = engine
+            .search_hits_into(
+                &[rare, common],
+                SearchStrategy::Bm25TwoPass,
+                1,
+                &mut scan,
+                &mut scanned,
+            )
+            .unwrap();
+        let docids = |hits: &[(u32, f32)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
+        assert_eq!(
+            full.passes, 1,
+            "the fixture's rare term co-occurs with the common one"
+        );
+        assert_eq!(docids(&skipped), docids(&scanned));
+        let (skip, scan) = (skip.hot_stats(), scan.hot_stats());
+        assert!(
+            skip.window_refills < scan.window_refills,
+            "skipping decoded {} strides, the full scan {}",
+            skip.window_refills,
+            scan.window_refills
         );
     }
 

@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn builders_sharing_a_parent_dir_do_not_collide() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let parent = std::env::temp_dir().join(format!("x100-shared-{}", std::process::id()));
+        let parent = std::env::temp_dir().join(format!("shared-{}", unique_dir_name()));
         let spill_cfg = SpillConfig {
             budget_bytes: 8 * 1024,
             dir: Some(parent.clone()),

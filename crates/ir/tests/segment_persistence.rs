@@ -6,6 +6,7 @@
 //! with a typed [`SegmentError`]: never a panic, never an unbounded
 //! allocation.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
@@ -14,24 +15,16 @@ use x100_ir::{
 };
 use x100_storage::{BufferManager, BufferMode, DiskModel};
 
-const ALL_STRATEGIES: [SearchStrategy; 8] = [
-    SearchStrategy::BoolAnd,
-    SearchStrategy::BoolOr,
-    SearchStrategy::Bm25,
-    SearchStrategy::Bm25TwoPass,
-    SearchStrategy::Bm25Materialized,
-    SearchStrategy::Bm25MaterializedTwoPass,
-    SearchStrategy::Bm25Pruned,
-    SearchStrategy::Bm25MaterializedPruned,
-];
-
+/// A path no other call shares: tests run on parallel threads of one
+/// process, so the pid alone would let them overwrite and delete each
+/// other's files.
 fn temp_path(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "x100-segment-persist-{name}-{}",
-        std::process::id()
-    ));
-    p
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "x100-segment-persist-{name}-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ))
 }
 
 /// A deliberately small index (few dozen docs, tiny vocabulary) whose
@@ -78,7 +71,7 @@ fn reopened_segment_serves_all_strategies_bit_identically() {
     ));
     let seg_exec = QueryExecutor::with_buffer_manager(seg_index.clone(), tiny_pool);
 
-    for strategy in ALL_STRATEGIES {
+    for strategy in SearchStrategy::ALL {
         for q in c.eval_queries.iter().take(10) {
             let mem = mem_exec.search(&q.terms, strategy, 20).expect("mem search");
             let seg = seg_exec.search(&q.terms, strategy, 20).expect("seg search");
@@ -167,9 +160,10 @@ fn open_expecting_error(bytes: &[u8], what: &str) {
             | SegmentError::Truncated
             | SegmentError::BadMagic(_)
             | SegmentError::BadVersion(_)
-            | SegmentError::TooLarge(_)
-            | SegmentError::Io(_),
+            | SegmentError::TooLarge(_),
         ) => {}
+        // Not a rejection of the bytes: the file itself went missing.
+        Err(SegmentError::Io(e)) => panic!("{what}: I/O error instead of a verdict: {e}"),
         Ok(_) => panic!("{what}: corrupt segment opened successfully"),
     }
 }

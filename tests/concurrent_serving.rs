@@ -15,21 +15,11 @@ use x100_distributed::{run_closed_loop, ServeConfig, SimulatedCluster};
 use x100_ir::{IndexConfig, InvertedIndex, QueryExecutor, SearchResult, SearchStrategy};
 use x100_storage::{BufferManager, BufferMode, DiskModel, IoStats};
 
-/// Every strategy of the Table 2 ladder.
-const ALL_STRATEGIES: [SearchStrategy; 6] = [
-    SearchStrategy::BoolAnd,
-    SearchStrategy::BoolOr,
-    SearchStrategy::Bm25,
-    SearchStrategy::Bm25TwoPass,
-    SearchStrategy::Bm25Materialized,
-    SearchStrategy::Bm25MaterializedTwoPass,
-];
-
 const TOP_N: usize = 15;
 
 fn fixture() -> (Vec<Vec<u32>>, Arc<InvertedIndex>) {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-    // A materialized-Q8 compressed index runs all six strategies.
+    // A materialized-Q8 compressed index runs every strategy.
     let index = Arc::new(InvertedIndex::build(&c, &IndexConfig::materialized_q8()));
     let mut queries: Vec<Vec<u32>> = c.eval_queries.iter().map(|q| q.terms.clone()).collect();
     queries.extend(c.efficiency_log.iter().take(10).cloned());
@@ -57,7 +47,7 @@ fn sequential_reference(
 ) -> (Vec<Vec<SearchResult>>, IoStats) {
     let exec = hot_executor(index);
     let mut results = Vec::new();
-    for strategy in ALL_STRATEGIES {
+    for strategy in SearchStrategy::ALL {
         for q in queries {
             results.push(exec.search(q, strategy, TOP_N).expect("search").results);
         }
@@ -73,7 +63,7 @@ fn threads_hammering_shared_pool_match_sequential_exactly() {
     for num_threads in [2usize, 4, 8] {
         let exec = hot_executor(&index);
         // Job list in the same order as the reference.
-        let jobs: Vec<(usize, SearchStrategy, &Vec<u32>)> = ALL_STRATEGIES
+        let jobs: Vec<(usize, SearchStrategy, &Vec<u32>)> = SearchStrategy::ALL
             .iter()
             .flat_map(|&s| queries.iter().map(move |q| (s, q)))
             .enumerate()
@@ -118,7 +108,7 @@ fn worker_pool_differential_over_generated_log() {
         QueryLogGenerator::new(x100_corpus::QueryLogConfig::tiny(), 500, 7)
             .take(40)
             .collect();
-    for strategy in ALL_STRATEGIES {
+    for strategy in SearchStrategy::ALL {
         let exec = hot_executor(&index);
         let reference: Vec<Vec<(u32, f32)>> = queries
             .iter()
@@ -138,7 +128,6 @@ fn worker_pool_differential_over_generated_log() {
             strategy,
             top_n: TOP_N,
             short_query_max_terms: None,
-            long_lane_guarantee: 4,
         };
         let report = run_closed_loop(&concurrent, &cfg, &queries);
         assert_eq!(report.completed, queries.len());
@@ -176,7 +165,6 @@ fn scatter_gather_under_concurrent_load_matches_broadcast() {
         strategy: SearchStrategy::Bm25TwoPass,
         top_n: TOP_N,
         short_query_max_terms: None,
-        long_lane_guarantee: 4,
     };
     let report = run_closed_loop(&cluster, &cfg, &queries);
     for (i, outcome) in report.outcomes.iter().enumerate() {

@@ -14,6 +14,7 @@
 //! The counters are per-thread, so the parallel test harness cannot leak
 //! another test's allocations into an assertion here.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use x100_bench::alloc::{assert_no_allocs, count_allocs, CountingAlloc};
@@ -23,18 +24,6 @@ use x100_ir::{IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Every strategy of the Table 2 ladder plus the block-max pruned modes.
-const ALL_STRATEGIES: [SearchStrategy; 8] = [
-    SearchStrategy::BoolAnd,
-    SearchStrategy::BoolOr,
-    SearchStrategy::Bm25,
-    SearchStrategy::Bm25TwoPass,
-    SearchStrategy::Bm25Materialized,
-    SearchStrategy::Bm25MaterializedTwoPass,
-    SearchStrategy::Bm25Pruned,
-    SearchStrategy::Bm25MaterializedPruned,
-];
 
 const TOP_N: usize = 10;
 
@@ -102,14 +91,18 @@ fn assert_steady_state_clean(
 fn executor_steady_state_performs_zero_allocations() {
     let (queries, index) = fixture();
     let exec = QueryExecutor::new(index);
-    assert_steady_state_clean("in-memory executor", &exec, &queries, &ALL_STRATEGIES);
+    assert_steady_state_clean("in-memory executor", &exec, &queries, &SearchStrategy::ALL);
 }
 
 #[test]
 fn segment_backed_executor_is_allocation_free_once_warm() {
     let (queries, index) = fixture();
-    let mut path = std::env::temp_dir();
-    path.push(format!("x100-hot-path-allocs-{}.seg", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "x100-hot-path-allocs-{}-{}.seg",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     index.write_segment(&path).expect("write segment");
     let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
     // Disk-backed blocks are `pread` and decoded on first touch (which
@@ -117,7 +110,12 @@ fn segment_backed_executor_is_allocation_free_once_warm() {
     // shared ref — the warmup inside drives all of that, after which the
     // assertions see the same zero-allocation path as the in-memory index.
     let exec = QueryExecutor::new(reopened);
-    assert_steady_state_clean("segment-backed executor", &exec, &queries, &ALL_STRATEGIES);
+    assert_steady_state_clean(
+        "segment-backed executor",
+        &exec,
+        &queries,
+        &SearchStrategy::ALL,
+    );
     std::fs::remove_file(&path).expect("remove segment");
 }
 
@@ -136,13 +134,13 @@ fn scatter_gather_node_workers_are_allocation_free() {
             let queries = &queries;
             s.spawn(move || {
                 let mut out = Vec::new();
-                for &strategy in &ALL_STRATEGIES {
+                for &strategy in &SearchStrategy::ALL {
                     for q in queries {
                         node.search_hits_into(q, strategy, TOP_N, &mut out)
                             .expect("warmup node query failed");
                     }
                 }
-                for &strategy in &ALL_STRATEGIES {
+                for &strategy in &SearchStrategy::ALL {
                     for (qi, q) in queries.iter().enumerate() {
                         let context = format!("node {ni}: {strategy:?} query {qi}");
                         assert_no_allocs(&context, || {

@@ -6,10 +6,12 @@
 //! (`QueryExecutor::search` / `search_hits_into`) reuses a scratch arena
 //! across queries. This suite holds the two against each other — docids,
 //! score **bits** (`f32::to_bits`, not approximate equality), pass counts
-//! and error outcomes — across every strategy of the Table 2 ladder, over
-//! compressed, materialized-f32 and materialized-q8 indexes, in-memory
-//! and segment-backed, with randomized queries that include unknown terms
-//! and duplicates.
+//! and error outcomes — across all of `SearchStrategy::ALL` (for the pruned
+//! strategies the oracle runs the *exhaustive* disjunctive plan, so those
+//! comparisons are the "pruning must not change one output bit"
+//! guarantee), over compressed, materialized-f32 and materialized-q8
+//! indexes, in-memory and segment-backed, with randomized queries that
+//! include unknown terms and duplicates.
 //!
 //! Between queries the executor's arena is deliberately **poisoned**
 //! (overwritten with seed-derived garbage, including NaNs and stale
@@ -17,6 +19,7 @@
 //! only on state each query re-initializes, never on leftovers — the
 //! exact property that makes arena reuse safe.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -25,21 +28,6 @@ use x100_ir::{
     IndexConfig, InvertedIndex, QueryEngine, QueryExecutor, QueryScratch, SearchResult,
     SearchStrategy,
 };
-
-/// Every strategy of the Table 2 ladder plus the block-max pruned modes.
-/// For the pruned strategies the relational oracle runs the *exhaustive*
-/// disjunctive plan, so these comparisons are precisely the "pruning must
-/// not change one output bit" guarantee.
-const ALL_STRATEGIES: [SearchStrategy; 8] = [
-    SearchStrategy::BoolAnd,
-    SearchStrategy::BoolOr,
-    SearchStrategy::Bm25,
-    SearchStrategy::Bm25TwoPass,
-    SearchStrategy::Bm25Materialized,
-    SearchStrategy::Bm25MaterializedTwoPass,
-    SearchStrategy::Bm25Pruned,
-    SearchStrategy::Bm25MaterializedPruned,
-];
 
 struct Fixture {
     queries: Vec<Vec<u32>>,
@@ -116,7 +104,7 @@ fn every_strategy_matches_relational_oracle_with_poisoned_arena() {
         let exec = QueryExecutor::new(index.clone());
         let oracle = QueryEngine::new(index);
         let mut seed = 0x5EED_0001u64;
-        for &strategy in &ALL_STRATEGIES {
+        for &strategy in &SearchStrategy::ALL {
             for n in [0usize, 1, 3, 10, 100] {
                 for q in &fx.queries {
                     seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -130,8 +118,12 @@ fn every_strategy_matches_relational_oracle_with_poisoned_arena() {
 #[test]
 fn segment_backed_fused_path_matches_relational_oracle() {
     let fx = fixture();
-    let mut path = std::env::temp_dir();
-    path.push(format!("x100-scratch-diff-{}.seg", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "x100-scratch-diff-{}-{}.seg",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     // The q8 index runs all eight strategies; reopened from its segment the
     // posting blocks (and the block-max metadata the pruned modes skip by)
     // are disk-resident and flow through the buffer pool.
@@ -139,7 +131,7 @@ fn segment_backed_fused_path_matches_relational_oracle() {
     let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
     let exec = QueryExecutor::new(reopened.clone());
     let oracle = QueryEngine::new(&reopened);
-    for &strategy in &ALL_STRATEGIES {
+    for &strategy in &SearchStrategy::ALL {
         for (qi, q) in fx.queries.iter().enumerate() {
             check_one(&exec, &oracle, q, strategy, 10, 0xD15C_0000 ^ qi as u64);
         }
@@ -159,7 +151,7 @@ fn one_scratch_arena_survives_interleaved_strategies_and_poisoning() {
     let mut seed = 7u64;
     for round in 0..3u64 {
         for (qi, q) in fx.queries.iter().enumerate() {
-            let strategy = ALL_STRATEGIES[(qi + round as usize) % ALL_STRATEGIES.len()];
+            let strategy = SearchStrategy::ALL[(qi + round as usize) % SearchStrategy::ALL.len()];
             let n = [0usize, 2, 10, 50][qi % 4];
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(round);
             scratch.poison(seed);
@@ -181,12 +173,12 @@ proptest! {
     #[test]
     fn random_queries_agree_bit_for_bit(
         raw_terms in prop::collection::vec(any::<u32>(), 0..6),
-        strategy_idx in 0usize..ALL_STRATEGIES.len(),
+        strategy_idx in 0usize..SearchStrategy::ALL.len(),
         n in 0usize..25,
         poison_seed in any::<u64>(),
     ) {
         let fx = fixture();
-        let strategy = ALL_STRATEGIES[strategy_idx];
+        let strategy = SearchStrategy::ALL[strategy_idx];
         for index in &fx.indexes {
             // Fold raw ids into a band slightly wider than the vocabulary
             // so most terms exist but unknown ids stay represented.

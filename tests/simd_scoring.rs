@@ -22,12 +22,11 @@ static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Ranked strategies drive the scoring kernels: computed BM25 (tf →
 /// score arithmetic) and materialized (f32-bits / quantized decode-sum).
-const RANKED: [SearchStrategy; 4] = [
-    SearchStrategy::Bm25,
-    SearchStrategy::Bm25TwoPass,
-    SearchStrategy::Bm25Materialized,
-    SearchStrategy::Bm25MaterializedTwoPass,
-];
+fn ranked() -> impl Iterator<Item = SearchStrategy> {
+    SearchStrategy::ALL
+        .into_iter()
+        .filter(|s| !matches!(s, SearchStrategy::BoolAnd | SearchStrategy::BoolOr))
+}
 
 struct Fixture {
     queries: Vec<Vec<u32>>,
@@ -69,7 +68,7 @@ fn wide_scoring_matches_forced_scalar_bit_for_bit() {
     let fx = fixture();
     for index in &fx.indexes {
         let exec = QueryExecutor::new(index.clone());
-        for &strategy in &RANKED {
+        for strategy in ranked() {
             for q in &fx.queries {
                 // Varying n exercises full batches, ragged scalar tails
                 // inside the wide kernel, and heap-boundary behaviour.
