@@ -162,6 +162,25 @@ impl CompressedBlock {
         }
     }
 
+    /// Exact length of [`Self::to_bytes`]' image, computed from section
+    /// lengths alone — a writer sizing a block directory needs the extent,
+    /// not the image.
+    pub fn serialized_len(&self) -> usize {
+        // Magic + codec tag, then the per-codec layout `to_bytes` writes.
+        5 + match self {
+            CompressedBlock::Raw(values) => 4 + values.len() * 4,
+            CompressedBlock::Pfor(b) => pfor_len(b),
+            CompressedBlock::PforDelta(b) => pfor_len(b.inner()) + 4 + b.restarts().len() * 4,
+            CompressedBlock::Pdict(b) => {
+                (4 + 1 + 4)
+                    + b.entry_points().len() * 8
+                    + (4 + b.packed_codes().len() * 8)
+                    + (4 + b.dict().len() * 4)
+                    + (4 + b.exceptions().len() * 4)
+            }
+        }
+    }
+
     /// Serializes into the Figure-2 physical layout.
     pub fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::new();
@@ -287,6 +306,14 @@ fn write_pfor(buf: &mut BytesMut, b: &PforBlock) {
     write_entry_points(buf, b.entry_points());
     write_packed(buf, b.packed_codes());
     write_exceptions_backward(buf, b.exceptions());
+}
+
+/// Serialized length of [`write_pfor`]'s output.
+fn pfor_len(b: &PforBlock) -> usize {
+    (4 + 1 + 4 + 4)
+        + b.entry_points().len() * 8
+        + (4 + b.packed_codes().len() * 8)
+        + (4 + b.exceptions().len() * 4)
 }
 
 fn read_pfor(data: &mut &[u8]) -> Result<PforBlock, CodecError> {
@@ -456,6 +483,7 @@ mod tests {
         let values = sample_values();
         let block = CompressedBlock::encode(&values, codec);
         let bytes = block.to_bytes();
+        assert_eq!(block.serialized_len(), bytes.len(), "{codec:?}");
         let back = CompressedBlock::from_bytes(&bytes).unwrap();
         assert_eq!(back, block, "{codec:?}");
         let mut out = Vec::new();
@@ -480,6 +508,7 @@ mod tests {
             Codec::Pdict { width: 8 },
         ] {
             let block = CompressedBlock::encode(&[], codec);
+            assert_eq!(block.serialized_len(), block.to_bytes().len());
             let back = CompressedBlock::from_bytes(&block.to_bytes()).unwrap();
             assert!(back.is_empty());
         }

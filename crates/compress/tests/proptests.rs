@@ -110,7 +110,9 @@ proptest! {
             Codec::Pdict { width: 8 },
         ] {
             let block = CompressedBlock::encode(&values, codec);
-            let back = CompressedBlock::from_bytes(&block.to_bytes()).unwrap();
+            let bytes = block.to_bytes();
+            prop_assert_eq!(block.serialized_len(), bytes.len());
+            let back = CompressedBlock::from_bytes(&bytes).unwrap();
             prop_assert_eq!(&back, &block);
         }
     }

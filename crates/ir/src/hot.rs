@@ -30,8 +30,9 @@
 //!   sort-then-truncate when `+0.0`/`-0.0` tie at the boundary) and its
 //!   arrival-order tie-break.
 //! * **Buffer accounting** — cursors refill entry-point-aligned windows
-//!   clamped to block boundaries and charge [`BufferManager::touch`] once
-//!   per block entry, exactly like `ColumnScan`.
+//!   clamped to block boundaries, take one [`BufferManager::pin`] per
+//!   block entry (charged on a miss) and decode every refill inside the
+//!   block from that pin, exactly like `ColumnScan`.
 //!
 //! When the `simd` feature is enabled and the CPU has AVX2, the per-term
 //! scoring loop over each candidate batch runs 8 lanes wide; conversion
@@ -40,8 +41,9 @@
 //! `tests/scratch_differential.rs` against the forced-scalar fallback).
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use x100_compress::ENTRY_POINT_STRIDE;
+use x100_compress::{CompressedBlock, ENTRY_POINT_STRIDE};
 use x100_exec::ExecError;
 use x100_storage::{BufferManager, Column, StorageError};
 
@@ -50,20 +52,23 @@ use crate::engine::SearchStrategy;
 use crate::index::{InvertedIndex, Materialize, MetaView};
 
 /// A staged window of one column: decompressed values covering
-/// `[start, start + stage.len())`, plus the block the cursor currently
-/// pins (charged to the buffer manager on entry, not on every refill).
+/// `[start, start + stage.len())`, plus the window's pin on the block it is
+/// inside — taken from (and charged by) the buffer manager on entry; every
+/// refill inside the block decodes straight from it, with no lock and no
+/// pool or column access, even if the pool evicts the block meanwhile.
+///
+/// A window does not know which column it staged, so its contents are
+/// valid for one query at most: every query invalidates the windows it
+/// will use before aiming them at its own columns.
 ///
 /// The refill math mirrors `ColumnScan::refill` exactly: start at the
 /// entry point at or below the read position, span enough strides to cover
-/// one vector, clamp to the block end. Staying inside one block keeps
-/// buffer accounting per block honest *and* keeps `Column::read_range` on
-/// its single-block path, which decodes into the reused buffer without
-/// allocating.
+/// one vector, clamp to the block end.
 #[derive(Debug, Default)]
 pub(crate) struct Window {
     stage: Vec<u32>,
     start: usize,
-    pinned_block: Option<usize>,
+    pin: Option<(usize, Arc<CompressedBlock>)>,
     /// Lifetime count of 128-value strides decoded into the stage — the
     /// honest "decoded blocks" meter the pruning bench compares across
     /// execution modes. Counting strides rather than refill events keeps
@@ -74,11 +79,11 @@ pub(crate) struct Window {
 }
 
 impl Window {
-    /// Forgets staged data and the block pin, keeping the buffer capacity.
+    /// Forgets staged data and drops the block pin, keeping the capacity.
     fn invalidate(&mut self) {
         self.stage.clear();
         self.start = usize::MAX;
-        self.pinned_block = None;
+        self.pin = None;
     }
 
     /// The value at absolute position `pos`, refilling the window if `pos`
@@ -99,15 +104,19 @@ impl Window {
         let aligned = pos - pos % ENTRY_POINT_STRIDE;
         let block_size = col.block_size();
         let block_idx = aligned / block_size;
-        let block_end = ((block_idx + 1) * block_size).min(col.len());
+        let block_start = block_idx * block_size;
+        let block_end = (block_start + block_size).min(col.len());
         let want_end = (pos + vector_size)
             .next_multiple_of(ENTRY_POINT_STRIDE)
             .min(block_end);
-        if self.pinned_block != Some(block_idx) {
-            buffers.touch(col, block_idx);
-            self.pinned_block = Some(block_idx);
-        }
-        col.read_range(aligned, want_end - aligned, &mut self.stage)?;
+        let block = match &self.pin {
+            Some((idx, block)) if *idx == block_idx => block,
+            _ => {
+                let block = buffers.pin(col, block_idx)?;
+                &self.pin.insert((block_idx, block)).1
+            }
+        };
+        block.decode_range_into(aligned - block_start, want_end - aligned, &mut self.stage)?;
         self.start = aligned;
         self.refills += (want_end - aligned).div_ceil(ENTRY_POINT_STRIDE) as u64;
         Ok(self.stage[pos - aligned])
@@ -510,11 +519,11 @@ pub struct QueryScratch {
     heap: Vec<HeapRow>,
     /// Hit staging for callers that materialize full responses.
     pub(crate) hits: Vec<(u32, f32)>,
-    /// Pinned block window over a paged index's term-offset column.
+    /// Window over a paged index's term-offset column.
     off_window: Window,
-    /// Pinned block window over a paged index's doc-freq column.
+    /// Window over a paged index's doc-freq column.
     freq_window: Window,
-    /// Pinned block window over a paged index's doc-len column.
+    /// Window over a paged index's doc-len column.
     len_window: Window,
     /// Per-term score upper bounds (pruned modes), original term order.
     sigma: Vec<f32>,
@@ -614,20 +623,25 @@ impl QueryScratch {
             c.pos = next() as usize;
             c.end = next() as usize;
             c.cur = Some(next() as u32);
-            for w in [&mut c.doc, &mut c.pay, &mut c.bm] {
-                refill_u32(&mut w.stage, &mut next);
-                w.start = next() as usize;
-                w.pinned_block = Some(next() as usize);
-            }
         }
-        for w in [
+        let cursor_windows = self
+            .cursors
+            .iter_mut()
+            .flat_map(|c| [&mut c.doc, &mut c.pay, &mut c.bm]);
+        let meta_windows = [
             &mut self.off_window,
             &mut self.freq_window,
             &mut self.len_window,
-        ] {
+        ];
+        // Every window becomes a *plausible* leftover from another index —
+        // an in-range stride-aligned start over garbage values and a live
+        // pin, at a low block index, on a block no column owns — which a
+        // reader that skipped its invalidation would happily serve from.
+        for w in cursor_windows.chain(meta_windows) {
             refill_u32(&mut w.stage, &mut next);
-            w.start = next() as usize;
-            w.pinned_block = Some(next() as usize);
+            w.start = (next() % 64) as usize * ENTRY_POINT_STRIDE;
+            let block = CompressedBlock::Raw(w.stage.clone());
+            w.pin = Some(((next() % 4) as usize, Arc::new(block)));
         }
     }
 
@@ -1018,10 +1032,10 @@ pub(crate) fn search_into(
     Ok(passes)
 }
 
-/// Fills `scratch.terms` with the query terms that have postings (unknown
-/// and empty ones contribute nothing to any strategy; duplicates are kept,
-/// matching the relational path), makes sure a cursor exists for each, and
-/// returns their count.
+/// Opens a query on the scratch: fills `scratch.terms` with the query terms
+/// that have postings (unknown and empty ones contribute nothing to any
+/// strategy; duplicates are kept, matching the relational path), makes sure
+/// a cursor exists for each, and returns their count.
 fn live_terms(
     view: &MetaView,
     buffers: &BufferManager,
@@ -1029,6 +1043,11 @@ fn live_terms(
     term_ids: &[u32],
     scratch: &mut QueryScratch,
 ) -> Result<usize, ExecError> {
+    // Query start: nothing staged for an earlier query — maybe over another
+    // index's columns, or a pool emptied since — may be served to this one.
+    scratch.off_window.invalidate();
+    scratch.freq_window.invalidate();
+    scratch.len_window.invalidate();
     scratch.terms.clear();
     for &t in term_ids {
         let range = term_range_of(view, &mut scratch.off_window, buffers, vector_size, t)?;

@@ -168,16 +168,17 @@ impl<'a> PageView<'a> {
     }
 }
 
-/// Decodes page `page` of a records column into `buf` (one block, aligned,
-/// so the read stays on the single-block decode path).
+/// Decodes page `page` of a records column into `buf` — the cold path: an
+/// un-pooled read of the one block that holds the page.
 pub(crate) fn read_page(col: &Column, page: usize, buf: &mut Vec<u32>) {
     col.read_range(page * PAGE_VALUES, PAGE_VALUES, buf)
         .expect("verified record page must read");
 }
 
-/// One value of a paged u32 column — the cold path: decodes the enclosing
-/// entry-point window into a small fresh stage. Hot-path reads go through
-/// the pinned windows in `QueryScratch` instead.
+/// One value of a paged u32 column — the cold path: an un-pooled read of
+/// the enclosing block, decoding one entry-point window into a small fresh
+/// stage. Hot-path reads go through the pinned windows in `QueryScratch`
+/// instead.
 pub(crate) fn col_value(col: &Column, idx: usize) -> u32 {
     let aligned = idx - idx % ENTRY_POINT_STRIDE;
     let take = ENTRY_POINT_STRIDE.min(col.len() - aligned);

@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_ir::{
-    IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy, SegmentError, StreamingIndexBuilder,
+    ExecError, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy, SegmentError,
+    StreamingIndexBuilder,
 };
-use x100_storage::{BufferManager, BufferMode, DiskModel};
+use x100_storage::{BufferManager, BufferMode, DiskModel, StorageError};
 
 /// A path no other call shares: tests run on parallel threads of one
 /// process, so the pid alone would let them overwrite and delete each
@@ -81,6 +82,54 @@ fn reopened_segment_serves_all_strategies_bit_identically() {
             );
         }
     }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A read fault *after* a verified open — the file cut short underneath a
+/// serving process — is a typed error from the query that needed the
+/// missing block, never a panic, and the executor keeps answering queries
+/// whose blocks are resident.
+#[test]
+fn read_fault_after_open_is_a_typed_error_not_a_panic() {
+    let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+    // Small blocks, so different terms live in different blocks.
+    let config = IndexConfig {
+        block_size: 128,
+        ..IndexConfig::materialized_q8()
+    };
+    let path = temp_path("read-fault");
+    InvertedIndex::build(&c, &config)
+        .write_segment(&path)
+        .unwrap();
+    let exec = QueryExecutor::new(Arc::new(InvertedIndex::open_segment(&path).unwrap()));
+    let strategy = SearchStrategy::Bm25Materialized;
+    let search = |terms: &[u32]| {
+        let mut hits = Vec::new();
+        exec.search_hits_into(terms, strategy, 20, &mut hits)
+            .map(|_| hits)
+    };
+    let queries: Vec<&[u32]> = c.eval_queries.iter().map(|q| &q.terms[..]).collect();
+    let resident = search(queries[0]).expect("query before the fault");
+
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(64).unwrap();
+
+    let mut faults = 0;
+    for q in &queries[1..] {
+        match search(q) {
+            // Every block it needed was already in the (hot) pool.
+            Ok(_) => {}
+            Err(ExecError::Storage(StorageError::Io(std::io::ErrorKind::UnexpectedEof))) => {
+                faults += 1;
+            }
+            Err(other) => panic!("read fault surfaced as {other:?}"),
+        }
+        assert_eq!(
+            search(queries[0]).expect("resident query after a fault"),
+            resident
+        );
+    }
+    assert!(faults > 0, "no query needed a non-resident block");
     std::fs::remove_file(&path).unwrap();
 }
 

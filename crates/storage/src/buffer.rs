@@ -1,8 +1,12 @@
 //! ColumnBM's buffer manager: compressed blocks cached in RAM.
 //!
-//! The buffer manager tracks which compressed blocks are RAM-resident.
-//! Accessing a non-resident block charges the simulated disk cost for its
-//! *compressed* size — this is precisely where compression "increases the
+//! The buffer manager *owns* the RAM-resident compressed blocks: a resident
+//! slot holds the block's `Arc`, [`BufferManager::pin`] hands a reader a
+//! clone, and eviction is dropping the slot's. A pin therefore outlives
+//! eviction — bytes above the budget are bounded by the live pins.
+//! Accessing a non-resident block fetches it from its column (a real
+//! `pread` + parse if disk-backed) and charges the simulated disk cost for
+//! its *compressed* size — this is precisely where compression "increases the
 //! perceived I/O bandwidth" (§2.1): a block that holds 4 MB of logical data
 //! but compresses to 1 MB costs a quarter of the transfer time.
 //!
@@ -17,9 +21,10 @@
 //! One buffer manager is shared by every concurrent query on a node, so the
 //! residency map is **lock-striped**: a block's `(column id, block index)`
 //! key hashes to one of [`NUM_STRIPES`] independently locked shards, and the
-//! hot path (a residency hit, or a miss admitted under budget) takes exactly
-//! one stripe lock. I/O statistics are plain atomic counters, never behind a
-//! lock.
+//! hot path (a residency hit) takes exactly one stripe lock. A miss takes
+//! it twice — to find the block absent, then to admit it — and fetches in
+//! between under no lock, so a slow read never blocks another query's pool
+//! access. I/O statistics are plain atomic counters, never behind a lock.
 //!
 //! Each stripe keeps its resident blocks on an intrusive, slab-backed LRU
 //! list (hits relink in O(1) with no allocation) and mirrors its oldest
@@ -39,12 +44,15 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
+use x100_compress::CompressedBlock;
 
 use crate::column::{Column, ColumnId};
 use crate::disk::{DiskModel, IoStats};
+use crate::StorageError;
 
 /// Number of lock stripes in the residency map. A small power of two:
 /// enough that concurrent queries touching different blocks almost never
@@ -68,11 +76,13 @@ pub enum BufferMode {
 /// Slab-slot sentinel: "no neighbour" in the intrusive LRU list.
 const NIL: u32 = u32::MAX;
 
-/// One resident block in a stripe's slab: its identity and accounting plus
-/// the intrusive links of the stripe's recency list.
-#[derive(Debug, Clone, Copy)]
+/// One resident block in a stripe's slab: the block itself, its identity
+/// and accounting, plus the intrusive links of the stripe's recency list.
+#[derive(Debug)]
 struct Slot {
     key: (ColumnId, u32),
+    /// The pool's reference to the block; `None` only on the free list.
+    block: Option<Arc<CompressedBlock>>,
     bytes: usize,
     tick: u64,
     prev: u32,
@@ -145,9 +155,16 @@ impl Stripe {
     }
 
     /// Admits a new block at the newest end.
-    fn insert(&mut self, key: (ColumnId, u32), bytes: usize, tick: u64) {
+    fn insert(
+        &mut self,
+        key: (ColumnId, u32),
+        block: Arc<CompressedBlock>,
+        bytes: usize,
+        tick: u64,
+    ) {
         let slot = Slot {
             key,
+            block: Some(block),
             bytes,
             tick,
             prev: NIL,
@@ -169,14 +186,16 @@ impl Stripe {
         self.bytes += bytes;
     }
 
-    /// Removes the resident block at slot `i`, returning its key and size.
-    fn remove_slot(&mut self, i: u32) -> ((ColumnId, u32), usize) {
+    /// Removes the resident block at slot `i`, returning the pool's
+    /// reference to it (dropping it *is* the eviction) and its size.
+    fn remove_slot(&mut self, i: u32) -> (Option<Arc<CompressedBlock>>, usize) {
         self.unlink(i);
-        let Slot { key, bytes, .. } = self.slots[i as usize];
-        self.resident.remove(&key);
+        let slot = &mut self.slots[i as usize];
+        let (block, bytes) = (slot.block.take(), slot.bytes);
+        self.resident.remove(&slot.key);
         self.free.push(i);
         self.bytes -= bytes;
-        (key, bytes)
+        (block, bytes)
     }
 
     /// The oldest resident slot that is not `protect`: the list head, or
@@ -202,7 +221,8 @@ impl Stripe {
     }
 }
 
-/// ColumnBM: decides residency, charges simulated I/O, accumulates stats.
+/// ColumnBM: owns the resident blocks, charges simulated I/O, accumulates
+/// stats.
 ///
 /// Thread-safe and designed for sharing (`Arc<BufferManager>`): concurrent
 /// queries on different blocks proceed on different stripe locks, and the
@@ -222,7 +242,7 @@ pub struct BufferManager {
     /// owning stripe's lock but readable without it — eviction picks its
     /// victim stripe from these without touching any lock.
     oldest: Vec<AtomicU64>,
-    /// Global LRU clock; every touch draws the next tick.
+    /// Global LRU clock; every hit and every admission draws the next tick.
     tick: AtomicU64,
     /// Total bytes resident across all stripes. Updated while holding the
     /// owning stripe's lock; exact at quiescence (and the eviction loop
@@ -248,7 +268,7 @@ fn stripe_of(key: &(ColumnId, u32)) -> usize {
 /// Residency key for a block. The index is stored narrowed to `u32`; the
 /// narrowing is checked, because a silent `as` cast would alias block
 /// `2^32 + k` onto block `k` — distinct blocks sharing one residency entry,
-/// and (worse) an eviction of one dropping the cached bytes of the other.
+/// and (worse) a pin of one handing out the bytes of the other.
 /// At the default multi-megabyte block size a `u32` of blocks is an
 /// exabyte-scale column, so overflow is a caller bug, not a data regime.
 fn block_key(column: &Column, block_idx: usize) -> (ColumnId, u32) {
@@ -304,42 +324,71 @@ impl BufferManager {
         self.disk
     }
 
-    /// Declares that block `block_idx` of `column` is about to be read.
-    /// Charges simulated disk time if the block is not resident, then marks
-    /// it resident (possibly evicting LRU blocks).
+    /// The next LRU tick — drawn with a stripe lock held, so ticks ascend
+    /// along every stripe's recency list.
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// A pin on `key`'s block if it is resident in stripe `si` (locked by
+    /// the caller), refreshed to most recently used.
+    fn hit(
+        &self,
+        si: usize,
+        st: &mut Stripe,
+        key: (ColumnId, u32),
+    ) -> Option<Arc<CompressedBlock>> {
+        let &slot = st.resident.get(&key)?;
+        st.refresh(slot, self.next_tick());
+        self.oldest[si].store(st.oldest_tick(), Ordering::Relaxed);
+        st.slots[slot as usize].block.clone()
+    }
+
+    /// Pins block `block_idx` of `column`: the returned reference stays
+    /// readable, with no further pool or column access, for as long as the
+    /// caller holds it — whatever the pool evicts meanwhile.
     ///
-    /// For a disk-backed column (one served from an open segment file) a
-    /// miss is also a *real* read: the block is loaded from the file here,
-    /// after the stripe lock is released. The [`DiskModel`] accounting stays
-    /// as a deterministic overlay on top of that physical read.
-    pub fn touch(&self, column: &Column, block_idx: usize) {
+    /// A miss fetches the block with **no lock held** — for a disk-backed
+    /// column the real `pread` + parse, where a read fault surfaces as a
+    /// typed error — then admits it, charges the simulated disk cost (a
+    /// deterministic [`DiskModel`] overlay on the physical read) and evicts
+    /// LRU blocks if over budget. Threads missing the same block each fetch
+    /// it; the first to re-take the stripe lock admits and is charged, the
+    /// others adopt its block — so a hot pool's I/O totals stay a set
+    /// property of the blocks touched, whatever the interleaving.
+    pub fn pin(
+        &self,
+        column: &Column,
+        block_idx: usize,
+    ) -> Result<Arc<CompressedBlock>, StorageError> {
         let key = block_key(column, block_idx);
+        let si = stripe_of(&key);
+        let resident = self.hit(si, &mut self.stripes[si].lock(), key);
+        if let Some(block) = resident {
+            return Ok(block);
+        }
+        // Miss: the fetch, with no lock held.
+        let block = column.fetch(block_idx)?;
         let bytes = column.block_bytes(block_idx);
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let cost = {
-            let si = stripe_of(&key);
             let mut st = self.stripes[si].lock();
-            if let Some(&slot) = st.resident.get(&key) {
-                st.refresh(slot, tick);
-                self.oldest[si].store(st.oldest_tick(), Ordering::Relaxed);
-                return;
+            // Lost the race to admit this block: adopt the winner's.
+            if let Some(block) = self.hit(si, &mut st, key) {
+                return Ok(block);
             }
-            // Miss: pay the disk.
+            // Admit; the over-budget check happens after the stripe lock is
+            // released, because evicting may involve *other* stripes.
+            st.insert(key, Arc::clone(&block), bytes, self.next_tick());
+            self.oldest[si].store(st.oldest_tick(), Ordering::Relaxed);
+            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
+            // Pay the disk.
             let cost = self.disk.read_cost(bytes);
             self.stat_reads.fetch_add(1, Ordering::Relaxed);
             self.stat_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             self.stat_sim_nanos
                 .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-            // Admit; the over-budget check happens after the stripe lock is
-            // released, because evicting may involve *other* stripes.
-            st.insert(key, bytes, tick);
-            self.oldest[si].store(st.oldest_tick(), Ordering::Relaxed);
-            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
             cost
         };
-        // The physical read behind the miss, with no locks held. (In-memory
-        // columns make this a no-op — their data never left RAM.)
-        column.ensure_loaded(block_idx);
         if self.resident_bytes.load(Ordering::Relaxed) > self.capacity_bytes {
             self.evict_lru(key);
         }
@@ -348,6 +397,18 @@ impl BufferManager {
         if self.simulate_latency && !cost.is_zero() {
             std::thread::sleep(cost);
         }
+        Ok(block)
+    }
+
+    /// Pin-and-release: makes the block resident and most recently used,
+    /// charging a miss exactly as [`Self::pin`] does.
+    ///
+    /// # Panics
+    /// Panics if the fetch behind a miss fails; callers that must survive
+    /// a read fault use [`Self::pin`].
+    pub fn touch(&self, column: &Column, block_idx: usize) {
+        self.pin(column, block_idx)
+            .expect("fetch behind a touch miss failed");
     }
 
     /// Evicts least-recently-used blocks until the pool is back under
@@ -368,7 +429,6 @@ impl BufferManager {
     /// block simply stays resident, exactly like the historical
     /// single-block pool behaviour.
     fn evict_lru(&self, protect: (ColumnId, u32)) {
-        let mut evicted: Vec<(ColumnId, u32)> = Vec::new();
         'pool: while self.resident_bytes.load(Ordering::Relaxed) > self.capacity_bytes {
             // Stripes that turned out to hold nothing evictable this round
             // (raced empty, or hold only the protected block).
@@ -394,14 +454,11 @@ impl BufferManager {
                 let (victim, vbytes) = st.remove_slot(slot);
                 self.oldest[si].store(st.oldest_tick(), Ordering::Relaxed);
                 self.resident_bytes.fetch_sub(vbytes, Ordering::Relaxed);
-                evicted.push(victim);
+                // Free the victim (if unpinned) outside the stripe lock.
+                drop(st);
+                drop(victim);
                 break;
             }
-        }
-        // Stripe locks released: evicted disk-backed blocks drop their
-        // cached bytes, so re-touching them is a real file read again.
-        for (col, idx) in evicted {
-            crate::column::release_evicted_block(col, idx);
         }
     }
 
@@ -414,23 +471,16 @@ impl BufferManager {
     }
 
     /// Drops all residency (the start of a cold run) without resetting
-    /// accumulated statistics. Disk-backed blocks drop their cached bytes
-    /// too, so the next run re-reads them from the segment file.
+    /// accumulated statistics. The pool's block references go with it, so
+    /// the next run re-reads disk-backed blocks from the segment file.
     pub fn evict_all(&self) {
-        let mut evicted: Vec<(ColumnId, u32)> = Vec::new();
-        {
-            let mut stripes: Vec<MutexGuard<'_, Stripe>> =
-                self.stripes.iter().map(|s| s.lock()).collect();
-            for (si, st) in stripes.iter_mut().enumerate() {
-                evicted.extend(st.resident.keys().copied());
-                **st = Stripe::default();
-                self.oldest[si].store(u64::MAX, Ordering::Relaxed);
-            }
-            self.resident_bytes.store(0, Ordering::Relaxed);
+        let mut stripes: Vec<MutexGuard<'_, Stripe>> =
+            self.stripes.iter().map(|s| s.lock()).collect();
+        for (si, st) in stripes.iter_mut().enumerate() {
+            **st = Stripe::default();
+            self.oldest[si].store(u64::MAX, Ordering::Relaxed);
         }
-        for (col, idx) in evicted {
-            crate::column::release_evicted_block(col, idx);
-        }
+        self.resident_bytes.store(0, Ordering::Relaxed);
     }
 
     /// Accumulated I/O statistics.

@@ -10,11 +10,10 @@
 //! 4 MB — the paper's "granularity of disk accesses is in blocks of several
 //! megabytes".
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 use x100_compress::{Codec, CompressedBlock, ENTRY_POINT_STRIDE};
 
@@ -42,7 +41,7 @@ pub struct ColumnBuilder {
     codec: Codec,
     block_size: usize,
     pending: Vec<u32>,
-    blocks: Vec<CompressedBlock>,
+    blocks: Vec<Arc<CompressedBlock>>,
     len: usize,
 }
 
@@ -110,7 +109,7 @@ impl ColumnBuilder {
     fn flush(&mut self) {
         if !self.pending.is_empty() {
             self.blocks
-                .push(CompressedBlock::encode(&self.pending, self.codec));
+                .push(Arc::new(CompressedBlock::encode(&self.pending, self.codec)));
             self.pending.clear();
         }
     }
@@ -132,137 +131,19 @@ impl ColumnBuilder {
 /// The physical backing of a column's compressed blocks.
 #[derive(Debug, Clone)]
 enum BlockStore {
-    /// Every block lives in RAM (a column built in this process).
-    Mem(Vec<CompressedBlock>),
-    /// Blocks live in a segment file; each is pread and decoded on first
-    /// access, cached until the buffer manager evicts it, then re-read.
-    Disk(Arc<DiskBlocks>),
-}
-
-/// Disk-backed block storage for one column of an open segment.
-///
-/// Each block occupies a known `(offset, byte length)` extent of the segment
-/// file — both validated against the file's real length at open time — and
-/// is loaded with a positional read (`pread`) on first access. Loaded blocks
-/// are cached in per-block slots; when the [`crate::BufferManager`] evicts a
-/// block it drops the slot (via the process-wide registry below), and the
-/// next access simply reads it again.
-#[derive(Debug)]
-struct DiskBlocks {
-    column: ColumnId,
-    file: Arc<File>,
-    /// Per-block (absolute file offset, serialized byte length).
-    entries: Vec<(u64, u32)>,
-    /// Lazily loaded blocks, one slot per entry.
-    slots: Vec<Mutex<Option<Arc<CompressedBlock>>>>,
-}
-
-impl DiskBlocks {
-    fn new(column: ColumnId, file: Arc<File>, entries: Vec<(u64, u32)>) -> Arc<Self> {
-        let slots = entries.iter().map(|_| Mutex::new(None)).collect();
-        let blocks = Arc::new(DiskBlocks {
-            column,
-            file,
-            entries,
-            slots,
-        });
-        registry()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(column, Arc::downgrade(&blocks));
-        blocks
-    }
-
-    /// Returns block `idx`, reading and decoding it if its slot is empty.
-    ///
-    /// # Panics
-    /// Panics if the read or decode fails: every segment is fully
-    /// checksum-verified at open time, so a failure here means the file
-    /// changed (or the device failed) underneath a running process —
-    /// an environment fault, not a recoverable input error.
-    fn load(&self, idx: usize) -> Arc<CompressedBlock> {
-        let mut slot = self.slots[idx].lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(block) = slot.as_ref() {
-            return Arc::clone(block);
-        }
-        let (offset, len) = self.entries[idx];
-        let mut buf = vec![0u8; len as usize];
-        self.file
-            .read_exact_at(&mut buf, offset)
-            .unwrap_or_else(|e| panic!("segment pread failed after verified open: {e}"));
-        let block = CompressedBlock::from_bytes(&buf)
-            .unwrap_or_else(|e| panic!("segment block corrupt after verified open: {e:?}"));
-        let block = Arc::new(block);
-        *slot = Some(Arc::clone(&block));
-        block
-    }
-
-    fn drop_slot(&self, idx: usize) {
-        if let Some(slot) = self.slots.get(idx) {
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        }
-    }
-}
-
-impl Drop for DiskBlocks {
-    fn drop(&mut self) {
-        if let Ok(mut reg) = registry().lock() {
-            reg.remove(&self.column);
-        }
-    }
-}
-
-/// Process-wide map from column id to its disk-backed block store, so the
-/// buffer manager (which only knows `(ColumnId, block index)` keys) can drop
-/// the cached bytes of blocks it evicts. Entries are weak: dropping the last
-/// `Column` clone frees the store regardless of the registry.
-fn registry() -> &'static Mutex<HashMap<ColumnId, Weak<DiskBlocks>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<ColumnId, Weak<DiskBlocks>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Called by the buffer manager after evicting `(column, block_idx)` (with
-/// no stripe locks held): for a disk-backed column this frees the cached
-/// block bytes, so the next access becomes a real file read again. In-memory
-/// columns have no registry entry and are unaffected.
-pub(crate) fn release_evicted_block(column: ColumnId, block_idx: u32) {
-    let blocks = {
-        let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        reg.get(&column).and_then(Weak::upgrade)
-    };
-    // The upgraded `Arc` is dropped outside the registry lock: if it is the
-    // last reference, `DiskBlocks::drop` re-takes that lock.
-    if let Some(blocks) = blocks {
-        blocks.drop_slot(block_idx as usize);
-    }
-}
-
-/// A reference to one compressed block: borrowed for in-memory columns,
-/// a cached (possibly just-loaded) `Arc` for disk-backed ones. Derefs to
-/// [`CompressedBlock`], so call sites read through it transparently.
-#[derive(Debug)]
-pub enum BlockRef<'a> {
-    /// Borrowed from an in-memory block store.
-    Mem(&'a CompressedBlock),
-    /// Loaded from a segment file (held alive independently of eviction).
-    Disk(Arc<CompressedBlock>),
-}
-
-impl std::ops::Deref for BlockRef<'_> {
-    type Target = CompressedBlock;
-
-    fn deref(&self) -> &CompressedBlock {
-        match self {
-            BlockRef::Mem(b) => b,
-            BlockRef::Disk(b) => b,
-        }
-    }
-}
-
-impl PartialEq for BlockRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
+    /// Every block lives in RAM (a column built in this process). Blocks
+    /// are shared, so a buffer-pool slot or a reader's pin holds the
+    /// column's own block — no byte is ever held twice.
+    Mem(Vec<Arc<CompressedBlock>>),
+    /// Blocks live in a segment file, each at an `(absolute file offset,
+    /// serialized byte length)` extent validated against the file's real
+    /// length at open time. The column keeps no block bytes itself: every
+    /// fetch is a positional read, and the only cache is the
+    /// [`crate::BufferManager`] the serving path pins through.
+    Disk {
+        file: Arc<File>,
+        entries: Arc<[(u64, u32)]>,
+    },
 }
 
 /// A compressed, immutable column of `u32` values.
@@ -286,7 +167,7 @@ impl Column {
 
     /// Builds a disk-backed column over blocks stored in `file`, each at a
     /// pre-validated `(absolute offset, serialized byte length)` extent.
-    /// Used by [`crate::SegmentReader`]; blocks load lazily via `pread`.
+    /// Used by [`crate::SegmentReader`]; blocks are `pread` on demand.
     pub(crate) fn from_disk_blocks(
         name: impl Into<String>,
         codec: Codec,
@@ -295,13 +176,15 @@ impl Column {
         file: Arc<File>,
         entries: Vec<(u64, u32)>,
     ) -> Self {
-        let id = ColumnId::next();
         Column {
-            id,
+            id: ColumnId::next(),
             name: name.into(),
             codec,
             block_size,
-            store: BlockStore::Disk(DiskBlocks::new(id, file, entries)),
+            store: BlockStore::Disk {
+                file,
+                entries: entries.into(),
+            },
             len,
         }
     }
@@ -340,17 +223,47 @@ impl Column {
     pub fn block_count(&self) -> usize {
         match &self.store {
             BlockStore::Mem(blocks) => blocks.len(),
-            BlockStore::Disk(blocks) => blocks.entries.len(),
+            BlockStore::Disk { entries, .. } => entries.len(),
         }
     }
 
-    /// The compressed block at `idx`. For a disk-backed column this loads
-    /// the block from the segment file if it is not currently cached.
-    pub fn block(&self, idx: usize) -> BlockRef<'_> {
-        match &self.store {
-            BlockStore::Mem(blocks) => BlockRef::Mem(&blocks[idx]),
-            BlockStore::Disk(blocks) => BlockRef::Disk(blocks.load(idx)),
+    /// Fetches block `idx` from the column's store: a shared handle to an
+    /// in-memory block, or — the one place block extents are read and
+    /// parsed — a positional read of a disk-backed one. Nothing is cached
+    /// here; [`crate::BufferManager::pin`] is the caching caller.
+    pub(crate) fn fetch(&self, idx: usize) -> Result<Arc<CompressedBlock>, StorageError> {
+        if idx >= self.block_count() {
+            return Err(StorageError::OutOfBounds {
+                position: idx.saturating_mul(self.block_size),
+                len: self.len,
+            });
         }
+        match &self.store {
+            BlockStore::Mem(blocks) => Ok(Arc::clone(&blocks[idx])),
+            BlockStore::Disk { file, entries } => {
+                let (offset, len) = entries[idx];
+                let mut buf = vec![0u8; len as usize];
+                file.read_exact_at(&mut buf, offset)
+                    .map_err(|e| StorageError::Io(e.kind()))?;
+                Ok(Arc::new(CompressedBlock::from_bytes(&buf)?))
+            }
+        }
+    }
+
+    /// The compressed block at `idx`, un-pooled: for a disk-backed column
+    /// an *uncached* positioned read — what build-side, offline and
+    /// cold-path callers want. The serving path pins through
+    /// [`crate::BufferManager::pin`] instead.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range, or if the read or parse fails:
+    /// every segment is fully checksum-verified at open time, so a failure
+    /// here means the file changed (or the device failed) underneath a
+    /// running process. Offline callers treat that as fatal; `pin` returns
+    /// it as a typed error.
+    pub fn block(&self, idx: usize) -> Arc<CompressedBlock> {
+        self.fetch(idx)
+            .unwrap_or_else(|e| panic!("block {idx} of column {:?}: {e}", self.name))
     }
 
     /// Size in bytes of block `idx` as the I/O layer sees it — without
@@ -360,21 +273,22 @@ impl Column {
     pub fn block_bytes(&self, idx: usize) -> usize {
         match &self.store {
             BlockStore::Mem(blocks) => blocks[idx].compressed_bytes(),
-            BlockStore::Disk(blocks) => blocks.entries[idx].1 as usize,
+            BlockStore::Disk { entries, .. } => entries[idx].1 as usize,
+        }
+    }
+
+    /// Length in bytes of block `idx`'s serialized image, without
+    /// materializing it (and, for a disk-backed column, without reading it).
+    pub(crate) fn block_image_len(&self, idx: usize) -> usize {
+        match &self.store {
+            BlockStore::Mem(blocks) => blocks[idx].serialized_len(),
+            BlockStore::Disk { entries, .. } => entries[idx].1 as usize,
         }
     }
 
     /// Whether the column's blocks live in a segment file rather than RAM.
     pub fn is_disk_backed(&self) -> bool {
-        matches!(self.store, BlockStore::Disk(_))
-    }
-
-    /// Ensures block `idx` of a disk-backed column is loaded (the *real*
-    /// read behind a buffer-manager miss). No-op for in-memory columns.
-    pub(crate) fn ensure_loaded(&self, idx: usize) {
-        if let BlockStore::Disk(blocks) = &self.store {
-            let _ = blocks.load(idx);
-        }
+        matches!(self.store, BlockStore::Disk { .. })
     }
 
     /// Total compressed size in bytes (without loading any disk-backed
@@ -430,28 +344,16 @@ impl Column {
             });
         }
         out.clear();
-        if len == 0 {
-            return Ok(());
-        }
-        // First block decodes straight into `out`: the posting-scan hot path
-        // reads one entry-point window inside one block per call and must
-        // not allocate. Only multi-block spans pay for a scratch buffer.
+        let mut scratch = Vec::new();
         let mut pos = start;
-        let first = self.block(pos / self.block_size);
-        let in_block = pos % self.block_size;
-        let take = (end - pos).min(first.len() - in_block);
-        first.decode_range_into(in_block, take, out)?;
-        pos += take;
-        if pos < end {
-            let mut scratch = Vec::new();
-            while pos < end {
-                // Subsequent reads start at a block boundary (aligned).
-                let block = self.block(pos / self.block_size);
-                let take = (end - pos).min(block.len());
-                block.decode_range_into(0, take, &mut scratch)?;
-                out.extend_from_slice(&scratch);
-                pos += take;
-            }
+        while pos < end {
+            // Reads after the first start at a block boundary (aligned).
+            let block = self.block(pos / self.block_size);
+            let in_block = pos % self.block_size;
+            let take = (end - pos).min(block.len() - in_block);
+            block.decode_range_into(in_block, take, &mut scratch)?;
+            out.extend_from_slice(&scratch);
+            pos += take;
         }
         Ok(())
     }

@@ -16,9 +16,9 @@
 //!   drives the paper's results (see DESIGN.md, substitution table).
 //! * [`column::Column`] — a compressed column: a sequence of multi-megabyte
 //!   [`x100_compress::CompressedBlock`]s plus length metadata.
-//! * [`buffer::BufferManager`] — ColumnBM proper: tracks which compressed
-//!   blocks are RAM-resident, charges simulated disk time on misses, and
-//!   evicts LRU under a configurable RAM budget.
+//! * [`buffer::BufferManager`] — ColumnBM proper: owns the RAM-resident
+//!   compressed blocks, hands them to readers as pins, charges simulated
+//!   disk time on misses, and evicts LRU under a configurable RAM budget.
 //! * [`scan::ColumnScan`] — a seekable cursor producing values at vector
 //!   granularity, the storage-side half of the execution pipeline.
 //! * [`table::Table`] — a named set of equal-length columns (the relational
@@ -39,7 +39,7 @@ pub mod segment;
 pub mod table;
 
 pub use buffer::{BufferManager, BufferMode, NUM_STRIPES};
-pub use column::{BlockRef, Column, ColumnBuilder, ColumnId, StringColumn, StringColumnBuilder};
+pub use column::{Column, ColumnBuilder, ColumnId, StringColumn, StringColumnBuilder};
 pub use disk::{DiskModel, IoStats};
 pub use runfile::{MemRun, RunFileError, RunFileReader, RunFileWriter, RunMeta, RunSource};
 pub use scan::ColumnScan;
@@ -66,6 +66,10 @@ pub enum StorageError {
     UnknownColumn(String),
     /// Underlying codec failure (corrupt block, misaligned range).
     Codec(x100_compress::CodecError),
+    /// A block read from an open segment failed: the file changed, or the
+    /// device faulted, after the open-time verification (kind-only so the
+    /// error stays `Clone + Eq`).
+    Io(std::io::ErrorKind),
 }
 
 impl fmt::Display for StorageError {
@@ -85,6 +89,7 @@ impl fmt::Display for StorageError {
             }
             StorageError::UnknownColumn(name) => write!(f, "unknown column: {name}"),
             StorageError::Codec(e) => write!(f, "codec error: {e}"),
+            StorageError::Io(kind) => write!(f, "segment block read failed: {kind}"),
         }
     }
 }

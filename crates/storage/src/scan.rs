@@ -10,7 +10,9 @@
 //! underlying compressed blocks; inverted-list merge-joins use this to skip
 //! over non-matching docid ranges.
 
-use x100_compress::ENTRY_POINT_STRIDE;
+use std::sync::Arc;
+
+use x100_compress::{CompressedBlock, ENTRY_POINT_STRIDE};
 
 use crate::buffer::BufferManager;
 use crate::column::Column;
@@ -30,11 +32,12 @@ pub struct ColumnScan<'a> {
     /// served on the next call rather than re-decoded.
     staging: Vec<u32>,
     stage_start: usize,
-    /// The block the scan currently holds (pins): charged to the buffer
-    /// manager when first entered, not on every refill within it. A scan
-    /// that has a block's data staged does not re-read it from disk even
-    /// if concurrent queries evict it from the pool in the meantime.
-    pinned_block: Option<usize>,
+    /// The block the scan is inside and its pin on it: taken from (and
+    /// charged by) the buffer manager when the scan enters the block, not
+    /// on every refill within it. The pin is a real reference, so refills
+    /// decode straight from it — no lock, no pool or column access, no
+    /// re-read — even if concurrent queries evict the block meanwhile.
+    pin: Option<(usize, Arc<CompressedBlock>)>,
 }
 
 impl<'a> ColumnScan<'a> {
@@ -48,7 +51,7 @@ impl<'a> ColumnScan<'a> {
             pos: 0,
             staging: Vec::new(),
             stage_start: 0,
-            pinned_block: None,
+            pin: None,
         }
     }
 
@@ -112,25 +115,25 @@ impl<'a> ColumnScan<'a> {
     fn refill(&mut self) -> Result<(), StorageError> {
         let aligned = self.pos - self.pos % ENTRY_POINT_STRIDE;
         // Decode enough to cover pos + vector_size, rounded up to strides,
-        // clamped to the block end (Column::read_range handles block
-        // crossings, but staying within one block keeps buffer-manager
-        // accounting per block honest).
+        // clamped to the block end: a refill reads from exactly one block,
+        // the one the scan holds a pin on.
         let block_size = self.column.block_size();
         let block_idx = aligned / block_size;
-        let block_end = ((block_idx + 1) * block_size).min(self.column.len());
+        let block_start = block_idx * block_size;
+        let block_end = (block_start + block_size).min(self.column.len());
         let want_end = (self.pos + self.vector_size)
             .next_multiple_of(ENTRY_POINT_STRIDE)
             .min(block_end);
-        let len = want_end - aligned;
-        // Charge the buffer manager once per block *entry*, not per refill:
-        // while the scan stays inside one block it is reading data it
-        // already fetched (a real scan pins its block), so only crossing
-        // into a different block is a fresh read.
-        if self.pinned_block != Some(block_idx) {
-            self.buffers.touch(self.column, block_idx);
-            self.pinned_block = Some(block_idx);
-        }
-        self.column.read_range(aligned, len, &mut self.staging)?;
+        // Pin (and charge) once per block *entry*, not per refill: only
+        // crossing into a different block goes back to the buffer manager.
+        let block = match &self.pin {
+            Some((idx, block)) if *idx == block_idx => block,
+            _ => {
+                let block = self.buffers.pin(self.column, block_idx)?;
+                &self.pin.insert((block_idx, block)).1
+            }
+        };
+        block.decode_range_into(aligned - block_start, want_end - aligned, &mut self.staging)?;
         self.stage_start = aligned;
         Ok(())
     }

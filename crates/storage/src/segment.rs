@@ -16,9 +16,9 @@
 //! open`]; declared sizes are reconciled against the real file length with
 //! checked arithmetic before any allocation, so a corrupt length field can
 //! never trigger an allocation bomb. After a successful open, block reads
-//! are plain `pread`s into [`Column`]s whose blocks load lazily and are
-//! dropped (and later re-read) when the [`crate::BufferManager`] evicts
-//! them.
+//! are plain `pread`s: the [`Column`]s keep no block bytes, the
+//! [`crate::BufferManager`] owns the blocks it admitted, and a block it
+//! evicted is simply read again on the next pin.
 //!
 //! # File layout
 //!
@@ -331,8 +331,9 @@ impl SegmentWriter {
 
     /// Appends a column section, streaming one serialized block at a time —
     /// the whole column is never materialized in memory. The first pass
-    /// sizes each block to build the prefix-sum directory; the second
-    /// serializes and writes.
+    /// builds the prefix-sum directory from each block's image *length*
+    /// (no image, and for a disk-backed column no read); the second
+    /// fetches, serializes and writes each block once.
     pub fn write_column_section(
         &mut self,
         kind: SectionKind,
@@ -343,15 +344,20 @@ impl SegmentWriter {
         let mut directory: Vec<u64> = Vec::with_capacity(block_count + 1);
         directory.push(0);
         for i in 0..block_count {
-            let bytes = column.block(i).to_bytes().len() as u64;
-            directory.push(directory[i] + bytes);
+            directory.push(directory[i] + column.block_image_len(i) as u64);
         }
         self.append(&column_section_header(column, block_count))?;
         for &d in &directory {
             self.append(&d.to_le_bytes())?;
         }
         for i in 0..block_count {
-            self.append(&column.block(i).to_bytes())?;
+            let image = column.block(i).to_bytes();
+            assert_eq!(
+                image.len() as u64,
+                directory[i + 1] - directory[i],
+                "block {i}'s image disagrees with its directory extent"
+            );
+            self.append(&image)?;
         }
         self.end_section()
     }
@@ -623,9 +629,8 @@ impl SegmentReader {
         Ok(bytes)
     }
 
-    /// Opens a column section as a disk-backed [`Column`]: blocks are read
-    /// (`pread`) and decoded on first access, cached until the buffer pool
-    /// evicts them, then re-read on the next touch.
+    /// Opens a column section as a disk-backed [`Column`]: every block
+    /// fetch is a `pread` + parse; caching is the buffer pool's job.
     pub fn open_column(&self, kind: SectionKind, name: &str) -> Result<Column, SegmentError> {
         let desc = self
             .columns
@@ -778,23 +783,137 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    fn largest_block(col: &Column) -> usize {
+        let sizes = (0..col.block_count()).map(|i| col.block_bytes(i));
+        sizes.max().expect("sample column has blocks")
+    }
+
+    /// A pool that holds exactly one block of `col`: every block fits
+    /// alone, any two are over budget.
+    fn one_block_pool(col: &Column) -> BufferManager {
+        BufferManager::new(DiskModel::instant(), largest_block(col))
+    }
+
+    /// Cuts the segment file short through a second handle, so every later
+    /// block read fails.
+    fn truncate(path: &Path) {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(HEADER_LEN).unwrap();
+    }
+
     #[test]
-    fn eviction_drops_block_and_rereads_it() {
-        let path = temp_path("evict");
+    fn pinned_means_alive_without_a_second_read() {
+        let path = temp_path("pinned");
+        let expect = write_sample(&path).read_all();
+        let r = SegmentReader::open(&path).unwrap();
+        let back = r.open_column(SectionKind::ColDocid, "docid").unwrap();
+        let bm = one_block_pool(&back);
+        let mut scan = crate::scan::ColumnScan::new(&back, &bm, 64);
+        let (mut v, mut got) = (Vec::new(), Vec::new());
+        scan.next_into(&mut v).unwrap();
+        got.extend_from_slice(&v);
+        // Mid-block 0: another reader's touch evicts it, then the file goes.
+        bm.touch(&back, 1);
+        assert!(!bm.is_resident(&back, 0));
+        truncate(&path);
+        let reads = bm.stats().reads;
+        while scan.position() < back.block_size() {
+            scan.next_into(&mut v).unwrap();
+            got.extend_from_slice(&v);
+        }
+        assert_eq!(got, &expect[..back.block_size()]);
+        assert_eq!(bm.stats().reads, reads, "a pinned block was read again");
+        // Block 1 is still resident; block 2 needs the file and gets a
+        // typed error, not a panic.
+        scan.next_into(&mut v).unwrap();
+        assert_eq!(v, &expect[256..320]);
+        scan.seek(2 * back.block_size()).unwrap();
+        assert_eq!(
+            scan.next_into(&mut v),
+            Err(crate::StorageError::Io(std::io::ErrorKind::UnexpectedEof))
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn evicted_means_freed() {
+        let path = temp_path("freed");
+        write_sample(&path);
+        let r = SegmentReader::open(&path).unwrap();
+        let back = r.open_column(SectionKind::ColDocid, "docid").unwrap();
+        let bm = one_block_pool(&back);
+        let pin = bm.pin(&back, 0).unwrap();
+        let weak = Arc::downgrade(&pin);
+        bm.touch(&back, 1); // evicts block 0; the pin keeps it alive
+        assert!(!bm.is_resident(&back, 0));
+        assert!(weak.upgrade().is_some());
+        drop(pin);
+        assert!(weak.upgrade().is_none(), "evicted and unpinned, yet alive");
+        // Resident and unpinned: the pool's reference is the only one, and
+        // evicting drops it.
+        let weak = Arc::downgrade(&bm.pin(&back, 2).unwrap());
+        assert!(weak.upgrade().is_some());
+        bm.touch(&back, 3);
+        assert!(weak.upgrade().is_none());
+        // After evict_all and dropping every pin, no block of the column
+        // is alive anywhere.
+        let hot = BufferManager::with_mode(DiskModel::instant(), BufferMode::Hot, 0);
+        let pins: Vec<_> = (0..back.block_count())
+            .map(|i| hot.pin(&back, i).unwrap())
+            .collect();
+        let weaks: Vec<_> = pins.iter().map(Arc::downgrade).collect();
+        hot.evict_all();
+        assert_eq!(hot.resident_bytes(), 0);
+        assert!(weaks.iter().all(|w| w.upgrade().is_some()));
+        drop(pins);
+        assert!(weaks.iter().all(|w| w.upgrade().is_none()));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The disk-backed leg of `buffer::tests::
+    /// concurrent_stress_under_capacity_pressure`: threads pin and decode
+    /// every block through a one-block pool, so nearly every pin is a miss
+    /// racing other misses, admissions and evictions, and every decoded
+    /// block must equal the in-memory column's.
+    #[test]
+    fn concurrent_disk_backed_pins_under_capacity_pressure() {
+        let path = temp_path("stress");
         let col = write_sample(&path);
         let r = SegmentReader::open(&path).unwrap();
         let back = r.open_column(SectionKind::ColDocid, "docid").unwrap();
-        // Budget for roughly one block: touching the others evicts.
-        let bm = BufferManager::new(DiskModel::instant(), back.block_bytes(0) + 8);
-        for i in 0..back.block_count() {
-            bm.touch(&back, i);
-        }
-        assert!(bm.resident_blocks() <= 2);
-        // Every value still reads correctly after evictions (re-preads).
-        assert_eq!(back.read_all(), col.read_all());
-        // Cold restart: evict_all drops cached bytes, reads still work.
-        bm.evict_all();
-        assert_eq!(back.read_all(), col.read_all());
+        let bm = one_block_pool(&back);
+        let values = col.read_all();
+        let expect: Vec<&[u32]> = values.chunks(col.block_size()).collect();
+        const THREADS: usize = 4;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (bm, back, expect, start) = (&bm, &back, &expect, &start);
+                s.spawn(move || {
+                    let mut v = Vec::new();
+                    start.wait();
+                    for round in 0..80 {
+                        // Half the threads chase each other over the same
+                        // blocks (duplicate misses), half run against them.
+                        let b = match t % 2 {
+                            0 => round % expect.len(),
+                            _ => (expect.len() - 1) - round % expect.len(),
+                        };
+                        bm.pin(back, b).unwrap().decode_into(&mut v);
+                        assert_eq!(v, expect[b], "thread {t} block {b}");
+                        if round % 29 == 7 && t == 0 {
+                            bm.evict_all();
+                        }
+                    }
+                });
+            }
+        });
+        bm.assert_consistent();
+        assert!(
+            bm.resident_bytes() <= largest_block(&back),
+            "pool settled over its one-block budget: {}",
+            bm.resident_bytes()
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

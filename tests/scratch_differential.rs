@@ -115,20 +115,28 @@ fn every_strategy_matches_relational_oracle_with_poisoned_arena() {
     }
 }
 
-#[test]
-fn segment_backed_fused_path_matches_relational_oracle() {
-    let fx = fixture();
+/// Persists `index` and reopens it segment-backed (the file is unlinked
+/// right away; the open handle keeps serving reads).
+fn reopen_from_segment(index: &InvertedIndex) -> InvertedIndex {
     static CALLS: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "x100-scratch-diff-{}-{}.seg",
         std::process::id(),
         CALLS.fetch_add(1, Ordering::Relaxed)
     ));
+    index.write_segment(&path).expect("write segment");
+    let reopened = InvertedIndex::open_segment(&path).expect("open segment");
+    std::fs::remove_file(&path).expect("remove segment");
+    reopened
+}
+
+#[test]
+fn segment_backed_fused_path_matches_relational_oracle() {
+    let fx = fixture();
     // The q8 index runs all eight strategies; reopened from its segment the
     // posting blocks (and the block-max metadata the pruned modes skip by)
     // are disk-resident and flow through the buffer pool.
-    fx.indexes[2].write_segment(&path).expect("write segment");
-    let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
+    let reopened = Arc::new(reopen_from_segment(&fx.indexes[2]));
     let exec = QueryExecutor::new(reopened.clone());
     let oracle = QueryEngine::new(&reopened);
     for &strategy in &SearchStrategy::ALL {
@@ -136,7 +144,78 @@ fn segment_backed_fused_path_matches_relational_oracle() {
             check_one(&exec, &oracle, q, strategy, 10, 0xD15C_0000 ^ qi as u64);
         }
     }
-    std::fs::remove_file(&path).expect("remove segment");
+}
+
+/// Hits plus the pass count of one fused-path query, score bits exact.
+fn fused_bits(
+    engine: &QueryEngine<'_>,
+    terms: &[u32],
+    strategy: SearchStrategy,
+    scratch: &mut QueryScratch,
+) -> (Vec<(u32, u32)>, u8) {
+    let mut hits = Vec::new();
+    let meta = engine
+        .search_hits_into(terms, strategy, 10, scratch, &mut hits)
+        .expect("fused search");
+    let hits = hits.iter().map(|&(d, s)| (d, s.to_bits())).collect();
+    (hits, meta.passes)
+}
+
+#[test]
+fn one_scratch_shared_by_two_segment_indexes_matches_fresh_scratches() {
+    // Two segment-backed indexes over different collections: their paged
+    // metadata (term offsets, doc freqs, doc lengths) differs, so a
+    // metadata window staged for one and served to the other is a wrong
+    // answer. One arena alternates between them anyway.
+    let fx = fixture();
+    let other = SyntheticCollection::generate(&CollectionConfig {
+        seed: 0xD1FF_E4E7,
+        ..CollectionConfig::tiny()
+    });
+    let indexes = [
+        reopen_from_segment(&fx.indexes[2]),
+        reopen_from_segment(&InvertedIndex::build(
+            &other,
+            &IndexConfig::materialized_q8(),
+        )),
+    ];
+    let engines = [QueryEngine::new(&indexes[0]), QueryEngine::new(&indexes[1])];
+    let mut shared = QueryScratch::new();
+    for (qi, q) in fx.queries.iter().enumerate() {
+        let strategy = SearchStrategy::ALL[qi % SearchStrategy::ALL.len()];
+        for (ei, engine) in engines.iter().enumerate() {
+            assert_eq!(
+                fused_bits(engine, q, strategy, &mut shared),
+                fused_bits(engine, q, strategy, &mut QueryScratch::new()),
+                "shared scratch diverged: index {ei} {strategy:?} terms={q:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn reused_scratch_counts_the_same_cold_io_as_a_fresh_one() {
+    // A cold rerun — `evict_all`, then the same queries — must charge the
+    // pool identically whether the arena is fresh or carries windows from
+    // the run before: a window may not sit on a block across queries and
+    // skip the pin that would have counted the re-read.
+    let fx = fixture();
+    let reopened = reopen_from_segment(&fx.indexes[2]);
+    let engine = QueryEngine::new(&reopened);
+    let cold_run = |scratch: &mut QueryScratch| {
+        engine.buffers().evict_all();
+        let before = engine.buffers().stats();
+        for (qi, q) in fx.queries.iter().enumerate() {
+            let strategy = SearchStrategy::ALL[qi % SearchStrategy::ALL.len()];
+            fused_bits(&engine, q, strategy, scratch);
+        }
+        engine.buffers().stats().delta_since(&before)
+    };
+    let mut reused = QueryScratch::new();
+    let first = cold_run(&mut reused);
+    assert!(first.reads > 0);
+    assert_eq!(cold_run(&mut reused), first, "reused scratch under-counted");
+    assert_eq!(cold_run(&mut QueryScratch::new()), first);
 }
 
 #[test]
