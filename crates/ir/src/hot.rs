@@ -32,7 +32,10 @@
 //! * **Buffer accounting** — cursors refill entry-point-aligned windows
 //!   clamped to block boundaries, take one [`BufferManager::pin`] per
 //!   block entry (charged on a miss) and decode every refill inside the
-//!   block from that pin, exactly like `ColumnScan`.
+//!   block from that pin, exactly like `ColumnScan`. Per column the pins
+//!   and their count are the relational plan's; across terms the
+//!   exhaustive union interleaves them term-major within a docid window
+//!   (`run_ranked`), where the merge-join advances all lists in step.
 //!
 //! When the `simd` feature is enabled and the CPU has AVX2, the per-term
 //! scoring loop over each candidate batch runs 8 lanes wide; conversion
@@ -554,6 +557,11 @@ pub struct QueryScratch {
     rows_scored: u64,
     /// Per-term document frequencies (conjunctive skipping path).
     dfs: Vec<u32>,
+    /// The exhaustive union's window matrix, term-major: term `t`'s payload
+    /// for docid `base + s` at `t * UNION_WINDOW + s`; zero between windows.
+    union_cells: Vec<u32>,
+    /// One bit per window slot some term hit; zero between windows.
+    union_present: Vec<u64>,
 }
 
 impl QueryScratch {
@@ -619,6 +627,10 @@ impl QueryScratch {
         refill_u32(&mut self.stride_off, &mut next);
         refill_u32(&mut self.sorted_terms, &mut next);
         refill_u32(&mut self.dfs, &mut next);
+        refill_u32(&mut self.union_cells, &mut next);
+        let cap = self.union_present.capacity();
+        self.union_present.clear();
+        self.union_present.extend((0..cap).map(|_| next()));
         for c in &mut self.cursors {
             c.pos = next() as usize;
             c.end = next() as usize;
@@ -1162,6 +1174,16 @@ fn run_boolean(
 /// batches of `vector_size`, scores each batch with the wide-or-scalar
 /// kernels, and offers every row to the top-k heap. Returns the total
 /// candidate count (the two-pass quota check).
+///
+/// The union runs term-at-a-time over a docid window. With `base` the
+/// smallest current docid, each term in query order scatters its postings
+/// below `base + UNION_WINDOW` — two plain slices of its staged windows
+/// between refills — into its row of a zeroed term-major matrix and marks
+/// each slot in a presence bitmap; the set bits, ascending, become batch
+/// rows (an absent term reads the matrix's 0) and the cells read are
+/// zeroed again. `base` is live, not a grid: docid ranges no list touches
+/// cost nothing. Rows, their order and their cells are those of a
+/// posting-at-a-time merge.
 #[allow(clippy::too_many_arguments)]
 fn run_ranked(
     view: &MetaView,
@@ -1184,6 +1206,8 @@ fn run_ranked(
         scores,
         heap,
         len_window,
+        union_cells: cells,
+        union_present: present,
         ..
     } = scratch;
     let k = terms.len();
@@ -1215,8 +1239,7 @@ fn run_ranked(
                 n,
                 &mut seq,
             )?;
-            batch_docids.clear();
-            batch_payloads[..k * v].fill(0);
+            clear_batch(batch_docids, batch_payloads, v, k);
         };
     }
 
@@ -1233,22 +1256,100 @@ fn run_ranked(
             }
         }
     } else {
-        while let Some(d) = min_docid(cursors.iter()) {
-            let j = batch_docids.len();
-            batch_docids.push(d);
-            for (i, c) in cursors.iter_mut().enumerate() {
-                if c.cur == Some(d) {
-                    batch_payloads[i * v + j] = c.payload(pay_col, buffers, v)?;
-                    c.advance(doc_col, buffers, v)?;
+        // Between windows the matrix and the bitmap are all zero; nothing
+        // an earlier query left in them may show through.
+        cells.clear();
+        cells.resize(k * UNION_WINDOW, 0);
+        present.clear();
+        present.resize(UNION_WINDOW / 64, 0);
+        while let Some(base) = min_docid(cursors.iter()) {
+            for (c, row) in cursors.iter_mut().zip(cells.chunks_mut(UNION_WINDOW)) {
+                // A live `cur` means the docid window is staged at `pos`.
+                while c.cur.is_some_and(|d| in_window(d, base)) {
+                    c.payload(pay_col, buffers, v)?;
+                    let docs = &c.doc.stage[c.pos - c.doc.start..];
+                    let docs = &docs[..docs.len().min(c.end - c.pos)];
+                    let pays = &c.pay.stage[c.pos - c.pay.start..];
+                    c.pos += scatter(docs, pays, base, row, present);
+                    c.load(doc_col, buffers, v)?;
                 }
             }
-            if batch_docids.len() == v {
-                flush!();
+            // This window's rows not yet gathered start at `j0`.
+            let mut j0 = batch_docids.len();
+            for (w, word) in present.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    batch_docids.push(base + w as u32 * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                    if batch_docids.len() == v {
+                        gather(cells, base, batch_docids, batch_payloads, v, j0);
+                        flush!();
+                        j0 = 0;
+                    }
+                }
             }
+            gather(cells, base, batch_docids, batch_payloads, v, j0);
         }
     }
     flush!();
     Ok(seq)
+}
+
+/// Width, in docids, of the exhaustive union's window (see [`run_ranked`]).
+const UNION_WINDOW: usize = 2048;
+
+/// Whether docid `d` is in the union window at `base`. A distance, never
+/// `d < base + UNION_WINDOW`: that sum wraps near `u32::MAX`, silently in a
+/// release build. A docid below `base` (a corrupt, non-ascending list)
+/// wraps to a huge distance and waits for a later window.
+fn in_window(d: u32, base: u32) -> bool {
+    (d.wrapping_sub(base) as usize) < UNION_WINDOW
+}
+
+/// Scatters the leading postings of `docs`/`pays` that fall in the window
+/// at `base` into the term's matrix `row`, marking their slots in
+/// `present`; returns how many it consumed.
+fn scatter(docs: &[u32], pays: &[u32], base: u32, row: &mut [u32], present: &mut [u64]) -> usize {
+    let mut taken = 0;
+    // Bits of one bitmap word collect in a register: a read-modify-write
+    // per posting would serialize dense lists on store forwarding.
+    let (mut word, mut bits) = (0, 0);
+    for (&d, &p) in docs.iter().zip(pays) {
+        if !in_window(d, base) {
+            break;
+        }
+        let slot = (d - base) as usize;
+        row[slot] = p;
+        if slot / 64 != word {
+            present[word] |= bits;
+            (word, bits) = (slot / 64, 0);
+        }
+        bits |= 1 << (slot % 64);
+        taken += 1;
+    }
+    present[word] |= bits;
+    taken
+}
+
+/// Moves, for every term row of `cells`, the cell of each docid in batch
+/// rows `j0..` (all in the window at `base`) into the term's batch row in
+/// `out`, leaving the matrix zero where it read.
+fn gather(cells: &mut [u32], base: u32, docids: &[u32], out: &mut [u32], v: usize, j0: usize) {
+    for (i, row) in cells.chunks_mut(UNION_WINDOW).enumerate() {
+        for (o, &d) in out[i * v + j0..].iter_mut().zip(&docids[j0..]) {
+            *o = std::mem::take(&mut row[(d - base) as usize]);
+        }
+    }
+}
+
+/// Empties the batch after a flush, zeroing the written prefix of every
+/// term row: `run_pruned` writes only the cells of terms present in a row
+/// and relies on the rest reading 0 (the outer join's missing side).
+fn clear_batch(batch_docids: &mut Vec<u32>, batch_payloads: &mut [u32], v: usize, k: usize) {
+    for i in 0..k {
+        batch_payloads[i * v..][..batch_docids.len()].fill(0);
+    }
+    batch_docids.clear();
 }
 
 /// Block-max pruned disjunctive top-k: MaxScore essential/non-essential
@@ -1398,8 +1499,7 @@ fn run_pruned(
                 n,
                 &mut seq,
             )?;
-            batch_docids.clear();
-            batch_payloads[..k * v].fill(0);
+            clear_batch(batch_docids, batch_payloads, v, k);
         };
     }
 
@@ -1912,6 +2012,61 @@ mod tests {
             let expect = -1.5 * (tf / (tf + norms[j])) + 2.25 * (tf / (tf + norms[j]));
             assert_eq!(acc[j].to_bits(), expect.to_bits(), "row {j}");
         }
+    }
+
+    /// The set bits of a presence map, ascending, clearing it — the walk
+    /// `run_ranked` makes between scatter and gather.
+    fn drain_slots(present: &mut [u64]) -> Vec<usize> {
+        let mut slots = Vec::new();
+        for (w, word) in present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                slots.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        slots
+    }
+
+    #[test]
+    fn union_window_does_not_wrap_at_the_top_of_the_docid_space() {
+        // `base + UNION_WINDOW` overflows u32 for these bases: a window
+        // bound computed as that sum wraps to a small docid in a release
+        // build and no posting would ever be inside it.
+        let top = [u32::MAX - 3, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+        let pays = [7u32, 0, 9, 11];
+        let (v, k) = (4, 2);
+        let mut cells = vec![0u32; k * UNION_WINDOW];
+        let mut present = vec![0u64; UNION_WINDOW / 64];
+        let base = top[0];
+        let (row0, row1) = cells.split_at_mut(UNION_WINDOW);
+        assert_eq!(scatter(&top, &pays, base, row0, &mut present), 4);
+        assert_eq!(scatter(&top[2..], &[5, 6], base, row1, &mut present), 2);
+        let slots = drain_slots(&mut present);
+        assert_eq!(slots, [0, 1, 2, 3]);
+        let docids: Vec<u32> = slots.iter().map(|&s| base + s as u32).collect();
+        assert_eq!(docids, top);
+        let mut payloads = vec![u32::MAX; k * v];
+        gather(&mut cells, base, &docids, &mut payloads, v, 0);
+        assert_eq!(payloads, [7, 0, 9, 11, 0, 0, 5, 6]);
+        assert!(
+            cells.iter().all(|&c| c == 0),
+            "gather re-zeroes what it read"
+        );
+
+        // A window whose last slot is u32::MAX - 2: the two docids past it
+        // stay for the next window, which then starts at u32::MAX - 1.
+        let base = u32::MAX - 1 - UNION_WINDOW as u32;
+        let docs = [base, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+        assert_eq!(scatter(&docs, &pays, base, &mut cells, &mut present), 2);
+        assert_eq!(drain_slots(&mut present), [0, UNION_WINDOW - 1]);
+        assert!(!in_window(u32::MAX - 1, base) && in_window(u32::MAX, u32::MAX - 1));
+        // A docid below the base (a corrupt, non-ascending list) is outside
+        // every window that starts above it: it is left, not mis-slotted.
+        assert_eq!(
+            scatter(&[base - 1], &[1], base, &mut cells, &mut present),
+            0
+        );
     }
 
     #[test]

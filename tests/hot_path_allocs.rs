@@ -97,14 +97,7 @@ fn executor_steady_state_performs_zero_allocations() {
 #[test]
 fn segment_backed_executor_is_allocation_free_once_warm() {
     let (queries, index) = fixture();
-    static CALLS: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "x100-hot-path-allocs-{}-{}.seg",
-        std::process::id(),
-        CALLS.fetch_add(1, Ordering::Relaxed)
-    ));
-    index.write_segment(&path).expect("write segment");
-    let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
+    let (reopened, path) = reopen_from_segment(&index);
     // Disk-backed blocks are `pread` and decoded on first touch (which
     // allocates); once resident, a block load is a slot hit handing out a
     // shared ref — the warmup inside drives all of that, after which the
@@ -116,6 +109,52 @@ fn segment_backed_executor_is_allocation_free_once_warm() {
         &queries,
         &SearchStrategy::ALL,
     );
+    std::fs::remove_file(&path).expect("remove segment");
+}
+
+/// Persists `index` and reopens it segment-backed; the caller removes the
+/// file once done.
+fn reopen_from_segment(index: &InvertedIndex) -> (Arc<InvertedIndex>, std::path::PathBuf) {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "x100-hot-path-allocs-{}-{}.seg",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
+    index.write_segment(&path).expect("write segment");
+    let reopened = Arc::new(InvertedIndex::open_segment(&path).expect("open segment"));
+    (reopened, path)
+}
+
+#[test]
+fn union_window_grows_once_for_the_widest_query_and_never_shrinks() {
+    // The exhaustive union's window matrix has one row per query term. A
+    // query wider than any before it grows the matrix (that one may
+    // allocate); from then on neither a narrower query nor the wide one
+    // again may touch the allocator — no shrink, no second growth.
+    let (queries, index) = fixture();
+    let mut wide: Vec<u32> = Vec::new();
+    for &t in queries.iter().flatten() {
+        if wide.len() < 12 && !wide.contains(&t) && !index.term_range(t).is_empty() {
+            wide.push(t);
+        }
+    }
+    assert_eq!(wide.len(), 12, "fixture too small for a 12-term query");
+    let narrow = &wide[..2];
+    let (reopened, path) = reopen_from_segment(&index);
+    for (label, index) in [("in-memory", index), ("segment-backed", reopened)] {
+        let exec = QueryExecutor::new(index);
+        let mut out = Vec::new();
+        let mut run = |q: &[u32]| {
+            exec.search_hits_into(q, SearchStrategy::Bm25, TOP_N, &mut out)
+                .expect("query failed")
+        };
+        run(narrow);
+        run(&wide); // grows the matrix to 12 rows
+        for (what, q) in [("narrow after wide", narrow), ("wide again", &wide[..])] {
+            assert_no_allocs(&format!("{label}: {what}"), || run(q));
+        }
+    }
     std::fs::remove_file(&path).expect("remove segment");
 }
 

@@ -23,10 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use x100_corpus::{CollectionConfig, SyntheticCollection};
+use x100_corpus::{CollectionConfig, Document, SyntheticCollection};
 use x100_ir::{
-    IndexConfig, InvertedIndex, QueryEngine, QueryExecutor, QueryScratch, SearchResult,
-    SearchStrategy,
+    ExecError, IndexConfig, InvertedIndex, QueryEngine, QueryExecutor, QueryScratch,
+    SearchResponse, SearchResult, SearchStrategy,
 };
 
 struct Fixture {
@@ -73,10 +73,23 @@ fn check_one(
     n: usize,
     poison_seed: u64,
 ) {
+    let relational = oracle.search(terms, strategy, n);
+    check_against(exec, &relational, terms, strategy, n, poison_seed);
+}
+
+/// [`check_one`] against an oracle outcome computed once and held against
+/// several executors.
+fn check_against(
+    exec: &QueryExecutor,
+    relational: &Result<SearchResponse, ExecError>,
+    terms: &[u32],
+    strategy: SearchStrategy,
+    n: usize,
+    poison_seed: u64,
+) {
     exec.poison_scratch(poison_seed);
     let fused = exec.search(terms, strategy, n);
-    let relational = oracle.search(terms, strategy, n);
-    match (fused, relational) {
+    match (&fused, relational) {
         (Ok(f), Ok(r)) => {
             assert_eq!(
                 bits(&f.results),
@@ -91,8 +104,8 @@ fn check_one(
         (f, r) => panic!(
             "outcome mismatch for {strategy:?} n={n} terms={terms:?}: \
              fused {:?} vs relational {:?}",
-            f.map(|x| x.results.len()),
-            r.map(|x| x.results.len()),
+            f.as_ref().map(|x| x.results.len()),
+            r.as_ref().map(|x| x.results.len()),
         ),
     }
 }
@@ -240,6 +253,120 @@ fn one_scratch_arena_survives_interleaved_strategies_and_poisoning() {
             let fresh = engine.search(q, strategy, n).unwrap();
             assert_eq!(bits(&reused.results), bits(&fresh.results));
             assert_eq!(reused.passes, fresh.passes);
+        }
+    }
+}
+
+/// A collection written out by hand: `lists[t]` is term `t`'s ascending
+/// docids over `num_docs` documents, and one more term — id `lists.len()` —
+/// sits in every document, so none is empty. Term frequencies vary with the
+/// docid so scores (and their ties) are not all alike.
+fn crafted_collection(num_docs: u32, lists: &[Vec<u32>]) -> SyntheticCollection {
+    let everywhere = lists.len() as u32;
+    let mut docs: Vec<Document> = (0..num_docs)
+        .map(|id| Document {
+            id,
+            name: format!("doc{id}"),
+            terms: Vec::new(),
+            len: 0,
+        })
+        .collect();
+    for (t, list) in lists.iter().enumerate() {
+        assert!(list.windows(2).all(|w| w[0] < w[1]), "list {t} must ascend");
+        for &d in list {
+            docs[d as usize]
+                .terms
+                .push((t as u32, 1 + (d + t as u32) % 5));
+        }
+    }
+    for doc in &mut docs {
+        doc.terms.push((everywhere, 1 + doc.id % 7));
+        doc.len = doc.terms.iter().map(|&(_, tf)| tf).sum();
+    }
+    SyntheticCollection {
+        config: CollectionConfig {
+            num_docs: num_docs as usize,
+            vocab_size: lists.len() + 1,
+            ..CollectionConfig::tiny()
+        },
+        docs,
+        vocab: (0..=lists.len()).map(|t| format!("term{t}")).collect(),
+        eval_queries: Vec::new(),
+        efficiency_log: Vec::new(),
+    }
+}
+
+#[test]
+fn union_window_edges_match_relational_oracle() {
+    // The exhaustive union scatters postings into a docid window of a
+    // private power-of-two width W starting at the live minimum docid. The
+    // lists below put postings exactly on the last slot of a window and on
+    // the first docid past it for every W from 2^8 to 2^14, with the window
+    // starting at docid 0 and at docid 5.
+    const NUM_DOCS: u32 = 20_000;
+    let powers = || (8..=14).map(|i| 1u32 << i);
+    let mut lists: Vec<Vec<u32>> = vec![
+        // 0, 1: base 0 — `base + W - 1` in one list, `base + W` in the other.
+        std::iter::once(0).chain(powers().map(|p| p - 1)).collect(),
+        powers().collect(),
+        // 2, 3: the same edges with the first window starting at docid 5.
+        std::iter::once(5).chain(powers().map(|p| p + 4)).collect(),
+        powers().map(|p| p + 5).collect(),
+        // 4: a single posting.
+        vec![12_345],
+        // 5, 6: dense, disjoint docid ranges — one live term per window.
+        (0..3_000).collect(),
+        (10_000..13_000).collect(),
+        // 7, 8: spread over the whole collection.
+        (0..NUM_DOCS).step_by(3).collect(),
+        (0..NUM_DOCS).step_by(7).collect(),
+    ];
+    // 9..=20: twelve lists of different strides and phases (k = 12).
+    lists.extend((0..12u32).map(|j| (j..NUM_DOCS).step_by(11 + j as usize).collect()));
+    let everywhere = lists.len() as u32;
+    let queries: Vec<Vec<u32>> = vec![
+        vec![0, 1],
+        vec![1, 0],
+        vec![2, 3],
+        vec![0, 1, 2, 3],
+        vec![7, 7],       // duplicate terms keep their own row
+        vec![0, 7, 0, 1], // duplicates around another term
+        vec![7],          // k = 1
+        vec![4],          // k = 1, one posting
+        vec![everywhere], // k = 1, every docid
+        vec![4, 7],       // a one-posting list beside a long one
+        vec![5, 6],       // disjoint ranges
+        vec![5, 6, 0, 1, 4],
+        (9..=20).collect(), // k = 12
+        vec![8, 1, 3, 6],
+    ];
+    let collection = crafted_collection(NUM_DOCS, &lists);
+    let mut indexes: Vec<Arc<InvertedIndex>> = [
+        IndexConfig::compressed(),
+        IndexConfig::materialized_f32(),
+        IndexConfig::materialized_q8(),
+    ]
+    .iter()
+    .map(|cfg| Arc::new(InvertedIndex::build(&collection, cfg)))
+    .collect();
+    indexes.push(Arc::new(reopen_from_segment(&indexes[2])));
+    let mut seed = 0xED6E_0001u64;
+    for index in &indexes {
+        // The oracle keeps its default vector size and answers each query
+        // once; the fused path runs it at sizes that put batch flushes
+        // before, on and after the window edges.
+        let oracle = QueryEngine::new(index);
+        let execs = [1usize, 7, 128, 1024, 4096]
+            .map(|vector_size| QueryExecutor::new(index.clone()).with_vector_size(vector_size));
+        for &strategy in &SearchStrategy::ALL {
+            for (qi, q) in queries.iter().enumerate() {
+                let n = [3, 50][qi % 2];
+                let relational = oracle.search(q, strategy, n);
+                for exec in &execs {
+                    seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                    check_against(exec, &relational, q, strategy, n, seed);
+                }
+            }
         }
     }
 }
