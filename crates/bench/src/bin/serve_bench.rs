@@ -44,12 +44,10 @@
 //!
 //! With `--mixed` the query log becomes the **two-class workload**: short
 //! (1–2 term) and long (8-term disjunctive) Zipfian queries interleaved
-//! 1:1. The run serves it with the block-max pruned strategy (when the
-//! index carries block-max metadata) through the **two-lane admission
-//! queue** (short queries ride the priority lane, the long lane is served
-//! at least every 4th dequeue), and the report breaks latency out
-//! per class — the short-query p99 is the number the two-lane queue
-//! exists to protect.
+//! 1:1. The run serves it through the **two-lane admission queue** (short
+//! queries ride the priority lane, the long lane is served at least every
+//! 4th dequeue), and the report breaks latency out per class — the
+//! short-query p99 is the number the two-lane queue exists to protect.
 //!
 //! Usage: `serve_bench [--scale tiny|small|medium|large|xlarge] [--workers 1,2,4]
 //! [--queries N] [--seed N] [--segment path] [--mixed]
@@ -309,26 +307,13 @@ fn main() {
         }
     };
     let index = Arc::new(index);
-    // Reopened segments may predate score materialization (or block-max
-    // metadata); serve with the fastest strategy the index actually
-    // supports. The mixed workload's long disjunctions are where dynamic
-    // pruning pays, so `--mixed` picks the pruned variant when the index
-    // carries block-max metadata — pruned results are bit-identical, so
-    // the reference comparison below is unchanged in meaning.
-    let strategy = match (
-        mixed && index.block_max().is_some(),
-        index.has_materialized_scores(),
-    ) {
-        (true, true) => SearchStrategy::Bm25MaterializedPruned,
-        (true, false) => SearchStrategy::Bm25Pruned,
-        (false, true) => SearchStrategy::Bm25Materialized,
-        (false, false) => SearchStrategy::Bm25TwoPass,
-    };
-    let strategy_name = match strategy {
-        SearchStrategy::Bm25Materialized => "bm25_materialized",
-        SearchStrategy::Bm25MaterializedPruned => "bm25_materialized_pruned",
-        SearchStrategy::Bm25Pruned => "bm25_pruned",
-        _ => "bm25_two_pass",
+    // Reopened segments may predate score materialization; serve with the
+    // fastest strategy the index actually supports. The mixed workload's
+    // long queries are disjunctions, so it never takes the two-pass plan.
+    let (strategy, strategy_name) = match (index.has_materialized_scores(), mixed) {
+        (true, _) => (SearchStrategy::Bm25Materialized, "bm25_materialized"),
+        (false, true) => (SearchStrategy::Bm25, "bm25"),
+        (false, false) => (SearchStrategy::Bm25TwoPass, "bm25_two_pass"),
     };
     let build_s = t0.elapsed().as_secs_f64();
     let compressed = index_compressed_bytes(&index);

@@ -27,7 +27,7 @@ use crate::index::IndexConfig;
 /// max materialized score payload, max docid]`. The score slot is filled
 /// by the materialization pass in [`crate::InvertedIndex::from_columns`]
 /// (f32 score bits or the max Q8 code) and stays 0 for unmaterialized
-/// indexes. The max-docid slot lets the pruned path locate a seek
+/// indexes. The max-docid slot lets a reader locate a seek
 /// destination stride without decoding any posting block: docids ascend
 /// within a term, so for a stride fully inside one term's range the
 /// stride max *is* the term's last docid there (and for straddling
@@ -58,7 +58,7 @@ pub struct IndexColumns {
     pub doc_freqs: Vec<u32>,
     /// `offsets[t]..offsets[t + 1]` is term `t`'s row range.
     pub offsets: Vec<usize>,
-    /// Per-stride block-max metadata for dynamic pruning:
+    /// Per-stride block-max metadata (read by no query path today):
     /// `BLOCK_MAX_SLOTS` `u32`s per 128-value posting stride — the max
     /// tf, min doc length and max docid over *all* postings in the stride
     /// (a superset of any one term's, so the derived impact bound is

@@ -48,19 +48,19 @@ pub enum SearchStrategy {
     Bm25Materialized,
     /// Materialized scores + two-pass.
     Bm25MaterializedTwoPass,
-    /// Computed BM25 with block-max dynamic pruning: MaxScore partitioning
-    /// plus per-stride upper bounds skip postings that cannot reach the
-    /// top-`n`, bit-identical to [`SearchStrategy::Bm25`]. Indexes without
-    /// block-max metadata fall back to the exhaustive plan.
+    /// Alias of [`SearchStrategy::Bm25`]: same plan, same work, same hits.
+    /// Once selected a block-max pruned loop, which lost to the exhaustive
+    /// one on the clock and was deleted; the variant and its wire tag stay
+    /// because tags are never reused.
     Bm25Pruned,
-    /// Materialized scores with block-max pruning; bit-identical to
-    /// [`SearchStrategy::Bm25Materialized`].
+    /// Alias of [`SearchStrategy::Bm25Materialized`], kept like
+    /// [`SearchStrategy::Bm25Pruned`].
     Bm25MaterializedPruned,
 }
 
 impl SearchStrategy {
     /// Every strategy of the Table 2 ladder, in ladder order, followed by
-    /// the pruned execution modes.
+    /// the two aliases.
     pub const ALL: [SearchStrategy; 8] = [
         SearchStrategy::BoolAnd,
         SearchStrategy::BoolOr,
@@ -105,7 +105,8 @@ impl SearchStrategy {
         )
     }
 
-    /// Whether the strategy uses block-max dynamic pruning.
+    /// Whether the strategy is one of the two `*Pruned` aliases. Names the
+    /// variants only: no plan prunes.
     pub fn is_pruned(self) -> bool {
         matches!(
             self,
@@ -272,9 +273,6 @@ impl<'a> QueryEngine<'a> {
             ranked = match strategy {
                 SearchStrategy::BoolAnd => self.run_boolean(&terms, n, true)?,
                 SearchStrategy::BoolOr => self.run_boolean(&terms, n, false)?,
-                // The oracle for the pruned modes is the exhaustive
-                // disjunctive plan: pruning is an execution detail that must
-                // not change a single output bit.
                 SearchStrategy::Bm25 | SearchStrategy::Bm25Pruned => {
                     self.run_ranked(&terms, n, false)?
                 }
@@ -747,14 +745,12 @@ impl<'a> QueryEngine<'a> {
         let join_name = match strategy {
             SearchStrategy::BoolAnd => "MergeJoin",
             SearchStrategy::BoolOr => "MergeOuterJoin",
-            SearchStrategy::Bm25 | SearchStrategy::Bm25Materialized => "MergeOuterJoin",
+            SearchStrategy::Bm25
+            | SearchStrategy::Bm25Materialized
+            | SearchStrategy::Bm25Pruned
+            | SearchStrategy::Bm25MaterializedPruned => "MergeOuterJoin",
             SearchStrategy::Bm25TwoPass | SearchStrategy::Bm25MaterializedTwoPass => {
                 "MergeJoin|MergeOuterJoin"
-            }
-            // The pruned modes keep the outer-join shape; the block-max
-            // skip is surfaced as a ScanSelect annotation below.
-            SearchStrategy::Bm25Pruned | SearchStrategy::Bm25MaterializedPruned => {
-                "MergeOuterJoin[blockmax-skip]"
             }
         };
         let mut tree = scans.remove(0);
@@ -1117,6 +1113,20 @@ mod tests {
         // Tags are dense from 0: every byte past the ladder is rejected.
         for tag in SearchStrategy::ALL.len() as u8..=u8::MAX {
             assert_eq!(SearchStrategy::from_wire_tag(tag), None);
+        }
+    }
+
+    #[test]
+    fn alias_tags_render_the_plan_they_run() {
+        let (_, idx) = setup(IndexConfig::uncompressed());
+        let engine = QueryEngine::new(&idx);
+        let tag = |t| SearchStrategy::from_wire_tag(t).unwrap();
+        for (alias, twin) in [(6, 2), (7, 4)] {
+            assert!(tag(alias).is_pruned() && !tag(twin).is_pruned());
+            assert_eq!(
+                engine.plan_text(&["a", "b"], tag(alias), 10),
+                engine.plan_text(&["a", "b"], tag(twin), 10)
+            );
         }
     }
 

@@ -200,8 +200,8 @@ impl QueryExecutor {
     }
 
     /// Cumulative hot-path work counters of this executor's scratch arena
-    /// (see [`crate::HotPathStats`]); the pruning bench diffs snapshots
-    /// around query spans to attribute decodes and scored rows.
+    /// (see [`crate::HotPathStats`]); callers diff snapshots around query
+    /// spans to attribute decodes and scored rows.
     pub fn hot_stats(&self) -> crate::HotPathStats {
         self.scratch
             .lock()

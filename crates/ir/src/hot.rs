@@ -15,11 +15,12 @@
 //! steady-state sizes, executing a query performs **zero heap
 //! allocations** (pinned by `tests/hot_path_allocs.rs`).
 //!
-//! Results are bit-identical to the relational path for all eight
-//! [`SearchStrategy`] rungs; `tests/scratch_differential.rs` holds the two
-//! paths against each other property-style, including after deliberately
-//! corrupting the scratch with [`QueryScratch::poison`]. The equivalence
-//! rests on three replicated contracts:
+//! Results are bit-identical to the relational path for all six plans
+//! [`SearchStrategy`] names (its last two variants are aliases: wire tags
+//! 6 and 7 run the plans of 2 and 4); `tests/scratch_differential.rs` holds
+//! the two paths against each other property-style, including after
+//! deliberately corrupting the scratch with [`QueryScratch::poison`]. The
+//! equivalence rests on three replicated contracts:
 //!
 //! * **Scoring arithmetic** — the exact expression shape the relational
 //!   plan evaluates (`coef * (tf / (tf + norm))` folded left-to-right,
@@ -34,7 +35,7 @@
 //!   block entry (charged on a miss) and decode every refill inside the
 //!   block from that pin, exactly like `ColumnScan`. Per column the pins
 //!   and their count are the relational plan's; across terms the
-//!   exhaustive union interleaves them term-major within a docid window
+//!   ranked union interleaves them term-major within a docid window
 //!   (`run_ranked`), where the merge-join advances all lists in step.
 //!
 //! When the `simd` feature is enabled and the CPU has AVX2, the per-term
@@ -72,12 +73,11 @@ pub(crate) struct Window {
     stage: Vec<u32>,
     start: usize,
     pin: Option<(usize, Arc<CompressedBlock>)>,
-    /// Lifetime count of 128-value strides decoded into the stage — the
-    /// honest "decoded blocks" meter the pruning bench compares across
-    /// execution modes. Counting strides rather than refill events keeps
-    /// the meter comparable between the exhaustive path (few wide,
-    /// `vector_size`-span refills) and the pruned path (many single-stride
-    /// seek probes). Monotone; never cleared.
+    /// Lifetime count of 128-value strides decoded into the stage.
+    /// Counting strides rather than refill events keeps the meter
+    /// comparable between wide `vector_size`-span refills and the
+    /// single-stride probes of [`TermCursor::seek`]. Monotone; never
+    /// cleared.
     refills: u64,
 }
 
@@ -138,8 +138,6 @@ struct TermCursor {
     cur: Option<u32>,
     doc: Window,
     pay: Window,
-    /// Staged window over the block-max column (pruned mode only).
-    bm: Window,
 }
 
 impl TermCursor {
@@ -156,7 +154,6 @@ impl TermCursor {
         self.end = range.end;
         self.doc.invalidate();
         self.pay.invalidate();
-        self.bm.invalidate();
         self.load(doc_col, buffers, vector_size)
     }
 
@@ -260,149 +257,6 @@ impl TermCursor {
         self.pos = hi;
         self.load(doc_col, buffers, vector_size)
     }
-
-    /// [`Self::seek`] for the pruned path: positions the cursor at the
-    /// first posting passing the predicate, locating the destination
-    /// stride by binary search over `stride_last` — this term's
-    /// scratch-resident per-stride max docids, `stride_last[j]` covering
-    /// global stride `first + j` — then decoding exactly that one stride
-    /// and finishing against staged data. Zero posting decodes for every
-    /// stride stepped over; the gallop in [`Self::seek`] instead decodes
-    /// one stride per probe and thrashes the single-stride window.
-    ///
-    /// Soundness: docids ascend within a term, so an interior stride's
-    /// global max docid *is* the term's last docid there. A stride
-    /// straddling a term boundary mixes other terms' rows, which can only
-    /// overstate the max — the search then lands at or before the true
-    /// destination and the staged finish walks forward, costing at most
-    /// one extra stride decode, never a missed posting.
-    fn seek_pruned(
-        &mut self,
-        target: u32,
-        exclusive: bool,
-        stride_last: &[u32],
-        first: usize,
-        doc_col: &Column,
-        buffers: &BufferManager,
-    ) -> Result<(), ExecError> {
-        let past = |d: u32| if exclusive { d > target } else { d >= target };
-        let Some(d) = self.cur else { return Ok(()) };
-        if past(d) {
-            return Ok(());
-        }
-        let cur_stride = self.pos / ENTRY_POINT_STRIDE;
-        let cur_hi = ((cur_stride + 1) * ENTRY_POINT_STRIDE).min(self.end);
-        // The current stride is always staged (every cursor move ends in
-        // `load`), so probing its last in-range docid is free.
-        let (mut lo, mut hi);
-        if past(self.doc.value_at(doc_col, buffers, 1, cur_hi - 1)?) {
-            // Destination is inside the current, already-staged stride.
-            lo = self.pos + 1;
-            hi = cur_hi;
-        } else {
-            let tail_base = cur_stride - first + 1;
-            let tail = &stride_last[tail_base.min(stride_last.len())..];
-            // Interior maxima ascend and the final (possibly overstated)
-            // entry dominates them, so partition_point applies.
-            let j = tail.partition_point(|&m| !past(m));
-            if j == tail.len() {
-                // Even the last stride's (over)stated max fails: no
-                // posting of this term passes.
-                self.pos = self.end;
-                return self.load(doc_col, buffers, 1);
-            }
-            let dest = first + tail_base + j;
-            lo = dest * ENTRY_POINT_STRIDE;
-            hi = ((dest + 1) * ENTRY_POINT_STRIDE).min(self.end);
-        }
-        // First passing position in [lo, hi); the first probe decodes the
-        // destination stride, the rest are staged hits.
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if past(self.doc.value_at(doc_col, buffers, 1, mid)?) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        self.pos = lo;
-        self.load(doc_col, buffers, 1)
-    }
-
-    /// The inflated impact upper bound of the cursor's current 128-value
-    /// stride, read from the block-max column without touching the posting
-    /// columns.
-    fn stride_bound(
-        &mut self,
-        bm_col: &Column,
-        buffers: &BufferManager,
-        mode: ScoreMode,
-        coef: f32,
-    ) -> Result<f32, ExecError> {
-        stride_bound_at(
-            &mut self.bm,
-            bm_col,
-            buffers,
-            self.pos / ENTRY_POINT_STRIDE,
-            mode,
-            coef,
-        )
-    }
-
-    /// The last docid of this term's postings inside the cursor's current
-    /// stride — every posting of this term with a docid at or below it
-    /// lives in the current stride, so the stride bound covers them all.
-    fn stride_last_docid(
-        &mut self,
-        doc_col: &Column,
-        buffers: &BufferManager,
-    ) -> Result<u32, StorageError> {
-        let stride_end = (self.pos / ENTRY_POINT_STRIDE + 1) * ENTRY_POINT_STRIDE;
-        let last = stride_end.min(self.end) - 1;
-        self.doc.value_at(doc_col, buffers, 1, last)
-    }
-}
-
-/// Multiplicative inflation applied to every computed stride bound so
-/// floating-point rounding can never make a bound understate a score the
-/// exhaustive path would retain. The scoring fold and the bound fold
-/// evaluate the same shapes with per-operation relative error ≤ f32
-/// epsilon (≈6e-8); 1e-3 dominates the accumulated discrepancy for any
-/// plausible term count by several orders of magnitude, while costing a
-/// negligible amount of extra (always-sound) scoring.
-const BOUND_SLACK: f32 = 1.0 + 1e-3;
-
-/// Decodes one block-max triplet and turns it into an inflated score upper
-/// bound for the given mode. All skip comparisons are written `bound <=
-/// theta`, so a NaN bound fails the comparison and the posting is scored —
-/// corrupt metadata can cost speed, never results.
-fn stride_bound_at(
-    window: &mut Window,
-    bm_col: &Column,
-    buffers: &BufferManager,
-    stride: usize,
-    mode: ScoreMode,
-    coef: f32,
-) -> Result<f32, ExecError> {
-    let e = stride * crate::columns::BLOCK_MAX_SLOTS;
-    let max_tf = window.value_at(bm_col, buffers, ENTRY_POINT_STRIDE, e)?;
-    let min_len = window.value_at(bm_col, buffers, ENTRY_POINT_STRIDE, e + 1)?;
-    let max_pay = window.value_at(bm_col, buffers, ENTRY_POINT_STRIDE, e + 2)?;
-    let bound = match mode {
-        ScoreMode::Computed { c0, c1 } => {
-            // Same expression shape the scoring kernel folds, evaluated at
-            // the stride's most favorable posting: max tf, min doc length.
-            let tf = (max_tf as i32) as f32;
-            let norm = c0 + c1 * (min_len as i32) as f32;
-            coef * (tf / (tf + norm))
-        }
-        // ω ≥ 0, so the stored max bits decode to the stride's max score.
-        ScoreMode::MaterializedF32 => f32::from_bits(max_pay),
-        // Q8 rows are scored as raw codes, so the max code is exact in
-        // code space — quantization error cannot understate it.
-        ScoreMode::MaterializedQ8 => (max_pay as i32) as f32,
-    };
-    Ok(bound * BOUND_SLACK)
 }
 
 /// One retained top-k row: replica of `TopN`'s `HeapRow`. `seq` is the
@@ -528,36 +382,11 @@ pub struct QueryScratch {
     freq_window: Window,
     /// Window over a paged index's doc-len column.
     len_window: Window,
-    /// Per-term score upper bounds (pruned modes), original term order.
-    sigma: Vec<f32>,
-    /// Term positions sorted by ascending `sigma` (pruned modes).
-    sorted_terms: Vec<u32>,
-    /// `prefix_bounds[c]` bounds the score of any doc containing only the
-    /// `c` smallest-σ terms; `prefix_bounds[0] == 0.0`.
-    prefix_bounds: Vec<f32>,
-    /// Flat per-term suffix-max stride bounds (pruned modes): entry `j` of
-    /// term `i`'s span bounds what any posting in or after the `j`-th
-    /// stride of that term's range can still contribute. NaN-sticky, so
-    /// corrupt metadata widens bounds (fails open) rather than skipping.
-    stride_bounds: Vec<f32>,
-    /// Flat per-term *raw* (un-suffixed) stride bounds, parallel to
-    /// `stride_bounds`: what a posting inside exactly that stride can
-    /// contribute. Used to bound a specific candidate docid once its
-    /// destination stride is known — strictly tighter than the suffix.
-    stride_raw: Vec<f32>,
-    /// Flat per-term stride max docids (pruned modes), parallel to
-    /// `stride_bounds`: the block-max metadata's max-docid slot for each
-    /// stride of each term's range. Lets [`TermCursor::seek_pruned`]
-    /// locate a destination stride without decoding any posting block.
-    stride_last: Vec<u32>,
-    /// `k + 1` prefix offsets delimiting each term's span in
-    /// `stride_bounds` and `stride_last`.
-    stride_off: Vec<u32>,
     /// Lifetime count of rows offered to the scoring fold. Monotone.
     rows_scored: u64,
     /// Per-term document frequencies (conjunctive skipping path).
     dfs: Vec<u32>,
-    /// The exhaustive union's window matrix, term-major: term `t`'s payload
+    /// The ranked union's window matrix, term-major: term `t`'s payload
     /// for docid `base + s` at `t * UNION_WINDOW + s`; zero between windows.
     union_cells: Vec<u32>,
     /// One bit per window slot some term hit; zero between windows.
@@ -619,13 +448,6 @@ impl QueryScratch {
             self.hits
                 .push((next() as u32, f32::from_bits(next() as u32)));
         }
-        refill_f32(&mut self.sigma, &mut next);
-        refill_f32(&mut self.prefix_bounds, &mut next);
-        refill_f32(&mut self.stride_bounds, &mut next);
-        refill_f32(&mut self.stride_raw, &mut next);
-        refill_u32(&mut self.stride_last, &mut next);
-        refill_u32(&mut self.stride_off, &mut next);
-        refill_u32(&mut self.sorted_terms, &mut next);
         refill_u32(&mut self.dfs, &mut next);
         refill_u32(&mut self.union_cells, &mut next);
         let cap = self.union_present.capacity();
@@ -639,7 +461,7 @@ impl QueryScratch {
         let cursor_windows = self
             .cursors
             .iter_mut()
-            .flat_map(|c| [&mut c.doc, &mut c.pay, &mut c.bm]);
+            .flat_map(|c| [&mut c.doc, &mut c.pay]);
         let meta_windows = [
             &mut self.off_window,
             &mut self.freq_window,
@@ -664,7 +486,7 @@ impl QueryScratch {
         let mut refills =
             self.off_window.refills + self.freq_window.refills + self.len_window.refills;
         for c in &self.cursors {
-            refills += c.doc.refills + c.pay.refills + c.bm.refills;
+            refills += c.doc.refills + c.pay.refills;
         }
         HotPathStats {
             window_refills: refills,
@@ -674,11 +496,10 @@ impl QueryScratch {
 }
 
 /// Cumulative work counters for one scratch arena: `window_refills` counts
-/// 128-value strides decoded into column windows (a wide exhaustive refill
+/// 128-value strides decoded into column windows (a wide refill
 /// of `vector_size` values counts every stride it spans; a single-stride
 /// seek probe counts one) and `rows_scored` counts candidate rows pushed
-/// through the scoring fold. The pruning bench reports the
-/// pruned/exhaustive ratio of both.
+/// through the scoring fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     pub window_refills: u64,
@@ -816,8 +637,8 @@ fn doc_len_u32(
 
 /// The k-way union's next candidate: the smallest current docid among
 /// `cursors`, `None` once all are exhausted.
-fn min_docid<'a>(cursors: impl IntoIterator<Item = &'a TermCursor>) -> Option<u32> {
-    cursors.into_iter().filter_map(|c| c.cur).min()
+fn min_docid(cursors: &[TermCursor]) -> Option<u32> {
+    cursors.iter().filter_map(|c| c.cur).min()
 }
 
 /// The k-way intersection's next match: leapfrogs `cursors` to the next
@@ -967,38 +788,7 @@ pub(crate) fn search_into(
                 out,
             )?;
         }
-        SearchStrategy::Bm25Pruned | SearchStrategy::Bm25MaterializedPruned
-            if index.block_max().is_some() =>
-        {
-            let materialized = strategy.needs_materialized();
-            let mode = score_mode(index, &view, buffers, vector_size, scratch, materialized)?;
-            let pay_col = td
-                .column(if materialized { "score" } else { "tf" })
-                .map_err(ExecError::from)?;
-            let bm_col = index.block_max().expect("guard checked block_max");
-            // Stride-granular cursor windows: the pruned walk jumps, so
-            // staging `vector_size`-wide spans would decode strides the
-            // skip logic is about to step over. Narrow windows make
-            // "decoded blocks" track exactly the strides examined.
-            reset_cursors(&view, buffers, 1, scratch, doc_col)?;
-            let scored = run_pruned(
-                &view,
-                buffers,
-                vector_size,
-                doc_col,
-                pay_col,
-                bm_col,
-                scratch,
-                mode,
-                n,
-            )?;
-            scratch.rows_scored += scored;
-            drain_heap(&mut scratch.heap, out);
-        }
-        // Ranked strategies without pruning — and pruned strategies on an
-        // index that carries no block-max section (pre-pruning segments):
-        // those fall back to the exhaustive single-pass disjunctive plan,
-        // which is the path pruning must match bit for bit anyway.
+        // Every ranked strategy; the two `*Pruned` aliases included.
         _ => {
             let materialized = strategy.needs_materialized();
             let mode = score_mode(index, &view, buffers, vector_size, scratch, materialized)?;
@@ -1155,7 +945,7 @@ fn run_boolean(
             }
         }
     } else {
-        while let Some(d) = min_docid(cursors.iter()) {
+        while let Some(d) = min_docid(cursors) {
             for c in cursors.iter_mut() {
                 if c.cur == Some(d) {
                     c.advance(doc_col, buffers, vector_size)?;
@@ -1215,10 +1005,11 @@ fn run_ranked(
     let v = vector_size;
     heap.clear();
     batch_docids.clear();
+    // Both arms store all `k` cells of a row before it is flushed, so
+    // leftovers in the matrix are never read.
     if batch_payloads.len() < k * v {
         batch_payloads.resize(k * v, 0);
     }
-    batch_payloads[..k * v].fill(0);
     let mut seq = 0u64;
 
     macro_rules! flush {
@@ -1239,7 +1030,7 @@ fn run_ranked(
                 n,
                 &mut seq,
             )?;
-            clear_batch(batch_docids, batch_payloads, v, k);
+            batch_docids.clear();
         };
     }
 
@@ -1262,7 +1053,7 @@ fn run_ranked(
         cells.resize(k * UNION_WINDOW, 0);
         present.clear();
         present.resize(UNION_WINDOW / 64, 0);
-        while let Some(base) = min_docid(cursors.iter()) {
+        while let Some(base) = min_docid(cursors) {
             for (c, row) in cursors.iter_mut().zip(cells.chunks_mut(UNION_WINDOW)) {
                 // A live `cur` means the docid window is staged at `pos`.
                 while c.cur.is_some_and(|d| in_window(d, base)) {
@@ -1295,7 +1086,7 @@ fn run_ranked(
     Ok(seq)
 }
 
-/// Width, in docids, of the exhaustive union's window (see [`run_ranked`]).
+/// Width, in docids, of the ranked union's window (see [`run_ranked`]).
 const UNION_WINDOW: usize = 2048;
 
 /// Whether docid `d` is in the union window at `base`. A distance, never
@@ -1339,417 +1130,6 @@ fn gather(cells: &mut [u32], base: u32, docids: &[u32], out: &mut [u32], v: usiz
         for (o, &d) in out[i * v + j0..].iter_mut().zip(&docids[j0..]) {
             *o = std::mem::take(&mut row[(d - base) as usize]);
         }
-    }
-}
-
-/// Empties the batch after a flush, zeroing the written prefix of every
-/// term row: `run_pruned` writes only the cells of terms present in a row
-/// and relies on the rest reading 0 (the outer join's missing side).
-fn clear_batch(batch_docids: &mut Vec<u32>, batch_payloads: &mut [u32], v: usize, k: usize) {
-    for i in 0..k {
-        batch_payloads[i * v..][..batch_docids.len()].fill(0);
-    }
-    batch_docids.clear();
-}
-
-/// Block-max pruned disjunctive top-k: MaxScore essential/non-essential
-/// partitioning refined per candidate with 128-value stride bounds, with
-/// whole-stride skips that never decode the postings they step over.
-///
-/// Bit-identity with the exhaustive disjunctive plan rests on one
-/// invariant: a candidate is skipped only when its inflated upper bound is
-/// `<= theta`, where `theta` is the heap root with the heap full — exactly
-/// the exhaustive path's cheap-reject condition, which never mutates the
-/// heap. Skipped rows therefore change nothing, survivors are scored by
-/// the unchanged [`flush_batch`] fold in ascending-docid order, and the
-/// drain tie-breaks see the same relative arrival order. `theta` is stale
-/// between flushes (it only rises), so staleness is conservative, and a
-/// NaN bound fails every `<=` comparison, so corrupt metadata degrades to
-/// exhaustive scoring rather than wrong results.
-///
-/// Terms sorted by ascending per-term bound σ split into a non-essential
-/// prefix (sum of bounds `<= theta` — docs containing only those terms
-/// cannot enter the heap) and an essential rest that drives the candidate
-/// min-merge; for few-term queries the partition stays empty and the loop
-/// degenerates to a block-max WAND pivot walk over all cursors.
-#[allow(clippy::too_many_arguments)]
-fn run_pruned(
-    view: &MetaView,
-    buffers: &BufferManager,
-    vector_size: usize,
-    doc_col: &Column,
-    pay_col: &Column,
-    bm_col: &Column,
-    scratch: &mut QueryScratch,
-    mode: ScoreMode,
-    n: usize,
-) -> Result<u64, ExecError> {
-    let QueryScratch {
-        terms,
-        coefs,
-        cursors,
-        batch_docids,
-        batch_payloads,
-        norms,
-        scores,
-        heap,
-        len_window,
-        sigma,
-        sorted_terms,
-        prefix_bounds,
-        stride_bounds,
-        stride_raw,
-        stride_last,
-        stride_off,
-        ..
-    } = scratch;
-    let k = terms.len();
-    let cursors = &mut cursors[..k];
-    let v = vector_size;
-    heap.clear();
-    batch_docids.clear();
-    if batch_payloads.len() < k * v {
-        batch_payloads.resize(k * v, 0);
-    }
-    batch_payloads[..k * v].fill(0);
-    let mut seq = 0u64;
-    let coef_of = |i: usize| match mode {
-        ScoreMode::Computed { .. } => coefs[i],
-        _ => 0.0,
-    };
-
-    // Per-term block-max scan — O(range / 128), no posting decodes: one
-    // pass over the metadata fills each term's **suffix-max** stride
-    // bounds (entry j bounds what any posting in or after the j-th stride
-    // of the range can still contribute; cursors only move forward, so a
-    // lagging cursor's residual potential is exactly its suffix). σ is
-    // the suffix at the range start: the term's whole-range bound.
-    sigma.clear();
-    stride_bounds.clear();
-    stride_raw.clear();
-    stride_last.clear();
-    stride_off.clear();
-    stride_off.push(0);
-    for (i, c) in cursors.iter_mut().enumerate() {
-        let coef = coef_of(i);
-        let last = (c.end - 1) / ENTRY_POINT_STRIDE;
-        let base = stride_bounds.len();
-        for s in c.pos / ENTRY_POINT_STRIDE..=last {
-            let b = stride_bound_at(&mut c.bm, bm_col, buffers, s, mode, coef)?;
-            stride_raw.push(b);
-            stride_bounds.push(b);
-            // The max-docid slot rides the same staged metadata window.
-            let e = s * crate::columns::BLOCK_MAX_SLOTS + 3;
-            stride_last.push(c.bm.value_at(bm_col, buffers, ENTRY_POINT_STRIDE, e)?);
-        }
-        // Suffix-max in place, NaN-sticky: a NaN bound (corrupt metadata)
-        // poisons every suffix through it, so the affected span is scored
-        // rather than skipped.
-        let mut suffix = 0.0f32;
-        for b in stride_bounds[base..].iter_mut().rev() {
-            suffix = if b.is_nan() || suffix.is_nan() {
-                f32::NAN
-            } else if *b > suffix {
-                *b
-            } else {
-                suffix
-            };
-            *b = suffix;
-        }
-        sigma.push(stride_bounds[base]);
-        stride_off.push(stride_bounds.len() as u32);
-    }
-    sorted_terms.clear();
-    sorted_terms.extend(0..k as u32);
-    sorted_terms.sort_unstable_by(|&a, &b| sigma[a as usize].total_cmp(&sigma[b as usize]));
-    prefix_bounds.clear();
-    prefix_bounds.push(0.0);
-    for i in 0..k {
-        let p = prefix_bounds[i] + sigma[sorted_terms[i] as usize];
-        prefix_bounds.push(p);
-    }
-    // Terms at sorted positions < ness are non-essential. Monotone: theta
-    // only rises, so the partition point only moves right.
-    let mut ness = 0usize;
-    // Theta is read from the heap, and the heap only learns about
-    // survivors at flush time — a full `v`-row batch would leave theta
-    // stale (or absent) across hundreds of candidates, letting every one
-    // of them survive and decode-probe every list before the heap ever
-    // fills. Flushing pruned batches eagerly keeps theta live; survivors
-    // are rare once it is, so the smaller batches cost the vectorized
-    // kernels almost nothing. Scoring is row-independent and `seq` runs
-    // in candidate order either way, so results are batch-size-blind.
-    let flush_at = v.min(ENTRY_POINT_STRIDE);
-
-    macro_rules! flush {
-        () => {
-            flush_batch(
-                mode,
-                coefs,
-                view,
-                len_window,
-                buffers,
-                batch_docids,
-                batch_payloads,
-                v,
-                k,
-                norms,
-                scores,
-                heap,
-                n,
-                &mut seq,
-            )?;
-            clear_batch(batch_docids, batch_payloads, v, k);
-        };
-    }
-
-    loop {
-        let theta = (n > 0 && heap.len() == n).then(|| heap[0].score);
-        if let Some(t) = theta {
-            while ness < k && prefix_bounds[ness + 1] <= t {
-                ness += 1;
-            }
-        }
-        if ness == k {
-            // Every remaining doc is bounded by prefix_bounds[k] <= theta.
-            break;
-        }
-        // Next candidate: min docid across essential cursors.
-        let essential = sorted_terms[ness..].iter().map(|&si| &cursors[si as usize]);
-        let Some(d) = min_docid(essential) else { break };
-        if let Some(t) = theta {
-            // Stage one — stride metadata only, no posting decodes: each
-            // live non-essential cursor's suffix bound from its current
-            // stride onward (sound because cursors only move forward —
-            // every posting of the term with a docid at or past the last
-            // probed target sits at or past the cursor; exhausted cursors
-            // contribute nothing) plus the stride bounds of the essential
-            // cursors sitting at `d`. Strictly tighter than the static σ
-            // prefix, which pays for whole ranges forever.
-            let mut nonness = 0.0f32;
-            for &si in &sorted_terms[..ness] {
-                let c = &cursors[si as usize];
-                if c.cur.is_some() {
-                    nonness += suffix_bound(stride_off, stride_bounds, si as usize, c);
-                }
-            }
-            let mut bound = nonness;
-            for &si in &sorted_terms[ness..] {
-                let c = &mut cursors[si as usize];
-                if c.cur == Some(d) {
-                    bound += c.stride_bound(bm_col, buffers, mode, coef_of(si as usize))?;
-                }
-            }
-            if bound <= t {
-                // Nothing in these cursors' current strides can beat
-                // theta; docs past `target` may involve other postings,
-                // so the jump stops at the earliest of the covered
-                // strides' last docids and the next essential docid.
-                let mut target = u32::MAX;
-                for &si in &sorted_terms[ness..] {
-                    let c = &mut cursors[si as usize];
-                    match c.cur {
-                        Some(cd) if cd == d => {
-                            target = target.min(c.stride_last_docid(doc_col, buffers)?);
-                        }
-                        Some(cd) => target = target.min(cd - 1),
-                        None => {}
-                    }
-                }
-                for &si in &sorted_terms[ness..] {
-                    let c = &mut cursors[si as usize];
-                    if c.cur == Some(d) {
-                        let (span, first) = term_span(stride_off, stride_last, si as usize, c);
-                        c.seek_pruned(target, true, span, first, doc_col, buffers)?;
-                    }
-                }
-                continue;
-            }
-            // Stage two — the stride bound alone could not reject `d`:
-            // replace the essential stride bounds with the candidate's
-            // *exact* essential partial score (the essential cursors sit
-            // at `d` with their strides staged, so the payload probes are
-            // cheap), then pull in non-essential cursors one at a time in
-            // descending-σ order, re-checking after each. Most candidates
-            // die before any low-σ cursor — typically the longest lists —
-            // is ever seeked, which is where the decoded-block savings
-            // come from.
-            let norm = match mode {
-                ScoreMode::Computed { c0, c1 } => {
-                    c0 + c1 * doc_len_f32(view, len_window, buffers, v, d)?
-                }
-                _ => 0.0,
-            };
-            let mut partial = 0.0f32;
-            for &si in &sorted_terms[ness..] {
-                let c = &mut cursors[si as usize];
-                if c.cur == Some(d) {
-                    let pay = c.payload(pay_col, buffers, 1)?;
-                    partial += contribution(mode, coef_of(si as usize), pay, norm);
-                }
-            }
-            let mut probed = ness;
-            let reject = loop {
-                // Recompute (never decrement — cancellation could
-                // understate) the unprobed remainder each round: ≤ k
-                // stride-table lookups, no posting decodes. Each term is
-                // bounded by the raw bound of the one stride that can
-                // hold `d` — or exactly zero once its cursor has passed
-                // `d` — which is what lets most candidates die without
-                // the long low-σ lists ever being seeked.
-                let mut remaining = 0.0f32;
-                for &sj in &sorted_terms[..probed] {
-                    remaining += bound_at(
-                        stride_off,
-                        stride_raw,
-                        stride_last,
-                        sj as usize,
-                        &mut cursors[sj as usize],
-                        d,
-                        doc_col,
-                        buffers,
-                    )?;
-                }
-                // NaN (corrupt metadata) fails the comparison: scored,
-                // never skipped.
-                if partial * BOUND_SLACK + remaining <= t {
-                    break true;
-                }
-                if probed == 0 {
-                    break false;
-                }
-                probed -= 1;
-                let si = sorted_terms[probed] as usize;
-                let (span, first) = term_span(stride_off, stride_last, si, &cursors[si]);
-                let c = &mut cursors[si];
-                c.seek_pruned(d, false, span, first, doc_col, buffers)?;
-                if c.cur == Some(d) {
-                    let pay = c.payload(pay_col, buffers, 1)?;
-                    partial += contribution(mode, coef_of(si), pay, norm);
-                }
-            };
-            if reject {
-                // `d` provably cannot beat the heap floor; step the
-                // essential cursors off it and move on. Probed
-                // non-essential cursors stay where the probe left them —
-                // forward-only, so their suffix bounds remain sound.
-                for &si in &sorted_terms[ness..] {
-                    let c = &mut cursors[si as usize];
-                    if c.cur == Some(d) {
-                        c.advance(doc_col, buffers, 1)?;
-                    }
-                }
-                continue;
-            }
-        }
-        // Survivor: assemble one exact batch row over all k terms in the
-        // original term order, probing every cursor (absent terms keep
-        // payload 0 — the outer join's missing-side convention).
-        let j = batch_docids.len();
-        batch_docids.push(d);
-        for (i, c) in cursors.iter_mut().enumerate() {
-            let (span, first) = term_span(stride_off, stride_last, i, c);
-            c.seek_pruned(d, false, span, first, doc_col, buffers)?;
-            if c.cur == Some(d) {
-                batch_payloads[i * v + j] = c.payload(pay_col, buffers, 1)?;
-                c.advance(doc_col, buffers, 1)?;
-            }
-        }
-        if batch_docids.len() == flush_at {
-            flush!();
-        }
-    }
-    flush!();
-    Ok(seq)
-}
-
-/// Term `i`'s span of the scratch stride tables plus the global index of
-/// its first stride (the span was recorded from the term's range start,
-/// so its length pins the first stride without re-deriving the range).
-fn term_span<'a>(
-    stride_off: &[u32],
-    stride_last: &'a [u32],
-    i: usize,
-    c: &TermCursor,
-) -> (&'a [u32], usize) {
-    let off = stride_off[i] as usize;
-    let len = stride_off[i + 1] as usize - off;
-    let first = (c.end - 1) / ENTRY_POINT_STRIDE + 1 - len;
-    (&stride_last[off..off + len], first)
-}
-
-/// Term `i`'s suffix-max stride bound at the cursor's current position:
-/// what any posting of the term at or past the cursor can still
-/// contribute (already `BOUND_SLACK`-inflated by the pre-pass).
-fn suffix_bound(stride_off: &[u32], stride_bounds: &[f32], i: usize, c: &TermCursor) -> f32 {
-    let off = stride_off[i] as usize;
-    let len = stride_off[i + 1] as usize - off;
-    let first = (c.end - 1) / ENTRY_POINT_STRIDE + 1 - len;
-    stride_bounds[off + c.pos / ENTRY_POINT_STRIDE - first]
-}
-
-/// Term `i`'s bound on what it can contribute to the *exact* candidate
-/// docid `d`: zero once the cursor has proven `d` absent (cursor past
-/// `d`, or range exhausted), otherwise the **raw** bound of the one
-/// stride that can hold `d`'s posting — located with a staged-window
-/// check against the cursor's current stride (free: the current stride
-/// is always staged) and a binary search over the scratch stride-last
-/// table for later strides. Strictly tighter than [`suffix_bound`],
-/// which pays for the term's best remaining stride even when `d` lands
-/// in a mediocre one. Only valid for the exact docid `d` — a range of
-/// docids must use the suffix.
-///
-/// Soundness: interior strides hold a single term's rows, so their
-/// recorded max docid is exact and the partition point lands on the true
-/// destination stride. The two span-boundary strides can only
-/// *overstate* their max: the first is the cursor's own stride, which
-/// the staged last-docid check resolves exactly before the search, and
-/// an overstated final stride at worst claims a past-the-end `d` is
-/// still in range, bounding a true contribution of zero from above. NaN
-/// raw bounds (corrupt metadata) propagate into the caller's sum and
-/// fail its `<= theta` comparison: scored, never skipped.
-#[allow(clippy::too_many_arguments)]
-fn bound_at(
-    stride_off: &[u32],
-    stride_raw: &[f32],
-    stride_last: &[u32],
-    i: usize,
-    c: &mut TermCursor,
-    d: u32,
-    doc_col: &Column,
-    buffers: &BufferManager,
-) -> Result<f32, ExecError> {
-    let Some(cd) = c.cur else { return Ok(0.0) };
-    if cd > d {
-        return Ok(0.0);
-    }
-    let off = stride_off[i] as usize;
-    let len = stride_off[i + 1] as usize - off;
-    let first = (c.end - 1) / ENTRY_POINT_STRIDE + 1 - len;
-    let rel = c.pos / ENTRY_POINT_STRIDE - first;
-    if d <= c.stride_last_docid(doc_col, buffers)? {
-        return Ok(stride_raw[off + rel]);
-    }
-    let tail = &stride_last[off + rel + 1..off + len];
-    let j = tail.partition_point(|&m| m < d);
-    Ok(if rel + 1 + j >= len {
-        0.0
-    } else {
-        stride_raw[off + rel + 1 + j]
-    })
-}
-
-/// One term's exact scoring contribution for a single candidate row — the
-/// same expression shape the batch kernels fold, so a `BOUND_SLACK`
-/// inflation of a partial sum of these dominates the canonical fold.
-fn contribution(mode: ScoreMode, coef: f32, pay: u32, norm: f32) -> f32 {
-    match mode {
-        ScoreMode::Computed { .. } => {
-            let tf = (pay as i32) as f32;
-            coef * (tf / (tf + norm))
-        }
-        ScoreMode::MaterializedF32 => f32::from_bits(pay),
-        ScoreMode::MaterializedQ8 => (pay as i32) as f32,
     }
 }
 

@@ -113,12 +113,11 @@ pub struct InvertedIndex {
     num_terms: usize,
     stats: CollectionStats,
     quantizer: Option<Quantizer>,
-    /// Per-stride block-max metadata for dynamic pruning: a raw u32 column
-    /// of [`BLOCK_MAX_SLOTS`]-slot entries (max tf, min doc length, max
+    /// Per-stride block-max metadata: a raw u32 column of
+    /// [`BLOCK_MAX_SLOTS`]-slot entries (max tf, min doc length, max
     /// materialized score payload, max docid), one per 128-value posting
-    /// stride.
-    /// `None` for segments written before the section existed — queries
-    /// then run exhaustively.
+    /// stride. Built, written and validated; no query reads it.
+    /// `None` for segments written before the section existed.
     block_max: Option<Column>,
 }
 
@@ -451,8 +450,8 @@ impl InvertedIndex {
 
     /// The per-stride block-max column, when this index has one (built
     /// indexes always do; reopened segments only if the `BlockMax` section
-    /// was written). `None` disables pruning — pruned strategies then run
-    /// the exhaustive path, bit-identically.
+    /// was written). Data without a reader: the segment writer and
+    /// [`Self::validate_block_max`] use it, no query path does.
     pub fn block_max(&self) -> Option<&Column> {
         self.block_max.as_ref()
     }
@@ -486,12 +485,11 @@ impl InvertedIndex {
     /// per-stride maxima recomputed from the posting columns: stored max
     /// tf at least every tf in the stride, stored min doc length at most
     /// every posting's document length, stored score payload at least
-    /// every posting's payload. An *understated* entry is a soundness bug
-    /// — the pruned path could skip a stride holding a true top-k hit —
-    /// so debug-mode segment opens run this as a typed-error check and
-    /// the corruption proptest drives it with tampered columns. `Ok(())`
-    /// when the index carries no metadata (pruning is then disabled,
-    /// trivially sound).
+    /// every posting's payload. An *understated* entry would let a reader
+    /// that skips on these bounds miss a true top-k hit, so debug-mode
+    /// segment opens run this as a typed-error check and the corruption
+    /// proptest drives it with tampered columns. `Ok(())` when the index
+    /// carries no metadata.
     pub fn validate_block_max(&self) -> Result<(), &'static str> {
         match &self.block_max {
             Some(bm) => self.validate_block_max_column(bm),

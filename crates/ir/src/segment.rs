@@ -481,8 +481,8 @@ fn open_segment_file(
         }
     };
     // The block-max section is optional: segments written before it existed
-    // still open, the query side just never prunes. When present, it must
-    // be exactly one triplet per 128-value posting stride.
+    // still open. When present, it must be exactly one entry per 128-value
+    // posting stride.
     let block_max = if r.has_section(SectionKind::BlockMax) {
         let entries = meta
             .num_postings
@@ -548,9 +548,9 @@ fn open_segment_file(
     // Debug-mode soundness check: re-derive the per-stride bounds from the
     // posting columns and require the stored metadata to dominate them. An
     // understated bound cannot be caught by checksums (the file is
-    // internally consistent) but would let pruning drop true top-k hits —
-    // so debug opens reject it with a typed error. Release opens skip the
-    // O(postings) scan.
+    // internally consistent) but would let a reader that skips on it drop
+    // true top-k hits — so debug opens reject it with a typed error.
+    // Release opens skip the O(postings) scan.
     if cfg!(debug_assertions) {
         index.validate_block_max().map_err(SegmentError::Corrupt)?;
     }

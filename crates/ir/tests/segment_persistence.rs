@@ -457,42 +457,55 @@ fn strip_section(pristine: &[u8], kind: u32) -> Vec<u8> {
     b
 }
 
-/// A segment with no `BlockMax` section — the pre-pruning format — must
-/// still open, and the pruned strategies must silently fall back to the
-/// exhaustive path, bit-identical to the in-memory index.
+/// The `BlockMax` section is data without a reader: the same segment with
+/// and without it (the format before the section existed, which must still
+/// open) answers every strategy bit-identically, admitting the same blocks
+/// to a fresh pool, and no query ever pins a block of the section.
 #[test]
-fn segment_without_blockmax_serves_pruned_queries_exhaustively() {
+fn blockmax_section_is_never_read_by_a_query() {
     const BLOCKMAX: u32 = 13;
     let index = small_index(&IndexConfig::materialized_q8());
-    let path = temp_path("noblockmax");
-    index.write_segment(&path).unwrap();
-    let pristine = std::fs::read(&path).unwrap();
-    let stripped = strip_section(&pristine, BLOCKMAX);
-    std::fs::write(&path, &stripped).unwrap();
-    let reopened = InvertedIndex::open_segment(&path)
-        .expect("a segment without BlockMax predates pruning and must open");
-    std::fs::remove_file(&path).unwrap();
+    let with_path = temp_path("blockmax");
+    let without_path = temp_path("noblockmax");
+    index.write_segment(&with_path).unwrap();
+    let pristine = std::fs::read(&with_path).unwrap();
+    std::fs::write(&without_path, strip_section(&pristine, BLOCKMAX)).unwrap();
+    let with = InvertedIndex::open_segment(&with_path).unwrap();
+    let without =
+        InvertedIndex::open_segment(&without_path).expect("a segment without BlockMax must open");
+    assert!(with.block_max().is_some());
     assert!(
-        reopened.block_max().is_none(),
+        without.block_max().is_none(),
         "stripped segment must come back without block-max metadata"
     );
 
-    let seg_exec = QueryExecutor::new(Arc::new(reopened));
-    let mem_exec = QueryExecutor::new(Arc::new(index));
+    let fresh = |index| {
+        QueryExecutor::with_buffering(Arc::new(index), DiskModel::instant(), BufferMode::Hot, 0)
+    };
+    let (with_exec, without_exec, mem_exec) = (fresh(with), fresh(without), fresh(index));
     let queries: [&[u32]; 5] = [&[0, 1, 2], &[3, 5, 8, 13], &[2], &[0, 23], &[7, 9, 11, 20]];
-    for strategy in [
-        SearchStrategy::Bm25Pruned,
-        SearchStrategy::Bm25MaterializedPruned,
-    ] {
+    for strategy in SearchStrategy::ALL {
         for q in queries {
             let mem = mem_exec.search(q, strategy, 10).expect("mem search");
-            let seg = seg_exec.search(q, strategy, 10).expect("seg search");
-            assert_eq!(
-                seg.results, mem.results,
-                "pruned fallback diverged for {strategy:?} on {q:?}"
-            );
+            let with = with_exec.search(q, strategy, 10).expect("with search");
+            let without = without_exec
+                .search(q, strategy, 10)
+                .expect("without search");
+            assert_eq!(with.results, mem.results, "{strategy:?} on {q:?}");
+            assert_eq!(without.results, mem.results, "{strategy:?} on {q:?}");
+            assert_eq!(with.io, without.io, "admissions of {strategy:?} on {q:?}");
         }
     }
+    let section = with_exec.index().block_max().unwrap();
+    for block in 0..section.block_count() {
+        assert!(!with_exec.buffers().is_resident(section, block));
+    }
+    assert_eq!(
+        with_exec.buffers().resident_blocks(),
+        without_exec.buffers().resident_blocks()
+    );
+    std::fs::remove_file(&with_path).unwrap();
+    std::fs::remove_file(&without_path).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -507,9 +520,9 @@ proptest! {
     /// A deliberately understated block-max entry — lower max tf, higher
     /// min doc length, lower score bound, or lower max docid — is
     /// *invisible to checksums* (the file stays internally consistent)
-    /// but would let the pruned path skip a stride holding a true top-k
-    /// hit. The debug-mode soundness validator must catch every such
-    /// tamper, on any stride and any slot; the pristine metadata must
+    /// but would let a reader that skips on it miss a stride holding a
+    /// true top-k hit. The debug-mode soundness validator must catch every
+    /// such tamper, on any stride and any slot; the pristine metadata must
     /// pass it.
     #[test]
     fn understated_block_max_is_caught(pick in any::<u64>(), slot in 0usize..4) {

@@ -139,10 +139,10 @@ pub enum SectionKind {
     /// Resident directory over the paged document names: first docid per
     /// page, small enough to pin in memory.
     NamesDir = 12,
-    /// Per-stride block-max metadata for dynamic pruning: three `u32`s per
-    /// 128-value posting stride (max tf, min doc length, max materialized
-    /// score payload). Optional — segments without it still open, the
-    /// query side just runs exhaustively.
+    /// Per-stride block-max metadata: four `u32`s per 128-value posting
+    /// stride (max tf, min doc length, max materialized score payload, max
+    /// docid). Optional — segments without it still open; no query reads
+    /// it.
     BlockMax = 13,
 }
 

@@ -66,15 +66,30 @@ fn assert_bit_identical(
 fn networked_results_bit_identical_across_all_strategies() {
     let (queries, cluster) = fixture(3);
     let net = NetCluster::serve(&cluster, 1, test_config()).expect("spawn servers");
+    // Merged hits per wire tag, one entry per query.
+    let mut by_tag = Vec::new();
     for strategy in SearchStrategy::ALL {
+        let mut merged = Vec::new();
         for terms in &queries {
             let outcome = net
                 .coordinator()
                 .search(terms, strategy, TOP_N)
                 .expect("healthy cluster serves");
             assert_bit_identical(&cluster, &outcome, terms, strategy);
+            merged.push(
+                outcome
+                    .hits
+                    .iter()
+                    .map(|h| (h.0, h.1.to_bits()))
+                    .collect::<Vec<_>>(),
+            );
         }
+        assert_eq!(strategy.wire_tag() as usize, by_tag.len());
+        by_tag.push(merged);
     }
+    // An old client that still sends tag 6 or 7 gets tag 2's or 4's answer.
+    assert_eq!(by_tag[6], by_tag[2]);
+    assert_eq!(by_tag[7], by_tag[4]);
     let stats = net.coordinator().stats();
     assert_eq!(stats.unavailable, 0);
     assert_eq!(stats.failed_over, 0);

@@ -6,10 +6,9 @@
 //! (`QueryExecutor::search` / `search_hits_into`) reuses a scratch arena
 //! across queries. This suite holds the two against each other — docids,
 //! score **bits** (`f32::to_bits`, not approximate equality), pass counts
-//! and error outcomes — across all of `SearchStrategy::ALL` (for the pruned
-//! strategies the oracle runs the *exhaustive* disjunctive plan, so those
-//! comparisons are the "pruning must not change one output bit"
-//! guarantee), over compressed, materialized-f32 and materialized-q8
+//! and error outcomes — across all of `SearchStrategy::ALL` (the two
+//! `*Pruned` aliases included; they are also pinned to their twins by work
+//! counters), over compressed, materialized-f32 and materialized-q8
 //! indexes, in-memory and segment-backed, with randomized queries that
 //! include unknown terms and duplicates.
 //!
@@ -147,8 +146,7 @@ fn reopen_from_segment(index: &InvertedIndex) -> InvertedIndex {
 fn segment_backed_fused_path_matches_relational_oracle() {
     let fx = fixture();
     // The q8 index runs all eight strategies; reopened from its segment the
-    // posting blocks (and the block-max metadata the pruned modes skip by)
-    // are disk-resident and flow through the buffer pool.
+    // posting blocks are disk-resident and flow through the buffer pool.
     let reopened = Arc::new(reopen_from_segment(&fx.indexes[2]));
     let exec = QueryExecutor::new(reopened.clone());
     let oracle = QueryEngine::new(&reopened);
@@ -172,6 +170,30 @@ fn fused_bits(
         .expect("fused search");
     let hits = hits.iter().map(|&(d, s)| (d, s.to_bits())).collect();
     (hits, meta.passes)
+}
+
+#[test]
+fn alias_tags_do_the_work_of_their_twins() {
+    // Equal hits would also hold for a pruning loop; equal strides decoded,
+    // rows scored and pool admissions hold only if tags 6 / 7 run the very
+    // plan of tags 2 / 4.
+    let fx = fixture();
+    let reopened = reopen_from_segment(&fx.indexes[2]);
+    let tag = |t| SearchStrategy::from_wire_tag(t).expect("tag in use");
+    for index in [&*fx.indexes[2], &reopened] {
+        for q in &fx.queries {
+            for (alias, twin) in [(6, 2), (7, 4)] {
+                // A fresh pool and a fresh arena each: totals are deltas.
+                let work = |strategy| {
+                    let engine = QueryEngine::new(index);
+                    let mut scratch = QueryScratch::new();
+                    let hits = fused_bits(&engine, q, strategy, &mut scratch);
+                    (hits, scratch.hot_stats(), engine.buffers().stats())
+                };
+                assert_eq!(work(tag(alias)), work(tag(twin)), "tag {alias} on {q:?}");
+            }
+        }
+    }
 }
 
 #[test]
