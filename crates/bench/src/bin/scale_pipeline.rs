@@ -30,7 +30,7 @@
 //! and the query stages served from the reopened artifacts, with a
 //! bit-identity spot check against the in-memory results before the swap.
 //! A segment written here reopens in any later process via
-//! `serve_bench --segment <path>`.
+//! [`x100_ir::InvertedIndex::open_segment`].
 //!
 //! Usage: `scale_pipeline [--scale tiny|small|medium|large|xlarge] [--mem-budget SIZE]
 //! [--partitions N] [--queries N] [--persist path]`

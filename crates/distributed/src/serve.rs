@@ -26,15 +26,9 @@
 //! * [`LatencyHistogram`] — log-bucketed latency recording with p50/p95/p99
 //!   readout (≤ ~6 % relative bucket error).
 //!
-//! To serve in the *I/O-bound* regime, build the shared pool with
-//! [`x100_storage::BufferManager::with_simulated_miss_latency`]: every
-//! miss then sleeps its simulated disk cost inside the query that
-//! triggered it — exactly once, on the thread that incurred it — so
-//! concurrent workers overlap I/O waits the way a real server overlaps
-//! outstanding disk requests, and throughput scales with added workers
-//! even on a single core. (Sleeping per *worker* on a shared pool would
-//! misattribute I/O: a pool-stats delta taken around one query picks up
-//! concurrent queries' misses.)
+//! Nothing here waits on a disk *model*: a pool miss costs the wall-clock
+//! time of its real fetch, and [`x100_storage::DiskModel`] time is only
+//! accounted ([`ServedQuery::io_time`], [`ServeReport::io`]), never slept.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -541,8 +535,7 @@ pub struct QueryOutcome {
     /// backpressure wait is its own pacing, not time the query spent
     /// in the system.
     pub queue_wait: Duration,
-    /// Time from dequeue to completion (includes simulated-I/O sleeps when
-    /// the service's pool enacts miss latency).
+    /// Time from dequeue to completion.
     pub service_time: Duration,
     /// End-to-end latency from the *scheduled* arrival to completion — in
     /// open-loop runs this includes backpressure delay before admission,

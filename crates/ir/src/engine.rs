@@ -148,9 +148,9 @@ pub struct SearchResponse {
     /// include their interleaved misses (run-level pool totals stay
     /// exact).
     pub io: IoStats,
-    /// Wall-clock execution time. Excludes *accounted* simulated I/O, but
-    /// includes the real sleeps a pool built with
-    /// `BufferManager::with_simulated_miss_latency` enacts on misses.
+    /// Wall-clock execution time, real fetches behind pool misses
+    /// included. The simulated I/O in [`Self::io`] is accounted beside it,
+    /// never slept, so it is not part of this figure.
     pub cpu_time: Duration,
 }
 

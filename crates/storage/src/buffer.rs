@@ -231,12 +231,6 @@ impl Stripe {
 pub struct BufferManager {
     disk: DiskModel,
     capacity_bytes: usize,
-    /// When set, every miss *sleeps* its simulated disk cost (after all
-    /// locks are released), turning the cost model into real per-thread
-    /// occupancy. Each miss is slept exactly once, by the thread that
-    /// incurred it — which is what makes concurrent-serving latency and
-    /// throughput measurements attribute I/O correctly.
-    simulate_latency: bool,
     stripes: Vec<Mutex<Stripe>>,
     /// Per-stripe mirror of [`Stripe::oldest_tick`], written only under the
     /// owning stripe's lock but readable without it — eviction picks its
@@ -284,7 +278,6 @@ impl BufferManager {
         BufferManager {
             disk,
             capacity_bytes,
-            simulate_latency: false,
             stripes: (0..NUM_STRIPES)
                 .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
@@ -305,18 +298,6 @@ impl BufferManager {
             BufferMode::Cold => Self::new(disk, capacity_bytes),
             BufferMode::Hot => Self::new(disk, usize::MAX),
         }
-    }
-
-    /// Builder-style switch: every miss additionally *sleeps* its
-    /// simulated disk cost, converting the deterministic [`DiskModel`]
-    /// accounting into real occupancy of the touching thread. The load
-    /// harness uses this so concurrent workers overlap I/O waits the way a
-    /// real server overlaps outstanding disk requests — each miss slept
-    /// exactly once, by the query that triggered it.
-    #[must_use]
-    pub fn with_simulated_miss_latency(mut self) -> Self {
-        self.simulate_latency = true;
-        self
     }
 
     /// The disk model in use.
@@ -350,12 +331,13 @@ impl BufferManager {
     ///
     /// A miss fetches the block with **no lock held** — for a disk-backed
     /// column the real `pread` + parse, where a read fault surfaces as a
-    /// typed error — then admits it, charges the simulated disk cost (a
-    /// deterministic [`DiskModel`] overlay on the physical read) and evicts
-    /// LRU blocks if over budget. Threads missing the same block each fetch
-    /// it; the first to re-take the stripe lock admits and is charged, the
-    /// others adopt its block — so a hot pool's I/O totals stay a set
-    /// property of the blocks touched, whatever the interleaving.
+    /// typed error — then admits it, charges the simulated disk cost to
+    /// [`IoStats`] (a deterministic [`DiskModel`] overlay on the physical
+    /// read: accounted, never slept) and evicts LRU blocks if over budget.
+    /// Threads missing the same block each fetch it; the first to re-take
+    /// the stripe lock admits and is charged, the others adopt its block —
+    /// so a hot pool's I/O totals stay a set property of the blocks
+    /// touched, whatever the interleaving.
     pub fn pin(
         &self,
         column: &Column,
@@ -370,7 +352,7 @@ impl BufferManager {
         // Miss: the fetch, with no lock held.
         let block = column.fetch(block_idx)?;
         let bytes = column.block_bytes(block_idx);
-        let cost = {
+        {
             let mut st = self.stripes[si].lock();
             // Lost the race to admit this block: adopt the winner's.
             if let Some(block) = self.hit(si, &mut st, key) {
@@ -387,15 +369,9 @@ impl BufferManager {
             self.stat_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             self.stat_sim_nanos
                 .fetch_add(cost.as_nanos() as u64, Ordering::Relaxed);
-            cost
-        };
+        }
         if self.resident_bytes.load(Ordering::Relaxed) > self.capacity_bytes {
             self.evict_lru(key);
-        }
-        // Sleep last, with no locks held: the thread pays its own I/O wait
-        // without blocking other queries' pool access.
-        if self.simulate_latency && !cost.is_zero() {
-            std::thread::sleep(cost);
         }
         Ok(block)
     }
@@ -784,27 +760,6 @@ mod tests {
             one_block * 5 + 8
         );
         assert!(bm.resident_blocks() >= 1);
-    }
-
-    #[test]
-    fn simulated_miss_latency_occupies_the_touching_thread() {
-        let col = column(1024, 256); // 4 blocks
-        let disk = DiskModel {
-            seek: std::time::Duration::from_millis(5),
-            bandwidth_bytes_per_sec: f64::INFINITY,
-        };
-        let bm = BufferManager::new(disk, usize::MAX).with_simulated_miss_latency();
-        let start = std::time::Instant::now();
-        bm.warm(&col); // 4 misses à 5 ms
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= std::time::Duration::from_millis(20),
-            "4 misses slept only {elapsed:?}"
-        );
-        // Hits are free: no sleeping on the re-warm.
-        let start = std::time::Instant::now();
-        bm.warm(&col);
-        assert!(start.elapsed() < std::time::Duration::from_millis(5));
     }
 
     /// Satellite regression: `reset_stats` racing in-flight misses must

@@ -33,15 +33,6 @@ impl DiskModel {
         }
     }
 
-    /// A single commodity disk (the distributed experiment's per-node
-    /// storage): ~70 MB/s, 8 ms seek.
-    pub fn single_disk() -> Self {
-        DiskModel {
-            seek: Duration::from_micros(8_000),
-            bandwidth_bytes_per_sec: 70.0 * 1024.0 * 1024.0,
-        }
-    }
-
     /// An infinitely fast disk — used to isolate CPU cost in ablations.
     pub fn instant() -> Self {
         DiskModel {

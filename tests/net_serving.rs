@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_distributed::{
-    CoordinatorConfig, Fault, NetCluster, NetError, NetSearchOutcome, SimulatedCluster,
+    run_closed_loop, CoordinatorConfig, Fault, NetCluster, NetError, NetSearchOutcome, ServeConfig,
+    SimulatedCluster,
 };
 use x100_ir::{IndexConfig, SearchStrategy};
 
@@ -135,6 +136,89 @@ fn killed_server_fails_over_bit_identically() {
     );
     assert!(p1.replicas_down[0], "the killed replica is marked down");
     assert!(!p1.replicas_down[1], "the serving replica stays healthy");
+}
+
+/// The in-flight case of the test above: the replica dies while a worker
+/// pool has queries on its connections, not between sequential queries.
+#[test]
+fn replica_killed_with_queries_in_flight_fails_over_bit_identically() {
+    let (queries, cluster) = fixture(3);
+    let net = NetCluster::serve(&cluster, 2, test_config()).expect("spawn servers");
+    let config = ServeConfig {
+        queue_depth: 4,
+        ..ServeConfig::new(3)
+    };
+    let oracle: Vec<Vec<(u32, u32)>> = queries
+        .iter()
+        .map(|terms| {
+            let scatter = cluster.search_scatter(terms, config.strategy, config.top_n);
+            assert!(scatter.failures.is_empty());
+            scatter
+                .results
+                .iter()
+                .map(|r| (r.docid, r.score.to_bits()))
+                .collect()
+        })
+        .collect();
+    let bits = |hits: &[(u32, f32)]| -> Vec<(u32, u32)> {
+        hits.iter().map(|h| (h.0, h.1.to_bits())).collect()
+    };
+    // The fixture log many times over, so the pool is still busy long
+    // after the kill lands.
+    let log: Vec<Vec<u32>> = queries
+        .iter()
+        .cycle()
+        .take(queries.len() * 40)
+        .cloned()
+        .collect();
+
+    let (report, requests_after_kill) = std::thread::scope(|s| {
+        // Triggered by the coordinator's own request counter, not a timer.
+        let killer = s.spawn(|| {
+            let requests = || net.coordinator().stats().partitions[0].requests;
+            while requests() < (log.len() / 4) as u64 {
+                std::thread::yield_now();
+            }
+            net.kill_server(0, 0);
+            requests()
+        });
+        let report = run_closed_loop(net.coordinator(), &config, &log);
+        (report, killer.join().expect("killer thread"))
+    });
+    // Queries reached partition 0 after its replica 0 was gone, so the
+    // failover asserted below is implied, not a matter of timing.
+    assert!(
+        requests_after_kill < log.len() as u64,
+        "the kill landed after the run ({requests_after_kill} of {} requests)",
+        log.len()
+    );
+
+    assert_eq!(report.completed, log.len());
+    for outcome in &report.outcomes {
+        assert_eq!(
+            bits(&outcome.hits),
+            oracle[outcome.id % queries.len()],
+            "query {} differs from the in-process oracle",
+            outcome.id
+        );
+    }
+    let stats = net.coordinator().stats();
+    assert_eq!(stats.unavailable, 0, "failover must hide the dead server");
+    assert!(
+        stats.hedged + stats.failed_over >= 1,
+        "the kill must be visible as hedges or failovers: {stats:?}"
+    );
+    assert!(stats.partitions[0].replicas_down[0]);
+
+    // The survivor keeps serving after the run.
+    for (terms, want) in queries.iter().zip(&oracle) {
+        let outcome = net
+            .coordinator()
+            .search(terms, config.strategy, config.top_n)
+            .expect("the surviving replica serves");
+        assert_eq!(&bits(&outcome.hits), want);
+        assert_eq!(outcome.partitions[0].replica, 1);
+    }
 }
 
 #[test]
