@@ -15,10 +15,10 @@
 //! postings *plus* the whole materialized collection.
 
 use x100_corpus::{CollectionStream, CollectionTail, Document};
-use x100_storage::{StringColumn, StringColumnBuilder};
 
-use crate::columns::IndexColumnsWriter;
+use crate::columns::{IndexColumns, IndexColumnsWriter};
 use crate::index::{IndexConfig, InvertedIndex};
+use crate::paged::NamePagesBuilder;
 
 /// Builds an [`InvertedIndex`] from documents pushed in docid order.
 ///
@@ -44,9 +44,9 @@ pub struct StreamingIndexBuilder {
     /// term id actually seen, so sparse or empty-vocab-tail workloads
     /// never pay an O(vocab) allocation upfront.
     postings: Vec<Vec<u64>>,
-    /// Paged name storage: names go straight into string-column pages as
-    /// documents arrive, never held as one `String` allocation each.
-    doc_names: StringColumnBuilder,
+    /// The D table's `name` column: names go straight into 4 KiB record
+    /// pages as documents arrive, never held as one `String` each.
+    doc_names: NamePagesBuilder,
     doc_lens: Vec<i32>,
 }
 
@@ -57,7 +57,7 @@ impl StreamingIndexBuilder {
             config: config.clone(),
             num_terms,
             postings: Vec::new(),
-            doc_names: StringColumnBuilder::new("name"),
+            doc_names: NamePagesBuilder::new(),
             doc_lens: Vec::new(),
         }
     }
@@ -83,9 +83,12 @@ impl StreamingIndexBuilder {
     /// [`Document::terms`] guarantees.
     ///
     /// # Panics
-    /// Panics if a term id is out of range for the builder's vocabulary.
+    /// Panics if a term id is out of range for the builder's vocabulary, or
+    /// if `name` cannot fit one 4 KiB record page ("document name exceeds a
+    /// page": 4088 bytes).
     pub fn push_doc(&mut self, name: &str, terms: &[(u32, u32)], len: u32) -> u32 {
         let docid = self.doc_lens.len() as u32;
+        self.doc_names.push(name).unwrap_or_else(|e| panic!("{e}"));
         for &(t, tf) in terms {
             let slot = t as usize;
             assert!(
@@ -98,7 +101,6 @@ impl StreamingIndexBuilder {
             }
             self.postings[slot].push((u64::from(docid) << 32) | u64::from(tf));
         }
-        self.doc_names.push(name);
         self.doc_lens.push(len as i32);
         docid
     }
@@ -127,14 +129,20 @@ impl StreamingIndexBuilder {
         std::mem::take(&mut self.postings)
     }
 
-    /// Decomposes the builder into the parts the spill path's merge needs
-    /// to assemble an index itself: configuration and the D-table columns.
-    pub(crate) fn into_parts(self) -> (IndexConfig, StringColumn, Vec<i32>) {
-        (self.config, self.doc_names.finish(), self.doc_lens)
+    /// Assembles the index around finished posting columns — the shared
+    /// tail of this builder's drain and the spill path's merge.
+    pub(crate) fn into_index(self, vocab: &[String], cols: IndexColumns) -> InvertedIndex {
+        let names = self.doc_names.finish();
+        InvertedIndex::from_columns(self.config, vocab, names, self.doc_lens, cols)
     }
 
     /// Assembles the index. `vocab` maps term ids to strings and must cover
     /// every id the builder was constructed for.
+    ///
+    /// # Panics
+    /// Panics if `vocab` does not cover the builder's vocabulary size, or
+    /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
+    /// a vocabulary page": 4084 bytes).
     pub fn finish(self, vocab: &[String]) -> InvertedIndex {
         self.finish_with_peak(vocab).0
     }
@@ -167,11 +175,7 @@ impl StreamingIndexBuilder {
         // buffered grows, so their true joint maximum never exceeds this).
         let finish_peak = resident + writer.peak_buffered_bytes();
         let cols = writer.finish();
-        let (config, doc_names, doc_lens) = (self.config, self.doc_names.finish(), self.doc_lens);
-        (
-            InvertedIndex::from_columns(config, vocab, doc_names, doc_lens, cols),
-            finish_peak,
-        )
+        (self.into_index(vocab, cols), finish_peak)
     }
 }
 
@@ -298,6 +302,21 @@ mod tests {
     fn out_of_vocab_term_panics() {
         let mut b = StreamingIndexBuilder::new(3, &IndexConfig::default());
         b.push_doc("a", &[(3, 1)], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "document name exceeds a page")]
+    fn name_larger_than_a_page_panics() {
+        let mut b = StreamingIndexBuilder::new(3, &IndexConfig::default());
+        b.push_doc("fits", &[(0, 1)], 1);
+        b.push_doc(&"n".repeat(4089), &[(0, 1)], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "term record exceeds a vocabulary page")]
+    fn term_larger_than_a_page_panics() {
+        let b = StreamingIndexBuilder::new(2, &IndexConfig::default());
+        let _ = b.finish(&["fits".to_owned(), "t".repeat(4085)]);
     }
 
     #[test]

@@ -53,7 +53,8 @@ use x100_storage::{BufferManager, Column, StorageError};
 
 use crate::bm25::idf;
 use crate::engine::SearchStrategy;
-use crate::index::{InvertedIndex, Materialize, MetaView};
+use crate::index::{InvertedIndex, Materialize};
+use crate::paged::PagedMetadata;
 
 /// A staged window of one column: decompressed values covering
 /// `[start, start + stage.len())`, plus the window's pin on the block it is
@@ -376,11 +377,11 @@ pub struct QueryScratch {
     heap: Vec<HeapRow>,
     /// Hit staging for callers that materialize full responses.
     pub(crate) hits: Vec<(u32, f32)>,
-    /// Window over a paged index's term-offset column.
+    /// Window over the index's term-offset column.
     off_window: Window,
-    /// Window over a paged index's doc-freq column.
+    /// Window over the index's doc-freq column.
     freq_window: Window,
-    /// Window over a paged index's doc-len column.
+    /// Window over the index's doc-len column.
     len_window: Window,
     /// Lifetime count of rows offered to the scoring fold. Monotone.
     rows_scored: u64,
@@ -481,7 +482,8 @@ impl QueryScratch {
 
     /// Cumulative hot-path work counters since this scratch was created.
     /// Both meters are monotone; callers diff two snapshots to attribute
-    /// work to a span of queries.
+    /// work to a span of queries. The stride count covers the three
+    /// metadata windows as well as the posting cursors', on every index.
     pub fn hot_stats(&self) -> HotPathStats {
         let mut refills =
             self.off_window.refills + self.freq_window.refills + self.len_window.refills;
@@ -545,94 +547,50 @@ impl ScratchPool {
     }
 }
 
-/// A term's TD row range through the metadata view: a slice index for a
-/// built index, two windowed reads of the paged offset column for a
-/// reopened segment (clamped like the old open-time validation clamped).
+/// A term's TD row range: two windowed reads of the offset column, empty
+/// for an unknown term and for offsets a valid segment cannot hold (past
+/// the posting count, or descending).
 fn term_range_of(
-    view: &MetaView,
+    meta: &PagedMetadata,
     window: &mut Window,
     buffers: &BufferManager,
     vector_size: usize,
     term: u32,
 ) -> Result<Range<usize>, ExecError> {
-    match view {
-        MetaView::Mem { term_ranges, .. } => {
-            Ok(term_ranges.get(term as usize).cloned().unwrap_or(0..0))
-        }
-        MetaView::Paged {
-            offsets,
-            num_postings,
-            num_terms,
-            ..
-        } => {
-            let t = term as usize;
-            if t >= *num_terms {
-                return Ok(0..0);
-            }
-            let start = window.value_at(offsets, buffers, vector_size, t)? as usize;
-            let end = (window.value_at(offsets, buffers, vector_size, t + 1)? as usize)
-                .min(*num_postings);
-            Ok(if start > end { 0..0 } else { start..end })
-        }
+    let t = term as usize;
+    if t >= meta.num_terms {
+        return Ok(0..0);
     }
+    let start = window.value_at(&meta.offsets, buffers, vector_size, t)? as usize;
+    let end = (window.value_at(&meta.offsets, buffers, vector_size, t + 1)? as usize)
+        .min(meta.num_postings);
+    Ok(if start > end { 0..0 } else { start..end })
 }
 
-/// A term's document frequency through the metadata view.
+/// A term's document frequency: a windowed read of the doc-freq column, 0
+/// for an unknown term.
 fn doc_freq_of(
-    view: &MetaView,
+    meta: &PagedMetadata,
     window: &mut Window,
     buffers: &BufferManager,
     vector_size: usize,
     term: u32,
 ) -> Result<u32, StorageError> {
-    match view {
-        MetaView::Mem { doc_freqs, .. } => Ok(doc_freqs.get(term as usize).copied().unwrap_or(0)),
-        MetaView::Paged {
-            doc_freqs,
-            num_terms,
-            ..
-        } => {
-            if term as usize >= *num_terms {
-                return Ok(0);
-            }
-            window.value_at(doc_freqs, buffers, vector_size, term as usize)
-        }
+    if term as usize >= meta.num_terms {
+        return Ok(0);
     }
+    window.value_at(&meta.doc_freqs, buffers, vector_size, term as usize)
 }
 
-/// A document's length as f32 through the metadata view. Lengths are
-/// non-negative, so the paged u32 read casts to the same f32 bits the
-/// dense `i32 as f32` cast produces.
-fn doc_len_f32(
-    view: &MetaView,
-    window: &mut Window,
-    buffers: &BufferManager,
-    vector_size: usize,
-    docid: u32,
-) -> Result<f32, ExecError> {
-    match view {
-        MetaView::Mem { doc_lens, .. } => Ok(doc_lens[docid as usize] as f32),
-        MetaView::Paged { doc_lens, .. } => {
-            Ok(window.value_at(doc_lens, buffers, vector_size, docid as usize)? as f32)
-        }
-    }
-}
-
-/// A document's length as u32 through the metadata view (lengths are
-/// non-negative).
-fn doc_len_u32(
-    view: &MetaView,
+/// A document's length: a windowed read of the doc-len column.
+fn doc_len_of(
+    meta: &PagedMetadata,
     window: &mut Window,
     buffers: &BufferManager,
     vector_size: usize,
     docid: u32,
 ) -> Result<u32, StorageError> {
-    match view {
-        MetaView::Mem { doc_lens, .. } => Ok(doc_lens[docid as usize] as u32),
-        MetaView::Paged { doc_lens, .. } => {
-            window.value_at(doc_lens, buffers, vector_size, docid as usize)
-        }
-    }
+    window.value_at(&meta.doc_lens, buffers, vector_size, docid as usize)
 }
 
 /// The k-way union's next candidate: the smallest current docid among
@@ -687,8 +645,8 @@ pub(crate) fn conjunctive_skipping_into(
     out: &mut Vec<(u32, f32)>,
 ) -> Result<(), ExecError> {
     out.clear();
-    let view = index.meta_view();
-    let k = live_terms(&view, buffers, vector_size, term_ids, scratch)?;
+    let meta = index.meta();
+    let k = live_terms(meta, buffers, vector_size, term_ids, scratch)?;
     if k == 0 {
         return Ok(());
     }
@@ -698,10 +656,10 @@ pub(crate) fn conjunctive_skipping_into(
     scratch.dfs.clear();
     for i in 0..k {
         let t = scratch.terms[i];
-        let df = doc_freq_of(&view, &mut scratch.freq_window, buffers, vector_size, t)?;
+        let df = doc_freq_of(meta, &mut scratch.freq_window, buffers, vector_size, t)?;
         scratch.dfs.push(df);
     }
-    reset_cursors(&view, buffers, vector_size, scratch, doc_col)?;
+    reset_cursors(meta, buffers, vector_size, scratch, doc_col)?;
 
     let QueryScratch {
         cursors,
@@ -719,7 +677,7 @@ pub(crate) fn conjunctive_skipping_into(
     // Leapfrog with galloping seeks: the laggard jumps to the current
     // target in O(log gap) stride probes instead of walking postings.
     while let Some(target) = next_common(cursors, |c, t| c.seek(t, false, doc_col, buffers, v))? {
-        let doc_len = doc_len_u32(&view, len_window, buffers, v, target)?;
+        let doc_len = doc_len_of(meta, len_window, buffers, v, target)?;
         let mut score = 0.0f32;
         for (i, c) in cursors.iter_mut().enumerate() {
             let tf = c.payload(tf_col, buffers, v)?;
@@ -766,8 +724,8 @@ pub(crate) fn search_into(
                 .into(),
         ));
     }
-    let view = index.meta_view();
-    let k = live_terms(&view, buffers, vector_size, term_ids, scratch)?;
+    let meta = index.meta();
+    let k = live_terms(meta, buffers, vector_size, term_ids, scratch)?;
     if k == 0 {
         return Ok(1);
     }
@@ -777,7 +735,7 @@ pub(crate) fn search_into(
     let mut passes = 1u8;
     match strategy {
         SearchStrategy::BoolAnd | SearchStrategy::BoolOr => {
-            reset_cursors(&view, buffers, vector_size, scratch, doc_col)?;
+            reset_cursors(meta, buffers, vector_size, scratch, doc_col)?;
             run_boolean(
                 buffers,
                 vector_size,
@@ -791,16 +749,16 @@ pub(crate) fn search_into(
         // Every ranked strategy; the two `*Pruned` aliases included.
         _ => {
             let materialized = strategy.needs_materialized();
-            let mode = score_mode(index, &view, buffers, vector_size, scratch, materialized)?;
+            let mode = score_mode(index, buffers, vector_size, scratch, materialized)?;
             let pay_col = td
                 .column(if materialized { "score" } else { "tf" })
                 .map_err(ExecError::from)?;
             let two_pass = strategy.is_two_pass();
             // Single-pass strategies run the disjunctive plan directly;
             // two-pass tries conjunctive first (§3.3).
-            reset_cursors(&view, buffers, vector_size, scratch, doc_col)?;
+            reset_cursors(meta, buffers, vector_size, scratch, doc_col)?;
             let matched = run_ranked(
-                &view,
+                meta,
                 buffers,
                 vector_size,
                 doc_col,
@@ -813,9 +771,9 @@ pub(crate) fn search_into(
             scratch.rows_scored += matched;
             if two_pass && (matched as usize) < n && k > 1 {
                 passes = 2;
-                reset_cursors(&view, buffers, vector_size, scratch, doc_col)?;
+                reset_cursors(meta, buffers, vector_size, scratch, doc_col)?;
                 let matched = run_ranked(
-                    &view,
+                    meta,
                     buffers,
                     vector_size,
                     doc_col,
@@ -839,7 +797,7 @@ pub(crate) fn search_into(
 /// strategy; duplicates are kept, matching the relational path), makes sure
 /// a cursor exists for each, and returns their count.
 fn live_terms(
-    view: &MetaView,
+    meta: &PagedMetadata,
     buffers: &BufferManager,
     vector_size: usize,
     term_ids: &[u32],
@@ -852,7 +810,7 @@ fn live_terms(
     scratch.len_window.invalidate();
     scratch.terms.clear();
     for &t in term_ids {
-        let range = term_range_of(view, &mut scratch.off_window, buffers, vector_size, t)?;
+        let range = term_range_of(meta, &mut scratch.off_window, buffers, vector_size, t)?;
         if !range.is_empty() {
             scratch.terms.push(t);
         }
@@ -866,7 +824,7 @@ fn live_terms(
 
 /// Re-aims the first `terms.len()` cursors at their term ranges.
 fn reset_cursors(
-    view: &MetaView,
+    meta: &PagedMetadata,
     buffers: &BufferManager,
     vector_size: usize,
     scratch: &mut QueryScratch,
@@ -879,7 +837,7 @@ fn reset_cursors(
         ..
     } = scratch;
     for (i, &t) in terms.iter().enumerate() {
-        let range = term_range_of(view, off_window, buffers, vector_size, t)?;
+        let range = term_range_of(meta, off_window, buffers, vector_size, t)?;
         cursors[i].reset(range, doc_col, buffers, vector_size)?;
     }
     Ok(())
@@ -889,7 +847,6 @@ fn reset_cursors(
 /// computed variant (folded into the plan as constants relationally).
 fn score_mode(
     index: &InvertedIndex,
-    view: &MetaView,
     buffers: &BufferManager,
     vector_size: usize,
     scratch: &mut QueryScratch,
@@ -911,7 +868,7 @@ fn score_mode(
     } = scratch;
     coefs.clear();
     for &t in terms.iter() {
-        let df = doc_freq_of(view, freq_window, buffers, vector_size, t)?;
+        let df = doc_freq_of(index.meta(), freq_window, buffers, vector_size, t)?;
         coefs.push(idf(stats.num_docs, df) * (params.k1 + 1.0));
     }
     Ok(ScoreMode::Computed {
@@ -976,7 +933,7 @@ fn run_boolean(
 /// posting-at-a-time merge.
 #[allow(clippy::too_many_arguments)]
 fn run_ranked(
-    view: &MetaView,
+    meta: &PagedMetadata,
     buffers: &BufferManager,
     vector_size: usize,
     doc_col: &Column,
@@ -1017,7 +974,7 @@ fn run_ranked(
             flush_batch(
                 mode,
                 coefs,
-                view,
+                meta,
                 len_window,
                 buffers,
                 batch_docids,
@@ -1138,7 +1095,7 @@ fn gather(cells: &mut [u32], base: u32, docids: &[u32], out: &mut [u32], v: usiz
 fn flush_batch(
     mode: ScoreMode,
     coefs: &[f32],
-    view: &MetaView,
+    meta: &PagedMetadata,
     len_window: &mut Window,
     buffers: &BufferManager,
     batch_docids: &[u32],
@@ -1162,7 +1119,7 @@ fn flush_batch(
             norms.clear();
             for &d in batch_docids {
                 // Expression shape: c0 + c1 * cast_f32(gather(doclen)).
-                norms.push(c0 + c1 * doc_len_f32(view, len_window, buffers, v, d)?);
+                norms.push(c0 + c1 * doc_len_of(meta, len_window, buffers, v, d)? as f32);
             }
             for i in 0..k {
                 score_computed(

@@ -4,7 +4,9 @@
 //! by a relational table. This `[term, docid, tf]` (TD) table ... is ordered
 //! on (term, docid), which allows the term column to be replaced by a range
 //! index onto `[docid, tf]`". Alongside TD live the document table
-//! `D[docid, name, length]` and per-term statistics `T[term, ftd]`.
+//! `D[docid, name, length]` and per-term statistics `T[term, ftd]`, held
+//! as paged columns (the `paged` module) — the same representation whether
+//! the index was built in this process or reopened from a segment.
 //!
 //! Index variants reproduce the Table 2 ladder:
 //!
@@ -18,17 +20,16 @@
 //! * [`Materialize::Quantized8`] → adds an 8-bit Global-By-Value quantized
 //!   score column (run BM25TCMQ8).
 
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use x100_compress::Codec;
 use x100_corpus::SyntheticCollection;
-use x100_storage::{Column, ColumnBuilder, StringColumn, Table};
+use x100_storage::{Column, ColumnBuilder, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
 use crate::columns::{IndexColumns, BLOCK_MAX_SLOTS};
-use crate::paged::{PagedMetadata, PAGE_VALUES};
+use crate::paged::{build_term_pages, NamesDir, PagedMetadata, PAGE_VALUES};
 
 /// Which materialized score column to build (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,17 +101,16 @@ impl IndexConfig {
     }
 }
 
-/// The built index: TD/D/T tables plus the range index and lookup state.
+/// The index: TD/D/T tables plus the range index and lookup state.
 #[derive(Debug)]
 pub struct InvertedIndex {
     config: IndexConfig,
     /// TD table: `docid`, `tf`, and optionally `score` columns, ordered by
     /// (term, docid).
     td: Table,
-    /// The D and T tables plus the term range index — dense in-memory
-    /// arrays for a built index, paged columns for a reopened segment.
-    meta: Metadata,
-    num_terms: usize,
+    /// The D and T tables plus the term range index, as paged columns:
+    /// memory-backed for a built index, disk-backed for a reopened one.
+    meta: PagedMetadata,
     stats: CollectionStats,
     quantizer: Option<Quantizer>,
     /// Per-stride block-max metadata: a raw u32 column of
@@ -121,47 +121,14 @@ pub struct InvertedIndex {
     block_max: Option<Column>,
 }
 
-/// Where an index's metadata lives.
-#[derive(Debug)]
-enum Metadata {
-    /// Built in memory: dense docid/term-indexed arrays.
-    Mem(MemMetadata),
-    /// Reopened from a segment: disk-backed columns behind the buffer
-    /// pool, with only fence keys and page directories resident.
-    Paged(Box<PagedMetadata>),
-}
-
-#[derive(Debug)]
-struct MemMetadata {
-    /// Range index replacing the term column: `term_ranges[t]` is the row
-    /// range of term `t`'s posting list in TD.
-    term_ranges: Vec<Range<usize>>,
-    /// D table metadata, docid-indexed.
-    doc_names: StringColumn,
-    doc_lens: Arc<Vec<i32>>,
-    /// T table: per-term document frequencies (`ftd`).
-    doc_freqs: Vec<u32>,
-    /// Term string -> id.
-    term_dict: HashMap<String, u32>,
-}
-
-/// A borrowed view of the metadata the hot path reads per batch: term
-/// ranges, document frequencies and document lengths. The `Mem` arm indexes
-/// dense slices; the `Paged` arm reads through pinned block windows owned
-/// by the caller's [`crate::QueryScratch`].
-pub(crate) enum MetaView<'a> {
-    Mem {
-        term_ranges: &'a [Range<usize>],
-        doc_freqs: &'a [u32],
-        doc_lens: &'a [i32],
-    },
-    Paged {
-        offsets: &'a Column,
-        doc_freqs: &'a Column,
-        doc_lens: &'a Column,
-        num_postings: usize,
-        num_terms: usize,
-    },
+/// A `u32` column of dense per-term / per-doc metadata, paged at the same
+/// granularity as the record pages.
+fn metadata_column(name: &str, values: impl IntoIterator<Item = u32>) -> Column {
+    let mut b = ColumnBuilder::with_block_size(name, Codec::Raw, PAGE_VALUES);
+    for v in values {
+        b.push(v);
+    }
+    b.finish()
 }
 
 impl InvertedIndex {
@@ -190,7 +157,7 @@ impl InvertedIndex {
     pub(crate) fn from_columns(
         config: IndexConfig,
         vocab: &[String],
-        doc_names: StringColumn,
+        (names, names_dir): (Column, NamesDir),
         doc_lens: Vec<i32>,
         cols: IndexColumns,
     ) -> Self {
@@ -204,7 +171,6 @@ impl InvertedIndex {
         let num_terms = vocab.len();
         let num_docs = doc_lens.len();
 
-        let doc_lens: Arc<Vec<i32>> = Arc::new(doc_lens);
         let avg_doc_len = if num_docs == 0 {
             1.0
         } else {
@@ -289,30 +255,39 @@ impl InvertedIndex {
         }
 
         // The block-max entries become a raw metadata column paged at
-        // PAGE_VALUES, the same shape the segment writer persists and the
-        // paged reopen serves through the buffer pool.
-        let mut bm = ColumnBuilder::with_block_size("blockmax", Codec::Raw, PAGE_VALUES);
-        bm.extend(&block_max);
-        let block_max = Some(bm.finish());
+        // PAGE_VALUES, like the D and T columns below.
+        let block_max = Some(metadata_column("blockmax", block_max));
 
-        let term_ranges = (0..num_terms).map(|t| offsets[t]..offsets[t + 1]).collect();
-        let term_dict = vocab
-            .iter()
-            .enumerate()
-            .map(|(t, s)| (s.clone(), t as u32))
-            .collect();
+        // The vocabulary pages are sorted lexicographically, each record
+        // carrying its term id.
+        let mut order: Vec<u32> = (0..num_terms as u32).collect();
+        order.sort_unstable_by(|&a, &b| vocab[a as usize].cmp(&vocab[b as usize]));
+        let (terms, fences) =
+            build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))
+                .unwrap_or_else(|e| panic!("{e}"));
+        let num_postings = offsets[num_terms];
+        let meta = PagedMetadata {
+            terms,
+            fences,
+            names,
+            names_dir,
+            doc_lens: metadata_column("doc_lens", doc_lens.iter().map(|&l| l as u32)),
+            doc_freqs: metadata_column("doc_freqs", doc_freqs),
+            offsets: metadata_column(
+                "offsets",
+                offsets.iter().map(|&o| {
+                    u32::try_from(o).expect("posting count exceeds the u32 offset column")
+                }),
+            ),
+            num_terms,
+            num_postings,
+            lens_cache: OnceLock::new(),
+        };
 
         InvertedIndex {
             config,
             td,
-            meta: Metadata::Mem(MemMetadata {
-                term_ranges,
-                doc_names,
-                doc_lens,
-                doc_freqs,
-                term_dict,
-            }),
-            num_terms,
+            meta,
             stats,
             quantizer,
             block_max,
@@ -330,7 +305,6 @@ impl InvertedIndex {
         let crate::segment::SegmentParts {
             config,
             stats,
-            num_terms,
             paged,
             docid,
             tf,
@@ -347,8 +321,7 @@ impl InvertedIndex {
         InvertedIndex {
             config,
             td,
-            meta: Metadata::Paged(Box::new(paged)),
-            num_terms,
+            meta: paged,
             stats,
             quantizer,
             block_max,
@@ -367,47 +340,33 @@ impl InvertedIndex {
 
     /// TD row range of a term's posting list (empty for unseen terms).
     pub fn term_range(&self, term: u32) -> Range<usize> {
-        match &self.meta {
-            Metadata::Mem(m) => m.term_ranges.get(term as usize).cloned().unwrap_or(0..0),
-            Metadata::Paged(p) => p.term_range(term),
-        }
+        self.meta.term_range(term)
     }
 
-    /// Resolves a term string to its id: a hash lookup for a built index,
-    /// a fence-key + in-page binary search for a reopened segment.
+    /// Resolves a term string to its id: the resident fence keys select
+    /// one vocabulary page, a binary search over its records finds the
+    /// term.
     pub fn term_id(&self, term: &str) -> Option<u32> {
-        match &self.meta {
-            Metadata::Mem(m) => m.term_dict.get(term).copied(),
-            Metadata::Paged(p) => p.term_id(term),
-        }
+        self.meta.term_id(term)
     }
 
     /// `ftd`: number of documents containing the term.
     pub fn doc_freq(&self, term: u32) -> u32 {
-        match &self.meta {
-            Metadata::Mem(m) => m.doc_freqs.get(term as usize).copied().unwrap_or(0),
-            Metadata::Paged(p) => p.doc_freq(term),
-        }
+        self.meta.doc_freq(term)
     }
 
-    /// Document name by docid (owned: a reopened segment stages the name's
-    /// page rather than keeping every name resident).
+    /// Document name by docid (owned: the lookup stages the name's page
+    /// rather than keeping every name resident).
     pub fn doc_name(&self, docid: u32) -> Option<String> {
-        match &self.meta {
-            Metadata::Mem(m) => m.doc_names.get(docid as usize).map(str::to_owned),
-            Metadata::Paged(p) => p.doc_name(docid),
-        }
+        self.meta.doc_name(docid)
     }
 
-    /// Dense docid-indexed document lengths (the D table's `length`).
-    /// For a reopened segment this materializes the paged column once, on
-    /// first use — the relational (oracle) operators want a dense slice;
-    /// the fused serving path reads lengths through block windows instead.
+    /// Dense docid-indexed document lengths (the D table's `length`),
+    /// materialized from the paged column once, on first use — the
+    /// relational (oracle) operators want a dense slice; the fused serving
+    /// path reads lengths through block windows instead.
     pub fn doc_lens(&self) -> &Arc<Vec<i32>> {
-        match &self.meta {
-            Metadata::Mem(m) => &m.doc_lens,
-            Metadata::Paged(p) => p.materialized_lens(),
-        }
+        self.meta.materialized_lens()
     }
 
     /// Number of documents in the collection.
@@ -415,22 +374,9 @@ impl InvertedIndex {
         self.stats.num_docs as usize
     }
 
-    /// The per-batch metadata view the fused hot path reads through.
-    pub(crate) fn meta_view(&self) -> MetaView<'_> {
-        match &self.meta {
-            Metadata::Mem(m) => MetaView::Mem {
-                term_ranges: &m.term_ranges,
-                doc_freqs: &m.doc_freqs,
-                doc_lens: &m.doc_lens,
-            },
-            Metadata::Paged(p) => MetaView::Paged {
-                offsets: &p.offsets,
-                doc_freqs: &p.doc_freqs,
-                doc_lens: &p.doc_lens,
-                num_postings: p.num_postings,
-                num_terms: p.num_terms,
-            },
-        }
+    /// The paged metadata the fused hot path and the segment writer read.
+    pub(crate) fn meta(&self) -> &PagedMetadata {
+        &self.meta
     }
 
     /// Collection statistics for BM25.
@@ -463,22 +409,7 @@ impl InvertedIndex {
 
     /// Number of terms in the vocabulary.
     pub fn num_terms(&self) -> usize {
-        self.num_terms
-    }
-
-    /// The vocabulary in term-id order (inverts the term dictionary, or
-    /// re-reads the sorted term pages; used by the segment writer).
-    pub(crate) fn term_strings(&self) -> Vec<String> {
-        match &self.meta {
-            Metadata::Mem(m) => {
-                let mut vocab = vec![String::new(); m.term_dict.len()];
-                for (s, &t) in &m.term_dict {
-                    vocab[t as usize] = s.clone();
-                }
-                vocab
-            }
-            Metadata::Paged(p) => p.all_terms(),
-        }
+        self.meta.num_terms
     }
 
     /// Checks that the stored block-max metadata **dominates** the true

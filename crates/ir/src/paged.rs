@@ -1,17 +1,19 @@
-//! Paged segment metadata: the vocabulary and document table as 4 KiB
+//! Paged index metadata: the vocabulary and document table as 4 KiB
 //! record pages served through the buffer pool, with small resident
 //! directories.
 //!
-//! A version-2 segment stores its variable-length metadata — the term
-//! strings and the document names — as ordinary u32 [`Column`]s whose
-//! blocks are self-framed **record pages**: [`PAGE_VALUES`] words each, one
-//! column block per page, so the existing prefix-sum block directory,
+//! The index stores its variable-length metadata — the term strings and
+//! the document names — as ordinary u32 [`Column`]s whose blocks are
+//! self-framed **record pages**: [`PAGE_VALUES`] words each, one column
+//! block per page, so the existing prefix-sum block directory,
 //! `pread`-on-miss loading and buffer-pool eviction apply to strings
-//! exactly as they do to posting columns. Opening a segment materializes
-//! only the per-page directories defined here — [`TermFences`] (the
-//! lexicographically first term of every vocabulary page) and [`NamesDir`]
-//! (the first docid of every name page) — which is what makes a segment
-//! open O(block directory) instead of O(collection).
+//! exactly as they do to posting columns. The columns are memory-backed
+//! in a built index and disk-backed in a reopened one; the segment writes
+//! them as they are. Beside them an index keeps only the per-page
+//! directories defined here — [`TermFences`] (the lexicographically first
+//! term of every vocabulary page) and [`NamesDir`] (the first docid of
+//! every name page) — which is what makes a segment open O(block
+//! directory) instead of O(collection).
 //!
 //! # Page layout
 //!
@@ -27,8 +29,8 @@
 //! A vocabulary record is `[u32 term id][UTF-8 term]`, sorted
 //! lexicographically across pages; a document-name record is the UTF-8
 //! name, in docid order. A record that cannot fit a fresh page is a
-//! [`SegmentError::TooLarge`] at write time, so the reader never needs a
-//! record-spans-pages case.
+//! [`SegmentError::TooLarge`] when the page is built, so the reader never
+//! needs a record-spans-pages case.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -47,6 +49,7 @@ const _: () = assert!(PAGE_VALUES.is_multiple_of(ENTRY_POINT_STRIDE));
 /// Builds a records column page by page: records append into the current
 /// page, which seals as a full [`PAGE_VALUES`]-word column block the moment
 /// the next record would not fit.
+#[derive(Debug)]
 pub(crate) struct RecordPagesBuilder {
     builder: ColumnBuilder,
     /// Per-record end offsets of the open page's data area.
@@ -168,17 +171,18 @@ impl<'a> PageView<'a> {
     }
 }
 
-/// Decodes page `page` of a records column into `buf` — the cold path: an
-/// un-pooled read of the one block that holds the page.
+/// Decodes page `page` of a records column into `buf` — an un-pooled read
+/// of the one block that holds the page. Every index's `term_id()` and
+/// `doc_name()` come through here.
 pub(crate) fn read_page(col: &Column, page: usize, buf: &mut Vec<u32>) {
     col.read_range(page * PAGE_VALUES, PAGE_VALUES, buf)
         .expect("verified record page must read");
 }
 
-/// One value of a paged u32 column — the cold path: an un-pooled read of
-/// the enclosing block, decoding one entry-point window into a small fresh
-/// stage. Hot-path reads go through the pinned windows in `QueryScratch`
-/// instead.
+/// One value of a paged u32 column — an un-pooled read of the enclosing
+/// block, decoding one entry-point window into a small fresh stage. Every
+/// index's `term_range()` and `doc_freq()` come through here; the fused
+/// query path reads through the pinned windows in `QueryScratch` instead.
 pub(crate) fn col_value(col: &Column, idx: usize) -> u32 {
     let aligned = idx - idx % ENTRY_POINT_STRIDE;
     let take = ENTRY_POINT_STRIDE.min(col.len() - aligned);
@@ -395,29 +399,40 @@ pub(crate) fn build_term_pages<'a>(
     ))
 }
 
-/// Builds the paged document-name column: records are the UTF-8 names in
-/// docid order.
-pub(crate) fn build_name_pages<'a>(
-    names: impl Iterator<Item = std::borrow::Cow<'a, str>>,
-) -> Result<(Column, NamesDir), SegmentError> {
-    let mut pages = RecordPagesBuilder::new("doc_names", "document name exceeds a page");
-    for name in names {
-        pages.push(name.as_bytes())?;
+/// Builds the paged document-name column incrementally: records are the
+/// UTF-8 names, pushed in docid order.
+#[derive(Debug)]
+pub(crate) struct NamePagesBuilder(RecordPagesBuilder);
+
+impl NamePagesBuilder {
+    pub(crate) fn new() -> Self {
+        NamePagesBuilder(RecordPagesBuilder::new(
+            "doc_names",
+            "document name exceeds a page",
+        ))
     }
-    let (col, counts, total_bytes) = pages.finish();
-    let mut starts = Vec::with_capacity(counts.len() + 1);
-    starts.push(0u32);
-    for &c in &counts {
-        let prev = *starts.last().expect("starts begins nonempty");
-        starts.push(prev + c);
+
+    /// Appends the next docid's name.
+    pub(crate) fn push(&mut self, name: &str) -> Result<(), SegmentError> {
+        self.0.push(name.as_bytes()).map(|_| ())
     }
-    Ok((
-        col,
-        NamesDir {
-            total_bytes,
-            starts,
-        },
-    ))
+
+    pub(crate) fn finish(self) -> (Column, NamesDir) {
+        let (col, counts, total_bytes) = self.0.finish();
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        starts.push(0u32);
+        for &c in &counts {
+            let prev = *starts.last().expect("starts begins nonempty");
+            starts.push(prev + c);
+        }
+        (
+            col,
+            NamesDir {
+                total_bytes,
+                starts,
+            },
+        )
+    }
 }
 
 /// Binary-searches the paged vocabulary: the fence keys select the one
@@ -464,8 +479,9 @@ pub(crate) fn lookup_name(names: &Column, dir: &NamesDir, docid: u32) -> Option<
     Some(String::from_utf8(rec).expect("doc-name page holds the UTF-8 that was written"))
 }
 
-/// Everything a reopened index keeps of its metadata: five disk-backed
-/// columns plus the two small resident directories.
+/// Everything an index keeps of its metadata: five columns — memory-backed
+/// when built in this process, disk-backed when reopened from a segment —
+/// plus the two small resident directories.
 #[derive(Debug)]
 pub(crate) struct PagedMetadata {
     pub(crate) terms: Column,
@@ -531,26 +547,8 @@ impl PagedMetadata {
         })
     }
 
-    /// The vocabulary in term-id order, re-read from the sorted pages.
-    pub(crate) fn all_terms(&self) -> Vec<String> {
-        let mut vocab = vec![String::new(); self.num_terms];
-        let mut words = Vec::new();
-        let mut rec = Vec::new();
-        for page in 0..self.terms.block_count() {
-            read_page(&self.terms, page, &mut words);
-            let view = PageView::new(&words);
-            for j in 0..view.record_count() {
-                view.record_into(j, &mut rec);
-                let id = u32::from_le_bytes(rec[..TERM_ID_BYTES].try_into().unwrap()) as usize;
-                vocab[id] = String::from_utf8(rec[TERM_ID_BYTES..].to_vec())
-                    .expect("term page holds the UTF-8 that was written");
-            }
-        }
-        vocab
-    }
-
-    /// Bytes of metadata the open pinned in memory: the fence keys and the
-    /// two page directories. Everything else stays on disk.
+    /// Bytes of metadata held outside the columns: the fence keys and the
+    /// two page directories.
     pub(crate) fn resident_meta_bytes(&self) -> usize {
         self.fences.resident_bytes() + self.names_dir.resident_bytes()
     }
@@ -571,7 +569,14 @@ impl PagedMetadata {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::borrow::Cow;
+
+    fn name_pages(names: &[String]) -> (Column, NamesDir) {
+        let mut b = NamePagesBuilder::new();
+        for n in names {
+            b.push(n).unwrap();
+        }
+        b.finish()
+    }
 
     fn paged_vocab(terms: &[(&str, u32)]) -> (Column, TermFences) {
         build_term_pages(terms.iter().map(|&(s, id)| (s, id))).unwrap()
@@ -689,7 +694,7 @@ mod tests {
     #[test]
     fn name_pages_resolve_every_docid_and_reject_out_of_range() {
         let names: Vec<String> = (0..2500).map(|i| format!("doc-{i:08}")).collect();
-        let (col, dir) = build_name_pages(names.iter().map(|n| Cow::Borrowed(n.as_str()))).unwrap();
+        let (col, dir) = name_pages(&names);
         assert!(dir.starts.len() > 2, "fixture must span pages");
         for d in [0u32, 1, 137, 2499] {
             assert_eq!(
@@ -711,8 +716,7 @@ mod tests {
         assert_eq!(back.counts, fences.counts);
         assert_eq!(back.total_bytes, fences.total_bytes);
         let names: Vec<String> = (0..999).map(|i| format!("n{i}")).collect();
-        let (ncol, dir) =
-            build_name_pages(names.iter().map(|n| Cow::Borrowed(n.as_str()))).unwrap();
+        let (ncol, dir) = name_pages(&names);
         let back = NamesDir::decode(&dir.encode(), names.len(), ncol.block_count()).unwrap();
         assert_eq!(back.starts, dir.starts);
         assert_eq!(back.total_bytes, dir.total_bytes);

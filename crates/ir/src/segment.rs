@@ -21,8 +21,9 @@
 //!
 //! A reopened index is **bit-identical** to the one written: posting and
 //! score blocks come back byte-for-byte, the quantizer and the collection
-//! statistics are restored from their exact bits, and the paged term
-//! lookup answers exactly like the materialized binary search it replaced.
+//! statistics are restored from their exact bits, and the metadata
+//! columns and directories are written as the index holds them, so
+//! re-persisting a reopened index reproduces the file.
 //!
 //! Persistence is crash-safe: the segment streams into a sibling temp
 //! file, is fsynced by [`SegmentWriter::finish`], and only then atomically
@@ -30,20 +31,15 @@
 //! interrupted persist can never leave a plausible-looking partial segment
 //! at the target path.
 
-use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 use x100_compress::Codec;
-use x100_storage::{
-    Column, ColumnBuilder, SectionKind, SegmentError, SegmentReader, SegmentWriter,
-};
+use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter};
 
 use crate::bm25::{CollectionStats, Quantizer};
 use crate::columns::{posting_codecs, BLOCK_MAX_SLOTS};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
-use crate::paged::{
-    build_name_pages, build_term_pages, col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES,
-};
+use crate::paged::{col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
 
 /// Fixed size of the serialized [`SectionKind::Meta`] payload.
 const META_LEN: usize = 64;
@@ -69,7 +65,6 @@ pub struct SegmentOpenStats {
 pub(crate) struct SegmentParts {
     pub config: IndexConfig,
     pub stats: CollectionStats,
-    pub num_terms: usize,
     pub paged: PagedMetadata,
     pub docid: Column,
     pub tf: Column,
@@ -173,16 +168,6 @@ fn encode_meta(index: &InvertedIndex) -> Vec<u8> {
     meta
 }
 
-/// A `u32` column of dense per-term / per-doc metadata, paged at the same
-/// granularity as the record pages.
-fn metadata_column(name: &str, values: impl Iterator<Item = u32>) -> Column {
-    let mut b = ColumnBuilder::with_block_size(name, Codec::Raw, PAGE_VALUES);
-    for v in values {
-        b.push(v);
-    }
-    b.finish()
-}
-
 /// The sibling temp path a segment streams into before the atomic rename.
 fn temp_sibling(path: &Path) -> PathBuf {
     let file = path
@@ -205,51 +190,25 @@ fn write_segment_file(
     global_ids: Option<&[u32]>,
     path: &Path,
 ) -> Result<u64, SegmentError> {
-    let num_docs = index.num_docs();
-    let num_terms = index.num_terms();
-    let num_postings = index.num_postings();
-    if num_postings > u32::MAX as usize {
+    if index.num_postings() > u32::MAX as usize {
         return Err(SegmentError::TooLarge(
             "posting count exceeds the u32 offset column",
         ));
     }
-    // Page the variable-length metadata: the vocabulary sorted
-    // lexicographically with its term id embedded per record, the names in
-    // docid order.
-    let vocab = index.term_strings();
-    let mut order: Vec<u32> = (0..num_terms as u32).collect();
-    order.sort_unstable_by(|&a, &b| vocab[a as usize].cmp(&vocab[b as usize]));
-    let (terms_col, fences) =
-        build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))?;
-    let (names_col, names_dir) = build_name_pages((0..num_docs).map(|d| {
-        Cow::Owned(
-            index
-                .doc_name(d as u32)
-                .expect("every docid below num_docs has a name"),
-        )
-    }))?;
-    let lens_col = metadata_column("doc_lens", index.doc_lens().iter().map(|&l| l as u32));
-    let freqs_col = metadata_column(
-        "doc_freqs",
-        (0..num_terms).map(|t| index.doc_freq(t as u32)),
-    );
-    let offsets_col = metadata_column(
-        "offsets",
-        (0..num_terms)
-            .map(|t| index.term_range(t as u32).start as u32)
-            .chain(std::iter::once(num_postings as u32)),
-    );
+    // The metadata is written as the index holds it: five paged columns
+    // and two directories.
+    let meta = index.meta();
     let tmp = temp_sibling(path);
     let written = (|| {
         let mut w = SegmentWriter::create(&tmp)?;
         w.write_section(SectionKind::Meta, &encode_meta(index))?;
-        w.write_section(SectionKind::TermsFences, &fences.encode())?;
-        w.write_column_section(SectionKind::Terms, &terms_col)?;
-        w.write_section(SectionKind::NamesDir, &names_dir.encode())?;
-        w.write_column_section(SectionKind::DocNames, &names_col)?;
-        w.write_column_section(SectionKind::DocLens, &lens_col)?;
-        w.write_column_section(SectionKind::DocFreqs, &freqs_col)?;
-        w.write_column_section(SectionKind::Offsets, &offsets_col)?;
+        w.write_section(SectionKind::TermsFences, &meta.fences.encode())?;
+        w.write_column_section(SectionKind::Terms, &meta.terms)?;
+        w.write_section(SectionKind::NamesDir, &meta.names_dir.encode())?;
+        w.write_column_section(SectionKind::DocNames, &meta.names)?;
+        w.write_column_section(SectionKind::DocLens, &meta.doc_lens)?;
+        w.write_column_section(SectionKind::DocFreqs, &meta.doc_freqs)?;
+        w.write_column_section(SectionKind::Offsets, &meta.offsets)?;
         let column = |name: &str| {
             index
                 .td()
@@ -537,7 +496,6 @@ fn open_segment_file(
             num_docs: meta.num_docs as u32,
             avg_doc_len: meta.avg_doc_len,
         },
-        num_terms: meta.num_terms,
         paged,
         docid,
         tf,

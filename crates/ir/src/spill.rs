@@ -291,7 +291,9 @@ impl SpillingIndexBuilder {
     /// guarantees.
     ///
     /// # Panics
-    /// Panics if a term id is out of range for the builder's vocabulary.
+    /// Panics if a term id is out of range for the builder's vocabulary, or
+    /// if `name` cannot fit one 4 KiB record page ("document name exceeds a
+    /// page": 4088 bytes).
     pub fn push_doc(
         &mut self,
         name: &str,
@@ -374,7 +376,9 @@ impl SpillingIndexBuilder {
     /// builders that never reach `finish` alike.
     ///
     /// # Panics
-    /// Panics if `vocab` does not cover the builder's vocabulary size.
+    /// Panics if `vocab` does not cover the builder's vocabulary size, or
+    /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
+    /// a vocabulary page": 4084 bytes).
     pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SpillError> {
         assert_eq!(
             vocab.len(),
@@ -429,11 +433,7 @@ impl SpillingIndexBuilder {
         let mut stats = self.stats();
         stats.finish_peak_bytes = finish_peak;
         let cols = writer.finish();
-        let (config, doc_names, doc_lens) = self.inner.into_parts();
-        Ok((
-            InvertedIndex::from_columns(config, vocab, doc_names, doc_lens, cols),
-            stats,
-        ))
+        Ok((self.inner.into_index(vocab, cols), stats))
     }
 
     fn stats(&self) -> SpillStats {
@@ -623,6 +623,14 @@ mod tests {
             batch.td().column("tf").unwrap().read_all()
         );
         assert_eq!(idx.doc_lens(), batch.doc_lens());
+    }
+
+    #[test]
+    #[should_panic(expected = "document name exceeds a page")]
+    fn name_larger_than_a_page_panics() {
+        let mut b =
+            SpillingIndexBuilder::new(1, &IndexConfig::compressed(), SpillConfig::unbounded());
+        let _ = b.push_doc(&"n".repeat(4089), &[(0, 1)], 1);
     }
 
     #[test]

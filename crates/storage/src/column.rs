@@ -2,8 +2,8 @@
 //!
 //! A [`Column`] is the on-"disk" representation of one attribute. Values are
 //! `u32` (docids, term frequencies, quantized scores — every hot IR column
-//! is a small integer); variable-length attributes (terms, document names)
-//! live in [`StringColumn`]s, which stay off the hot path.
+//! is a small integer); the IR layer frames variable-length attributes
+//! (terms, document names) as record pages inside such columns.
 //!
 //! Each column is chopped into blocks of the builder's block size
 //! values. With the default 1 Mi values per block, an uncompressed block is
@@ -377,201 +377,6 @@ impl Column {
     }
 }
 
-/// Strings per [`StringColumn`] page before the builder seals it.
-pub const STRING_PAGE_VALUES: usize = 4096;
-
-/// Byte budget per [`StringColumn`] page: a page is sealed early when its
-/// data area reaches this size, keeping pages bounded even for long strings.
-pub const STRING_PAGE_BYTES: usize = 1 << 20;
-
-/// One sealed page of a [`StringColumn`]: a contiguous UTF-8 arena plus
-/// byte offsets, instead of one heap allocation per string.
-#[derive(Debug, Clone, Default)]
-struct StringPage {
-    /// Concatenated string data.
-    data: String,
-    /// `offsets[i]..offsets[i + 1]` is the byte range of string `i`;
-    /// always one longer than the number of strings in the page.
-    offsets: Vec<u32>,
-}
-
-impl StringPage {
-    fn new() -> Self {
-        StringPage {
-            data: String::new(),
-            offsets: vec![0],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&mut self, value: &str) {
-        self.data.push_str(value);
-        // The builder seals a page before it can grow anywhere near this
-        // limit, so only a single value of ≥ 4 GiB can trip it — fail loud
-        // rather than silently wrapping every later offset in the page.
-        let end = u32::try_from(self.data.len())
-            .expect("string page offset exceeds u32 range (single value ≥ 4 GiB)");
-        self.offsets.push(end);
-    }
-
-    fn get(&self, slot: usize) -> &str {
-        &self.data[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
-    }
-}
-
-/// An uncompressed variable-length string column (document names, terms),
-/// stored in **pages**: contiguous string arenas of at most
-/// [`STRING_PAGE_VALUES`] values / [`STRING_PAGE_BYTES`] bytes each.
-///
-/// Strings never appear on the scoring hot path — the paper fetches document
-/// names only for the final top-N — but at millions of documents one heap
-/// allocation per name dominates the D table's footprint, so the column is
-/// paged the same way the numeric columns are blocked:
-/// [`StringColumnBuilder`] seals a page at a time, and streaming index
-/// builders feed it one name at a time without ever materializing a
-/// `Vec<String>`.
-#[derive(Debug, Clone, Default)]
-pub struct StringColumn {
-    name: String,
-    len: usize,
-    pages: Vec<StringPage>,
-    /// First global index of each page (parallel to `pages`).
-    page_starts: Vec<usize>,
-}
-
-impl StringColumn {
-    /// Creates a string column from materialized values (test/convenience
-    /// path; streaming construction goes through [`StringColumnBuilder`]).
-    pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
-        let mut b = StringColumnBuilder::new(name);
-        for v in &values {
-            b.push(v);
-        }
-        b.finish()
-    }
-
-    /// The column's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of sealed pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// The string at `idx`, or `None` past the end.
-    pub fn get(&self, idx: usize) -> Option<&str> {
-        if idx >= self.len {
-            return None;
-        }
-        // Pages are usually uniformly sized, but long strings can seal a
-        // page early, so locate by binary search over the start indexes.
-        let page = self.page_starts.partition_point(|&s| s <= idx) - 1;
-        Some(self.pages[page].get(idx - self.page_starts[page]))
-    }
-
-    /// Iterates all values in order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.pages
-            .iter()
-            .flat_map(|p| (0..p.len()).map(move |i| p.get(i)))
-    }
-}
-
-/// Incremental builder for [`StringColumn`]s: push strings one at a time,
-/// pages seal themselves as they fill.
-#[derive(Debug, Default)]
-pub struct StringColumnBuilder {
-    name: String,
-    len: usize,
-    pages: Vec<StringPage>,
-    page_starts: Vec<usize>,
-    current: StringPage,
-}
-
-impl StringColumnBuilder {
-    /// Starts an empty column.
-    pub fn new(name: impl Into<String>) -> Self {
-        StringColumnBuilder {
-            name: name.into(),
-            len: 0,
-            pages: Vec::new(),
-            page_starts: Vec::new(),
-            current: StringPage::new(),
-        }
-    }
-
-    /// Values appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no values have been appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one string.
-    ///
-    /// # Panics
-    /// Panics if a *single* value is 4 GiB or larger (a page's byte offsets
-    /// are `u32`; pages seal long before that otherwise).
-    pub fn push(&mut self, value: &str) {
-        // Seal early if this value would carry the current page's data area
-        // past the u32 offset range — then only a lone ≥ 4 GiB value can
-        // overflow a (fresh) page, and that panics loudly in `StringPage::
-        // push` instead of silently wrapping offsets.
-        if !self.current.is_empty()
-            && self.current.data.len().saturating_add(value.len()) > u32::MAX as usize
-        {
-            self.seal();
-        }
-        self.current.push(value);
-        self.len += 1;
-        if self.current.len() >= STRING_PAGE_VALUES || self.current.data.len() >= STRING_PAGE_BYTES
-        {
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        let page = std::mem::replace(&mut self.current, StringPage::new());
-        self.page_starts.push(self.len - page.len());
-        self.pages.push(page);
-    }
-
-    /// Finishes the column, sealing any partial page.
-    pub fn finish(mut self) -> StringColumn {
-        if !self.current.is_empty() {
-            self.seal();
-        }
-        StringColumn {
-            name: self.name,
-            len: self.len,
-            pages: self.pages,
-            page_starts: self.page_starts,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,61 +548,5 @@ mod tests {
         assert_eq!(raw.bits_per_value(), 32.0);
         assert!(pfd.bits_per_value() < 10.0, "{}", pfd.bits_per_value());
         assert!(pfd.compressed_bytes() < raw.compressed_bytes() / 3);
-    }
-
-    #[test]
-    fn string_column_basics() {
-        let sc = StringColumn::new("names", vec!["a".into(), "b".into()]);
-        assert_eq!(sc.len(), 2);
-        assert_eq!(sc.get(1), Some("b"));
-        assert_eq!(sc.get(2), None);
-        assert_eq!(sc.name(), "names");
-        assert_eq!(sc.iter().collect::<Vec<_>>(), vec!["a", "b"]);
-        let empty = StringColumn::new("e", Vec::new());
-        assert!(empty.is_empty());
-        assert_eq!(empty.get(0), None);
-        assert_eq!(empty.page_count(), 0);
-    }
-
-    #[test]
-    fn string_column_pages_by_value_count() {
-        let n = STRING_PAGE_VALUES * 2 + 7; // two full pages + a partial
-        let values: Vec<String> = (0..n).map(|i| format!("doc-{i:08}")).collect();
-        let mut b = StringColumnBuilder::new("names");
-        for v in &values {
-            b.push(v);
-        }
-        assert_eq!(b.len(), n);
-        let sc = b.finish();
-        assert_eq!(sc.len(), n);
-        assert_eq!(sc.page_count(), 3);
-        // Every value, including the ones straddling page boundaries.
-        for i in [
-            0,
-            STRING_PAGE_VALUES - 1,
-            STRING_PAGE_VALUES,
-            2 * STRING_PAGE_VALUES,
-            n - 1,
-        ] {
-            assert_eq!(sc.get(i), Some(values[i].as_str()), "index {i}");
-        }
-        assert_eq!(sc.get(n), None);
-        assert!(sc.iter().eq(values.iter().map(String::as_str)));
-    }
-
-    #[test]
-    fn string_column_seals_oversized_pages_early() {
-        // A handful of megabyte-scale strings must not pile into one page.
-        let big = "x".repeat(STRING_PAGE_BYTES / 2 + 1);
-        let mut b = StringColumnBuilder::new("blobs");
-        for _ in 0..4 {
-            b.push(&big);
-        }
-        let sc = b.finish();
-        assert_eq!(sc.len(), 4);
-        assert!(sc.page_count() >= 2, "{} pages", sc.page_count());
-        for i in 0..4 {
-            assert_eq!(sc.get(i).map(str::len), Some(big.len()));
-        }
     }
 }

@@ -39,7 +39,7 @@ pub mod segment;
 pub mod table;
 
 pub use buffer::{BufferManager, BufferMode, NUM_STRIPES};
-pub use column::{Column, ColumnBuilder, ColumnId, StringColumn, StringColumnBuilder};
+pub use column::{Column, ColumnBuilder, ColumnId};
 pub use disk::{DiskModel, IoStats};
 pub use runfile::{MemRun, RunFileError, RunFileReader, RunFileWriter, RunMeta, RunSource};
 pub use scan::ColumnScan;

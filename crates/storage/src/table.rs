@@ -3,12 +3,13 @@
 //! The IR layer of the paper represents its index as plain relational
 //! tables — `TD[term, docid, tf]`, `D[docid, name, length]`, `T[term, ftd]`
 //! (§3.1) — so the storage layer needs only the thinnest relational veneer:
-//! a table is a name plus equal-length columns, some compressed numeric
-//! ([`Column`]), some string-typed ([`StringColumn`]).
+//! a table is a name plus equal-length compressed [`Column`]s. The string
+//! attributes (`name`, `term`) are record pages framed inside such columns
+//! by the IR layer.
 
 use std::collections::HashMap;
 
-use crate::column::{Column, StringColumn};
+use crate::column::Column;
 use crate::StorageError;
 
 /// A named collection of equal-length columns.
@@ -18,8 +19,6 @@ pub struct Table {
     row_count: usize,
     columns: Vec<Column>,
     by_name: HashMap<String, usize>,
-    string_columns: Vec<StringColumn>,
-    string_by_name: HashMap<String, usize>,
 }
 
 impl Table {
@@ -41,7 +40,7 @@ impl Table {
         self.row_count
     }
 
-    /// Adds a numeric column.
+    /// Adds a column.
     ///
     /// # Panics
     /// Panics if the column's length differs from existing columns.
@@ -53,20 +52,8 @@ impl Table {
         self
     }
 
-    /// Adds a string column.
-    ///
-    /// # Panics
-    /// Panics if the column's length differs from existing columns.
-    pub fn add_string_column(&mut self, column: StringColumn) -> &mut Self {
-        self.check_len(column.len());
-        self.string_by_name
-            .insert(column.name().to_owned(), self.string_columns.len());
-        self.string_columns.push(column);
-        self
-    }
-
     fn check_len(&mut self, len: usize) {
-        if self.columns.is_empty() && self.string_columns.is_empty() {
+        if self.columns.is_empty() {
             self.row_count = len;
         } else {
             assert_eq!(
@@ -76,7 +63,7 @@ impl Table {
         }
     }
 
-    /// Looks up a numeric column by name.
+    /// Looks up a column by name.
     pub fn column(&self, name: &str) -> Result<&Column, StorageError> {
         self.by_name
             .get(name)
@@ -84,25 +71,12 @@ impl Table {
             .ok_or_else(|| StorageError::UnknownColumn(name.to_owned()))
     }
 
-    /// Looks up a string column by name.
-    pub fn string_column(&self, name: &str) -> Result<&StringColumn, StorageError> {
-        self.string_by_name
-            .get(name)
-            .map(|&i| &self.string_columns[i])
-            .ok_or_else(|| StorageError::UnknownColumn(name.to_owned()))
-    }
-
-    /// All numeric columns.
+    /// All columns.
     pub fn columns(&self) -> &[Column] {
         &self.columns
     }
 
-    /// All string columns.
-    pub fn string_columns(&self) -> &[StringColumn] {
-        &self.string_columns
-    }
-
-    /// Total compressed bytes across numeric columns.
+    /// Total compressed bytes across all columns.
     pub fn compressed_bytes(&self) -> usize {
         self.columns.iter().map(Column::compressed_bytes).sum()
     }
@@ -124,17 +98,6 @@ mod tests {
             t.column("nope"),
             Err(StorageError::UnknownColumn(_))
         ));
-    }
-
-    #[test]
-    fn string_columns_share_row_count() {
-        let mut t = Table::new("D");
-        t.add_column(Column::from_values("docid", Codec::Raw, &[0, 1]));
-        t.add_string_column(StringColumn::new(
-            "name",
-            vec!["doc-a".into(), "doc-b".into()],
-        ));
-        assert_eq!(t.string_column("name").unwrap().get(0), Some("doc-a"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use monetdb_x100::ir::{
     build_index_streaming, build_index_streaming_spill, IndexConfig, InvertedIndex, Materialize,
     QueryEngine, SearchStrategy, SpillConfig, SpillingIndexBuilder, StreamingIndexBuilder,
 };
-use monetdb_x100::storage::ColumnBuilder;
+use monetdb_x100::storage::{ColumnBuilder, SectionKind, SegmentReader};
 
 /// Full structural equality: posting columns, range index, document
 /// metadata and collection statistics.
@@ -40,6 +40,40 @@ fn assert_indexes_equal(a: &InvertedIndex, b: &InvertedIndex, vocab_len: usize) 
     assert_eq!(a.stats().num_docs, b.stats().num_docs);
     assert_eq!(a.stats().avg_doc_len, b.stats().avg_doc_len);
     assert_eq!(a.doc_name(0), b.doc_name(0));
+}
+
+/// Every metadata lookup of `idx` against the collection it was built from.
+/// Indexes answer through one lookup implementation however they were
+/// built or stored, so comparing two of them proves nothing about it: the
+/// source collection is the arbiter.
+fn assert_metadata_matches_source(c: &SyntheticCollection, idx: &InvertedIndex) {
+    assert_eq!(idx.num_terms(), c.vocab.len());
+    assert_eq!(idx.term_id(""), None);
+    for (t, s) in c.vocab.iter().enumerate() {
+        assert_eq!(idx.term_id(s), Some(t as u32), "{s}");
+        // Sorts right after `s`, so every page boundary gets a probe.
+        assert_eq!(idx.term_id(&format!("{s}\u{1}")), None, "{s}+1");
+    }
+    assert_eq!(idx.num_docs(), c.docs.len());
+    for (d, doc) in c.docs.iter().enumerate() {
+        assert_eq!(idx.doc_name(d as u32).as_deref(), Some(doc.name.as_str()));
+        assert_eq!(idx.doc_lens()[d], doc.len as i32, "doc {d}");
+    }
+    assert_eq!(idx.doc_name(c.docs.len() as u32), None);
+    assert_eq!(idx.doc_name(u32::MAX), None);
+    let mut freqs = vec![0u32; c.vocab.len()];
+    for &(t, _) in c.docs.iter().flat_map(|doc| &doc.terms) {
+        freqs[t as usize] += 1;
+    }
+    let mut next = 0;
+    for (t, &df) in freqs.iter().enumerate() {
+        let range = idx.term_range(t as u32);
+        assert_eq!(idx.doc_freq(t as u32), df, "term {t}");
+        assert_eq!(range.len(), df as usize, "term {t}");
+        assert_eq!(range.start, next, "term {t}");
+        next = range.end;
+    }
+    assert_eq!(next, idx.num_postings());
 }
 
 /// Identical BM25 rankings (docids *and* scores) on the judged queries.
@@ -94,6 +128,28 @@ fn three_builders_agree_at_tiny_across_budgets_and_configs() {
             }
         }
     }
+}
+
+#[test]
+fn metadata_matches_the_source_collection_built_spilled_and_reopened() {
+    let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+    let (batch, streamed, spilled, runs) =
+        build_all_three(&c, &IndexConfig::compressed(), 8 * 1024);
+    assert!(runs > 1, "the spilled index must come from the merge path");
+    let path = std::env::temp_dir().join(format!("x100-meta-source-{}", std::process::id()));
+    batch.write_segment(&path).unwrap();
+    // The writer streams the index's own pages, so the file's page counts
+    // are the built index's: lookups must cross a page boundary in both.
+    let reader = SegmentReader::open(&path).unwrap();
+    for kind in [SectionKind::Terms, SectionKind::DocNames] {
+        let pages = reader.open_column(kind, "pages").unwrap().block_count();
+        assert!(pages >= 2, "{kind:?} fits one page");
+    }
+    let reopened = InvertedIndex::open_segment(&path).unwrap();
+    for idx in [&batch, &streamed, &spilled, &reopened] {
+        assert_metadata_matches_source(&c, idx);
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// The streaming columnar finish (k-way merge → `IndexColumnsWriter` →
