@@ -14,8 +14,8 @@
 //! `--mem-budget SIZE` (e.g. `64M`) the posting accumulators are split
 //! half to the full index and half across the partition builders; each
 //! flushes sorted run files when its share fills and k-way merges them at
-//! finish **straight into compressed column blocks**
-//! ([`x100_ir::IndexColumnsWriter`]), so even `--scale large` builds in
+//! finish **straight into compressed column blocks** (`x100-ir`'s
+//! columnar writer), so even `--scale large` builds in
 //! bounded memory end to end: the merged columns are never materialized
 //! uncompressed. The budget is **asserted in-process** over both phases:
 //! peak accumulator bytes (full + all partitions) and the finish-phase

@@ -114,13 +114,6 @@ impl StreamingIndexBuilder {
         }
     }
 
-    /// The document-length column accumulated so far (docid-indexed) — the
-    /// spill path's merge borrows it to feed the columnar writer's
-    /// block-max accumulator.
-    pub(crate) fn doc_lens(&self) -> &[i32] {
-        &self.doc_lens
-    }
-
     /// Drains the per-term accumulator (document metadata stays), returning
     /// the packed posting lists indexed by term id — the spill path's flush
     /// hook. Lists beyond the highest term seen since the last drain are
@@ -165,7 +158,7 @@ impl StreamingIndexBuilder {
         for (term, list) in lists.into_iter().enumerate() {
             if !list.is_empty() {
                 let term = u32::try_from(term).expect("term ids seen via push_doc fit u32");
-                writer.push_term(term, &list, &self.doc_lens);
+                writer.push_term(term, &list);
             }
             // `list` drops here: accumulator memory is released
             // incrementally as the columns compress, not all at the end.

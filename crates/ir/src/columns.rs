@@ -18,22 +18,10 @@
 //! same blocks as one fed a whole column (pinned by the differential suite
 //! in `tests/spill_vs_memory.rs`).
 
-use x100_compress::{Codec, ENTRY_POINT_STRIDE};
+use x100_compress::Codec;
 use x100_storage::{Column, ColumnBuilder};
 
 use crate::index::IndexConfig;
-
-/// Flat `u32` slots per block-max stride entry: `[max tf, min doc length,
-/// max materialized score payload, max docid]`. The score slot is filled
-/// by the materialization pass in [`crate::InvertedIndex::from_columns`]
-/// (f32 score bits or the max Q8 code) and stays 0 for unmaterialized
-/// indexes. The max-docid slot lets a reader locate a seek
-/// destination stride without decoding any posting block: docids ascend
-/// within a term, so for a stride fully inside one term's range the
-/// stride max *is* the term's last docid there (and for straddling
-/// strides it can only overstate, which costs one extra probe decode,
-/// never a missed posting).
-pub(crate) const BLOCK_MAX_SLOTS: usize = 4;
 
 /// The posting-column codecs an [`IndexConfig`] selects: `docid` as
 /// PFOR-DELTA and `tf` as PFOR (both 8-bit) when compressing, raw otherwise.
@@ -49,7 +37,7 @@ pub(crate) fn posting_codecs(config: &IndexConfig) -> (Codec, Codec) {
 /// while streaming: everything [`crate::InvertedIndex`] needs beyond the
 /// D-table metadata.
 #[derive(Debug)]
-pub struct IndexColumns {
+pub(crate) struct IndexColumns {
     /// Compressed `docid` column, (term, docid)-ordered.
     pub docid: Column,
     /// Compressed `tf` column, aligned with `docid`.
@@ -58,14 +46,6 @@ pub struct IndexColumns {
     pub doc_freqs: Vec<u32>,
     /// `offsets[t]..offsets[t + 1]` is term `t`'s row range.
     pub offsets: Vec<usize>,
-    /// Per-stride block-max metadata (read by no query path today):
-    /// `BLOCK_MAX_SLOTS` `u32`s per 128-value posting stride — the max
-    /// tf, min doc length and max docid over *all* postings in the stride
-    /// (a superset of any one term's, so the derived impact bound is
-    /// always sound). `ceil(num_postings / 128) * BLOCK_MAX_SLOTS`
-    /// entries; the score slot is filled later by the materialization
-    /// pass.
-    pub block_max: Vec<u32>,
 }
 
 /// Builds the TD posting columns incrementally, one term at a time.
@@ -75,18 +55,11 @@ pub struct IndexColumns {
 /// configured block size, so the writer never holds more than two pending
 /// blocks of uncompressed values regardless of collection size.
 #[derive(Debug)]
-pub struct IndexColumnsWriter {
+pub(crate) struct IndexColumnsWriter {
     docid: ColumnBuilder,
     tf: ColumnBuilder,
     doc_freqs: Vec<u32>,
     offsets: Vec<usize>,
-    /// Streaming per-stride accumulator: `[max tf, min doc length, 0,
-    /// max docid]` entries, one per 128-value stride, extended lazily as
-    /// rows arrive — O(num_postings / 128) on top of the pending blocks,
-    /// never a re-materialized posting column.
-    block_max: Vec<u32>,
-    /// Global posting rows pushed so far (drives stride bucketing).
-    rows_pushed: usize,
     /// Next term slot whose offset gap is still open.
     next_term: usize,
     num_terms: usize,
@@ -104,8 +77,6 @@ impl IndexColumnsWriter {
             tf: ColumnBuilder::with_block_size("tf", tf_codec, config.block_size),
             doc_freqs: vec![0; num_terms],
             offsets: vec![0; num_terms + 1],
-            block_max: Vec::new(),
-            rows_pushed: 0,
             next_term: 0,
             num_terms,
             block_size: config.block_size,
@@ -115,17 +86,14 @@ impl IndexColumnsWriter {
 
     /// Appends one term's merged postings (packed `docid << 32 | tf`,
     /// ascending by docid). Terms must arrive in strictly ascending order;
-    /// skipped term ids become empty posting lists. `doc_lens` maps docids
-    /// to document lengths and feeds the per-stride block-max accumulator
-    /// (min doc length maximizes the BM25 impact bound).
+    /// skipped term ids become empty posting lists.
     ///
     /// # Panics
-    /// Panics if `term` is out of range for the vocabulary, does not
-    /// strictly exceed the previously pushed term, or references a docid
-    /// beyond `doc_lens` — callers (the k-way merge, the in-memory term
-    /// drain) validate their streams first, so a violation here is a bug,
-    /// not bad input.
-    pub fn push_term(&mut self, term: u32, postings: &[u64], doc_lens: &[i32]) {
+    /// Panics if `term` is out of range for the vocabulary or does not
+    /// strictly exceed the previously pushed term — callers (the k-way
+    /// merge, the in-memory term drain) validate their streams first, so a
+    /// violation here is a bug, not bad input.
+    pub fn push_term(&mut self, term: u32, postings: &[u64]) {
         let slot = term as usize;
         assert!(
             slot < self.num_terms,
@@ -157,21 +125,6 @@ impl IndexColumnsWriter {
             let tf = packed as u32;
             self.docid.push(docid);
             self.tf.push(tf);
-            // Block-max accumulation rides the same pass: open a fresh
-            // stride entry on the 128-row boundary, then fold this posting
-            // into it. Strides span term boundaries on purpose — the max
-            // over the whole stride dominates the max over any one term's
-            // rows in it, so the bound stays sound with no per-term
-            // directory to keep resident.
-            let entry = (self.rows_pushed / ENTRY_POINT_STRIDE) * BLOCK_MAX_SLOTS;
-            if entry == self.block_max.len() {
-                self.block_max.extend_from_slice(&[0, u32::MAX, 0, 0]);
-            }
-            let len = doc_lens[docid as usize] as u32;
-            self.block_max[entry] = self.block_max[entry].max(tf);
-            self.block_max[entry + 1] = self.block_max[entry + 1].min(len);
-            self.block_max[entry + 3] = self.block_max[entry + 3].max(docid);
-            self.rows_pushed += 1;
         }
     }
 
@@ -195,7 +148,6 @@ impl IndexColumnsWriter {
             tf: self.tf.finish(),
             doc_freqs: self.doc_freqs,
             offsets: self.offsets,
-            block_max: self.block_max,
         }
     }
 }
@@ -211,18 +163,14 @@ mod tests {
     #[test]
     fn writer_matches_whole_column_compression() {
         let config = IndexConfig::compressed();
-        let lens = vec![9i32, 5, 11, 3, 8, 6, 4, 7];
         let mut w = IndexColumnsWriter::new(&config, 5);
-        w.push_term(0, &[pack(1, 2), pack(7, 1)], &lens);
-        w.push_term(3, &[pack(2, 4)], &lens); // terms 1, 2 absent
+        w.push_term(0, &[pack(1, 2), pack(7, 1)]);
+        w.push_term(3, &[pack(2, 4)]); // terms 1, 2 absent
         let cols = w.finish();
         assert_eq!(cols.docid.read_all(), vec![1, 7, 2]);
         assert_eq!(cols.tf.read_all(), vec![2, 1, 4]);
         assert_eq!(cols.doc_freqs, vec![2, 0, 0, 1, 0]);
         assert_eq!(cols.offsets, vec![0, 2, 2, 2, 3, 3]);
-        // One stride covers all three rows: max tf 4, min len over docids
-        // {1, 7, 2} = 5, score slot untouched, max docid 7.
-        assert_eq!(cols.block_max, vec![4, 5, 0, 7]);
         // Same blocks as compressing the materialized columns in one go.
         let (dc, tc) = posting_codecs(&config);
         let whole = Column::from_values("docid", dc, &[1, 7, 2]);
@@ -239,7 +187,6 @@ mod tests {
         assert!(cols.docid.is_empty());
         assert_eq!(cols.offsets, vec![0; 4]);
         assert_eq!(cols.doc_freqs, vec![0; 3]);
-        assert!(cols.block_max.is_empty());
     }
 
     #[test]
@@ -251,37 +198,28 @@ mod tests {
         // the full-block moment (128 values × 2 columns × 4 bytes), even
         // though only 72 values per column are pending once it returns.
         let postings: Vec<u64> = (0..200u32).map(|d| pack(d, 1)).collect();
-        let lens = vec![7i32; 200];
-        w.push_term(0, &postings, &lens);
+        w.push_term(0, &postings);
         assert_eq!(w.peak_buffered_bytes(), 128 * 4 * 2);
         // A later small term cannot lower the high-water mark.
-        w.push_term(1, &[pack(0, 1)], &lens);
+        w.push_term(1, &[pack(0, 1)]);
         assert_eq!(w.peak_buffered_bytes(), 128 * 4 * 2);
         let cols = w.finish();
         assert_eq!(cols.docid.block_count(), 2);
         assert_eq!(cols.docid.read_all().len(), 201);
-        // 201 rows → two strides of block-max entries.
-        assert_eq!(cols.block_max.len(), 2 * BLOCK_MAX_SLOTS);
-        assert_eq!(cols.block_max[0], 1);
-        assert_eq!(cols.block_max[1], 7);
-        // First stride's rows are term 0's docids 0..=127; the second
-        // stride mixes term 0's 128..=199 with term 1's docid 0.
-        assert_eq!(cols.block_max[3], 127);
-        assert_eq!(cols.block_max[BLOCK_MAX_SLOTS + 3], 199);
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn non_ascending_terms_rejected() {
         let mut w = IndexColumnsWriter::new(&IndexConfig::compressed(), 5);
-        w.push_term(2, &[pack(0, 1)], &[3, 3]);
-        w.push_term(2, &[pack(1, 1)], &[3, 3]);
+        w.push_term(2, &[pack(0, 1)]);
+        w.push_term(2, &[pack(1, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_vocab_term_rejected() {
         let mut w = IndexColumnsWriter::new(&IndexConfig::compressed(), 2);
-        w.push_term(2, &[pack(0, 1)], &[3]);
+        w.push_term(2, &[pack(0, 1)]);
     }
 }

@@ -209,20 +209,18 @@ impl TermCursor {
         self.pay.value_at(pay_col, buffers, vector_size, self.pos)
     }
 
-    /// Positions the cursor at the first posting whose docid exceeds
-    /// `target` (or is `>= target` when `exclusive` is false), galloping
-    /// then binary-searching over the docid column with single-stride
-    /// probes — O(log gap) stride decodes, never a sequential walk. A
-    /// cursor already past the target does not move.
+    /// Positions the cursor at the first posting whose docid is `>=
+    /// target`, galloping then binary-searching over the docid column with
+    /// single-stride probes — O(log gap) stride decodes, never a sequential
+    /// walk. A cursor already at or past the target does not move.
     fn seek(
         &mut self,
         target: u32,
-        exclusive: bool,
         doc_col: &Column,
         buffers: &BufferManager,
         vector_size: usize,
     ) -> Result<(), ExecError> {
-        let past = |d: u32| if exclusive { d > target } else { d >= target };
+        let past = |d: u32| d >= target;
         let Some(d) = self.cur else { return Ok(()) };
         if past(d) {
             return Ok(());
@@ -676,7 +674,7 @@ pub(crate) fn conjunctive_skipping_into(
     let mut seq = 0u64;
     // Leapfrog with galloping seeks: the laggard jumps to the current
     // target in O(log gap) stride probes instead of walking postings.
-    while let Some(target) = next_common(cursors, |c, t| c.seek(t, false, doc_col, buffers, v))? {
+    while let Some(target) = next_common(cursors, |c, t| c.seek(t, doc_col, buffers, v))? {
         let doc_len = doc_len_of(meta, len_window, buffers, v, target)?;
         let mut score = 0.0f32;
         for (i, c) in cursors.iter_mut().enumerate() {

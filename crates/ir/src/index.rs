@@ -28,7 +28,7 @@ use x100_corpus::SyntheticCollection;
 use x100_storage::{Column, ColumnBuilder, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
-use crate::columns::{IndexColumns, BLOCK_MAX_SLOTS};
+use crate::columns::IndexColumns;
 use crate::paged::{build_term_pages, NamesDir, PagedMetadata, PAGE_VALUES};
 
 /// Which materialized score column to build (§3.3).
@@ -113,12 +113,6 @@ pub struct InvertedIndex {
     meta: PagedMetadata,
     stats: CollectionStats,
     quantizer: Option<Quantizer>,
-    /// Per-stride block-max metadata: a raw u32 column of
-    /// [`BLOCK_MAX_SLOTS`]-slot entries (max tf, min doc length, max
-    /// materialized score payload, max docid), one per 128-value posting
-    /// stride. Built, written and validated; no query reads it.
-    /// `None` for segments written before the section existed.
-    block_max: Option<Column>,
 }
 
 /// A `u32` column of dense per-term / per-doc metadata, paged at the same
@@ -146,7 +140,7 @@ impl InvertedIndex {
 
     /// Assembles an index from already-compressed, (term, docid)-sorted
     /// posting columns — the shared back half of every build path, fed by
-    /// [`crate::IndexColumnsWriter`] so no uncompressed posting column is
+    /// the crate's columnar writer so no uncompressed posting column is
     /// ever materialized.
     ///
     /// Score materialization (when configured) streams over the compressed
@@ -166,7 +160,6 @@ impl InvertedIndex {
             tf,
             doc_freqs,
             offsets,
-            mut block_max,
         } = cols;
         let num_terms = vocab.len();
         let num_docs = doc_lens.len();
@@ -197,22 +190,12 @@ impl InvertedIndex {
                     doc_lens[d as usize] as u32,
                 )
             };
-            // The block-max score slot rides the same streaming pass:
-            // strides are 128 rows, so `row / stride` addresses the entry
-            // the writer opened for this posting.
-            let slot_of =
-                |row: usize| (row / x100_compress::ENTRY_POINT_STRIDE) * BLOCK_MAX_SLOTS + 2;
             match config.materialize {
                 Materialize::F32 => {
                     let mut b =
                         ColumnBuilder::with_block_size("score", Codec::Raw, config.block_size);
-                    for (row, (t, d, f)) in PostingStream::new(&docid, &tf, &offsets).enumerate() {
-                        let bits = weight_of(t, d, f).to_bits();
-                        b.push(bits);
-                        // ω ≥ 0, so the u32 bit order is the float order and
-                        // a bitwise max is an exact float max.
-                        let s = slot_of(row);
-                        block_max[s] = block_max[s].max(bits);
+                    for (t, d, f) in PostingStream::new(&docid, &tf, &offsets) {
+                        b.push(weight_of(t, d, f).to_bits());
                     }
                     score_col = Some(b.finish());
                 }
@@ -230,15 +213,8 @@ impl InvertedIndex {
                         Codec::Pfor { width: 8 },
                         config.block_size,
                     );
-                    for (row, (t, d, f)) in PostingStream::new(&docid, &tf, &offsets).enumerate() {
-                        let code = qz.encode(weight_of(t, d, f));
-                        b.push(code);
-                        // The hot path scores Q8 postings by summing raw
-                        // codes, so the max *code* is the exact per-stride
-                        // bound in code space — quantization error cannot
-                        // understate it.
-                        let s = slot_of(row);
-                        block_max[s] = block_max[s].max(code);
+                    for (t, d, f) in PostingStream::new(&docid, &tf, &offsets) {
+                        b.push(qz.encode(weight_of(t, d, f)));
                     }
                     score_col = Some(b.finish());
                     quantizer = Some(qz);
@@ -253,10 +229,6 @@ impl InvertedIndex {
         if let Some(score) = score_col {
             td.add_column(score);
         }
-
-        // The block-max entries become a raw metadata column paged at
-        // PAGE_VALUES, like the D and T columns below.
-        let block_max = Some(metadata_column("blockmax", block_max));
 
         // The vocabulary pages are sorted lexicographically, each record
         // carrying its term id.
@@ -290,7 +262,6 @@ impl InvertedIndex {
             meta,
             stats,
             quantizer,
-            block_max,
         }
     }
 
@@ -310,7 +281,6 @@ impl InvertedIndex {
             tf,
             score,
             quantizer,
-            block_max,
         } = parts;
         let mut td = Table::new("TD");
         td.add_column(docid);
@@ -324,7 +294,6 @@ impl InvertedIndex {
             meta: paged,
             stats,
             quantizer,
-            block_max,
         }
     }
 
@@ -394,14 +363,6 @@ impl InvertedIndex {
         self.config.materialize != Materialize::None
     }
 
-    /// The per-stride block-max column, when this index has one (built
-    /// indexes always do; reopened segments only if the `BlockMax` section
-    /// was written). Data without a reader: the segment writer and
-    /// [`Self::validate_block_max`] use it, no query path does.
-    pub fn block_max(&self) -> Option<&Column> {
-        self.block_max.as_ref()
-    }
-
     /// Number of postings (TD rows).
     pub fn num_postings(&self) -> usize {
         self.td.row_count()
@@ -410,82 +371,6 @@ impl InvertedIndex {
     /// Number of terms in the vocabulary.
     pub fn num_terms(&self) -> usize {
         self.meta.num_terms
-    }
-
-    /// Checks that the stored block-max metadata **dominates** the true
-    /// per-stride maxima recomputed from the posting columns: stored max
-    /// tf at least every tf in the stride, stored min doc length at most
-    /// every posting's document length, stored score payload at least
-    /// every posting's payload. An *understated* entry would let a reader
-    /// that skips on these bounds miss a true top-k hit, so debug-mode
-    /// segment opens run this as a typed-error check and the corruption
-    /// proptest drives it with tampered columns. `Ok(())` when the index
-    /// carries no metadata.
-    pub fn validate_block_max(&self) -> Result<(), &'static str> {
-        match &self.block_max {
-            Some(bm) => self.validate_block_max_column(bm),
-            None => Ok(()),
-        }
-    }
-
-    /// [`Self::validate_block_max`] against an arbitrary candidate column,
-    /// so tests can validate deliberately tampered metadata without
-    /// rebuilding an index.
-    pub fn validate_block_max_column(&self, bm: &Column) -> Result<(), &'static str> {
-        let entries = bm.read_all();
-        let strides = self
-            .num_postings()
-            .div_ceil(x100_compress::ENTRY_POINT_STRIDE);
-        if entries.len() != strides * BLOCK_MAX_SLOTS {
-            return Err("block-max length disagrees with the posting count");
-        }
-        let docids = self
-            .td
-            .column("docid")
-            .map_err(|_| "missing docid column")?
-            .read_all();
-        let tfs = self
-            .td
-            .column("tf")
-            .map_err(|_| "missing tf column")?
-            .read_all();
-        let scores = match self.config.materialize {
-            Materialize::None => None,
-            _ => Some(
-                self.td
-                    .column("score")
-                    .map_err(|_| "missing score column")?
-                    .read_all(),
-            ),
-        };
-        let doc_lens = self.doc_lens();
-        for (row, (&d, &tf)) in docids.iter().zip(&tfs).enumerate() {
-            let e = (row / x100_compress::ENTRY_POINT_STRIDE) * BLOCK_MAX_SLOTS;
-            if entries[e] < tf {
-                return Err("understated block-max tf");
-            }
-            let len = doc_lens
-                .get(d as usize)
-                .copied()
-                .ok_or("block-max docid out of range")? as u32;
-            if entries[e + 1] > len {
-                return Err("overstated block-max min doc length");
-            }
-            if let Some(scores) = &scores {
-                // F32 payloads are nonnegative-float bits (bit order ==
-                // float order); Q8 payloads are raw codes. Either way a
-                // plain u32 compare is the exact domination check.
-                if entries[e + 2] < scores[row] {
-                    return Err("understated block-max score bound");
-                }
-            }
-            // An understated stride max docid would let a seek land past
-            // postings it never examined.
-            if entries[e + 3] < d {
-                return Err("understated block-max docid");
-            }
-        }
-        Ok(())
     }
 
     /// Bits per tuple of the named TD column — the §3.3 accounting.

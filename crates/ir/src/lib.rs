@@ -42,7 +42,7 @@
 pub mod bm25;
 pub mod boolean;
 pub mod builder;
-pub mod columns;
+mod columns;
 pub mod engine;
 pub mod executor;
 pub mod hot;
@@ -55,7 +55,6 @@ pub mod spill;
 pub use bm25::{Bm25Params, CollectionStats, Quantizer};
 pub use boolean::BooleanQuery;
 pub use builder::{build_index_streaming, StreamingIndexBuilder};
-pub use columns::{IndexColumns, IndexColumnsWriter};
 pub use engine::{HitsResponse, QueryEngine, SearchResponse, SearchResult, SearchStrategy};
 pub use executor::QueryExecutor;
 pub use hot::{HotPathStats, QueryScratch, ScratchPool};

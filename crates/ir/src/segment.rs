@@ -37,7 +37,7 @@ use x100_compress::Codec;
 use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter};
 
 use crate::bm25::{CollectionStats, Quantizer};
-use crate::columns::{posting_codecs, BLOCK_MAX_SLOTS};
+use crate::columns::posting_codecs;
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
 use crate::paged::{col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
 
@@ -70,7 +70,6 @@ pub(crate) struct SegmentParts {
     pub tf: Column,
     pub score: Option<Column>,
     pub quantizer: Option<Quantizer>,
-    pub block_max: Option<Column>,
 }
 
 impl InvertedIndex {
@@ -219,9 +218,6 @@ fn write_segment_file(
         w.write_column_section(SectionKind::ColTf, column("tf"))?;
         if index.has_materialized_scores() {
             w.write_column_section(SectionKind::ColScore, column("score"))?;
-        }
-        if let Some(bm) = index.block_max() {
-            w.write_column_section(SectionKind::BlockMax, bm)?;
         }
         if let Some(ids) = global_ids {
             let mut bytes = Vec::with_capacity(ids.len() * 4);
@@ -439,18 +435,8 @@ fn open_segment_file(
             None
         }
     };
-    // The block-max section is optional: segments written before it existed
-    // still open. When present, it must be exactly one entry per 128-value
-    // posting stride.
-    let block_max = if r.has_section(SectionKind::BlockMax) {
-        let entries = meta
-            .num_postings
-            .div_ceil(x100_compress::ENTRY_POINT_STRIDE)
-            * BLOCK_MAX_SLOTS;
-        Some(metadata_column(SectionKind::BlockMax, "blockmax", entries)?)
-    } else {
-        None
-    };
+    // Older segments may carry the retired kind-13 section: the reader
+    // verified it like every column section, and nothing here reads it.
     let global_ids = if r.has_section(SectionKind::GlobalIds) {
         Some(decode_u32s(
             &r.read_section(SectionKind::GlobalIds)?,
@@ -482,7 +468,6 @@ fn open_segment_file(
     ]
     .into_iter()
     .chain(score.as_ref())
-    .chain(block_max.as_ref())
     .map(|c| c.block_count() * std::mem::size_of::<(u64, u32)>())
     .sum();
     let open_stats = SegmentOpenStats {
@@ -501,17 +486,7 @@ fn open_segment_file(
         tf,
         score,
         quantizer: meta.quantizer,
-        block_max,
     });
-    // Debug-mode soundness check: re-derive the per-stride bounds from the
-    // posting columns and require the stored metadata to dominate them. An
-    // understated bound cannot be caught by checksums (the file is
-    // internally consistent) but would let a reader that skips on it drop
-    // true top-k hits — so debug opens reject it with a typed error.
-    // Release opens skip the O(postings) scan.
-    if cfg!(debug_assertions) {
-        index.validate_block_max().map_err(SegmentError::Corrupt)?;
-    }
     Ok((index, global_ids, open_stats))
 }
 
@@ -551,12 +526,6 @@ mod tests {
             assert_eq!(back.doc_name(d), idx.doc_name(d));
         }
         assert_eq!(back.term_id("term3"), idx.term_id("term3"));
-        // Block-max metadata roundtrips bit-identically and disk-backed.
-        assert_eq!(
-            back.block_max().unwrap().read_all(),
-            idx.block_max().unwrap().read_all()
-        );
-        assert!(back.block_max().unwrap().is_disk_backed());
         // Posting columns decode bit-identically (lazily, from disk).
         for name in ["docid", "tf", "score"] {
             assert_eq!(

@@ -11,7 +11,7 @@
 //!    ([`x100_storage::runfile`]) and start over;
 //! 3. on [`finish`](SpillingIndexBuilder::finish), **k-way merge** the runs
 //!    back into one (term, docid)-ordered posting stream, fed term by term
-//!    into a [`crate::IndexColumnsWriter`] that compresses column blocks as
+//!    into the crate's columnar writer, which compresses column blocks as
 //!    they fill — the merged `docid`/`tf` columns are **never materialized
 //!    uncompressed**, so the finish-side peak is the merge's live segments
 //!    plus the largest posting list plus two pending blocks
@@ -409,12 +409,11 @@ impl SpillingIndexBuilder {
         for run in &self.runs {
             sources.push(RunFileReader::open(&run.path)?);
         }
-        let doc_lens = self.inner.doc_lens();
         let merge_stats = merge_run_sources(sources, |term, merged| {
             if term as usize >= num_terms {
                 return Err(SpillError::TermOutOfVocab { term, num_terms });
             }
-            writer.push_term(term, merged, doc_lens);
+            writer.push_term(term, merged);
             Ok(())
         })?;
         // Peak residency of the merge (in-flight segments + merged buffer)

@@ -9,12 +9,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use x100_compress::Codec;
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_ir::{
     ExecError, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy, SegmentError,
     StreamingIndexBuilder,
 };
-use x100_storage::{BufferManager, BufferMode, DiskModel, StorageError};
+use x100_storage::{
+    BufferManager, BufferMode, ColumnBuilder, DiskModel, SectionKind, SegmentReader, SegmentWriter,
+    StorageError,
+};
 
 /// A path no other call shares: tests run on parallel threads of one
 /// process, so the pid alone would let them overwrite and delete each
@@ -417,172 +421,72 @@ fn resealed_fence_and_directory_damage_is_rejected() {
     open_expecting_error(&b, "names directory document count");
 }
 
-/// Oversized declarations inside the `BlockMax` section, each re-sealed:
-/// the column validators (and the length-vs-posting-count reconciliation)
-/// must reject them with typed errors, exactly like the posting columns.
+/// A segment written before the `BlockMax` section was retired carries it
+/// as kind 13. Such a file must still open, and serve every strategy
+/// exactly like the same segment without it: same results, same blocks
+/// admitted to a fresh pool, so no query ever reads the section.
 #[test]
-fn resealed_blockmax_damage_is_rejected() {
-    const BLOCKMAX: u32 = 13;
-    let pristine = pristine_segment(&IndexConfig::materialized_q8());
-    let slot = toc_slot(&pristine, BLOCKMAX);
-    let off = u64_at(&pristine, slot + 8) as usize;
-
-    // Declared value count inflated to ~2^60: no longer one entry per
-    // 128-posting stride.
-    let mut b = pristine.clone();
-    put_u64(&mut b, off + 16, u64::MAX / 16);
-    reseal_section(&mut b, BLOCKMAX);
-    open_expecting_error(&b, "oversized block-max value count");
-
-    // Value count nudged by one stride entry — still internally
-    // plausible, but it must disagree with
-    // `num_postings.div_ceil(128) * 4`.
-    let mut b = pristine.clone();
-    let declared = u64_at(&b, off + 16);
-    put_u64(&mut b, off + 16, declared + 4);
-    reseal_section(&mut b, BLOCKMAX);
-    open_expecting_error(&b, "off-by-one-stride block-max value count");
-
-    // Declared block count inflated: the page directory no longer matches.
-    let mut b = pristine.clone();
-    put_u64(&mut b, off + 24, u64::MAX / 16);
-    reseal_section(&mut b, BLOCKMAX);
-    open_expecting_error(&b, "oversized block-max block count");
-
-    // A block-directory entry pushed past the section payload.
-    let mut b = pristine.clone();
-    put_u64(&mut b, off + 32 + 8, u64::MAX / 4);
-    reseal_section(&mut b, BLOCKMAX);
-    open_expecting_error(&b, "oversized block-max directory entry");
-
-    // TOC length of the section itself inflated.
-    let mut b = pristine.clone();
-    put_u64(&mut b, slot + 16, u64::MAX / 2);
-    reseal_toc(&mut b);
-    open_expecting_error(&b, "oversized block-max section length");
-}
-
-/// Rewrites `pristine` with one section removed: its payload zeroed into
-/// inter-section padding, its TOC entry spliced out, and every checksum
-/// re-sealed — a byte-exact model of a segment written before that
-/// section kind existed.
-fn strip_section(pristine: &[u8], kind: u32) -> Vec<u8> {
-    let mut b = pristine.to_vec();
-    let slot = toc_slot(&b, kind);
-    let off = u64_at(&b, slot + 8) as usize;
-    let len = u64_at(&b, slot + 16) as usize;
-    b[off..off + len].fill(0);
-    let (toc_offset, count) = toc_layout(&b);
-    let toc_end = toc_offset + count * 32;
-    b.copy_within(slot + 32..toc_end, slot);
-    // One entry fewer: the trailer checksum moves up 32 bytes and the
-    // file shrinks with it.
-    b.truncate(toc_end - 32 + 8);
-    let new_len = b.len() as u64;
-    b[8..12].copy_from_slice(&((count - 1) as u32).to_le_bytes());
-    put_u64(&mut b, 24, new_len);
-    reseal_header(&mut b);
-    reseal_toc(&mut b);
-    b
-}
-
-/// The `BlockMax` section is data without a reader: the same segment with
-/// and without it (the format before the section existed, which must still
-/// open) answers every strategy bit-identically, admitting the same blocks
-/// to a fresh pool, and no query ever pins a block of the section.
-#[test]
-fn blockmax_section_is_never_read_by_a_query() {
-    const BLOCKMAX: u32 = 13;
+fn retired_blockmax_section_is_accepted_and_ignored() {
     let index = small_index(&IndexConfig::materialized_q8());
-    let with_path = temp_path("blockmax");
-    let without_path = temp_path("noblockmax");
-    index.write_segment(&with_path).unwrap();
-    let pristine = std::fs::read(&with_path).unwrap();
-    std::fs::write(&without_path, strip_section(&pristine, BLOCKMAX)).unwrap();
-    let with = InvertedIndex::open_segment(&with_path).unwrap();
-    let without =
-        InvertedIndex::open_segment(&without_path).expect("a segment without BlockMax must open");
-    assert!(with.block_max().is_some());
+    let (new_path, old_path) = (temp_path("no-blockmax"), temp_path("old-blockmax"));
+    index.write_segment(&new_path).unwrap();
+    let r = SegmentReader::open(&new_path).unwrap();
     assert!(
-        without.block_max().is_none(),
-        "stripped segment must come back without block-max metadata"
+        !r.has_section(SectionKind::BlockMax),
+        "the writer emits no kind 13"
     );
+
+    // The parent's shape: every section in writer order, then kind 13 as a
+    // raw metadata column of four slots per 128-posting stride.
+    let mut w = SegmentWriter::create(&old_path).unwrap();
+    for kind in [
+        SectionKind::Meta,
+        SectionKind::TermsFences,
+        SectionKind::Terms,
+        SectionKind::NamesDir,
+        SectionKind::DocNames,
+        SectionKind::DocLens,
+        SectionKind::DocFreqs,
+        SectionKind::Offsets,
+        SectionKind::ColDocid,
+        SectionKind::ColTf,
+        SectionKind::ColScore,
+    ] {
+        w.write_section(kind, &r.read_section(kind).unwrap())
+            .unwrap();
+    }
+    let mut bm = ColumnBuilder::with_block_size("blockmax", Codec::Raw, 1024);
+    bm.extend(&vec![7; index.num_postings().div_ceil(128) * 4]);
+    w.write_column_section(SectionKind::BlockMax, &bm.finish())
+        .unwrap();
+    w.finish().unwrap();
+    assert!(SegmentReader::open(&old_path)
+        .unwrap()
+        .has_section(SectionKind::BlockMax));
 
     let fresh = |index| {
         QueryExecutor::with_buffering(Arc::new(index), DiskModel::instant(), BufferMode::Hot, 0)
     };
-    let (with_exec, without_exec, mem_exec) = (fresh(with), fresh(without), fresh(index));
+    let open = |path| InvertedIndex::open_segment(path).expect("segment must open");
+    let (new_exec, old_exec) = (fresh(open(&new_path)), fresh(open(&old_path)));
+    let mem_exec = fresh(index);
     let queries: [&[u32]; 5] = [&[0, 1, 2], &[3, 5, 8, 13], &[2], &[0, 23], &[7, 9, 11, 20]];
     for strategy in SearchStrategy::ALL {
         for q in queries {
             let mem = mem_exec.search(q, strategy, 10).expect("mem search");
-            let with = with_exec.search(q, strategy, 10).expect("with search");
-            let without = without_exec
-                .search(q, strategy, 10)
-                .expect("without search");
-            assert_eq!(with.results, mem.results, "{strategy:?} on {q:?}");
-            assert_eq!(without.results, mem.results, "{strategy:?} on {q:?}");
-            assert_eq!(with.io, without.io, "admissions of {strategy:?} on {q:?}");
+            let new = new_exec.search(q, strategy, 10).expect("new search");
+            let old = old_exec.search(q, strategy, 10).expect("old search");
+            assert_eq!(new.results, mem.results, "{strategy:?} on {q:?}");
+            assert_eq!(old.results, mem.results, "{strategy:?} on {q:?}");
+            assert_eq!(old.io, new.io, "admissions of {strategy:?} on {q:?}");
         }
-    }
-    let section = with_exec.index().block_max().unwrap();
-    for block in 0..section.block_count() {
-        assert!(!with_exec.buffers().is_resident(section, block));
     }
     assert_eq!(
-        with_exec.buffers().resident_blocks(),
-        without_exec.buffers().resident_blocks()
+        old_exec.buffers().resident_blocks(),
+        new_exec.buffers().resident_blocks()
     );
-    std::fs::remove_file(&with_path).unwrap();
-    std::fs::remove_file(&without_path).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Understated-bound soundness
-// ---------------------------------------------------------------------------
-
-use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// A deliberately understated block-max entry — lower max tf, higher
-    /// min doc length, lower score bound, or lower max docid — is
-    /// *invisible to checksums* (the file stays internally consistent)
-    /// but would let a reader that skips on it miss a stride holding a
-    /// true top-k hit. The debug-mode soundness validator must catch every
-    /// such tamper, on any stride and any slot; the pristine metadata must
-    /// pass it.
-    #[test]
-    fn understated_block_max_is_caught(pick in any::<u64>(), slot in 0usize..4) {
-        let index = small_index(&IndexConfig::materialized_q8());
-        prop_assert!(index.validate_block_max().is_ok(), "pristine metadata must validate");
-        let bm = index.block_max().expect("built index carries block-max");
-        let mut vals = bm.read_all();
-        let stride = (pick as usize) % (vals.len() / 4);
-        let at = stride * 4 + slot;
-        // The stored entries are the *exact* per-stride extrema, so any
-        // one-step move in the unsound direction understates the bound.
-        // Slot 1 is a minimum (tamper up); slots 0, 2 and 3 are maxima
-        // (tamper down; a zero maximum cannot be understated, so fall
-        // back to the always-tamperable min-length slot).
-        let at = if slot != 1 && vals[at] == 0 { stride * 4 + 1 } else { at };
-        if at % 4 == 1 {
-            vals[at] += 1;
-        } else {
-            vals[at] -= 1;
-        }
-        let tampered = x100_storage::Column::from_values(
-            "blockmax",
-            x100_compress::Codec::Raw,
-            &vals,
-        );
-        prop_assert!(
-            index.validate_block_max_column(&tampered).is_err(),
-            "understated entry at stride {stride} slot {} escaped the validator",
-            at % 4
-        );
-    }
+    std::fs::remove_file(&new_path).unwrap();
+    std::fs::remove_file(&old_path).unwrap();
 }
 
 // ---------------------------------------------------------------------------

@@ -139,10 +139,10 @@ pub enum SectionKind {
     /// Resident directory over the paged document names: first docid per
     /// page, small enough to pin in memory.
     NamesDir = 12,
-    /// Per-stride block-max metadata: four `u32`s per 128-value posting
-    /// stride (max tf, min doc length, max materialized score payload, max
-    /// docid). Optional — segments without it still open; no query reads
-    /// it.
+    /// **Retired** tag: no writer emits it any more. Older version-2
+    /// segments hold a raw `u32` column here (four per-stride bounds per
+    /// 128 postings); the open still checksums and structure-checks it
+    /// like every column section, and the index layer ignores it.
     BlockMax = 13,
 }
 
