@@ -8,9 +8,9 @@
 //! per-partition builders of the cluster, so the collection is generated
 //! exactly once and never resident.
 //!
-//! All index construction goes through [`x100_ir::SpillingIndexBuilder`].
+//! All index construction goes through [`x100_ir::IndexBuilder`].
 //! Without `--mem-budget` the budget is unbounded — the builder never
-//! touches disk and behaves exactly like the in-memory path. With
+//! touches disk and builds in memory. With
 //! `--mem-budget SIZE` (e.g. `64M`) the posting accumulators are split
 //! half to the full index and half across the partition builders; each
 //! flushes sorted run files when its share fills and k-way merges them at
@@ -43,10 +43,8 @@ use x100_bench::{
     take_usize_flag_or_exit, write_trajectory, Json, TablePrinter,
 };
 use x100_corpus::{precision_at_k, CollectionStream, Scale};
-use x100_distributed::SimulatedCluster;
-use x100_ir::{
-    IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SpillConfig, SpillingIndexBuilder,
-};
+use x100_distributed::{partition_of, SimulatedCluster};
+use x100_ir::{IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SpillConfig};
 
 const TOP_N: usize = 20;
 const STRATEGY: SearchStrategy = SearchStrategy::Bm25TwoPass;
@@ -99,15 +97,15 @@ fn main() {
     let t0 = Instant::now();
     let mut stream = CollectionStream::new(&cfg);
     let vocab = stream.vocab();
-    let mut full = SpillingIndexBuilder::new(
+    let mut full = IndexBuilder::new(
         vocab.len(),
         &IndexConfig::compressed(),
         SpillConfig::with_budget(full_budget),
     );
-    let mut nodes: Vec<(SpillingIndexBuilder, Vec<u32>)> = (0..partitions)
+    let mut nodes: Vec<(IndexBuilder, Vec<u32>)> = (0..partitions)
         .map(|_| {
             (
-                SpillingIndexBuilder::new(
+                IndexBuilder::new(
                     vocab.len(),
                     &IndexConfig::compressed(),
                     SpillConfig::with_budget(node_budget),
@@ -121,7 +119,7 @@ fn main() {
         for doc in &docs {
             full.push_doc(&doc.name, &doc.terms, doc.len)
                 .expect("full-index spill");
-            let (builder, global_ids) = &mut nodes[doc.id as usize % partitions];
+            let (builder, global_ids) = &mut nodes[partition_of(doc.id, partitions)];
             builder
                 .push_doc(&doc.name, &doc.terms, doc.len)
                 .expect("partition spill");

@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use x100_corpus::{CollectionStream, CollectionTail, Document, SyntheticCollection};
 use x100_ir::{
-    ExecError, HitsResponse, IndexConfig, InvertedIndex, QueryEngine, ScratchPool, SearchStrategy,
-    SegmentError, SpillConfig, SpillError, SpillStats, SpillingIndexBuilder,
+    ExecError, HitsResponse, IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, ScratchPool,
+    SearchStrategy, SegmentError, SpillConfig, SpillError, SpillStats,
 };
 use x100_storage::{BufferManager, BufferMode, DiskModel, IoStats};
 
@@ -246,7 +246,7 @@ impl SimulatedCluster {
 
     /// [`Self::build_streaming`] under a total posting-memory budget: each
     /// partition gets an equal share of `budget_bytes` and spills sorted
-    /// runs to disk when its share fills ([`SpillingIndexBuilder`]), so the
+    /// runs to disk when its share fills ([`IndexBuilder`]), so the
     /// whole cluster build's posting accumulators stay within the budget.
     /// Returns per-partition [`SpillStats`] alongside the cluster and tail;
     /// each entry carries both the accumulator peak and the finish-phase
@@ -287,9 +287,9 @@ impl SimulatedCluster {
     /// The one build path behind every constructor that indexes documents:
     /// `feed` hands document slices (in global docid order) to the routing
     /// loop, which places each on its [`partition_of`] builder; the
-    /// builders then finish one after another. A [`SpillingIndexBuilder`]
-    /// whose share of `budget_bytes` is never reached *is* the in-memory
-    /// streaming builder, so the unbudgeted constructors pass `usize::MAX`.
+    /// builders then finish one after another. An [`IndexBuilder`] whose
+    /// share of `budget_bytes` is never reached builds in memory, so the
+    /// unbudgeted constructors pass `usize::MAX`.
     fn build_routed(
         vocab: &[String],
         num_partitions: usize,
@@ -301,9 +301,9 @@ impl SimulatedCluster {
     ) -> Result<(Self, Vec<SpillStats>), SpillError> {
         assert!(num_partitions > 0, "at least one partition required");
         let per_partition = (budget_bytes / num_partitions).max(1);
-        let mut builders: Vec<SpillingIndexBuilder> = (0..num_partitions)
+        let mut builders: Vec<IndexBuilder> = (0..num_partitions)
             .map(|_| {
-                SpillingIndexBuilder::new(
+                IndexBuilder::new(
                     vocab.len(),
                     index_config,
                     SpillConfig::with_budget(per_partition),

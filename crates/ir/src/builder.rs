@@ -1,42 +1,55 @@
-//! Incremental index construction — the scale path's build side.
+//! Index construction — the one builder behind every build path.
 //!
-//! [`InvertedIndex::build`] wants the whole collection in memory; at
-//! `medium`/`large` scale documents arrive in chunks from a
-//! [`x100_corpus::CollectionStream`] and must be dropped as soon as their
-//! postings are accounted. [`StreamingIndexBuilder`] accepts documents one
-//! at a time (docids assigned densely in arrival order, matching the
-//! stream's global order), accumulates per-term posting lists — which stay
-//! docid-sorted for free because arrival order is docid order — and
-//! [`finish`](StreamingIndexBuilder::finish)es into exactly the same
-//! [`InvertedIndex`] the batch path produces.
-//!
-//! Peak memory is the postings themselves (8 bytes each, the same
-//! intermediate the batch scatter uses) plus one document chunk, instead of
-//! postings *plus* the whole materialized collection.
+//! [`IndexBuilder`] accepts documents one at a time (docids assigned densely
+//! in arrival order, matching a [`x100_corpus::CollectionStream`]'s global
+//! order), so the collection is never resident, and accumulates per-term
+//! posting lists, docid-sorted for free because arrival order is docid order.
+//! Under a [`SpillConfig`] budget it is an external sort ([`crate::spill`]):
+//! a full accumulator is flushed as one sorted run file and
+//! [`finish`](IndexBuilder::finish) k-way merges the runs. A budget that is
+//! never reached ([`SpillConfig::unbounded`]) is the in-memory build, whose
+//! finish drains the term lists directly. Both branches feed the same
+//! columnar writer, which compresses blocks as they fill.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use x100_corpus::{CollectionStream, CollectionTail, Document};
+use x100_storage::runfile::{RunFileReader, RunFileWriter, RunMeta};
+use x100_storage::{IoStats, RunFileError};
 
-use crate::columns::{IndexColumns, IndexColumnsWriter};
+use crate::columns::IndexColumnsWriter;
 use crate::index::{IndexConfig, InvertedIndex};
 use crate::paged::NamePagesBuilder;
+use crate::spill::{merge_run_sources, SpillConfig, SpillError, SpillStats};
 
-/// Builds an [`InvertedIndex`] from documents pushed in docid order.
+/// Why callers building under [`SpillConfig::unbounded`] may unwrap the
+/// builder's errors.
+pub(crate) const NEVER_SPILLS: &str =
+    "an unbounded budget never spills, so the build never touches disk";
+
+/// Builds an [`InvertedIndex`] from documents pushed in docid order while
+/// keeping posting-accumulator memory under [`SpillConfig::budget_bytes`].
 ///
 /// ```
 /// use x100_corpus::{CollectionConfig, SyntheticCollection};
-/// use x100_ir::{IndexConfig, InvertedIndex, StreamingIndexBuilder};
+/// use x100_ir::{IndexBuilder, IndexConfig, SpillConfig};
 ///
 /// let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-/// let mut b = StreamingIndexBuilder::new(c.vocab.len(), &IndexConfig::default());
-/// for doc in &c.docs {
-///     b.push_doc(&doc.name, &doc.terms, doc.len);
-/// }
-/// let streamed = b.finish(&c.vocab);
-/// let batch = InvertedIndex::build(&c, &IndexConfig::default());
-/// assert_eq!(streamed.num_postings(), batch.num_postings());
+/// let build = |spill: SpillConfig| {
+///     let mut b = IndexBuilder::new(c.vocab.len(), &IndexConfig::default(), spill);
+///     b.push_docs(&c.docs).unwrap();
+///     b.finish(&c.vocab).unwrap()
+/// };
+/// let (in_memory, stats) = build(SpillConfig::unbounded());
+/// assert_eq!(stats.runs, 0); // an unreached budget never touches disk
+/// let (spilled, stats) = build(SpillConfig::with_budget(16 * 1024));
+/// assert!(stats.runs > 0); // tiny already overflows a 16 KiB budget
+/// assert!(stats.peak_accum_bytes <= 16 * 1024);
+/// assert_eq!(spilled.num_postings(), in_memory.num_postings());
 /// ```
 #[derive(Debug)]
-pub struct StreamingIndexBuilder {
+pub struct IndexBuilder {
     config: IndexConfig,
     num_terms: usize,
     /// Per-term posting list, packed `docid << 32 | tf` to keep the
@@ -48,23 +61,54 @@ pub struct StreamingIndexBuilder {
     /// pages as documents arrive, never held as one `String` each.
     doc_names: NamePagesBuilder,
     doc_lens: Vec<i32>,
+    spill: SpillConfig,
+    /// Bytes of packed postings currently resident in `postings`.
+    mem_bytes: usize,
+    peak_bytes: usize,
+    runs: Vec<RunMeta>,
+    guard: RunDirGuard,
+    write_io: IoStats,
+    spilled_postings: u64,
 }
 
-impl StreamingIndexBuilder {
+/// Best-effort on-drop removal of a builder's run files and its private
+/// run directory. A separate guard (instead of `Drop` on the builder)
+/// keeps the builder's fields movable in `finish` while still covering
+/// every exit path: success, merge errors, and abandoned builders alike.
+#[derive(Debug, Default)]
+struct RunDirGuard {
+    paths: Vec<PathBuf>,
+    dir: Option<PathBuf>,
+}
+
+impl Drop for RunDirGuard {
+    fn drop(&mut self) {
+        for p in &self.paths {
+            std::fs::remove_file(p).ok();
+        }
+        if let Some(dir) = &self.dir {
+            std::fs::remove_dir(dir).ok();
+        }
+    }
+}
+
+impl IndexBuilder {
     /// A builder over a vocabulary of `num_terms` term ids.
-    pub fn new(num_terms: usize, config: &IndexConfig) -> Self {
-        StreamingIndexBuilder {
+    pub fn new(num_terms: usize, config: &IndexConfig, spill: SpillConfig) -> Self {
+        IndexBuilder {
             config: config.clone(),
             num_terms,
             postings: Vec::new(),
             doc_names: NamePagesBuilder::new(),
             doc_lens: Vec::new(),
+            spill,
+            mem_bytes: 0,
+            peak_bytes: 0,
+            runs: Vec::new(),
+            guard: RunDirGuard::default(),
+            write_io: IoStats::default(),
+            spilled_postings: 0,
         }
-    }
-
-    /// The builder's index configuration.
-    pub(crate) fn config(&self) -> &IndexConfig {
-        &self.config
     }
 
     /// Documents accepted so far (= the next docid to be assigned).
@@ -72,12 +116,32 @@ impl StreamingIndexBuilder {
         self.doc_lens.len()
     }
 
-    /// Postings accumulated so far.
-    pub fn num_postings(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
+    /// Postings accepted so far, resident and spilled together.
+    pub fn num_postings(&self) -> u64 {
+        self.mem_bytes as u64 / 8 + self.spilled_postings
     }
 
-    /// Accepts the next document and returns its assigned dense docid.
+    /// Run files flushed so far.
+    pub fn num_runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Paths of the run files flushed so far (the failure-injection suite
+    /// corrupts these between pushes and `finish`).
+    pub fn run_paths(&self) -> Vec<PathBuf> {
+        self.runs.iter().map(|r| r.path.clone()).collect()
+    }
+
+    /// Packed-posting bytes currently resident in the accumulator (the
+    /// unspilled tail). Drivers finishing several builders in sequence use
+    /// this to account for the accumulators still waiting while another
+    /// builder's finish phase runs.
+    pub fn resident_accum_bytes(&self) -> usize {
+        self.mem_bytes
+    }
+
+    /// Accepts the next document and returns its assigned dense docid,
+    /// flushing a run first whenever accepting it would exceed the budget.
     ///
     /// `terms` must be sorted by term id with in-vocabulary ids, as
     /// [`Document::terms`] guarantees.
@@ -86,7 +150,16 @@ impl StreamingIndexBuilder {
     /// Panics if a term id is out of range for the builder's vocabulary, or
     /// if `name` cannot fit one 4 KiB record page ("document name exceeds a
     /// page": 4088 bytes).
-    pub fn push_doc(&mut self, name: &str, terms: &[(u32, u32)], len: u32) -> u32 {
+    pub fn push_doc(
+        &mut self,
+        name: &str,
+        terms: &[(u32, u32)],
+        len: u32,
+    ) -> Result<u32, SpillError> {
+        let doc_bytes = terms.len() * 8;
+        if self.mem_bytes > 0 && self.mem_bytes + doc_bytes > self.spill.budget_bytes {
+            self.spill_run()?;
+        }
         let docid = self.doc_lens.len() as u32;
         self.doc_names.push(name).unwrap_or_else(|e| panic!("{e}"));
         for &(t, tf) in terms {
@@ -102,82 +175,166 @@ impl StreamingIndexBuilder {
             self.postings[slot].push((u64::from(docid) << 32) | u64::from(tf));
         }
         self.doc_lens.push(len as i32);
-        docid
+        self.mem_bytes += doc_bytes;
+        self.peak_bytes = self.peak_bytes.max(self.mem_bytes);
+        Ok(docid)
     }
 
     /// Accepts a chunk of documents in order (each keeps the docid the
     /// builder assigns, not the one in [`Document::id`] — partition-local
     /// builders renumber on purpose).
-    pub fn push_docs<'a>(&mut self, docs: impl IntoIterator<Item = &'a Document>) {
+    pub fn push_docs<'a>(
+        &mut self,
+        docs: impl IntoIterator<Item = &'a Document>,
+    ) -> Result<(), SpillError> {
         for doc in docs {
-            self.push_doc(&doc.name, &doc.terms, doc.len);
+            self.push_doc(&doc.name, &doc.terms, doc.len)?;
         }
+        Ok(())
     }
 
-    /// Drains the per-term accumulator (document metadata stays), returning
-    /// the packed posting lists indexed by term id — the spill path's flush
-    /// hook. Lists beyond the highest term seen since the last drain are
-    /// absent, matching the lazy growth.
-    pub(crate) fn take_term_lists(&mut self) -> Vec<Vec<u64>> {
-        std::mem::take(&mut self.postings)
+    /// Flushes the current accumulator as one sorted run file.
+    fn spill_run(&mut self) -> Result<(), SpillError> {
+        let dir = match &self.guard.dir {
+            Some(d) => d.clone(),
+            None => {
+                // Each builder spills into its own uniquely named
+                // subdirectory, so builders may share a `SpillConfig::dir`
+                // parent without colliding on run names or removing each
+                // other's files.
+                let d = self
+                    .spill
+                    .dir
+                    .clone()
+                    .unwrap_or_else(std::env::temp_dir)
+                    .join(unique_dir_name());
+                std::fs::create_dir_all(&d).map_err(RunFileError::from)?;
+                self.guard.dir = Some(d.clone());
+                d
+            }
+        };
+        let path = dir.join(format!("run-{:05}.x1rn", self.runs.len()));
+        let mut writer = RunFileWriter::create(&path)?;
+        // Register with the drop guard up front so a partially written
+        // run is cleaned up even when this flush errors out.
+        self.guard.paths.push(path);
+        // Draining the term lists releases the accumulator's memory —
+        // the whole point — while document metadata stays.
+        let lists = std::mem::take(&mut self.postings);
+        for (term, list) in lists.iter().enumerate() {
+            if !list.is_empty() {
+                let term_id =
+                    u32::try_from(term).map_err(|_| SpillError::TermIdOverflow { term })?;
+                writer.push_term(term_id, list)?;
+            }
+        }
+        let meta = writer.finish()?;
+        self.write_io.record(
+            meta.bytes as usize,
+            self.spill.disk.write_cost(meta.bytes as usize),
+        );
+        self.spilled_postings += meta.num_postings;
+        self.runs.push(meta);
+        self.mem_bytes = 0;
+        Ok(())
     }
 
-    /// Assembles the index around finished posting columns — the shared
-    /// tail of this builder's drain and the spill path's merge.
-    pub(crate) fn into_index(self, vocab: &[String], cols: IndexColumns) -> InvertedIndex {
-        let names = self.doc_names.finish();
-        InvertedIndex::from_columns(self.config, vocab, names, self.doc_lens, cols)
-    }
-
-    /// Assembles the index. `vocab` maps term ids to strings and must cover
-    /// every id the builder was constructed for.
+    /// Assembles the index, merging any on-disk runs, and returns it with
+    /// the spill statistics. `vocab` maps term ids to strings and must
+    /// cover every id the builder was constructed for.
+    ///
+    /// Run files (and the builder's private run directory) are removed by
+    /// an internal drop guard — `finish` consumes the builder, so cleanup
+    /// happens on every exit path: success, merge errors, and abandoned
+    /// builders that never reach `finish` alike.
     ///
     /// # Panics
     /// Panics if `vocab` does not cover the builder's vocabulary size, or
     /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
     /// a vocabulary page": 4084 bytes).
-    pub fn finish(self, vocab: &[String]) -> InvertedIndex {
-        self.finish_with_peak(vocab).0
-    }
-
-    /// [`Self::finish`], additionally returning the finish phase's peak
-    /// intermediate footprint in bytes: resident packed postings (drained
-    /// term by term into the columnar writer, each list freed as soon as it
-    /// is written) plus the writer's pending uncompressed blocks. The old
-    /// path materialized whole `docid`/`tf` columns next to the postings —
-    /// a 2× peak this streaming drain no longer pays.
-    pub(crate) fn finish_with_peak(mut self, vocab: &[String]) -> (InvertedIndex, usize) {
+    pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SpillError> {
         assert_eq!(
             vocab.len(),
             self.num_terms,
             "vocabulary size does not match the builder's term count"
         );
-        let mut writer = IndexColumnsWriter::new(&self.config, self.num_terms);
-        let lists = std::mem::take(&mut self.postings);
-        let resident: usize = lists.iter().map(|l| l.len() * 8).sum();
-        for (term, list) in lists.into_iter().enumerate() {
-            if !list.is_empty() {
-                let term = u32::try_from(term).expect("term ids seen via push_doc fit u32");
-                writer.push_term(term, &list);
+        let num_terms = self.num_terms;
+        let mut writer = IndexColumnsWriter::new(&self.config, num_terms);
+        let mut read_io = IoStats::default();
+        // Peak posting bytes held outside the writer during the finish.
+        let live_peak = if self.runs.is_empty() {
+            // Never spilled: drain the term lists into the writer. All
+            // postings are resident at the start and only shrink as the
+            // writer's buffer grows, so `mem_bytes` bounds the live side.
+            for (term, list) in std::mem::take(&mut self.postings).into_iter().enumerate() {
+                if !list.is_empty() {
+                    let term = u32::try_from(term).expect("term ids seen via push_doc fit u32");
+                    writer.push_term(term, &list);
+                }
+                // `list` drops here: accumulator memory is released
+                // incrementally as the columns compress, not all at the end.
             }
-            // `list` drops here: accumulator memory is released
-            // incrementally as the columns compress, not all at the end.
-        }
-        // Conservative joint peak: all postings resident at the start, plus
-        // the writer's pending-block high-water (resident only shrinks as
-        // buffered grows, so their true joint maximum never exceeds this).
-        let finish_peak = resident + writer.peak_buffered_bytes();
+            self.mem_bytes
+        } else {
+            if self.mem_bytes > 0 {
+                // Uniform merge path: the resident tail becomes the final run.
+                self.spill_run()?;
+            }
+            // Each merged term is written and dropped before the next
+            // arrives, so the merge holds its in-flight segments plus one
+            // term buffer — never whole uncompressed columns.
+            let mut sources = Vec::with_capacity(self.runs.len());
+            for run in &self.runs {
+                sources.push(RunFileReader::open(&run.path)?);
+            }
+            let merge_stats = merge_run_sources(sources, |term, merged| {
+                if term as usize >= num_terms {
+                    return Err(SpillError::TermOutOfVocab { term, num_terms });
+                }
+                writer.push_term(term, merged);
+                Ok(())
+            })?;
+            // Charge the merge's sequential read-back of every run.
+            for run in &self.runs {
+                read_io.record(
+                    run.bytes as usize,
+                    self.spill.disk.read_cost(run.bytes as usize),
+                );
+            }
+            merge_stats.peak_live_bytes
+        };
+        let stats = SpillStats {
+            runs: self.runs.len(),
+            spilled_postings: self.spilled_postings,
+            peak_accum_bytes: self.peak_bytes,
+            // Summing the two maxima slightly overcounts the true joint
+            // peak — conservative is the right direction for a budget.
+            finish_peak_bytes: live_peak + writer.peak_buffered_bytes(),
+            write_io: self.write_io,
+            read_io,
+        };
         let cols = writer.finish();
-        (self.into_index(vocab, cols), finish_peak)
+        let names = self.doc_names.finish();
+        let index = InvertedIndex::from_columns(self.config, vocab, names, self.doc_lens, cols);
+        Ok((index, stats))
     }
 }
 
-/// Drives a [`CollectionStream`] to completion through the streaming
+/// A process-unique run-directory name.
+fn unique_dir_name() -> String {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "x100-spill-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    )
+}
+
+/// Drives a [`CollectionStream`] to completion through an unbudgeted
 /// builder: generate → index without ever materializing the collection.
 /// Returns the index together with the workload tail (judged queries +
-/// efficiency log). This is [`crate::build_index_streaming_spill`] with a
-/// budget that is never reached — a spilling builder that never spills *is*
-/// the [`StreamingIndexBuilder`] it embeds, so there is one drive loop.
+/// efficiency log). This is [`crate::build_index_streaming_spill`] with
+/// [`SpillConfig::unbounded`], so there is one drive loop.
 pub fn build_index_streaming(
     stream: CollectionStream,
     index_config: &IndexConfig,
@@ -187,9 +344,9 @@ pub fn build_index_streaming(
         stream,
         index_config,
         chunk_size,
-        crate::spill::SpillConfig::unbounded(),
+        SpillConfig::unbounded(),
     )
-    .expect("an unbounded budget never spills, so the build never touches disk");
+    .expect(NEVER_SPILLS);
     (index, tail)
 }
 
@@ -197,6 +354,10 @@ pub fn build_index_streaming(
 mod tests {
     use super::*;
     use x100_corpus::{CollectionConfig, SyntheticCollection};
+
+    fn unbounded(num_terms: usize) -> IndexBuilder {
+        IndexBuilder::new(num_terms, &IndexConfig::default(), SpillConfig::unbounded())
+    }
 
     fn assert_indexes_equal(a: &InvertedIndex, b: &InvertedIndex, vocab_len: usize) {
         assert_eq!(a.num_postings(), b.num_postings());
@@ -218,32 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_build_equals_batch_build() {
-        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        for config in [
-            IndexConfig::uncompressed(),
-            IndexConfig::compressed(),
-            IndexConfig::materialized_f32(),
-            IndexConfig::materialized_q8(),
-        ] {
-            let batch = InvertedIndex::build(&c, &config);
-            let mut b = StreamingIndexBuilder::new(c.vocab.len(), &config);
-            // Ragged chunking must not matter.
-            for chunk in c.docs.chunks(37) {
-                b.push_docs(chunk);
-            }
-            let streamed = b.finish(&c.vocab);
-            assert_indexes_equal(&streamed, &batch, c.vocab.len());
-            if config.materialize != crate::index::Materialize::None {
-                assert_eq!(
-                    streamed.td().column("score").unwrap().read_all(),
-                    batch.td().column("score").unwrap().read_all()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn build_index_streaming_end_to_end() {
         let cfg = CollectionConfig::tiny();
         let c = SyntheticCollection::generate(&cfg);
@@ -257,18 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_builder_finishes() {
-        let b = StreamingIndexBuilder::new(5, &IndexConfig::default());
-        let idx = b.finish(&(0..5).map(|t| format!("term{t}")).collect::<Vec<_>>());
-        assert_eq!(idx.num_postings(), 0);
-        assert_eq!(idx.term_range(0), 0..0);
-    }
-
-    #[test]
     fn docids_assigned_densely() {
-        let mut b = StreamingIndexBuilder::new(3, &IndexConfig::uncompressed());
-        assert_eq!(b.push_doc("a", &[(0, 1)], 1), 0);
-        assert_eq!(b.push_doc("b", &[(1, 2), (2, 1)], 3), 1);
+        let mut b = unbounded(3);
+        assert_eq!(b.push_doc("a", &[(0, 1)], 1).unwrap(), 0);
+        assert_eq!(b.push_doc("b", &[(1, 2), (2, 1)], 3).unwrap(), 1);
         assert_eq!(b.num_docs(), 2);
         assert_eq!(b.num_postings(), 3);
     }
@@ -276,14 +403,14 @@ mod tests {
     #[test]
     fn lazy_allocation_tracks_max_seen_term() {
         // A huge vocabulary must not cost anything until terms appear.
-        let mut b = StreamingIndexBuilder::new(100_000, &IndexConfig::uncompressed());
+        let mut b = unbounded(100_000);
         assert!(b.postings.is_empty());
-        b.push_doc("a", &[(3, 1)], 1);
+        b.push_doc("a", &[(3, 1)], 1).unwrap();
         assert_eq!(b.postings.len(), 4);
-        b.push_doc("b", &[(1, 2), (17, 1)], 3);
+        b.push_doc("b", &[(1, 2), (17, 1)], 3).unwrap();
         assert_eq!(b.postings.len(), 18);
         let vocab: Vec<String> = (0..100_000).map(|t| format!("term{t}")).collect();
-        let idx = b.finish(&vocab);
+        let (idx, _) = b.finish(&vocab).unwrap();
         assert_eq!(idx.num_postings(), 3);
         assert_eq!(idx.doc_freq(17), 1);
         assert_eq!(idx.doc_freq(99_999), 0);
@@ -293,29 +420,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_vocab_term_panics() {
-        let mut b = StreamingIndexBuilder::new(3, &IndexConfig::default());
-        b.push_doc("a", &[(3, 1)], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "document name exceeds a page")]
-    fn name_larger_than_a_page_panics() {
-        let mut b = StreamingIndexBuilder::new(3, &IndexConfig::default());
-        b.push_doc("fits", &[(0, 1)], 1);
-        b.push_doc(&"n".repeat(4089), &[(0, 1)], 1);
+        let _ = unbounded(3).push_doc("a", &[(3, 1)], 1);
     }
 
     #[test]
     #[should_panic(expected = "term record exceeds a vocabulary page")]
     fn term_larger_than_a_page_panics() {
-        let b = StreamingIndexBuilder::new(2, &IndexConfig::default());
-        let _ = b.finish(&["fits".to_owned(), "t".repeat(4085)]);
+        let _ = unbounded(2).finish(&["fits".to_owned(), "t".repeat(4085)]);
     }
 
     #[test]
     #[should_panic(expected = "vocabulary size")]
     fn vocab_mismatch_rejected() {
-        let b = StreamingIndexBuilder::new(5, &IndexConfig::default());
-        let _ = b.finish(&["only".to_owned()]);
+        let _ = unbounded(5).finish(&["only".to_owned()]);
     }
 }

@@ -1,12 +1,12 @@
 //! Streaming columnar finish — postings flow straight into compressed
 //! column blocks.
 //!
-//! The builders' `finish` paths used to materialize the merged `docid`/`tf`
+//! The builder's `finish` used to materialize the merged `docid`/`tf`
 //! columns as plain `Vec<u32>`s before compressing, so the finish-side peak
 //! grew with total postings — the opposite of what the paper's block-at-a-
-//! time storage layer is for. [`IndexColumnsWriter`] closes that gap: the
-//! k-way run merge ([`crate::spill`]) and the in-memory term-list drain
-//! ([`crate::StreamingIndexBuilder`]) feed it **one term's postings at a
+//! time storage layer is for. [`IndexColumnsWriter`] closes that gap: both
+//! branches of [`crate::IndexBuilder::finish`] — the k-way run merge and the
+//! in-memory term-list drain — feed it **one term's postings at a
 //! time**, and it pushes values into [`x100_storage::ColumnBuilder`]s that
 //! compress and seal a block as soon as one fills. At no point does an
 //! uncompressed column exist; the writer's uncompressed residency is two

@@ -28,6 +28,7 @@ use x100_corpus::SyntheticCollection;
 use x100_storage::{Column, ColumnBuilder, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
+use crate::builder::NEVER_SPILLS;
 use crate::columns::IndexColumns;
 use crate::paged::{build_term_pages, NamesDir, PagedMetadata, PAGE_VALUES};
 
@@ -128,14 +129,16 @@ fn metadata_column(name: &str, values: impl IntoIterator<Item = u32>) -> Column 
 impl InvertedIndex {
     /// Builds the index from a materialized collection.
     ///
-    /// Equivalent to pushing every document through a
-    /// [`crate::StreamingIndexBuilder`] — which is exactly how it is
-    /// implemented; the streaming path is the only build path.
+    /// Pushes every document through an unbudgeted [`crate::IndexBuilder`]:
+    /// the builder is the only build path.
     pub fn build(collection: &SyntheticCollection, config: &IndexConfig) -> Self {
-        let mut builder =
-            crate::builder::StreamingIndexBuilder::new(collection.vocab.len(), config);
-        builder.push_docs(&collection.docs);
-        builder.finish(&collection.vocab)
+        let mut builder = crate::IndexBuilder::new(
+            collection.vocab.len(),
+            config,
+            crate::SpillConfig::unbounded(),
+        );
+        builder.push_docs(&collection.docs).expect(NEVER_SPILLS);
+        builder.finish(&collection.vocab).expect(NEVER_SPILLS).0
     }
 
     /// Assembles an index from already-compressed, (term, docid)-sorted

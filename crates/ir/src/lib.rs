@@ -14,9 +14,10 @@
 //!   operator pipelines: boolean AND/OR as merge-(outer-)joins, BM25 as a
 //!   vectorized `Project` + `TopN`, plus the paper's optimization ladder:
 //!   two-pass processing, score materialization, and quantization.
-//! * [`spill::SpillingIndexBuilder`] — index construction under an explicit
-//!   posting-memory budget: sorted on-disk runs + k-way merge, producing
-//!   bit-identical indexes to the in-memory builders.
+//! * [`builder::IndexBuilder`] — index construction under an optional
+//!   posting-memory budget ([`spill::SpillConfig`]): sorted on-disk runs +
+//!   k-way merge when the budget fills, a plain in-memory drain when it
+//!   never does, the same index bit for bit either way.
 //! * [`segment`] — index persistence: the whole index written to one
 //!   checksummed segment file and reopened disk-backed, with posting blocks
 //!   `pread` on demand through the buffer pool.
@@ -54,7 +55,7 @@ pub mod spill;
 
 pub use bm25::{Bm25Params, CollectionStats, Quantizer};
 pub use boolean::BooleanQuery;
-pub use builder::{build_index_streaming, StreamingIndexBuilder};
+pub use builder::{build_index_streaming, IndexBuilder};
 pub use engine::{HitsResponse, QueryEngine, SearchResponse, SearchResult, SearchStrategy};
 pub use executor::QueryExecutor;
 pub use hot::{HotPathStats, QueryScratch, ScratchPool};
@@ -63,7 +64,6 @@ pub use segment::SegmentOpenStats;
 pub use skipping::PostingCursor;
 pub use spill::{
     build_index_streaming_spill, merge_run_sources, SpillConfig, SpillError, SpillStats,
-    SpillingIndexBuilder,
 };
 pub use x100_exec::ExecError;
 pub use x100_storage::SegmentError;

@@ -1,21 +1,24 @@
-//! Spill-to-disk index construction under an explicit memory budget.
+//! The external sort under an explicit memory budget: its configuration,
+//! statistics, errors and k-way run merge.
 //!
-//! [`crate::StreamingIndexBuilder`] accumulates every posting in RAM, which
-//! caps the reachable collection size at available memory. The paper indexes
-//! the 25 M-document GOV2 corpus on hardware where that is impossible, so
-//! the build side needs the classic external-sort discipline:
+//! An accumulator that holds every posting in RAM caps the reachable
+//! collection size at available memory. The paper indexes the 25 M-document
+//! GOV2 corpus on hardware where that is impossible, so the build side needs
+//! the classic external-sort discipline, which [`crate::IndexBuilder`]
+//! implements:
 //!
 //! 1. accumulate postings until a **budget** (bytes of packed postings) is
 //!    about to be exceeded;
 //! 2. flush the whole accumulator as one sorted, term-ordered **run file**
 //!    ([`x100_storage::runfile`]) and start over;
-//! 3. on [`finish`](SpillingIndexBuilder::finish), **k-way merge** the runs
-//!    back into one (term, docid)-ordered posting stream, fed term by term
-//!    into the crate's columnar writer, which compresses column blocks as
-//!    they fill — the merged `docid`/`tf` columns are **never materialized
-//!    uncompressed**, so the finish-side peak is the merge's live segments
-//!    plus the largest posting list plus two pending blocks
-//!    ([`SpillStats::finish_peak_bytes`]), not the total posting volume.
+//! 3. on [`finish`](crate::IndexBuilder::finish), **k-way merge** the runs
+//!    ([`merge_run_sources`]) back into one (term, docid)-ordered posting
+//!    stream, fed term by term into the crate's columnar writer, which
+//!    compresses column blocks as they fill — the merged `docid`/`tf`
+//!    columns are **never materialized uncompressed**, so the finish-side
+//!    peak is the merge's live segments plus the largest posting list plus
+//!    two pending blocks ([`SpillStats::finish_peak_bytes`]), not the total
+//!    posting volume.
 //!
 //! Peak posting-accumulator memory is bounded by the budget (plus one
 //! document, when a single document alone exceeds it); run-file I/O is
@@ -31,14 +34,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use x100_corpus::{CollectionStream, CollectionTail, Document};
-use x100_storage::runfile::{RunFileReader, RunFileWriter, RunMeta, RunSource};
+use x100_corpus::{CollectionStream, CollectionTail};
+use x100_storage::runfile::RunSource;
 use x100_storage::{DiskModel, IoStats, RunFileError};
 
-use crate::builder::StreamingIndexBuilder;
-use crate::columns::IndexColumnsWriter;
+use crate::builder::IndexBuilder;
 use crate::index::{IndexConfig, InvertedIndex};
 
 /// Error surfaced by the spill path: run-file corruption/IO, or a run whose
@@ -125,8 +126,8 @@ impl SpillConfig {
         }
     }
 
-    /// An effectively unbounded budget: the builder never spills and
-    /// behaves exactly like [`crate::StreamingIndexBuilder`].
+    /// An effectively unbounded budget: the builder never spills, which
+    /// makes it the in-memory build.
     pub fn unbounded() -> Self {
         SpillConfig::with_budget(usize::MAX)
     }
@@ -164,286 +165,6 @@ impl SpillStats {
         let mut io = self.write_io;
         io.merge(&self.read_io);
         io
-    }
-}
-
-/// Builds an [`InvertedIndex`] from documents pushed in docid order while
-/// keeping posting-accumulator memory under [`SpillConfig::budget_bytes`].
-///
-/// Drop-in sibling of [`crate::StreamingIndexBuilder`]: same push
-/// discipline, same resulting index (the differential suite asserts
-/// bit-equality of every column), but `push_doc` is fallible (a flush may
-/// hit the filesystem) and [`finish`](Self::finish) returns the
-/// [`SpillStats`] alongside the index.
-///
-/// ```
-/// use x100_corpus::{CollectionConfig, SyntheticCollection};
-/// use x100_ir::{IndexConfig, SpillConfig, SpillingIndexBuilder};
-///
-/// let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-/// let mut b = SpillingIndexBuilder::new(
-///     c.vocab.len(),
-///     &IndexConfig::default(),
-///     SpillConfig::with_budget(16 * 1024),
-/// );
-/// for doc in &c.docs {
-///     b.push_doc(&doc.name, &doc.terms, doc.len).unwrap();
-/// }
-/// let (index, stats) = b.finish(&c.vocab).unwrap();
-/// assert!(stats.runs > 0); // tiny already overflows a 16 KiB budget
-/// assert!(stats.peak_accum_bytes <= 16 * 1024);
-/// assert_eq!(index.num_postings(), c.docs.iter().map(|d| d.terms.len()).sum::<usize>());
-/// ```
-#[derive(Debug)]
-pub struct SpillingIndexBuilder {
-    /// The in-memory accumulator between flushes: the spill builder *is*
-    /// a [`StreamingIndexBuilder`], so the two paths share one push and
-    /// one never-spilled finish and cannot drift apart.
-    inner: StreamingIndexBuilder,
-    spill: SpillConfig,
-    num_terms: usize,
-    /// Bytes of packed postings currently resident in `inner`.
-    mem_bytes: usize,
-    peak_bytes: usize,
-    runs: Vec<RunMeta>,
-    guard: RunDirGuard,
-    write_io: IoStats,
-    read_io: IoStats,
-    spilled_postings: u64,
-}
-
-/// Best-effort on-drop removal of a builder's run files and its private
-/// run directory. A separate guard (instead of `Drop` on the builder)
-/// keeps the builder's fields movable in `finish` while still covering
-/// every exit path: success, merge errors, and abandoned builders alike.
-#[derive(Debug, Default)]
-struct RunDirGuard {
-    paths: Vec<PathBuf>,
-    dir: Option<PathBuf>,
-}
-
-impl Drop for RunDirGuard {
-    fn drop(&mut self) {
-        for p in &self.paths {
-            std::fs::remove_file(p).ok();
-        }
-        if let Some(dir) = &self.dir {
-            std::fs::remove_dir(dir).ok();
-        }
-    }
-}
-
-impl SpillingIndexBuilder {
-    /// A budgeted builder over a vocabulary of `num_terms` term ids.
-    pub fn new(num_terms: usize, config: &IndexConfig, spill: SpillConfig) -> Self {
-        SpillingIndexBuilder {
-            inner: StreamingIndexBuilder::new(num_terms, config),
-            spill,
-            num_terms,
-            mem_bytes: 0,
-            peak_bytes: 0,
-            runs: Vec::new(),
-            guard: RunDirGuard::default(),
-            write_io: IoStats::default(),
-            read_io: IoStats::default(),
-            spilled_postings: 0,
-        }
-    }
-
-    /// Documents accepted so far (= the next docid to be assigned).
-    pub fn num_docs(&self) -> usize {
-        self.inner.num_docs()
-    }
-
-    /// Postings accepted so far, resident and spilled together.
-    pub fn num_postings(&self) -> u64 {
-        self.mem_bytes as u64 / 8 + self.spilled_postings
-    }
-
-    /// Run files flushed so far.
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Paths of the run files flushed so far (the failure-injection suite
-    /// corrupts these between pushes and `finish`).
-    pub fn run_paths(&self) -> Vec<PathBuf> {
-        self.runs.iter().map(|r| r.path.clone()).collect()
-    }
-
-    /// High-water mark of packed-posting bytes resident in the accumulator.
-    pub fn peak_accum_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Packed-posting bytes currently resident in the accumulator (the
-    /// unspilled tail). Drivers finishing several builders in sequence use
-    /// this to account for the accumulators still waiting while another
-    /// builder's finish phase runs.
-    pub fn resident_accum_bytes(&self) -> usize {
-        self.mem_bytes
-    }
-
-    /// Accepts the next document and returns its assigned dense docid,
-    /// flushing a run first whenever accepting it would exceed the budget.
-    ///
-    /// `terms` must be sorted by term id, as [`Document::terms`]
-    /// guarantees.
-    ///
-    /// # Panics
-    /// Panics if a term id is out of range for the builder's vocabulary, or
-    /// if `name` cannot fit one 4 KiB record page ("document name exceeds a
-    /// page": 4088 bytes).
-    pub fn push_doc(
-        &mut self,
-        name: &str,
-        terms: &[(u32, u32)],
-        len: u32,
-    ) -> Result<u32, SpillError> {
-        let doc_bytes = terms.len() * 8;
-        if self.mem_bytes > 0 && self.mem_bytes + doc_bytes > self.spill.budget_bytes {
-            self.spill_run()?;
-        }
-        let docid = self.inner.push_doc(name, terms, len);
-        self.mem_bytes += doc_bytes;
-        self.peak_bytes = self.peak_bytes.max(self.mem_bytes);
-        Ok(docid)
-    }
-
-    /// Accepts a chunk of documents in order.
-    pub fn push_docs<'a>(
-        &mut self,
-        docs: impl IntoIterator<Item = &'a Document>,
-    ) -> Result<(), SpillError> {
-        for doc in docs {
-            self.push_doc(&doc.name, &doc.terms, doc.len)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the current accumulator as one sorted run file.
-    fn spill_run(&mut self) -> Result<(), SpillError> {
-        let dir = match &self.guard.dir {
-            Some(d) => d.clone(),
-            None => {
-                // Each builder spills into its own uniquely named
-                // subdirectory, so builders may share a `SpillConfig::dir`
-                // parent without colliding on run names or removing each
-                // other's files.
-                let d = self
-                    .spill
-                    .dir
-                    .clone()
-                    .unwrap_or_else(std::env::temp_dir)
-                    .join(unique_dir_name());
-                std::fs::create_dir_all(&d).map_err(RunFileError::from)?;
-                self.guard.dir = Some(d.clone());
-                d
-            }
-        };
-        let path = dir.join(format!("run-{:05}.x1rn", self.runs.len()));
-        let mut writer = RunFileWriter::create(&path)?;
-        // Register with the drop guard up front so a partially written
-        // run is cleaned up even when this flush errors out.
-        self.guard.paths.push(path);
-        // Draining the term lists releases the accumulator's memory —
-        // the whole point — while document metadata stays in `inner`.
-        let lists = self.inner.take_term_lists();
-        for (term, list) in lists.iter().enumerate() {
-            if !list.is_empty() {
-                let term_id =
-                    u32::try_from(term).map_err(|_| SpillError::TermIdOverflow { term })?;
-                writer.push_term(term_id, list)?;
-            }
-        }
-        let meta = writer.finish()?;
-        self.write_io.record(
-            meta.bytes as usize,
-            self.spill.disk.write_cost(meta.bytes as usize),
-        );
-        self.spilled_postings += meta.num_postings;
-        self.runs.push(meta);
-        self.mem_bytes = 0;
-        Ok(())
-    }
-
-    /// Assembles the index, merging any on-disk runs, and returns it with
-    /// the spill statistics.
-    ///
-    /// Run files (and the builder's private run directory) are removed by
-    /// an internal drop guard — `finish` consumes the builder, so cleanup
-    /// happens on every exit path: success, merge errors, and abandoned
-    /// builders that never reach `finish` alike.
-    ///
-    /// # Panics
-    /// Panics if `vocab` does not cover the builder's vocabulary size, or
-    /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
-    /// a vocabulary page": 4084 bytes).
-    pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SpillError> {
-        assert_eq!(
-            vocab.len(),
-            self.num_terms,
-            "vocabulary size does not match the builder's term count"
-        );
-        if self.runs.is_empty() {
-            // Never spilled: the accumulator *is* the in-memory builder,
-            // whose finish drains term lists straight into the columnar
-            // writer and reports the drain's peak.
-            let mut stats = self.stats();
-            let (index, finish_peak) = self.inner.finish_with_peak(vocab);
-            stats.finish_peak_bytes = finish_peak;
-            return Ok((index, stats));
-        }
-        if self.mem_bytes > 0 {
-            // Uniform merge path: the resident tail becomes the final run.
-            self.spill_run()?;
-        }
-
-        // Stream the k-way merge straight into compressed column blocks:
-        // each merged term is written and dropped before the next arrives,
-        // so the finish-side peak is the live term buffer plus the writer's
-        // pending blocks — never whole uncompressed columns.
-        let num_terms = self.num_terms;
-        let mut writer = IndexColumnsWriter::new(self.inner.config(), num_terms);
-        let mut sources = Vec::with_capacity(self.runs.len());
-        for run in &self.runs {
-            sources.push(RunFileReader::open(&run.path)?);
-        }
-        let merge_stats = merge_run_sources(sources, |term, merged| {
-            if term as usize >= num_terms {
-                return Err(SpillError::TermOutOfVocab { term, num_terms });
-            }
-            writer.push_term(term, merged);
-            Ok(())
-        })?;
-        // Peak residency of the merge (in-flight segments + merged buffer)
-        // plus the writer's pending-block high-water. Summing the two maxima
-        // slightly overcounts the true joint peak — conservative is the
-        // right direction for a budget guarantee.
-        let finish_peak = merge_stats.peak_live_bytes + writer.peak_buffered_bytes();
-        // Charge the merge's sequential read-back of every run.
-        for run in &self.runs {
-            self.read_io.record(
-                run.bytes as usize,
-                self.spill.disk.read_cost(run.bytes as usize),
-            );
-        }
-
-        let mut stats = self.stats();
-        stats.finish_peak_bytes = finish_peak;
-        let cols = writer.finish();
-        Ok((self.inner.into_index(vocab, cols), stats))
-    }
-
-    fn stats(&self) -> SpillStats {
-        SpillStats {
-            runs: self.runs.len(),
-            spilled_postings: self.spilled_postings,
-            peak_accum_bytes: self.peak_bytes,
-            finish_peak_bytes: 0,
-            write_io: self.write_io,
-            read_io: self.read_io,
-        }
     }
 }
 
@@ -532,8 +253,9 @@ pub fn merge_run_sources<S: RunSource>(
 }
 
 /// Builds an index from a [`CollectionStream`] under a posting-memory
-/// budget: the budgeted sibling of [`crate::build_index_streaming`].
-/// Returns the index, the workload tail and the spill statistics.
+/// budget — the one drive loop, which [`crate::build_index_streaming`]
+/// runs unbudgeted. Returns the index, the workload tail and the spill
+/// statistics.
 pub fn build_index_streaming_spill(
     mut stream: CollectionStream,
     index_config: &IndexConfig,
@@ -541,7 +263,7 @@ pub fn build_index_streaming_spill(
     spill: SpillConfig,
 ) -> Result<(InvertedIndex, CollectionTail, SpillStats), SpillError> {
     let vocab = stream.vocab();
-    let mut builder = SpillingIndexBuilder::new(vocab.len(), index_config, spill);
+    let mut builder = IndexBuilder::new(vocab.len(), index_config, spill);
     let mut chunk = Vec::new();
     while stream.next_chunk_into(chunk_size, &mut chunk) > 0 {
         builder.push_docs(&chunk)?;
@@ -549,16 +271,6 @@ pub fn build_index_streaming_spill(
     let tail = stream.finish();
     let (index, stats) = builder.finish(&vocab)?;
     Ok((index, tail, stats))
-}
-
-/// A process-unique run-directory name.
-fn unique_dir_name() -> String {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    format!(
-        "x100-spill-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    )
 }
 
 #[cfg(test)]
@@ -569,7 +281,7 @@ mod tests {
 
     fn build_spilling(budget: usize) -> (SyntheticCollection, InvertedIndex, SpillStats) {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let mut b = SpillingIndexBuilder::new(
+        let mut b = IndexBuilder::new(
             c.vocab.len(),
             &IndexConfig::compressed(),
             SpillConfig::with_budget(budget),
@@ -627,15 +339,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "document name exceeds a page")]
     fn name_larger_than_a_page_panics() {
-        let mut b =
-            SpillingIndexBuilder::new(1, &IndexConfig::compressed(), SpillConfig::unbounded());
+        let mut b = IndexBuilder::new(1, &IndexConfig::compressed(), SpillConfig::unbounded());
         let _ = b.push_doc(&"n".repeat(4089), &[(0, 1)], 1);
     }
 
     #[test]
     fn run_files_are_cleaned_up() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let mut b = SpillingIndexBuilder::new(
+        let mut b = IndexBuilder::new(
             c.vocab.len(),
             &IndexConfig::compressed(),
             SpillConfig::with_budget(4 * 1024),
@@ -678,15 +389,14 @@ mod tests {
     #[test]
     fn builders_sharing_a_parent_dir_do_not_collide() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let parent = std::env::temp_dir().join(format!("shared-{}", unique_dir_name()));
+        let parent = std::env::temp_dir().join(format!("x100-shared-spill-{}", std::process::id()));
         let spill_cfg = SpillConfig {
             budget_bytes: 8 * 1024,
             dir: Some(parent.clone()),
             disk: DiskModel::raid12(),
         };
-        let mut a =
-            SpillingIndexBuilder::new(c.vocab.len(), &IndexConfig::compressed(), spill_cfg.clone());
-        let mut b = SpillingIndexBuilder::new(c.vocab.len(), &IndexConfig::compressed(), spill_cfg);
+        let mut a = IndexBuilder::new(c.vocab.len(), &IndexConfig::compressed(), spill_cfg.clone());
+        let mut b = IndexBuilder::new(c.vocab.len(), &IndexConfig::compressed(), spill_cfg);
         // Interleave pushes so both builders spill into the shared parent
         // concurrently; private subdirectories must keep them apart.
         for doc in &c.docs {
@@ -710,7 +420,7 @@ mod tests {
     #[test]
     fn abandoned_builder_cleans_up_on_drop() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let mut b = SpillingIndexBuilder::new(
+        let mut b = IndexBuilder::new(
             c.vocab.len(),
             &IndexConfig::compressed(),
             SpillConfig::with_budget(4 * 1024),
@@ -770,7 +480,7 @@ mod tests {
 
     #[test]
     fn empty_builder_finishes_without_disk() {
-        let b = SpillingIndexBuilder::new(4, &IndexConfig::default(), SpillConfig::with_budget(1));
+        let b = IndexBuilder::new(4, &IndexConfig::default(), SpillConfig::with_budget(1));
         let vocab: Vec<String> = (0..4).map(|t| format!("term{t}")).collect();
         let (idx, stats) = b.finish(&vocab).unwrap();
         assert_eq!(idx.num_postings(), 0);

@@ -1,15 +1,12 @@
 //! Property tests for the spill path: the k-way run merge against a naive
 //! collect-and-sort oracle on adversarial run shapes (empty runs,
 //! single-term runs, duplicate-heavy terms, interleaved docid ranges), and
-//! the spilling builder against the in-memory streaming builder at
-//! arbitrary budgets.
+//! the builder under arbitrary budgets against the same builder unbudgeted.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use x100_ir::{
-    merge_run_sources, IndexConfig, SpillConfig, SpillingIndexBuilder, StreamingIndexBuilder,
-};
+use x100_ir::{merge_run_sources, IndexBuilder, IndexConfig, SpillConfig};
 use x100_storage::MemRun;
 
 /// Runs as plain segment lists (ascending terms within each run — the
@@ -77,7 +74,7 @@ proptest! {
         prop_assert!(merged.iter().all(|(_, p)| !p.is_empty()));
     }
 
-    /// The spilling builder is the streaming builder, for *any* budget —
+    /// A spilled build is the in-memory build, for *any* budget —
     /// including budgets far below a single document, which spill on every
     /// push.
     #[test]
@@ -92,16 +89,15 @@ proptest! {
         const NUM_TERMS: usize = 40;
         let vocab: Vec<String> = (0..NUM_TERMS).map(|t| format!("term{t}")).collect();
         let config = IndexConfig::compressed();
-        let mut mem = StreamingIndexBuilder::new(NUM_TERMS, &config);
-        let mut spill =
-            SpillingIndexBuilder::new(NUM_TERMS, &config, SpillConfig::with_budget(budget));
+        let mut mem = IndexBuilder::new(NUM_TERMS, &config, SpillConfig::unbounded());
+        let mut spill = IndexBuilder::new(NUM_TERMS, &config, SpillConfig::with_budget(budget));
         for (i, terms) in docs.iter().enumerate() {
             let len: u32 = terms.iter().map(|&(_, tf)| tf).sum();
             let name = format!("d{i}");
-            mem.push_doc(&name, terms, len);
+            mem.push_doc(&name, terms, len).unwrap();
             spill.push_doc(&name, terms, len).unwrap();
         }
-        let expect = mem.finish(&vocab);
+        let (expect, _) = mem.finish(&vocab).unwrap();
         let (got, stats) = spill.finish(&vocab).unwrap();
         prop_assert_eq!(got.num_postings(), expect.num_postings());
         prop_assert_eq!(

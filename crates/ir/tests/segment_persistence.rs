@@ -12,8 +12,8 @@ use std::sync::Arc;
 use x100_compress::Codec;
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_ir::{
-    ExecError, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy, SegmentError,
-    StreamingIndexBuilder,
+    ExecError, IndexBuilder, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy,
+    SegmentError, SpillConfig,
 };
 use x100_storage::{
     BufferManager, BufferMode, ColumnBuilder, DiskModel, SectionKind, SegmentReader, SegmentWriter,
@@ -37,7 +37,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 /// and truncation-exhaustive injection runs in moments.
 fn small_index(config: &IndexConfig) -> InvertedIndex {
     let vocab: Vec<String> = (0..24).map(|t| format!("term{t}")).collect();
-    let mut b = StreamingIndexBuilder::new(vocab.len(), config);
+    let mut b = IndexBuilder::new(vocab.len(), config, SpillConfig::unbounded());
     for d in 0..40u32 {
         // Deterministic, skewed postings: low term ids appear often.
         let terms: Vec<(u32, u32)> = (0..24u32)
@@ -45,9 +45,9 @@ fn small_index(config: &IndexConfig) -> InvertedIndex {
             .map(|t| (t, 1 + (d + t) % 5))
             .collect();
         let len = terms.iter().map(|&(_, tf)| tf).sum::<u32>().max(1);
-        b.push_doc(&format!("doc-{d:04}"), &terms, len);
+        b.push_doc(&format!("doc-{d:04}"), &terms, len).unwrap();
     }
-    b.finish(&vocab)
+    b.finish(&vocab).unwrap().0
 }
 
 // ---------------------------------------------------------------------------

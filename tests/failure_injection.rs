@@ -6,8 +6,7 @@ use monetdb_x100::compress::{Codec, CodecError, CompressedBlock};
 use monetdb_x100::corpus::{CollectionConfig, SyntheticCollection};
 use monetdb_x100::exec::prelude::*;
 use monetdb_x100::ir::{
-    IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SpillConfig, SpillError,
-    SpillingIndexBuilder,
+    IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SpillConfig, SpillError,
 };
 use monetdb_x100::storage::{BufferManager, BufferMode, Column, DiskModel, StorageError, Table};
 
@@ -151,8 +150,8 @@ fn zero_length_documents_are_tolerated() {
 
 /// A spilling builder over the tiny collection with a budget small enough
 /// to leave several run files on disk, ready to be corrupted.
-fn spilled_builder(c: &SyntheticCollection) -> SpillingIndexBuilder {
-    let mut b = SpillingIndexBuilder::new(
+fn spilled_builder(c: &SyntheticCollection) -> IndexBuilder {
+    let mut b = IndexBuilder::new(
         c.vocab.len(),
         &IndexConfig::compressed(),
         SpillConfig::with_budget(8 * 1024),

@@ -1,7 +1,7 @@
 //! Differential oracle for spill-to-disk index construction: for any
-//! posting-memory budget, [`SpillingIndexBuilder`] must produce exactly the
-//! index that [`StreamingIndexBuilder`] and the batch
-//! [`InvertedIndex::build`] produce — same posting columns, same document
+//! posting-memory budget, [`IndexBuilder`] must produce exactly the index
+//! it builds in memory when the budget is never reached
+//! ([`InvertedIndex::build`]) — same posting columns, same document
 //! statistics, same BM25 top-k — down to the pathological budget that
 //! forces a spill after every single document.
 
@@ -9,8 +9,8 @@ use monetdb_x100::compress::Codec;
 use monetdb_x100::corpus::{CollectionConfig, CollectionStream, Scale, SyntheticCollection};
 use monetdb_x100::distributed::SimulatedCluster;
 use monetdb_x100::ir::{
-    build_index_streaming, build_index_streaming_spill, IndexConfig, InvertedIndex, Materialize,
-    QueryEngine, SearchStrategy, SpillConfig, SpillingIndexBuilder, StreamingIndexBuilder,
+    build_index_streaming, build_index_streaming_spill, IndexBuilder, IndexConfig, InvertedIndex,
+    Materialize, QueryEngine, SearchStrategy, SpillConfig,
 };
 use monetdb_x100::storage::{ColumnBuilder, SectionKind, SegmentReader};
 
@@ -88,17 +88,15 @@ fn assert_same_topk(a: &InvertedIndex, b: &InvertedIndex, c: &SyntheticCollectio
     }
 }
 
-fn build_all_three(
+/// The collection built in memory and under `budget`, plus the number of
+/// runs the budgeted build spilled.
+fn build_in_memory_and_spilled(
     c: &SyntheticCollection,
     config: &IndexConfig,
     budget: usize,
-) -> (InvertedIndex, InvertedIndex, InvertedIndex, usize) {
+) -> (InvertedIndex, InvertedIndex, usize) {
     let batch = InvertedIndex::build(c, config);
-    let mut streaming = StreamingIndexBuilder::new(c.vocab.len(), config);
-    streaming.push_docs(&c.docs);
-    let streamed = streaming.finish(&c.vocab);
-    let mut spilling =
-        SpillingIndexBuilder::new(c.vocab.len(), config, SpillConfig::with_budget(budget));
+    let mut spilling = IndexBuilder::new(c.vocab.len(), config, SpillConfig::with_budget(budget));
     spilling.push_docs(&c.docs).unwrap();
     let (spilled, stats) = spilling.finish(&c.vocab).unwrap();
     assert!(
@@ -106,11 +104,11 @@ fn build_all_three(
         "peak {} exceeded budget {budget}",
         stats.peak_accum_bytes
     );
-    (batch, streamed, spilled, stats.runs)
+    (batch, spilled, stats.runs)
 }
 
 #[test]
-fn three_builders_agree_at_tiny_across_budgets_and_configs() {
+fn in_memory_and_spilled_builds_agree_at_tiny_across_budgets_and_configs() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let max_doc_bytes = c.docs.iter().map(|d| d.terms.len() * 8).max().unwrap();
     for config in [
@@ -120,8 +118,7 @@ fn three_builders_agree_at_tiny_across_budgets_and_configs() {
         IndexConfig::materialized_q8(),
     ] {
         for budget in [usize::MAX, 64 * 1024, 8 * 1024, max_doc_bytes] {
-            let (batch, streamed, spilled, _) = build_all_three(&c, &config, budget);
-            assert_indexes_equal(&streamed, &batch, c.vocab.len());
+            let (batch, spilled, _) = build_in_memory_and_spilled(&c, &config, budget);
             assert_indexes_equal(&spilled, &batch, c.vocab.len());
             if config.materialize == Materialize::None {
                 assert_same_topk(&spilled, &batch, &c);
@@ -133,8 +130,8 @@ fn three_builders_agree_at_tiny_across_budgets_and_configs() {
 #[test]
 fn metadata_matches_the_source_collection_built_spilled_and_reopened() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-    let (batch, streamed, spilled, runs) =
-        build_all_three(&c, &IndexConfig::compressed(), 8 * 1024);
+    let (batch, spilled, runs) =
+        build_in_memory_and_spilled(&c, &IndexConfig::compressed(), 8 * 1024);
     assert!(runs > 1, "the spilled index must come from the merge path");
     let path = std::env::temp_dir().join(format!("x100-meta-source-{}", std::process::id()));
     batch.write_segment(&path).unwrap();
@@ -146,7 +143,7 @@ fn metadata_matches_the_source_collection_built_spilled_and_reopened() {
         assert!(pages >= 2, "{kind:?} fits one page");
     }
     let reopened = InvertedIndex::open_segment(&path).unwrap();
-    for idx in [&batch, &streamed, &spilled, &reopened] {
+    for idx in [&batch, &spilled, &reopened] {
         assert_metadata_matches_source(&c, idx);
     }
     std::fs::remove_file(&path).unwrap();
@@ -190,8 +187,7 @@ fn streaming_columnar_finish_bit_identical_to_materialize_then_compress() {
 
     let batch = InvertedIndex::build(&c, &config);
     for budget in [usize::MAX, 32 * 1024, 4 * 1024, 1] {
-        let mut b =
-            SpillingIndexBuilder::new(c.vocab.len(), &config, SpillConfig::with_budget(budget));
+        let mut b = IndexBuilder::new(c.vocab.len(), &config, SpillConfig::with_budget(budget));
         b.push_docs(&c.docs).unwrap();
         let (idx, stats) = b.finish(&c.vocab).unwrap();
         assert!(stats.finish_peak_bytes > 0, "budget {budget}");
@@ -228,8 +224,7 @@ fn pathological_budget_spills_after_every_document() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let config = IndexConfig::compressed();
     let batch = InvertedIndex::build(&c, &config);
-    let mut spilling =
-        SpillingIndexBuilder::new(c.vocab.len(), &config, SpillConfig::with_budget(1));
+    let mut spilling = IndexBuilder::new(c.vocab.len(), &config, SpillConfig::with_budget(1));
     spilling.push_docs(&c.docs).unwrap();
     let (spilled, stats) = spilling.finish(&c.vocab).unwrap();
     assert_eq!(stats.runs, c.docs.len(), "one run per document");
