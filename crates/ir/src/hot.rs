@@ -23,9 +23,9 @@
 //! equivalence rests on three replicated contracts:
 //!
 //! * **Scoring arithmetic** — the exact expression shape the relational
-//!   plan evaluates (`coef * (tf / (tf + norm))` folded left-to-right,
-//!   absent outer-join terms contributing `tf = 0`), in plain IEEE f32
-//!   with no FMA contraction, so every intermediate rounds identically.
+//!   plan evaluates (`coef * (tf / (tf + norm))` folded left-to-right;
+//!   absent outer-join terms contribute `+0.0`, an exact no-op — see
+//!   `run_ranked`), in plain IEEE f32 with no FMA contraction.
 //! * **Top-k selection** — a replica of `TopN`'s bounded heap including
 //!   its IEEE `score <= min` cheap-reject (*not* equivalent to
 //!   sort-then-truncate when `+0.0`/`-0.0` tie at the boundary) and its
@@ -33,13 +33,13 @@
 //! * **Buffer accounting** — cursors refill entry-point-aligned windows
 //!   clamped to block boundaries, take one [`BufferManager::pin`] per
 //!   block entry (charged on a miss) and decode every refill inside the
-//!   block from that pin, exactly like `ColumnScan`. Per column the pins
-//!   and their count are the relational plan's; across terms the
-//!   ranked union interleaves them term-major within a docid window
+//!   block from that pin, exactly like `ColumnScan`. Per posting column
+//!   the pins and their count are the relational plan's; across terms
+//!   the ranked union interleaves them term-major within a docid window
 //!   (`run_ranked`), where the merge-join advances all lists in step.
 //!
 //! When the `simd` feature is enabled and the CPU has AVX2, the per-term
-//! scoring loop over each candidate batch runs 8 lanes wide; conversion
+//! scoring loop over each conjunctive batch runs 8 lanes wide; conversion
 //! (`i32 -> f32`), divide, multiply and add are all IEEE-exact operations,
 //! so the wide kernels are bit-identical to the scalar loop (pinned by
 //! `tests/scratch_differential.rs` against the forced-scalar fallback).
@@ -331,7 +331,7 @@ fn heap_offer(heap: &mut Vec<HeapRow>, n: usize, row: HeapRow) {
     }
 }
 
-/// How candidate batches are scored.
+/// How a posting's payload becomes its term's score contribution.
 #[derive(Debug, Clone, Copy)]
 enum ScoreMode {
     /// Equation-2 BM25 from tf and document length at query time.
@@ -361,15 +361,17 @@ pub struct QueryScratch {
     /// Per-term `idf * (k1 + 1)` constants (computed-BM25 modes).
     coefs: Vec<f32>,
     cursors: Vec<TermCursor>,
-    /// Candidate docids of the batch being assembled.
+    /// Candidate docids of the intersection's batch being assembled.
     batch_docids: Vec<u32>,
-    /// Term-major payload matrix: `payloads[t * vector_size + j]` is term
-    /// `t`'s payload for batch row `j`, 0 where the term is absent (the
-    /// outer join's missing-side convention).
+    /// The intersection's term-major payload matrix: term `t`'s payload
+    /// for batch row `j` at `t * vector_size + j`.
     batch_payloads: Vec<u32>,
-    /// Per-row length normalizers for the batch.
+    /// Length normalizers: per batch row in the intersection, per window
+    /// slot (staged stride by stride) in the union.
     norms: Vec<f32>,
-    /// Per-row accumulated scores for the batch.
+    /// Accumulated scores: per batch row in the intersection; in the union,
+    /// the window's accumulator, slot `s` for docid `base + s`, `+0.0`
+    /// between windows.
     scores: Vec<f32>,
     /// The bounded top-k heap.
     heap: Vec<HeapRow>,
@@ -385,10 +387,7 @@ pub struct QueryScratch {
     rows_scored: u64,
     /// Per-term document frequencies (conjunctive skipping path).
     dfs: Vec<u32>,
-    /// The ranked union's window matrix, term-major: term `t`'s payload
-    /// for docid `base + s` at `t * UNION_WINDOW + s`; zero between windows.
-    union_cells: Vec<u32>,
-    /// One bit per window slot some term hit; zero between windows.
+    /// One bit per union window slot some term hit; zero between windows.
     union_present: Vec<u64>,
 }
 
@@ -411,47 +410,29 @@ impl QueryScratch {
             state ^= state << 17;
             state
         };
-        fn refill_u32(v: &mut Vec<u32>, next: &mut impl FnMut() -> u64) {
+        /// Refills `v` to its capacity with `value()`s.
+        fn refill<T>(v: &mut Vec<T>, mut value: impl FnMut() -> T) {
             let cap = v.capacity();
             v.clear();
-            for _ in 0..cap {
-                v.push(next() as u32);
-            }
+            v.extend((0..cap).map(|_| value()));
         }
-        fn refill_f32(v: &mut Vec<f32>, next: &mut impl FnMut() -> u64) {
-            let cap = v.capacity();
-            v.clear();
-            for _ in 0..cap {
-                // Includes NaNs, infinities and negative zeros.
-                v.push(f32::from_bits(next() as u32));
-            }
-        }
-        refill_u32(&mut self.terms, &mut next);
-        refill_f32(&mut self.coefs, &mut next);
-        refill_u32(&mut self.batch_docids, &mut next);
-        refill_u32(&mut self.batch_payloads, &mut next);
-        refill_f32(&mut self.norms, &mut next);
-        refill_f32(&mut self.scores, &mut next);
-        let heap_cap = self.heap.capacity();
-        self.heap.clear();
-        for _ in 0..heap_cap {
-            self.heap.push(HeapRow {
-                score: f32::from_bits(next() as u32),
-                seq: next(),
-                docid: next() as u32,
-            });
-        }
-        let hits_cap = self.hits.capacity();
-        self.hits.clear();
-        for _ in 0..hits_cap {
-            self.hits
-                .push((next() as u32, f32::from_bits(next() as u32)));
-        }
-        refill_u32(&mut self.dfs, &mut next);
-        refill_u32(&mut self.union_cells, &mut next);
-        let cap = self.union_present.capacity();
-        self.union_present.clear();
-        self.union_present.extend((0..cap).map(|_| next()));
+        refill(&mut self.terms, || next() as u32);
+        refill(&mut self.batch_docids, || next() as u32);
+        refill(&mut self.batch_payloads, || next() as u32);
+        refill(&mut self.dfs, || next() as u32);
+        refill(&mut self.union_present, &mut next);
+        // f32 garbage includes NaNs, infinities and negative zeros.
+        refill(&mut self.coefs, || f32::from_bits(next() as u32));
+        refill(&mut self.norms, || f32::from_bits(next() as u32));
+        refill(&mut self.scores, || f32::from_bits(next() as u32));
+        refill(&mut self.hits, || {
+            (next() as u32, f32::from_bits(next() as u32))
+        });
+        refill(&mut self.heap, || HeapRow {
+            score: f32::from_bits(next() as u32),
+            seq: next(),
+            docid: next() as u32,
+        });
         for c in &mut self.cursors {
             c.pos = next() as usize;
             c.end = next() as usize;
@@ -471,7 +452,7 @@ impl QueryScratch {
         // pin, at a low block index, on a block no column owns — which a
         // reader that skipped its invalidation would happily serve from.
         for w in cursor_windows.chain(meta_windows) {
-            refill_u32(&mut w.stage, &mut next);
+            refill(&mut w.stage, || next() as u32);
             w.start = (next() % 64) as usize * ENTRY_POINT_STRIDE;
             let block = CompressedBlock::Raw(w.stage.clone());
             w.pin = Some(((next() % 4) as usize, Arc::new(block)));
@@ -580,17 +561,6 @@ fn doc_freq_of(
     window.value_at(&meta.doc_freqs, buffers, vector_size, term as usize)
 }
 
-/// A document's length: a windowed read of the doc-len column.
-fn doc_len_of(
-    meta: &PagedMetadata,
-    window: &mut Window,
-    buffers: &BufferManager,
-    vector_size: usize,
-    docid: u32,
-) -> Result<u32, StorageError> {
-    window.value_at(&meta.doc_lens, buffers, vector_size, docid as usize)
-}
-
 /// The k-way union's next candidate: the smallest current docid among
 /// `cursors`, `None` once all are exhausted.
 fn min_docid(cursors: &[TermCursor]) -> Option<u32> {
@@ -674,23 +644,15 @@ pub(crate) fn conjunctive_skipping_into(
     let mut seq = 0u64;
     // Leapfrog with galloping seeks: the laggard jumps to the current
     // target in O(log gap) stride probes instead of walking postings.
-    while let Some(target) = next_common(cursors, |c, t| c.seek(t, doc_col, buffers, v))? {
-        let doc_len = doc_len_of(meta, len_window, buffers, v, target)?;
+    while let Some(docid) = next_common(cursors, |c, t| c.seek(t, doc_col, buffers, v))? {
+        let doc_len = len_window.value_at(&meta.doc_lens, buffers, v, docid as usize)?;
         let mut score = 0.0f32;
         for (i, c) in cursors.iter_mut().enumerate() {
             let tf = c.payload(tf_col, buffers, v)?;
             score += crate::bm25::term_weight(params, stats, dfs[i], tf, doc_len);
             c.advance(doc_col, buffers, v)?;
         }
-        heap_offer(
-            heap,
-            n,
-            HeapRow {
-                score,
-                seq,
-                docid: target,
-            },
-        );
+        heap_offer(heap, n, HeapRow { score, seq, docid });
         seq += 1;
     }
     scratch.rows_scored += seq;
@@ -915,20 +877,29 @@ fn run_boolean(
     Ok(())
 }
 
-/// Ranked retrieval: merges candidate docs (union or intersection) into
-/// batches of `vector_size`, scores each batch with the wide-or-scalar
-/// kernels, and offers every row to the top-k heap. Returns the total
-/// candidate count (the two-pass quota check).
+/// Ranked retrieval: offers every candidate doc (union or intersection) to
+/// the top-k heap, in ascending docid order. Returns the total candidate
+/// count (the two-pass quota check).
 ///
-/// The union runs term-at-a-time over a docid window. With `base` the
-/// smallest current docid, each term in query order scatters its postings
-/// below `base + UNION_WINDOW` — two plain slices of its staged windows
-/// between refills — into its row of a zeroed term-major matrix and marks
-/// each slot in a presence bitmap; the set bits, ascending, become batch
-/// rows (an absent term reads the matrix's 0) and the cells read are
-/// zeroed again. `base` is live, not a grid: docid ranges no list touches
-/// cost nothing. Rows, their order and their cells are those of a
-/// posting-at-a-time merge.
+/// The intersection assembles batches of `vector_size` rows and scores
+/// them with the wide-or-scalar kernels. The union is window-at-a-time:
+/// with `base` the smallest current docid, each term in query order walks
+/// its staged windows as two plain slices and adds the contribution of
+/// each posting below `base + UNION_WINDOW` straight into its docid's slot
+/// of an `f32` accumulator, marking the slot in a presence bitmap; the set
+/// bits, ascending, are then offered to the heap, leaving `+0.0` behind.
+/// `base` is live, not a grid: docid ranges no list touches cost nothing.
+/// Computed BM25 first stages the length normalizer of every 128-docid
+/// stride of D the window's postings touch, once per window.
+///
+/// The sums are the relational fold's bits. That fold adds all `k` terms
+/// in query order, an absent one contributing `coef · 0/(0 + norm)` or a
+/// zero payload: `+0.0`, as `idf = ln(N/df) >= 0` makes `coef >= 0` (and
+/// `norm > 0` for `k1 >= 0`, `0 <= b <= 1`). Nor is a present contribution
+/// `-0.0`, so `x + (+0.0) = x` for every partial sum the fold forms:
+/// seeding a slot with `+0.0` and adding only the present terms, in query
+/// order, drops exact no-ops only. A duplicated term adds twice, as it does
+/// relationally. Batch rows are seeded with `+0.0` for the same reason.
 #[allow(clippy::too_many_arguments)]
 fn run_ranked(
     meta: &PagedMetadata,
@@ -951,7 +922,6 @@ fn run_ranked(
         scores,
         heap,
         len_window,
-        union_cells: cells,
         union_present: present,
         ..
     } = scratch;
@@ -959,90 +929,104 @@ fn run_ranked(
     let cursors = &mut cursors[..k];
     let v = vector_size;
     heap.clear();
-    batch_docids.clear();
-    // Both arms store all `k` cells of a row before it is flushed, so
-    // leftovers in the matrix are never read.
-    if batch_payloads.len() < k * v {
-        batch_payloads.resize(k * v, 0);
-    }
     let mut seq = 0u64;
 
-    macro_rules! flush {
-        () => {
+    if conjunctive {
+        batch_docids.clear();
+        // Every row stores all `k` cells before the batch is flushed, so
+        // leftovers in the matrix are never read.
+        if batch_payloads.len() < k * v {
+            batch_payloads.resize(k * v, 0);
+        }
+        loop {
+            let next = next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, v))?;
+            if let Some(target) = next {
+                let j = batch_docids.len();
+                batch_docids.push(target);
+                for (i, c) in cursors.iter_mut().enumerate() {
+                    batch_payloads[i * v + j] = c.payload(pay_col, buffers, v)?;
+                    c.advance(doc_col, buffers, v)?;
+                }
+                if batch_docids.len() < v {
+                    continue;
+                }
+            }
+            let batch = (&batch_docids[..], &batch_payloads[..]);
+            let lens = (meta, &mut *len_window, buffers);
             flush_batch(
-                mode,
-                coefs,
-                meta,
-                len_window,
-                buffers,
-                batch_docids,
-                batch_payloads,
-                v,
-                k,
-                norms,
-                scores,
-                heap,
-                n,
-                &mut seq,
+                mode, coefs, lens, batch, v, k, norms, scores, heap, n, &mut seq,
             )?;
             batch_docids.clear();
-        };
+            if next.is_none() {
+                return Ok(seq);
+            }
+        }
     }
 
-    if conjunctive {
-        while let Some(target) = next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, v))? {
-            let j = batch_docids.len();
-            batch_docids.push(target);
-            for (i, c) in cursors.iter_mut().enumerate() {
-                batch_payloads[i * v + j] = c.payload(pay_col, buffers, v)?;
-                c.advance(doc_col, buffers, v)?;
-            }
-            if batch_docids.len() == v {
-                flush!();
-            }
-        }
-    } else {
-        // Between windows the matrix and the bitmap are all zero; nothing
-        // an earlier query left in them may show through.
-        cells.clear();
-        cells.resize(k * UNION_WINDOW, 0);
-        present.clear();
-        present.resize(UNION_WINDOW / 64, 0);
-        while let Some(base) = min_docid(cursors) {
-            for (c, row) in cursors.iter_mut().zip(cells.chunks_mut(UNION_WINDOW)) {
-                // A live `cur` means the docid window is staged at `pos`.
-                while c.cur.is_some_and(|d| in_window(d, base)) {
-                    c.payload(pay_col, buffers, v)?;
-                    let docs = &c.doc.stage[c.pos - c.doc.start..];
-                    let docs = &docs[..docs.len().min(c.end - c.pos)];
-                    let pays = &c.pay.stage[c.pos - c.pay.start..];
-                    c.pos += scatter(docs, pays, base, row, present);
-                    c.load(doc_col, buffers, v)?;
-                }
-            }
-            // This window's rows not yet gathered start at `j0`.
-            let mut j0 = batch_docids.len();
-            for (w, word) in present.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    batch_docids.push(base + w as u32 * 64 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                    if batch_docids.len() == v {
-                        gather(cells, base, batch_docids, batch_payloads, v, j0);
-                        flush!();
-                        j0 = 0;
+    // Between windows the accumulator is `+0.0` and the bitmap zero;
+    // nothing an earlier query left in them may show through.
+    scores.clear();
+    scores.resize(UNION_WINDOW, 0.0);
+    norms.clear();
+    norms.resize(UNION_WINDOW + ENTRY_POINT_STRIDE, 0.0);
+    present.clear();
+    present.resize(UNION_WINDOW / 64, 0);
+    // `norms[i]` normalizes docid `nbase + i`, `nbase` the first docid of
+    // the window's first length stride; bit `r` of `strides` marks the
+    // stride at `nbase + 128 r` staged.
+    let (mut nbase, mut strides, s) = (0, 0u32, ENTRY_POINT_STRIDE);
+    while let Some(base) = min_docid(cursors) {
+        // The stride the last window ended in may hold this one's start.
+        let shift = (base as usize / s * s - nbase) / s;
+        nbase = base as usize / s * s;
+        strides = if shift < 32 && strides >> shift & 1 == 1 {
+            norms.copy_within(shift * s..shift * s + s, 0);
+            1
+        } else {
+            0
+        };
+        for (i, c) in cursors.iter_mut().enumerate() {
+            // A live `cur` means the docid window is staged at `pos`.
+            while c.cur.is_some_and(|d| in_window(d, base)) {
+                c.payload(pay_col, buffers, v)?;
+                let docs = &c.doc.stage[c.pos - c.doc.start..];
+                let docs = &docs[..docs.len().min(c.end - c.pos)];
+                let pays = &c.pay.stage[c.pos - c.pay.start..];
+                let (acc, bitmap) = (&mut scores[..], &mut present[..]);
+                c.pos += match mode {
+                    ScoreMode::Computed { c0, c1 } => {
+                        let lens = &meta.doc_lens;
+                        // Expression shape: c0 + c1 * cast_f32(gather(doclen)).
+                        let norm_of =
+                            |x| Ok(c0 + c1 * len_window.value_at(lens, buffers, 1, x)? as f32);
+                        stage_norms(docs, base, &mut strides, norms, lens.len(), norm_of)?;
+                        let (coef, norms) = (coefs[i], &norms[base as usize - nbase..]);
+                        accumulate(docs, pays, base, acc, bitmap, |p, slot| {
+                            let tf = (p as i32) as f32;
+                            coef * (tf / (tf + norms[slot]))
+                        })
                     }
-                }
+                    ScoreMode::MaterializedF32 => {
+                        accumulate(docs, pays, base, acc, bitmap, |p, _| f32::from_bits(p))
+                    }
+                    ScoreMode::MaterializedQ8 => {
+                        accumulate(docs, pays, base, acc, bitmap, |p, _| (p as i32) as f32)
+                    }
+                };
+                c.load(doc_col, buffers, v)?;
             }
-            gather(cells, base, batch_docids, batch_payloads, v, j0);
         }
+        drain_window(base, scores, present, |docid, score| {
+            seq += 1;
+            heap_offer(heap, n, HeapRow { score, seq, docid });
+        });
     }
-    flush!();
     Ok(seq)
 }
 
 /// Width, in docids, of the ranked union's window (see [`run_ranked`]).
 const UNION_WINDOW: usize = 2048;
+const _: () = assert!(UNION_WINDOW / ENTRY_POINT_STRIDE < 32); // a u32 stride mask
 
 /// Whether docid `d` is in the union window at `base`. A distance, never
 /// `d < base + UNION_WINDOW`: that sum wraps near `u32::MAX`, silently in a
@@ -1052,10 +1036,17 @@ fn in_window(d: u32, base: u32) -> bool {
     (d.wrapping_sub(base) as usize) < UNION_WINDOW
 }
 
-/// Scatters the leading postings of `docs`/`pays` that fall in the window
-/// at `base` into the term's matrix `row`, marking their slots in
-/// `present`; returns how many it consumed.
-fn scatter(docs: &[u32], pays: &[u32], base: u32, row: &mut [u32], present: &mut [u64]) -> usize {
+/// Adds `contrib(payload, slot)` of each leading posting of `docs`/`pays`
+/// that falls in the window at `base` to its slot of the accumulator,
+/// marking the slot in `present`; returns how many postings it consumed.
+fn accumulate(
+    docs: &[u32],
+    pays: &[u32],
+    base: u32,
+    acc: &mut [f32],
+    present: &mut [u64],
+    contrib: impl Fn(u32, usize) -> f32,
+) -> usize {
     let mut taken = 0;
     // Bits of one bitmap word collect in a register: a read-modify-write
     // per posting would serialize dense lists on store forwarding.
@@ -1065,7 +1056,7 @@ fn scatter(docs: &[u32], pays: &[u32], base: u32, row: &mut [u32], present: &mut
             break;
         }
         let slot = (d - base) as usize;
-        row[slot] = p;
+        acc[slot] += contrib(p, slot);
         if slot / 64 != word {
             present[word] |= bits;
             (word, bits) = (slot / 64, 0);
@@ -1077,27 +1068,58 @@ fn scatter(docs: &[u32], pays: &[u32], base: u32, row: &mut [u32], present: &mut
     taken
 }
 
-/// Moves, for every term row of `cells`, the cell of each docid in batch
-/// rows `j0..` (all in the window at `base`) into the term's batch row in
-/// `out`, leaving the matrix zero where it read.
-fn gather(cells: &mut [u32], base: u32, docids: &[u32], out: &mut [u32], v: usize, j0: usize) {
-    for (i, row) in cells.chunks_mut(UNION_WINDOW).enumerate() {
-        for (o, &d) in out[i * v + j0..].iter_mut().zip(&docids[j0..]) {
-            *o = std::mem::take(&mut row[(d - base) as usize]);
+/// Stages `norms[d - nbase] = norm_of(d)`, `nbase` the first docid of
+/// `base`'s length stride, for every docid `d` of each 128-docid stride of
+/// D that a leading in-window posting of `docs` touches and `staged` (bit
+/// `r` for the stride at `nbase + 128 r`) does not yet mark: a stride is
+/// staged whole and once, however many terms touch it. The last stride of
+/// D stops at `num_docs`, unless a (corrupt) posting points past it — that
+/// lookup fails as it always did.
+fn stage_norms(
+    docs: &[u32],
+    base: u32,
+    staged: &mut u32,
+    norms: &mut [f32],
+    num_docs: usize,
+    mut norm_of: impl FnMut(usize) -> Result<f32, StorageError>,
+) -> Result<(), StorageError> {
+    let s = ENTRY_POINT_STRIDE;
+    let nbase = base as usize / s * s;
+    for &d in docs.iter().take_while(|&&d| in_window(d, base)) {
+        let (d, first) = (d as usize, d as usize / s * s);
+        let bit = 1 << ((first - nbase) / s);
+        if *staged & bit == 0 {
+            *staged |= bit;
+            for x in first..(first + s).min(num_docs.max(d + 1)) {
+                norms[x - nbase] = norm_of(x)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Walks the window's presence bitmap in ascending slot order, handing
+/// each present docid and its accumulated score to `emit`, and leaves the
+/// accumulator `+0.0` and the bitmap zero behind.
+fn drain_window(base: u32, acc: &mut [f32], present: &mut [u64], mut emit: impl FnMut(u32, f32)) {
+    for (w, word) in present.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let slot = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            emit(base + slot as u32, std::mem::take(&mut acc[slot]));
         }
     }
 }
 
-/// Scores one assembled batch and offers every row to the heap.
+/// Scores one assembled intersection batch (its `k` terms' payloads
+/// term-major, rows `v` apart) and offers every row to the heap.
 #[allow(clippy::too_many_arguments)]
 fn flush_batch(
     mode: ScoreMode,
     coefs: &[f32],
-    meta: &PagedMetadata,
-    len_window: &mut Window,
-    buffers: &BufferManager,
-    batch_docids: &[u32],
-    batch_payloads: &[u32],
+    (meta, len_window, buffers): (&PagedMetadata, &mut Window, &BufferManager),
+    (batch_docids, batch_payloads): (&[u32], &[u32]),
     v: usize,
     k: usize,
     norms: &mut Vec<f32>,
@@ -1117,7 +1139,8 @@ fn flush_batch(
             norms.clear();
             for &d in batch_docids {
                 // Expression shape: c0 + c1 * cast_f32(gather(doclen)).
-                norms.push(c0 + c1 * doc_len_of(meta, len_window, buffers, v, d)? as f32);
+                let len = len_window.value_at(&meta.doc_lens, buffers, v, d as usize)?;
+                norms.push(c0 + c1 * len as f32);
             }
             for i in 0..k {
                 score_computed(
@@ -1125,33 +1148,20 @@ fn flush_batch(
                     &batch_payloads[i * v..i * v + rows],
                     coefs[i],
                     norms,
-                    i == 0,
                 );
             }
         }
         ScoreMode::MaterializedF32 | ScoreMode::MaterializedQ8 => {
             let f32_bits = matches!(mode, ScoreMode::MaterializedF32);
             for i in 0..k {
-                score_materialized(
-                    scores,
-                    &batch_payloads[i * v..i * v + rows],
-                    f32_bits,
-                    i == 0,
-                );
+                score_materialized(scores, &batch_payloads[i * v..i * v + rows], f32_bits);
             }
         }
     }
-    for (j, &d) in batch_docids.iter().enumerate() {
+    for (&docid, &score) in batch_docids.iter().zip(scores.iter()) {
         *seq += 1;
-        heap_offer(
-            heap,
-            n,
-            HeapRow {
-                score: scores[j],
-                seq: *seq,
-                docid: d,
-            },
-        );
+        let seq = *seq;
+        heap_offer(heap, n, HeapRow { score, seq, docid });
     }
     Ok(())
 }
@@ -1166,58 +1176,47 @@ fn drain_heap(heap: &mut Vec<HeapRow>, out: &mut Vec<(u32, f32)>) {
 
 // ---- scoring kernels ----------------------------------------------------
 
-/// One term's contribution to the batch: `acc[j] (op)= coef * (tf / (tf +
-/// norm[j]))` with `tf = cast_f32(payload as i32)`, where `(op)=` is plain
-/// assignment for the first term (the fold has no zero seed). Dispatches
-/// to the AVX2 kernel when active; both paths are IEEE-exact per element,
-/// hence bit-identical.
-fn score_computed(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32], first: bool) {
+/// One term's contribution to the batch: `acc[j] += coef * (tf / (tf +
+/// norm[j]))` with `tf = cast_f32(payload as i32)`, over rows seeded with
+/// `+0.0` (exact: see [`run_ranked`]). Dispatches to the AVX2 kernel when
+/// active; both paths are IEEE-exact per element, hence bit-identical.
+fn score_computed(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if x100_compress::simd_active() {
         // Safety: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { simd::score_computed_avx2(acc, tfs, coef, norms, first) };
+        unsafe { simd::score_computed_avx2(acc, tfs, coef, norms) };
         return;
     }
-    score_computed_scalar(acc, tfs, coef, norms, first);
+    score_computed_scalar(acc, tfs, coef, norms);
 }
 
-fn score_computed_scalar(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32], first: bool) {
+fn score_computed_scalar(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32]) {
     for j in 0..acc.len() {
         let tf = (tfs[j] as i32) as f32;
-        let ts = coef * (tf / (tf + norms[j]));
-        if first {
-            acc[j] = ts;
-        } else {
-            acc[j] += ts;
-        }
+        acc[j] += coef * (tf / (tf + norms[j]));
     }
 }
 
-/// One materialized term's contribution: the payload decoded as the plan
-/// decodes it (`f32::from_bits` for F32 indexes, `cast_f32` for quantized
-/// codes), assigned for the first term and summed for the rest.
-fn score_materialized(acc: &mut [f32], payloads: &[u32], f32_bits: bool, first: bool) {
+/// One materialized term's contribution, summed into the batch: the
+/// payload decoded as the plan decodes it (`f32::from_bits` for F32
+/// indexes, `cast_f32` for quantized codes).
+fn score_materialized(acc: &mut [f32], payloads: &[u32], f32_bits: bool) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if x100_compress::simd_active() {
         // Safety: `simd_active` implies AVX2 was detected at runtime.
-        unsafe { simd::score_materialized_avx2(acc, payloads, f32_bits, first) };
+        unsafe { simd::score_materialized_avx2(acc, payloads, f32_bits) };
         return;
     }
-    score_materialized_scalar(acc, payloads, f32_bits, first);
+    score_materialized_scalar(acc, payloads, f32_bits);
 }
 
-fn score_materialized_scalar(acc: &mut [f32], payloads: &[u32], f32_bits: bool, first: bool) {
+fn score_materialized_scalar(acc: &mut [f32], payloads: &[u32], f32_bits: bool) {
     for j in 0..acc.len() {
-        let s = if f32_bits {
+        acc[j] += if f32_bits {
             f32::from_bits(payloads[j])
         } else {
             (payloads[j] as i32) as f32
         };
-        if first {
-            acc[j] = s;
-        } else {
-            acc[j] += s;
-        }
     }
 }
 
@@ -1236,7 +1235,6 @@ mod simd {
         tfs: &[u32],
         coef: f32,
         norms: &[f32],
-        first: bool,
     ) {
         let n8 = acc.len() & !7;
         let c = _mm256_set1_ps(coef);
@@ -1245,15 +1243,11 @@ mod simd {
             let tf = _mm256_cvtepi32_ps(_mm256_loadu_si256(tfs.as_ptr().add(j).cast()));
             let nm = _mm256_loadu_ps(norms.as_ptr().add(j));
             let ts = _mm256_mul_ps(c, _mm256_div_ps(tf, _mm256_add_ps(tf, nm)));
-            let out = if first {
-                ts
-            } else {
-                _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(j)), ts)
-            };
+            let out = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(j)), ts);
             _mm256_storeu_ps(acc.as_mut_ptr().add(j), out);
             j += 8;
         }
-        super::score_computed_scalar(&mut acc[n8..], &tfs[n8..], coef, &norms[n8..], first);
+        super::score_computed_scalar(&mut acc[n8..], &tfs[n8..], coef, &norms[n8..]);
     }
 
     #[target_feature(enable = "avx2")]
@@ -1261,7 +1255,6 @@ mod simd {
         acc: &mut [f32],
         payloads: &[u32],
         f32_bits: bool,
-        first: bool,
     ) {
         let n8 = acc.len() & !7;
         let mut j = 0;
@@ -1272,15 +1265,11 @@ mod simd {
             } else {
                 _mm256_cvtepi32_ps(raw)
             };
-            let out = if first {
-                s
-            } else {
-                _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(j)), s)
-            };
+            let out = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(j)), s);
             _mm256_storeu_ps(acc.as_mut_ptr().add(j), out);
             j += 8;
         }
-        super::score_materialized_scalar(&mut acc[n8..], &payloads[n8..], f32_bits, first);
+        super::score_materialized_scalar(&mut acc[n8..], &payloads[n8..], f32_bits);
     }
 }
 
@@ -1340,27 +1329,21 @@ mod tests {
         let tfs = [3u32, 0, 17, 1, 0, 255, 42, 9, 2];
         let norms: Vec<f32> = (0..9).map(|i| 0.3 + i as f32 * 0.07).collect();
         let mut acc = vec![0.0f32; 9];
-        score_computed_scalar(&mut acc, &tfs, -1.5, &norms, true);
-        score_computed_scalar(&mut acc, &tfs, 2.25, &norms, false);
+        score_computed_scalar(&mut acc, &tfs, 1.5, &norms);
+        score_computed_scalar(&mut acc, &tfs, 2.25, &norms);
         for j in 0..9 {
             let tf = tfs[j] as f32;
-            let expect = -1.5 * (tf / (tf + norms[j])) + 2.25 * (tf / (tf + norms[j]));
+            let expect = 0.0 + 1.5 * (tf / (tf + norms[j])) + 2.25 * (tf / (tf + norms[j]));
             assert_eq!(acc[j].to_bits(), expect.to_bits(), "row {j}");
         }
     }
 
-    /// The set bits of a presence map, ascending, clearing it — the walk
-    /// `run_ranked` makes between scatter and gather.
-    fn drain_slots(present: &mut [u64]) -> Vec<usize> {
-        let mut slots = Vec::new();
-        for (w, word) in present.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                slots.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        slots
+    /// Drains the window at `base`: the `(docid, score)` rows `run_ranked`
+    /// offers to the heap, ascending.
+    fn drain_rows(base: u32, acc: &mut [f32], present: &mut [u64]) -> Vec<(u32, f32)> {
+        let mut rows = Vec::new();
+        drain_window(base, acc, present, |d, s| rows.push((d, s)));
+        rows
     }
 
     #[test]
@@ -1370,38 +1353,46 @@ mod tests {
         // build and no posting would ever be inside it.
         let top = [u32::MAX - 3, u32::MAX - 2, u32::MAX - 1, u32::MAX];
         let pays = [7u32, 0, 9, 11];
-        let (v, k) = (4, 2);
-        let mut cells = vec![0u32; k * UNION_WINDOW];
+        let q8 = |p: u32, _| (p as i32) as f32;
+        let mut acc = vec![0.0f32; UNION_WINDOW];
         let mut present = vec![0u64; UNION_WINDOW / 64];
+        let all_zero = |acc: &[f32], present: &[u64]| {
+            acc.iter().all(|s| s.to_bits() == 0) && present.iter().all(|&w| w == 0)
+        };
         let base = top[0];
-        let (row0, row1) = cells.split_at_mut(UNION_WINDOW);
-        assert_eq!(scatter(&top, &pays, base, row0, &mut present), 4);
-        assert_eq!(scatter(&top[2..], &[5, 6], base, row1, &mut present), 2);
-        let slots = drain_slots(&mut present);
-        assert_eq!(slots, [0, 1, 2, 3]);
-        let docids: Vec<u32> = slots.iter().map(|&s| base + s as u32).collect();
-        assert_eq!(docids, top);
-        let mut payloads = vec![u32::MAX; k * v];
-        gather(&mut cells, base, &docids, &mut payloads, v, 0);
-        assert_eq!(payloads, [7, 0, 9, 11, 0, 0, 5, 6]);
+        assert_eq!(accumulate(&top, &pays, base, &mut acc, &mut present, q8), 4);
+        assert_eq!(
+            accumulate(&top[2..], &[5, 6], base, &mut acc, &mut present, q8),
+            2
+        );
+        let rows = drain_rows(base, &mut acc, &mut present);
+        assert_eq!(
+            rows,
+            [(top[0], 7.0), (top[1], 0.0), (top[2], 14.0), (top[3], 17.0)]
+        );
         assert!(
-            cells.iter().all(|&c| c == 0),
-            "gather re-zeroes what it read"
+            all_zero(&acc, &present),
+            "the drain leaves the accumulator and the bitmap all zero"
         );
 
         // A window whose last slot is u32::MAX - 2: the two docids past it
         // stay for the next window, which then starts at u32::MAX - 1.
         let base = u32::MAX - 1 - UNION_WINDOW as u32;
         let docs = [base, u32::MAX - 2, u32::MAX - 1, u32::MAX];
-        assert_eq!(scatter(&docs, &pays, base, &mut cells, &mut present), 2);
-        assert_eq!(drain_slots(&mut present), [0, UNION_WINDOW - 1]);
+        assert_eq!(
+            accumulate(&docs, &pays, base, &mut acc, &mut present, q8),
+            2
+        );
+        let rows = drain_rows(base, &mut acc, &mut present);
+        assert_eq!(rows, [(base, 7.0), (base + UNION_WINDOW as u32 - 1, 0.0)]);
         assert!(!in_window(u32::MAX - 1, base) && in_window(u32::MAX, u32::MAX - 1));
         // A docid below the base (a corrupt, non-ascending list) is outside
         // every window that starts above it: it is left, not mis-slotted.
         assert_eq!(
-            scatter(&[base - 1], &[1], base, &mut cells, &mut present),
+            accumulate(&[base - 1], &[1], base, &mut acc, &mut present, q8),
             0
         );
+        assert!(all_zero(&acc, &present));
     }
 
     #[test]

@@ -128,10 +128,12 @@ fn reopen_from_segment(index: &InvertedIndex) -> (Arc<InvertedIndex>, std::path:
 
 #[test]
 fn union_window_grows_once_for_the_widest_query_and_never_shrinks() {
-    // The exhaustive union's window matrix has one row per query term. A
-    // query wider than any before it grows the matrix (that one may
-    // allocate); from then on neither a narrower query nor the wide one
-    // again may touch the allocator — no shrink, no second growth.
+    // The exhaustive union's buffers — accumulator, norms and presence
+    // bitmap — are one window wide whatever the query; only the
+    // conjunctive batch grows with the term count. A query wider than any
+    // before it may allocate; from then on neither a narrower query nor
+    // the wide one again may touch the allocator — no shrink, no second
+    // growth — in the computed and in the materialized union.
     let (queries, index) = fixture();
     let mut wide: Vec<u32> = Vec::new();
     for &t in queries.iter().flatten() {
@@ -143,16 +145,18 @@ fn union_window_grows_once_for_the_widest_query_and_never_shrinks() {
     let narrow = &wide[..2];
     let (reopened, path) = reopen_from_segment(&index);
     for (label, index) in [("in-memory", index), ("segment-backed", reopened)] {
-        let exec = QueryExecutor::new(index);
-        let mut out = Vec::new();
-        let mut run = |q: &[u32]| {
-            exec.search_hits_into(q, SearchStrategy::Bm25, TOP_N, &mut out)
-                .expect("query failed")
-        };
-        run(narrow);
-        run(&wide); // grows the matrix to 12 rows
-        for (what, q) in [("narrow after wide", narrow), ("wide again", &wide[..])] {
-            assert_no_allocs(&format!("{label}: {what}"), || run(q));
+        for strategy in [SearchStrategy::Bm25, SearchStrategy::Bm25Materialized] {
+            let exec = QueryExecutor::new(index.clone());
+            let mut out = Vec::new();
+            let mut run = |q: &[u32]| {
+                exec.search_hits_into(q, strategy, TOP_N, &mut out)
+                    .expect("query failed")
+            };
+            run(narrow);
+            run(&wide); // the widest query so far: 12 cursors
+            for (what, q) in [("narrow after wide", narrow), ("wide again", &wide[..])] {
+                assert_no_allocs(&format!("{label} {strategy:?}: {what}"), || run(q));
+            }
         }
     }
     std::fs::remove_file(&path).expect("remove segment");

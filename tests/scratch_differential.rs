@@ -320,10 +320,10 @@ fn crafted_collection(num_docs: u32, lists: &[Vec<u32>]) -> SyntheticCollection 
 
 #[test]
 fn union_window_edges_match_relational_oracle() {
-    // The exhaustive union scatters postings into a docid window of a
-    // private power-of-two width W starting at the live minimum docid. The
-    // lists below put postings exactly on the last slot of a window and on
-    // the first docid past it for every W from 2^8 to 2^14, with the window
+    // The exhaustive union sums postings into a docid window of a private
+    // power-of-two width W starting at the live minimum docid. The lists
+    // below put postings exactly on the last slot of a window and on the
+    // first docid past it for every W from 2^8 to 2^14, with the window
     // starting at docid 0 and at docid 5.
     const NUM_DOCS: u32 = 20_000;
     let powers = || (8..=14).map(|i| 1u32 << i);
@@ -345,6 +345,16 @@ fn union_window_edges_match_relational_oracle() {
     ];
     // 9..=20: twelve lists of different strides and phases (k = 12).
     lists.extend((0..12u32).map(|j| (j..NUM_DOCS).step_by(11 + j as usize).collect()));
+    // 21, 22, 23: the fold order. Eight docids hold all three terms, whose
+    // idfs are ln(2500), ln(2) and ln(20000/19999): contributions orders of
+    // magnitude apart, so summing a docid's terms in any order but the
+    // query's flips low bits of its score against the oracle (computed and
+    // f32 scores; q8 codes are small integers and sum exactly). The
+    // `everywhere` term (idf 0) already adds exact `+0.0` contributions.
+    let fold = (21u32, 22u32, 23u32);
+    lists.push((0..8).map(|i| 1 + 2 * (i * 1_237)).collect());
+    lists.push((0..NUM_DOCS).filter(|d| d % 2 == 1).collect());
+    lists.push((1..NUM_DOCS).collect());
     let everywhere = lists.len() as u32;
     let queries: Vec<Vec<u32>> = vec![
         vec![0, 1],
@@ -361,6 +371,8 @@ fn union_window_edges_match_relational_oracle() {
         vec![5, 6, 0, 1, 4],
         (9..=20).collect(), // k = 12
         vec![8, 1, 3, 6],
+        vec![fold.0, fold.1, fold.2],
+        vec![fold.2, fold.1, fold.0],
     ];
     let collection = crafted_collection(NUM_DOCS, &lists);
     let mut indexes: Vec<Arc<InvertedIndex>> = [

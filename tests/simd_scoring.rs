@@ -1,6 +1,12 @@
 //! SIMD scoring pin: the wide (AVX2) BM25 batch kernels on the fused hot
 //! path must be **bit-identical** to the unrolled scalar kernels.
 //!
+//! Only the conjunctive pass of the two-pass strategies scores batches;
+//! the ranked union sums into its window accumulator and never reaches
+//! the kernels. So the suite also asserts that, on every index, some
+//! two-pass query ends after its conjunctive pass with at least 8 matches
+//! — the wide kernel ran over full lanes, not only its scalar tail.
+//!
 //! The kernels keep multiply and add separate (no FMA contraction) and use
 //! only IEEE-exact vector operations (`cvtepi32_ps`, `div_ps`, `mul_ps`,
 //! `add_ps`), so this is exact `f32::to_bits` equality, not tolerance
@@ -20,8 +26,9 @@ use x100_ir::{IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy};
 /// threads: every test that toggles it holds this lock.
 static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Ranked strategies drive the scoring kernels: computed BM25 (tf →
-/// score arithmetic) and materialized (f32-bits / quantized decode-sum).
+/// Ranked strategies: the two-pass ones drive the scoring kernels —
+/// computed BM25 (tf → score arithmetic) and materialized (f32-bits /
+/// quantized decode-sum) — the others hold the union beside them.
 fn ranked() -> impl Iterator<Item = SearchStrategy> {
     SearchStrategy::ALL
         .into_iter()
@@ -31,7 +38,7 @@ fn ranked() -> impl Iterator<Item = SearchStrategy> {
 struct Fixture {
     queries: Vec<Vec<u32>>,
     /// f32 materialization exercises the bit-cast decode kernel, q8 the
-    /// int-convert one; both run the computed kernel for Bm25/TwoPass.
+    /// int-convert one; both run the computed kernel for Bm25TwoPass.
     indexes: [Arc<InvertedIndex>; 2],
 }
 
@@ -50,16 +57,19 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// Hits with exact score bits, plus the pass count.
 fn hits_bits(
     exec: &QueryExecutor,
     q: &[u32],
     strategy: SearchStrategy,
     n: usize,
-) -> Vec<(u32, u32)> {
+) -> (Vec<(u32, u32)>, u8) {
     let mut out = Vec::new();
-    exec.search_hits_into(q, strategy, n, &mut out)
+    let meta = exec
+        .search_hits_into(q, strategy, n, &mut out)
         .expect("search failed");
-    out.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+    let hits = out.iter().map(|&(d, s)| (d, s.to_bits())).collect();
+    (hits, meta.passes)
 }
 
 #[test]
@@ -68,6 +78,9 @@ fn wide_scoring_matches_forced_scalar_bit_for_bit() {
     let fx = fixture();
     for index in &fx.indexes {
         let exec = QueryExecutor::new(index.clone());
+        // Two-pass strategies per index that stopped after the conjunctive
+        // pass with n >= 8 rows, i.e. scored at least one full 8-lane group.
+        let mut full_lane_batches = 0;
         for strategy in ranked() {
             for q in &fx.queries {
                 // Varying n exercises full batches, ragged scalar tails
@@ -82,9 +95,17 @@ fn wide_scoring_matches_forced_scalar_bit_for_bit() {
                         wide, scalar,
                         "wide vs scalar scoring diverged: {strategy:?} n={n} terms={q:?}"
                     );
+                    if strategy.is_two_pass() && n >= 8 && wide.1 == 1 {
+                        full_lane_batches += 1;
+                    }
                 }
             }
         }
+        assert!(
+            full_lane_batches > 0,
+            "no two-pass query stopped after a conjunctive pass of >= 8 matches: \
+             the batch kernels ran over no full lanes"
+        );
     }
 }
 
