@@ -18,10 +18,12 @@
 //! Usage: `table3_distributed [--scale tiny|small|medium|large] [num_docs] [num_queries]`
 //! (defaults: the medium scale's 100000 docs, 400 measured queries)
 
+use std::sync::Arc;
+
 use x100_bench::{fmt_ms, reference, take_scale_flag_or_exit, TablePrinter};
 use x100_corpus::{CollectionConfig, Scale, SyntheticCollection};
 use x100_distributed::{simulate_run, RunConfig, SimulatedCluster};
-use x100_ir::{IndexConfig, InvertedIndex, QueryEngine, SearchStrategy};
+use x100_ir::{IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy};
 
 const PARTITIONS: usize = 8;
 const TOP_N: usize = 20;
@@ -51,16 +53,21 @@ fn main() {
         .cloned()
         .collect();
 
-    // Sequential baseline: the unpartitioned index on one machine.
+    // Sequential baseline: the unpartitioned index on one machine, timed
+    // through the same fused path the cluster's nodes serve.
     let full_index = InvertedIndex::build(&collection, &IndexConfig::compressed());
-    let engine = QueryEngine::new(&full_index);
+    let executor = QueryExecutor::new(Arc::new(full_index));
+    let mut hits = Vec::with_capacity(TOP_N);
+    let mut search = |q: &[u32]| {
+        executor
+            .search_hits_into(q, STRATEGY, TOP_N, &mut hits)
+            .expect("search")
+            .cpu_time
+    };
     for q in &queries {
-        let _ = engine.search(q, STRATEGY, TOP_N); // warm
+        search(q); // warm
     }
-    let mut seq_total = std::time::Duration::ZERO;
-    for q in &queries {
-        seq_total += engine.search(q, STRATEGY, TOP_N).expect("search").cpu_time;
-    }
+    let seq_total: std::time::Duration = queries.iter().map(|q| search(q)).sum();
     let sequential = seq_total / queries.len() as u32;
 
     // Cluster: measure real per-partition compute, then schedule.

@@ -553,62 +553,43 @@ impl SimulatedCluster {
     }
 
     /// Measures, for each query, the *actual* per-node execution time of
-    /// the local top-`n` search (hot data). These matrices feed the
-    /// discrete-event scheduler. Nodes are measured in parallel threads to
-    /// keep harness wall-clock down; each measurement itself is
-    /// single-threaded, like one query on one server core.
+    /// the local top-`n` search (hot data), as `compute[query][node]`:
+    /// the matrix the discrete-event scheduler consumes. Each node is timed
+    /// through the path it serves, [`Node::search_hits_into`], one node
+    /// after another, so every measurement is one query on an otherwise
+    /// idle core — as on the paper's one-server-per-partition cluster —
+    /// and not a share of an oversubscribed one. A node runs on a thread of
+    /// its own only so that its panic is contained: an error or a panic is
+    /// reported as that node's [`ClusterError::NodeFailed`].
     pub fn measure_compute(
         &self,
         queries: &[Vec<u32>],
         strategy: SearchStrategy,
         n: usize,
     ) -> Result<Vec<Vec<Duration>>, ClusterError> {
-        let num_nodes = self.nodes.len();
-        let mut per_node: Vec<Vec<Duration>> = Vec::with_capacity(num_nodes);
-        let mut failed = None;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .nodes
-                .iter()
-                .map(|node| {
-                    let node = Arc::clone(node);
-                    s.spawn(move || {
-                        let engine = node.engine();
-                        // Warm the node once so measurements reflect the
-                        // paper's hot-data condition.
-                        if let Some(q) = queries.first() {
-                            let _ = engine.search(q, strategy, n);
-                        }
-                        queries
-                            .iter()
-                            .map(|q| {
-                                node.check_injected_fault();
-                                engine.search(q, strategy, n).map(|r| r.cpu_time)
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            for (ni, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(Ok(row)) => per_node.push(row),
-                    // A search error is a failed node, not a zero-cost query.
-                    Ok(Err(_)) | Err(_) => {
-                        // Keep joining the rest so no thread is leaked past
-                        // the scope, then report the first dead node.
-                        failed.get_or_insert(ClusterError::NodeFailed { partition: ni });
+        let mut compute = vec![Vec::new(); queries.len()];
+        for (ni, node) in self.nodes.iter().enumerate() {
+            let measured = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut out = Vec::with_capacity(n);
+                    // Warm the node once so measurements reflect the
+                    // paper's hot-data condition.
+                    if let Some(q) = queries.first() {
+                        node.search_hits_into(q, strategy, n, &mut out)?;
                     }
-                }
+                    for (row, q) in compute.iter_mut().zip(queries) {
+                        row.push(node.search_hits_into(q, strategy, n, &mut out)?.cpu_time);
+                    }
+                    Ok::<_, ExecError>(())
+                })
+                .join()
+            });
+            // A search error is a failed node, not a zero-cost query.
+            if !matches!(measured, Ok(Ok(()))) {
+                return Err(ClusterError::NodeFailed { partition: ni });
             }
-        });
-        if let Some(err) = failed {
-            return Err(err);
         }
-        // Transpose to per-query rows: compute[q][node].
-        let num_q = queries.len();
-        Ok((0..num_q)
-            .map(|q| (0..num_nodes).map(|p| per_node[p][q]).collect())
-            .collect())
+        Ok(compute)
     }
 }
 

@@ -230,19 +230,6 @@ impl<'a> QueryEngine<'a> {
         self.vector_size
     }
 
-    /// Convenience: search by term strings, returning just the hits.
-    pub fn search_terms(
-        &self,
-        terms: &[&str],
-        strategy: SearchStrategy,
-        n: usize,
-    ) -> Vec<SearchResult> {
-        let ids: Vec<u32> = terms.iter().filter_map(|t| self.index.term_id(t)).collect();
-        self.search(&ids, strategy, n)
-            .map(|r| r.results)
-            .unwrap_or_default()
-    }
-
     /// Runs one query: term ids in, ranked top-`n` out.
     pub fn search(
         &self,
@@ -339,20 +326,6 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Runs an allocation-free `fill` over the arena's own hit staging and
-    /// materializes the named response from it.
-    fn scratch_response(
-        &self,
-        scratch: &mut QueryScratch,
-        fill: impl FnOnce(&mut QueryScratch, &mut Vec<(u32, f32)>) -> Result<HitsResponse, ExecError>,
-    ) -> Result<SearchResponse, ExecError> {
-        let mut hits = std::mem::take(&mut scratch.hits);
-        let meta = fill(scratch, &mut hits);
-        let response = meta.map(|meta| self.named_response(hits.iter().copied(), meta));
-        scratch.hits = hits;
-        response
-    }
-
     /// Runs one query through the fused allocation-free path
     /// ([`crate::hot`]), reusing the caller's scratch arena, and
     /// materializes a full [`SearchResponse`] (names included — this
@@ -367,9 +340,12 @@ impl<'a> QueryEngine<'a> {
         n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<SearchResponse, ExecError> {
-        self.scratch_response(scratch, |scratch, hits| {
-            self.search_hits_into(term_ids, strategy, n, scratch, hits)
-        })
+        // The hits are staged in the arena's own buffer, then named.
+        let mut hits = std::mem::take(&mut scratch.hits);
+        let meta = self.search_hits_into(term_ids, strategy, n, scratch, &mut hits);
+        let response = meta.map(|meta| self.named_response(hits.iter().copied(), meta));
+        scratch.hits = hits;
+        response
     }
 
     /// The allocation-free core: runs one query through the fused path,
@@ -672,66 +648,6 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Conjunctive BM25 retrieval via skipping (leapfrog) list intersection
-    /// instead of the relational merge-join fold — the §2.1 "fine-granularity
-    /// access and skipping" machinery applied to query processing, in the
-    /// spirit of the pruning techniques §5 says "can be implemented on top
-    /// of a DBMS".
-    ///
-    /// Returns the same documents as the first (conjunctive) pass of
-    /// [`SearchStrategy::Bm25TwoPass`], scored identically; only the access
-    /// path differs. For rare∧common term combinations it touches a small
-    /// fraction of the long list's windows.
-    pub fn search_conjunctive_skipping(
-        &self,
-        term_ids: &[u32],
-        n: usize,
-    ) -> Result<SearchResponse, ExecError> {
-        let mut scratch = QueryScratch::new();
-        self.search_conjunctive_skipping_with_scratch(term_ids, n, &mut scratch)
-    }
-
-    /// [`Self::search_conjunctive_skipping`] reusing a caller-held scratch
-    /// arena — the skipping intersection, per-match scoring and top-k heap
-    /// all run inside the arena's cursors and buffers, so a warm query
-    /// allocates only for the materialized response.
-    pub fn search_conjunctive_skipping_with_scratch(
-        &self,
-        term_ids: &[u32],
-        n: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<SearchResponse, ExecError> {
-        self.scratch_response(scratch, |scratch, hits| {
-            self.search_conjunctive_skipping_hits_into(term_ids, n, scratch, hits)
-        })
-    }
-
-    /// The allocation-free core of the skipping conjunctive path: fills
-    /// `out` (cleared first) with up to `n` `(docid, score)` hits, best
-    /// first, reusing the scratch arena's cursors for the galloping
-    /// leapfrog. Steady state performs zero heap allocations — pinned by
-    /// `tests/hot_path_allocs.rs`.
-    pub fn search_conjunctive_skipping_hits_into(
-        &self,
-        term_ids: &[u32],
-        n: usize,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<(u32, f32)>,
-    ) -> Result<HitsResponse, ExecError> {
-        self.timed(|| {
-            crate::hot::conjunctive_skipping_into(
-                self.index,
-                &self.buffers,
-                self.vector_size,
-                term_ids,
-                n,
-                scratch,
-                out,
-            )
-            .map(|()| 1)
-        })
-    }
-
     /// Renders the paper-style relational plan for a query (the demo's
     /// "display the relational query plan" feature, §4).
     pub fn plan_text(&self, terms: &[&str], strategy: SearchStrategy, n: usize) -> String {
@@ -1023,8 +939,14 @@ mod tests {
         let engine = QueryEngine::new(&idx);
         let resp = engine.search(&[999_999], SearchStrategy::Bm25, 10).unwrap();
         assert!(resp.results.is_empty());
-        let hits = engine.search_terms(&["no-such-term"], SearchStrategy::Bm25, 10);
-        assert!(hits.is_empty());
+        // A string the vocabulary lacks resolves to no id, and a query left
+        // with no ids is empty, not an error.
+        assert_eq!(idx.term_id("no-such-term"), None);
+        assert!(engine
+            .search(&[], SearchStrategy::Bm25, 10)
+            .unwrap()
+            .results
+            .is_empty());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use x100_exec::ExecError;
 use x100_storage::{BufferManager, BufferMode, DiskModel};
 use x100_vector::VectorSize;
 
-use crate::engine::{HitsResponse, QueryEngine, SearchResponse, SearchResult, SearchStrategy};
+use crate::engine::{HitsResponse, QueryEngine, SearchResponse, SearchStrategy};
 use crate::hot::QueryScratch;
 use crate::index::InvertedIndex;
 
@@ -185,20 +185,6 @@ impl QueryExecutor {
             .search_hits_into(term_ids, strategy, n, &mut scratch, out)
     }
 
-    /// Conjunctive BM25 via the skipping access path, through this
-    /// executor's scratch arena. See
-    /// [`QueryEngine::search_conjunctive_skipping_hits_into`].
-    pub fn search_conjunctive_skipping_hits_into(
-        &self,
-        term_ids: &[u32],
-        n: usize,
-        out: &mut Vec<(u32, f32)>,
-    ) -> Result<HitsResponse, ExecError> {
-        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        self.engine()
-            .search_conjunctive_skipping_hits_into(term_ids, n, &mut scratch, out)
-    }
-
     /// Cumulative hot-path work counters of this executor's scratch arena
     /// (see [`crate::HotPathStats`]); callers diff snapshots around query
     /// spans to attribute decodes and scored rows.
@@ -217,17 +203,6 @@ impl QueryExecutor {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .poison(seed);
-    }
-
-    /// Convenience: search by term strings, returning just the hits. See
-    /// [`QueryEngine::search_terms`].
-    pub fn search_terms(
-        &self,
-        terms: &[&str],
-        strategy: SearchStrategy,
-        n: usize,
-    ) -> Vec<SearchResult> {
-        self.engine().search_terms(terms, strategy, n)
     }
 }
 

@@ -42,7 +42,7 @@
 //! scoring loop over each conjunctive batch runs 8 lanes wide; conversion
 //! (`i32 -> f32`), divide, multiply and add are all IEEE-exact operations,
 //! so the wide kernels are bit-identical to the scalar loop (pinned by
-//! `tests/scratch_differential.rs` against the forced-scalar fallback).
+//! `tests/simd_scoring.rs` against the forced-scalar fallback).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -77,9 +77,9 @@ pub(crate) struct Window {
     /// Lifetime count of 128-value strides decoded into the stage.
     /// Counting strides rather than refill events keeps the meter
     /// comparable between wide `vector_size`-span refills and the
-    /// single-stride probes of [`TermCursor::seek`]. Monotone; never
-    /// cleared.
-    refills: u64,
+    /// single-stride probes of `PostingCursor::seek_docid`. Monotone;
+    /// never cleared.
+    pub(crate) refills: u64,
 }
 
 impl Window {
@@ -184,8 +184,7 @@ impl TermCursor {
 
     /// Walks forward posting by posting to the first docid `>= target` —
     /// the full-scan catch-up of the merge-join plans (every window is
-    /// decoded and charged, exactly like `ColumnScan`); [`Self::seek`] is
-    /// the skipping one.
+    /// decoded and charged, exactly like `ColumnScan`).
     fn walk_to(
         &mut self,
         target: u32,
@@ -207,54 +206,6 @@ impl TermCursor {
         vector_size: usize,
     ) -> Result<u32, StorageError> {
         self.pay.value_at(pay_col, buffers, vector_size, self.pos)
-    }
-
-    /// Positions the cursor at the first posting whose docid is `>=
-    /// target`, galloping then binary-searching over the docid column with
-    /// single-stride probes — O(log gap) stride decodes, never a sequential
-    /// walk. A cursor already at or past the target does not move.
-    fn seek(
-        &mut self,
-        target: u32,
-        doc_col: &Column,
-        buffers: &BufferManager,
-        vector_size: usize,
-    ) -> Result<(), ExecError> {
-        let past = |d: u32| d >= target;
-        let Some(d) = self.cur else { return Ok(()) };
-        if past(d) {
-            return Ok(());
-        }
-        // Gallop: docid at `lo` fails the predicate; find a probe that
-        // passes (or the range end), doubling the step each round.
-        let mut lo = self.pos;
-        let mut hi = self.end;
-        let mut step = 1usize;
-        loop {
-            let probe = lo + step;
-            if probe >= self.end {
-                break;
-            }
-            let pd = self.doc.value_at(doc_col, buffers, 1, probe)?;
-            if past(pd) {
-                hi = probe;
-                break;
-            }
-            lo = probe;
-            step *= 2;
-        }
-        // Binary search (lo, hi]: first position passing the predicate.
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            let pd = self.doc.value_at(doc_col, buffers, 1, mid)?;
-            if past(pd) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        self.pos = hi;
-        self.load(doc_col, buffers, vector_size)
     }
 }
 
@@ -385,8 +336,6 @@ pub struct QueryScratch {
     len_window: Window,
     /// Lifetime count of rows offered to the scoring fold. Monotone.
     rows_scored: u64,
-    /// Per-term document frequencies (conjunctive skipping path).
-    dfs: Vec<u32>,
     /// One bit per union window slot some term hit; zero between windows.
     union_present: Vec<u64>,
 }
@@ -419,7 +368,6 @@ impl QueryScratch {
         refill(&mut self.terms, || next() as u32);
         refill(&mut self.batch_docids, || next() as u32);
         refill(&mut self.batch_payloads, || next() as u32);
-        refill(&mut self.dfs, || next() as u32);
         refill(&mut self.union_present, &mut next);
         // f32 garbage includes NaNs, infinities and negative zeros.
         refill(&mut self.coefs, || f32::from_bits(next() as u32));
@@ -478,9 +426,8 @@ impl QueryScratch {
 
 /// Cumulative work counters for one scratch arena: `window_refills` counts
 /// 128-value strides decoded into column windows (a wide refill
-/// of `vector_size` values counts every stride it spans; a single-stride
-/// seek probe counts one) and `rows_scored` counts candidate rows pushed
-/// through the scoring fold.
+/// of `vector_size` values counts every stride it spans) and
+/// `rows_scored` counts candidate rows pushed through the scoring fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     pub window_refills: u64,
@@ -568,19 +515,21 @@ fn min_docid(cursors: &[TermCursor]) -> Option<u32> {
 }
 
 /// The k-way intersection's next match: leapfrogs `cursors` to the next
-/// docid all of them hold (`None` once any list is exhausted), bringing
-/// each laggard up to the current target with `catch_up` — a posting walk
-/// for the merge-join plans, a galloping seek for the skipping one.
+/// docid all of them hold (`None` once any list is exhausted), walking
+/// each laggard posting by posting up to the current target, as the
+/// merge-join plans do.
 fn next_common(
     cursors: &mut [TermCursor],
-    mut catch_up: impl FnMut(&mut TermCursor, u32) -> Result<(), ExecError>,
+    doc_col: &Column,
+    buffers: &BufferManager,
+    vector_size: usize,
 ) -> Result<Option<u32>, ExecError> {
     let Some(mut target) = cursors[0].cur else {
         return Ok(None);
     };
     let mut i = 1;
     while i < cursors.len() {
-        catch_up(&mut cursors[i], target)?;
+        cursors[i].walk_to(target, doc_col, buffers, vector_size)?;
         match cursors[i].cur {
             None => return Ok(None),
             Some(d) if d == target => i += 1,
@@ -591,74 +540,6 @@ fn next_common(
         }
     }
     Ok(Some(target))
-}
-
-/// Conjunctive BM25 retrieval by galloping leapfrog intersection over the
-/// scratch arena's term cursors — the skipping access path of
-/// [`crate::QueryEngine::search_conjunctive_skipping`] with zero per-query
-/// heap allocations in steady state (pinned by `tests/hot_path_allocs.rs`).
-///
-/// Matches are scored with the reference per-posting fold
-/// ([`crate::bm25::term_weight`] summed in term order) and ranked through
-/// the bounded heap; candidates arrive in ascending docid order, so the
-/// heap's arrival tie-break reproduces the docid tie-break of the sorting
-/// implementation this replaces.
-pub(crate) fn conjunctive_skipping_into(
-    index: &InvertedIndex,
-    buffers: &BufferManager,
-    vector_size: usize,
-    term_ids: &[u32],
-    n: usize,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<(u32, f32)>,
-) -> Result<(), ExecError> {
-    out.clear();
-    let meta = index.meta();
-    let k = live_terms(meta, buffers, vector_size, term_ids, scratch)?;
-    if k == 0 {
-        return Ok(());
-    }
-    let td = index.td();
-    let doc_col = td.column("docid").map_err(ExecError::from)?;
-    let tf_col = td.column("tf").map_err(ExecError::from)?;
-    scratch.dfs.clear();
-    for i in 0..k {
-        let t = scratch.terms[i];
-        let df = doc_freq_of(meta, &mut scratch.freq_window, buffers, vector_size, t)?;
-        scratch.dfs.push(df);
-    }
-    reset_cursors(meta, buffers, vector_size, scratch, doc_col)?;
-
-    let QueryScratch {
-        cursors,
-        heap,
-        len_window,
-        dfs,
-        ..
-    } = scratch;
-    let cursors = &mut cursors[..k];
-    let v = vector_size;
-    let params = index.config().params;
-    let stats = index.stats();
-    heap.clear();
-    let mut seq = 0u64;
-    // Leapfrog with galloping seeks: the laggard jumps to the current
-    // target in O(log gap) stride probes instead of walking postings.
-    while let Some(docid) = next_common(cursors, |c, t| c.seek(t, doc_col, buffers, v))? {
-        let doc_len = len_window.value_at(&meta.doc_lens, buffers, v, docid as usize)?;
-        let mut score = 0.0f32;
-        for (i, c) in cursors.iter_mut().enumerate() {
-            let tf = c.payload(tf_col, buffers, v)?;
-            score += crate::bm25::term_weight(params, stats, dfs[i], tf, doc_len);
-            c.advance(doc_col, buffers, v)?;
-        }
-        heap_offer(heap, n, HeapRow { score, seq, docid });
-        seq += 1;
-    }
-    scratch.rows_scored += seq;
-    drain_heap(&mut scratch.heap, out);
-    out.truncate(n);
-    Ok(())
 }
 
 /// Runs one query through the fused path, appending up to `n`
@@ -850,9 +731,7 @@ fn run_boolean(
     out: &mut Vec<(u32, f32)>,
 ) -> Result<(), ExecError> {
     if conjunctive {
-        while let Some(target) =
-            next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, vector_size))?
-        {
+        while let Some(target) = next_common(cursors, doc_col, buffers, vector_size)? {
             out.push((target, 0.0));
             if out.len() >= n {
                 break;
@@ -939,7 +818,7 @@ fn run_ranked(
             batch_payloads.resize(k * v, 0);
         }
         loop {
-            let next = next_common(cursors, |c, t| c.walk_to(t, doc_col, buffers, v))?;
+            let next = next_common(cursors, doc_col, buffers, v)?;
             if let Some(target) = next {
                 let j = batch_docids.len();
                 batch_docids.push(target);

@@ -10,13 +10,14 @@
 //! one list is much shorter than the other (a rare term ANDed with a common
 //! one — precisely the queries the two-pass strategy sends down the
 //! conjunctive path), most of the long list's decoded values are discarded.
-//! [`PostingCursor`] is the standalone by-docid seekable cursor over one
-//! list: galloping probe over entry-point-aligned windows, decoding only
-//! the 128-value windows actually touched. The leapfrog *intersection* over
-//! such cursors runs inside the scratch arena
-//! ([`crate::QueryEngine::search_conjunctive_skipping`]); both stage
-//! postings through the same `hot::Window`, so there is one copy of the
-//! refill and block-pin accounting.
+//! [`PostingCursor`] is the by-docid seekable cursor over one list:
+//! galloping probe over entry-point-aligned windows, decoding only the
+//! 128-value windows actually touched. No served path uses it: the fused
+//! hot path's conjunctive pass walks its lists as the merge-join does, and
+//! a gallop in its place did not decode fewer strides across the query
+//! logs measured (the "walk vs gallop" row of `docs/ARCHITECTURE.md`'s
+//! fork table). It stages docids through the same `hot::Window` as the hot
+//! path, so there is one copy of the refill and block-pin accounting.
 
 use std::ops::Range;
 
@@ -148,6 +149,7 @@ impl<'a> PostingCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{QueryEngine, SearchStrategy};
     use crate::index::IndexConfig;
     use x100_corpus::{CollectionConfig, SyntheticCollection};
     use x100_storage::{BufferMode, DiskModel};
@@ -188,116 +190,59 @@ mod tests {
             assert_eq!(got, expect, "probe {probe}");
         }
     }
-}
 
-#[cfg(test)]
-mod engine_integration_tests {
-    use crate::engine::{QueryEngine, SearchStrategy};
-    use crate::hot::QueryScratch;
-    use crate::index::{IndexConfig, InvertedIndex};
-    use x100_corpus::{CollectionConfig, SyntheticCollection};
-
-    /// The skipping conjunctive path must return exactly what the two-pass
-    /// strategy's first (merge-join) pass returns whenever that pass fills
-    /// the quota.
-    #[test]
-    fn skipping_path_matches_relational_first_pass() {
-        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
-        let engine = QueryEngine::new(&idx);
-        let mut compared = 0;
-        for q in &c.eval_queries {
-            let relational = engine
-                .search(&q.terms, SearchStrategy::Bm25TwoPass, 10)
-                .unwrap();
-            if relational.passes != 1 {
-                continue; // fell through to the outer join; different set
-            }
-            let skipping = engine.search_conjunctive_skipping(&q.terms, 10).unwrap();
-            let a: Vec<(u32, String)> = relational
-                .results
-                .iter()
-                .map(|r| (r.docid, r.name.clone()))
-                .collect();
-            let b: Vec<(u32, String)> = skipping
-                .results
-                .iter()
-                .map(|r| (r.docid, r.name.clone()))
-                .collect();
-            assert_eq!(a, b, "terms {:?}", q.terms);
-            for (x, y) in relational.results.iter().zip(&skipping.results) {
-                assert!(
-                    (x.score - y.score).abs() < 1e-3,
-                    "{} vs {}",
-                    x.score,
-                    y.score
-                );
-            }
-            compared += 1;
-        }
-        assert!(
-            compared > 0,
-            "fixture must exercise at least one 1-pass query"
-        );
-    }
-
-    /// A rare term ANDed with a common one: the galloping leapfrog must
-    /// find the same documents as the full-scan conjunctive pass while
-    /// decoding fewer posting strides.
+    /// §2.1's skipping property: a rare term leapfrogged over a common one
+    /// finds exactly the documents the conjunctive pass finds, while the
+    /// common list's window decodes fewer strides than a posting walk to
+    /// the same position would.
     #[test]
     fn rare_common_skipping_decodes_fewer_strides_than_the_full_scan() {
         let c = SyntheticCollection::generate(&CollectionConfig::small());
         let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
+        let bm = BufferManager::with_mode(DiskModel::instant(), BufferMode::Hot, 0);
         let terms = 0..c.vocab.len() as u32;
         let common = terms.clone().max_by_key(|&t| idx.doc_freq(t)).unwrap();
         let rare = terms
             .filter(|&t| idx.doc_freq(t) >= 2)
             .min_by_key(|&t| idx.doc_freq(t))
             .unwrap();
-        let engine = QueryEngine::new(&idx);
-        let (mut skip, mut scan) = (QueryScratch::new(), QueryScratch::new());
-        let (mut skipped, mut scanned) = (Vec::new(), Vec::new());
-        engine
-            .search_conjunctive_skipping_hits_into(&[rare, common], 1, &mut skip, &mut skipped)
-            .unwrap();
-        let full = engine
-            .search_hits_into(
-                &[rare, common],
-                SearchStrategy::Bm25TwoPass,
-                1,
-                &mut scan,
-                &mut scanned,
-            )
-            .unwrap();
-        let docids = |hits: &[(u32, f32)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
-        assert_eq!(
-            full.passes, 1,
+        let mut rare_cur = PostingCursor::new(&idx, &bm, rare);
+        let mut common_cur = PostingCursor::new(&idx, &bm, common);
+        let mut both = Vec::new();
+        while !rare_cur.is_done() {
+            let d = rare_cur.current().unwrap();
+            match common_cur.seek_docid(d).unwrap() {
+                None => break,
+                Some(hit) if hit == d => both.push(d),
+                Some(_) => {}
+            }
+            rare_cur.advance();
+        }
+        assert!(
+            !both.is_empty(),
             "the fixture's rare term co-occurs with the common one"
         );
-        assert_eq!(docids(&skipped), docids(&scanned));
-        let (skip, scan) = (skip.hot_stats(), scan.hot_stats());
-        assert!(
-            skip.window_refills < scan.window_refills,
-            "skipping decoded {} strides, the full scan {}",
-            skip.window_refills,
-            scan.window_refills
-        );
-    }
 
-    #[test]
-    fn skipping_path_handles_unknown_and_empty_queries() {
-        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
-        let engine = QueryEngine::new(&idx);
-        assert!(engine
-            .search_conjunctive_skipping(&[], 10)
-            .unwrap()
-            .results
-            .is_empty());
-        assert!(engine
-            .search_conjunctive_skipping(&[9_999_999], 10)
-            .unwrap()
-            .results
-            .is_empty());
+        // With `n` = the intersection's size the first pass fills the
+        // quota, so the two-pass strategy stops after it.
+        let full = QueryEngine::new(&idx)
+            .search(&[rare, common], SearchStrategy::Bm25TwoPass, both.len())
+            .unwrap();
+        assert_eq!(full.passes, 1);
+        let mut scanned: Vec<u32> = full.results.iter().map(|r| r.docid).collect();
+        scanned.sort_unstable();
+        assert_eq!(both, scanned);
+
+        // A walk to the cursor's final position decodes every stride from
+        // the list's first to that position's (the whole list once the
+        // cursor is exhausted).
+        let s = ENTRY_POINT_STRIDE;
+        let walked =
+            common_cur.td_row().min(common_cur.range.end - 1) / s - common_cur.range.start / s + 1;
+        assert!(
+            common_cur.window.refills < walked as u64,
+            "seeking decoded {} strides, a walk {walked}",
+            common_cur.window.refills
+        );
     }
 }

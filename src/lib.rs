@@ -30,8 +30,12 @@
 //! let index = InvertedIndex::build(&collection, &IndexConfig::default());
 //! let engine = QueryEngine::new(&index);
 //!
-//! // Run a BM25 top-20 query.
-//! let results = engine.search_terms(&["term3", "term17"], SearchStrategy::Bm25, 20);
+//! // Resolve the query's terms, then run a BM25 top-20 query.
+//! let terms: Vec<u32> = ["term3", "term17"]
+//!     .iter()
+//!     .filter_map(|t| index.term_id(t))
+//!     .collect();
+//! let results = engine.search(&terms, SearchStrategy::Bm25, 20).unwrap().results;
 //! assert!(results.len() <= 20);
 //! ```
 

@@ -73,18 +73,6 @@ fn assert_steady_state_clean(
             });
         }
     }
-    // The conjunctive skipping path shares the arena's cursors and heap.
-    for q in queries {
-        exec.search_conjunctive_skipping_hits_into(q, TOP_N, &mut out)
-            .expect("warmup skipping query failed");
-    }
-    for (qi, q) in queries.iter().enumerate() {
-        let context = format!("{label}: conjunctive-skipping query {qi}");
-        assert_no_allocs(&context, || {
-            exec.search_conjunctive_skipping_hits_into(q, TOP_N, &mut out)
-                .expect("warm skipping query failed")
-        });
-    }
 }
 
 #[test]
