@@ -145,15 +145,21 @@ fn main() {
         })
         .collect();
     let mut table = TablePrinter::new(&["b", "bits/value", "exc.%", "GB/s"]);
-    for b in [2u8, 4, 6, 8, 12, 16] {
-        let block = PforBlock::encode_with_width(&tf, b);
-        table.push_row(vec![
-            b.to_string(),
+    let row = |label: String, block: &PforBlock| {
+        vec![
+            label,
             format!("{:.2}", block.bits_per_value()),
             format!("{:.1}", block.exception_rate() * 100.0),
             format!("{:.2}", bandwidth(|out| block.decode_into(out))),
-        ]);
+        ]
+    };
+    for b in [2u8, 4, 6, 8, 12, 16] {
+        table.push_row(row(b.to_string(), &PforBlock::encode_with_width(&tf, b)));
     }
+    // What the index's per-block chooser picks on the same data (its
+    // exception charge is fitted from this sweep).
+    let auto = PforBlock::encode_auto(&tf);
+    table.push_row(row(format!("auto: {}", auto.width()), &auto));
     print!("{}", table.render());
 
     let docids: Vec<u32> = xorshift(0xABCDEF)

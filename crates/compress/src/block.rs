@@ -31,23 +31,30 @@ use crate::CodecError;
 /// Magic number at the start of every serialized block (`X1CB`).
 pub const BLOCK_MAGIC: u32 = 0x5831_4342;
 
+/// The [`Codec`] width meaning "chosen per block": [`CompressedBlock::encode`]
+/// gives each PFOR or PFOR-DELTA block the width and base
+/// [`crate::pfor::choose_parameters`] picks for its values. Every serialized
+/// block records its own width, so decoding never needs the column's.
+pub const PER_BLOCK_WIDTH: u8 = 0;
+
 /// Codec selection for a column, chosen at index-build time.
 ///
 /// The paper compresses the partially ordered `docid` column with
 /// PFOR-DELTA (8-bit codes) and the small-integer `tf` column with PFOR
-/// (8-bit codes); quantized score columns suit PDICT.
+/// (8-bit codes); the index lets every block choose its width instead
+/// ([`PER_BLOCK_WIDTH`]). Quantized score columns suit PDICT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
     /// No compression: values stored as raw little-endian `u32`s.
     Raw,
     /// Patched frame-of-reference with the given code width.
     Pfor {
-        /// Code width in bits (1..=24).
+        /// Code width in bits (1..=24), or [`PER_BLOCK_WIDTH`].
         width: u8,
     },
     /// PFOR over deltas of subsequent values.
     PforDelta {
-        /// Code width in bits (1..=24).
+        /// Code width in bits (1..=24), or [`PER_BLOCK_WIDTH`].
         width: u8,
     },
     /// Patched dictionary encoding.
@@ -87,6 +94,12 @@ impl CompressedBlock {
     pub fn encode(values: &[u32], codec: Codec) -> Self {
         match codec {
             Codec::Raw => CompressedBlock::Raw(values.to_vec()),
+            Codec::Pfor {
+                width: PER_BLOCK_WIDTH,
+            } => CompressedBlock::Pfor(PforBlock::encode_auto(values)),
+            Codec::PforDelta {
+                width: PER_BLOCK_WIDTH,
+            } => CompressedBlock::PforDelta(PforDeltaBlock::encode_auto(values)),
             Codec::Pfor { width } => {
                 CompressedBlock::Pfor(PforBlock::encode_with_width(values, width))
             }
@@ -497,6 +510,12 @@ mod tests {
         roundtrip(Codec::Pfor { width: 8 });
         roundtrip(Codec::PforDelta { width: 8 });
         roundtrip(Codec::Pdict { width: 8 });
+        roundtrip(Codec::Pfor {
+            width: PER_BLOCK_WIDTH,
+        });
+        roundtrip(Codec::PforDelta {
+            width: PER_BLOCK_WIDTH,
+        });
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod pfor;
 pub mod pfor_delta;
 pub mod simd;
 
-pub use block::{Codec, CompressedBlock, BLOCK_MAGIC};
+pub use block::{Codec, CompressedBlock, BLOCK_MAGIC, PER_BLOCK_WIDTH};
 pub use branch::TwoBitPredictor;
 pub use naive::NaiveBlock;
 pub use patch::{EntryPoint, ENTRY_POINT_STRIDE, NO_EXCEPTION};

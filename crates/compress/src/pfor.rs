@@ -46,8 +46,8 @@ pub struct PforBlock {
 }
 
 impl PforBlock {
-    /// Compresses `values` with an automatically chosen width and base
-    /// (minimizing total compressed size).
+    /// Compresses `values` with the width and base [`choose_parameters`]
+    /// picks for them in one pass.
     pub fn encode_auto(values: &[u32]) -> Self {
         let (b, base) = choose_parameters(values);
         Self::encode(values, b, base)
@@ -320,40 +320,52 @@ pub fn choose_base(values: &[u32], b: u8) -> u32 {
     best_base
 }
 
-/// Chooses `(width, base)` minimizing the estimated compressed size:
-/// `n*b` bits of codes plus 32 bits per exception.
+/// Bits [`choose_parameters`] charges each exception on top of its 32-bit
+/// value: LOOP2's patch work, priced in bits, so a narrower width must save
+/// one code bit per value for every 64 values it patches. Fitted from
+/// `fig3_patch_vs_naive`'s width sweep on tf-like data: the chooser lands on
+/// `b = 6` (2.8 % exceptions), the fewest bits per value that still decodes
+/// as fast as `b = 8`; `b = 4` patches 17.3 % and decodes slower.
+pub const EXCEPTION_PATCH_BITS: u64 = 32;
+
+/// Chooses `(width, base)` for one block in one pass, minimizing
+/// `n·b + e(b)·(32 + EXCEPTION_PATCH_BITS)` bits over `b` in `1..=24`.
+///
+/// `base` is the block minimum, so a value is a natural exception at width
+/// `b` exactly when `bitlen(v − base) > b`: one 33-bucket histogram of those
+/// bit lengths gives `natural(b)` for every width at once. Once two or more
+/// natural exceptions exist, the **compulsory** ones that bridge gaps wider
+/// than `2^b − 1` are bounded from above by `(n − natural(b)) / (2^b − 1)`.
+/// Without that term a dense block of small deltas with sparse outliers
+/// picks `b = 1`, where nearly every slot after the first outlier becomes
+/// an exception.
 pub fn choose_parameters(values: &[u32]) -> (u8, u32) {
-    if values.is_empty() {
+    let Some(&base) = values.iter().min() else {
         return (1, 0);
+    };
+    let mut hist = [0u64; 33];
+    for &v in values {
+        hist[(32 - (v - base).leading_zeros()) as usize] += 1;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let mut best: Option<(u64, u8, u32)> = None;
+    let n = values.len() as u64;
+    // Values whose bit length exceeds the width under consideration.
+    let mut natural = n - hist[0];
+    let mut best = (u64::MAX, 1u8);
     for b in 1..=MAX_PFOR_WIDTH {
-        let range = 1u64 << b;
-        // Best coverage window for this width.
-        let mut best_cover = 0usize;
-        let mut base = sorted[0];
-        let mut lo = 0usize;
-        for hi in 0..n {
-            while u64::from(sorted[hi]) - u64::from(sorted[lo]) >= range {
-                lo += 1;
-            }
-            let cover = hi - lo + 1;
-            if cover > best_cover {
-                best_cover = cover;
-                base = sorted[lo];
-            }
-        }
-        let exceptions = (n - best_cover) as u64;
-        let cost_bits = n as u64 * u64::from(b) + exceptions * 32;
-        if best.is_none_or(|(c, _, _)| cost_bits < c) {
-            best = Some((cost_bits, b, base));
+        natural -= hist[usize::from(b)];
+        // One natural exception links to nothing; trailing compulsory ones
+        // are trimmed, so only gaps between naturals need bridging.
+        let compulsory = if natural > 1 {
+            (n - natural) / ((1u64 << b) - 1)
+        } else {
+            0
+        };
+        let cost = n * u64::from(b) + (natural + compulsory) * (32 + EXCEPTION_PATCH_BITS);
+        if cost < best.0 {
+            best = (cost, b);
         }
     }
-    let (_, b, base) = best.expect("non-empty input always yields parameters");
-    (b, base)
+    (best.1, base)
 }
 
 #[cfg(test)]
@@ -510,6 +522,27 @@ mod tests {
         let (b, base) = choose_parameters(&values);
         assert!(b <= 5, "b={b}");
         assert_eq!(base, 0);
+    }
+
+    #[test]
+    fn chooser_counts_compulsory_exceptions() {
+        // Docid-like deltas: mostly 1, an outlier every 50 values. Counting
+        // natural exceptions alone picks b = 1, where every slot after the
+        // first outlier is a compulsory exception.
+        let deltas: Vec<u32> = (0..4096)
+            .map(|i| if i % 50 == 49 { 1000 } else { 1 })
+            .collect();
+        assert_eq!(choose_parameters(&deltas), (6, 1));
+        let auto = PforBlock::encode_auto(&deltas);
+        assert_eq!(auto.exception_count(), 81, "only the natural exceptions");
+        let fixed = PforBlock::encode_with_width(&deltas, 8);
+        assert!(
+            auto.compressed_bytes() < fixed.compressed_bytes(),
+            "auto {} vs b = 8 {}",
+            auto.compressed_bytes(),
+            fixed.compressed_bytes()
+        );
+        assert_eq!(auto.decode(), deltas);
     }
 
     #[test]

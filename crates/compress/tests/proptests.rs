@@ -5,13 +5,14 @@
 //! * patched and naive decompression agree on the values they reconstruct;
 //! * range decoding agrees with full decoding on every aligned window;
 //! * serialization round-trips bit-exactly;
+//! * the per-block width chooser reaches every width 1–24;
 //! * the per-width unrolled bitpack kernels match the generic oracle on
 //!   adversarial inputs, at every width 1–32.
 
 use proptest::prelude::*;
 use x100_compress::{
     bitpack, Codec, CompressedBlock, NaiveBlock, PdictBlock, PforBlock, PforDeltaBlock,
-    ENTRY_POINT_STRIDE,
+    ENTRY_POINT_STRIDE, PER_BLOCK_WIDTH,
 };
 
 /// Value distributions that stress different codec paths: uniform small
@@ -114,6 +115,63 @@ proptest! {
             prop_assert_eq!(block.serialized_len(), bytes.len());
             let back = CompressedBlock::from_bytes(&bytes).unwrap();
             prop_assert_eq!(&back, &block);
+        }
+    }
+
+    /// The one-pass chooser reaches every width in 1..=24, and each block it
+    /// shapes survives the path a pool miss takes: per-block encode
+    /// (`encode_auto`) → `to_bytes` → `from_bytes` → `decode_range_into` on
+    /// every aligned stride, with `serialized_len` sizing the image exactly.
+    /// Every offset from the block minimum has bit length exactly `b`;
+    /// `noise` fills the low bits, `seed` places the minimum and, with
+    /// `outlier`, one value no width up to 24 can code. PFOR-DELTA gets the
+    /// same offsets as its deltas.
+    #[test]
+    fn chooser_reaches_every_width_and_its_blocks_roundtrip(
+        noise in prop::collection::vec(any::<u32>(), 8..1500),
+        seed in any::<u32>(),
+        outlier in any::<bool>(),
+    ) {
+        let n = noise.len();
+        let min_at = seed as usize % n;
+        let outlier_at = (min_at + 1 + (seed as usize / n) % (n - 1)) % n;
+        let base = seed >> 1; // base + 2^30 still fits a u32
+        for b in 1..=24u8 {
+            let top = 1u32 << (b - 1);
+            let mut offsets: Vec<u32> =
+                noise.iter().map(|&r| base + (top | (r & (top - 1)))).collect();
+            offsets[min_at] = base;
+            if outlier {
+                offsets[outlier_at] = base + (1 << 30);
+            }
+            let sums: Vec<u32> = offsets
+                .iter()
+                .scan(0u32, |acc, &d| {
+                    *acc = acc.wrapping_add(d);
+                    Some(*acc)
+                })
+                .collect();
+            for (codec, values) in [
+                (Codec::Pfor { width: PER_BLOCK_WIDTH }, &offsets),
+                (Codec::PforDelta { width: PER_BLOCK_WIDTH }, &sums),
+            ] {
+                let block = CompressedBlock::encode(values, codec);
+                let width = match &block {
+                    CompressedBlock::Pfor(p) => p.width(),
+                    CompressedBlock::PforDelta(p) => p.width(),
+                    other => panic!("not a PFOR block: {other:?}"),
+                };
+                prop_assert_eq!(width, b, "{:?}", codec);
+                let bytes = block.to_bytes();
+                prop_assert_eq!(block.serialized_len(), bytes.len());
+                let back = CompressedBlock::from_bytes(&bytes).unwrap();
+                let mut out = Vec::new();
+                for start in (0..n).step_by(ENTRY_POINT_STRIDE) {
+                    let len = (n - start).min(ENTRY_POINT_STRIDE);
+                    back.decode_range_into(start, len, &mut out).unwrap();
+                    prop_assert_eq!(&out[..], &values[start..start + len]);
+                }
+            }
         }
     }
 

@@ -18,18 +18,39 @@
 //! same blocks as one fed a whole column (pinned by the differential suite
 //! in `tests/spill_vs_memory.rs`).
 
-use x100_compress::Codec;
+use x100_compress::{Codec, PER_BLOCK_WIDTH};
 use x100_storage::{Column, ColumnBuilder};
 
-use crate::index::IndexConfig;
+use crate::index::{IndexConfig, Materialize};
+
+/// PFOR whose every block picks its own code width and base.
+const PFOR_PER_BLOCK: Codec = Codec::Pfor {
+    width: PER_BLOCK_WIDTH,
+};
 
 /// The posting-column codecs an [`IndexConfig`] selects: `docid` as
-/// PFOR-DELTA and `tf` as PFOR (both 8-bit) when compressing, raw otherwise.
+/// PFOR-DELTA and `tf` as PFOR, widths chosen per block, when compressing;
+/// raw otherwise.
 pub(crate) fn posting_codecs(config: &IndexConfig) -> (Codec, Codec) {
     if config.compress {
-        (Codec::PforDelta { width: 8 }, Codec::Pfor { width: 8 })
+        (
+            Codec::PforDelta {
+                width: PER_BLOCK_WIDTH,
+            },
+            PFOR_PER_BLOCK,
+        )
     } else {
         (Codec::Raw, Codec::Raw)
+    }
+}
+
+/// The score column's codec for each materialization variant: f32 bits
+/// raw, Q8 codes as PFOR with widths chosen per block.
+pub(crate) fn score_codec(materialize: Materialize) -> Option<Codec> {
+    match materialize {
+        Materialize::None => None,
+        Materialize::F32 => Some(Codec::Raw),
+        Materialize::Quantized8 => Some(PFOR_PER_BLOCK),
     }
 }
 

@@ -12,9 +12,9 @@
 //!
 //! * `compress = false` → raw 32-bit `docid`/`tf` columns (runs BoolAND,
 //!   BoolOR, BM25, BM25T);
-//! * `compress = true` → `docid` as PFOR-DELTA and `tf` as PFOR, both with
-//!   8-bit code words, matching §3.3's "11.98 and 8.13 bits per tuple"
-//!   setup (run BM25TC);
+//! * `compress = true` → `docid` as PFOR-DELTA and `tf` as PFOR, every
+//!   block choosing its own code width, where §3.3 fixed 8-bit code words
+//!   for its "11.98 and 8.13 bits per tuple" (run BM25TC);
 //! * [`Materialize::F32`] → adds a precomputed 32-bit ω score column
 //!   (run BM25TCM — note this *increases* I/O volume vs compressed tf);
 //! * [`Materialize::Quantized8`] → adds an 8-bit Global-By-Value quantized
@@ -29,7 +29,7 @@ use x100_storage::{Column, ColumnBuilder, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
 use crate::builder::NEVER_SPILLS;
-use crate::columns::IndexColumns;
+use crate::columns::{score_codec, IndexColumns};
 use crate::paged::{build_term_pages, NamesDir, PagedMetadata, PAGE_VALUES};
 
 /// Which materialized score column to build (§3.3).
@@ -49,7 +49,8 @@ pub enum Materialize {
 /// Index build configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
-    /// Compress `docid` (PFOR-DELTA/8) and `tf` (PFOR/8) columns.
+    /// Compress `docid` (PFOR-DELTA) and `tf` (PFOR) columns, code widths
+    /// chosen per block.
     pub compress: bool,
     /// Score materialization variant.
     pub materialize: Materialize,
@@ -193,10 +194,10 @@ impl InvertedIndex {
                     doc_lens[d as usize] as u32,
                 )
             };
+            let codec = score_codec(config.materialize).expect("materialized scores have a codec");
             match config.materialize {
                 Materialize::F32 => {
-                    let mut b =
-                        ColumnBuilder::with_block_size("score", Codec::Raw, config.block_size);
+                    let mut b = ColumnBuilder::with_block_size("score", codec, config.block_size);
                     for (t, d, f) in PostingStream::new(&docid, &tf, &offsets) {
                         b.push(weight_of(t, d, f).to_bits());
                     }
@@ -211,11 +212,7 @@ impl InvertedIndex {
                             .map(|(t, d, f)| weight_of(t, d, f)),
                         256,
                     );
-                    let mut b = ColumnBuilder::with_block_size(
-                        "score",
-                        Codec::Pfor { width: 8 },
-                        config.block_size,
-                    );
+                    let mut b = ColumnBuilder::with_block_size("score", codec, config.block_size);
                     for (t, d, f) in PostingStream::new(&docid, &tf, &offsets) {
                         b.push(qz.encode(weight_of(t, d, f)));
                     }

@@ -37,7 +37,7 @@ use x100_compress::Codec;
 use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter};
 
 use crate::bm25::{CollectionStats, Quantizer};
-use crate::columns::posting_codecs;
+use crate::columns::{posting_codecs, score_codec};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
 use crate::paged::{col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
 
@@ -123,15 +123,6 @@ impl InvertedIndex {
             "partition segment lacks a global-ids section",
         ))?;
         Ok((index, global_ids))
-    }
-}
-
-/// The score column's codec for each materialization variant.
-fn score_codec(materialize: Materialize) -> Option<Codec> {
-    match materialize {
-        Materialize::None => None,
-        Materialize::F32 => Some(Codec::Raw),
-        Materialize::Quantized8 => Some(Codec::Pfor { width: 8 }),
     }
 }
 
@@ -405,7 +396,10 @@ fn open_segment_file(
     let open_posting_column =
         |kind: SectionKind, name: &str, codec: Codec| -> Result<Column, SegmentError> {
             let col = r.open_column(kind, name)?;
-            if col.codec() != codec {
+            // Only the codec family must match: every block records its own
+            // width and `from_bytes` validates it, so a column sealed at one
+            // fixed width opens like one whose blocks each chose theirs.
+            if std::mem::discriminant(&col.codec()) != std::mem::discriminant(&codec) {
                 return Err(SegmentError::Corrupt(
                     "column codec disagrees with configuration",
                 ));

@@ -6,18 +6,19 @@
 //! with a typed [`SegmentError`]: never a panic, never an unbounded
 //! allocation.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use x100_compress::Codec;
+use x100_compress::{Codec, CompressedBlock};
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_ir::{
     ExecError, IndexBuilder, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy,
     SegmentError, SpillConfig,
 };
 use x100_storage::{
-    BufferManager, BufferMode, ColumnBuilder, DiskModel, SectionKind, SegmentReader, SegmentWriter,
-    StorageError,
+    BufferManager, BufferMode, Column, ColumnBuilder, DiskModel, SectionKind, SegmentReader,
+    SegmentWriter, StorageError,
 };
 
 /// A path no other call shares: tests run on parallel threads of one
@@ -266,20 +267,151 @@ fn pristine_segment(config: &IndexConfig) -> Vec<u8> {
 /// Every single byte of the file, XOR 0xFF: any substitution must fail
 /// open — the checksums cover every payload byte, the padding bytes are
 /// verified zero, and the checksum fields themselves then mismatch.
-#[test]
-fn every_flipped_byte_is_rejected() {
-    let pristine = pristine_segment(&IndexConfig::materialized_q8());
+fn assert_every_flipped_byte_rejected(pristine: &[u8]) {
     assert!(
         pristine.len() < 64 << 10,
         "fixture segment unexpectedly large: {} bytes",
         pristine.len()
     );
-    let mut bytes = pristine.clone();
+    let mut bytes = pristine.to_vec();
     for i in 0..pristine.len() {
         bytes[i] ^= 0xFF;
         open_expecting_error(&bytes, &format!("byte {i} flipped"));
         bytes[i] = pristine[i];
     }
+}
+
+#[test]
+fn every_flipped_byte_is_rejected() {
+    assert_every_flipped_byte_rejected(&pristine_segment(&IndexConfig::materialized_q8()));
+}
+
+/// An index whose 128-posting blocks choose different PFOR widths: posting
+/// lists run from every document (docid deltas of 1) to every 97th, and the
+/// tf spread grows with the term id, so the Q8 score blocks differ too.
+fn mixed_width_index() -> InvertedIndex {
+    let config = IndexConfig {
+        block_size: 128,
+        ..IndexConfig::materialized_q8()
+    };
+    let steps = [1u32, 3, 7, 19, 53, 97];
+    let vocab: Vec<String> = (0..steps.len()).map(|t| format!("term{t}")).collect();
+    let mut b = IndexBuilder::new(vocab.len(), &config, SpillConfig::unbounded());
+    for d in 0..300u32 {
+        let terms: Vec<(u32, u32)> = (0u32..)
+            .zip(steps)
+            .filter(|&(_, step)| d % step == 0)
+            .map(|(t, _)| (t, 1 + d % (1 << (2 * t))))
+            .collect();
+        let len = terms.iter().map(|&(_, tf)| tf).sum();
+        b.push_doc(&format!("doc-{d:04}"), &terms, len).unwrap();
+    }
+    b.finish(&vocab).unwrap().0
+}
+
+/// The distinct code widths of a PFOR column's blocks.
+fn block_widths(column: &Column) -> BTreeSet<u8> {
+    (0..column.block_count())
+        .map(|i| match &*column.block(i) {
+            CompressedBlock::Pfor(b) => b.width(),
+            CompressedBlock::PforDelta(b) => b.width(),
+            other => panic!("not a PFOR block: {other:?}"),
+        })
+        .collect()
+}
+
+/// A segment whose `docid` and `score` blocks chose at least three code
+/// widths each reopens bit-identically, block for block, and still rejects
+/// every flipped byte.
+#[test]
+fn per_block_widths_reopen_bit_identically() {
+    let index = mixed_width_index();
+    for name in ["docid", "score"] {
+        let widths = block_widths(index.td().column(name).unwrap());
+        assert!(widths.len() >= 3, "{name} blocks chose only {widths:?}");
+    }
+    let path = temp_path("mixed-widths");
+    index.write_segment(&path).unwrap();
+    let back = InvertedIndex::open_segment(&path).unwrap();
+    for name in ["docid", "tf", "score"] {
+        let (built, opened) = (
+            index.td().column(name).unwrap(),
+            back.td().column(name).unwrap(),
+        );
+        assert_eq!(opened.block_count(), built.block_count(), "{name}");
+        for i in 0..built.block_count() {
+            assert_eq!(opened.block(i), built.block(i), "{name} block {i}");
+        }
+    }
+    let pristine = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_every_flipped_byte_rejected(&pristine);
+}
+
+/// A segment written before blocks chose their own widths declares `b = 8`
+/// in its posting columns' headers, and every block was sealed at `b = 8`.
+/// It must still open, and serve every strategy exactly like the index it
+/// was written from.
+#[test]
+fn fixed_width_8_segment_still_opens_and_serves() {
+    let index = mixed_width_index();
+    let (new_path, old_path) = (temp_path("per-block"), temp_path("fixed-8"));
+    index.write_segment(&new_path).unwrap();
+    let r = SegmentReader::open(&new_path).unwrap();
+    let mut w = SegmentWriter::create(&old_path).unwrap();
+    for kind in [
+        SectionKind::Meta,
+        SectionKind::TermsFences,
+        SectionKind::Terms,
+        SectionKind::NamesDir,
+        SectionKind::DocNames,
+        SectionKind::DocLens,
+        SectionKind::DocFreqs,
+        SectionKind::Offsets,
+    ] {
+        w.write_section(kind, &r.read_section(kind).unwrap())
+            .unwrap();
+    }
+    for (kind, name, codec) in [
+        (
+            SectionKind::ColDocid,
+            "docid",
+            Codec::PforDelta { width: 8 },
+        ),
+        (SectionKind::ColTf, "tf", Codec::Pfor { width: 8 }),
+        (SectionKind::ColScore, "score", Codec::Pfor { width: 8 }),
+    ] {
+        let column = index.td().column(name).unwrap();
+        let mut b = ColumnBuilder::with_block_size(name, codec, column.block_size());
+        b.extend(&column.read_all());
+        w.write_column_section(kind, &b.finish()).unwrap();
+    }
+    w.finish().unwrap();
+
+    let old = InvertedIndex::open_segment(&old_path).expect("fixed-width segment must open");
+    for name in ["docid", "tf", "score"] {
+        let column = old.td().column(name).unwrap();
+        assert_eq!(block_widths(column), BTreeSet::from([8]), "{name}");
+        assert_eq!(
+            column.read_all(),
+            index.td().column(name).unwrap().read_all(),
+            "{name}"
+        );
+    }
+    let fresh = |index| {
+        QueryExecutor::with_buffering(Arc::new(index), DiskModel::instant(), BufferMode::Hot, 0)
+    };
+    let (old_exec, mem_exec) = (fresh(old), fresh(index));
+    let queries: [&[u32]; 5] = [&[0, 1, 2], &[3, 5], &[2], &[0, 5], &[1, 3, 4]];
+    for strategy in SearchStrategy::ALL {
+        for q in queries {
+            let mem = mem_exec.search(q, strategy, 10).expect("mem search");
+            let old = old_exec.search(q, strategy, 10).expect("old search");
+            assert_eq!(old.results, mem.results, "{strategy:?} on {q:?}");
+        }
+    }
+    std::fs::remove_file(&new_path).unwrap();
+    std::fs::remove_file(&old_path).unwrap();
 }
 
 /// Every truncation length from the empty file up to one byte short: the

@@ -33,7 +33,8 @@
 //! A column section's payload:
 //!
 //! ```text
-//! [0..32)    codec tag, code width, block size, value count, block count
+//! [0..32)    codec tag, code width (0 = per block), block size,
+//!            value count, block count
 //! [32..d)    prefix-sum directory: (block_count + 1) × u64 byte offsets
 //! [d..)      concatenated serialized CompressedBlocks
 //! ```
@@ -197,8 +198,9 @@ fn codec_from_parts(tag: u32, width: u32) -> Result<Codec, SegmentError> {
         u8::try_from(width).map_err(|_| SegmentError::Corrupt("column code width too large"))?;
     match (tag, w) {
         (0, 0) => Ok(Codec::Raw),
-        (1, 1..=24) => Ok(Codec::Pfor { width: w }),
-        (2, 1..=24) => Ok(Codec::PforDelta { width: w }),
+        // PFOR widths are 1..=24, or 0 when every block chose its own.
+        (1, 0..=24) => Ok(Codec::Pfor { width: w }),
+        (2, 0..=24) => Ok(Codec::PforDelta { width: w }),
         (3, 1..=12) => Ok(Codec::Pdict { width: w }),
         _ => Err(SegmentError::Corrupt("unrecognized column codec")),
     }

@@ -8,8 +8,9 @@ use x100_storage::{BufferManager, BufferMode, Column, ColumnBuilder, ColumnScan,
 fn any_codec() -> impl Strategy<Value = Codec> {
     prop_oneof![
         Just(Codec::Raw),
-        (1u8..=16).prop_map(|width| Codec::Pfor { width }),
-        (1u8..=16).prop_map(|width| Codec::PforDelta { width }),
+        // Width 0: each block picks its own.
+        (0u8..=16).prop_map(|width| Codec::Pfor { width }),
+        (0u8..=16).prop_map(|width| Codec::PforDelta { width }),
         (1u8..=10).prop_map(|width| Codec::Pdict { width }),
     ]
 }

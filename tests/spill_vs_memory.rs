@@ -5,7 +5,7 @@
 //! statistics, same BM25 top-k — down to the pathological budget that
 //! forces a spill after every single document.
 
-use monetdb_x100::compress::Codec;
+use monetdb_x100::compress::{Codec, PER_BLOCK_WIDTH};
 use monetdb_x100::corpus::{CollectionConfig, CollectionStream, Scale, SyntheticCollection};
 use monetdb_x100::distributed::SimulatedCluster;
 use monetdb_x100::ir::{
@@ -171,10 +171,14 @@ fn streaming_columnar_finish_bit_identical_to_materialize_then_compress() {
         }
     }
     rows.sort_unstable();
-    let mut ref_docid =
-        ColumnBuilder::with_block_size("docid", Codec::PforDelta { width: 8 }, config.block_size);
+    let per_block = PER_BLOCK_WIDTH;
+    let mut ref_docid = ColumnBuilder::with_block_size(
+        "docid",
+        Codec::PforDelta { width: per_block },
+        config.block_size,
+    );
     let mut ref_tf =
-        ColumnBuilder::with_block_size("tf", Codec::Pfor { width: 8 }, config.block_size);
+        ColumnBuilder::with_block_size("tf", Codec::Pfor { width: per_block }, config.block_size);
     for &(_, d, f) in &rows {
         ref_docid.push(d);
         ref_tf.push(f);
