@@ -9,11 +9,12 @@
 //! (`x100_compress::pfor::choose_parameters`). This harness prints each
 //! compressed column twice — re-encoded at the paper's fixed `b = 8`, and as
 //! the index holds it — with bits/tuple, exceptions as a share of values,
-//! the mean time `CompressedBlock::from_bytes` takes to parse one block
-//! image (what a pool miss pays) and the full-block decode time per value.
-//! A histogram of the chosen widths per column follows. The
-//! materialized-score variants explain the BM25TCM/BM25TCMQ8 I/O behaviour
-//! (32-bit floats vs 8-bit quantized codes).
+//! the mean size of one block image and the mean time
+//! `CompressedBlock::from_bytes` takes to parse it (what a pool miss reads
+//! and pays), and the full-block decode time per value. A histogram of the
+//! chosen widths per column follows. The materialized-score variants
+//! explain the BM25TCM/BM25TCMQ8 I/O behaviour (32-bit floats vs 8-bit
+//! quantized codes).
 //!
 //! Usage: `compression_ratios [--scale tiny|small|medium|large] [num_docs]`
 //! (default: the medium scale's 100000 docs)
@@ -43,7 +44,8 @@ fn at_width_8(column: &Column) -> Column {
 
 /// A PFOR column's table row, and how many of its blocks chose each width.
 fn pfor_row(label: [&str; 3], column: &Column, paper: &str) -> (Vec<String>, BTreeMap<u8, usize>) {
-    let (mut exceptions, mut parse, mut decode) = (0usize, Duration::ZERO, Duration::ZERO);
+    let (mut exceptions, mut image_bytes) = (0usize, 0usize);
+    let (mut parse, mut decode) = (Duration::ZERO, Duration::ZERO);
     let mut widths = BTreeMap::new();
     let mut out = Vec::new();
     for i in 0..column.block_count() {
@@ -56,6 +58,7 @@ fn pfor_row(label: [&str; 3], column: &Column, paper: &str) -> (Vec<String>, BTr
         exceptions += excs;
         *widths.entry(width).or_insert(0) += 1;
         let image = block.to_bytes();
+        image_bytes += image.len();
         let t = Instant::now();
         black_box(CompressedBlock::from_bytes(black_box(&image)).expect("own image parses"));
         parse += t.elapsed();
@@ -70,6 +73,7 @@ fn pfor_row(label: [&str; 3], column: &Column, paper: &str) -> (Vec<String>, BTr
     row.extend([
         format!("{:.2}", column.bits_per_value()),
         format!("{:.1}", 100.0 * exceptions as f64 / values),
+        format!("{:.1}", image_bytes as f64 / 1024.0 / blocks),
         format!("{:.0}", parse.as_secs_f64() * 1e6 / blocks),
         format!("{:.2}", decode.as_secs_f64() * 1e9 / values),
         paper.into(),
@@ -80,7 +84,7 @@ fn pfor_row(label: [&str; 3], column: &Column, paper: &str) -> (Vec<String>, BTr
 /// An uncompressed column's table row.
 fn raw_row(name: &str, codec: &str, index: &InvertedIndex) -> Vec<String> {
     let bits = format!("{:.2}", index.column_bits_per_tuple(name));
-    [name, codec, "-", bits.as_str(), "-", "-", "-", "32.00"]
+    [name, codec, "-", bits.as_str(), "-", "-", "-", "-", "32.00"]
         .map(String::from)
         .to_vec()
 }
@@ -108,6 +112,7 @@ fn main() {
         "b",
         "bits/tuple",
         "exc.%",
+        "KiB/block",
         "parse us/block",
         "decode ns/value",
         "paper",
@@ -149,9 +154,10 @@ fn main() {
     }
 
     println!(
-        "\nCompression accounting over {} postings ({} docs):",
+        "\nCompression accounting over {} postings ({} docs, blocks of {} values):",
         q8.num_postings(),
-        cfg.num_docs
+        cfg.num_docs,
+        q8.config().block_size
     );
     print!("{}", t.render());
 

@@ -38,6 +38,13 @@ const TOP_N: usize = 20;
 /// Queries measured in the cold condition (eviction per query is the
 /// expensive part, not the queries themselves).
 const COLD_SAMPLE: usize = 150;
+/// Block size of every index built here: 256 Ki values, 1 MB uncompressed.
+/// The cold column charges each block read a 4 ms seek
+/// (`DiskModel::raid12`), so large blocks keep it bandwidth-bound, as the
+/// paper's multi-megabyte reads were. At the served default of 32 Ki
+/// values the seeks dominate: on the small collection the +Compression
+/// step then gains 4 % of cold time instead of 22 %.
+const DISK_BLOCK_SIZE: usize = 1 << 18;
 
 struct RunSpec {
     name: &'static str,
@@ -134,7 +141,11 @@ fn main() {
 
     for (spec, paper) in RUNS.iter().zip(reference::TABLE2) {
         eprintln!("running {} ...", spec.name);
-        let index = InvertedIndex::build(&collection, &(spec.index)());
+        let config = IndexConfig {
+            block_size: DISK_BLOCK_SIZE,
+            ..(spec.index)()
+        };
+        let index = InvertedIndex::build(&collection, &config);
 
         // Boolean retrieval has no ranking cutoff: the paper's BoolAND /
         // BoolOR runs evaluate the full (un-ranked) result set, which is

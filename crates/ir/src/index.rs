@@ -25,6 +25,7 @@ use std::sync::{Arc, OnceLock};
 
 use x100_compress::Codec;
 use x100_corpus::SyntheticCollection;
+use x100_storage::column::DEFAULT_BLOCK_SIZE;
 use x100_storage::{Column, ColumnBuilder, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
@@ -57,7 +58,8 @@ pub struct IndexConfig {
     /// BM25 constants used for materialization (must match query-time
     /// parameters, since materialized scores bake them in).
     pub params: Bm25Params,
-    /// Storage block size in values.
+    /// Storage block size in values: the unit a pool miss reads and parses.
+    /// Defaults to [`x100_storage::column::DEFAULT_BLOCK_SIZE`].
     pub block_size: usize,
 }
 
@@ -67,7 +69,7 @@ impl Default for IndexConfig {
             compress: true,
             materialize: Materialize::None,
             params: Bm25Params::default(),
-            block_size: 1 << 18, // 256 Ki values = 1 MB uncompressed
+            block_size: DEFAULT_BLOCK_SIZE,
         }
     }
 }

@@ -58,36 +58,49 @@ fn small_index(config: &IndexConfig) -> InvertedIndex {
 /// Write → reopen cold in a pool small enough to evict continuously →
 /// every strategy must return results bit-identical to the in-memory
 /// index, even though each of its blocks is dropped and re-`pread`
-/// multiple times along the way.
+/// multiple times along the way. The segment is written at the default
+/// block size and at the previous default of 256 Ki values: a segment
+/// records its own block size, so either one opens at it and serves
+/// exactly what the default-built index does.
 #[test]
 fn reopened_segment_serves_all_strategies_bit_identically() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let mem_index = Arc::new(InvertedIndex::build(&c, &IndexConfig::materialized_q8()));
-    let path = temp_path("differential");
-    mem_index.write_segment(&path).unwrap();
-    let seg_index = Arc::new(InvertedIndex::open_segment(&path).unwrap());
+    let mem_exec = QueryExecutor::new(mem_index);
 
-    let mem_exec = QueryExecutor::new(mem_index.clone());
-    // A pool holding roughly one block forces eviction on practically
-    // every touch: blocks are dropped and re-read from the file all run.
-    let tiny_pool = Arc::new(BufferManager::with_mode(
-        DiskModel::instant(),
-        BufferMode::Cold,
-        4 << 10,
-    ));
-    let seg_exec = QueryExecutor::with_buffer_manager(seg_index.clone(), tiny_pool);
+    for block_size in [IndexConfig::default().block_size, 1 << 18] {
+        let config = IndexConfig {
+            block_size,
+            ..IndexConfig::materialized_q8()
+        };
+        let path = temp_path("differential");
+        InvertedIndex::build(&c, &config)
+            .write_segment(&path)
+            .unwrap();
+        let seg_index = Arc::new(InvertedIndex::open_segment(&path).unwrap());
+        assert_eq!(seg_index.config(), &config);
 
-    for strategy in SearchStrategy::ALL {
-        for q in c.eval_queries.iter().take(10) {
-            let mem = mem_exec.search(&q.terms, strategy, 20).expect("mem search");
-            let seg = seg_exec.search(&q.terms, strategy, 20).expect("seg search");
-            assert_eq!(
-                seg.results, mem.results,
-                "strategy {strategy:?} diverged after reopen"
-            );
+        // A pool holding roughly one block forces eviction on practically
+        // every touch: blocks are dropped and re-read from the file all run.
+        let tiny_pool = Arc::new(BufferManager::with_mode(
+            DiskModel::instant(),
+            BufferMode::Cold,
+            4 << 10,
+        ));
+        let seg_exec = QueryExecutor::with_buffer_manager(seg_index, tiny_pool);
+
+        for strategy in SearchStrategy::ALL {
+            for q in c.eval_queries.iter().take(10) {
+                let mem = mem_exec.search(&q.terms, strategy, 20).expect("mem search");
+                let seg = seg_exec.search(&q.terms, strategy, 20).expect("seg search");
+                assert_eq!(
+                    seg.results, mem.results,
+                    "strategy {strategy:?} diverged after reopen at block size {block_size}"
+                );
+            }
         }
+        std::fs::remove_file(&path).unwrap();
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// build → write(A) → open(A) → write(B) leaves `B == A` byte for byte: the

@@ -263,8 +263,8 @@ fn stripe_of(key: &(ColumnId, u32)) -> usize {
 /// narrowing is checked, because a silent `as` cast would alias block
 /// `2^32 + k` onto block `k` — distinct blocks sharing one residency entry,
 /// and (worse) a pin of one handing out the bytes of the other.
-/// At the default multi-megabyte block size a `u32` of blocks is an
-/// exabyte-scale column, so overflow is a caller bug, not a data regime.
+/// At the default 32 Ki-value block size a `u32` of blocks is a
+/// half-petabyte column, so overflow is a caller bug, not a data regime.
 fn block_key(column: &Column, block_idx: usize) -> (ColumnId, u32) {
     let idx = u32::try_from(block_idx).unwrap_or_else(|_| {
         panic!("block index {block_idx} exceeds the u32 buffer-pool key range")

@@ -1,14 +1,16 @@
-//! Compressed columns: sequences of multi-megabyte compressed blocks.
+//! Compressed columns: sequences of compressed blocks.
 //!
 //! A [`Column`] is the on-"disk" representation of one attribute. Values are
 //! `u32` (docids, term frequencies, quantized scores — every hot IR column
 //! is a small integer); the IR layer frames variable-length attributes
 //! (terms, document names) as record pages inside such columns.
 //!
-//! Each column is chopped into blocks of the builder's block size
-//! values. With the default 1 Mi values per block, an uncompressed block is
-//! 4 MB — the paper's "granularity of disk accesses is in blocks of several
-//! megabytes".
+//! Each column is chopped into blocks of the builder's block size values,
+//! and a block is what the buffer pool reads, parses and evicts as one
+//! unit. The paper reads "blocks of several megabytes" to keep a 12-disk
+//! RAID streaming; a segment served from the page cache pays per byte
+//! instead, so the default ([`DEFAULT_BLOCK_SIZE`], 32 Ki values) is sized
+//! for the pool miss.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -31,8 +33,15 @@ impl ColumnId {
     }
 }
 
-/// Default block size in values: 1 Mi values = 4 MB uncompressed.
-pub const DEFAULT_BLOCK_SIZE: usize = 1 << 20;
+/// Default block size in values: 32 Ki values = 128 KB uncompressed.
+///
+/// Measured on the repository benchmark's `cold_segment` workload (the
+/// sweep is in `docs/COMPRESSION.md`): a query misses the pool about as
+/// often with 32 Ki-value blocks as with 256 Ki, so a miss reads and parses
+/// ~7x fewer bytes. Below 32 Ki the misses per query start to climb and
+/// the block directory an open pins keeps growing.
+pub const DEFAULT_BLOCK_SIZE: usize = 1 << 15;
+const _: () = assert!(DEFAULT_BLOCK_SIZE.is_multiple_of(ENTRY_POINT_STRIDE));
 
 /// Builder for [`Column`]s: choose codec and block size, append values.
 #[derive(Debug)]
@@ -46,8 +55,7 @@ pub struct ColumnBuilder {
 }
 
 impl ColumnBuilder {
-    /// Starts a column with the given codec and the default multi-megabyte
-    /// block size.
+    /// Starts a column with the given codec and [`DEFAULT_BLOCK_SIZE`].
     pub fn new(name: impl Into<String>, codec: Codec) -> Self {
         Self::with_block_size(name, codec, DEFAULT_BLOCK_SIZE)
     }

@@ -15,8 +15,10 @@
 //!   independent while preserving the compressed-vs-raw transfer ratio that
 //!   drives the paper's results (see "Substitutions vs the paper" in
 //!   `docs/ARCHITECTURE.md`).
-//! * [`column::Column`] — a compressed column: a sequence of multi-megabyte
-//!   [`x100_compress::CompressedBlock`]s plus length metadata.
+//! * [`column::Column`] — a compressed column: a sequence of
+//!   [`x100_compress::CompressedBlock`]s plus length metadata. Blocks are
+//!   [`column::DEFAULT_BLOCK_SIZE`] (32 Ki) values unless the builder asks
+//!   otherwise, not the paper's several megabytes: see the column module.
 //! * [`buffer::BufferManager`] — ColumnBM proper: owns the RAM-resident
 //!   compressed blocks, hands them to readers as pins, charges simulated
 //!   disk time on misses, and evicts LRU under a configurable RAM budget.
