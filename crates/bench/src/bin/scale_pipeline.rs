@@ -13,16 +13,18 @@
 //! touches disk and builds in memory. With
 //! `--mem-budget SIZE` (e.g. `64M`) the posting accumulators are split
 //! half to the full index and half across the partition builders; each
-//! flushes sorted run files when its share fills and k-way merges them at
-//! finish **straight into compressed column blocks** (`x100-ir`'s
-//! columnar writer), so even `--scale large` builds in
+//! writes a run (a segment) when its share fills and appends the runs
+//! term by term at finish **straight into compressed column blocks**
+//! (`x100-ir`'s columnar writer), so even `--scale large` builds in
 //! bounded memory end to end: the merged columns are never materialized
 //! uncompressed. The budget is **asserted in-process** over both phases:
 //! peak accumulator bytes (full + all partitions) and the finish-phase
 //! peak (one builder's streaming merge plus the accumulators still
-//! waiting) must each come in at or under it. Budgeted runs record the
-//! accumulator peak, finish peak, combined peak, run counts, spill I/O and
-//! the OS-reported peak RSS to `BENCH_scale_spill.json`.
+//! waiting) must each come in at or under it; the first includes each run
+//! writer's pending blocks, the second each run's decoded blocks. Budgeted
+//! runs record the accumulator peak, finish peak, combined peak, run
+//! counts, spill I/O and the OS-reported peak RSS to
+//! `BENCH_scale_spill.json`.
 //!
 //! With `--persist <path>` the finished indexes are additionally written
 //! to disk — the full index as a single segment file at `<path>`, plus one

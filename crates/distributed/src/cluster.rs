@@ -18,7 +18,7 @@ use std::time::Instant;
 use x100_corpus::{CollectionStream, CollectionTail, Document, SyntheticCollection};
 use x100_ir::{
     ExecError, HitsResponse, IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, ScratchPool,
-    SearchStrategy, SegmentError, SpillConfig, SpillError, SpillStats,
+    SearchStrategy, SegmentError, SpillConfig, SpillStats,
 };
 use x100_storage::{BufferManager, BufferMode, DiskModel, IoStats};
 
@@ -264,7 +264,7 @@ impl SimulatedCluster {
         index_config: &IndexConfig,
         chunk_size: usize,
         budget_bytes: usize,
-    ) -> Result<(Self, CollectionTail, Vec<SpillStats>), SpillError> {
+    ) -> Result<(Self, CollectionTail, Vec<SpillStats>), SegmentError> {
         let vocab = stream.vocab();
         let (cluster, stats) = Self::build_routed(
             &vocab,
@@ -296,9 +296,9 @@ impl SimulatedCluster {
         index_config: &IndexConfig,
         budget_bytes: usize,
         feed: impl FnOnce(
-            &mut dyn FnMut(&[Document]) -> Result<(), SpillError>,
-        ) -> Result<(), SpillError>,
-    ) -> Result<(Self, Vec<SpillStats>), SpillError> {
+            &mut dyn FnMut(&[Document]) -> Result<(), SegmentError>,
+        ) -> Result<(), SegmentError>,
+    ) -> Result<(Self, Vec<SpillStats>), SegmentError> {
         assert!(num_partitions > 0, "at least one partition required");
         let per_partition = (budget_bytes / num_partitions).max(1);
         let mut builders: Vec<IndexBuilder> = (0..num_partitions)

@@ -80,8 +80,8 @@ const KIND_SEARCH: u8 = 1;
 const KIND_HITS: u8 = 2;
 const KIND_ERROR: u8 = 3;
 
-/// FNV-1a-64 — the same checksum discipline the run-file and segment
-/// formats use, applied to every network payload.
+/// FNV-1a-64 — the same checksum discipline the segment format uses,
+/// applied to every network payload.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

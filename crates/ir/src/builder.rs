@@ -5,23 +5,23 @@
 //! order), so the collection is never resident, and accumulates per-term
 //! posting lists, docid-sorted for free because arrival order is docid order.
 //! Under a [`SpillConfig`] budget it is an external sort ([`crate::spill`]):
-//! a full accumulator is flushed as one sorted run file and
-//! [`finish`](IndexBuilder::finish) k-way merges the runs. A budget that is
-//! never reached ([`SpillConfig::unbounded`]) is the in-memory build, whose
-//! finish drains the term lists directly. Both branches feed the same
-//! columnar writer, which compresses blocks as they fill.
+//! a full accumulator is drained into one run segment and
+//! [`finish`](IndexBuilder::finish) appends the runs' lists term by term,
+//! in run order. A budget that is never reached ([`SpillConfig::unbounded`])
+//! is the in-memory build, whose finish drains the term lists directly.
+//! Runs, the merge and the in-memory drain all feed the same columnar
+//! writer, which compresses blocks as they fill.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use x100_corpus::{CollectionStream, CollectionTail, Document};
-use x100_storage::runfile::{RunFileReader, RunFileWriter, RunMeta};
-use x100_storage::{DiskModel, IoStats, RunFileError};
+use x100_storage::{DiskModel, IoStats, SegmentError};
 
 use crate::columns::IndexColumnsWriter;
 use crate::index::{IndexConfig, InvertedIndex};
 use crate::paged::NamePagesBuilder;
-use crate::spill::{merge_run_sources, SpillConfig, SpillError, SpillStats};
+use crate::spill::{merge_runs, write_run, SpillConfig, SpillStats, RUN_WRITER_RESERVE};
 
 /// Why callers building under [`SpillConfig::unbounded`] may unwrap the
 /// builder's errors.
@@ -29,7 +29,8 @@ pub(crate) const NEVER_SPILLS: &str =
     "an unbounded budget never spills, so the build never touches disk";
 
 /// Builds an [`InvertedIndex`] from documents pushed in docid order while
-/// keeping posting-accumulator memory under [`SpillConfig::budget_bytes`].
+/// keeping posting-accumulator memory, run writer included, under
+/// [`SpillConfig::budget_bytes`].
 ///
 /// ```
 /// use x100_corpus::{CollectionConfig, SyntheticCollection};
@@ -65,7 +66,8 @@ pub struct IndexBuilder {
     /// Bytes of packed postings currently resident in `postings`.
     mem_bytes: usize,
     peak_bytes: usize,
-    runs: Vec<RunMeta>,
+    /// Each run's path and size in bytes, in spill order.
+    runs: Vec<(PathBuf, u64)>,
     guard: RunDirGuard,
     write_io: IoStats,
     spilled_postings: u64,
@@ -121,15 +123,15 @@ impl IndexBuilder {
         self.mem_bytes as u64 / 8 + self.spilled_postings
     }
 
-    /// Run files flushed so far.
+    /// Runs written so far.
     pub fn num_runs(&self) -> usize {
         self.runs.len()
     }
 
-    /// Paths of the run files flushed so far (the failure-injection suite
-    /// corrupts these between pushes and `finish`).
+    /// Paths of the runs written so far, in spill order (the
+    /// failure-injection suite corrupts these between pushes and `finish`).
     pub fn run_paths(&self) -> Vec<PathBuf> {
-        self.runs.iter().map(|r| r.path.clone()).collect()
+        self.runs.iter().map(|(path, _)| path.clone()).collect()
     }
 
     /// Packed-posting bytes currently resident in the accumulator (the
@@ -141,7 +143,8 @@ impl IndexBuilder {
     }
 
     /// Accepts the next document and returns its assigned dense docid,
-    /// flushing a run first whenever accepting it would exceed the budget.
+    /// writing a run first whenever accepting it would leave less than the
+    /// run writer's reserve of the budget.
     ///
     /// `terms` must be sorted by term id with in-vocabulary ids, as
     /// [`Document::terms`] guarantees.
@@ -155,9 +158,11 @@ impl IndexBuilder {
         name: &str,
         terms: &[(u32, u32)],
         len: u32,
-    ) -> Result<u32, SpillError> {
+    ) -> Result<u32, SegmentError> {
         let doc_bytes = terms.len() * 8;
-        if self.mem_bytes > 0 && self.mem_bytes + doc_bytes > self.spill.budget_bytes {
+        if self.mem_bytes > 0
+            && self.mem_bytes + doc_bytes + RUN_WRITER_RESERVE > self.spill.budget_bytes
+        {
             self.spill_run()?;
         }
         let docid = self.doc_lens.len() as u32;
@@ -186,15 +191,15 @@ impl IndexBuilder {
     pub fn push_docs<'a>(
         &mut self,
         docs: impl IntoIterator<Item = &'a Document>,
-    ) -> Result<(), SpillError> {
+    ) -> Result<(), SegmentError> {
         for doc in docs {
             self.push_doc(&doc.name, &doc.terms, doc.len)?;
         }
         Ok(())
     }
 
-    /// Flushes the current accumulator as one sorted run file.
-    fn spill_run(&mut self) -> Result<(), SpillError> {
+    /// Drains the current accumulator into one run segment.
+    fn spill_run(&mut self) -> Result<(), SegmentError> {
         let dir = match &self.guard.dir {
             Some(d) => d.clone(),
             None => {
@@ -208,39 +213,33 @@ impl IndexBuilder {
                     .clone()
                     .unwrap_or_else(std::env::temp_dir)
                     .join(unique_dir_name());
-                std::fs::create_dir_all(&d).map_err(RunFileError::from)?;
+                std::fs::create_dir_all(&d)?;
                 self.guard.dir = Some(d.clone());
                 d
             }
         };
-        let path = dir.join(format!("run-{:05}.x1rn", self.runs.len()));
-        let mut writer = RunFileWriter::create(&path)?;
+        let path = dir.join(format!("run-{:05}.x1sg", self.runs.len()));
         // Register with the drop guard up front so a partially written
-        // run is cleaned up even when this flush errors out.
-        self.guard.paths.push(path);
+        // run is cleaned up even when this write errors out.
+        self.guard.paths.push(path.clone());
         // Draining the term lists releases the accumulator's memory —
         // the whole point — while document metadata stays.
         let lists = std::mem::take(&mut self.postings);
-        for (term, list) in lists.iter().enumerate() {
-            if !list.is_empty() {
-                let term_id =
-                    u32::try_from(term).map_err(|_| SpillError::TermIdOverflow { term })?;
-                writer.push_term(term_id, list)?;
-            }
-        }
-        let meta = writer.finish()?;
+        let (bytes, pending_peak) = write_run(&path, lists, self.num_terms)?;
+        // The writer's pending blocks fill while the lists drain.
+        self.peak_bytes = self.peak_bytes.max(self.mem_bytes + pending_peak);
         self.write_io.record(
-            meta.bytes as usize,
-            DiskModel::raid12().write_cost(meta.bytes as usize),
+            bytes as usize,
+            DiskModel::raid12().write_cost(bytes as usize),
         );
-        self.spilled_postings += meta.num_postings;
-        self.runs.push(meta);
+        self.spilled_postings += self.mem_bytes as u64 / 8;
+        self.runs.push((path, bytes));
         self.mem_bytes = 0;
         Ok(())
     }
 
-    /// Assembles the index, merging any on-disk runs, and returns it with
-    /// the spill statistics. `vocab` maps term ids to strings and must
+    /// Assembles the index, merging any runs, and returns it with the
+    /// spill statistics. `vocab` maps term ids to strings and must
     /// cover every id the builder was constructed for.
     ///
     /// Run files (and the builder's private run directory) are removed by
@@ -248,11 +247,18 @@ impl IndexBuilder {
     /// happens on every exit path: success, merge errors, and abandoned
     /// builders that never reach `finish` alike.
     ///
+    /// # Errors
+    /// A run that does not open (truncated, bit-flipped, missing) or whose
+    /// contents are inconsistent — a `doc_freqs` length other than the
+    /// vocabulary size, `docid` and `tf` lengths that disagree, or a term
+    /// list that does not strictly ascend inside a run or where two runs
+    /// meet — is a typed [`SegmentError`].
+    ///
     /// # Panics
     /// Panics if `vocab` does not cover the builder's vocabulary size, or
     /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
     /// a vocabulary page": 4084 bytes).
-    pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SpillError> {
+    pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SegmentError> {
         assert_eq!(
             vocab.len(),
             self.num_terms,
@@ -268,7 +274,6 @@ impl IndexBuilder {
             // writer's buffer grows, so `mem_bytes` bounds the live side.
             for (term, list) in std::mem::take(&mut self.postings).into_iter().enumerate() {
                 if !list.is_empty() {
-                    let term = u32::try_from(term).expect("term ids seen via push_doc fit u32");
                     writer.push_term(term, &list);
                 }
                 // `list` drops here: accumulator memory is released
@@ -277,31 +282,12 @@ impl IndexBuilder {
             self.mem_bytes
         } else {
             if self.mem_bytes > 0 {
-                // Uniform merge path: the resident tail becomes the final run.
+                // One merge path: the resident tail becomes the last run.
                 self.spill_run()?;
             }
-            // Each merged term is written and dropped before the next
-            // arrives, so the merge holds its in-flight segments plus one
-            // term buffer — never whole uncompressed columns.
-            let mut sources = Vec::with_capacity(self.runs.len());
-            for run in &self.runs {
-                sources.push(RunFileReader::open(&run.path)?);
-            }
-            let merge_stats = merge_run_sources(sources, |term, merged| {
-                if term as usize >= num_terms {
-                    return Err(SpillError::TermOutOfVocab { term, num_terms });
-                }
-                writer.push_term(term, merged);
-                Ok(())
-            })?;
-            // Charge the merge's sequential read-back of every run.
-            for run in &self.runs {
-                read_io.record(
-                    run.bytes as usize,
-                    DiskModel::raid12().read_cost(run.bytes as usize),
-                );
-            }
-            merge_stats.peak_live_bytes
+            let (io, merge_peak) = merge_runs(&self.runs, num_terms, &mut writer)?;
+            read_io = io;
+            merge_peak
         };
         let stats = SpillStats {
             runs: self.runs.len(),

@@ -1,22 +1,19 @@
 //! Streaming columnar finish — postings flow straight into compressed
 //! column blocks.
 //!
-//! The builder's `finish` used to materialize the merged `docid`/`tf`
-//! columns as plain `Vec<u32>`s before compressing, so the finish-side peak
-//! grew with total postings — the opposite of what the paper's block-at-a-
-//! time storage layer is for. [`IndexColumnsWriter`] closes that gap: both
-//! branches of [`crate::IndexBuilder::finish`] — the k-way run merge and the
-//! in-memory term-list drain — feed it **one term's postings at a
-//! time**, and it pushes values into [`x100_storage::ColumnBuilder`]s that
-//! compress and seal a block as soon as one fills. At no point does an
-//! uncompressed column exist; the writer's uncompressed residency is two
-//! pending blocks, tracked by [`IndexColumnsWriter::peak_buffered_bytes`] and
-//! reported through `SpillStats::finish_peak_bytes`.
+//! [`IndexColumnsWriter`] takes **one term's postings at a time** and
+//! pushes values into [`x100_storage::ColumnBuilder`]s that compress and
+//! seal a block as soon as one fills, so no uncompressed column ever
+//! exists; the writer's uncompressed residency is two pending blocks,
+//! tracked by [`IndexColumnsWriter::peak_buffered_bytes`]. Every build path
+//! goes through it: [`crate::IndexBuilder::finish`]'s in-memory drain, each
+//! spill run the builder writes (at the run block size), and the final
+//! merge that appends every run's part of a term in run order.
 //!
-//! The produced blocks are **bit-identical** to the old materialize-then-
-//! compress path: a [`ColumnBuilder`] fed value-by-value seals exactly the
-//! same blocks as one fed a whole column (pinned by the differential suite
-//! in `tests/spill_vs_memory.rs`).
+//! The produced blocks are **bit-identical** to compressing the
+//! materialized columns in one go: a [`ColumnBuilder`] fed value-by-value
+//! seals exactly the same blocks as one fed a whole column (pinned by the
+//! differential suite in `tests/spill_vs_memory.rs`).
 
 use x100_compress::{Codec, PER_BLOCK_WIDTH};
 use x100_storage::{Column, ColumnBuilder};
@@ -24,21 +21,24 @@ use x100_storage::{Column, ColumnBuilder};
 use crate::index::{IndexConfig, Materialize};
 
 /// PFOR whose every block picks its own code width and base.
-const PFOR_PER_BLOCK: Codec = Codec::Pfor {
+pub(crate) const PFOR_PER_BLOCK: Codec = Codec::Pfor {
     width: PER_BLOCK_WIDTH,
 };
 
-/// The posting-column codecs an [`IndexConfig`] selects: `docid` as
-/// PFOR-DELTA and `tf` as PFOR, widths chosen per block, when compressing;
-/// raw otherwise.
+/// `docid` as PFOR-DELTA and `tf` as PFOR, widths chosen per block: the
+/// posting codecs of a compressed index and of every spill run.
+pub(crate) const PFOR_POSTINGS: (Codec, Codec) = (
+    Codec::PforDelta {
+        width: PER_BLOCK_WIDTH,
+    },
+    PFOR_PER_BLOCK,
+);
+
+/// The posting-column codecs an [`IndexConfig`] selects:
+/// [`PFOR_POSTINGS`] when compressing, raw otherwise.
 pub(crate) fn posting_codecs(config: &IndexConfig) -> (Codec, Codec) {
     if config.compress {
-        (
-            Codec::PforDelta {
-                width: PER_BLOCK_WIDTH,
-            },
-            PFOR_PER_BLOCK,
-        )
+        PFOR_POSTINGS
     } else {
         (Codec::Raw, Codec::Raw)
     }
@@ -92,58 +92,87 @@ impl IndexColumnsWriter {
     /// A writer over a vocabulary of `num_terms` term ids, with the codecs
     /// and block size the configuration selects.
     pub fn new(config: &IndexConfig, num_terms: usize) -> Self {
-        let (docid_codec, tf_codec) = posting_codecs(config);
+        Self::with_layout(posting_codecs(config), config.block_size, num_terms)
+    }
+
+    /// A writer with explicit `(docid, tf)` codecs and block size.
+    pub fn with_layout(
+        (docid_codec, tf_codec): (Codec, Codec),
+        block_size: usize,
+        num_terms: usize,
+    ) -> Self {
         IndexColumnsWriter {
-            docid: ColumnBuilder::with_block_size("docid", docid_codec, config.block_size),
-            tf: ColumnBuilder::with_block_size("tf", tf_codec, config.block_size),
+            docid: ColumnBuilder::with_block_size("docid", docid_codec, block_size),
+            tf: ColumnBuilder::with_block_size("tf", tf_codec, block_size),
             doc_freqs: vec![0; num_terms],
             offsets: vec![0; num_terms + 1],
             next_term: 0,
             num_terms,
-            block_size: config.block_size,
+            block_size,
             peak_buffered: 0,
         }
     }
 
-    /// Appends one term's merged postings (packed `docid << 32 | tf`,
+    /// Appends one term's whole posting list (packed `docid << 32 | tf`,
     /// ascending by docid). Terms must arrive in strictly ascending order;
     /// skipped term ids become empty posting lists.
     ///
     /// # Panics
     /// Panics if `term` is out of range for the vocabulary or does not
-    /// strictly exceed the previously pushed term — callers (the k-way
-    /// merge, the in-memory term drain) validate their streams first, so a
-    /// violation here is a bug, not bad input.
-    pub fn push_term(&mut self, term: u32, postings: &[u64]) {
-        let slot = term as usize;
+    /// strictly exceed the previously pushed term — the in-memory term
+    /// drain produces ascending terms by construction, so a violation here
+    /// is a bug, not bad input.
+    pub fn push_term(&mut self, term: usize, postings: &[u64]) {
+        self.open_term(term);
+        // The packing stores docid in the upper and tf in the lower 32 bits.
+        self.append(term, postings.iter().map(|&p| ((p >> 32) as u32, p as u32)));
+    }
+
+    /// Appends postings to `term`'s list: either the term last written,
+    /// continuing its list, or a new term above it. The run merge calls
+    /// this once per run block a term's postings span, and checks docid
+    /// ascent itself. `docids` and `tfs` pair up by position.
+    ///
+    /// # Panics
+    /// Panics if `term` is out of range or lies below the last term written.
+    pub fn extend_term(&mut self, term: usize, docids: &[u32], tfs: &[u32]) {
+        if term + 1 != self.next_term {
+            self.open_term(term);
+        }
+        self.append(term, docids.iter().copied().zip(tfs.iter().copied()));
+    }
+
+    /// Starts `term`'s list, closing the offset gap over absent (empty)
+    /// terms.
+    fn open_term(&mut self, term: usize) {
         assert!(
-            slot < self.num_terms,
+            term < self.num_terms,
             "term id {term} out of range for vocabulary of {}",
             self.num_terms
         );
         assert!(
-            slot >= self.next_term,
+            term >= self.next_term,
             "term {term} arrived out of order (next expected ≥ {})",
             self.next_term
         );
-        // Close the offset gap over absent (empty) terms.
-        for t in self.next_term..=slot {
+        for t in self.next_term..=term {
             self.offsets[t + 1] = self.offsets[t];
         }
-        self.next_term = slot + 1;
-        self.doc_freqs[slot] = postings.len() as u32;
-        self.offsets[slot + 1] = self.offsets[slot] + postings.len();
-        // Account the *intra-term* pending high-water before pushing (so
-        // the hot loop below stays branch-free): both builders fill in
-        // lockstep, climbing from the current pending level until a block
-        // seals at `block_size` values — whichever comes first.
-        let intra_peak = (self.docid.pending_len() + postings.len()).min(self.block_size);
+        self.next_term = term + 1;
+    }
+
+    /// Appends postings to the open `term`, accounting the pending
+    /// high-water they reach *before* pushing them (so the push loop stays
+    /// branch-free): both builders fill in lockstep, climbing from the
+    /// current pending level until a block seals at `block_size` values —
+    /// whichever comes first.
+    fn append(&mut self, term: usize, postings: impl ExactSizeIterator<Item = (u32, u32)>) {
+        let n = postings.len();
+        self.doc_freqs[term] += n as u32;
+        self.offsets[term + 1] += n;
+        let intra_peak = (self.docid.pending_len() + n).min(self.block_size);
         self.peak_buffered = self.peak_buffered.max(intra_peak * 8); // 2 cols × 4 B
-        for &packed in postings {
-            // Both halves are exact: the packing discipline stores docid in
-            // the upper and tf in the lower 32 bits.
-            let docid = u32::try_from(packed >> 32).expect("upper packed half fits u32");
-            let tf = packed as u32;
+        for (docid, tf) in postings {
             self.docid.push(docid);
             self.tf.push(tf);
         }

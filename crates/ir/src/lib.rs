@@ -15,9 +15,10 @@
 //!   vectorized `Project` + `TopN`, plus the paper's optimization ladder:
 //!   two-pass processing, score materialization, and quantization.
 //! * [`builder::IndexBuilder`] — index construction under an optional
-//!   posting-memory budget ([`spill::SpillConfig`]): sorted on-disk runs +
-//!   k-way merge when the budget fills, a plain in-memory drain when it
-//!   never does, the same index bit for bit either way.
+//!   posting-memory budget ([`spill::SpillConfig`]): runs written as
+//!   segments when the budget fills and appended term by term at finish, a
+//!   plain in-memory drain when it never does, the same index bit for bit
+//!   either way.
 //! * [`segment`] — index persistence: the whole index written to one
 //!   checksummed segment file and reopened disk-backed, with posting blocks
 //!   `pread` on demand through the buffer pool.
@@ -62,8 +63,6 @@ pub use hot::{HotPathStats, QueryScratch, ScratchPool};
 pub use index::{IndexConfig, InvertedIndex, Materialize};
 pub use segment::SegmentOpenStats;
 pub use skipping::PostingCursor;
-pub use spill::{
-    build_index_streaming_spill, merge_run_sources, SpillConfig, SpillError, SpillStats,
-};
+pub use spill::{build_index_streaming_spill, SpillConfig, SpillStats};
 pub use x100_exec::ExecError;
 pub use x100_storage::SegmentError;

@@ -1,5 +1,5 @@
 //! The external sort under an explicit memory budget: its configuration,
-//! statistics, errors and k-way run merge.
+//! statistics, and its runs — each one a segment.
 //!
 //! An accumulator that holds every posting in RAM caps the reachable
 //! collection size at available memory. The paper indexes the 25 M-document
@@ -7,104 +7,63 @@
 //! the classic external-sort discipline, which [`crate::IndexBuilder`]
 //! implements:
 //!
-//! 1. accumulate postings until a **budget** (bytes of packed postings) is
-//!    about to be exceeded;
-//! 2. flush the whole accumulator as one sorted, term-ordered **run file**
-//!    ([`x100_storage::runfile`]) and start over;
-//! 3. on [`finish`](crate::IndexBuilder::finish), **k-way merge** the runs
-//!    ([`merge_run_sources`]) back into one (term, docid)-ordered posting
-//!    stream, fed term by term into the crate's columnar writer, which
-//!    compresses column blocks as they fill — the merged `docid`/`tf`
-//!    columns are **never materialized uncompressed**, so the finish-side
-//!    peak is the merge's live segments plus the largest posting list plus
-//!    two pending blocks ([`SpillStats::finish_peak_bytes`]), not the total
-//!    posting volume.
+//! 1. accumulate postings until a **budget** (bytes of packed postings plus
+//!    the run writer's pending blocks) is about to be exceeded;
+//! 2. drain the accumulator through the columnar writer the in-memory
+//!    finish uses, and write it as one **run**: a segment
+//!    ([`x100_storage::SegmentWriter`]) of three column sections —
+//!    `DocFreqs`, `ColDocid` and `ColTf` — in the index's per-block PFOR
+//!    codecs, at a small run block size; then start over;
+//! 3. on [`finish`](crate::IndexBuilder::finish), open every run
+//!    ([`x100_storage::SegmentReader::open`] verifies every byte) and, for
+//!    each term in ascending order, append each run's part of its list, in
+//!    run order, into the index's columnar writer. One builder's runs are
+//!    docid-disjoint and ascending, so that concatenation *is* the term's
+//!    list; a list that does not strictly ascend — inside a run or where
+//!    two runs meet — is a typed [`SegmentError::Corrupt`], never sorted.
+//!    The merged `docid`/`tf` columns are **never materialized
+//!    uncompressed**: the finish-side peak is one decoded block per run
+//!    column plus the writer's two pending blocks
+//!    ([`SpillStats::finish_peak_bytes`]), not the total posting volume.
 //!
 //! Peak posting-accumulator memory is bounded by the budget (plus one
-//! document, when a single document alone exceeds it); run-file I/O is
-//! charged to [`x100_storage::DiskModel::raid12`] and reported in
-//! [`SpillStats`]. The differential test-suite (`tests/spill_vs_memory.rs`)
-//! pins builder equivalence across budgets down to the pathological
-//! spill-after-every-document case — including per-block bit-identity
-//! against the materialize-then-compress reference — and the merge is
-//! property-tested against a collect-and-sort oracle on adversarial run
-//! shapes.
+//! document, when a single document alone exceeds it); run I/O is charged
+//! to [`x100_storage::DiskModel::raid12`] and reported in [`SpillStats`].
+//! The differential test-suite (`tests/spill_vs_memory.rs`) pins builder
+//! equivalence across budgets down to the pathological
+//! spill-after-every-document case — including per-block and per-segment
+//! bit-identity against the in-memory build.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use x100_corpus::{CollectionStream, CollectionTail};
-use x100_storage::runfile::RunSource;
-use x100_storage::{IoStats, RunFileError};
+use x100_storage::{
+    Column, ColumnBuilder, DiskModel, IoStats, SectionKind, SegmentError, SegmentReader,
+    SegmentWriter, StorageError,
+};
 
 use crate::builder::IndexBuilder;
+use crate::columns::{IndexColumnsWriter, PFOR_PER_BLOCK, PFOR_POSTINGS};
 use crate::index::{IndexConfig, InvertedIndex};
 
-/// Error surfaced by the spill path: run-file corruption/IO, or a run whose
-/// contents disagree with the vocabulary being finished against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpillError {
-    /// Run-file level failure (I/O, truncation, checksum, ordering).
-    Run(RunFileError),
-    /// A merged run contained a term id outside the build vocabulary.
-    TermOutOfVocab {
-        /// The offending term id.
-        term: u32,
-        /// The vocabulary size the builder was constructed with.
-        num_terms: usize,
-    },
-    /// A term id too large for the run-file format's 32-bit term field.
-    /// Surfaced instead of silently truncating when a vocabulary exceeds
-    /// `u32::MAX` ids.
-    TermIdOverflow {
-        /// The offending term slot.
-        term: usize,
-    },
-}
+/// Block size, in values, of every run column: a small multiple of the
+/// 128-value stride, so the run writer's pending blocks and the merge's
+/// decoded blocks stay KiB-sized even under a 64 KiB node budget.
+const RUN_BLOCK_SIZE: usize = 1 << 10;
 
-impl fmt::Display for SpillError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpillError::Run(e) => write!(f, "spill run error: {e}"),
-            SpillError::TermOutOfVocab { term, num_terms } => {
-                write!(
-                    f,
-                    "run term {term} out of range for vocabulary of {num_terms}"
-                )
-            }
-            SpillError::TermIdOverflow { term } => {
-                write!(f, "term id {term} exceeds the run-file format's u32 range")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpillError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SpillError::Run(e) => Some(e),
-            SpillError::TermOutOfVocab { .. } | SpillError::TermIdOverflow { .. } => None,
-        }
-    }
-}
-
-impl From<RunFileError> for SpillError {
-    fn from(e: RunFileError) -> Self {
-        SpillError::Run(e)
-    }
-}
+/// Bytes the spill threshold reserves for the run writer's pending blocks:
+/// one block of each posting column, 4 bytes per value.
+pub(crate) const RUN_WRITER_RESERVE: usize = 2 * 4 * RUN_BLOCK_SIZE;
 
 /// Configuration of the spill path: the posting-memory budget and where run
 /// files live.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
-    /// Budget in bytes of packed postings (8 bytes per posting) the
-    /// accumulator may hold before flushing a run. Document metadata
-    /// (names, lengths) and the final merged index are *not* covered —
-    /// the budget bounds the build-side intermediate, which is what grows
-    /// with collection size ahead of everything else.
+    /// Budget in bytes for the build-side intermediate: packed postings (8
+    /// bytes each) in the accumulator plus the run writer's pending blocks
+    /// while it drains them. Document metadata (names, lengths), per-term
+    /// arrays and the final merged index are *not* covered — the budget
+    /// bounds what grows with collection size ahead of everything else.
     pub budget_bytes: usize,
     /// Parent directory for run storage; `None` uses the system temp dir.
     /// Each builder creates its own uniquely named subdirectory beneath
@@ -134,25 +93,28 @@ impl SpillConfig {
 /// high-water mark.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Number of run files written (0 = never exceeded the budget).
+    /// Number of runs written (0 = never exceeded the budget).
     pub runs: usize,
-    /// Postings that went through run files.
+    /// Postings that went through runs.
     pub spilled_postings: u64,
-    /// Peak bytes of packed postings resident in the accumulator.
+    /// Peak bytes of the accumulate phase: packed postings resident in the
+    /// accumulator, plus — while a run is written — the run writer's
+    /// pending-block high-water.
     pub peak_accum_bytes: usize,
-    /// Peak bytes of finish-phase intermediates: the merge's live posting
-    /// residency (one in-flight decoded segment per run source plus the
-    /// merged-term buffer, see [`MergeStats`]) plus the columnar writer's
-    /// pending uncompressed blocks — and, on the never-spilled path, the
-    /// resident accumulator being drained. The streaming columnar finish
-    /// keeps this O(sources + block + largest posting list) instead of
+    /// Peak bytes of finish-phase intermediates: the merge's decoded run
+    /// blocks (one per run column, plus one block in flight) plus the
+    /// columnar writer's pending uncompressed blocks — and, on the
+    /// never-spilled path, the resident accumulator being drained. The
+    /// streaming columnar finish keeps this O(runs × block) instead of
     /// O(total postings).
     pub finish_peak_bytes: usize,
-    /// Simulated write accounting: one request per run flushed, costed via
+    /// Simulated write accounting: one request per run written, costed via
     /// [`x100_storage::DiskModel::write_cost`].
     pub write_io: IoStats,
-    /// Simulated read accounting: one request per run read back at merge,
-    /// costed via [`x100_storage::DiskModel::read_cost`].
+    /// Simulated read accounting, costed via
+    /// [`x100_storage::DiskModel::read_cost`]: per run, the open's
+    /// whole-file verification pass, then its blocks read front to back as
+    /// one sequential stream.
     pub read_io: IoStats,
 }
 
@@ -165,88 +127,180 @@ impl SpillStats {
     }
 }
 
-/// What a [`merge_run_sources`] call held live, for finish-phase peak
-/// accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Peak bytes of posting data resident inside the merge at any
-    /// instant: the in-flight decoded segments (one per source, awaiting
-    /// their turn in the heap) **plus** the merged-term buffer. The
-    /// writer's pending blocks are accounted separately by the caller.
-    pub peak_live_bytes: usize,
+/// Drains term lists (indexed by term id, packed `docid << 32 | tf`) into
+/// a run segment at `path`. Each list is dropped once written, so the
+/// accumulator shrinks as the run compresses. Returns the run's size in
+/// bytes and the run writer's pending-block high-water.
+pub(crate) fn write_run(
+    path: &Path,
+    lists: Vec<Vec<u64>>,
+    num_terms: usize,
+) -> Result<(u64, usize), SegmentError> {
+    let mut writer = IndexColumnsWriter::with_layout(PFOR_POSTINGS, RUN_BLOCK_SIZE, num_terms);
+    for (term, list) in lists.into_iter().enumerate() {
+        if !list.is_empty() {
+            writer.push_term(term, &list);
+        }
+    }
+    let pending_peak = writer.peak_buffered_bytes();
+    let cols = writer.finish();
+    // One pending block at a time, after the posting columns sealed theirs.
+    let mut doc_freqs = ColumnBuilder::with_block_size("doc_freqs", PFOR_PER_BLOCK, RUN_BLOCK_SIZE);
+    doc_freqs.extend(&cols.doc_freqs);
+    let mut w = SegmentWriter::create(path)?;
+    w.write_column_section(SectionKind::DocFreqs, &doc_freqs.finish())?;
+    w.write_column_section(SectionKind::ColDocid, &cols.docid)?;
+    w.write_column_section(SectionKind::ColTf, &cols.tf)?;
+    Ok((w.finish()?, pending_peak))
 }
 
-/// K-way merges run sources into one ascending-term segment stream.
-///
-/// Sources are consumed segment by segment through a min-heap keyed on
-/// `(term, source index)`; all segments sharing the minimal term are
-/// concatenated in source order and sorted by packed posting word (docid
-/// major, tf minor), so the output is correct even for adversarial runs
-/// whose docid ranges interleave. `on_term` receives each merged term
-/// exactly once, in strictly ascending term order; the slice it borrows is
-/// **one buffer reused across terms** (it grows to the largest posting list
-/// and stays there), so per-term consumers on the merge hot path never
-/// trigger an allocation here. Returns [`MergeStats`] with the merge's
-/// peak live posting residency (in-flight segments + merged buffer).
-///
-/// Errors from the sources (corrupt run files) and from `on_term`
-/// propagate; a source that yields non-ascending terms is reported as
-/// corrupt rather than silently mis-merged.
-pub fn merge_run_sources<S: RunSource>(
-    mut sources: Vec<S>,
-    mut on_term: impl FnMut(u32, &[u64]) -> Result<(), SpillError>,
-) -> Result<MergeStats, SpillError> {
-    let mut pending: Vec<Option<(u32, Vec<u64>)>> = Vec::with_capacity(sources.len());
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
-    // Bytes of decoded postings sitting in `pending`, maintained
-    // incrementally; its high-water (together with the merged buffer) is
-    // what the finish-phase budget accounting needs.
-    let mut pending_bytes = 0usize;
-    for (i, src) in sources.iter_mut().enumerate() {
-        let seg = src.next_segment()?;
-        if let Some((term, postings)) = &seg {
-            heap.push(Reverse((*term, i)));
-            pending_bytes += postings.len() * 8;
+/// One column of an open run, read front to back one decoded block at a
+/// time.
+struct RunColumn {
+    column: Column,
+    next_block: usize,
+    values: Vec<u32>,
+    pos: usize,
+    /// Bytes of the block images read so far, and the largest one.
+    bytes_read: usize,
+    largest_image: usize,
+}
+
+impl RunColumn {
+    fn new(column: Column) -> Self {
+        RunColumn {
+            column,
+            next_block: 0,
+            values: Vec::new(),
+            pos: 0,
+            bytes_read: 0,
+            largest_image: 0,
         }
-        pending.push(seg);
     }
-    let mut stats = MergeStats {
-        peak_live_bytes: pending_bytes,
-    };
-    // Reused across terms: cleared (not shrunk) each round.
-    let mut merged: Vec<u64> = Vec::new();
-    while let Some(Reverse((term, _))) = heap.peek().copied() {
-        merged.clear();
-        while let Some(Reverse((t, i))) = heap.peek().copied() {
-            if t != term {
-                break;
+
+    /// The unread rest of the decoded block, reading the next block once
+    /// the current one is used up.
+    fn peek(&mut self) -> Result<&[u32], SegmentError> {
+        if self.pos == self.values.len() {
+            let b = self.next_block;
+            if b == self.column.block_count() {
+                return Err(SegmentError::Corrupt("run doc_freqs exceed its postings"));
             }
-            heap.pop();
-            let (_, postings) = pending[i].take().expect("heap entry without segment");
-            pending_bytes -= postings.len() * 8;
-            merged.extend_from_slice(&postings);
-            let seg = sources[i].next_segment()?;
-            if let Some((next_term, postings)) = &seg {
-                // Enforce strict per-source ascent here (equal terms
-                // included): with every source ascending, the heap order
-                // makes the emitted stream ascend by construction.
-                if *next_term <= term {
-                    return Err(SpillError::Run(RunFileError::Corrupt(
-                        "merge sources yielded terms out of order",
-                    )));
+            let start = b * self.column.block_size();
+            let len = (self.column.len() - start).min(self.column.block_size());
+            self.column
+                .read_range(start, len, &mut self.values)
+                .map_err(block_error)?;
+            let image = self.column.block_bytes(b);
+            self.bytes_read += image;
+            self.largest_image = self.largest_image.max(image);
+            self.next_block += 1;
+            self.pos = 0;
+        }
+        Ok(&self.values[self.pos..])
+    }
+
+    fn is_drained(&self) -> bool {
+        self.pos == self.values.len() && self.next_block == self.column.block_count()
+    }
+}
+
+/// A block read failure after the open verified the run: the file changed
+/// or the device faulted underneath the build.
+fn block_error(e: StorageError) -> SegmentError {
+    match e {
+        StorageError::Io(std::io::ErrorKind::UnexpectedEof) => SegmentError::Truncated,
+        StorageError::Io(kind) => SegmentError::Io(kind.to_string()),
+        _ => SegmentError::Corrupt("run block does not decode"),
+    }
+}
+
+/// An open run: its per-term document frequencies and posting columns.
+struct Run {
+    doc_freqs: RunColumn,
+    docid: RunColumn,
+    tf: RunColumn,
+}
+
+impl Run {
+    fn open(path: &Path, num_terms: usize) -> Result<Self, SegmentError> {
+        let segment = SegmentReader::open(path)?;
+        let column = |kind, name| segment.open_column(kind, name).map(RunColumn::new);
+        let run = Run {
+            doc_freqs: column(SectionKind::DocFreqs, "doc_freqs")?,
+            docid: column(SectionKind::ColDocid, "docid")?,
+            tf: column(SectionKind::ColTf, "tf")?,
+        };
+        if run.doc_freqs.column.len() != num_terms {
+            return Err(SegmentError::Corrupt(
+                "run doc_freqs length differs from the vocabulary",
+            ));
+        }
+        if run.docid.column.len() != run.tf.column.len() {
+            return Err(SegmentError::Corrupt("run docid and tf lengths disagree"));
+        }
+        Ok(run)
+    }
+}
+
+/// Appends every run's postings into `writer`: term by term in ascending
+/// order and, within a term, run by run in spill order. `runs` are `(path,
+/// size in bytes)` pairs. Returns the read accounting and the merge's peak
+/// bytes outside the writer.
+pub(crate) fn merge_runs(
+    runs: &[(PathBuf, u64)],
+    num_terms: usize,
+    writer: &mut IndexColumnsWriter,
+) -> Result<(IoStats, usize), SegmentError> {
+    let disk = DiskModel::raid12();
+    let mut read_io = IoStats::default();
+    let mut open = Vec::with_capacity(runs.len());
+    for (path, bytes) in runs {
+        open.push(Run::open(path, num_terms)?);
+        // The open verifies every byte: one sequential read of the run.
+        read_io.record(*bytes as usize, disk.read_cost(*bytes as usize));
+    }
+    for term in 0..num_terms {
+        let mut last = None;
+        for run in &mut open {
+            let mut left = run.doc_freqs.peek()?[0] as usize;
+            run.doc_freqs.pos += 1;
+            while left > 0 {
+                let docids = run.docid.peek()?;
+                let tfs = run.tf.peek()?;
+                let n = left.min(docids.len()).min(tfs.len());
+                let docids = &docids[..n];
+                if last.is_some_and(|l| l >= docids[0]) || docids.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(SegmentError::Corrupt("run postings do not strictly ascend"));
                 }
-                heap.push(Reverse((*next_term, i)));
-                pending_bytes += postings.len() * 8;
+                last = Some(docids[n - 1]);
+                writer.extend_term(term, docids, &tfs[..n]);
+                run.docid.pos += n;
+                run.tf.pos += n;
+                left -= n;
             }
-            pending[i] = seg;
         }
-        stats.peak_live_bytes = stats.peak_live_bytes.max(pending_bytes + merged.len() * 8);
-        // Spill-path runs are docid-disjoint and already ordered, making
-        // this near-linear; adversarial sources get full correctness.
-        merged.sort_unstable();
-        on_term(term, &merged)?;
     }
-    Ok(stats)
+    let (mut decoded, mut in_flight) = (0, 0);
+    for run in &open {
+        if !run.docid.is_drained() || !run.tf.is_drained() {
+            return Err(SegmentError::Corrupt(
+                "run holds postings beyond its doc_freqs",
+            ));
+        }
+        let cols = [&run.doc_freqs, &run.docid, &run.tf];
+        // Held while reading: each column's decoded block, plus one block
+        // in flight — its image, its parsed form and its decoded scratch.
+        for col in cols {
+            decoded += col.values.capacity() * 4;
+            in_flight = in_flight.max(2 * col.largest_image + col.values.capacity() * 4);
+        }
+        // Each run is read front to back exactly once: one sequential
+        // stream, however the runs interleave.
+        let bytes = cols.iter().map(|col| col.bytes_read).sum();
+        read_io.record(bytes, disk.read_cost(bytes));
+    }
+    Ok((read_io, decoded + in_flight))
 }
 
 /// Builds an index from a [`CollectionStream`] under a posting-memory
@@ -258,7 +312,7 @@ pub fn build_index_streaming_spill(
     index_config: &IndexConfig,
     chunk_size: usize,
     spill: SpillConfig,
-) -> Result<(InvertedIndex, CollectionTail, SpillStats), SpillError> {
+) -> Result<(InvertedIndex, CollectionTail, SpillStats), SegmentError> {
     let vocab = stream.vocab();
     let mut builder = IndexBuilder::new(vocab.len(), index_config, spill);
     let mut chunk = Vec::new();
@@ -274,7 +328,6 @@ pub fn build_index_streaming_spill(
 mod tests {
     use super::*;
     use x100_corpus::{CollectionConfig, SyntheticCollection};
-    use x100_storage::MemRun;
 
     fn build_spilling(budget: usize) -> (SyntheticCollection, InvertedIndex, SpillStats) {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
@@ -286,6 +339,23 @@ mod tests {
         b.push_docs(&c.docs).unwrap();
         let (idx, stats) = b.finish(&c.vocab).unwrap();
         (c, idx, stats)
+    }
+
+    fn pack(docid: u32, tf: u32) -> u64 {
+        (u64::from(docid) << 32) | u64::from(tf)
+    }
+
+    /// The tiny collection pushed into a builder whose budget leaves
+    /// several runs on disk.
+    fn spilled_builder(c: &SyntheticCollection) -> IndexBuilder {
+        let mut b = IndexBuilder::new(
+            c.vocab.len(),
+            &IndexConfig::compressed(),
+            SpillConfig::with_budget(16 * 1024),
+        );
+        b.push_docs(&c.docs).unwrap();
+        assert!(b.num_runs() >= 2);
+        b
     }
 
     #[test]
@@ -304,22 +374,30 @@ mod tests {
 
     #[test]
     fn tight_budget_spills_and_matches_batch() {
-        let (c, idx, stats) = build_spilling(8 * 1024);
+        let (c, idx, stats) = build_spilling(16 * 1024);
         assert!(stats.runs > 1, "expected multiple runs, got {}", stats.runs);
-        assert!(stats.peak_accum_bytes <= 8 * 1024);
+        assert!(stats.peak_accum_bytes <= 16 * 1024);
         // The streamed finish never materializes whole columns: its peak is
-        // bounded by the pending column blocks plus the largest merged term
-        // list, far below the total posting volume.
+        // one decoded block per run column (three per run, one more run's
+        // worth in flight) plus the writer's two pending blocks.
+        let per_run = 3 * 4 * RUN_BLOCK_SIZE;
+        let pending = 8 * idx.num_postings().min(IndexConfig::compressed().block_size);
         assert!(stats.finish_peak_bytes > 0);
         assert!(
-            stats.finish_peak_bytes <= idx.num_postings() * 8 + 16 * 1024,
-            "finish peak {} for {} postings",
+            stats.finish_peak_bytes <= (stats.runs + 1) * per_run + pending,
+            "finish peak {} for {} runs",
             stats.finish_peak_bytes,
-            idx.num_postings()
+            stats.runs
         );
+        assert_eq!(stats.spilled_postings as usize, idx.num_postings());
         assert_eq!(stats.write_io.reads, stats.runs as u64);
-        assert_eq!(stats.read_io.reads, stats.runs as u64); // every run read back
-        assert_eq!(stats.write_io.bytes, stats.read_io.bytes);
+        // Every run is read twice: the open's verification pass over the
+        // whole file, then its blocks.
+        assert_eq!(stats.read_io.reads, 2 * stats.runs as u64);
+        assert!(stats.read_io.bytes > stats.write_io.bytes);
+        assert!(stats.read_io.bytes < 2 * stats.write_io.bytes);
+        // Compressed runs: well under the 8 bytes a packed posting takes.
+        assert!(stats.write_io.bytes < stats.spilled_postings * 4);
         assert!(stats.total_io().sim_time > std::time::Duration::ZERO);
         let batch = InvertedIndex::build(&c, &IndexConfig::compressed());
         assert_eq!(
@@ -343,14 +421,8 @@ mod tests {
     #[test]
     fn run_files_are_cleaned_up() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let mut b = IndexBuilder::new(
-            c.vocab.len(),
-            &IndexConfig::compressed(),
-            SpillConfig::with_budget(4 * 1024),
-        );
-        b.push_docs(&c.docs).unwrap();
+        let b = spilled_builder(&c);
         let paths = b.run_paths();
-        assert!(!paths.is_empty());
         assert!(paths.iter().all(|p| p.exists()));
         let dir = paths[0].parent().unwrap().to_path_buf();
         let _ = b.finish(&c.vocab).unwrap();
@@ -360,27 +432,51 @@ mod tests {
 
     #[test]
     fn merge_handles_empty_and_disjoint_sources() {
-        let a = MemRun::new(vec![(1, vec![10]), (5, vec![11, 12])]);
-        let b = MemRun::new(vec![]);
-        let c = MemRun::new(vec![(0, vec![7]), (5, vec![2])]);
-        let mut got = Vec::new();
-        merge_run_sources(vec![a, b, c], |t, p| {
-            got.push((t, p.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got, vec![(0, vec![7]), (1, vec![10]), (5, vec![2, 11, 12])]);
+        // One run per document: runs with disjoint term sets, terms absent
+        // from every run, and a term whose list spans several runs.
+        let docs: [&[(u32, u32)]; 4] = [&[(1, 2)], &[(4, 1)], &[(1, 1), (4, 3)], &[(5, 1)]];
+        let build = |spill: SpillConfig| {
+            let mut b = IndexBuilder::new(6, &IndexConfig::compressed(), spill);
+            for (i, terms) in docs.iter().enumerate() {
+                b.push_doc(&format!("d{i}"), terms, 3).unwrap();
+            }
+            b.finish(&(0..6).map(|t| format!("t{t}")).collect::<Vec<_>>())
+                .unwrap()
+        };
+        let (expect, _) = build(SpillConfig::unbounded());
+        let (got, stats) = build(SpillConfig::with_budget(1));
+        assert_eq!(stats.runs, docs.len());
+        for t in 0..6 {
+            assert_eq!(got.doc_freq(t), expect.doc_freq(t), "term {t}");
+            assert_eq!(got.term_range(t), expect.term_range(t), "term {t}");
+        }
+        assert_eq!(got.doc_freq(0), 0);
+        assert_eq!(got.doc_freq(1), 2);
+        assert_eq!(
+            got.td().column("docid").unwrap().read_all(),
+            vec![0, 2, 1, 2, 3]
+        );
+        assert_eq!(
+            got.td().column("tf").unwrap().read_all(),
+            expect.td().column("tf").unwrap().read_all()
+        );
     }
 
     #[test]
     fn merge_rejects_out_of_order_source() {
-        let bad = MemRun::new(vec![(5, vec![1]), (3, vec![2])]);
-        let err = merge_run_sources(vec![bad], |_, _| Ok(())).unwrap_err();
-        assert!(matches!(err, SpillError::Run(RunFileError::Corrupt(_))));
-        // Equal terms from one source are just as corrupt as descending.
-        let dup = MemRun::new(vec![(5, vec![1]), (5, vec![2])]);
-        let err = merge_run_sources(vec![dup], |_, _| Ok(())).unwrap_err();
-        assert!(matches!(err, SpillError::Run(RunFileError::Corrupt(_))));
+        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+        // Descending and repeated docids inside one run are both corrupt:
+        // the merge appends, it never sorts.
+        for list in [vec![pack(5, 1), pack(3, 1)], vec![pack(5, 1), pack(5, 2)]] {
+            let b = spilled_builder(&c);
+            let mut lists = vec![Vec::new(); c.vocab.len()];
+            lists[7] = list;
+            write_run(&b.run_paths()[1], lists, c.vocab.len()).unwrap();
+            assert_eq!(
+                b.finish(&c.vocab).unwrap_err(),
+                SegmentError::Corrupt("run postings do not strictly ascend")
+            );
+        }
     }
 
     #[test]
@@ -388,7 +484,7 @@ mod tests {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
         let parent = std::env::temp_dir().join(format!("x100-shared-spill-{}", std::process::id()));
         let spill_cfg = SpillConfig {
-            budget_bytes: 8 * 1024,
+            budget_bytes: 16 * 1024,
             dir: Some(parent.clone()),
         };
         let mut a = IndexBuilder::new(c.vocab.len(), &IndexConfig::compressed(), spill_cfg.clone());
@@ -416,14 +512,9 @@ mod tests {
     #[test]
     fn abandoned_builder_cleans_up_on_drop() {
         let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-        let mut b = IndexBuilder::new(
-            c.vocab.len(),
-            &IndexConfig::compressed(),
-            SpillConfig::with_budget(4 * 1024),
-        );
-        b.push_docs(&c.docs).unwrap();
+        let b = spilled_builder(&c);
         let paths = b.run_paths();
-        assert!(!paths.is_empty() && paths.iter().all(|p| p.exists()));
+        assert!(paths.iter().all(|p| p.exists()));
         let dir = paths[0].parent().unwrap().to_path_buf();
         drop(b); // never finished
         assert!(paths.iter().all(|p| !p.exists()));
@@ -432,22 +523,19 @@ mod tests {
 
     #[test]
     fn finish_rejects_out_of_vocab_terms() {
-        let src = MemRun::new(vec![(9, vec![1])]);
-        let err = merge_run_sources(vec![src], |term, _| {
-            if term as usize >= 3 {
-                return Err(SpillError::TermOutOfVocab { term, num_terms: 3 });
-            }
-            Ok(())
-        })
-        .unwrap_err();
+        // A run written for a larger vocabulary carries doc_freqs for
+        // terms the builder does not have.
+        let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+        let b = spilled_builder(&c);
+        let mut lists = vec![Vec::new(); c.vocab.len() + 1];
+        lists[c.vocab.len()] = vec![pack(0, 1)];
+        write_run(&b.run_paths()[0], lists, c.vocab.len() + 1).unwrap();
+        let err = b.finish(&c.vocab).unwrap_err();
         assert_eq!(
             err,
-            SpillError::TermOutOfVocab {
-                term: 9,
-                num_terms: 3
-            }
+            SegmentError::Corrupt("run doc_freqs length differs from the vocabulary")
         );
-        assert!(err.to_string().contains("out of range"));
+        assert!(err.to_string().contains("vocabulary"));
     }
 
     #[test]
@@ -482,19 +570,5 @@ mod tests {
         assert_eq!(idx.num_postings(), 0);
         assert_eq!(stats.runs, 0);
         assert_eq!(stats.finish_peak_bytes, 0);
-    }
-
-    #[test]
-    fn term_id_overflow_is_a_typed_error() {
-        // A vocabulary slot past u32::MAX cannot be represented in the
-        // run-file format's 32-bit term field; the spill path surfaces a
-        // typed error instead of the silent `as u32` truncation it used to
-        // perform. (Constructing 2^32 real term lists is impractical, so
-        // pin the error type and message directly.)
-        let err = SpillError::TermIdOverflow {
-            term: u32::MAX as usize + 1,
-        };
-        assert!(err.to_string().contains("u32 range"));
-        assert!(std::error::Error::source(&err).is_none());
     }
 }

@@ -332,6 +332,9 @@ impl Column {
     /// would only hold for uncompressed columns. (Block sizes are themselves
     /// multiples of the stride, so an aligned `start` is aligned within its
     /// block too.)
+    ///
+    /// A disk-backed block that cannot be read or parsed returns
+    /// [`StorageError::Io`] or [`StorageError::Codec`] rather than panicking.
     pub fn read_range(
         &self,
         start: usize,
@@ -356,7 +359,7 @@ impl Column {
         let mut pos = start;
         while pos < end {
             // Reads after the first start at a block boundary (aligned).
-            let block = self.block(pos / self.block_size);
+            let block = self.fetch(pos / self.block_size)?;
             let in_block = pos % self.block_size;
             let take = (end - pos).min(block.len() - in_block);
             block.decode_range_into(in_block, take, &mut scratch)?;

@@ -26,17 +26,15 @@
 //!   granularity, the storage-side half of the execution pipeline.
 //! * [`table::Table`] — a named set of equal-length columns (the relational
 //!   veneer the IR layer builds TD/D/T on).
-//! * [`runfile`] — checksummed, term-ordered on-disk posting runs: the
-//!   external-sort leg that lets index construction spill under a memory
-//!   budget and k-way merge back to one sorted posting stream.
-//! * [`segment`] — the persistent single-file format: checksummed 64-byte-
-//!   aligned sections with per-column prefix-sum block directories, served
-//!   back through the buffer pool with real `pread`s on misses.
+//! * [`segment`] — the one on-disk format: checksummed 64-byte-aligned
+//!   sections with per-column prefix-sum block directories, served back
+//!   through the buffer pool with real `pread`s on misses. A persisted
+//!   index is a segment, and so is every spill run an index build writes
+//!   under a memory budget.
 
 pub mod buffer;
 pub mod column;
 pub mod disk;
-pub mod runfile;
 pub mod scan;
 pub mod segment;
 pub mod table;
@@ -44,7 +42,6 @@ pub mod table;
 pub use buffer::{BufferManager, BufferMode, NUM_STRIPES};
 pub use column::{Column, ColumnBuilder, ColumnId};
 pub use disk::{DiskModel, IoStats};
-pub use runfile::{MemRun, RunFileError, RunFileReader, RunFileWriter, RunMeta, RunSource};
 pub use scan::ColumnScan;
 pub use segment::{SectionKind, SegmentError, SegmentReader, SegmentWriter};
 pub use table::Table;

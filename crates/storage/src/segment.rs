@@ -8,14 +8,14 @@
 //! block directory** — `block_count + 1` byte offsets — so any block's file
 //! extent is two array lookups, O(1), with no scan over preceding blocks.
 //!
-//! Integrity follows the run-file discipline ([`crate::runfile`]): a magic +
-//! versioned header, an FNV-1a-64 checksum per section, a checksummed table
-//! of contents, and **open-time verification of every byte in the file**
-//! (header, sections, and the zero padding between them). Any flip or
-//! truncation surfaces as a typed [`SegmentError`] from [`SegmentReader::
-//! open`]; declared sizes are reconciled against the real file length with
-//! checked arithmetic before any allocation, so a corrupt length field can
-//! never trigger an allocation bomb. After a successful open, block reads
+//! Integrity: a magic + versioned header, an FNV-1a-64 checksum per
+//! section, a checksummed table of contents, and **open-time verification
+//! of every byte in the file** (header, sections, and the zero padding
+//! between them). Any flip or truncation surfaces as a typed
+//! [`SegmentError`] from [`SegmentReader::open`]; declared sizes are
+//! reconciled against the real file length with checked arithmetic before
+//! any allocation, so a corrupt length field can never trigger an
+//! allocation bomb. After a successful open, block reads
 //! are plain `pread`s: the [`Column`]s keep no block bytes, the
 //! [`crate::BufferManager`] owns the blocks it admitted, and a block it
 //! evicted is simply read again on the next pin.
@@ -49,7 +49,6 @@ use std::sync::Arc;
 use x100_compress::{Codec, ENTRY_POINT_STRIDE};
 
 use crate::column::Column;
-use crate::runfile::Fnv1a;
 
 /// Magic number at the start of every segment file (`X1SG`).
 pub const SEGMENT_MAGIC: u32 = 0x5831_5347;
@@ -180,6 +179,28 @@ impl SectionKind {
                 | SectionKind::Offsets
                 | SectionKind::BlockMax
         )
+    }
+}
+
+/// Incremental FNV-1a (64-bit): the checksum of the header, of every
+/// section and of the table of contents.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
     }
 }
 
@@ -830,10 +851,10 @@ mod tests {
         scan.next_into(&mut v).unwrap();
         assert_eq!(v, &expect[256..320]);
         scan.seek(2 * back.block_size()).unwrap();
-        assert_eq!(
-            scan.next_into(&mut v),
-            Err(crate::StorageError::Io(std::io::ErrorKind::UnexpectedEof))
-        );
+        let eof = crate::StorageError::Io(std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(scan.next_into(&mut v), Err(eof.clone()));
+        // The un-pooled range read returns the same typed error.
+        assert_eq!(back.read_range(2 * back.block_size(), 64, &mut v), Err(eof));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -6,9 +6,12 @@ use monetdb_x100::compress::{Codec, CodecError, CompressedBlock};
 use monetdb_x100::corpus::{CollectionConfig, SyntheticCollection};
 use monetdb_x100::exec::prelude::*;
 use monetdb_x100::ir::{
-    IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SpillConfig, SpillError,
+    IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, SearchStrategy, SegmentError,
+    SpillConfig,
 };
-use monetdb_x100::storage::{BufferManager, BufferMode, Column, DiskModel, StorageError, Table};
+use monetdb_x100::storage::{
+    BufferManager, BufferMode, Column, DiskModel, SectionKind, StorageError, Table,
+};
 
 fn tiny_index() -> (SyntheticCollection, InvertedIndex) {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
@@ -149,16 +152,30 @@ fn zero_length_documents_are_tolerated() {
 }
 
 /// A spilling builder over the tiny collection with a budget small enough
-/// to leave several run files on disk, ready to be corrupted.
+/// to leave several run segments on disk, ready to be corrupted.
 fn spilled_builder(c: &SyntheticCollection) -> IndexBuilder {
     let mut b = IndexBuilder::new(
         c.vocab.len(),
         &IndexConfig::compressed(),
-        SpillConfig::with_budget(8 * 1024),
+        SpillConfig::with_budget(16 * 1024),
     );
     b.push_docs(&c.docs).unwrap();
     assert!(b.num_runs() >= 2, "fixture must spill multiple runs");
     b
+}
+
+/// `(offset, len)` of a section in a segment image, read from its table of
+/// contents (TOC offset at header byte 16; 32-byte entries `kind, reserved,
+/// offset, len, checksum`).
+fn section_extent(bytes: &[u8], kind: SectionKind) -> (usize, usize) {
+    let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+    let toc = u64_at(16);
+    let entries = (bytes.len() - 8 - toc) / 32;
+    (0..entries)
+        .map(|e| toc + 32 * e)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == kind as u32)
+        .map(|at| (u64_at(at + 8), u64_at(at + 16)))
+        .expect("run has the section")
 }
 
 #[test]
@@ -168,16 +185,16 @@ fn truncated_run_files_error_through_finish() {
         let b = spilled_builder(&c);
         std::fs::metadata(&b.run_paths()[0]).unwrap().len() as usize
     };
-    // Cut the first run at several depths: mid-header, mid-record, one
-    // byte short. Every cut must surface as Err from finish() — no panic,
-    // no silently dropped postings.
+    // Cut the first run at several depths: mid-header, mid-section, one
+    // byte short. Every cut must surface as a typed truncation from
+    // finish() — no panic, no silently dropped postings.
     for cut in [0, 7, 19, full_len / 3, full_len - 1] {
         let b = spilled_builder(&c);
         let victim = &b.run_paths()[0];
         let bytes = std::fs::read(victim).unwrap();
         std::fs::write(victim, &bytes[..cut.min(bytes.len())]).unwrap();
         let err = b.finish(&c.vocab).unwrap_err();
-        assert!(matches!(err, SpillError::Run(_)), "cut={cut}: {err}");
+        assert_eq!(err, SegmentError::Truncated, "cut={cut}: {err}");
     }
 }
 
@@ -186,20 +203,26 @@ fn bit_flipped_run_files_error_through_finish() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let full_len = {
         let b = spilled_builder(&c);
-        std::fs::metadata(&b.run_paths()[0]).unwrap().len() as usize
+        std::fs::metadata(&b.run_paths()[1]).unwrap().len() as usize
     };
     // Flip a single bit at positions spanning the header (magic, version,
-    // flags, counts), record headers, posting payload and checksum bytes.
-    let positions = [0, 4, 6, 8, 12, 21, 25, 30, full_len / 2, full_len - 1];
+    // flags, section count, TOC offset, file length, checksum), the column
+    // sections and the table of contents.
+    let positions = [0, 4, 6, 8, 16, 24, 32, 64, 100, full_len / 2, full_len - 1];
     for &pos in &positions {
         let b = spilled_builder(&c);
         let victim = &b.run_paths()[1];
         let mut bytes = std::fs::read(victim).unwrap();
-        let pos = pos.min(bytes.len() - 1);
         bytes[pos] ^= 0x01;
         std::fs::write(victim, &bytes).unwrap();
         let err = b.finish(&c.vocab).unwrap_err();
-        assert!(matches!(err, SpillError::Run(_)), "flip at {pos}: {err}");
+        assert!(
+            matches!(
+                err,
+                SegmentError::BadMagic(_) | SegmentError::BadVersion(_) | SegmentError::Corrupt(_)
+            ),
+            "flip at {pos}: {err}"
+        );
         assert!(!err.to_string().is_empty());
     }
 }
@@ -209,29 +232,48 @@ fn deleted_run_file_errors_through_finish() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let b = spilled_builder(&c);
     std::fs::remove_file(&b.run_paths()[0]).unwrap();
-    assert!(matches!(
-        b.finish(&c.vocab),
-        Err(SpillError::Run(monetdb_x100::storage::RunFileError::Io(_)))
-    ));
+    assert!(matches!(b.finish(&c.vocab), Err(SegmentError::Io(_))));
 }
 
 #[test]
 fn run_file_posting_swap_is_detected() {
-    // Swapping two whole posting words keeps lengths and totals intact —
-    // only the record checksum can catch it. It must.
+    // Swapping two words of the docid column's block payload keeps every
+    // length, count and directory entry intact — only the section checksum
+    // can catch it. It must.
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let b = spilled_builder(&c);
     let victim = &b.run_paths()[0];
     let mut bytes = std::fs::read(victim).unwrap();
-    // Header is 20 bytes; first record starts at 20 with term(4)+count(4),
-    // so postings start at byte 28. Swap the first two 8-byte words.
-    let (a, z) = (28usize, 36usize);
-    for i in 0..8 {
+    let (offset, len) = section_extent(&bytes, SectionKind::ColDocid);
+    // The last two 4-byte words of the section: packed codes of its last
+    // block, never the column header or the block directory.
+    let (a, z) = (offset + len - 8, offset + len - 4);
+    assert_ne!(bytes[a..a + 4], bytes[z..z + 4], "swap must change bytes");
+    for i in 0..4 {
         bytes.swap(a + i, z + i);
     }
     std::fs::write(victim, &bytes).unwrap();
     let err = b.finish(&c.vocab).unwrap_err();
+    assert_eq!(err, SegmentError::Corrupt("section checksum mismatch"));
     assert!(err.to_string().contains("checksum"), "{err}");
+}
+
+#[test]
+fn swapped_run_files_error_through_finish() {
+    // Two valid runs renamed over each other: every byte verifies, but a
+    // term's list no longer ascends where the runs meet. The merge appends
+    // runs in order and never sorts, so this is corruption, not input.
+    let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+    let b = spilled_builder(&c);
+    let paths = b.run_paths();
+    let aside = paths[0].with_extension("aside");
+    std::fs::rename(&paths[0], &aside).unwrap();
+    std::fs::rename(&paths[1], &paths[0]).unwrap();
+    std::fs::rename(&aside, &paths[1]).unwrap();
+    assert_eq!(
+        b.finish(&c.vocab).unwrap_err(),
+        SegmentError::Corrupt("run postings do not strictly ascend")
+    );
 }
 
 #[test]
