@@ -10,8 +10,9 @@
 //! * `scalar` — [`x100_compress::bitpack::unpack`] with the wide path
 //!   forced off: the macro-generated fully unrolled 32-value-group kernel;
 //! * `wide` — the same entry point with the runtime-dispatched AVX2
-//!   kernel allowed (requires `--features simd` *and* AVX2; otherwise it
-//!   is the scalar path again and the two columns coincide).
+//!   kernel allowed (requires an x86_64 CPU with AVX2, detected at
+//!   runtime; otherwise it is the scalar path again and the two columns
+//!   coincide).
 //!
 //! Outputs are asserted identical — across all three paths — before
 //! anything is timed. Results go to stdout as a table and to

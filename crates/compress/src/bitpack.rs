@@ -249,19 +249,20 @@ pub fn unpack_range(buf: &[u64], start: usize, len: usize, b: u8, out: &mut Vec<
 /// Kernel-decodes the full groups of `out` (whose start value index `start`
 /// must be group-aligned), then generic-decodes the tail.
 ///
-/// With the `simd` feature compiled in and active ([`crate::simd_active`]),
-/// a prefix of the groups goes through the AVX2 wide kernel instead; the
-/// scalar kernels finish whatever the wide path leaves (its overlapping
-/// loads must stay inside `buf`, so short buffers and trailing groups fall
-/// back). Both paths are bit-identical by the proptest differential suite.
+/// On x86_64 with the wide path active ([`crate::simd_active`]: the CPU
+/// has AVX2 and it is not forced off), a prefix of the groups goes through
+/// the AVX2 wide kernel instead; the scalar kernels finish whatever the
+/// wide path leaves (its overlapping loads must stay inside `buf`, so
+/// short buffers and trailing groups fall back). Both paths are
+/// bit-identical by the proptest differential suite.
 fn unpack_aligned(buf: &[u64], start: usize, len: usize, b: u8, out: &mut [u32]) {
     debug_assert_eq!(start % GROUP_SIZE, 0);
     let kernel = KERNELS[(b - 1) as usize];
     let first_group = start / GROUP_SIZE;
     let groups = len / GROUP_SIZE;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     let wide = crate::simd::unpack_groups(buf, first_group, groups, b, out);
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     let wide = 0;
     for g in wide..groups {
         let chunk: &mut [u32; GROUP_SIZE] = (&mut out[g * GROUP_SIZE..(g + 1) * GROUP_SIZE])

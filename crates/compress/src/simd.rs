@@ -1,16 +1,17 @@
-//! Runtime-dispatched wide unpack kernels (AVX2) behind the `simd` feature.
+//! Runtime-dispatched wide unpack kernels (AVX2).
 //!
 //! The unrolled scalar kernels in [`crate::bitpack`] stay the differential
 //! oracle; this module adds an 8-lane AVX2 variant of the same two-word
 //! extraction and a process-wide switch deciding which one the dispatch in
 //! `bitpack::unpack_aligned` (and the BM25 scoring loop in `x100-ir`) uses:
 //!
-//! * compiled without the `simd` feature, [`simd_available`] is `false` and
-//!   every query goes down the scalar path — nothing else changes;
-//! * compiled with it, AVX2 support is detected once at runtime, and
-//!   [`simd_force_scalar`] can force the scalar path back on (the
-//!   forced-fallback tests use this so the scalar kernels stay covered on
-//!   SIMD-capable machines).
+//! * every x86_64 build compiles the AVX2 kernels, and [`simd_available`]
+//!   reports whether the CPU supports AVX2 (detected at runtime);
+//! * off x86_64, or on a CPU without AVX2, it is `false` and every query
+//!   goes down the scalar path;
+//! * [`simd_force_scalar`] forces the scalar path back on where AVX2 is
+//!   available (the forced-fallback tests use this so the scalar kernels
+//!   stay covered on SIMD-capable machines).
 //!
 //! The AVX2 kernel decodes one 32-value group as 4×8 lanes. For a batch of
 //! 8 lanes it issues two overlapping unaligned 256-bit loads (the batch's
@@ -25,19 +26,19 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, [`simd_active`] reports `false` even on AVX2-capable builds:
+/// When set, [`simd_active`] reports `false` even on AVX2-capable CPUs:
 /// the scalar kernels run everywhere. Test-only in spirit, but harmless to
 /// flip in production — results are bit-identical by construction.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Whether this build can run the wide kernels at all: the `simd` feature
-/// is compiled in, the target is x86_64, and the CPU reports AVX2.
+/// Whether the wide kernels can run at all: the target is x86_64 and the
+/// CPU reports AVX2.
 pub fn simd_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -56,10 +57,10 @@ pub fn simd_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::unpack_groups;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::simd_active;
     use crate::bitpack::GROUP_SIZE;
@@ -193,9 +194,14 @@ mod tests {
         assert_eq!(simd_active(), simd_available());
     }
 
-    #[cfg(not(feature = "simd"))]
+    /// The default build carries the wide kernels: availability is the
+    /// CPU's answer, not a build option's.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn unavailable_without_feature() {
-        assert!(!simd_available());
+    fn available_exactly_when_cpu_has_avx2() {
+        assert_eq!(
+            simd_available(),
+            std::arch::is_x86_feature_detected!("avx2")
+        );
     }
 }

@@ -5,9 +5,9 @@
 //! extremes — all-zero, all-max, alternating — and on random data, at
 //! group-aligned and unaligned range starts, including buffers short
 //! enough that the wide path must hand trailing groups back to the scalar
-//! kernels. Without the `simd` feature (or off x86_64/AVX2) the wide path
-//! is inert and the suite degenerates to scalar-vs-oracle — still a valid
-//! pin, so it runs in both CI legs.
+//! kernels. Every x86_64 build compiles the wide path and runs it when the
+//! CPU has AVX2; off x86_64, or without AVX2, it is inert and the suite
+//! holds the scalar kernels against the oracle alone.
 //!
 //! The force-scalar toggle is process-wide, so everything here lives in
 //! one `#[test]` per concern, sequenced inside this file's process.

@@ -650,8 +650,8 @@ pub struct CoordinatorConfig {
     /// Total time budget per partition query, across all replica attempts.
     pub deadline: Duration,
     /// Hedge delay used until a partition has [`Self::hedge_min_samples`]
-    /// observed latencies; after that the partition's p99 (clamped to
-    /// `1 ms ..= deadline / 2`) takes over.
+    /// observed latencies; after that the partition's p99 (raised to at
+    /// least 1 ms, then capped at `deadline / 2`) takes over.
     pub hedge_after: Duration,
     /// Successful samples required before the p99-based hedge delay
     /// replaces [`Self::hedge_after`].
@@ -1134,8 +1134,10 @@ impl Coordinator {
     fn hedge_delay(&self, part: &PartitionState) -> Duration {
         let hist = part.latency.lock().unwrap_or_else(|e| e.into_inner());
         if hist.count() >= self.config.hedge_min_samples {
+            // Not `clamp`, which panics when `deadline / 2 < 1 ms`.
             hist.p99()
-                .clamp(Duration::from_millis(1), self.config.deadline / 2)
+                .max(Duration::from_millis(1))
+                .min(self.config.deadline / 2)
         } else {
             self.config.hedge_after
         }
@@ -1418,5 +1420,24 @@ mod tests {
             4,
         );
         assert_eq!(merged, vec![(3, 2.0), (5, 2.0), (1, 1.0), (9, 1.0)]);
+    }
+
+    #[test]
+    fn hedge_delay_never_exceeds_half_the_deadline() {
+        // Under a 2 ms deadline the 1 ms floor and the cap cross; the cap
+        // wins. The address is never dialed.
+        for deadline in [Duration::from_millis(1), Duration::from_secs(2)] {
+            let config = CoordinatorConfig {
+                deadline,
+                hedge_min_samples: 0,
+                ..CoordinatorConfig::default()
+            };
+            let coord = Coordinator::new(vec![vec![([127, 0, 0, 1], 9).into()]], config);
+            let part = &coord.partitions[0];
+            let floor = Duration::from_millis(1).min(deadline / 2);
+            assert_eq!(coord.hedge_delay(part), floor);
+            part.latency.lock().unwrap().record(Duration::from_secs(30));
+            assert_eq!(coord.hedge_delay(part), deadline / 2);
+        }
     }
 }

@@ -38,7 +38,7 @@
 //!   the ranked union interleaves them term-major within a docid window
 //!   (`run_ranked`), where the merge-join advances all lists in step.
 //!
-//! When the `simd` feature is enabled and the CPU has AVX2, the per-term
+//! On x86_64, when the CPU has AVX2 (detected at runtime), the per-term
 //! scoring loop over each conjunctive batch runs 8 lanes wide; conversion
 //! (`i32 -> f32`), divide, multiply and add are all IEEE-exact operations,
 //! so the wide kernels are bit-identical to the scalar loop (pinned by
@@ -1066,7 +1066,7 @@ fn drain_heap(heap: &mut Vec<HeapRow>, out: &mut Vec<(u32, f32)>) {
 /// `+0.0` (exact: see [`run_ranked`]). Dispatches to the AVX2 kernel when
 /// active; both paths are IEEE-exact per element, hence bit-identical.
 fn score_computed(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x100_compress::simd_active() {
         // Safety: `simd_active` implies AVX2 was detected at runtime.
         unsafe { simd::score_computed_avx2(acc, tfs, coef, norms) };
@@ -1086,7 +1086,7 @@ fn score_computed_scalar(acc: &mut [f32], tfs: &[u32], coef: f32, norms: &[f32])
 /// payload decoded as the plan decodes it (`f32::from_bits` for F32
 /// indexes, `cast_f32` for quantized codes).
 fn score_materialized(acc: &mut [f32], payloads: &[u32], f32_bits: bool) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x100_compress::simd_active() {
         // Safety: `simd_active` implies AVX2 was detected at runtime.
         unsafe { simd::score_materialized_avx2(acc, payloads, f32_bits) };
@@ -1109,9 +1109,8 @@ fn score_materialized_scalar(acc: &mut [f32], payloads: &[u32], f32_bits: bool) 
 /// Every operation used — `cvtepi32_ps`, `div_ps`, `mul_ps`, `add_ps` —
 /// is IEEE-exact, and multiplies/adds are kept separate (no FMA), so the
 /// lanes compute bit-for-bit what the scalar loop computes.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd {
-    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]

@@ -56,8 +56,7 @@ fn assert_steady_state_clean(
 ) {
     let mut out = Vec::new();
     // Warmup: grows the arena and hits buffer, faults every posting block
-    // into the pool, and (under `--features simd`) runs CPU feature
-    // detection once.
+    // into the pool, and (on x86_64) runs CPU feature detection once.
     for &strategy in strategies {
         for q in queries {
             exec.search_hits_into(q, strategy, TOP_N, &mut out)

@@ -12,9 +12,9 @@
 //! `add_ps`), so this is exact `f32::to_bits` equality, not tolerance
 //! comparison. The process-wide [`simd_force_scalar`] toggle switches the
 //! dispatch; every test here serializes on one lock since the toggle is
-//! global. Without `--features simd` (or off x86_64/AVX2) both runs take
-//! the scalar path and the suite degenerates to a self-consistency pin —
-//! still valid, so it runs in both CI legs.
+//! global. Every x86_64 build compiles the wide kernels and dispatches to
+//! them when the CPU has AVX2; off x86_64, or without AVX2, both runs take
+//! the scalar path and the comparison is a self-consistency pin.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
