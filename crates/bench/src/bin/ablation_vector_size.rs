@@ -53,11 +53,15 @@ fn main() {
     for &vs in sizes {
         let engine = QueryEngine::new(&index).with_vector_size(vs);
         for q in queries.iter().take(5) {
-            let _ = engine.search(q, SearchStrategy::Bm25, TOP_N); // warm
+            engine
+                .search(q, SearchStrategy::Bm25, TOP_N)
+                .expect("search"); // warm
         }
         let start = Instant::now();
         for q in &queries {
-            let _ = engine.search(q, SearchStrategy::Bm25, TOP_N);
+            engine
+                .search(q, SearchStrategy::Bm25, TOP_N)
+                .expect("search");
         }
         let avg = start.elapsed() / queries.len() as u32;
         eprintln!("vector size {vs}: {} ms/query", fmt_ms(avg));

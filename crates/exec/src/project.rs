@@ -2,9 +2,8 @@
 //!
 //! Project evaluates a list of [`Expr`]s against each input batch and emits
 //! a batch of the results (Figure 1's `Project` node computing
-//! `vat_price`). The input's selection vector is preserved: expressions run
-//! over all physical rows (branch-free), and selection stays a consumer-side
-//! annotation.
+//! `vat_price`). In the IR plans it narrows each join's output back to
+//! `[docid, payload_1..payload_k]` and computes the BM25 score (§3.2).
 
 use x100_vector::{Batch, ValueType};
 
@@ -43,9 +42,7 @@ impl Operator for Project<'_> {
         for e in &self.exprs {
             columns.push(e.eval(&batch)?);
         }
-        let mut out = Batch::new(columns);
-        out.set_selection(batch.selection().cloned());
-        Ok(Some(out))
+        Ok(Some(Batch::new(columns)))
     }
 
     fn close(&mut self) {
@@ -60,10 +57,8 @@ impl Operator for Project<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Predicate;
+    use crate::collect_f32_column;
     use crate::mem::MemSource;
-    use crate::select::Select;
-    use crate::{collect_f32_column, collect_i32_column};
     use x100_vector::Vector;
 
     fn src(values: &[i32]) -> Box<dyn Operator> {
@@ -76,9 +71,12 @@ mod tests {
     fn computes_expressions() {
         let p = Project::new(
             src(&[1, 2, 3]),
-            vec![Expr::mul(Expr::col_i32(0), Expr::const_i32(10))],
+            vec![Expr::mul(
+                Expr::cast_f32(Expr::col_i32(0)),
+                Expr::const_f32(10.0),
+            )],
         );
-        assert_eq!(collect_i32_column(p, 0).unwrap(), vec![10, 20, 30]);
+        assert_eq!(collect_f32_column(p, 0).unwrap(), vec![10.0, 20.0, 30.0]);
     }
 
     #[test]
@@ -87,7 +85,7 @@ mod tests {
             src(&[4]),
             vec![
                 Expr::col_i32(0),
-                Expr::cast_f32(Expr::add(Expr::col_i32(0), Expr::const_i32(1))),
+                Expr::add(Expr::cast_f32(Expr::col_i32(0)), Expr::const_f32(1.0)),
             ],
         );
         assert_eq!(p.schema(), &[ValueType::I32, ValueType::F32]);
@@ -95,18 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn selection_preserved_through_projection() {
-        let filtered = Select::new(src(&[1, 2, 3, 4]), Predicate::ge_i32(0, 3));
-        let p = Project::new(
-            Box::new(filtered),
-            vec![Expr::add(Expr::col_i32(0), Expr::const_i32(100))],
-        );
-        assert_eq!(collect_i32_column(p, 0).unwrap(), vec![103, 104]);
-    }
-
-    #[test]
     fn plan_errors_propagate() {
-        let mut p = Project::new(src(&[1]), vec![Expr::col_f32(0)]);
+        let floats = Box::new(MemSource::from_batch(Batch::new(vec![Vector::from_f32(
+            &[1.0],
+        )])));
+        let mut p = Project::new(floats, vec![Expr::col_i32(0)]);
         p.open().unwrap();
         assert!(matches!(p.next(), Err(ExecError::Plan(_))));
         p.close();

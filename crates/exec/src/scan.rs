@@ -49,6 +49,11 @@ impl<'a> TableScan<'a> {
         range: Range<usize>,
         vector_size: usize,
     ) -> Result<Self, ExecError> {
+        if vector_size == 0 {
+            return Err(ExecError::Plan(
+                "scan vector size must be at least 1".into(),
+            ));
+        }
         if range.end > table.row_count() || range.start > range.end {
             return Err(ExecError::Plan(format!(
                 "scan range {range:?} invalid for table of {} rows",
@@ -174,6 +179,13 @@ mod tests {
     fn invalid_range_rejected() {
         let (table, bm) = setup();
         assert!(TableScan::with_range(&table, &bm, &["docid"], 0..9999, 50).is_err());
+    }
+
+    #[test]
+    fn zero_vector_size_rejected_at_build() {
+        let (table, bm) = setup();
+        assert!(TableScan::new(&table, &bm, &["docid"], 0).is_err());
+        assert!(TableScan::with_range(&table, &bm, &["docid"], 0..10, 0).is_err());
     }
 
     #[test]

@@ -454,6 +454,19 @@ mod engine_tests {
     }
 
     #[test]
+    fn zero_hits_asked_returns_none() {
+        let (_, idx) = setup();
+        let engine = QueryEngine::new(&idx);
+        for s in ["term5 OR term6", "term5", "term5 AND (term9 OR term14)"] {
+            let q = parse(s).unwrap();
+            assert!(
+                engine.search_boolean(&q, 0).unwrap().results.is_empty(),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
     fn empty_node_is_a_plan_error() {
         let (_, idx) = setup();
         let engine = QueryEngine::new(&idx);

@@ -588,13 +588,12 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<Vec<(u32, f32)>, ExecError> {
         let mut out = Vec::new();
         op.open()?;
-        'outer: while let Some(mut batch) = op.next()? {
-            batch.compact();
+        'outer: while let Some(batch) = op.next()? {
             for &d in batch.column(0).as_i32() {
-                out.push((d as u32, 0.0));
                 if out.len() >= n {
                     break 'outer;
                 }
+                out.push((d as u32, 0.0));
             }
         }
         op.close();

@@ -1,21 +1,17 @@
 //! Columnar batches — the unit of exchange in the operator pipeline.
 //!
 //! One `next()` call on an X100 operator produces one [`Batch`]: an aligned
-//! set of vectors, one per output column, all of the same length, plus an
-//! optional [`SelectionVector`] describing which positions are live. The
-//! paper's Figure 1 shows such aligned vectors flowing from `Scan` up through
-//! `Select`, `Project` and `Aggregate`.
+//! set of vectors, one per output column, all of the same length. The
+//! paper's Figure 1 shows such aligned vectors flowing up the operator
+//! tree; in the IR plans (§3.2) they flow from `ScanSelect` through the
+//! joins and `Project` into `TopN`.
 
-use crate::selection::SelectionVector;
-use crate::types::ValueType;
 use crate::vector::Vector;
 
-/// An aligned set of column vectors with an optional selection.
+/// An aligned set of column vectors.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
     columns: Vec<Vector>,
-    /// Live positions; `None` means all rows are live.
-    selection: Option<SelectionVector>,
 }
 
 impl Batch {
@@ -32,34 +28,12 @@ impl Batch {
                 "batch columns must be aligned (equal length)"
             );
         }
-        Batch {
-            columns,
-            selection: None,
-        }
+        Batch { columns }
     }
 
-    /// Creates an empty batch with typed columns of the given capacity.
-    pub fn with_capacity(types: &[ValueType], capacity: usize) -> Self {
-        Batch {
-            columns: types
-                .iter()
-                .map(|&t| Vector::with_capacity(t, capacity))
-                .collect(),
-            selection: None,
-        }
-    }
-
-    /// Number of physical rows (before applying the selection).
+    /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.columns.first().map_or(0, Vector::len)
-    }
-
-    /// Number of live rows (after applying the selection).
-    pub fn live_rows(&self) -> usize {
-        match &self.selection {
-            Some(sel) => sel.len(),
-            None => self.num_rows(),
-        }
     }
 
     /// Number of columns.
@@ -67,9 +41,9 @@ impl Batch {
         self.columns.len()
     }
 
-    /// Whether the batch has no live rows.
+    /// Whether the batch has no rows.
     pub fn is_empty(&self) -> bool {
-        self.live_rows() == 0
+        self.num_rows() == 0
     }
 
     /// Borrows column `idx`.
@@ -81,75 +55,10 @@ impl Batch {
         &self.columns[idx]
     }
 
-    /// Mutably borrows column `idx`.
-    #[inline]
-    pub fn column_mut(&mut self, idx: usize) -> &mut Vector {
-        &mut self.columns[idx]
-    }
-
     /// All columns.
     #[inline]
     pub fn columns(&self) -> &[Vector] {
         &self.columns
-    }
-
-    /// Adds a column.
-    ///
-    /// # Panics
-    /// Panics if the new column's length differs from existing rows.
-    pub fn push_column(&mut self, column: Vector) {
-        assert!(
-            self.columns.is_empty() || column.len() == self.num_rows(),
-            "pushed column must match batch row count"
-        );
-        self.columns.push(column);
-    }
-
-    /// The current selection, if any.
-    #[inline]
-    pub fn selection(&self) -> Option<&SelectionVector> {
-        self.selection.as_ref()
-    }
-
-    /// Installs (or clears) the selection.
-    ///
-    /// # Panics
-    /// Panics if any selected position is out of range.
-    pub fn set_selection(&mut self, selection: Option<SelectionVector>) {
-        if let Some(sel) = &selection {
-            if let Some(&max) = sel.positions().last() {
-                assert!(
-                    (max as usize) < self.num_rows(),
-                    "selection position {max} out of range for {} rows",
-                    self.num_rows()
-                );
-            }
-        }
-        self.selection = selection;
-    }
-
-    /// Clears all columns and the selection, keeping allocations.
-    pub fn clear(&mut self) {
-        for c in &mut self.columns {
-            c.clear();
-        }
-        self.selection = None;
-    }
-
-    /// Materializes the selection: rewrites every column to contain only the
-    /// live rows and drops the selection vector. Used at pipeline breakers
-    /// (joins, aggregation) where dense data is required.
-    pub fn compact(&mut self) {
-        let Some(sel) = self.selection.take() else {
-            return;
-        };
-        let positions = sel.positions();
-        let mut scratch;
-        for col in &mut self.columns {
-            scratch = Vector::with_capacity(col.value_type(), positions.len());
-            scratch.gather_from(col, positions);
-            *col = scratch;
-        }
     }
 }
 
@@ -175,70 +84,5 @@ mod tests {
     #[should_panic(expected = "aligned")]
     fn misaligned_columns_rejected() {
         Batch::new(vec![Vector::from_i32(&[1]), Vector::from_i32(&[1, 2])]);
-    }
-
-    #[test]
-    fn live_rows_tracks_selection() {
-        let mut b = sample_batch();
-        assert_eq!(b.live_rows(), 4);
-        b.set_selection(Some(SelectionVector::from_positions(vec![0, 3])));
-        assert_eq!(b.live_rows(), 2);
-        assert_eq!(b.num_rows(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn selection_bounds_checked() {
-        let mut b = sample_batch();
-        b.set_selection(Some(SelectionVector::from_positions(vec![9])));
-    }
-
-    #[test]
-    fn compact_materializes_selection() {
-        let mut b = sample_batch();
-        b.set_selection(Some(SelectionVector::from_positions(vec![1, 2])));
-        b.compact();
-        assert_eq!(b.selection(), None);
-        assert_eq!(b.column(0).as_i32(), &[2, 3]);
-        assert_eq!(b.column(1).as_f32(), &[0.2, 0.3]);
-    }
-
-    #[test]
-    fn compact_without_selection_is_noop() {
-        let mut b = sample_batch();
-        b.compact();
-        assert_eq!(b.column(0).as_i32(), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn push_column_checks_length() {
-        let mut b = sample_batch();
-        b.push_column(Vector::from_i32(&[9, 8, 7, 6]));
-        assert_eq!(b.num_columns(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn push_mismatched_column_rejected() {
-        let mut b = sample_batch();
-        b.push_column(Vector::from_i32(&[9]));
-    }
-
-    #[test]
-    fn clear_resets_rows_and_selection() {
-        let mut b = sample_batch();
-        b.set_selection(Some(SelectionVector::from_positions(vec![0])));
-        b.clear();
-        assert_eq!(b.num_rows(), 0);
-        assert!(b.selection().is_none());
-        assert_eq!(b.num_columns(), 2);
-    }
-
-    #[test]
-    fn with_capacity_builds_typed_empty_columns() {
-        let b = Batch::with_capacity(&[ValueType::I32, ValueType::Str], 8);
-        assert_eq!(b.num_columns(), 2);
-        assert_eq!(b.num_rows(), 0);
-        assert_eq!(b.column(1).value_type(), ValueType::Str);
     }
 }

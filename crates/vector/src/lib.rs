@@ -7,40 +7,35 @@
 //! such that all vectors live in the query plan fit the CPU cache at once
 //! (§2 of the paper, Figure 1).
 //!
-//! This crate provides the data representation shared by every other crate in
-//! the workspace:
+//! This crate provides the data representation the relational engine
+//! (`x100-exec`) exchanges between operators:
 //!
-//! * [`Vector`] — a dynamically typed, fixed-capacity unary array.
-//! * [`SelectionVector`] — the index list produced by selection primitives,
-//!   letting downstream operators process a subset of a vector without
-//!   copying it.
+//! * [`Vector`] — a dynamically typed unary array of `i32` or `f32` values.
 //! * [`Batch`] — the unit of exchange between operators: one vector per
-//!   column plus an optional selection.
+//!   column, all of the same length.
 //! * [`VectorSize`] — the tuning knob the paper's demonstration sweeps
 //!   (§4, "varying MonetDB/X100 parameters, such as the vector size").
 //!
 //! # Example
 //!
 //! ```
-//! use x100_vector::{Vector, VectorSize};
+//! use x100_vector::{Batch, Vector, VectorSize};
 //!
 //! let size = VectorSize::default(); // 1024 values, the X100 sweet spot
-//! let mut v = Vector::with_capacity_i32(size.get());
-//! v.push_i32(7);
-//! v.push_i32(9);
-//! assert_eq!(v.as_i32(), &[7, 9]);
+//! assert_eq!(size.get(), 1024);
+//! let batch = Batch::new(vec![Vector::from_i32(&[7, 9]), Vector::from_f32(&[0.5, 1.5])]);
+//! assert_eq!(batch.num_rows(), 2);
+//! assert_eq!(batch.column(0).as_i32(), &[7, 9]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod selection;
 pub mod types;
 pub mod vector;
 
 pub use batch::Batch;
-pub use selection::SelectionVector;
-pub use types::{Value, ValueType};
+pub use types::ValueType;
 pub use vector::{Vector, VectorData};
 
 /// The number of values an execution vector holds.

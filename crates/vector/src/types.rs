@@ -2,173 +2,27 @@
 //!
 //! X100 is a relational kernel; columns carry a fixed scalar type and the
 //! primitive library is instantiated per type (e.g. `map_mul_flt_val_flt_col`
-//! in Figure 1 of the paper). We keep the type lattice small — exactly what
-//! the IR workload needs: 32/64-bit integers for `docid`/`tf`/offsets,
-//! 32/64-bit floats for scores, `u8` for quantized scores, and strings for
-//! terms and document names.
+//! in Figure 1 of the paper). The IR plans need exactly two: 32-bit integers
+//! for `docid`, `tf` and stored score payloads, and 32-bit floats for the
+//! scores they compute.
 
 use std::fmt;
 
 /// The type of every value in one column or vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
-    /// 8-bit unsigned integer — quantized BM25 scores (§3.3).
-    U8,
-    /// 32-bit signed integer — `docid`, `tf`, lengths.
+    /// 32-bit signed integer — `docid`, `tf`, lengths, stored score bits.
     I32,
-    /// 64-bit signed integer — row ids, offsets, counts.
-    I64,
-    /// 32-bit float — materialized BM25 scores (§3.3).
+    /// 32-bit float — BM25 scores (§3.3).
     F32,
-    /// 64-bit float — score accumulation.
-    F64,
-    /// Variable-length UTF-8 string — terms, document names.
-    Str,
-}
-
-impl ValueType {
-    /// Fixed width of one value in bytes, or `None` for variable-length
-    /// types. Used by the storage manager to size uncompressed blocks and by
-    /// the compression-ratio experiment ("from 32 to 11.98 bits per tuple").
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            ValueType::U8 => Some(1),
-            ValueType::I32 | ValueType::F32 => Some(4),
-            ValueType::I64 | ValueType::F64 => Some(8),
-            ValueType::Str => None,
-        }
-    }
-
-    /// Whether this is a numeric (fixed-width) type.
-    pub fn is_numeric(self) -> bool {
-        !matches!(self, ValueType::Str)
-    }
 }
 
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ValueType::U8 => "u8",
+        f.write_str(match self {
             ValueType::I32 => "i32",
-            ValueType::I64 => "i64",
             ValueType::F32 => "f32",
-            ValueType::F64 => "f64",
-            ValueType::Str => "str",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A single dynamically typed scalar value.
-///
-/// Values only appear at the *edges* of the engine — constants in expressions
-/// and materialized query results. The hot path never handles `Value`s;
-/// primitives work on raw typed slices.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An unsigned byte (quantized scores, PDICT codes).
-    U8(u8),
-    /// A 32-bit signed integer (docids, term frequencies, lengths).
-    I32(i32),
-    /// A 64-bit signed integer (aggregates, counts).
-    I64(i64),
-    /// A 32-bit float (BM25 scores).
-    F32(f32),
-    /// A 64-bit float (aggregate sums).
-    F64(f64),
-    /// A string (document names).
-    Str(String),
-}
-
-impl Value {
-    /// The type of this value.
-    pub fn value_type(&self) -> ValueType {
-        match self {
-            Value::U8(_) => ValueType::U8,
-            Value::I32(_) => ValueType::I32,
-            Value::I64(_) => ValueType::I64,
-            Value::F32(_) => ValueType::F32,
-            Value::F64(_) => ValueType::F64,
-            Value::Str(_) => ValueType::Str,
-        }
-    }
-
-    /// Numeric widening to `f64`, used by result printers and tests.
-    /// Returns `None` for strings.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::U8(v) => Some(f64::from(*v)),
-            Value::I32(v) => Some(f64::from(*v)),
-            Value::I64(v) => Some(*v as f64),
-            Value::F32(v) => Some(f64::from(*v)),
-            Value::F64(v) => Some(*v),
-            Value::Str(_) => None,
-        }
-    }
-
-    /// Numeric widening to `i64`. Returns `None` for floats and strings.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::U8(v) => Some(i64::from(*v)),
-            Value::I32(v) => Some(i64::from(*v)),
-            Value::I64(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::U8(v) => write!(f, "{v}"),
-            Value::I32(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::F32(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-impl From<i32> for Value {
-    fn from(v: i32) -> Self {
-        Value::I32(v)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-
-impl From<f32> for Value {
-    fn from(v: f32) -> Self {
-        Value::F32(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-
-impl From<u8> for Value {
-    fn from(v: u8) -> Self {
-        Value::U8(v)
-    }
-}
-
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
+        })
     }
 }
 
@@ -177,43 +31,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_widths() {
-        assert_eq!(ValueType::U8.fixed_width(), Some(1));
-        assert_eq!(ValueType::I32.fixed_width(), Some(4));
-        assert_eq!(ValueType::I64.fixed_width(), Some(8));
-        assert_eq!(ValueType::F32.fixed_width(), Some(4));
-        assert_eq!(ValueType::F64.fixed_width(), Some(8));
-        assert_eq!(ValueType::Str.fixed_width(), None);
-    }
-
-    #[test]
-    fn numeric_classification() {
-        assert!(ValueType::I32.is_numeric());
-        assert!(!ValueType::Str.is_numeric());
-    }
-
-    #[test]
-    fn value_type_roundtrip() {
-        assert_eq!(Value::from(3i32).value_type(), ValueType::I32);
-        assert_eq!(Value::from(3i64).value_type(), ValueType::I64);
-        assert_eq!(Value::from(3.0f32).value_type(), ValueType::F32);
-        assert_eq!(Value::from(3.0f64).value_type(), ValueType::F64);
-        assert_eq!(Value::from(3u8).value_type(), ValueType::U8);
-        assert_eq!(Value::from("x").value_type(), ValueType::Str);
-    }
-
-    #[test]
-    fn value_widening() {
-        assert_eq!(Value::from(3i32).as_f64(), Some(3.0));
-        assert_eq!(Value::from("x").as_f64(), None);
-        assert_eq!(Value::from(3u8).as_i64(), Some(3));
-        assert_eq!(Value::from(1.5f64).as_i64(), None);
-    }
-
-    #[test]
     fn display_formats() {
+        assert_eq!(ValueType::I32.to_string(), "i32");
         assert_eq!(ValueType::F32.to_string(), "f32");
-        assert_eq!(Value::from("abc").to_string(), "abc");
-        assert_eq!(Value::from(42i64).to_string(), "42");
     }
 }

@@ -5,7 +5,7 @@
 //! loops over the raw typed slices inside, which is what lets the compiler
 //! emit data-parallel (SIMD-friendly) code.
 
-use crate::types::{Value, ValueType};
+use crate::types::ValueType;
 
 /// The typed payload of a [`Vector`].
 ///
@@ -14,94 +14,19 @@ use crate::types::{Value, ValueType};
 /// the `match`) is amortized over `VectorSize` values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VectorData {
-    /// Unsigned bytes (quantized scores, PDICT codes).
-    U8(Vec<u8>),
     /// 32-bit signed integers (docids, term frequencies, lengths).
     I32(Vec<i32>),
-    /// 64-bit signed integers (aggregates, counts).
-    I64(Vec<i64>),
     /// 32-bit floats (BM25 scores).
     F32(Vec<f32>),
-    /// 64-bit floats (aggregate sums).
-    F64(Vec<f64>),
-    /// Strings (document names).
-    Str(Vec<String>),
 }
 
-impl VectorData {
-    /// Number of values currently held.
-    pub fn len(&self) -> usize {
-        match self {
-            VectorData::U8(v) => v.len(),
-            VectorData::I32(v) => v.len(),
-            VectorData::I64(v) => v.len(),
-            VectorData::F32(v) => v.len(),
-            VectorData::F64(v) => v.len(),
-            VectorData::Str(v) => v.len(),
-        }
-    }
-
-    /// Whether the vector holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The scalar type of the payload.
-    pub fn value_type(&self) -> ValueType {
-        match self {
-            VectorData::U8(_) => ValueType::U8,
-            VectorData::I32(_) => ValueType::I32,
-            VectorData::I64(_) => ValueType::I64,
-            VectorData::F32(_) => ValueType::F32,
-            VectorData::F64(_) => ValueType::F64,
-            VectorData::Str(_) => ValueType::Str,
-        }
-    }
-
-    /// Drop all values, keeping the allocation (vectors are workhorse
-    /// buffers reused across `next()` calls).
-    pub fn clear(&mut self) {
-        match self {
-            VectorData::U8(v) => v.clear(),
-            VectorData::I32(v) => v.clear(),
-            VectorData::I64(v) => v.clear(),
-            VectorData::F32(v) => v.clear(),
-            VectorData::F64(v) => v.clear(),
-            VectorData::Str(v) => v.clear(),
-        }
-    }
-}
-
-/// A fixed-capacity unary array of one scalar type: X100's unit of data flow.
-///
-/// A `Vector` owns its buffer and is intended to be reused: `clear()` keeps
-/// the allocation so that a pipeline allocates its working set once at
-/// `open()` time and never again, matching the paper's in-cache design where
-/// vector buffers are long-lived and cache-resident.
+/// A unary array of one scalar type: X100's unit of data flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vector {
     data: VectorData,
 }
 
 impl Vector {
-    /// Creates an empty vector of the given type with the given capacity.
-    pub fn with_capacity(ty: ValueType, capacity: usize) -> Self {
-        let data = match ty {
-            ValueType::U8 => VectorData::U8(Vec::with_capacity(capacity)),
-            ValueType::I32 => VectorData::I32(Vec::with_capacity(capacity)),
-            ValueType::I64 => VectorData::I64(Vec::with_capacity(capacity)),
-            ValueType::F32 => VectorData::F32(Vec::with_capacity(capacity)),
-            ValueType::F64 => VectorData::F64(Vec::with_capacity(capacity)),
-            ValueType::Str => VectorData::Str(Vec::with_capacity(capacity)),
-        };
-        Vector { data }
-    }
-
-    /// Convenience constructor for the most common hot-path type.
-    pub fn with_capacity_i32(capacity: usize) -> Self {
-        Self::with_capacity(ValueType::I32, capacity)
-    }
-
     /// Wraps an existing buffer.
     pub fn from_data(data: VectorData) -> Self {
         Vector { data }
@@ -121,68 +46,34 @@ impl Vector {
         }
     }
 
-    /// Builds a string vector from a slice.
-    pub fn from_str_slice(values: &[&str]) -> Self {
-        Vector {
-            data: VectorData::Str(values.iter().map(|s| (*s).to_owned()).collect()),
-        }
-    }
-
     /// Number of values currently held.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        match &self.data {
+            VectorData::I32(v) => v.len(),
+            VectorData::F32(v) => v.len(),
+        }
     }
 
     /// Whether the vector holds no values.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// The scalar type of this vector.
     #[inline]
     pub fn value_type(&self) -> ValueType {
-        self.data.value_type()
-    }
-
-    /// Drops all values but keeps the allocation for reuse.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.data.clear();
+        match &self.data {
+            VectorData::I32(_) => ValueType::I32,
+            VectorData::F32(_) => ValueType::F32,
+        }
     }
 
     /// Borrow the payload.
     #[inline]
     pub fn data(&self) -> &VectorData {
         &self.data
-    }
-
-    /// Mutably borrow the payload.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut VectorData {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning the payload.
-    pub fn into_data(self) -> VectorData {
-        self.data
-    }
-
-    /// Reads one value as a dynamically typed [`Value`].
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds. Only for result materialization and
-    /// tests — never on the hot path.
-    pub fn value_at(&self, idx: usize) -> Value {
-        match &self.data {
-            VectorData::U8(v) => Value::U8(v[idx]),
-            VectorData::I32(v) => Value::I32(v[idx]),
-            VectorData::I64(v) => Value::I64(v[idx]),
-            VectorData::F32(v) => Value::F32(v[idx]),
-            VectorData::F64(v) => Value::F64(v[idx]),
-            VectorData::Str(v) => Value::Str(v[idx].clone()),
-        }
     }
 
     // ---- typed accessors -------------------------------------------------
@@ -192,39 +83,12 @@ impl Vector {
     // is a planner bug, not a data error, mirroring how X100 primitives are
     // bound to concrete types at plan-build time.
 
-    /// Borrows the payload as `&[u8]`. Panics if the type differs.
-    #[inline]
-    pub fn as_u8(&self) -> &[u8] {
-        match &self.data {
-            VectorData::U8(v) => v,
-            other => panic!(
-                "vector type mismatch: expected u8, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
     /// Borrows the payload as `&[i32]`. Panics if the type differs.
     #[inline]
     pub fn as_i32(&self) -> &[i32] {
         match &self.data {
             VectorData::I32(v) => v,
-            other => panic!(
-                "vector type mismatch: expected i32, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Borrows the payload as `&[i64]`. Panics if the type differs.
-    #[inline]
-    pub fn as_i64(&self) -> &[i64] {
-        match &self.data {
-            VectorData::I64(v) => v,
-            other => panic!(
-                "vector type mismatch: expected i64, got {}",
-                other.value_type()
-            ),
+            VectorData::F32(_) => panic!("vector type mismatch: expected i32, got f32"),
         }
     }
 
@@ -233,151 +97,7 @@ impl Vector {
     pub fn as_f32(&self) -> &[f32] {
         match &self.data {
             VectorData::F32(v) => v,
-            other => panic!(
-                "vector type mismatch: expected f32, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Borrows the payload as `&[f64]`. Panics if the type differs.
-    #[inline]
-    pub fn as_f64(&self) -> &[f64] {
-        match &self.data {
-            VectorData::F64(v) => v,
-            other => panic!(
-                "vector type mismatch: expected f64, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Borrows the payload as `&[String]`. Panics if the type differs.
-    #[inline]
-    pub fn as_str_slice(&self) -> &[String] {
-        match &self.data {
-            VectorData::Str(v) => v,
-            other => panic!(
-                "vector type mismatch: expected str, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<u8>`. Panics if the type differs.
-    #[inline]
-    pub fn as_u8_mut(&mut self) -> &mut Vec<u8> {
-        match &mut self.data {
-            VectorData::U8(v) => v,
-            other => panic!(
-                "vector type mismatch: expected u8, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<i32>`. Panics if the type differs.
-    #[inline]
-    pub fn as_i32_mut(&mut self) -> &mut Vec<i32> {
-        match &mut self.data {
-            VectorData::I32(v) => v,
-            other => panic!(
-                "vector type mismatch: expected i32, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<i64>`. Panics if the type differs.
-    #[inline]
-    pub fn as_i64_mut(&mut self) -> &mut Vec<i64> {
-        match &mut self.data {
-            VectorData::I64(v) => v,
-            other => panic!(
-                "vector type mismatch: expected i64, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<f32>`. Panics if the type differs.
-    #[inline]
-    pub fn as_f32_mut(&mut self) -> &mut Vec<f32> {
-        match &mut self.data {
-            VectorData::F32(v) => v,
-            other => panic!(
-                "vector type mismatch: expected f32, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<f64>`. Panics if the type differs.
-    #[inline]
-    pub fn as_f64_mut(&mut self) -> &mut Vec<f64> {
-        match &mut self.data {
-            VectorData::F64(v) => v,
-            other => panic!(
-                "vector type mismatch: expected f64, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Mutably borrows the payload as `&mut Vec<String>`. Panics if the type differs.
-    #[inline]
-    pub fn as_str_mut(&mut self) -> &mut Vec<String> {
-        match &mut self.data {
-            VectorData::Str(v) => v,
-            other => panic!(
-                "vector type mismatch: expected str, got {}",
-                other.value_type()
-            ),
-        }
-    }
-
-    /// Appends one `i32` value.
-    #[inline]
-    pub fn push_i32(&mut self, v: i32) {
-        self.as_i32_mut().push(v);
-    }
-
-    /// Appends one `f32` value.
-    #[inline]
-    pub fn push_f32(&mut self, v: f32) {
-        self.as_f32_mut().push(v);
-    }
-
-    /// Copies the values selected by `sel` from `src` into `self`,
-    /// replacing current contents. This is the materializing form of
-    /// selection, used when an operator boundary requires dense output
-    /// (e.g. before handing a vector to a join build side).
-    pub fn gather_from(&mut self, src: &Vector, sel: &[u32]) {
-        self.clear();
-        match (&mut self.data, &src.data) {
-            (VectorData::U8(dst), VectorData::U8(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize]));
-            }
-            (VectorData::I32(dst), VectorData::I32(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize]));
-            }
-            (VectorData::I64(dst), VectorData::I64(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize]));
-            }
-            (VectorData::F32(dst), VectorData::F32(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize]));
-            }
-            (VectorData::F64(dst), VectorData::F64(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize]));
-            }
-            (VectorData::Str(dst), VectorData::Str(s)) => {
-                dst.extend(sel.iter().map(|&i| s[i as usize].clone()));
-            }
-            (dst, src) => panic!(
-                "gather type mismatch: dst {} vs src {}",
-                dst.value_type(),
-                src.value_type()
-            ),
+            VectorData::I32(_) => panic!("vector type mismatch: expected f32, got i32"),
         }
     }
 }
@@ -387,82 +107,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn with_capacity_starts_empty() {
-        let v = Vector::with_capacity(ValueType::F64, 128);
-        assert!(v.is_empty());
-        assert_eq!(v.value_type(), ValueType::F64);
-    }
-
-    #[test]
-    fn push_and_read_back() {
-        let mut v = Vector::with_capacity_i32(4);
-        v.push_i32(1);
-        v.push_i32(2);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.as_i32(), &[1, 2]);
-        assert_eq!(v.value_at(1), Value::I32(2));
-    }
-
-    #[test]
-    fn clear_keeps_capacity() {
-        let mut v = Vector::with_capacity_i32(64);
-        for i in 0..64 {
-            v.push_i32(i);
-        }
-        let cap_before = v.as_i32_mut().capacity();
-        v.clear();
-        assert!(v.is_empty());
-        assert_eq!(v.as_i32_mut().capacity(), cap_before);
-    }
-
-    #[test]
     #[should_panic(expected = "type mismatch")]
     fn typed_accessor_panics_on_mismatch() {
         let v = Vector::from_i32(&[1]);
         let _ = v.as_f32();
-    }
-
-    #[test]
-    fn gather_selects_subset() {
-        let src = Vector::from_i32(&[10, 20, 30, 40]);
-        let mut dst = Vector::with_capacity_i32(4);
-        dst.gather_from(&src, &[3, 1]);
-        assert_eq!(dst.as_i32(), &[40, 20]);
-    }
-
-    #[test]
-    fn gather_strings() {
-        let src = Vector::from_str_slice(&["a", "b", "c"]);
-        let mut dst = Vector::with_capacity(ValueType::Str, 2);
-        dst.gather_from(&src, &[2, 0]);
-        assert_eq!(dst.as_str_slice(), &["c".to_owned(), "a".to_owned()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "gather type mismatch")]
-    fn gather_panics_on_type_mismatch() {
-        let src = Vector::from_i32(&[1]);
-        let mut dst = Vector::with_capacity(ValueType::F32, 1);
-        dst.gather_from(&src, &[0]);
-    }
-
-    #[test]
-    fn value_at_every_type() {
-        assert_eq!(
-            Vector::from_data(VectorData::U8(vec![7])).value_at(0),
-            Value::U8(7)
-        );
-        assert_eq!(
-            Vector::from_data(VectorData::I64(vec![7])).value_at(0),
-            Value::I64(7)
-        );
-        assert_eq!(
-            Vector::from_data(VectorData::F64(vec![0.5])).value_at(0),
-            Value::F64(0.5)
-        );
-        assert_eq!(
-            Vector::from_str_slice(&["t"]).value_at(0),
-            Value::Str("t".to_owned())
-        );
     }
 }

@@ -1,14 +1,14 @@
-//! Hand-building a vectorized X100 pipeline (Figure 1, §2).
+//! Hand-building a vectorized X100 pipeline (§2, §3.2).
 //!
 //! ```text
 //! cargo run --release --example relational_pipeline
 //! ```
 //!
 //! The IR layer normally plans queries for you; this example drops one
-//! level down and assembles operators by hand — the same open/next/close
-//! pipeline the paper's Figure 1 draws, including a selection (with
-//! selection vectors, no copying), a projection over vectorized primitives,
-//! a merge join of two sorted lists, an aggregation, and a TopN.
+//! level down and assembles, by hand, the operators those plans are made
+//! of: two posting lists (in-memory stand-ins for `ScanSelect`), a merge
+//! join for `AND` and an outer merge join for `OR`, a projection over
+//! vectorized primitives, and a TopN.
 
 use monetdb_x100::exec::prelude::*;
 use monetdb_x100::vector::{Batch, ValueType, Vector};
@@ -26,76 +26,50 @@ fn postings(rows: &[(i32, i32)]) -> Box<dyn Operator> {
     ))
 }
 
-fn main() {
-    // Posting lists for two terms.
-    let information = postings(&[(1, 3), (4, 1), (7, 2), (9, 5), (12, 1)]);
-    let retrieval = postings(&[(2, 1), (4, 2), (9, 1), (12, 4), (15, 2)]);
+fn information() -> Box<dyn Operator> {
+    postings(&[(1, 3), (4, 1), (7, 2), (9, 5), (12, 1)])
+}
 
-    // "information AND retrieval" = MergeJoin on docid.
-    let joined = MergeJoin::new(information, retrieval, 0, 0, 1024).expect("plan");
-    // Columns now: [docid, tf1, docid, tf2].
+fn retrieval() -> Box<dyn Operator> {
+    postings(&[(2, 1), (4, 2), (9, 1), (12, 4), (15, 2)])
+}
 
-    // Score = tf1 + 2*tf2 (a toy weighting), computed with vectorized map
-    // primitives; keep docid alongside.
+/// Projects `[docid, score]` from a joined `[docid_l, tf1, docid_r, tf2]`,
+/// with score = tf1 + 2*tf2 (a toy weighting) computed by vectorized map
+/// primitives, then keeps the top 5 by score.
+fn rank(joined: Box<dyn Operator>, docid: Expr) -> Vec<(i32, f32)> {
     let scored = Project::new(
-        Box::new(joined),
+        joined,
         vec![
-            Expr::col_i32(0),
+            docid,
             Expr::add(
                 Expr::cast_f32(Expr::col_i32(1)),
                 Expr::mul(Expr::const_f32(2.0), Expr::cast_f32(Expr::col_i32(3))),
             ),
         ],
     );
+    let top = TopN::new(Box::new(scored), 1, 5, 1024).expect("plan");
+    let mut rows = Vec::new();
+    for b in &collect_batches(top).expect("run") {
+        let (ids, scores) = (b.column(0).as_i32(), b.column(1).as_f32());
+        rows.extend(ids.iter().copied().zip(scores.iter().copied()));
+    }
+    rows
+}
 
-    // Keep docs scoring >= 5, without copying survivors (selection vectors).
-    let selected = Select::new(Box::new(scored), Predicate::ge_f32(1, 5.0));
-
-    // Top-2 by score.
-    let top = TopN::new(Box::new(selected), 1, 2, 1024).expect("plan");
-    let batches = collect_batches(top).expect("run");
-
-    println!("TopN(Select(Project(MergeJoin(info, retrieval)))):");
-    for b in &batches {
-        for r in 0..b.num_rows() {
-            println!(
-                "  docid {}  score {}",
-                b.column(0).as_i32()[r],
-                b.column(1).as_f32()[r]
-            );
-        }
+fn main() {
+    // "information AND retrieval": both docids are equal; keep the left.
+    let and = MergeJoin::new(information(), retrieval(), 0, 0, 1024).expect("plan");
+    println!("TopN(Project(MergeJoin(information, retrieval))):");
+    for (docid, score) in rank(Box::new(and), Expr::col_i32(0)) {
+        println!("  docid {docid}  score {score}");
     }
 
-    // An aggregation pipeline over the same inputs: total tf per docid
-    // parity (Figure 1's Aggregate node shape).
-    let information = postings(&[(1, 3), (4, 1), (7, 2), (9, 5), (12, 1)]);
-    let keyed = Project::new(
-        information,
-        vec![
-            // group key: docid % 2 via docid - 2*(docid/2) is unavailable
-            // (no integer division) — use gather-free parity by multiply:
-            // here we simply group by tf instead to keep the example small.
-            Expr::col_i32(1),
-            Expr::col_i32(0),
-        ],
-    );
-    let agg = HashAggregate::new(
-        Box::new(keyed),
-        0,
-        vec![AggFunc::CountStar, AggFunc::SumI32(1)],
-        1024,
-    )
-    .expect("plan");
-    let batches = collect_batches(agg).expect("run");
-    println!("\nAggregate(count, sum(docid)) grouped by tf:");
-    for b in &batches {
-        for r in 0..b.num_rows() {
-            println!(
-                "  tf {}  count {}  sum(docid) {}",
-                b.column(0).as_i32()[r],
-                b.column(1).as_i64()[r],
-                b.column(2).as_i64()[r]
-            );
-        }
+    // "information OR retrieval": the missing side is zero-filled, so
+    // MAX(docid_l, docid_r) recovers the docid and tf 0 adds nothing.
+    let or = MergeOuterJoin::new(information(), retrieval(), 0, 0, 1024).expect("plan");
+    println!("\nTopN(Project(MergeOuterJoin(information, retrieval))):");
+    for (docid, score) in rank(Box::new(or), Expr::max(Expr::col_i32(0), Expr::col_i32(2))) {
+        println!("  docid {docid}  score {score}");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The subsystems, bottom-up:
 //!
-//! * [`vector`] — execution vectors, selection vectors, batches (§2).
+//! * [`vector`] — execution vectors and batches (§2).
 //! * [`compress`] — PFOR / PFOR-DELTA / PDICT with patched decompression
 //!   (§2.1, Figures 2 and 3).
 //! * [`storage`] — ColumnBM column store with a simulated-disk I/O model.

@@ -124,62 +124,78 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Select + Project through the pipeline == iterator filter + map.
+    /// Project over the node shapes the ranked plans build == a scalar loop
+    /// in the same operation order, bit for bit: the outer join's
+    /// `MAX(docid, docid)`, computed BM25 (`gather_i32` → `cast_f32` →
+    /// `mul` / `div` / `add` with `const_f32`) and the materialized sum
+    /// (`f32_from_bits` + `cast_f32`).
     #[test]
-    fn select_project_matches_iterator(
-        values in prop::collection::vec(-500i32..500, 0..500),
-        threshold in -500i32..500,
-        addend in -10i32..10,
+    fn project_matches_iterator(
+        rows in prop::collection::vec((0i32..64, 0i32..100, 0i32..64, 0i32..100, -1000.0f64..1000.0), 0..500),
+        lens in prop::collection::vec(1i32..5000, 64..65),
+        k in (0.5f64..2.0, 0.0f64..1.0, 1.0f64..500.0, 0.0f64..10.0, 0.0f64..10.0),
+        vs in 1usize..100,
     ) {
-        let src = Box::new(MemSource::from_batch(Batch::new(vec![Vector::from_i32(&values)])));
-        let sel = Select::new(src, Predicate::ge_i32(0, threshold));
-        let proj = Project::new(
-            Box::new(sel),
-            vec![Expr::add(Expr::col_i32(0), Expr::const_i32(addend))],
-        );
-        let got = monetdb_x100::exec::collect_i32_column(proj, 0).unwrap();
-        let expect: Vec<i32> = values
-            .iter()
-            .filter(|&&v| v >= threshold)
-            .map(|&v| v.wrapping_add(addend))
+        let (k1, b, avg, idf1, idf2) = (k.0 as f32, k.1 as f32, k.2 as f32, k.3 as f32, k.4 as f32);
+        let col = |f: fn(&(i32, i32, i32, i32, f64)) -> i32| -> Vec<i32> { rows.iter().map(f).collect() };
+        let cols = [
+            col(|r| r.0),
+            col(|r| r.1),
+            col(|r| r.2),
+            col(|r| r.3),
+            col(|r| (r.4 as f32).to_bits() as i32),
+        ];
+        let batches: Vec<Batch> = (0..rows.len())
+            .step_by(vs)
+            .map(|at| {
+                let end = (at + vs).min(rows.len());
+                Batch::new(cols.iter().map(|c| Vector::from_i32(&c[at..end])).collect())
+            })
             .collect();
-        prop_assert_eq!(got, expect);
-    }
+        let src = Box::new(MemSource::new(batches, vec![ValueType::I32; 5]));
 
-    /// HashAggregate sums == BTreeMap reference.
-    #[test]
-    fn aggregate_matches_reference(
-        rows in prop::collection::vec((0i32..20, -100i32..100), 0..500),
-    ) {
-        let keys: Vec<i32> = rows.iter().map(|&(k, _)| k).collect();
-        let vals: Vec<i32> = rows.iter().map(|&(_, v)| v).collect();
-        let src = Box::new(MemSource::new(
-            vec![Batch::new(vec![
-                Vector::from_i32(&keys),
-                Vector::from_i32(&vals),
-            ])],
-            vec![ValueType::I32, ValueType::I32],
-        ));
-        let agg = HashAggregate::new(src, 0, vec![AggFunc::SumI32(1), AggFunc::CountStar], 64).unwrap();
-        let batches = collect_batches(agg).unwrap();
-        let mut got: Vec<(i32, i64, i64)> = Vec::new();
+        let (c0, c1) = (k1 * (1.0 - b), k1 * b / avg);
+        let lens = std::sync::Arc::new(lens);
+        let doclen = Expr::cast_f32(Expr::gather_i32(lens.clone(), Expr::col_i32(0)));
+        let norm = Expr::add(Expr::const_f32(c0), Expr::mul(Expr::const_f32(c1), doclen));
+        let term = |col: usize, w: f32| {
+            let tf = Expr::cast_f32(Expr::col_i32(col));
+            Expr::mul(
+                Expr::const_f32(w * (k1 + 1.0)),
+                Expr::div(tf.clone(), Expr::add(tf, norm.clone())),
+            )
+        };
+        let proj = Project::new(
+            src,
+            vec![
+                Expr::max(Expr::col_i32(0), Expr::col_i32(2)),
+                Expr::add(term(1, idf1), term(3, idf2)),
+                Expr::add(Expr::f32_from_bits(Expr::col_i32(4)), Expr::cast_f32(Expr::col_i32(3))),
+            ],
+        );
+        let batches = collect_batches(proj).unwrap();
+        let mut got: Vec<(i32, u32, u32)> = Vec::new();
         for b in &batches {
+            let (d, s, m) = (b.column(0).as_i32(), b.column(1).as_f32(), b.column(2).as_f32());
             for r in 0..b.num_rows() {
-                got.push((
-                    b.column(0).as_i32()[r],
-                    b.column(1).as_i64()[r],
-                    b.column(2).as_i64()[r],
-                ));
+                got.push((d[r], s[r].to_bits(), m[r].to_bits()));
             }
         }
-        let mut expect: std::collections::BTreeMap<i32, (i64, i64)> = Default::default();
-        for &(k, v) in &rows {
-            let e = expect.entry(k).or_insert((0, 0));
-            e.0 += i64::from(v);
-            e.1 += 1;
-        }
-        let expect: Vec<(i32, i64, i64)> =
-            expect.into_iter().map(|(k, (s, c))| (k, s, c)).collect();
+
+        let expect: Vec<(i32, u32, u32)> = rows
+            .iter()
+            .map(|&(d1, tf1, d2, tf2, stored)| {
+                let dl = lens[d1 as usize] as f32;
+                let norm = c0 + c1 * dl;
+                let term = |tf: i32, w: f32| {
+                    let tf = tf as f32;
+                    (w * (k1 + 1.0)) * (tf / (tf + norm))
+                };
+                let score = term(tf1, idf1) + term(tf2, idf2);
+                let materialized = stored as f32 + tf2 as f32;
+                (d1.max(d2), score.to_bits(), materialized.to_bits())
+            })
+            .collect();
         prop_assert_eq!(got, expect);
     }
 }
