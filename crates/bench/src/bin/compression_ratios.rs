@@ -10,8 +10,8 @@
 //! compressed column twice — re-encoded at the paper's fixed `b = 8`, and as
 //! the index holds it — with bits/tuple, exceptions as a share of values,
 //! the mean size of one block image and the mean time
-//! `CompressedBlock::from_bytes` takes to parse it (what a pool miss reads
-//! and pays), and the full-block decode time per value. A histogram of the
+//! `CompressedBlock::from_bytes` takes to copy it into place and validate
+//! it (what a pool miss reads and pays), and the full-block decode time per value. A histogram of the
 //! chosen widths per column follows. The materialized-score variants
 //! explain the BM25TCM/BM25TCMQ8 I/O behaviour (32-bit floats vs 8-bit
 //! quantized codes).

@@ -56,11 +56,21 @@ pub fn packed_len(n: usize, b: u8) -> usize {
 /// # Panics
 /// Panics if `b == 0` or `b > MAX_WIDTH`.
 pub fn pack(values: &[u32], b: u8) -> Vec<u64> {
+    let mut buf = vec![0u64; packed_len(values.len(), b)];
+    pack_into(values, b, &mut buf);
+    buf
+}
+
+/// Packs `values[i] & mask(b)` into `buf`, which must be zeroed and at
+/// least [`packed_len`] words long — a block image's code section.
+///
+/// # Panics
+/// Panics if `b == 0` or `b > MAX_WIDTH`, or if `buf` is too short.
+pub fn pack_into(values: &[u32], b: u8, buf: &mut [u64]) {
     assert!(
         (1..=MAX_WIDTH).contains(&b),
         "bit width {b} out of range 1..=32"
     );
-    let mut buf = vec![0u64; packed_len(values.len(), b)];
     let mask = mask(b);
     for (i, &v) in values.iter().enumerate() {
         let bit = i * b as usize;
@@ -76,7 +86,6 @@ pub fn pack(values: &[u32], b: u8) -> Vec<u64> {
             buf[word + 1] |= (u64::from(v) & mask).checked_shr(spill_shift).unwrap_or(0);
         }
     }
-    buf
 }
 
 /// Reads the `j`-th 32-bit word of the packed bitstream. The stream is

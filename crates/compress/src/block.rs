@@ -1,40 +1,45 @@
-//! Serialized compressed-block format — the physical layout of Figure 2.
+//! The compressed-block format — the physical layout of Figure 2, in RAM
+//! and on disk alike.
 //!
-//! A block is laid out as:
+//! A block *is* its image: little-endian `u64` words that encoding writes
+//! in place, [`CompressedBlock::to_bytes`] copies out, and
+//! [`CompressedBlock::from_bytes`] (or a pool miss's `pread`) copies in and
+//! validates. Every section starts on an 8-byte boundary:
 //!
 //! ```text
-//! +--------+---------------+--------------------------+ - - - +-----------+
-//! | header | entry points  | code section (forward)   |  gap  | exceptions|
-//! |        |               | + codec-specific aux     |       | (backward)|
-//! +--------+---------------+--------------------------+ - - - +-----------+
+//! word 0      magic "X1CB" (u32) | codec tag (u8) | width b (u8) | 0 (u16)
+//! word 1      value count n (u32) | exception count e (u32)
+//! word 2      base (u32) | 0 (u32)               PFOR and PFOR-DELTA only
+//! entries     ceil(n/128) × (next exception, its rank), u32 each
+//! codes       packed_len(n, b) words: the b-bit codes, growing forward,
+//!             then the padding word the unpack kernels read (Raw: values)
+//! extras      PFOR-DELTA: ceil(n/128) restart values; PDICT: the
+//!             dictionary, padded to 2^b entries (u32 each)
+//! exceptions  e values (u32) growing backwards: the first is the image's
+//!             last u32, as in Figure 2; an odd count has a zero u32 in front
 //! ```
 //!
-//! The code section is forward-growing and densely packed; the exception
-//! section is written at the very end of the block, *growing backwards* —
-//! the last exception in encounter order sits closest to the code section,
-//! exactly as in the paper's Figure 2. Entry points hold, for every 128
-//! values, the offset of the next exception in the code section and its
-//! location in the exception section.
-//!
-//! Deserialization validates the magic number, codec tag and all section
-//! bounds, returning [`CodecError`] on corruption — the storage layer's
-//! failure-injection tests exercise these paths.
+//! Nothing a reader can derive is stored: section lengths follow from `n`,
+//! `b` and `e`, and the first exception is entry point 0's. Loading checks
+//! the magic, codec tag, width and exact length and, for the patched
+//! codecs, the exception chain and entry points, returning [`CodecError`]
+//! on corruption.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use crate::patch::EntryPoint;
+use crate::image::{Image, TAG_PFOR, TAG_PFOR_DELTA, TAG_RAW};
 use crate::pdict::PdictBlock;
-use crate::pfor::{PforBlock, NO_EXCEPTION};
+use crate::pfor::PforBlock;
 use crate::pfor_delta::PforDeltaBlock;
 use crate::CodecError;
 
-/// Magic number at the start of every serialized block (`X1CB`).
+pub use crate::image::Sections;
+
+/// Magic number at the start of every block image (`X1CB`).
 pub const BLOCK_MAGIC: u32 = 0x5831_4342;
 
 /// The [`Codec`] width meaning "chosen per block": [`CompressedBlock::encode`]
 /// gives each PFOR or PFOR-DELTA block the width and base
-/// [`crate::pfor::choose_parameters`] picks for its values. Every serialized
-/// block records its own width, so decoding never needs the column's.
+/// [`crate::pfor::choose_parameters`] picks for its values. Every block image
+/// records its own width, so decoding never needs the column's.
 pub const PER_BLOCK_WIDTH: u8 = 0;
 
 /// Codec selection for a column, chosen at index-build time.
@@ -64,23 +69,24 @@ pub enum Codec {
     },
 }
 
-impl Codec {
-    fn tag(self) -> u8 {
-        match self {
-            Codec::Raw => 0,
-            Codec::Pfor { .. } => 1,
-            Codec::PforDelta { .. } => 2,
-            Codec::Pdict { .. } => 3,
-        }
+/// Uncompressed values in a block image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawBlock(Image);
+
+impl RawBlock {
+    /// The values.
+    pub fn values(&self) -> &[u32] {
+        self.0.values()
     }
 }
 
 /// A compressed block in memory: the unit ColumnBM keeps cached in RAM and
-/// decompresses *at vector granularity* into the CPU cache.
+/// decompresses *at vector granularity* into the CPU cache. Each variant
+/// owns the block's image and nothing else.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompressedBlock {
-    /// Uncompressed values.
-    Raw(Vec<u32>),
+    /// A [`RawBlock`].
+    Raw(RawBlock),
     /// A [`PforBlock`].
     Pfor(PforBlock),
     /// A [`PforDeltaBlock`].
@@ -93,7 +99,7 @@ impl CompressedBlock {
     /// Compresses `values` with the chosen codec.
     pub fn encode(values: &[u32], codec: Codec) -> Self {
         match codec {
-            Codec::Raw => CompressedBlock::Raw(values.to_vec()),
+            Codec::Raw => CompressedBlock::Raw(RawBlock(Image::raw(values))),
             Codec::Pfor {
                 width: PER_BLOCK_WIDTH,
             } => CompressedBlock::Pfor(PforBlock::encode_auto(values)),
@@ -110,14 +116,58 @@ impl CompressedBlock {
         }
     }
 
+    /// Reads an image of `len` bytes with `fill` straight into the new
+    /// block's buffer, then validates it in place — no parse, no second
+    /// copy. A disk-backed column's pool miss passes a `pread` here.
+    pub fn read_image<E: From<CodecError>>(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let image = Image::read(len, fill)?;
+        Ok(match image.tag() {
+            TAG_RAW => CompressedBlock::Raw(RawBlock(image)),
+            TAG_PFOR => CompressedBlock::Pfor(PforBlock(image)),
+            TAG_PFOR_DELTA => CompressedBlock::PforDelta(PforDeltaBlock(PforBlock(image))),
+            // Validation admits no other tag.
+            _ => CompressedBlock::Pdict(PdictBlock(image)),
+        })
+    }
+
+    /// Copies a stored image into an aligned buffer and validates it.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
+        Self::read_image(data.len(), |buf| {
+            buf.copy_from_slice(data);
+            Ok(())
+        })
+    }
+
+    fn image(&self) -> &Image {
+        match self {
+            CompressedBlock::Raw(b) => &b.0,
+            CompressedBlock::Pfor(b) => &b.0,
+            CompressedBlock::PforDelta(b) => &b.0 .0,
+            CompressedBlock::Pdict(b) => &b.0,
+        }
+    }
+
+    /// The block's image, as stored on disk.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.image().as_bytes()
+    }
+
+    /// An owned copy of the block's image.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.as_bytes().to_vec()
+    }
+
+    /// Byte ranges of the image's sections.
+    pub fn sections(&self) -> Sections {
+        self.image().sections()
+    }
+
     /// Number of encoded values.
     pub fn len(&self) -> usize {
-        match self {
-            CompressedBlock::Raw(v) => v.len(),
-            CompressedBlock::Pfor(b) => b.len(),
-            CompressedBlock::PforDelta(b) => b.len(),
-            CompressedBlock::Pdict(b) => b.len(),
-        }
+        self.image().len()
     }
 
     /// Whether the block holds no values.
@@ -127,15 +177,8 @@ impl CompressedBlock {
 
     /// Decompresses all values into `out` (cleared first).
     pub fn decode_into(&self, out: &mut Vec<u32>) {
-        match self {
-            CompressedBlock::Raw(v) => {
-                out.clear();
-                out.extend_from_slice(v);
-            }
-            CompressedBlock::Pfor(b) => b.decode_into(out),
-            CompressedBlock::PforDelta(b) => b.decode_into(out),
-            CompressedBlock::Pdict(b) => b.decode_into(out),
-        }
+        self.decode_range_into(0, self.len(), out)
+            .expect("the whole block is an aligned range");
     }
 
     /// Decompresses `len` values starting at entry-aligned `start`.
@@ -146,7 +189,8 @@ impl CompressedBlock {
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
         match self {
-            CompressedBlock::Raw(v) => {
+            CompressedBlock::Raw(b) => {
+                let v = b.values();
                 let end = start.saturating_add(len);
                 if end > v.len() {
                     return Err(CodecError::OutOfBounds {
@@ -168,318 +212,12 @@ impl CompressedBlock {
     /// and what the simulated disk transfers).
     pub fn compressed_bytes(&self) -> usize {
         match self {
-            CompressedBlock::Raw(v) => v.len() * 4,
+            CompressedBlock::Raw(b) => b.values().len() * 4,
             CompressedBlock::Pfor(b) => b.compressed_bytes(),
             CompressedBlock::PforDelta(b) => b.compressed_bytes(),
             CompressedBlock::Pdict(b) => b.compressed_bytes(),
         }
     }
-
-    /// Exact length of [`Self::to_bytes`]' image, computed from section
-    /// lengths alone — a writer sizing a block directory needs the extent,
-    /// not the image.
-    pub fn serialized_len(&self) -> usize {
-        // Magic + codec tag, then the per-codec layout `to_bytes` writes.
-        5 + match self {
-            CompressedBlock::Raw(values) => 4 + values.len() * 4,
-            CompressedBlock::Pfor(b) => pfor_len(b),
-            CompressedBlock::PforDelta(b) => pfor_len(b.inner()) + 4 + b.restarts().len() * 4,
-            CompressedBlock::Pdict(b) => {
-                (4 + 1 + 4)
-                    + b.entry_points().len() * 8
-                    + (4 + b.packed_codes().len() * 8)
-                    + (4 + b.dict().len() * 4)
-                    + (4 + b.exceptions().len() * 4)
-            }
-        }
-    }
-
-    /// Serializes into the Figure-2 physical layout.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(BLOCK_MAGIC);
-        match self {
-            CompressedBlock::Raw(values) => {
-                buf.put_u8(Codec::Raw.tag());
-                buf.put_u32_le(values.len() as u32);
-                for &v in values {
-                    buf.put_u32_le(v);
-                }
-            }
-            CompressedBlock::Pfor(b) => {
-                buf.put_u8(Codec::Pfor { width: b.width() }.tag());
-                write_pfor(&mut buf, b);
-            }
-            CompressedBlock::PforDelta(b) => {
-                buf.put_u8(Codec::PforDelta { width: b.width() }.tag());
-                write_pfor(&mut buf, b.inner());
-                buf.put_u32_le(b.restarts().len() as u32);
-                for &r in b.restarts() {
-                    buf.put_u32_le(r);
-                }
-            }
-            CompressedBlock::Pdict(b) => {
-                buf.put_u8(Codec::Pdict { width: b.width() }.tag());
-                buf.put_u32_le(b.len() as u32);
-                buf.put_u8(b.width());
-                buf.put_u32_le(b.first_exception());
-                write_entry_points(&mut buf, b.entry_points());
-                write_packed(&mut buf, b.packed_codes());
-                buf.put_u32_le(b.dict().len() as u32);
-                for &d in b.dict() {
-                    buf.put_u32_le(d);
-                }
-                write_exceptions_backward(&mut buf, b.exceptions());
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes and validates a block.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, CodecError> {
-        if data.remaining() < 5 {
-            return Err(CodecError::Truncated);
-        }
-        let magic = data.get_u32_le();
-        if magic != BLOCK_MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let tag = data.get_u8();
-        match tag {
-            0 => {
-                let n = read_u32(&mut data)? as usize;
-                // Bound the pre-allocation by what the buffer can actually
-                // hold, so a corrupt length field cannot trigger a giant
-                // allocation before the truncation check fires.
-                if data.remaining() < n * 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(read_u32(&mut data)?);
-                }
-                Ok(CompressedBlock::Raw(values))
-            }
-            1 => Ok(CompressedBlock::Pfor(read_pfor(&mut data)?)),
-            2 => {
-                let inner = read_pfor(&mut data)?;
-                let n_restarts = read_u32(&mut data)? as usize;
-                let expected = inner.len().div_ceil(crate::patch::ENTRY_POINT_STRIDE);
-                if n_restarts != expected {
-                    return Err(CodecError::Corrupt("restart count does not match strides"));
-                }
-                let mut restarts = Vec::with_capacity(n_restarts);
-                for _ in 0..n_restarts {
-                    restarts.push(read_u32(&mut data)?);
-                }
-                Ok(CompressedBlock::PforDelta(PforDeltaBlock::from_raw_parts(
-                    inner, restarts,
-                )))
-            }
-            3 => {
-                let n = read_u32(&mut data)?;
-                let b = read_u8(&mut data)?;
-                if !(1..=crate::pdict::MAX_PDICT_WIDTH).contains(&b) {
-                    return Err(CodecError::UnsupportedWidth(b));
-                }
-                let first_exception = read_u32(&mut data)?;
-                let entry_points = read_entry_points(&mut data, n as usize)?;
-                let packed = read_packed(&mut data, n as usize, b)?;
-                let dict_len = read_u32(&mut data)? as usize;
-                if dict_len != 1usize << b {
-                    return Err(CodecError::Corrupt("PDICT dictionary not padded to 2^b"));
-                }
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    dict.push(read_u32(&mut data)?);
-                }
-                let exceptions = read_exceptions_backward(&mut data)?;
-                validate_first_exception(n, first_exception, &exceptions)?;
-                validate_exception_chain(n, b, &packed, first_exception, exceptions.len())?;
-                Ok(CompressedBlock::Pdict(PdictBlock::from_raw_parts(
-                    n,
-                    b,
-                    first_exception,
-                    packed,
-                    exceptions,
-                    entry_points,
-                    dict,
-                )))
-            }
-            other => Err(CodecError::UnknownCodec(other)),
-        }
-    }
-}
-
-fn write_pfor(buf: &mut BytesMut, b: &PforBlock) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_u8(b.width());
-    buf.put_u32_le(b.base());
-    buf.put_u32_le(b.first_exception());
-    write_entry_points(buf, b.entry_points());
-    write_packed(buf, b.packed_codes());
-    write_exceptions_backward(buf, b.exceptions());
-}
-
-/// Serialized length of [`write_pfor`]'s output.
-fn pfor_len(b: &PforBlock) -> usize {
-    (4 + 1 + 4 + 4)
-        + b.entry_points().len() * 8
-        + (4 + b.packed_codes().len() * 8)
-        + (4 + b.exceptions().len() * 4)
-}
-
-fn read_pfor(data: &mut &[u8]) -> Result<PforBlock, CodecError> {
-    let n = read_u32(data)?;
-    let b = read_u8(data)?;
-    if !(1..=crate::pfor::MAX_PFOR_WIDTH).contains(&b) {
-        return Err(CodecError::UnsupportedWidth(b));
-    }
-    let base = read_u32(data)?;
-    let first_exception = read_u32(data)?;
-    let entry_points = read_entry_points(data, n as usize)?;
-    let packed = read_packed(data, n as usize, b)?;
-    let exceptions = read_exceptions_backward(data)?;
-    validate_first_exception(n, first_exception, &exceptions)?;
-    validate_exception_chain(n, b, &packed, first_exception, exceptions.len())?;
-    Ok(PforBlock::from_raw_parts(
-        n,
-        b,
-        base,
-        first_exception,
-        packed,
-        exceptions,
-        entry_points,
-    ))
-}
-
-fn validate_first_exception(
-    n: u32,
-    first_exception: u32,
-    exceptions: &[u32],
-) -> Result<(), CodecError> {
-    if exceptions.is_empty() {
-        if first_exception != NO_EXCEPTION {
-            return Err(CodecError::Corrupt(
-                "first_exception set but exception section empty",
-            ));
-        }
-    } else if first_exception >= n {
-        return Err(CodecError::Corrupt("first_exception out of range"));
-    }
-    Ok(())
-}
-
-/// Walks the exception linked list of a deserialized block and verifies it
-/// stays inside `0..n`. The hot decode loops are deliberately unchecked
-/// (branch-free), so untrusted blocks must prove their chain here — one
-/// `O(#exceptions)` pass at load time.
-fn validate_exception_chain(
-    n: u32,
-    b: u8,
-    packed: &[u64],
-    first_exception: u32,
-    num_exceptions: usize,
-) -> Result<(), CodecError> {
-    if num_exceptions == 0 {
-        return Ok(());
-    }
-    let mut i = first_exception as u64;
-    // The final exception's code word is a filler; only the links between
-    // exceptions need to stay in bounds.
-    for _ in 0..num_exceptions - 1 {
-        if i >= u64::from(n) {
-            return Err(CodecError::Corrupt("exception chain escapes the block"));
-        }
-        let gap = u64::from(crate::bitpack::get(packed, i as usize, b));
-        i += gap;
-    }
-    if i >= u64::from(n) {
-        return Err(CodecError::Corrupt("exception chain escapes the block"));
-    }
-    Ok(())
-}
-
-fn write_entry_points(buf: &mut BytesMut, entries: &[EntryPoint]) {
-    for e in entries {
-        buf.put_u32_le(e.next_exception);
-        buf.put_u32_le(e.exception_rank);
-    }
-}
-
-fn read_entry_points(data: &mut &[u8], n: usize) -> Result<Vec<EntryPoint>, CodecError> {
-    let count = n.div_ceil(crate::patch::ENTRY_POINT_STRIDE);
-    if data.remaining() < count * 8 {
-        return Err(CodecError::Truncated);
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let next_exception = read_u32(data)?;
-        let exception_rank = read_u32(data)?;
-        entries.push(EntryPoint {
-            next_exception,
-            exception_rank,
-        });
-    }
-    Ok(entries)
-}
-
-fn write_packed(buf: &mut BytesMut, packed: &[u64]) {
-    buf.put_u32_le(packed.len() as u32);
-    for &w in packed {
-        buf.put_u64_le(w);
-    }
-}
-
-fn read_packed(data: &mut &[u8], n: usize, b: u8) -> Result<Vec<u64>, CodecError> {
-    let words = read_u32(data)? as usize;
-    if words < crate::bitpack::packed_len(n, b) {
-        return Err(CodecError::Corrupt("code section shorter than n*b bits"));
-    }
-    if data.remaining() < words * 8 {
-        return Err(CodecError::Truncated);
-    }
-    let mut packed = Vec::with_capacity(words);
-    for _ in 0..words {
-        packed.push(data.get_u64_le());
-    }
-    Ok(packed)
-}
-
-/// Writes the exception section *backwards*: the serialized order is the
-/// reverse of encounter order, so the first exception ends up at the block's
-/// very end, mirroring Figure 2's backward-growing section.
-fn write_exceptions_backward(buf: &mut BytesMut, exceptions: &[u32]) {
-    buf.put_u32_le(exceptions.len() as u32);
-    for &e in exceptions.iter().rev() {
-        buf.put_u32_le(e);
-    }
-}
-
-fn read_exceptions_backward(data: &mut &[u8]) -> Result<Vec<u32>, CodecError> {
-    let count = read_u32(data)? as usize;
-    if data.remaining() < count * 4 {
-        return Err(CodecError::Truncated);
-    }
-    let mut exceptions = vec![0u32; count];
-    for slot in exceptions.iter_mut().rev() {
-        *slot = data.get_u32_le();
-    }
-    Ok(exceptions)
-}
-
-fn read_u32(data: &mut &[u8]) -> Result<u32, CodecError> {
-    if data.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(data.get_u32_le())
-}
-
-fn read_u8(data: &mut &[u8]) -> Result<u8, CodecError> {
-    if data.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    Ok(data.get_u8())
 }
 
 #[cfg(test)]
@@ -496,7 +234,6 @@ mod tests {
         let values = sample_values();
         let block = CompressedBlock::encode(&values, codec);
         let bytes = block.to_bytes();
-        assert_eq!(block.serialized_len(), bytes.len(), "{codec:?}");
         let back = CompressedBlock::from_bytes(&bytes).unwrap();
         assert_eq!(back, block, "{codec:?}");
         let mut out = Vec::new();
@@ -527,7 +264,6 @@ mod tests {
             Codec::Pdict { width: 8 },
         ] {
             let block = CompressedBlock::encode(&[], codec);
-            assert_eq!(block.serialized_len(), block.to_bytes().len());
             let back = CompressedBlock::from_bytes(&block.to_bytes()).unwrap();
             assert!(back.is_empty());
         }
@@ -535,9 +271,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = CompressedBlock::encode(&[1, 2, 3], Codec::Raw)
-            .to_bytes()
-            .to_vec();
+        let mut bytes = CompressedBlock::encode(&[1, 2, 3], Codec::Raw).to_bytes();
         bytes[0] ^= 0xFF;
         assert!(matches!(
             CompressedBlock::from_bytes(&bytes),
@@ -547,9 +281,7 @@ mod tests {
 
     #[test]
     fn unknown_codec_rejected() {
-        let mut bytes = CompressedBlock::encode(&[1, 2, 3], Codec::Raw)
-            .to_bytes()
-            .to_vec();
+        let mut bytes = CompressedBlock::encode(&[1, 2, 3], Codec::Raw).to_bytes();
         bytes[4] = 99;
         assert!(matches!(
             CompressedBlock::from_bytes(&bytes),
@@ -577,11 +309,9 @@ mod tests {
 
     #[test]
     fn corrupt_width_rejected() {
-        let bytes = CompressedBlock::encode(&sample_values(), Codec::Pfor { width: 8 })
-            .to_bytes()
-            .to_vec();
+        let bytes = CompressedBlock::encode(&sample_values(), Codec::Pfor { width: 8 }).to_bytes();
         let mut corrupted = bytes.clone();
-        corrupted[9] = 77; // width byte: 77 > 24
+        corrupted[5] = 77; // width byte: 77 > 24
         assert!(matches!(
             CompressedBlock::from_bytes(&corrupted),
             Err(CodecError::UnsupportedWidth(77))

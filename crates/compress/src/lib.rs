@@ -22,9 +22,10 @@
 //! ([`branch::TwoBitPredictor`]) standing in for the paper's CPU event
 //! counters.
 //!
-//! The serialized layout ([`block`]) follows Figure 2: forward-growing code
-//! section, backward-growing exception section, and entry points every 128
-//! values for fine-granularity access during inverted-list merging.
+//! A block is its image ([`block`]), one aligned layout in RAM and on disk
+//! that follows Figure 2: forward-growing code section, backward-growing
+//! exception section, and entry points every 128 values for
+//! fine-granularity access during inverted-list merging.
 //!
 //! # Example
 //!
@@ -34,7 +35,7 @@
 //! // The paper's Figure 2 example: digits of pi with b=3, base=0.
 //! let pi = [3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2];
 //! let block = PforBlock::encode(&pi, 3, 0);
-//! assert_eq!(block.exceptions(), &[9, 8, 9, 9]); // digits >= 8
+//! assert!(block.exceptions().eq([9, 8, 9, 9])); // digits >= 8
 //! assert_eq!(block.decode(), pi);
 //! ```
 
@@ -43,6 +44,7 @@
 pub mod bitpack;
 pub mod block;
 pub mod branch;
+mod image;
 pub mod naive;
 mod patch;
 pub mod pdict;
@@ -50,7 +52,7 @@ pub mod pfor;
 pub mod pfor_delta;
 pub mod simd;
 
-pub use block::{Codec, CompressedBlock, BLOCK_MAGIC, PER_BLOCK_WIDTH};
+pub use block::{Codec, CompressedBlock, RawBlock, Sections, BLOCK_MAGIC, PER_BLOCK_WIDTH};
 pub use branch::TwoBitPredictor;
 pub use naive::NaiveBlock;
 pub use patch::{EntryPoint, ENTRY_POINT_STRIDE, NO_EXCEPTION};
@@ -61,11 +63,11 @@ pub use simd::{simd_active, simd_available, simd_force_scalar};
 
 use std::fmt;
 
-/// Errors surfaced by decoding and deserialization.
+/// Errors surfaced by decoding and by loading a block image.
 ///
 /// Encoding never fails (any `u32` sequence is representable); errors arise
-/// only from misuse of range decoding or from corrupt/truncated serialized
-/// blocks.
+/// only from misuse of range decoding or from corrupt/truncated block
+/// images.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Range decode did not start at an entry-point boundary.
@@ -82,13 +84,13 @@ pub enum CodecError {
         /// The number of values actually in the block.
         len: usize,
     },
-    /// Serialized block does not start with [`BLOCK_MAGIC`].
+    /// Block image does not start with [`BLOCK_MAGIC`].
     BadMagic(u32),
     /// Unrecognized codec tag byte.
     UnknownCodec(u8),
     /// Code width outside the codec's supported range.
     UnsupportedWidth(u8),
-    /// Serialized block ends mid-section.
+    /// Block image ends before its header says it does.
     Truncated,
     /// A structural invariant does not hold.
     Corrupt(&'static str),
@@ -107,7 +109,7 @@ impl fmt::Display for CodecError {
             CodecError::BadMagic(m) => write!(f, "bad block magic {m:#010x}"),
             CodecError::UnknownCodec(t) => write!(f, "unknown codec tag {t}"),
             CodecError::UnsupportedWidth(b) => write!(f, "unsupported code width {b}"),
-            CodecError::Truncated => f.write_str("serialized block is truncated"),
+            CodecError::Truncated => f.write_str("block image is truncated"),
             CodecError::Corrupt(what) => write!(f, "corrupt block: {what}"),
         }
     }

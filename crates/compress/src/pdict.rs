@@ -13,7 +13,8 @@
 use std::collections::HashMap;
 
 use crate::bitpack;
-use crate::patch::{build_entry_points, plan_exception_positions, EntryPoint, NO_EXCEPTION};
+use crate::image::{Image, TAG_PDICT};
+use crate::patch::{check_range, patch_range};
 use crate::CodecError;
 
 pub use crate::patch::ENTRY_POINT_STRIDE;
@@ -23,18 +24,10 @@ pub use crate::patch::ENTRY_POINT_STRIDE;
 /// at most a few thousand distinct values anyway.
 pub const MAX_PDICT_WIDTH: u8 = 16;
 
-/// A PDICT-compressed block of `u32` values.
+/// A PDICT-compressed block of `u32` values: its block image, whose extras
+/// section is the dictionary padded to `2^b` entries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PdictBlock {
-    n: u32,
-    b: u8,
-    first_exception: u32,
-    packed: Vec<u64>,
-    exceptions: Vec<u32>,
-    entry_points: Vec<EntryPoint>,
-    /// Padded to `2^b` entries.
-    dict: Vec<u32>,
-}
+pub struct PdictBlock(pub(crate) Image);
 
 impl PdictBlock {
     /// Compresses `values` with a dictionary of at most `2^b` entries built
@@ -47,8 +40,6 @@ impl PdictBlock {
             (1..=MAX_PDICT_WIDTH).contains(&b),
             "PDICT width {b} outside 1..=16"
         );
-        let dict_cap = 1usize << b;
-        let max_gap = dict_cap - 1;
 
         // Frequency count, then keep the most frequent values.
         let mut freq: HashMap<u32, u32> = HashMap::new();
@@ -58,170 +49,51 @@ impl PdictBlock {
         let mut by_freq: Vec<(u32, u32)> = freq.into_iter().collect();
         // Sort by descending frequency, ties by value for determinism.
         by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        by_freq.truncate(dict_cap);
-        let mut dict: Vec<u32> = by_freq.iter().map(|&(v, _)| v).collect();
-        let codes_of: HashMap<u32, u32> = dict
+        by_freq.truncate(1 << b);
+        let codes_of: HashMap<u32, u32> = by_freq
             .iter()
             .enumerate()
-            .map(|(c, &v)| (v, c as u32))
+            .map(|(c, &(v, _))| (v, c as u32))
             .collect();
-        dict.resize(dict_cap, 0); // pad so LOOP1's gather never goes out of bounds
 
-        let natural: Vec<bool> = values.iter().map(|v| !codes_of.contains_key(v)).collect();
-        let exc_positions = plan_exception_positions(&natural, max_gap);
-
-        let mut codes: Vec<u32> = Vec::with_capacity(values.len());
-        let mut exceptions: Vec<u32> = Vec::with_capacity(exc_positions.len());
-        let mut exc_idx = 0usize;
-        let mut next_exc = exc_positions.first().copied();
-        for (i, &v) in values.iter().enumerate() {
-            if next_exc == Some(i as u32) {
-                let gap = exc_positions
-                    .get(exc_idx + 1)
-                    .map(|&nx| nx - i as u32)
-                    .unwrap_or(1);
-                codes.push(gap);
-                exceptions.push(v);
-                exc_idx += 1;
-                next_exc = exc_positions.get(exc_idx).copied();
-            } else {
-                codes.push(codes_of[&v]);
-            }
+        let mut image =
+            crate::patch::encode(TAG_PDICT, b, 0, values, |v| codes_of.get(&v).copied());
+        // The image's dictionary is zero-padded to 2^b entries, so LOOP1's
+        // gather never goes out of bounds.
+        let extras = image.sections().extras;
+        for (slot, &(v, _)) in image.section_mut::<u32>(extras).iter_mut().zip(&by_freq) {
+            *slot = v;
         }
-
-        let first_exception = exc_positions.first().copied().unwrap_or(NO_EXCEPTION);
-        let entry_points = build_entry_points(values.len(), &exc_positions);
-        PdictBlock {
-            n: values.len() as u32,
-            b,
-            first_exception,
-            packed: bitpack::pack(&codes, b),
-            exceptions,
-            entry_points,
-            dict,
-        }
+        PdictBlock(image)
     }
 
-    /// Reassembles a block from its serialized parts (see [`crate::block`]).
-    pub(crate) fn from_raw_parts(
-        n: u32,
-        b: u8,
-        first_exception: u32,
-        packed: Vec<u64>,
-        exceptions: Vec<u32>,
-        entry_points: Vec<EntryPoint>,
-        dict: Vec<u32>,
-    ) -> Self {
-        PdictBlock {
-            n,
-            b,
-            first_exception,
-            packed,
-            exceptions,
-            entry_points,
-            dict,
-        }
+    fn image(&self) -> &Image {
+        &self.0
     }
 
-    /// The packed code section.
-    pub fn packed_codes(&self) -> &[u64] {
-        &self.packed
-    }
-
-    /// Position of the first exception, or [`NO_EXCEPTION`].
-    pub fn first_exception(&self) -> u32 {
-        self.first_exception
-    }
-
-    /// Entry points (one per [`ENTRY_POINT_STRIDE`] values).
-    pub fn entry_points(&self) -> &[EntryPoint] {
-        &self.entry_points
-    }
-
-    /// Exception values in position order.
-    pub fn exceptions(&self) -> &[u32] {
-        &self.exceptions
-    }
-
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Code width in bits.
-    pub fn width(&self) -> u8 {
-        self.b
-    }
-
-    /// Number of exceptions.
-    pub fn exception_count(&self) -> usize {
-        self.exceptions.len()
-    }
-
-    /// Fraction of values stored as exceptions.
-    pub fn exception_rate(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.exceptions.len() as f64 / self.n as f64
-        }
-    }
+    crate::patch::patched_views!();
 
     /// The (padded) dictionary.
     pub fn dict(&self) -> &[u32] {
-        &self.dict
+        self.0.extras()
     }
 
     /// Compressed size in bytes: header, codes, exceptions, entry points and
     /// the *used* dictionary.
     pub fn compressed_bytes(&self) -> usize {
         let header = 4 + 1 + 4;
-        let codes = (self.n as usize * self.b as usize).div_ceil(8);
-        let exceptions = self.exceptions.len() * 4;
-        let entries = self.entry_points.len() * 8;
-        let dict = self.dict.len() * 4;
+        let codes = (self.len() * self.width() as usize).div_ceil(8);
+        let exceptions = self.exception_count() * 4;
+        let entries = self.entry_points().len() * 8;
+        let dict = self.dict().len() * 4;
         header + codes + exceptions + entries + dict
-    }
-
-    /// Effective bits per encoded value.
-    pub fn bits_per_value(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.compressed_bytes() as f64 * 8.0 / self.n as f64
-        }
     }
 
     /// Decompresses the whole block: branch-free dictionary gather, then the
     /// patch loop (which reads gaps from the raw code words).
     pub fn decode_into(&self, out: &mut Vec<u32>) {
-        let n = self.n as usize;
-        let mut codes = Vec::new();
-        bitpack::unpack(&self.packed, n, self.b, &mut codes);
-        out.clear();
-        out.reserve(n);
-        // LOOP1: gather through the padded dictionary — no bounds branch
-        // because codes (including gap values) are < 2^b == dict.len().
-        out.extend(codes.iter().map(|&c| self.dict[c as usize]));
-        // LOOP2: patch.
-        let mut i = self.first_exception as usize;
-        for &exc in &self.exceptions {
-            let gap = codes[i] as usize;
-            out[i] = exc;
-            i += gap;
-        }
-    }
-
-    /// Convenience wrapper allocating the output.
-    pub fn decode(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.decode_into(&mut out);
-        out
+        self.decode_range_into(0, self.len(), out)
+            .expect("the whole block is an aligned range");
     }
 
     /// Decompresses `len` values starting at entry-aligned `start`.
@@ -231,38 +103,17 @@ impl PdictBlock {
         len: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
-        if !start.is_multiple_of(ENTRY_POINT_STRIDE) {
-            return Err(CodecError::Misaligned {
-                position: start,
-                stride: ENTRY_POINT_STRIDE,
-            });
-        }
-        let end = start.saturating_add(len);
-        if end > self.n as usize {
-            return Err(CodecError::OutOfBounds {
-                position: end,
-                len: self.n as usize,
-            });
-        }
+        check_range(start, len, self.len())?;
         let mut codes = Vec::new();
-        bitpack::unpack_range(&self.packed, start, len, self.b, &mut codes);
+        bitpack::unpack_range(self.0.codes(), start, len, self.width(), &mut codes);
         out.clear();
         out.reserve(len);
-        out.extend(codes.iter().map(|&c| self.dict[c as usize]));
-        if len == 0 {
-            return Ok(());
-        }
-        let entry = self.entry_points[start / ENTRY_POINT_STRIDE];
-        let mut i = entry.next_exception as usize;
-        let mut rank = entry.exception_rank as usize;
-        // Bound by the exception count as well as the range end: the last
-        // exception's code word holds a filler gap, not a real link.
-        while rank < self.exceptions.len() && i < end {
-            let gap = codes[i - start] as usize;
-            out[i - start] = self.exceptions[rank];
-            rank += 1;
-            i += gap;
-        }
+        // LOOP1: gather through the padded dictionary — no bounds branch
+        // because codes (including gap values) are < 2^b == dict.len().
+        let dict = self.dict();
+        out.extend(codes.iter().map(|&c| dict[c as usize]));
+        // LOOP2: patch.
+        patch_range(&self.0, start, out, |_, i| codes[i] as usize);
         Ok(())
     }
 }

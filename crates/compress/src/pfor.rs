@@ -24,7 +24,8 @@
 //! ... especially useful during merging of inverted lists" (paper, §2.1).
 
 use crate::bitpack;
-use crate::patch::{build_entry_points, plan_exception_positions};
+use crate::image::{Image, TAG_PFOR};
+use crate::patch::{check_range, patch_range};
 use crate::CodecError;
 
 pub use crate::patch::{EntryPoint, ENTRY_POINT_STRIDE, NO_EXCEPTION};
@@ -33,17 +34,10 @@ pub use crate::patch::{EntryPoint, ENTRY_POINT_STRIDE, NO_EXCEPTION};
 /// may vary 1 ≤ b ≤ 24").
 pub const MAX_PFOR_WIDTH: u8 = 24;
 
-/// A PFOR-compressed block of `u32` values.
+/// A PFOR-compressed block of `u32` values: its block image, which every
+/// accessor views in place (see [`crate::block`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PforBlock {
-    n: u32,
-    b: u8,
-    base: u32,
-    first_exception: u32,
-    packed: Vec<u64>,
-    exceptions: Vec<u32>,
-    entry_points: Vec<EntryPoint>,
-}
+pub struct PforBlock(pub(crate) Image);
 
 impl PforBlock {
     /// Compresses `values` with the width and base [`choose_parameters`]
@@ -65,178 +59,35 @@ impl PforBlock {
     /// # Panics
     /// Panics if `b` is outside `1..=24`.
     pub fn encode(values: &[u32], b: u8, base: u32) -> Self {
-        assert!(
-            (1..=MAX_PFOR_WIDTH).contains(&b),
-            "PFOR width {b} outside 1..=24"
-        );
-        let n = values.len();
-        let code_range = 1u64 << b; // all 2^b codes usable: exceptions are positional
-        let max_gap = (code_range - 1) as usize; // gap must fit in a code word
-
-        let natural: Vec<bool> = values
-            .iter()
-            .map(|&v| u64::from(v.wrapping_sub(base)) >= code_range)
-            .collect();
-        let exc_positions = plan_exception_positions(&natural, max_gap);
-
-        // Build code words.
-        let mut codes: Vec<u32> = Vec::with_capacity(n);
-        let mut exceptions: Vec<u32> = Vec::with_capacity(exc_positions.len());
-        let mut next_exc_iter = exc_positions.iter().copied().peekable();
-        let mut exc_idx = 0usize;
-        for (i, &v) in values.iter().enumerate() {
-            if next_exc_iter.peek() == Some(&(i as u32)) {
-                next_exc_iter.next();
-                // Gap to the following exception (or 1 as a harmless filler
-                // for the last one; LOOP2's trip count stops the walk).
-                let gap = exc_positions
-                    .get(exc_idx + 1)
-                    .map(|&nx| nx - i as u32)
-                    .unwrap_or(1);
-                codes.push(gap);
-                exceptions.push(v);
-                exc_idx += 1;
-            } else {
-                codes.push(v.wrapping_sub(base));
-            }
-        }
-
-        let packed = bitpack::pack(&codes, b);
-        let first_exception = exc_positions.first().copied().unwrap_or(NO_EXCEPTION);
-        let entry_points = build_entry_points(n, &exc_positions);
-
-        PforBlock {
-            n: n as u32,
-            b,
-            base,
-            first_exception,
-            packed,
-            exceptions,
-            entry_points,
-        }
+        PforBlock(encode_image(TAG_PFOR, values, b, base))
     }
 
-    /// Reassembles a block from its serialized parts (see [`crate::block`]).
-    /// Invariants are the deserializer's responsibility.
-    pub(crate) fn from_raw_parts(
-        n: u32,
-        b: u8,
-        base: u32,
-        first_exception: u32,
-        packed: Vec<u64>,
-        exceptions: Vec<u32>,
-        entry_points: Vec<EntryPoint>,
-    ) -> Self {
-        PforBlock {
-            n,
-            b,
-            base,
-            first_exception,
-            packed,
-            exceptions,
-            entry_points,
-        }
+    fn image(&self) -> &Image {
+        &self.0
     }
 
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Code width in bits.
-    pub fn width(&self) -> u8 {
-        self.b
-    }
+    crate::patch::patched_views!();
 
     /// Frame-of-reference base.
     pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Number of exception values (natural + compulsory).
-    pub fn exception_count(&self) -> usize {
-        self.exceptions.len()
-    }
-
-    /// Fraction of values stored as exceptions.
-    pub fn exception_rate(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.exceptions.len() as f64 / self.n as f64
-        }
-    }
-
-    /// Exception values in position order (the physical block layout grows
-    /// this section backwards; see [`crate::block`]).
-    pub fn exceptions(&self) -> &[u32] {
-        &self.exceptions
-    }
-
-    /// Entry points (one per [`ENTRY_POINT_STRIDE`] values).
-    pub fn entry_points(&self) -> &[EntryPoint] {
-        &self.entry_points
-    }
-
-    /// The packed code section.
-    pub fn packed_codes(&self) -> &[u64] {
-        &self.packed
-    }
-
-    /// Position of the first exception, or [`NO_EXCEPTION`].
-    pub fn first_exception(&self) -> u32 {
-        self.first_exception
+        self.0.base()
     }
 
     /// Compressed size in bytes (code section + exceptions + entry points +
     /// fixed header), as accounted by the compression-ratio experiment.
     pub fn compressed_bytes(&self) -> usize {
         let header = 4 + 1 + 4 + 4; // n, b, base, first_exception
-        let codes = (self.n as usize * self.b as usize).div_ceil(8);
-        let exceptions = self.exceptions.len() * 4;
-        let entries = self.entry_points.len() * 8;
+        let codes = (self.len() * self.width() as usize).div_ceil(8);
+        let exceptions = self.exception_count() * 4;
+        let entries = self.entry_points().len() * 8;
         header + codes + exceptions + entries
-    }
-
-    /// Effective bits per encoded value.
-    pub fn bits_per_value(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.compressed_bytes() as f64 * 8.0 / self.n as f64
-        }
     }
 
     /// Decompresses the whole block into `out` (cleared first) using
     /// **patched** two-loop decoding.
     pub fn decode_into(&self, out: &mut Vec<u32>) {
-        let n = self.n as usize;
-        // LOOP1: unpack + apply base, branch-free over all values.
-        bitpack::unpack(&self.packed, n, self.b, out);
-        let base = self.base;
-        for v in out.iter_mut() {
-            *v = base.wrapping_add(*v);
-        }
-        // LOOP2: patch it up. The gap is recovered from the (incorrectly)
-        // decoded slot: LOOP1 wrote base + gap there.
-        let mut i = self.first_exception as usize;
-        for &exc in &self.exceptions {
-            let gap = out[i].wrapping_sub(base) as usize;
-            out[i] = exc;
-            i += gap;
-        }
-    }
-
-    /// Convenience wrapper allocating the output.
-    pub fn decode(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.decode_into(&mut out);
-        out
+        self.decode_range_into(0, self.len(), out)
+            .expect("the whole block is an aligned range");
     }
 
     /// Decompresses `len` values starting at `start` (which must be a
@@ -253,45 +104,34 @@ impl PforBlock {
         len: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
-        if !start.is_multiple_of(ENTRY_POINT_STRIDE) {
-            return Err(CodecError::Misaligned {
-                position: start,
-                stride: ENTRY_POINT_STRIDE,
-            });
-        }
-        let end = start.checked_add(len).ok_or(CodecError::OutOfBounds {
-            position: usize::MAX,
-            len: self.n as usize,
-        })?;
-        if end > self.n as usize {
-            return Err(CodecError::OutOfBounds {
-                position: end,
-                len: self.n as usize,
-            });
-        }
-        // LOOP1 over the range only.
-        bitpack::unpack_range(&self.packed, start, len, self.b, out);
-        let base = self.base;
+        check_range(start, len, self.len())?;
+        // LOOP1 over the range only: unpack + apply base, branch-free.
+        bitpack::unpack_range(self.0.codes(), start, len, self.width(), out);
+        let base = self.base();
         for v in out.iter_mut() {
             *v = base.wrapping_add(*v);
         }
-        // LOOP2 from the entry point covering `start`.
-        if len == 0 {
-            return Ok(());
-        }
-        let entry = self.entry_points[start / ENTRY_POINT_STRIDE];
-        let mut i = entry.next_exception as usize;
-        let mut rank = entry.exception_rank as usize;
-        // Bound by the exception count as well as the range end: the last
-        // exception's code word holds a filler gap, not a real link.
-        while rank < self.exceptions.len() && i < end {
-            let gap = out[i - start].wrapping_sub(base) as usize;
-            out[i - start] = self.exceptions[rank];
-            rank += 1;
-            i += gap;
-        }
+        // LOOP2: patch it up. The gap is recovered from the (incorrectly)
+        // decoded slot: LOOP1 wrote base + gap there.
+        patch_range(&self.0, start, out, |out, i| {
+            out[i].wrapping_sub(base) as usize
+        });
         Ok(())
     }
+}
+
+/// The PFOR image of `values` as `b`-bit offsets from `base`, under codec
+/// `tag` (PFOR-DELTA lays its deltas out the same way).
+pub(crate) fn encode_image(tag: u8, values: &[u32], b: u8, base: u32) -> Image {
+    assert!(
+        (1..=MAX_PFOR_WIDTH).contains(&b),
+        "PFOR width {b} outside 1..=24"
+    );
+    // All 2^b codes are usable: exceptions are positional.
+    crate::patch::encode(tag, b, base, values, |v| {
+        let offset = v.wrapping_sub(base);
+        (offset >> b == 0).then_some(offset)
+    })
 }
 
 /// Chooses the base for a fixed width `b`: slides a window of width `2^b`
@@ -425,7 +265,7 @@ mod tests {
         let pi = [3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2];
         let block = PforBlock::encode(&pi, 3, 0);
         // Exceptions are the digits 9, 8, 9, 9 (values >= 8).
-        assert_eq!(block.exceptions(), &[9, 8, 9, 9]);
+        assert!(block.exceptions().eq([9, 8, 9, 9]));
         assert_eq!(block.first_exception(), 5);
         assert_eq!(block.decode(), pi);
     }

@@ -11,19 +11,17 @@
 //! a **restart value**, so a range decode never has to prefix-sum from the
 //! start of the block.
 
-use crate::pfor::{PforBlock, ENTRY_POINT_STRIDE, MAX_PFOR_WIDTH};
+use crate::image::{Image, TAG_PFOR_DELTA};
+use crate::pfor::{PforBlock, ENTRY_POINT_STRIDE};
 use crate::CodecError;
 
-/// A PFOR-DELTA-compressed block of `u32` values.
+/// A PFOR-DELTA-compressed block of `u32` values: a PFOR image over the
+/// deltas whose extras section holds the restart values.
 ///
 /// Deltas use wrapping arithmetic, so arbitrary (not only sorted) inputs
 /// round-trip; sorted inputs are simply where the codec pays off.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PforDeltaBlock {
-    inner: PforBlock,
-    /// `values[k * ENTRY_POINT_STRIDE]` for each stride — decode restarts.
-    restarts: Vec<u32>,
-}
+pub struct PforDeltaBlock(pub(crate) PforBlock);
 
 impl PforDeltaBlock {
     /// Compresses `values`, choosing delta width and base automatically.
@@ -35,92 +33,51 @@ impl PforDeltaBlock {
 
     /// Compresses `values` with a fixed code width (the paper uses 8 bits
     /// for `docid` deltas), choosing the base automatically.
+    ///
+    /// # Panics
+    /// Panics if `b` is outside `1..=24`.
     pub fn encode_with_width(values: &[u32], b: u8) -> Self {
-        assert!(
-            (1..=MAX_PFOR_WIDTH).contains(&b),
-            "PFOR-DELTA width {b} outside 1..=24"
-        );
         let deltas = to_deltas(values);
         let base = crate::pfor::choose_base(&deltas, b);
         Self::from_deltas(values, &deltas, b, base)
     }
 
     fn from_deltas(values: &[u32], deltas: &[u32], b: u8, base: u32) -> Self {
-        let inner = PforBlock::encode(deltas, b, base);
-        let restarts = values.iter().step_by(ENTRY_POINT_STRIDE).copied().collect();
-        PforDeltaBlock { inner, restarts }
+        let mut image = crate::pfor::encode_image(TAG_PFOR_DELTA, deltas, b, base);
+        let restarts = values.iter().step_by(ENTRY_POINT_STRIDE);
+        let extras = image.sections().extras;
+        for (slot, &v) in image.section_mut::<u32>(extras).iter_mut().zip(restarts) {
+            *slot = v;
+        }
+        PforDeltaBlock(PforBlock(image))
     }
 
-    /// Reassembles a block from its serialized parts (see [`crate::block`]).
-    pub(crate) fn from_raw_parts(inner: PforBlock, restarts: Vec<u32>) -> Self {
-        PforDeltaBlock { inner, restarts }
+    fn image(&self) -> &Image {
+        &self.0 .0
     }
 
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
+    crate::patch::patched_views!();
 
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Code width in bits.
-    pub fn width(&self) -> u8 {
-        self.inner.width()
-    }
-
-    /// Number of exceptions in the underlying delta stream.
-    pub fn exception_count(&self) -> usize {
-        self.inner.exception_count()
-    }
-
-    /// Fraction of deltas stored as exceptions.
-    pub fn exception_rate(&self) -> f64 {
-        self.inner.exception_rate()
-    }
-
-    /// The underlying PFOR block over deltas.
-    pub fn inner(&self) -> &PforBlock {
-        &self.inner
+    /// Frame-of-reference base of the deltas.
+    pub fn base(&self) -> u32 {
+        self.0.base()
     }
 
     /// Restart values (one per entry-point stride).
     pub fn restarts(&self) -> &[u32] {
-        &self.restarts
+        self.image().extras()
     }
 
     /// Compressed size in bytes, including restart values.
     pub fn compressed_bytes(&self) -> usize {
-        self.inner.compressed_bytes() + self.restarts.len() * 4
-    }
-
-    /// Effective bits per encoded value.
-    pub fn bits_per_value(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.compressed_bytes() as f64 * 8.0 / self.len() as f64
-        }
+        self.0.compressed_bytes() + self.restarts().len() * 4
     }
 
     /// Decompresses the whole block: patched PFOR decode of the deltas,
     /// then a prefix sum. Both loops are branch-free.
     pub fn decode_into(&self, out: &mut Vec<u32>) {
-        self.inner.decode_into(out);
-        let mut acc = 0u32;
-        for v in out.iter_mut() {
-            acc = acc.wrapping_add(*v);
-            *v = acc;
-        }
-    }
-
-    /// Convenience wrapper allocating the output.
-    pub fn decode(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.decode_into(&mut out);
-        out
+        self.decode_range_into(0, self.len(), out)
+            .expect("the whole block is an aligned range");
     }
 
     /// Decompresses `len` values starting at entry-aligned `start`, using
@@ -131,13 +88,13 @@ impl PforDeltaBlock {
         len: usize,
         out: &mut Vec<u32>,
     ) -> Result<(), CodecError> {
-        self.inner.decode_range_into(start, len, out)?;
+        self.0.decode_range_into(start, len, out)?;
         if len == 0 {
             return Ok(());
         }
         // `start` is stride-aligned (checked by the inner call), so a
         // restart value exists for it.
-        let mut acc = self.restarts[start / ENTRY_POINT_STRIDE];
+        let mut acc = self.image().extra(start / ENTRY_POINT_STRIDE);
         out[0] = acc;
         for v in out.iter_mut().skip(1) {
             acc = acc.wrapping_add(*v);

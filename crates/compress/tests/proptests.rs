@@ -4,7 +4,7 @@
 //! * every codec round-trips arbitrary `u32` data, at any width;
 //! * patched and naive decompression agree on the values they reconstruct;
 //! * range decoding agrees with full decoding on every aligned window;
-//! * serialization round-trips bit-exactly;
+//! * a block image round-trips bit-exactly, every section 8-aligned;
 //! * the per-block width chooser reaches every width 1–24;
 //! * the per-width unrolled bitpack kernels match the generic oracle on
 //!   adversarial inputs, at every width 1–32.
@@ -102,26 +102,40 @@ proptest! {
         }
     }
 
+    /// At the stride edges (0, 1, 127, 128, 129 values) and a full column
+    /// block (32 Ki values), every codec's image starts each section on an
+    /// 8-byte boundary, ends on a whole word, and survives both directions
+    /// of the copy: `from_bytes(b.to_bytes()) == b` and
+    /// `from_bytes(x).to_bytes() == x` byte for byte.
     #[test]
     fn serialization_roundtrips(values in value_vec()) {
-        for codec in [
-            Codec::Raw,
-            Codec::Pfor { width: 8 },
-            Codec::PforDelta { width: 8 },
-            Codec::Pdict { width: 8 },
-        ] {
-            let block = CompressedBlock::encode(&values, codec);
-            let bytes = block.to_bytes();
-            prop_assert_eq!(block.serialized_len(), bytes.len());
-            let back = CompressedBlock::from_bytes(&bytes).unwrap();
-            prop_assert_eq!(&back, &block);
+        for n in [0usize, 1, 127, 128, 129, 1 << 15] {
+            let values: Vec<u32> = values.iter().copied().chain([7]).cycle().take(n).collect();
+            for codec in [
+                Codec::Raw,
+                Codec::Pfor { width: 8 },
+                Codec::PforDelta { width: 8 },
+                Codec::Pdict { width: 8 },
+                Codec::Pfor { width: PER_BLOCK_WIDTH },
+                Codec::PforDelta { width: PER_BLOCK_WIDTH },
+            ] {
+                let block = CompressedBlock::encode(&values, codec);
+                let bytes = block.to_bytes();
+                let s = block.sections();
+                let offsets = [s.entry_points.start, s.codes.start, s.extras.start, s.exceptions.start];
+                prop_assert!(offsets.iter().all(|o| o % 8 == 0), "{:?} n={} {:?}", codec, n, s);
+                prop_assert_eq!((s.exceptions.end, bytes.len() % 8), (bytes.len(), 0));
+                let back = CompressedBlock::from_bytes(&bytes).unwrap();
+                prop_assert_eq!(&back, &block);
+                prop_assert_eq!(back.to_bytes(), bytes);
+            }
         }
     }
 
     /// The one-pass chooser reaches every width in 1..=24, and each block it
     /// shapes survives the path a pool miss takes: per-block encode
     /// (`encode_auto`) → `to_bytes` → `from_bytes` → `decode_range_into` on
-    /// every aligned stride, with `serialized_len` sizing the image exactly.
+    /// every aligned stride.
     /// Every offset from the block minimum has bit length exactly `b`;
     /// `noise` fills the low bits, `seed` places the minimum and, with
     /// `outlier`, one value no width up to 24 can code. PFOR-DELTA gets the
@@ -162,9 +176,7 @@ proptest! {
                     other => panic!("not a PFOR block: {other:?}"),
                 };
                 prop_assert_eq!(width, b, "{:?}", codec);
-                let bytes = block.to_bytes();
-                prop_assert_eq!(block.serialized_len(), bytes.len());
-                let back = CompressedBlock::from_bytes(&bytes).unwrap();
+                let back = CompressedBlock::from_bytes(&block.to_bytes()).unwrap();
                 let mut out = Vec::new();
                 for start in (0..n).step_by(ENTRY_POINT_STRIDE) {
                     let len = (n - start).min(ENTRY_POINT_STRIDE);

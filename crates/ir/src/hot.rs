@@ -47,7 +47,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use x100_compress::{CompressedBlock, ENTRY_POINT_STRIDE};
+use x100_compress::{Codec, CompressedBlock, ENTRY_POINT_STRIDE};
 use x100_exec::ExecError;
 use x100_storage::{BufferManager, Column, StorageError};
 
@@ -402,7 +402,7 @@ impl QueryScratch {
         for w in cursor_windows.chain(meta_windows) {
             refill(&mut w.stage, || next() as u32);
             w.start = (next() % 64) as usize * ENTRY_POINT_STRIDE;
-            let block = CompressedBlock::Raw(w.stage.clone());
+            let block = CompressedBlock::encode(&w.stage, Codec::Raw);
             w.pin = Some(((next() % 4) as usize, Arc::new(block)));
         }
     }

@@ -397,7 +397,7 @@ fn open_segment_file(
         |kind: SectionKind, name: &str, codec: Codec| -> Result<Column, SegmentError> {
             let col = r.open_column(kind, name)?;
             // Only the codec family must match: every block records its own
-            // width and `from_bytes` validates it, so a column sealed at one
+            // width and loading a block validates it, so a column sealed at one
             // fixed width opens like one whose blocks each chose theirs.
             if std::mem::discriminant(&col.codec()) != std::mem::discriminant(&codec) {
                 return Err(SegmentError::Corrupt(

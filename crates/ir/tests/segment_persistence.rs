@@ -667,11 +667,15 @@ fn non_ascending_posting_list_does_not_panic_the_ranked_union() {
         let mut bytes = std::fs::read(&path).unwrap();
         let col_off = u64_at(&bytes, toc_slot(&bytes, COL_DOCID) + 8) as usize;
         let blocks = u64_at(&bytes, col_off + 24) as usize;
-        // The first block image: magic u32, codec tag u8 (Raw = 0), count
-        // u32, values.
+        // The first block image, a Raw one: its values are its codes.
         let first = col_off + 32 + (blocks + 1) * 8;
-        assert_eq!(bytes[first + 4], 0, "docid column is Raw");
-        let values = first + 9;
+        let first_len = u64_at(&bytes, col_off + 40) as usize;
+        let block = CompressedBlock::from_bytes(&bytes[first..first + first_len]).unwrap();
+        assert!(
+            matches!(block, CompressedBlock::Raw(_)),
+            "docid column is Raw"
+        );
+        let values = first + block.sections().codes.start;
         let list = [5u32.to_le_bytes(), 300u32.to_le_bytes()].concat();
         assert_eq!(bytes[values..values + 8], list[..]);
         bytes[values..values + 8].rotate_left(4);

@@ -5,7 +5,7 @@
 //! clone, and eviction is dropping the slot's. A pin therefore outlives
 //! eviction — bytes above the budget are bounded by the live pins.
 //! Accessing a non-resident block fetches it from its column (a real
-//! `pread` + parse if disk-backed) and charges the simulated disk cost for
+//! `pread` + validation if disk-backed) and charges the simulated disk cost for
 //! its *compressed* size — this is precisely where compression "increases the
 //! perceived I/O bandwidth" (§2.1): a block that holds 4 MB of logical data
 //! but compresses to 1 MB costs a quarter of the transfer time.
@@ -330,7 +330,7 @@ impl BufferManager {
     /// caller holds it — whatever the pool evicts meanwhile.
     ///
     /// A miss fetches the block with **no lock held** — for a disk-backed
-    /// column the real `pread` + parse, where a read fault surfaces as a
+    /// column the real `pread` + validation, where a read fault surfaces as a
     /// typed error — then admits it, charges the simulated disk cost to
     /// [`IoStats`] (a deterministic [`DiskModel`] overlay on the physical
     /// read: accounted, never slept) and evicts LRU blocks if over budget.

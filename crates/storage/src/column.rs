@@ -6,7 +6,7 @@
 //! (terms, document names) as record pages inside such columns.
 //!
 //! Each column is chopped into blocks of the builder's block size values,
-//! and a block is what the buffer pool reads, parses and evicts as one
+//! and a block is what the buffer pool reads, validates and evicts as one
 //! unit. The paper reads "blocks of several megabytes" to keep a 12-disk
 //! RAID streaming; a segment served from the page cache pays per byte
 //! instead, so the default ([`DEFAULT_BLOCK_SIZE`], 32 Ki values) is sized
@@ -37,7 +37,7 @@ impl ColumnId {
 ///
 /// Measured on the repository benchmark's `cold_segment` workload (the
 /// sweep is in `docs/COMPRESSION.md`): a query misses the pool about as
-/// often with 32 Ki-value blocks as with 256 Ki, so a miss reads and parses
+/// often with 32 Ki-value blocks as with 256 Ki, so a miss reads and checks
 /// ~7x fewer bytes. Below 32 Ki the misses per query start to climb and
 /// the block directory an open pins keeps growing.
 pub const DEFAULT_BLOCK_SIZE: usize = 1 << 15;
@@ -139,12 +139,12 @@ impl ColumnBuilder {
 /// The physical backing of a column's compressed blocks.
 #[derive(Debug, Clone)]
 enum BlockStore {
-    /// Every block lives in RAM (a column built in this process). Blocks
-    /// are shared, so a buffer-pool slot or a reader's pin holds the
+    /// Every block's image lives in RAM (a column built in this process).
+    /// Blocks are shared, so a buffer-pool slot or a reader's pin holds the
     /// column's own block — no byte is ever held twice.
     Mem(Vec<Arc<CompressedBlock>>),
-    /// Blocks live in a segment file, each at an `(absolute file offset,
-    /// serialized byte length)` extent validated against the file's real
+    /// The same images live in a segment file, each at an `(absolute file
+    /// offset, image byte length)` extent validated against the file's real
     /// length at open time. The column keeps no block bytes itself: every
     /// fetch is a positional read, and the only cache is the
     /// [`crate::BufferManager`] the serving path pins through.
@@ -174,7 +174,7 @@ impl Column {
     }
 
     /// Builds a disk-backed column over blocks stored in `file`, each at a
-    /// pre-validated `(absolute offset, serialized byte length)` extent.
+    /// pre-validated `(absolute offset, image byte length)` extent.
     /// Used by [`crate::SegmentReader`]; blocks are `pread` on demand.
     pub(crate) fn from_disk_blocks(
         name: impl Into<String>,
@@ -236,8 +236,9 @@ impl Column {
     }
 
     /// Fetches block `idx` from the column's store: a shared handle to an
-    /// in-memory block, or — the one place block extents are read and
-    /// parsed — a positional read of a disk-backed one. Nothing is cached
+    /// in-memory block, or — the one place block extents are read — one
+    /// positional read of a disk-backed one straight into the new block's
+    /// image, validated in place. Nothing is cached
     /// here; [`crate::BufferManager::pin`] is the caching caller.
     pub(crate) fn fetch(&self, idx: usize) -> Result<Arc<CompressedBlock>, StorageError> {
         if idx >= self.block_count() {
@@ -250,10 +251,11 @@ impl Column {
             BlockStore::Mem(blocks) => Ok(Arc::clone(&blocks[idx])),
             BlockStore::Disk { file, entries } => {
                 let (offset, len) = entries[idx];
-                let mut buf = vec![0u8; len as usize];
-                file.read_exact_at(&mut buf, offset)
-                    .map_err(|e| StorageError::Io(e.kind()))?;
-                Ok(Arc::new(CompressedBlock::from_bytes(&buf)?))
+                let block = CompressedBlock::read_image(len as usize, |buf| {
+                    file.read_exact_at(buf, offset)
+                        .map_err(|e| StorageError::Io(e.kind()))
+                })?;
+                Ok(Arc::new(block))
             }
         }
     }
@@ -264,7 +266,7 @@ impl Column {
     /// [`crate::BufferManager::pin`] instead.
     ///
     /// # Panics
-    /// Panics if `idx` is out of range, or if the read or parse fails:
+    /// Panics if `idx` is out of range, or if the read or validation fails:
     /// every segment is fully checksum-verified at open time, so a failure
     /// here means the file changed (or the device failed) underneath a
     /// running process. Offline callers treat that as fatal; `pin` returns
@@ -276,8 +278,8 @@ impl Column {
 
     /// Size in bytes of block `idx` as the I/O layer sees it — without
     /// loading the block. For in-memory columns this is the compressed
-    /// payload size; for disk-backed columns the serialized extent read
-    /// from the file (payload plus a small per-block framing header).
+    /// payload size; for disk-backed columns the image extent read from
+    /// the file (payload plus the image's header and alignment padding).
     pub fn block_bytes(&self, idx: usize) -> usize {
         match &self.store {
             BlockStore::Mem(blocks) => blocks[idx].compressed_bytes(),
@@ -285,11 +287,11 @@ impl Column {
         }
     }
 
-    /// Length in bytes of block `idx`'s serialized image, without
-    /// materializing it (and, for a disk-backed column, without reading it).
+    /// Length in bytes of block `idx`'s image, without (for a disk-backed
+    /// column) reading it.
     pub(crate) fn block_image_len(&self, idx: usize) -> usize {
         match &self.store {
-            BlockStore::Mem(blocks) => blocks[idx].serialized_len(),
+            BlockStore::Mem(blocks) => blocks[idx].as_bytes().len(),
             BlockStore::Disk { entries, .. } => entries[idx].1 as usize,
         }
     }
@@ -333,7 +335,7 @@ impl Column {
     /// multiples of the stride, so an aligned `start` is aligned within its
     /// block too.)
     ///
-    /// A disk-backed block that cannot be read or parsed returns
+    /// A disk-backed block that cannot be read or validated returns
     /// [`StorageError::Io`] or [`StorageError::Codec`] rather than panicking.
     pub fn read_range(
         &self,

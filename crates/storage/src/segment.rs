@@ -36,7 +36,7 @@
 //! [0..32)    codec tag, code width (0 = per block), block size,
 //!            value count, block count
 //! [32..d)    prefix-sum directory: (block_count + 1) × u64 byte offsets
-//! [d..)      concatenated serialized CompressedBlocks
+//! [d..)      concatenated CompressedBlock images
 //! ```
 
 use std::collections::HashMap;
@@ -55,9 +55,10 @@ pub const SEGMENT_MAGIC: u32 = 0x5831_5347;
 
 /// Current segment format version. Version 2 promoted the vocabulary,
 /// document-table and offset sections to paged column sections and widened
-/// the meta section; version-1 files are rejected with
+/// the meta section; version 3 stores every block as its aligned in-memory
+/// image (see [`x100_compress::block`]). Older files are rejected with
 /// [`SegmentError::BadVersion`] (rebuild and re-persist to upgrade).
-pub const SEGMENT_VERSION: u16 = 2;
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// Every section (and the TOC) starts at a multiple of this.
 pub const SECTION_ALIGN: u64 = 64;
@@ -352,11 +353,11 @@ impl SegmentWriter {
         self.end_section()
     }
 
-    /// Appends a column section, streaming one serialized block at a time —
+    /// Appends a column section, streaming one block image at a time —
     /// the whole column is never materialized in memory. The first pass
     /// builds the prefix-sum directory from each block's image *length*
-    /// (no image, and for a disk-backed column no read); the second
-    /// fetches, serializes and writes each block once.
+    /// (for a disk-backed column, no read); the second fetches each block
+    /// and writes its image once.
     pub fn write_column_section(
         &mut self,
         kind: SectionKind,
@@ -374,13 +375,14 @@ impl SegmentWriter {
             self.append(&d.to_le_bytes())?;
         }
         for i in 0..block_count {
-            let image = column.block(i).to_bytes();
+            let block = column.block(i);
+            let image = block.as_bytes();
             assert_eq!(
                 image.len() as u64,
                 directory[i + 1] - directory[i],
                 "block {i}'s image disagrees with its directory extent"
             );
-            self.append(&image)?;
+            self.append(image)?;
         }
         self.end_section()
     }
@@ -438,7 +440,7 @@ struct ColumnDesc {
     codec: Codec,
     block_size: usize,
     len: usize,
-    /// Per-block (absolute file offset, serialized byte length).
+    /// Per-block (absolute file offset, image byte length).
     entries: Vec<(u64, u32)>,
 }
 
@@ -653,7 +655,7 @@ impl SegmentReader {
     }
 
     /// Opens a column section as a disk-backed [`Column`]: every block
-    /// fetch is a `pread` + parse; caching is the buffer pool's job.
+    /// fetch is a `pread` + validation; caching is the buffer pool's job.
     pub fn open_column(&self, kind: SectionKind, name: &str) -> Result<Column, SegmentError> {
         let desc = self
             .columns
@@ -1042,22 +1044,32 @@ mod tests {
         std::fs::remove_file(&streamed).unwrap();
     }
 
-    #[test]
-    fn open_rejects_version_one_files() {
-        let path = temp_path("v1");
+    /// A segment whose header says `version`, re-sealed so the typed
+    /// version rejection (not a checksum error) is what fires.
+    fn open_rejects_version(version: u16) {
+        let path = temp_path(&format!("v{version}"));
         write_sample(&path);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Rewind the version field to 1 and re-seal the header checksum, so
-        // the typed version rejection (not a checksum error) is what fires.
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
         let mut sum = Fnv1a::new();
         sum.update(&bytes[0..32]);
         bytes[32..40].copy_from_slice(&sum.finish().to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open(&path),
-            Err(SegmentError::BadVersion(1))
+            Err(SegmentError::BadVersion(v)) if v == version
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_rejects_version_one_files() {
+        open_rejects_version(1);
+    }
+
+    /// Version-2 files store blocks in the word-by-word serialized format.
+    #[test]
+    fn open_rejects_version_two_files() {
+        open_rejects_version(2);
     }
 }

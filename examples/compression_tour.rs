@@ -6,8 +6,8 @@
 //!
 //! Walks through: the paper's Figure 2 example (digits of π under PFOR with
 //! 3-bit codes), the naive-vs-patched decoding difference, PFOR-DELTA on a
-//! sorted posting list, PDICT on skewed data, and the serialized block
-//! format with its backward-growing exception section.
+//! sorted posting list, PDICT on skewed data, and the block image — one
+//! layout in RAM and on disk — with its backward-growing exception section.
 
 use monetdb_x100::compress::{
     Codec, CompressedBlock, NaiveBlock, PdictBlock, PforBlock, PforDeltaBlock,
@@ -20,7 +20,7 @@ fn main() {
     println!("Figure 2 — PFOR(b=3) over the digits of pi: {pi:?}");
     println!(
         "  exceptions (digits needing >3 bits): {:?} at first position {}",
-        block.exceptions(),
+        block.exceptions().collect::<Vec<_>>(),
         block.first_exception()
     );
     println!("  decoded: {:?}", block.decode());
@@ -83,20 +83,20 @@ fn main() {
     );
     assert_eq!(dict.decode(), skewed);
 
-    // --- the serialized block format ---------------------------------------
-    let serialized = CompressedBlock::encode(&docids, Codec::PforDelta { width: 8 });
-    let bytes = serialized.to_bytes();
+    // --- the block image ----------------------------------------------------
+    let image = CompressedBlock::encode(&docids, Codec::PforDelta { width: 8 });
+    let bytes = image.to_bytes();
     let back = CompressedBlock::from_bytes(&bytes).expect("valid block");
-    assert_eq!(back, serialized);
+    assert_eq!(back, image);
     println!(
-        "\nserialized block: {} bytes for {} values (header + entry points + \
-         forward code section + backward exception section, as in Figure 2)",
+        "\nblock image: {} bytes for {} values, the same in RAM and on disk",
         bytes.len(),
         docids.len()
     );
+    println!("  8-aligned sections (byte ranges): {:?}", image.sections());
 
     // Corruption is detected, not propagated.
-    let mut corrupt = bytes.to_vec();
+    let mut corrupt = bytes;
     corrupt[0] ^= 0xFF;
     println!(
         "  corrupting the magic number -> {:?}",

@@ -2,7 +2,7 @@
 //! and misuse must fail loudly and cleanly — never silently return wrong
 //! results and never panic across a public API boundary.
 
-use monetdb_x100::compress::{Codec, CodecError, CompressedBlock};
+use monetdb_x100::compress::{Codec, CodecError, CompressedBlock, Sections};
 use monetdb_x100::corpus::{CollectionConfig, SyntheticCollection};
 use monetdb_x100::exec::prelude::*;
 use monetdb_x100::ir::{
@@ -70,6 +70,75 @@ fn bad_magic_and_bad_codec_are_specific_errors() {
         CompressedBlock::from_bytes(&bad_codec),
         Err(CodecError::UnknownCodec(200))
     ));
+}
+
+/// Encodes `values` (mostly `1..=2^w`, exceptions where `exceptional`)
+/// with PFOR (b = 8), PFOR-DELTA (b = 8, over their prefix sums, so its
+/// deltas are `values`) and PDICT (b = `w`); `corrupt` edits each image,
+/// given its sections and width, and loading it must report corruption.
+fn patched_corruption_is_rejected(
+    n: usize,
+    exceptional: impl Fn(usize) -> bool,
+    w: u8,
+    corrupt: impl Fn(&mut [u8], Sections, usize),
+) {
+    let values: Vec<u32> = (0..n)
+        .map(|i| {
+            if exceptional(i) {
+                1_000_000 + i as u32
+            } else {
+                (i % (1 << w)) as u32 + 1
+            }
+        })
+        .collect();
+    let sums: Vec<u32> = (1..=n).map(|k| values[..k].iter().sum()).collect();
+    for (codec, values, b) in [
+        (Codec::Pfor { width: 8 }, &values, 8),
+        (Codec::PforDelta { width: 8 }, &sums, 8),
+        (Codec::Pdict { width: w }, &values, w),
+    ] {
+        let block = CompressedBlock::encode(values, codec);
+        let mut bytes = block.to_bytes();
+        corrupt(&mut bytes, block.sections(), usize::from(b));
+        let err = CompressedBlock::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, CodecError::Corrupt(_)), "{codec:?}: {err}");
+    }
+}
+
+#[test]
+fn exception_chain_link_of_gap_zero_is_rejected() {
+    // Exceptions at 10, 12 and 14 (PDICT's 1-bit codes add compulsory ones
+    // at 11 and 13). A zero gap in slot 10 makes the chain revisit it,
+    // which the unchecked decode loops would follow.
+    patched_corruption_is_rejected(
+        300,
+        |i| matches!(i, 10 | 12 | 14),
+        1,
+        |bytes, s, b| {
+            let at = s.entry_points.start; // entry point 0's next exception
+            assert_eq!(bytes[at..at + 4], 10u32.to_le_bytes());
+            for bit in 10 * b..11 * b {
+                bytes[s.codes.start + bit / 8] &= !(1 << (bit % 8));
+            }
+        },
+    );
+}
+
+#[test]
+fn entry_point_disagreeing_with_the_exceptions_is_rejected() {
+    // An exception every 50 values from 7 on: entry point 1 (values
+    // 128..256) names the one at 157. Pointing it at 0 would send a range
+    // decode from 128 — the hot path's refill shape — below its window.
+    patched_corruption_is_rejected(
+        512,
+        |i| i % 50 == 7,
+        6,
+        |bytes, s, _| {
+            let at = s.entry_points.start + 8; // entry point 1's next exception
+            assert_eq!(bytes[at..at + 4], 157u32.to_le_bytes());
+            bytes[at..at + 4].fill(0);
+        },
+    );
 }
 
 #[test]
@@ -245,10 +314,18 @@ fn run_file_posting_swap_is_detected() {
     let victim = &b.run_paths()[0];
     let mut bytes = std::fs::read(victim).unwrap();
     let (offset, len) = section_extent(&bytes, SectionKind::ColDocid);
-    // The last two 4-byte words of the section: packed codes of its last
-    // block, never the column header or the block directory.
-    let (a, z) = (offset + len - 8, offset + len - 4);
-    assert_ne!(bytes[a..a + 4], bytes[z..z + 4], "swap must change bytes");
+    // The section's last 4-byte word and the nearest earlier one that
+    // differs from it, both inside its last block's image — never the
+    // column header or the block directory.
+    let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+    let blocks_at = offset + 32 + 8 * (u64_at(offset + 24) + 1);
+    let last_block = blocks_at + u64_at(blocks_at - 16);
+    let z = offset + len - 4;
+    let a = (last_block..z)
+        .step_by(4)
+        .rev()
+        .find(|&a| bytes[a..a + 4] != bytes[z..z + 4])
+        .expect("the last block's words are not all equal");
     for i in 0..4 {
         bytes.swap(a + i, z + i);
     }
