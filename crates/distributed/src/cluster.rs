@@ -17,11 +17,12 @@ use std::time::Instant;
 
 use x100_corpus::{CollectionStream, CollectionTail, Document, SyntheticCollection};
 use x100_ir::{
-    ExecError, HitsResponse, IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, ScratchPool,
+    ExecError, HitsResponse, IndexBuilder, IndexConfig, InvertedIndex, QueryExecutor,
     SearchStrategy, SegmentError, SpillConfig, SpillStats,
 };
 use x100_storage::{BufferManager, BufferMode, DiskModel, IoStats};
 
+use crate::net::Coordinator;
 use crate::partition::partition_of;
 
 /// Why the unbudgeted constructors may unwrap the spill path's errors.
@@ -53,13 +54,13 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// One node: partition index + local→global mapping + persistent buffers
-/// + a pool of reusable query scratch arenas.
+/// One node: a [`QueryExecutor`] over the partition's index and its
+/// persistent buffer pool, the partition's local→global docid mapping, and
+/// a test-only fault hook. The executor lends every concurrent search a
+/// scratch arena of its own.
 pub struct Node {
-    index: InvertedIndex,
+    executor: QueryExecutor,
     global_ids: Vec<u32>,
-    buffers: Arc<BufferManager>,
-    scratch: ScratchPool,
     /// Test-only fault hook: when set, the next local search panics, so
     /// suites can exercise panic containment in the scatter and network
     /// paths without a genuinely corrupt index.
@@ -67,16 +68,6 @@ pub struct Node {
 }
 
 impl Node {
-    fn new(index: InvertedIndex, global_ids: Vec<u32>, buffers: Arc<BufferManager>) -> Self {
-        Node {
-            index,
-            global_ids,
-            buffers,
-            scratch: ScratchPool::new(),
-            panic_on_search: AtomicBool::new(false),
-        }
-    }
-
     /// Arms the test-only fault hook: every subsequent local search on
     /// this node panics until disarmed. Exists so fault-injection suites
     /// can pin that a panicking node is *contained* — reported as
@@ -87,20 +78,11 @@ impl Node {
         self.panic_on_search.store(armed, Ordering::SeqCst);
     }
 
-    fn check_injected_fault(&self) {
-        if self.panic_on_search.load(Ordering::SeqCst) {
-            panic!("injected node fault (test hook)");
-        }
-    }
-    /// A fresh engine over this node's index and persistent buffer pool.
-    pub fn engine(&self) -> QueryEngine<'_> {
-        QueryEngine::with_buffer_manager(&self.index, self.buffers.clone())
-    }
-
-    /// The node-local allocation-free search: runs the fused scratch-arena
-    /// path over this node's index, filling `out` (cleared first) with up
-    /// to `n` **node-local** `(docid, score)` hits, best first. The arena
-    /// comes from the node's [`ScratchPool`], so steady-state calls are
+    /// The node-local search, and the only one: the in-process scatter,
+    /// [`SimulatedCluster::measure_compute`] and every
+    /// [`crate::net::NodeServer`] run it. Fills `out` (cleared first) with
+    /// up to `n` **node-local** `(docid, score)` hits, best first, through
+    /// [`QueryExecutor::search_hits_into`], so steady-state calls are
     /// heap-allocation-free and concurrent callers never serialize.
     /// Callers translate docids with [`Self::global_id`] as they consume
     /// the hits.
@@ -111,23 +93,20 @@ impl Node {
         n: usize,
         out: &mut Vec<(u32, f32)>,
     ) -> Result<HitsResponse, ExecError> {
-        self.check_injected_fault();
-        let mut scratch = self.scratch.acquire();
-        let result = self
-            .engine()
-            .search_hits_into(terms, strategy, n, &mut scratch, out);
-        self.scratch.release(scratch);
-        result
+        if self.panic_on_search.load(Ordering::SeqCst) {
+            panic!("injected node fault (test hook)");
+        }
+        self.executor.search_hits_into(terms, strategy, n, out)
     }
 
     /// The node's index.
     pub fn index(&self) -> &InvertedIndex {
-        &self.index
+        self.executor.index()
     }
 
     /// The node's persistent buffer pool.
     pub fn buffers(&self) -> &Arc<BufferManager> {
-        &self.buffers
+        self.executor.buffers()
     }
 
     /// Maps a node-local docid to the global docid.
@@ -179,7 +158,8 @@ pub struct ScatterResponse {
     /// One timing record per node, in node order. The slowest entry gates
     /// the query (§3.4's load-imbalance effect, now observable directly).
     pub node_timings: Vec<NodeTiming>,
-    /// Time the coordinator spent merging the per-node top-N lists.
+    /// Time the coordinator spent merging the per-node top-N lists and
+    /// naming the merged hits.
     pub merge_time: Duration,
     /// Nodes whose local search errored or whose fan-out worker died
     /// mid-query (empty on the happy path). A failed node contributed no
@@ -346,12 +326,17 @@ impl SimulatedCluster {
                     global_ids.len(),
                     "global-id mapping does not cover the partition"
                 );
-                let buffers = Arc::new(BufferManager::with_mode(
+                let executor = QueryExecutor::with_buffering(
+                    Arc::new(index),
                     DiskModel::instant(), // index held in RAM (§3.4)
                     BufferMode::Hot,
                     0,
-                ));
-                Arc::new(Node::new(index, global_ids, buffers))
+                );
+                Arc::new(Node {
+                    executor,
+                    global_ids,
+                    panic_on_search: AtomicBool::new(false),
+                })
             })
             .collect();
         SimulatedCluster { nodes }
@@ -368,7 +353,7 @@ impl SimulatedCluster {
             let mut path = base.as_os_str().to_owned();
             path.push(format!(".p{i}"));
             let path = PathBuf::from(path);
-            node.index
+            node.index()
                 .write_partition_segment(&node.global_ids, &path)?;
             paths.push(path);
         }
@@ -413,7 +398,7 @@ impl SimulatedCluster {
     /// path is tested against, and a merge over partial coverage would be
     /// a silently wrong reference.
     pub fn search(&self, terms: &[u32], strategy: SearchStrategy, n: usize) -> Vec<MergedResult> {
-        let per_node = self
+        let per_node: Vec<_> = self
             .nodes
             .iter()
             .enumerate()
@@ -424,24 +409,24 @@ impl SimulatedCluster {
                 },
             )
             .collect();
-        Self::merge_top_n(per_node, n)
+        self.merge_named(&per_node, n)
     }
 
-    /// One node's local top-`n`, mapped to global docids, plus its timing.
+    /// One node's local top-`n` (node-local docids) plus its timing,
+    /// through [`Node::search_hits_into`] — the path every
+    /// [`crate::net::NodeServer`] serves.
     fn node_search(
         node: &Node,
         ni: usize,
         terms: &[u32],
         strategy: SearchStrategy,
         n: usize,
-    ) -> Result<(Vec<MergedResult>, NodeTiming), ClusterError> {
+    ) -> Result<(Vec<(u32, f32)>, NodeTiming), ClusterError> {
         let started = Instant::now();
-        node.check_injected_fault();
-        let engine = node.engine();
-        let mut scratch = node.scratch.acquire();
-        let searched = engine.search_with_scratch(terms, strategy, n, &mut scratch);
-        node.scratch.release(scratch);
-        let resp = searched.map_err(|_| ClusterError::NodeFailed { partition: ni })?;
+        let mut hits = Vec::new();
+        let resp = node
+            .search_hits_into(terms, strategy, n, &mut hits)
+            .map_err(|_| ClusterError::NodeFailed { partition: ni })?;
         let timing = NodeTiming {
             node: ni,
             wall: started.elapsed(),
@@ -449,35 +434,50 @@ impl SimulatedCluster {
             io: resp.io,
             passes: resp.passes,
         };
-        let hits = resp
-            .results
-            .into_iter()
-            .map(|r| MergedResult {
-                docid: node.global_id(r.docid),
-                score: r.score,
-                name: r.name,
-                node: ni,
-            })
-            .collect();
         Ok((hits, timing))
     }
 
-    /// Coordinator merge: concatenates per-node top-`n` lists (given in
-    /// node order) and keeps the global top-`n`. Deterministic: descending
-    /// score with global-docid tie-break.
-    fn merge_top_n(per_node: Vec<Vec<MergedResult>>, n: usize) -> Vec<MergedResult> {
-        let mut merged: Vec<MergedResult> = per_node.into_iter().flatten().collect();
-        merged.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.docid.cmp(&b.docid)));
-        merged.truncate(n);
-        merged
+    /// The gather: maps each node's local hits (given in node order) to
+    /// global docids, merges them with [`Coordinator::merge_hits`] — the
+    /// one ordering contract, shared with the networked coordinator — and
+    /// only then names the ≤ `n` merged hits, each from the node that
+    /// returned it.
+    fn merge_named(&self, per_node: &[Vec<(u32, f32)>], n: usize) -> Vec<MergedResult> {
+        // (global docid, node, local docid) of every candidate.
+        let mut owners = Vec::new();
+        let mut lists = Vec::with_capacity(per_node.len());
+        for (ni, (hits, node)) in per_node.iter().zip(&self.nodes).enumerate() {
+            let mut global = Vec::with_capacity(hits.len());
+            for &(local, score) in hits {
+                let docid = node.global_id(local);
+                owners.push((docid, ni, local));
+                global.push((docid, score));
+            }
+            lists.push(global);
+        }
+        owners.sort_unstable();
+        Coordinator::merge_hits(lists, n)
+            .into_iter()
+            .map(|(docid, score)| {
+                let at = owners.partition_point(|o| o.0 < docid);
+                let (_, ni, local) = owners[at];
+                MergedResult {
+                    docid,
+                    score,
+                    name: self.nodes[ni].index().doc_name(local).unwrap_or_default(),
+                    node: ni,
+                }
+            })
+            .collect()
     }
 
     /// Scatter-gather search: the query fans out to every partition on its
-    /// own thread, each node runs the *real* single-node engine over its
-    /// persistent buffer pool, and the coordinator merges the per-node
-    /// top-`n` lists into the global top-`n` — the paper's §3.4 serving
-    /// architecture ("broadcast to all indexing nodes ... merged into a
-    /// global top-N"), executed rather than modeled.
+    /// own thread, each node runs [`Node::search_hits_into`] — the path
+    /// every [`crate::net::NodeServer`] serves — over its persistent buffer
+    /// pool, and the coordinator merges the per-node top-`n` lists into the
+    /// global top-`n` — the paper's §3.4 serving architecture ("broadcast
+    /// to all indexing nodes ... merged into a global top-N"), executed
+    /// rather than modeled.
     ///
     /// Results are bit-identical to the sequential [`Self::search`]: the
     /// gather step collects per-node lists in node order before the same
@@ -496,8 +496,8 @@ impl SimulatedCluster {
         strategy: SearchStrategy,
         n: usize,
     ) -> ScatterResponse {
-        let mut per_node: Vec<(Vec<MergedResult>, NodeTiming)> =
-            Vec::with_capacity(self.nodes.len());
+        let mut per_node = Vec::with_capacity(self.nodes.len());
+        let mut node_timings = Vec::with_capacity(self.nodes.len());
         let mut failures = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -518,32 +518,23 @@ impl SimulatedCluster {
                 let found = h
                     .join()
                     .unwrap_or(Err(ClusterError::NodeFailed { partition: ni }));
-                match found {
-                    Ok(found) => per_node.push(found),
-                    Err(e) => {
-                        failures.push(e);
-                        per_node.push((
-                            Vec::new(),
-                            NodeTiming {
-                                node: ni,
-                                wall: Duration::ZERO,
-                                cpu_time: Duration::ZERO,
-                                io: IoStats::default(),
-                                passes: 1,
-                            },
-                        ));
-                    }
-                }
+                let (hits, timing) = found.unwrap_or_else(|e| {
+                    failures.push(e);
+                    let timing = NodeTiming {
+                        node: ni,
+                        wall: Duration::ZERO,
+                        cpu_time: Duration::ZERO,
+                        io: IoStats::default(),
+                        passes: 1,
+                    };
+                    (Vec::new(), timing)
+                });
+                per_node.push(hits);
+                node_timings.push(timing);
             }
         });
-        let mut results = Vec::with_capacity(self.nodes.len());
-        let mut node_timings = Vec::with_capacity(self.nodes.len());
-        for (hits, timing) in per_node {
-            results.push(hits);
-            node_timings.push(timing);
-        }
         let merge_started = Instant::now();
-        let results = Self::merge_top_n(results, n);
+        let results = self.merge_named(&per_node, n);
         ScatterResponse {
             results,
             node_timings,
@@ -608,14 +599,24 @@ mod tests {
 
     #[test]
     fn merged_results_are_globally_ranked() {
-        let (c, cluster) = setup(4);
-        let q = &c.eval_queries[0];
-        let merged = cluster.search(&q.terms, SearchStrategy::Bm25, 20);
-        assert!(merged.windows(2).all(|w| w[0].score >= w[1].score));
-        assert!(merged.len() <= 20);
-        // Names match global ids.
-        for r in &merged {
-            assert_eq!(r.name, format!("doc-{:08}", r.docid));
+        // Both gathers name the merged hits after the merge, each from the
+        // node that returned it: the name and the node must be the global
+        // docid's own.
+        for k in [3, 4] {
+            let (c, cluster) = setup(k);
+            for q in c.eval_queries.iter().take(5) {
+                let sequential = cluster.search(&q.terms, SearchStrategy::Bm25, 20);
+                let scattered = cluster.search_scatter(&q.terms, SearchStrategy::Bm25, 20);
+                assert!(scattered.failures.is_empty());
+                for merged in [&sequential, &scattered.results] {
+                    assert!(!merged.is_empty() && merged.len() <= 20);
+                    assert!(merged.windows(2).all(|w| w[0].score >= w[1].score));
+                    for r in merged {
+                        assert_eq!(r.name, format!("doc-{:08}", r.docid));
+                        assert_eq!(r.node, partition_of(r.docid, k), "doc {}", r.docid);
+                    }
+                }
+            }
         }
     }
 
@@ -629,7 +630,7 @@ mod tests {
         // of the merge logic (checked exactly by the 1-node test below).
         let (c, cluster) = setup(2);
         let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
-        let engine = QueryEngine::new(&idx);
+        let engine = QueryExecutor::new(Arc::new(idx));
         let mut total_overlap = 0usize;
         let mut total = 0usize;
         for q in &c.eval_queries {
@@ -658,7 +659,7 @@ mod tests {
     fn one_node_cluster_equals_single_engine_exactly() {
         let (c, cluster) = setup(1);
         let idx = InvertedIndex::build(&c, &IndexConfig::compressed());
-        let engine = QueryEngine::new(&idx);
+        let engine = QueryExecutor::new(Arc::new(idx));
         for q in c.eval_queries.iter().take(3) {
             let single: Vec<(u32, String)> = engine
                 .search(&q.terms, SearchStrategy::Bm25, 10)

@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use x100_ir::SearchStrategy;
-use x100_storage::IoStats;
+use x100_storage::{fnv1a64, IoStats};
 
 use crate::cluster::{Node, SimulatedCluster};
 use crate::serve::LatencyHistogram;
@@ -79,17 +79,6 @@ pub const MAX_PAYLOAD: usize = 16 << 20;
 const KIND_SEARCH: u8 = 1;
 const KIND_HITS: u8 = 2;
 const KIND_ERROR: u8 = 3;
-
-/// FNV-1a-64 — the same checksum discipline the segment format uses,
-/// applied to every network payload.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -614,8 +603,9 @@ fn serve_connection(mut stream: TcpStream, node: &Node, shutdown: &AtomicBool, f
         // is the client's failover signal.
         match node.search_hits_into(&request.terms, request.strategy, request.n, &mut hits) {
             Ok(meta) => {
-                // Local → global docid translation happens on the node,
-                // exactly as the in-process gather does.
+                // Local → global docid translation happens on the node;
+                // the in-process gather translates the same hits before
+                // the same merge.
                 for hit in &mut hits {
                     hit.0 = node.global_id(hit.0);
                 }
@@ -920,10 +910,11 @@ impl Coordinator {
     }
 
     /// The deterministic coordinator merge: descending score
-    /// (`total_cmp`), global-docid tie-break, truncate to `n` — the exact
-    /// ordering contract of the in-process
-    /// [`SimulatedCluster::search`] merge, so networked and in-process
-    /// rankings are bit-identical on the same per-node lists.
+    /// (`total_cmp`), global-docid tie-break, truncate to `n`. It is the
+    /// one top-n merge: [`SimulatedCluster::search`] and
+    /// [`SimulatedCluster::search_scatter`] gather through it too, so
+    /// networked and in-process rankings are bit-identical on the same
+    /// per-node lists.
     pub fn merge_hits(per_partition: Vec<Vec<(u32, f32)>>, n: usize) -> Vec<(u32, f32)> {
         let mut merged: Vec<(u32, f32)> = per_partition.into_iter().flatten().collect();
         merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1413,8 +1404,8 @@ mod tests {
 
     #[test]
     fn merge_hits_matches_cluster_merge_ordering() {
-        // Same contract as the in-process merge: score descending by
-        // total_cmp, docid ascending on ties, truncate.
+        // The one merge contract, in-process gathers included: score
+        // descending by total_cmp, docid ascending on ties, truncate.
         let merged = Coordinator::merge_hits(
             vec![vec![(5, 2.0), (9, 1.0)], vec![(3, 2.0), (1, 1.0), (2, 0.5)]],
             4,

@@ -14,7 +14,8 @@
 //!   ride a priority lane; with that lane unused it is a plain bounded FIFO.
 //! * [`QueryService`] — what a worker runs per query. Implemented by
 //!   [`x100_ir::QueryExecutor`] (one node, executors cloned per worker over
-//!   a shared index + lock-striped buffer pool) and by
+//!   a shared index + lock-striped buffer pool, each lending its queries
+//!   scratch arenas from its own pool) and by
 //!   `Arc<SimulatedCluster>` (each query scatter-gathers across all
 //!   partitions).
 //! * [`run_closed_loop`] / [`run_open_loop`] — the two canonical load

@@ -4,12 +4,15 @@
 //! single-threaded experiments but awkward to hand to a worker pool. A
 //! [`QueryExecutor`] owns `Arc` handles to the index and the buffer
 //! manager instead: cloning one is two reference-count bumps plus an
-//! empty scratch arena, every query method takes `&self`, and the type is
-//! statically `Send + Sync` — so a serving layer clones one executor per
-//! worker thread and all workers share a single RAM-resident index and
-//! one (lock-striped) buffer pool, while each keeps a private
-//! [`crate::QueryScratch`] arena that makes its steady-state queries
-//! allocation-free.
+//! empty `ScratchPool`, every query method takes `&self`, and the type
+//! is statically `Send + Sync` — so a serving layer clones one executor
+//! per worker thread and all workers share a single RAM-resident index
+//! and one (lock-striped) buffer pool. Each query borrows a
+//! [`crate::QueryScratch`] arena from its executor's pool and returns it,
+//! so a worker's clone keeps reusing its own warm arena (steady-state
+//! queries are allocation-free), and one executor shared through an `Arc`
+//! lends each concurrent query an arena of its own instead of making them
+//! wait on one.
 //!
 //! The execution vector size is fixed at construction (builder-style
 //! [`QueryExecutor::with_vector_size`]); there is deliberately no `&mut`
@@ -41,43 +44,42 @@
 //! # let _ = responses.pop();
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use x100_exec::ExecError;
 use x100_storage::{BufferManager, BufferMode, DiskModel};
 use x100_vector::VectorSize;
 
 use crate::engine::{HitsResponse, QueryEngine, SearchResponse, SearchStrategy};
-use crate::hot::QueryScratch;
+use crate::hot::ScratchPool;
 use crate::index::InvertedIndex;
 
 /// A cheaply clonable, thread-shareable query executor: `Arc`-owned index
-/// and buffer pool, an immutable execution configuration, and an owned
-/// [`QueryScratch`] arena reused across this executor's queries.
+/// and buffer pool, an immutable execution configuration, and a
+/// `ScratchPool` that lends each query a [`crate::QueryScratch`] arena.
 ///
 /// Query methods run the fused allocation-free path ([`crate::hot`]) over
-/// the scratch arena: buffers are cleared — not freed — between queries,
+/// a borrowed arena: buffers are cleared — not freed — between queries,
 /// so a warmed executor answers queries without touching the allocator.
-/// The arena sits behind a mutex so `&self` query methods stay safe to
-/// share, but the intended shape is one *clone* per worker (cloning gives
-/// each worker its own arena; the index and the lock-striped buffer pool
-/// stay shared), keeping that mutex uncontended.
+/// Concurrent queries on one executor each borrow an arena of their own,
+/// so none waits for another; the usual shape is still one *clone* per
+/// worker (the index and the lock-striped buffer pool stay shared).
 pub struct QueryExecutor {
     index: Arc<InvertedIndex>,
     buffers: Arc<BufferManager>,
     vector_size: usize,
-    scratch: Mutex<QueryScratch>,
+    scratch: ScratchPool,
 }
 
 impl Clone for QueryExecutor {
-    /// Two reference-count bumps plus a fresh (empty) scratch arena — the
-    /// arena is per-executor working state, never shared by clones.
+    /// Two reference-count bumps plus a fresh (empty) scratch pool — the
+    /// arenas are per-executor working state, never shared by clones.
     fn clone(&self) -> Self {
         QueryExecutor {
             index: Arc::clone(&self.index),
             buffers: Arc::clone(&self.buffers),
             vector_size: self.vector_size,
-            scratch: Mutex::new(QueryScratch::new()),
+            scratch: ScratchPool::new(),
         }
     }
 }
@@ -117,7 +119,7 @@ impl QueryExecutor {
             index,
             buffers,
             vector_size: VectorSize::DEFAULT.get(),
-            scratch: Mutex::new(QueryScratch::new()),
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -163,16 +165,19 @@ impl QueryExecutor {
         strategy: SearchStrategy,
         n: usize,
     ) -> Result<SearchResponse, ExecError> {
-        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        self.engine()
-            .search_with_scratch(term_ids, strategy, n, &mut scratch)
+        let mut scratch = self.scratch.acquire();
+        let response = self
+            .engine()
+            .search_with_scratch(term_ids, strategy, n, &mut scratch);
+        self.scratch.release(scratch);
+        response
     }
 
     /// The allocation-free query API for serving workers: fills `out`
     /// (cleared first) with up to `n` `(docid, score)` hits, best first,
-    /// reusing this executor's scratch arena. After a warmup query has
-    /// grown the arena, a call performs zero heap allocations. See
-    /// [`QueryEngine::search_hits_into`].
+    /// over an arena borrowed from this executor's pool. After a warmup
+    /// query has grown the arena, a call performs zero heap allocations.
+    /// See [`QueryEngine::search_hits_into`].
     pub fn search_hits_into(
         &self,
         term_ids: &[u32],
@@ -180,29 +185,22 @@ impl QueryExecutor {
         n: usize,
         out: &mut Vec<(u32, f32)>,
     ) -> Result<HitsResponse, ExecError> {
-        let mut scratch = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        self.engine()
-            .search_hits_into(term_ids, strategy, n, &mut scratch, out)
+        let mut scratch = self.scratch.acquire();
+        let response = self
+            .engine()
+            .search_hits_into(term_ids, strategy, n, &mut scratch, out);
+        self.scratch.release(scratch);
+        response
     }
 
-    /// Cumulative hot-path work counters of this executor's scratch arena
-    /// (see [`crate::HotPathStats`]); callers diff snapshots around query
-    /// spans to attribute decodes and scored rows.
-    pub fn hot_stats(&self) -> crate::HotPathStats {
-        self.scratch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .hot_stats()
-    }
-
-    /// Test hook: overwrites the executor's scratch arena with
-    /// seed-derived garbage (see [`QueryScratch::poison`]). Queries must
-    /// produce bit-identical results regardless.
+    /// Test hook: overwrites the arena the next query on this executor
+    /// borrows with seed-derived garbage (see
+    /// [`crate::QueryScratch::poison`]). Queries must produce
+    /// bit-identical results regardless.
     pub fn poison_scratch(&self, seed: u64) {
-        self.scratch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .poison(seed);
+        let mut scratch = self.scratch.acquire();
+        scratch.poison(seed);
+        self.scratch.release(scratch);
     }
 }
 

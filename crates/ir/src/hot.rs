@@ -434,8 +434,8 @@ pub struct HotPathStats {
     pub rows_scored: u64,
 }
 
-/// A pool of [`QueryScratch`] arenas for callers serving one shared
-/// resource (e.g. a cluster node) from many threads at once.
+/// A pool of [`QueryScratch`] arenas: how a [`crate::QueryExecutor`]
+/// lends scratch to queries that may run on many threads at once.
 ///
 /// [`Self::acquire`] pops a warmed arena or hands out a fresh empty one —
 /// constructing an empty scratch does not allocate; its buffers grow
@@ -445,7 +445,7 @@ pub struct HotPathStats {
 /// heap traffic. Unlike a single mutex-guarded arena, concurrent queries
 /// never serialize on each other: each gets its own arena.
 #[derive(Debug, Default)]
-pub struct ScratchPool {
+pub(crate) struct ScratchPool {
     pool: std::sync::Mutex<Vec<QueryScratch>>,
 }
 

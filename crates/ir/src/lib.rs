@@ -59,7 +59,7 @@ pub use boolean::BooleanQuery;
 pub use builder::{build_index_streaming, IndexBuilder};
 pub use engine::{HitsResponse, QueryEngine, SearchResponse, SearchResult, SearchStrategy};
 pub use executor::QueryExecutor;
-pub use hot::{HotPathStats, QueryScratch, ScratchPool};
+pub use hot::{HotPathStats, QueryScratch};
 pub use index::{IndexConfig, InvertedIndex, Materialize};
 pub use segment::SegmentOpenStats;
 pub use skipping::PostingCursor;

@@ -17,8 +17,8 @@ use x100_ir::{
     SegmentError, SpillConfig,
 };
 use x100_storage::{
-    BufferManager, BufferMode, Column, ColumnBuilder, DiskModel, SectionKind, SegmentReader,
-    SegmentWriter, StorageError,
+    fnv1a64, BufferManager, BufferMode, Column, ColumnBuilder, DiskModel, SectionKind,
+    SegmentReader, SegmentWriter, StorageError,
 };
 
 /// A path no other call shares: tests run on parallel threads of one
@@ -184,18 +184,6 @@ fn read_fault_after_open_is_a_typed_error_not_a_panic() {
 // Corruption injection helpers
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64 — the segment format's checksum, reimplemented here so the
-/// tests can *re-seal* deliberately corrupted files and prove the
-/// structural validators (not just the checksums) reject them.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
@@ -213,14 +201,14 @@ fn toc_layout(file: &[u8]) -> (usize, usize) {
 
 /// Re-seals the header checksum over bytes `[0..32)`.
 fn reseal_header(file: &mut [u8]) {
-    let sum = fnv(&file[0..32]);
+    let sum = fnv1a64(&file[0..32]);
     put_u64(file, 32, sum);
 }
 
 /// Re-seals the TOC trailer checksum over all entries.
 fn reseal_toc(file: &mut [u8]) {
     let (toc_offset, count) = toc_layout(file);
-    let sum = fnv(&file[toc_offset..toc_offset + count * 32]);
+    let sum = fnv1a64(&file[toc_offset..toc_offset + count * 32]);
     put_u64(file, toc_offset + count * 32, sum);
 }
 
@@ -239,7 +227,7 @@ fn reseal_section(file: &mut [u8], kind: u32) {
     let slot = toc_slot(file, kind);
     let offset = u64_at(file, slot + 8) as usize;
     let len = u64_at(file, slot + 16) as usize;
-    let sum = fnv(&file[offset..offset + len]);
+    let sum = fnv1a64(&file[offset..offset + len]);
     put_u64(file, slot + 24, sum);
     reseal_toc(file);
 }
@@ -566,24 +554,22 @@ fn resealed_fence_and_directory_damage_is_rejected() {
     open_expecting_error(&b, "names directory document count");
 }
 
-/// A segment written before the `BlockMax` section was retired carries it
-/// as kind 13. Such a file must still open, and serve every strategy
-/// exactly like the same segment without it: same results, same blocks
-/// admitted to a fresh pool, so no query ever reads the section.
+/// Kind 13 is reserved: version-2 segments stored the retired per-stride
+/// score bounds there, and no version-3 writer emits it. A version-3 file
+/// carrying it — here an extra column section relabelled 13, every
+/// checksum re-sealed — is an unknown section kind, a typed `Corrupt`.
 #[test]
-fn retired_blockmax_section_is_accepted_and_ignored() {
+fn reserved_section_kind_13_is_rejected() {
+    const GLOBAL_IDS: u32 = 10;
     let index = small_index(&IndexConfig::materialized_q8());
-    let (new_path, old_path) = (temp_path("no-blockmax"), temp_path("old-blockmax"));
-    index.write_segment(&new_path).unwrap();
-    let r = SegmentReader::open(&new_path).unwrap();
-    assert!(
-        !r.has_section(SectionKind::BlockMax),
-        "the writer emits no kind 13"
-    );
+    let (plain, extra) = (temp_path("plain"), temp_path("kind-13"));
+    index.write_segment(&plain).unwrap();
+    let r = SegmentReader::open(&plain).unwrap();
 
-    // The parent's shape: every section in writer order, then kind 13 as a
-    // raw metadata column of four slots per 128-posting stride.
-    let mut w = SegmentWriter::create(&old_path).unwrap();
+    // Every section of the plain segment, then one more raw column (four
+    // slots per 128-posting stride, as kind 13 held) under a kind the
+    // plain segment lacks, so the file opens before the relabel.
+    let mut w = SegmentWriter::create(&extra).unwrap();
     for kind in [
         SectionKind::Meta,
         SectionKind::TermsFences,
@@ -600,38 +586,28 @@ fn retired_blockmax_section_is_accepted_and_ignored() {
         w.write_section(kind, &r.read_section(kind).unwrap())
             .unwrap();
     }
-    let mut bm = ColumnBuilder::with_block_size("blockmax", Codec::Raw, 1024);
-    bm.extend(&vec![7; index.num_postings().div_ceil(128) * 4]);
-    w.write_column_section(SectionKind::BlockMax, &bm.finish())
+    let mut bounds = ColumnBuilder::with_block_size("bounds", Codec::Raw, 1024);
+    bounds.extend(&vec![7; index.num_postings().div_ceil(128) * 4]);
+    w.write_column_section(SectionKind::GlobalIds, &bounds.finish())
         .unwrap();
     w.finish().unwrap();
-    assert!(SegmentReader::open(&old_path)
-        .unwrap()
-        .has_section(SectionKind::BlockMax));
+    SegmentReader::open(&extra).expect("the unrelabelled file opens");
 
-    let fresh = |index| {
-        QueryExecutor::with_buffering(Arc::new(index), DiskModel::instant(), BufferMode::Hot, 0)
-    };
-    let open = |path| InvertedIndex::open_segment(path).expect("segment must open");
-    let (new_exec, old_exec) = (fresh(open(&new_path)), fresh(open(&old_path)));
-    let mem_exec = fresh(index);
-    let queries: [&[u32]; 5] = [&[0, 1, 2], &[3, 5, 8, 13], &[2], &[0, 23], &[7, 9, 11, 20]];
-    for strategy in SearchStrategy::ALL {
-        for q in queries {
-            let mem = mem_exec.search(q, strategy, 10).expect("mem search");
-            let new = new_exec.search(q, strategy, 10).expect("new search");
-            let old = old_exec.search(q, strategy, 10).expect("old search");
-            assert_eq!(new.results, mem.results, "{strategy:?} on {q:?}");
-            assert_eq!(old.results, mem.results, "{strategy:?} on {q:?}");
-            assert_eq!(old.io, new.io, "admissions of {strategy:?} on {q:?}");
-        }
-    }
+    let mut bytes = std::fs::read(&extra).unwrap();
+    let slot = toc_slot(&bytes, GLOBAL_IDS);
+    bytes[slot..slot + 4].copy_from_slice(&13u32.to_le_bytes());
+    reseal_toc(&mut bytes);
+    std::fs::write(&extra, &bytes).unwrap();
     assert_eq!(
-        old_exec.buffers().resident_blocks(),
-        new_exec.buffers().resident_blocks()
+        SegmentReader::open(&extra).err(),
+        Some(SegmentError::Corrupt("unknown section kind"))
     );
-    std::fs::remove_file(&new_path).unwrap();
-    std::fs::remove_file(&old_path).unwrap();
+    assert_eq!(
+        InvertedIndex::open_segment(&extra).err(),
+        Some(SegmentError::Corrupt("unknown section kind"))
+    );
+    std::fs::remove_file(&plain).unwrap();
+    std::fs::remove_file(&extra).unwrap();
 }
 
 /// A posting list stored out of docid order — here a Raw docid block with

@@ -43,7 +43,7 @@ pub use buffer::{BufferManager, BufferMode, NUM_STRIPES};
 pub use column::{Column, ColumnBuilder, ColumnId};
 pub use disk::{DiskModel, IoStats};
 pub use scan::ColumnScan;
-pub use segment::{SectionKind, SegmentError, SegmentReader, SegmentWriter};
+pub use segment::{fnv1a64, SectionKind, SegmentError, SegmentReader, SegmentWriter};
 pub use table::Table;
 
 use std::fmt;

@@ -140,11 +140,10 @@ pub enum SectionKind {
     /// Resident directory over the paged document names: first docid per
     /// page, small enough to pin in memory.
     NamesDir = 12,
-    /// **Retired** tag: no writer emits it any more. Older version-2
-    /// segments hold a raw `u32` column here (four per-stride bounds per
-    /// 128 postings); the open still checksums and structure-checks it
-    /// like every column section, and the index layer ignores it.
-    BlockMax = 13,
+    // Tag 13 stays reserved: version-2 segments used it for the retired
+    // per-stride score bounds (`BlockMax`). No version-3 writer emits it,
+    // so a version-3 file carrying it is an unknown kind, rejected as
+    // corrupt.
 }
 
 impl SectionKind {
@@ -162,7 +161,6 @@ impl SectionKind {
             10 => SectionKind::GlobalIds,
             11 => SectionKind::TermsFences,
             12 => SectionKind::NamesDir,
-            13 => SectionKind::BlockMax,
             _ => return None,
         })
     }
@@ -178,7 +176,6 @@ impl SectionKind {
                 | SectionKind::DocLens
                 | SectionKind::DocFreqs
                 | SectionKind::Offsets
-                | SectionKind::BlockMax
         )
     }
 }
@@ -203,6 +200,14 @@ impl Fnv1a {
     fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// FNV-1a (64-bit) of `bytes` in one call: the segment format's checksum,
+/// also the checksum of every network frame's payload.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut sum = Fnv1a::new();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// On-disk codec tag for a column section.
@@ -404,10 +409,8 @@ impl SegmentWriter {
             toc.extend_from_slice(&s.len.to_le_bytes());
             toc.extend_from_slice(&s.checksum.to_le_bytes());
         }
-        let mut toc_sum = Fnv1a::new();
-        toc_sum.update(&toc);
         self.out.write_all(&toc)?;
-        self.out.write_all(&toc_sum.finish().to_le_bytes())?;
+        self.out.write_all(&fnv1a64(&toc).to_le_bytes())?;
         let file_len = toc_offset + toc.len() as u64 + 8;
 
         let mut header = [0u8; HEADER_LEN as usize];
@@ -417,9 +420,8 @@ impl SegmentWriter {
         header[8..12].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
         header[16..24].copy_from_slice(&toc_offset.to_le_bytes());
         header[24..32].copy_from_slice(&file_len.to_le_bytes());
-        let mut head_sum = Fnv1a::new();
-        head_sum.update(&header[0..32]);
-        header[32..40].copy_from_slice(&head_sum.finish().to_le_bytes());
+        let head_sum = fnv1a64(&header[0..32]);
+        header[32..40].copy_from_slice(&head_sum.to_le_bytes());
 
         self.out.flush()?;
         let mut file = self
@@ -488,9 +490,7 @@ impl SegmentReader {
         let toc_offset = u64::from_le_bytes(header[16..24].try_into().unwrap());
         let file_len = u64::from_le_bytes(header[24..32].try_into().unwrap());
         let stored_sum = u64::from_le_bytes(header[32..40].try_into().unwrap());
-        let mut head_sum = Fnv1a::new();
-        head_sum.update(&header[0..32]);
-        if head_sum.finish() != stored_sum {
+        if fnv1a64(&header[0..32]) != stored_sum {
             return Err(SegmentError::Corrupt("header checksum mismatch"));
         }
         if flags != 0 || reserved != 0 {
@@ -526,10 +526,8 @@ impl SegmentReader {
         let mut toc = vec![0u8; toc_len as usize];
         file.read_exact_at(&mut toc, toc_offset)?;
         let entry_bytes = &toc[..toc.len() - 8];
-        let mut toc_sum = Fnv1a::new();
-        toc_sum.update(entry_bytes);
         let stored_toc_sum = u64::from_le_bytes(toc[toc.len() - 8..].try_into().unwrap());
-        if toc_sum.finish() != stored_toc_sum {
+        if fnv1a64(entry_bytes) != stored_toc_sum {
             return Err(SegmentError::Corrupt("table-of-contents checksum mismatch"));
         }
         let mut sections = Vec::with_capacity(section_count as usize);
@@ -975,9 +973,8 @@ mod tests {
         bytes = good;
         bytes[4] = 99;
         // Re-seal the header checksum so the version check is what fires.
-        let mut sum = Fnv1a::new();
-        sum.update(&bytes[0..32]);
-        bytes[32..40].copy_from_slice(&sum.finish().to_le_bytes());
+        let sum = fnv1a64(&bytes[0..32]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open(&path),
@@ -1051,9 +1048,8 @@ mod tests {
         write_sample(&path);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
-        let mut sum = Fnv1a::new();
-        sum.update(&bytes[0..32]);
-        bytes[32..40].copy_from_slice(&sum.finish().to_le_bytes());
+        let sum = fnv1a64(&bytes[0..32]);
+        bytes[32..40].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open(&path),
