@@ -26,6 +26,7 @@
 //! on corruption.
 
 use crate::image::{Image, TAG_PFOR, TAG_PFOR_DELTA, TAG_RAW};
+use crate::patch::check_range;
 use crate::pdict::PdictBlock;
 use crate::pfor::PforBlock;
 use crate::pfor_delta::PforDeltaBlock;
@@ -182,6 +183,11 @@ impl CompressedBlock {
     }
 
     /// Decompresses `len` values starting at entry-aligned `start`.
+    ///
+    /// # Errors
+    /// [`CodecError::Misaligned`] for an unaligned `start` — Raw included,
+    /// so no caller comes to rely on what only uncompressed columns allow —
+    /// and [`CodecError::OutOfBounds`] past the block's end.
     pub fn decode_range_into(
         &self,
         start: usize,
@@ -191,15 +197,9 @@ impl CompressedBlock {
         match self {
             CompressedBlock::Raw(b) => {
                 let v = b.values();
-                let end = start.saturating_add(len);
-                if end > v.len() {
-                    return Err(CodecError::OutOfBounds {
-                        position: end,
-                        len: v.len(),
-                    });
-                }
+                check_range(start, len, v.len())?;
                 out.clear();
-                out.extend_from_slice(&v[start..end]);
+                out.extend_from_slice(&v[start..start + len]);
                 Ok(())
             }
             CompressedBlock::Pfor(b) => b.decode_range_into(start, len, out),
@@ -337,11 +337,39 @@ mod tests {
 
     #[test]
     fn decode_range_dispatches_for_raw() {
-        let block = CompressedBlock::encode(&[1, 2, 3, 4], Codec::Raw);
+        let values: Vec<u32> = (0..300).collect();
+        let block = CompressedBlock::encode(&values, Codec::Raw);
         let mut out = Vec::new();
-        block.decode_range_into(1, 2, &mut out).unwrap();
-        assert_eq!(out, vec![2, 3]);
-        assert!(block.decode_range_into(2, 9, &mut out).is_err());
+        block.decode_range_into(128, 2, &mut out).unwrap();
+        assert_eq!(out, vec![128, 129]);
+        assert!(block.decode_range_into(256, 99, &mut out).is_err());
+    }
+
+    #[test]
+    fn decode_range_rejects_misaligned_start_for_every_codec() {
+        let values: Vec<u32> = (0..600).map(|i| i % 777).collect();
+        for codec in [
+            Codec::Raw,
+            Codec::Pfor { width: 8 },
+            Codec::PforDelta { width: 8 },
+            Codec::Pdict { width: 8 },
+        ] {
+            let block = CompressedBlock::encode(&values, codec);
+            let mut out = Vec::new();
+            for start in [1, 64, 127, 129, 300] {
+                assert_eq!(
+                    block.decode_range_into(start, 1, &mut out),
+                    Err(CodecError::Misaligned {
+                        position: start,
+                        stride: 128
+                    }),
+                    "{codec:?} start={start}"
+                );
+            }
+            // Aligned starts keep working, including the last partial stride.
+            block.decode_range_into(512, 88, &mut out).unwrap();
+            assert_eq!(out, &values[512..600], "{codec:?}");
+        }
     }
 
     #[test]

@@ -146,11 +146,6 @@ macro_rules! patched_views {
             self.image().entry_points()
         }
 
-        /// The packed code section.
-        pub fn packed_codes(&self) -> &[u64] {
-            self.image().codes()
-        }
-
         /// Position of the first exception, or [`crate::NO_EXCEPTION`].
         pub fn first_exception(&self) -> u32 {
             let entry = self.image().entry_point(0);

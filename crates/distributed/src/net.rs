@@ -475,10 +475,13 @@ impl NodeServer {
                         .name(format!("node-conn-p{partition}"))
                         .spawn(move || serve_connection(stream, &node, &shutdown, &fault))
                     {
-                        workers
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(handle);
+                        let mut workers = workers.lock().unwrap_or_else(|e| e.into_inner());
+                        // Connections come and go (failovers, stale pooled
+                        // streams): keep live threads only. A finished one
+                        // has nothing left to join, and `kill` would ignore
+                        // its outcome (a contained panic) anyway.
+                        workers.retain(|h| !h.is_finished());
+                        workers.push(handle);
                     }
                 })?
         };
@@ -1411,6 +1414,29 @@ mod tests {
             4,
         );
         assert_eq!(merged, vec![(3, 2.0), (5, 2.0), (1, 1.0), (9, 1.0)]);
+    }
+
+    #[test]
+    fn server_drops_the_handles_of_finished_connections() {
+        let c = x100_corpus::SyntheticCollection::generate(&x100_corpus::CollectionConfig::tiny());
+        let cluster = SimulatedCluster::build(&c, 1, &x100_ir::IndexConfig::compressed());
+        let server = NodeServer::spawn(Arc::clone(&cluster.nodes()[0]), 0).unwrap();
+        for _ in 0..50 {
+            drop(TcpStream::connect(server.addr()).unwrap());
+        }
+        // The list shrinks on an accept: connect until the threads of the
+        // dropped connections have ended and left it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let _stream = TcpStream::connect(server.addr()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            let n = server.workers.lock().unwrap().len();
+            if n <= 4 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{n} connection handles kept");
+        }
+        server.kill();
     }
 
     #[test]

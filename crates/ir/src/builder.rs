@@ -249,7 +249,7 @@ impl IndexBuilder {
     ///
     /// # Errors
     /// A run that does not open (truncated, bit-flipped, missing) or whose
-    /// contents are inconsistent — a `doc_freqs` length other than the
+    /// contents are inconsistent — a `DocFreqs` column length other than the
     /// vocabulary size, `docid` and `tf` lengths that disagree, or a term
     /// list that does not strictly ascend inside a run or where two runs
     /// meet — is a typed [`SegmentError`].

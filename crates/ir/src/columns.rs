@@ -54,18 +54,17 @@ pub(crate) fn score_codec(materialize: Materialize) -> Option<Codec> {
     }
 }
 
-/// The finished TD posting columns plus the T-table statistics accumulated
-/// while streaming: everything [`crate::InvertedIndex`] needs beyond the
-/// D-table metadata.
+/// The finished TD posting columns plus the range index accumulated while
+/// streaming: everything [`crate::InvertedIndex`] needs beyond the D-table
+/// metadata.
 #[derive(Debug)]
 pub(crate) struct IndexColumns {
     /// Compressed `docid` column, (term, docid)-ordered.
     pub docid: Column,
     /// Compressed `tf` column, aligned with `docid`.
     pub tf: Column,
-    /// Per-term document frequencies (`ftd`).
-    pub doc_freqs: Vec<u32>,
-    /// `offsets[t]..offsets[t + 1]` is term `t`'s row range.
+    /// `offsets[t]..offsets[t + 1]` is term `t`'s row range. Each row is
+    /// one (term, document) pair, so the range's length is `ftd`.
     pub offsets: Vec<usize>,
 }
 
@@ -79,7 +78,6 @@ pub(crate) struct IndexColumns {
 pub(crate) struct IndexColumnsWriter {
     docid: ColumnBuilder,
     tf: ColumnBuilder,
-    doc_freqs: Vec<u32>,
     offsets: Vec<usize>,
     /// Next term slot whose offset gap is still open.
     next_term: usize,
@@ -104,7 +102,6 @@ impl IndexColumnsWriter {
         IndexColumnsWriter {
             docid: ColumnBuilder::with_block_size("docid", docid_codec, block_size),
             tf: ColumnBuilder::with_block_size("tf", tf_codec, block_size),
-            doc_freqs: vec![0; num_terms],
             offsets: vec![0; num_terms + 1],
             next_term: 0,
             num_terms,
@@ -125,7 +122,7 @@ impl IndexColumnsWriter {
     pub fn push_term(&mut self, term: usize, postings: &[u64]) {
         self.open_term(term);
         // The packing stores docid in the upper and tf in the lower 32 bits.
-        self.append(term, postings.iter().map(|&p| ((p >> 32) as u32, p as u32)));
+        self.append(postings.iter().map(|&p| ((p >> 32) as u32, p as u32)));
     }
 
     /// Appends postings to `term`'s list: either the term last written,
@@ -139,7 +136,7 @@ impl IndexColumnsWriter {
         if term + 1 != self.next_term {
             self.open_term(term);
         }
-        self.append(term, docids.iter().copied().zip(tfs.iter().copied()));
+        self.append(docids.iter().copied().zip(tfs.iter().copied()));
     }
 
     /// Starts `term`'s list, closing the offset gap over absent (empty)
@@ -161,15 +158,14 @@ impl IndexColumnsWriter {
         self.next_term = term + 1;
     }
 
-    /// Appends postings to the open `term`, accounting the pending
+    /// Appends postings to the open term, accounting the pending
     /// high-water they reach *before* pushing them (so the push loop stays
     /// branch-free): both builders fill in lockstep, climbing from the
     /// current pending level until a block seals at `block_size` values —
     /// whichever comes first.
-    fn append(&mut self, term: usize, postings: impl ExactSizeIterator<Item = (u32, u32)>) {
+    fn append(&mut self, postings: impl ExactSizeIterator<Item = (u32, u32)>) {
         let n = postings.len();
-        self.doc_freqs[term] += n as u32;
-        self.offsets[term + 1] += n;
+        self.offsets[self.next_term] += n;
         let intra_peak = (self.docid.pending_len() + n).min(self.block_size);
         self.peak_buffered = self.peak_buffered.max(intra_peak * 8); // 2 cols × 4 B
         for (docid, tf) in postings {
@@ -196,7 +192,6 @@ impl IndexColumnsWriter {
         IndexColumns {
             docid: self.docid.finish(),
             tf: self.tf.finish(),
-            doc_freqs: self.doc_freqs,
             offsets: self.offsets,
         }
     }
@@ -219,7 +214,6 @@ mod tests {
         let cols = w.finish();
         assert_eq!(cols.docid.read_all(), vec![1, 7, 2]);
         assert_eq!(cols.tf.read_all(), vec![2, 1, 4]);
-        assert_eq!(cols.doc_freqs, vec![2, 0, 0, 1, 0]);
         assert_eq!(cols.offsets, vec![0, 2, 2, 2, 3, 3]);
         // Same blocks as compressing the materialized columns in one go.
         let (dc, tc) = posting_codecs(&config);
@@ -236,7 +230,6 @@ mod tests {
         let cols = w.finish();
         assert!(cols.docid.is_empty());
         assert_eq!(cols.offsets, vec![0; 4]);
-        assert_eq!(cols.doc_freqs, vec![0; 3]);
     }
 
     #[test]

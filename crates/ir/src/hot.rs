@@ -328,10 +328,8 @@ pub struct QueryScratch {
     heap: Vec<HeapRow>,
     /// Hit staging for callers that materialize full responses.
     pub(crate) hits: Vec<(u32, f32)>,
-    /// Window over the index's term-offset column.
+    /// Window over the index's term-offset column: ranges, and so `ftd`s.
     off_window: Window,
-    /// Window over the index's doc-freq column.
-    freq_window: Window,
     /// Window over the index's doc-len column.
     len_window: Window,
     /// Lifetime count of rows offered to the scoring fold. Monotone.
@@ -390,11 +388,7 @@ impl QueryScratch {
             .cursors
             .iter_mut()
             .flat_map(|c| [&mut c.doc, &mut c.pay]);
-        let meta_windows = [
-            &mut self.off_window,
-            &mut self.freq_window,
-            &mut self.len_window,
-        ];
+        let meta_windows = [&mut self.off_window, &mut self.len_window];
         // Every window becomes a *plausible* leftover from another index —
         // an in-range stride-aligned start over garbage values and a live
         // pin, at a low block index, on a block no column owns — which a
@@ -409,11 +403,10 @@ impl QueryScratch {
 
     /// Cumulative hot-path work counters since this scratch was created.
     /// Both meters are monotone; callers diff two snapshots to attribute
-    /// work to a span of queries. The stride count covers the three
+    /// work to a span of queries. The stride count covers the two
     /// metadata windows as well as the posting cursors', on every index.
     pub fn hot_stats(&self) -> HotPathStats {
-        let mut refills =
-            self.off_window.refills + self.freq_window.refills + self.len_window.refills;
+        let mut refills = self.off_window.refills + self.len_window.refills;
         for c in &self.cursors {
             refills += c.doc.refills + c.pay.refills;
         }
@@ -473,39 +466,18 @@ impl ScratchPool {
     }
 }
 
-/// A term's TD row range: two windowed reads of the offset column, empty
-/// for an unknown term and for offsets a valid segment cannot hold (past
-/// the posting count, or descending).
+/// A term's TD row range: two windowed reads of the offset column, under
+/// [`PagedMetadata::range_of`]'s rule. Its length is the term's `ftd`.
 fn term_range_of(
     meta: &PagedMetadata,
     window: &mut Window,
     buffers: &BufferManager,
     vector_size: usize,
     term: u32,
-) -> Result<Range<usize>, ExecError> {
-    let t = term as usize;
-    if t >= meta.num_terms {
-        return Ok(0..0);
-    }
-    let start = window.value_at(&meta.offsets, buffers, vector_size, t)? as usize;
-    let end = (window.value_at(&meta.offsets, buffers, vector_size, t + 1)? as usize)
-        .min(meta.num_postings);
-    Ok(if start > end { 0..0 } else { start..end })
-}
-
-/// A term's document frequency: a windowed read of the doc-freq column, 0
-/// for an unknown term.
-fn doc_freq_of(
-    meta: &PagedMetadata,
-    window: &mut Window,
-    buffers: &BufferManager,
-    vector_size: usize,
-    term: u32,
-) -> Result<u32, StorageError> {
-    if term as usize >= meta.num_terms {
-        return Ok(0);
-    }
-    window.value_at(&meta.doc_freqs, buffers, vector_size, term as usize)
+) -> Result<Range<usize>, StorageError> {
+    meta.range_of(term, |i| {
+        window.value_at(&meta.offsets, buffers, vector_size, i)
+    })
 }
 
 /// The k-way union's next candidate: the smallest current docid among
@@ -647,7 +619,6 @@ fn live_terms(
     // Query start: nothing staged for an earlier query — maybe over another
     // index's columns, or a pool emptied since — may be served to this one.
     scratch.off_window.invalidate();
-    scratch.freq_window.invalidate();
     scratch.len_window.invalidate();
     scratch.terms.clear();
     for &t in term_ids {
@@ -704,13 +675,14 @@ fn score_mode(
     let QueryScratch {
         terms,
         coefs,
-        freq_window,
+        off_window,
         ..
     } = scratch;
     coefs.clear();
     for &t in terms.iter() {
-        let df = doc_freq_of(index.meta(), freq_window, buffers, vector_size, t)?;
-        coefs.push(idf(stats.num_docs, df) * (params.k1 + 1.0));
+        // `ftd` is the length of the term's range, staged by `live_terms`.
+        let df = term_range_of(index.meta(), off_window, buffers, vector_size, t)?.len();
+        coefs.push(idf(stats.num_docs, df as u32) * (params.k1 + 1.0));
     }
     Ok(ScoreMode::Computed {
         c0: params.k1 * (1.0 - params.b),

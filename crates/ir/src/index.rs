@@ -161,12 +161,7 @@ impl InvertedIndex {
         doc_lens: Vec<i32>,
         cols: IndexColumns,
     ) -> Self {
-        let IndexColumns {
-            docid,
-            tf,
-            doc_freqs,
-            offsets,
-        } = cols;
+        let IndexColumns { docid, tf, offsets } = cols;
         let num_terms = vocab.len();
         let num_docs = doc_lens.len();
 
@@ -181,9 +176,9 @@ impl InvertedIndex {
         };
 
         // Optional score materialization (§3.3): ω is query-independent
-        // once k1 and b are fixed, and every input (doc_freqs, doc_lens,
-        // collection stats) is known by the time the posting columns are
-        // sealed — so the score column streams off the compressed blocks.
+        // once k1 and b are fixed, and every input (ftd from the offsets,
+        // doc_lens, collection stats) is known by the time the posting
+        // columns are sealed — so the score column streams off the blocks.
         let mut quantizer = None;
         let mut score_col = None;
         if config.materialize != Materialize::None {
@@ -191,7 +186,7 @@ impl InvertedIndex {
                 term_weight(
                     config.params,
                     stats,
-                    doc_freqs[t],
+                    (offsets[t + 1] - offsets[t]) as u32,
                     f,
                     doc_lens[d as usize] as u32,
                 )
@@ -246,7 +241,6 @@ impl InvertedIndex {
             names,
             names_dir,
             doc_lens: metadata_column("doc_lens", doc_lens.iter().map(|&l| l as u32)),
-            doc_freqs: metadata_column("doc_freqs", doc_freqs),
             offsets: metadata_column(
                 "offsets",
                 offsets.iter().map(|&o| {
@@ -321,9 +315,10 @@ impl InvertedIndex {
         self.meta.term_id(term)
     }
 
-    /// `ftd`: number of documents containing the term.
+    /// `ftd`: number of documents containing the term — the length of its
+    /// range, one TD row per (term, document) pair.
     pub fn doc_freq(&self, term: u32) -> u32 {
-        self.meta.doc_freq(term)
+        self.term_range(term).len() as u32
     }
 
     /// Document name by docid (owned: the lookup stages the name's page

@@ -7,7 +7,7 @@
 //! * [`index::InvertedIndex`] — the inverted index *as relational tables*:
 //!   `TD[term, docid, tf]` ordered on (term, docid) with the term column
 //!   replaced by a range index, `D[docid, name, length]`, and
-//!   `T[term, ftd]` (§3.1).
+//!   `T[term, ftd]` (§3.1), whose `ftd` is the length of the term's range.
 //! * [`bm25`] — the Okapi BM25 retrieval model (equations 1–2) and the
 //!   Global-By-Value 8-bit score quantization (§3.3).
 //! * [`engine::QueryEngine`] — translates keyword queries into X100

@@ -9,7 +9,9 @@
 //! `pread`-on-miss loading and buffer-pool eviction apply to strings
 //! exactly as they do to posting columns. The columns are memory-backed
 //! in a built index and disk-backed in a reopened one; the segment writes
-//! them as they are. Beside them an index keeps only the per-page
+//! them as they are. Every metadata column is Raw pages of
+//! [`PAGE_VALUES`] values, so a lookup reads one block and views it in
+//! place ([`raw_page`]). Beside them an index keeps only the per-page
 //! directories defined here — [`TermFences`] (the lexicographically first
 //! term of every vocabulary page) and [`NamesDir`] (the first docid of
 //! every name page) — which is what makes a segment open O(block
@@ -32,11 +34,14 @@
 //! [`SegmentError::TooLarge`] when the page is built, so the reader never
 //! needs a record-spans-pages case.
 
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use x100_compress::{Codec, ENTRY_POINT_STRIDE};
+use x100_compress::{Codec, CompressedBlock, ENTRY_POINT_STRIDE};
 use x100_storage::{Column, ColumnBuilder, SegmentError};
+
+use crate::segment::block_error;
 
 /// Words (u32 values) per record page: 4 KiB, one column block per page.
 pub(crate) const PAGE_VALUES: usize = 1024;
@@ -127,18 +132,21 @@ impl RecordPagesBuilder {
     }
 }
 
-/// A structural view over one decoded record page.
+/// A structural view over one record page, in place in its Raw block.
 ///
 /// Construction panics on malformed pages: every byte of the file was
 /// checksummed when the segment opened, so a page that violates its own
 /// framing is a writer bug, never bad input.
 pub(crate) struct PageView<'a> {
+    /// The record count, then the per-record end offsets.
     words: &'a [u32],
-    count: usize,
+    /// The data area: the page's bytes after `words`.
+    data: &'a [u8],
 }
 
 impl<'a> PageView<'a> {
-    pub(crate) fn new(words: &'a [u32]) -> Self {
+    pub(crate) fn new(page: &'a CompressedBlock) -> Self {
+        let words = raw_page(page);
         assert_eq!(words.len(), PAGE_VALUES, "record page has the wrong extent");
         let count = words[0] as usize;
         assert!(
@@ -150,46 +158,60 @@ impl<'a> PageView<'a> {
             1 + count + total.div_ceil(4) <= PAGE_VALUES,
             "record page overflows its extent"
         );
-        PageView { words, count }
+        // A Raw block's values are its image's little-endian bytes.
+        let bytes = &page.as_bytes()[page.sections().codes];
+        PageView {
+            words: &words[..=count],
+            data: &bytes[4 * (1 + count)..],
+        }
     }
 
     pub(crate) fn record_count(&self) -> usize {
-        self.count
+        self.words.len() - 1
     }
 
-    /// Copies record `j`'s bytes into `out` (cleared first).
-    pub(crate) fn record_into(&self, j: usize, out: &mut Vec<u8>) {
-        assert!(j < self.count, "record index out of range");
+    /// Record `j`'s bytes.
+    pub(crate) fn record(&self, j: usize) -> &'a [u8] {
+        assert!(j < self.record_count(), "record index out of range");
         let start = if j == 0 { 0 } else { self.words[j] as usize };
-        let end = self.words[j + 1] as usize;
-        assert!(start <= end, "record page ends not monotone");
-        let data = &self.words[1 + self.count..];
-        out.clear();
-        for k in start..end {
-            out.push((data[k / 4] >> (8 * (k % 4))) as u8);
-        }
+        &self.data[start..self.words[j + 1] as usize]
     }
 }
 
-/// Decodes page `page` of a records column into `buf` — an un-pooled read
-/// of the one block that holds the page. Every index's `term_id()` and
-/// `doc_name()` come through here.
-pub(crate) fn read_page(col: &Column, page: usize, buf: &mut Vec<u32>) {
-    col.read_range(page * PAGE_VALUES, PAGE_VALUES, buf)
-        .expect("verified record page must read");
+/// The values of one metadata page, viewed in place.
+///
+/// # Panics
+/// Panics if the block is not Raw: a built index writes only Raw pages
+/// and a segment open rejects any other block ([`check_raw_pages`]).
+pub(crate) fn raw_page(block: &CompressedBlock) -> &[u32] {
+    match block {
+        CompressedBlock::Raw(page) => page.values(),
+        other => panic!("metadata page is not raw: {other:?}"),
+    }
+}
+
+/// Checks that every block of a metadata column is a Raw page of
+/// [`PAGE_VALUES`] values (the last may hold fewer). A section's header
+/// declares one codec but each block image carries its own, so a segment
+/// open calls this: a PFOR block under a Raw header is a typed error
+/// there, never a panic in [`raw_page`] later.
+pub(crate) fn check_raw_pages(col: &Column) -> Result<(), SegmentError> {
+    for idx in 0..col.block_count() {
+        let block = col.fetch(idx).map_err(block_error)?;
+        let expect = (col.len() - idx * PAGE_VALUES).min(PAGE_VALUES);
+        if !matches!(&*block, CompressedBlock::Raw(page) if page.values().len() == expect) {
+            return Err(SegmentError::Corrupt("metadata page is not a raw page"));
+        }
+    }
+    Ok(())
 }
 
 /// One value of a paged u32 column — an un-pooled read of the enclosing
-/// block, decoding one entry-point window into a small fresh stage. Every
-/// index's `term_range()` and `doc_freq()` come through here; the fused
-/// query path reads through the pinned windows in `QueryScratch` instead.
+/// page, indexed in place. Every index's `term_range()` comes through
+/// here; the fused query path reads through the pinned windows in
+/// `QueryScratch` instead.
 pub(crate) fn col_value(col: &Column, idx: usize) -> u32 {
-    let aligned = idx - idx % ENTRY_POINT_STRIDE;
-    let take = ENTRY_POINT_STRIDE.min(col.len() - aligned);
-    let mut buf = Vec::with_capacity(take);
-    col.read_range(aligned, take, &mut buf)
-        .expect("verified column must read");
-    buf[idx - aligned]
+    raw_page(&col.block(idx / PAGE_VALUES))[idx % PAGE_VALUES]
 }
 
 /// The resident fence-key index over the paged vocabulary: the
@@ -438,20 +460,18 @@ impl NamePagesBuilder {
 /// Binary-searches the paged vocabulary: the fence keys select the one
 /// page that can hold `term`, then a binary search over that page's
 /// records finds it; the record's embedded id is the answer. Cold path —
-/// stages one page per call.
+/// reads one page per call.
 pub(crate) fn lookup_term(terms: &Column, fences: &TermFences, term: &str) -> Option<u32> {
     let p = fences.first_keys.partition_point(|k| k.as_str() <= term);
     if p == 0 {
         return None;
     }
-    let mut words = Vec::new();
-    read_page(terms, p - 1, &mut words);
-    let view = PageView::new(&words);
-    let mut rec = Vec::new();
+    let page = terms.block(p - 1);
+    let view = PageView::new(&page);
     let (mut lo, mut hi) = (0usize, view.record_count());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        view.record_into(mid, &mut rec);
+        let rec = view.record(mid);
         match rec[TERM_ID_BYTES..].cmp(term.as_bytes()) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
@@ -464,24 +484,23 @@ pub(crate) fn lookup_term(terms: &Column, fences: &TermFences, term: &str) -> Op
 }
 
 /// Fetches one document name from the paged name column. Cold path —
-/// stages one page per call.
+/// reads one page per call.
 pub(crate) fn lookup_name(names: &Column, dir: &NamesDir, docid: u32) -> Option<String> {
     let &num_docs = dir.starts.last().expect("directory is never empty");
     if docid >= num_docs {
         return None;
     }
-    let page = dir.starts.partition_point(|&s| s <= docid) - 1;
-    let mut words = Vec::new();
-    read_page(names, page, &mut words);
-    let view = PageView::new(&words);
-    let mut rec = Vec::new();
-    view.record_into((docid - dir.starts[page]) as usize, &mut rec);
-    Some(String::from_utf8(rec).expect("doc-name page holds the UTF-8 that was written"))
+    let p = dir.starts.partition_point(|&s| s <= docid) - 1;
+    let page = names.block(p);
+    let rec = PageView::new(&page).record((docid - dir.starts[p]) as usize);
+    let name = std::str::from_utf8(rec).expect("doc-name page holds the UTF-8 that was written");
+    Some(name.to_owned())
 }
 
-/// Everything an index keeps of its metadata: five columns — memory-backed
+/// Everything an index keeps of its metadata: four columns — memory-backed
 /// when built in this process, disk-backed when reopened from a segment —
-/// plus the two small resident directories.
+/// plus the two small resident directories. A term's document frequency is
+/// not among them: it is the length of the term's offset range.
 #[derive(Debug)]
 pub(crate) struct PagedMetadata {
     pub(crate) terms: Column,
@@ -489,7 +508,6 @@ pub(crate) struct PagedMetadata {
     pub(crate) names: Column,
     pub(crate) names_dir: NamesDir,
     pub(crate) doc_lens: Column,
-    pub(crate) doc_freqs: Column,
     pub(crate) offsets: Column,
     pub(crate) num_terms: usize,
     pub(crate) num_postings: usize,
@@ -508,27 +526,29 @@ impl PagedMetadata {
         lookup_name(&self.names, &self.names_dir, docid)
     }
 
+    /// A term's TD row range, un-pooled: the oracle's reader of the
+    /// offset column.
     pub(crate) fn term_range(&self, term: u32) -> Range<usize> {
-        let t = term as usize;
-        if t >= self.num_terms {
-            return 0..0;
-        }
-        let start = col_value(&self.offsets, t) as usize;
-        let end = (col_value(&self.offsets, t + 1) as usize).min(self.num_postings);
-        if start > end {
-            0..0
-        } else {
-            start..end
-        }
+        let Ok(range) = self.range_of(term, |i| Ok::<_, Infallible>(col_value(&self.offsets, i)));
+        range
     }
 
-    pub(crate) fn doc_freq(&self, term: u32) -> u32 {
+    /// The term-range rule, over the offsets `offset(i)` some reader
+    /// supplies: an unknown term's range is empty, `end` is clamped to the
+    /// posting count, and a descending pair (which a valid segment cannot
+    /// hold) is empty.
+    pub(crate) fn range_of<E>(
+        &self,
+        term: u32,
+        mut offset: impl FnMut(usize) -> Result<u32, E>,
+    ) -> Result<Range<usize>, E> {
         let t = term as usize;
         if t >= self.num_terms {
-            0
-        } else {
-            col_value(&self.doc_freqs, t)
+            return Ok(0..0);
         }
+        let start = offset(t)? as usize;
+        let end = (offset(t + 1)? as usize).min(self.num_postings);
+        Ok(if start > end { 0..0 } else { start..end })
     }
 
     pub(crate) fn num_docs(&self) -> usize {
@@ -607,16 +627,14 @@ mod tests {
         assert_eq!(total, records.iter().map(|r| r.len() as u64).sum::<u64>());
         assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), 300);
         assert_eq!(col.len(), counts.len() * PAGE_VALUES);
-        let mut words = Vec::new();
-        let mut rec = Vec::new();
+        check_raw_pages(&col).unwrap();
         let mut i = 0;
         for (page, &count) in counts.iter().enumerate() {
-            read_page(&col, page, &mut words);
-            let view = PageView::new(&words);
+            let block = col.block(page);
+            let view = PageView::new(&block);
             assert_eq!(view.record_count(), count as usize);
             for j in 0..view.record_count() {
-                view.record_into(j, &mut rec);
-                assert_eq!(rec, records[i], "record {i}");
+                assert_eq!(view.record(j), records[i], "record {i}");
                 i += 1;
             }
         }

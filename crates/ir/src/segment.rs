@@ -10,14 +10,19 @@
 //! serve.
 //!
 //! Since format version 2 a segment open is **O(block directory), not
-//! O(collection)**: the vocabulary, document names, document lengths,
-//! document frequencies and term offsets are all stored as disk-backed
-//! columns whose blocks are `pread` through the buffer pool on first
-//! touch, exactly like posting blocks. The only metadata materialized at
-//! open time are two small directories — the per-page fence keys of the
-//! sorted vocabulary ([`SectionKind::TermsFences`]) and the first-docid
-//! table of the name pages ([`SectionKind::NamesDir`]) — whose size is
-//! reported in [`SegmentOpenStats`].
+//! O(collection)**: the vocabulary, document names, document lengths and
+//! term offsets are all stored as disk-backed columns of Raw pages whose
+//! blocks are `pread` on touch, exactly like posting blocks. The only
+//! metadata materialized at open time are two small directories — the
+//! per-page fence keys of the sorted vocabulary
+//! ([`SectionKind::TermsFences`]) and the first-docid table of the name
+//! pages ([`SectionKind::NamesDir`]) — whose size is reported in
+//! [`SegmentOpenStats`].
+//!
+//! Document frequencies are not stored: a term's `ftd` is the length of
+//! its offset range. Segments written before that carry a
+//! [`SectionKind::DocFreqs`] column; the reader verifies it like every
+//! section, and nothing here reads it.
 //!
 //! A reopened index is **bit-identical** to the one written: posting and
 //! score blocks come back byte-for-byte, the quantizer and the collection
@@ -34,12 +39,12 @@
 use std::path::{Path, PathBuf};
 
 use x100_compress::Codec;
-use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter};
+use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter, StorageError};
 
 use crate::bm25::{CollectionStats, Quantizer};
 use crate::columns::{posting_codecs, score_codec};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
-use crate::paged::{col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
+use crate::paged::{check_raw_pages, col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
 
 /// Fixed size of the serialized [`SectionKind::Meta`] payload.
 const META_LEN: usize = 64;
@@ -185,7 +190,7 @@ fn write_segment_file(
             "posting count exceeds the u32 offset column",
         ));
     }
-    // The metadata is written as the index holds it: five paged columns
+    // The metadata is written as the index holds it: four paged columns
     // and two directories.
     let meta = index.meta();
     let tmp = temp_sibling(path);
@@ -197,7 +202,6 @@ fn write_segment_file(
         w.write_section(SectionKind::NamesDir, &meta.names_dir.encode())?;
         w.write_column_section(SectionKind::DocNames, &meta.names)?;
         w.write_column_section(SectionKind::DocLens, &meta.doc_lens)?;
-        w.write_column_section(SectionKind::DocFreqs, &meta.doc_freqs)?;
         w.write_column_section(SectionKind::Offsets, &meta.offsets)?;
         let column = |name: &str| {
             index
@@ -334,56 +338,58 @@ fn decode_u32s(bytes: &[u8], count: usize) -> Result<Vec<u32>, SegmentError> {
         .collect())
 }
 
+/// A block read failure after a segment open verified the file: the file
+/// changed or the device faulted underneath the reader.
+pub(crate) fn block_error(e: StorageError) -> SegmentError {
+    match e {
+        StorageError::Io(std::io::ErrorKind::UnexpectedEof) => SegmentError::Truncated,
+        StorageError::Io(kind) => SegmentError::Io(kind.to_string()),
+        _ => SegmentError::Corrupt("block does not decode"),
+    }
+}
+
 fn open_segment_file(
     path: &Path,
 ) -> Result<(InvertedIndex, Option<Vec<u32>>, SegmentOpenStats), SegmentError> {
     let r = SegmentReader::open(path)?;
     let meta = decode_meta(&r.read_section(SectionKind::Meta)?)?;
-    // The five metadata columns are raw u32 columns paged at PAGE_VALUES,
-    // so the buffer pool serves them like any posting column.
-    let metadata_column =
-        |kind: SectionKind, name: &str, len: usize| -> Result<Column, SegmentError> {
-            let col = r.open_column(kind, name)?;
-            if col.codec() != Codec::Raw {
-                return Err(SegmentError::Corrupt("metadata column must be raw"));
-            }
-            if col.block_size() != PAGE_VALUES {
-                return Err(SegmentError::Corrupt(
-                    "metadata column has the wrong page size",
-                ));
-            }
-            if col.len() != len {
-                return Err(SegmentError::Corrupt(
-                    "metadata column length disagrees with the declared count",
-                ));
-            }
-            Ok(col)
-        };
-    let record_column = |kind: SectionKind, name: &str| -> Result<Column, SegmentError> {
+    // The four metadata columns are Raw pages of PAGE_VALUES u32s, every
+    // block of them: lookups view a page's values in place. A dense
+    // column holds its declared count (`len`), a record column whole pages.
+    let metadata_column = |kind: SectionKind, name: &str, len: Option<usize>| {
         let col = r.open_column(kind, name)?;
         if col.codec() != Codec::Raw {
             return Err(SegmentError::Corrupt("metadata column must be raw"));
         }
-        if col.block_size() != PAGE_VALUES || !col.len().is_multiple_of(PAGE_VALUES) {
-            return Err(SegmentError::Corrupt("record pages are ragged"));
+        if col.block_size() != PAGE_VALUES {
+            return Err(SegmentError::Corrupt(
+                "metadata column has the wrong page size",
+            ));
         }
-        Ok(col)
+        match len {
+            Some(len) if col.len() != len => Err(SegmentError::Corrupt(
+                "metadata column length disagrees with the declared count",
+            )),
+            None if !col.len().is_multiple_of(PAGE_VALUES) => {
+                Err(SegmentError::Corrupt("record pages are ragged"))
+            }
+            _ => check_raw_pages(&col).map(|()| col),
+        }
     };
-    let terms = record_column(SectionKind::Terms, "terms")?;
+    let terms = metadata_column(SectionKind::Terms, "terms", None)?;
     let fences = TermFences::decode(
         &r.read_section(SectionKind::TermsFences)?,
         meta.num_terms,
         terms.block_count(),
     )?;
-    let names = record_column(SectionKind::DocNames, "doc_names")?;
+    let names = metadata_column(SectionKind::DocNames, "doc_names", None)?;
     let names_dir = NamesDir::decode(
         &r.read_section(SectionKind::NamesDir)?,
         meta.num_docs,
         names.block_count(),
     )?;
-    let doc_lens = metadata_column(SectionKind::DocLens, "doc_lens", meta.num_docs)?;
-    let doc_freqs = metadata_column(SectionKind::DocFreqs, "doc_freqs", meta.num_terms)?;
-    let offsets = metadata_column(SectionKind::Offsets, "offsets", meta.num_terms + 1)?;
+    let doc_lens = metadata_column(SectionKind::DocLens, "doc_lens", Some(meta.num_docs))?;
+    let offsets = metadata_column(SectionKind::Offsets, "offsets", Some(meta.num_terms + 1))?;
     if col_value(&offsets, 0) != 0 {
         return Err(SegmentError::Corrupt("offsets must start at zero"));
     }
@@ -429,8 +435,8 @@ fn open_segment_file(
             None
         }
     };
-    // Older segments may carry the retired kind-13 section: the reader
-    // verified it like every column section, and nothing here reads it.
+    // A segment written before document frequencies were derived carries
+    // a `DocFreqs` column: the reader verified it, and nothing reads it.
     let global_ids = if r.has_section(SectionKind::GlobalIds) {
         Some(decode_u32s(
             &r.read_section(SectionKind::GlobalIds)?,
@@ -445,7 +451,6 @@ fn open_segment_file(
         names,
         names_dir,
         doc_lens,
-        doc_freqs,
         offsets,
         num_terms: meta.num_terms,
         num_postings: meta.num_postings,
@@ -455,7 +460,6 @@ fn open_segment_file(
         &paged.terms,
         &paged.names,
         &paged.doc_lens,
-        &paged.doc_freqs,
         &paged.offsets,
         &docid,
         &tf,

@@ -39,12 +39,13 @@ use std::path::{Path, PathBuf};
 use x100_corpus::{CollectionStream, CollectionTail};
 use x100_storage::{
     Column, ColumnBuilder, DiskModel, IoStats, SectionKind, SegmentError, SegmentReader,
-    SegmentWriter, StorageError,
+    SegmentWriter,
 };
 
 use crate::builder::IndexBuilder;
 use crate::columns::{IndexColumnsWriter, PFOR_PER_BLOCK, PFOR_POSTINGS};
 use crate::index::{IndexConfig, InvertedIndex};
+use crate::segment::block_error;
 
 /// Block size, in values, of every run column: a small multiple of the
 /// 128-value stride, so the run writer's pending blocks and the merge's
@@ -144,9 +145,12 @@ pub(crate) fn write_run(
     }
     let pending_peak = writer.peak_buffered_bytes();
     let cols = writer.finish();
-    // One pending block at a time, after the posting columns sealed theirs.
+    // One pending block at a time, after the posting columns sealed theirs:
+    // each term's posting count, the length of its offset range.
     let mut doc_freqs = ColumnBuilder::with_block_size("doc_freqs", PFOR_PER_BLOCK, RUN_BLOCK_SIZE);
-    doc_freqs.extend(&cols.doc_freqs);
+    for w in cols.offsets.windows(2) {
+        doc_freqs.push((w[1] - w[0]) as u32);
+    }
     let mut w = SegmentWriter::create(path)?;
     w.write_column_section(SectionKind::DocFreqs, &doc_freqs.finish())?;
     w.write_column_section(SectionKind::ColDocid, &cols.docid)?;
@@ -178,19 +182,21 @@ impl RunColumn {
         }
     }
 
-    /// The unread rest of the decoded block, reading the next block once
-    /// the current one is used up.
+    /// The unread rest of the decoded block, never empty, reading the next
+    /// block once the current one is used up.
     fn peek(&mut self) -> Result<&[u32], SegmentError> {
         if self.pos == self.values.len() {
             let b = self.next_block;
             if b == self.column.block_count() {
                 return Err(SegmentError::Corrupt("run doc_freqs exceed its postings"));
             }
-            let start = b * self.column.block_size();
-            let len = (self.column.len() - start).min(self.column.block_size());
             self.column
-                .read_range(start, len, &mut self.values)
-                .map_err(block_error)?;
+                .fetch(b)
+                .map_err(block_error)?
+                .decode_into(&mut self.values);
+            if self.values.is_empty() {
+                return Err(SegmentError::Corrupt("empty run block"));
+            }
             let image = self.column.block_bytes(b);
             self.bytes_read += image;
             self.largest_image = self.largest_image.max(image);
@@ -202,16 +208,6 @@ impl RunColumn {
 
     fn is_drained(&self) -> bool {
         self.pos == self.values.len() && self.next_block == self.column.block_count()
-    }
-}
-
-/// A block read failure after the open verified the run: the file changed
-/// or the device faulted underneath the build.
-fn block_error(e: StorageError) -> SegmentError {
-    match e {
-        StorageError::Io(std::io::ErrorKind::UnexpectedEof) => SegmentError::Truncated,
-        StorageError::Io(kind) => SegmentError::Io(kind.to_string()),
-        _ => SegmentError::Corrupt("run block does not decode"),
     }
 }
 

@@ -7,6 +7,7 @@
 //! allocation.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -232,6 +233,50 @@ fn reseal_section(file: &mut [u8], kind: u32) {
     reseal_toc(file);
 }
 
+/// Writes `dst` from the segment at `src`: its sections byte for byte, in
+/// writer order, except those a `columns` entry replaces; then `columns`.
+fn rewrite(src: &Path, dst: &Path, columns: &[(SectionKind, Column)]) {
+    let r = SegmentReader::open(src).unwrap();
+    let mut w = SegmentWriter::create(dst).unwrap();
+    for kind in [
+        SectionKind::Meta,
+        SectionKind::TermsFences,
+        SectionKind::Terms,
+        SectionKind::NamesDir,
+        SectionKind::DocNames,
+        SectionKind::DocLens,
+        SectionKind::Offsets,
+        SectionKind::ColDocid,
+        SectionKind::ColTf,
+        SectionKind::ColScore,
+        SectionKind::GlobalIds,
+    ] {
+        if r.has_section(kind) && columns.iter().all(|(k, _)| *k != kind) {
+            w.write_section(kind, &r.read_section(kind).unwrap())
+                .unwrap();
+        }
+    }
+    for (kind, column) in columns {
+        w.write_column_section(*kind, column).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+/// `values` as a column of 1 Ki-value blocks, the metadata page size.
+fn paged(codec: Codec, values: &[u32]) -> Column {
+    let mut b = ColumnBuilder::with_block_size("pages", codec, 1024);
+    b.extend(values);
+    b.finish()
+}
+
+/// The offsets column of the segment at `path`.
+fn offsets_of(path: &Path) -> Vec<u32> {
+    let r = SegmentReader::open(path).unwrap();
+    r.open_column(SectionKind::Offsets, "offsets")
+        .unwrap()
+        .read_all()
+}
+
 /// Opens patched bytes as a segment, expecting a typed error.
 fn open_expecting_error(bytes: &[u8], what: &str) {
     let path = temp_path("inject");
@@ -358,22 +403,7 @@ fn fixed_width_8_segment_still_opens_and_serves() {
     let index = mixed_width_index();
     let (new_path, old_path) = (temp_path("per-block"), temp_path("fixed-8"));
     index.write_segment(&new_path).unwrap();
-    let r = SegmentReader::open(&new_path).unwrap();
-    let mut w = SegmentWriter::create(&old_path).unwrap();
-    for kind in [
-        SectionKind::Meta,
-        SectionKind::TermsFences,
-        SectionKind::Terms,
-        SectionKind::NamesDir,
-        SectionKind::DocNames,
-        SectionKind::DocLens,
-        SectionKind::DocFreqs,
-        SectionKind::Offsets,
-    ] {
-        w.write_section(kind, &r.read_section(kind).unwrap())
-            .unwrap();
-    }
-    for (kind, name, codec) in [
+    let fixed_8 = [
         (
             SectionKind::ColDocid,
             "docid",
@@ -381,13 +411,14 @@ fn fixed_width_8_segment_still_opens_and_serves() {
         ),
         (SectionKind::ColTf, "tf", Codec::Pfor { width: 8 }),
         (SectionKind::ColScore, "score", Codec::Pfor { width: 8 }),
-    ] {
+    ]
+    .map(|(kind, name, codec)| {
         let column = index.td().column(name).unwrap();
         let mut b = ColumnBuilder::with_block_size(name, codec, column.block_size());
         b.extend(&column.read_all());
-        w.write_column_section(kind, &b.finish()).unwrap();
-    }
-    w.finish().unwrap();
+        (kind, b.finish())
+    });
+    rewrite(&new_path, &old_path, &fixed_8);
 
     let old = InvertedIndex::open_segment(&old_path).expect("fixed-width segment must open");
     for name in ["docid", "tf", "score"] {
@@ -564,33 +595,12 @@ fn reserved_section_kind_13_is_rejected() {
     let index = small_index(&IndexConfig::materialized_q8());
     let (plain, extra) = (temp_path("plain"), temp_path("kind-13"));
     index.write_segment(&plain).unwrap();
-    let r = SegmentReader::open(&plain).unwrap();
 
     // Every section of the plain segment, then one more raw column (four
     // slots per 128-posting stride, as kind 13 held) under a kind the
     // plain segment lacks, so the file opens before the relabel.
-    let mut w = SegmentWriter::create(&extra).unwrap();
-    for kind in [
-        SectionKind::Meta,
-        SectionKind::TermsFences,
-        SectionKind::Terms,
-        SectionKind::NamesDir,
-        SectionKind::DocNames,
-        SectionKind::DocLens,
-        SectionKind::DocFreqs,
-        SectionKind::Offsets,
-        SectionKind::ColDocid,
-        SectionKind::ColTf,
-        SectionKind::ColScore,
-    ] {
-        w.write_section(kind, &r.read_section(kind).unwrap())
-            .unwrap();
-    }
-    let mut bounds = ColumnBuilder::with_block_size("bounds", Codec::Raw, 1024);
-    bounds.extend(&vec![7; index.num_postings().div_ceil(128) * 4]);
-    w.write_column_section(SectionKind::GlobalIds, &bounds.finish())
-        .unwrap();
-    w.finish().unwrap();
+    let bounds = paged(Codec::Raw, &vec![7; index.num_postings().div_ceil(128) * 4]);
+    rewrite(&plain, &extra, &[(SectionKind::GlobalIds, bounds)]);
     SegmentReader::open(&extra).expect("the unrelabelled file opens");
 
     let mut bytes = std::fs::read(&extra).unwrap();
@@ -608,6 +618,71 @@ fn reserved_section_kind_13_is_rejected() {
     );
     std::fs::remove_file(&plain).unwrap();
     std::fs::remove_file(&extra).unwrap();
+}
+
+/// A segment written before document frequencies were derived carries a
+/// `DocFreqs` column of Raw pages, one count per term. Such a file — a new
+/// segment's sections plus that column, made from offset differences —
+/// must open and serve every strategy exactly like the index it came from.
+#[test]
+fn segment_with_a_doc_freqs_section_still_opens_and_serves() {
+    let c = SyntheticCollection::generate(&CollectionConfig::tiny());
+    let index = InvertedIndex::build(&c, &IndexConfig::materialized_q8());
+    let (new_path, old_path) = (temp_path("no-doc-freqs"), temp_path("doc-freqs"));
+    index.write_segment(&new_path).unwrap();
+    let offsets = offsets_of(&new_path);
+    let doc_freqs: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let doc_freqs = paged(Codec::Raw, &doc_freqs);
+    rewrite(&new_path, &old_path, &[(SectionKind::DocFreqs, doc_freqs)]);
+
+    let old = InvertedIndex::open_segment(&old_path).expect("a DocFreqs segment must open");
+    let fresh = |index| {
+        QueryExecutor::with_buffering(Arc::new(index), DiskModel::instant(), BufferMode::Hot, 0)
+    };
+    let (old_exec, mem_exec) = (fresh(old), fresh(index));
+    for strategy in SearchStrategy::ALL {
+        for q in &c.eval_queries {
+            let mem = mem_exec.search(&q.terms, strategy, 20).expect("mem search");
+            let old = old_exec.search(&q.terms, strategy, 20).expect("old search");
+            assert_eq!(old.results, mem.results, "{strategy:?} on {:?}", q.terms);
+        }
+    }
+    std::fs::remove_file(&new_path).unwrap();
+    std::fs::remove_file(&old_path).unwrap();
+}
+
+/// Metadata lookups view a page's values in place, so every block of a
+/// metadata column must be Raw. A column section's header declares one
+/// codec, but each block image carries its own: here the offsets are
+/// written as PFOR pages and their header relabelled Raw, every checksum
+/// re-sealed. The open must reject the file, never serve it and panic.
+#[test]
+fn metadata_section_labelled_raw_must_hold_raw_pages() {
+    const OFFSETS: u32 = 6;
+    let index = small_index(&IndexConfig::materialized_q8());
+    let (plain, relabelled) = (temp_path("plain"), temp_path("pfor-offsets"));
+    index.write_segment(&plain).unwrap();
+    let pfor = paged(Codec::Pfor { width: 0 }, &offsets_of(&plain));
+    rewrite(&plain, &relabelled, &[(SectionKind::Offsets, pfor)]);
+    assert_eq!(
+        InvertedIndex::open_segment(&relabelled).err(),
+        Some(SegmentError::Corrupt("metadata column must be raw"))
+    );
+
+    // Codec tag and width, the column header's first two fields: Raw.
+    let mut bytes = std::fs::read(&relabelled).unwrap();
+    let slot = toc_slot(&bytes, OFFSETS);
+    let at = u64_at(&bytes, slot + 8) as usize;
+    bytes[at..at + 8].fill(0);
+    reseal_section(&mut bytes, OFFSETS);
+    std::fs::write(&relabelled, &bytes).unwrap();
+    SegmentReader::open(&relabelled).expect("the storage layer checks only the header");
+    assert_eq!(
+        InvertedIndex::open_segment(&relabelled).err(),
+        Some(SegmentError::Corrupt("metadata page is not a raw page"))
+    );
+    std::fs::remove_file(&plain).unwrap();
+    std::fs::remove_file(&relabelled).unwrap();
 }
 
 /// A posting list stored out of docid order — here a Raw docid block with

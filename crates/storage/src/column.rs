@@ -238,9 +238,13 @@ impl Column {
     /// Fetches block `idx` from the column's store: a shared handle to an
     /// in-memory block, or — the one place block extents are read — one
     /// positional read of a disk-backed one straight into the new block's
-    /// image, validated in place. Nothing is cached
-    /// here; [`crate::BufferManager::pin`] is the caching caller.
-    pub(crate) fn fetch(&self, idx: usize) -> Result<Arc<CompressedBlock>, StorageError> {
+    /// image, validated in place. Nothing is cached here:
+    /// [`crate::BufferManager::pin`] is the caching caller, and build-side
+    /// readers that take each block once (a spill run's merge) call this.
+    ///
+    /// A disk-backed block that cannot be read or validated returns
+    /// [`StorageError::Io`] or [`StorageError::Codec`] rather than panicking.
+    pub fn fetch(&self, idx: usize) -> Result<Arc<CompressedBlock>, StorageError> {
         if idx >= self.block_count() {
             return Err(StorageError::OutOfBounds {
                 position: idx.saturating_mul(self.block_size),
@@ -307,11 +311,6 @@ impl Column {
         (0..self.block_count()).map(|i| self.block_bytes(i)).sum()
     }
 
-    /// Uncompressed size in bytes (4 bytes per value).
-    pub fn uncompressed_bytes(&self) -> usize {
-        self.len * 4
-    }
-
     /// Effective bits per value across the whole column — the figure the
     /// paper quotes ("from 32 to 11.98 and 8.13 bits per tuple").
     pub fn bits_per_value(&self) -> f64 {
@@ -320,55 +319,6 @@ impl Column {
         } else {
             self.compressed_bytes() as f64 * 8.0 / self.len as f64
         }
-    }
-
-    /// Decodes values `[start, start + len)` into `out` (cleared first).
-    /// The range may span blocks.
-    ///
-    /// # Alignment contract
-    /// `start` must be a multiple of the entry-point stride (128): compressed
-    /// blocks can only begin decoding at an entry point, and **this is where
-    /// the contract is enforced** — a misaligned `start` returns
-    /// [`StorageError::Misaligned`] for every codec, including `Raw`, so
-    /// callers cannot come to depend on alignment-forgiving behavior that
-    /// would only hold for uncompressed columns. (Block sizes are themselves
-    /// multiples of the stride, so an aligned `start` is aligned within its
-    /// block too.)
-    ///
-    /// A disk-backed block that cannot be read or validated returns
-    /// [`StorageError::Io`] or [`StorageError::Codec`] rather than panicking.
-    pub fn read_range(
-        &self,
-        start: usize,
-        len: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<(), StorageError> {
-        if !start.is_multiple_of(ENTRY_POINT_STRIDE) {
-            return Err(StorageError::Misaligned {
-                position: start,
-                stride: ENTRY_POINT_STRIDE,
-            });
-        }
-        let end = start.saturating_add(len);
-        if end > self.len {
-            return Err(StorageError::OutOfBounds {
-                position: end,
-                len: self.len,
-            });
-        }
-        out.clear();
-        let mut scratch = Vec::new();
-        let mut pos = start;
-        while pos < end {
-            // Reads after the first start at a block boundary (aligned).
-            let block = self.fetch(pos / self.block_size)?;
-            let in_block = pos % self.block_size;
-            let take = (end - pos).min(block.len() - in_block);
-            block.decode_range_into(in_block, take, &mut scratch)?;
-            out.extend_from_slice(&scratch);
-            pos += take;
-        }
-        Ok(())
     }
 
     /// Decodes the entire column (test/debug convenience — production reads
@@ -418,89 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn read_range_spans_blocks() {
-        let data = values(1000);
-        let col = {
-            let mut b = ColumnBuilder::with_block_size("c", Codec::PforDelta { width: 8 }, 256);
-            b.extend(&data);
-            b.finish()
-        };
-        let mut out = Vec::new();
-        col.read_range(128, 500, &mut out).unwrap();
-        assert_eq!(out, &data[128..628]);
-        // From block boundary.
-        col.read_range(256, 256, &mut out).unwrap();
-        assert_eq!(out, &data[256..512]);
-    }
-
-    #[test]
-    fn read_range_out_of_bounds() {
+    fn fetch_out_of_bounds() {
         let col = Column::from_values("c", Codec::Raw, &values(10));
-        let mut out = Vec::new();
-        assert!(matches!(
-            col.read_range(0, 11, &mut out),
-            Err(StorageError::OutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    fn read_range_rejects_misaligned_start_for_every_codec() {
-        // The alignment contract is enforced at the column level, uniformly:
-        // Raw columns *could* serve misaligned reads, but letting them would
-        // hide latent bugs that only fire once a column is compressed.
-        let data = values(600);
-        for codec in [
-            Codec::Raw,
-            Codec::Pfor { width: 8 },
-            Codec::PforDelta { width: 8 },
-            Codec::Pdict { width: 8 },
-        ] {
-            let col = Column::from_values("c", codec, &data);
-            let mut out = Vec::new();
-            for start in [1, 64, 127, 129, 300] {
-                let err = col.read_range(start, 1, &mut out).unwrap_err();
-                assert_eq!(
-                    err,
-                    StorageError::Misaligned {
-                        position: start,
-                        stride: 128
-                    },
-                    "{codec:?} start={start}"
-                );
-            }
-            // Aligned starts keep working, including the last partial stride.
-            col.read_range(512, 88, &mut out).unwrap();
-            assert_eq!(out, &data[512..600], "{codec:?}");
-        }
-    }
-
-    #[test]
-    fn read_range_spans_block_boundaries_for_every_codec() {
-        let data = values(1000);
-        for codec in [
-            Codec::Raw,
-            Codec::Pfor { width: 8 },
-            Codec::PforDelta { width: 8 },
-            Codec::Pdict { width: 8 },
-        ] {
-            let col = {
-                let mut b = ColumnBuilder::with_block_size("c", codec, 256);
-                b.extend(&data);
-                b.finish()
-            };
-            assert_eq!(col.block_count(), 4);
-            let mut out = Vec::new();
-            for (start, len) in [
-                (0, 1000),  // all four blocks
-                (128, 500), // mid-block start, two boundary crossings
-                (256, 256), // exactly one whole block
-                (768, 232), // into the short tail block
-                (896, 0),   // empty range at an aligned start
-            ] {
-                col.read_range(start, len, &mut out).unwrap();
-                assert_eq!(out, &data[start..start + len], "{codec:?} {start}+{len}");
-            }
-        }
+        assert_eq!(col.fetch(0).unwrap().len(), 10);
+        let err = col.fetch(1).unwrap_err();
+        assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err}");
     }
 
     #[test]

@@ -53,15 +53,6 @@ use std::fmt;
 pub enum StorageError {
     /// Request past the end of a column.
     OutOfBounds { position: usize, len: usize },
-    /// A range read whose start is not aligned to the entry-point stride.
-    /// [`Column::read_range`] is where the alignment contract is enforced:
-    /// compressed blocks can only begin decoding at an entry point.
-    Misaligned {
-        /// The requested (unaligned) start position.
-        position: usize,
-        /// The entry-point stride positions must align to (128).
-        stride: usize,
-    },
     /// A column with this name does not exist in the table.
     UnknownColumn(String),
     /// Underlying codec failure (corrupt block, misaligned range).
@@ -79,12 +70,6 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "position {position} out of bounds for column of length {len}"
-                )
-            }
-            StorageError::Misaligned { position, stride } => {
-                write!(
-                    f,
-                    "range start {position} is not aligned to the entry-point stride {stride}"
                 )
             }
             StorageError::UnknownColumn(name) => write!(f, "unknown column: {name}"),

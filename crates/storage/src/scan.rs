@@ -244,6 +244,36 @@ mod tests {
     }
 
     #[test]
+    fn scan_spans_block_boundaries_for_every_codec() {
+        let data: Vec<u32> = (0..1000u32).map(|i| i % 777).collect();
+        let bm = BufferManager::with_mode(DiskModel::raid12(), BufferMode::Hot, 0);
+        for codec in [
+            Codec::Raw,
+            Codec::Pfor { width: 8 },
+            Codec::PforDelta { width: 8 },
+            Codec::Pdict { width: 8 },
+        ] {
+            let mut b = crate::column::ColumnBuilder::with_block_size("c", codec, 256);
+            b.extend(&data);
+            let col = b.finish();
+            assert_eq!(col.block_count(), 4);
+            let mut out = Vec::new();
+            for (start, len) in [
+                (0, 1000),  // all four blocks
+                (128, 500), // mid-block start, two boundary crossings
+                (256, 256), // exactly one whole block
+                (768, 232), // into the short tail block
+                (901, 99),  // unaligned start inside the tail block
+            ] {
+                let mut scan = ColumnScan::new(&col, &bm, len);
+                scan.seek(start).unwrap();
+                assert_eq!(scan.next_into(&mut out).unwrap(), len);
+                assert_eq!(out, &data[start..start + len], "{codec:?} {start}+{len}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_column_scan() {
         let col = Column::from_values("c", Codec::Raw, &[]);
         let bm = BufferManager::with_mode(DiskModel::raid12(), BufferMode::Hot, 0);

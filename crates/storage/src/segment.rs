@@ -122,7 +122,9 @@ pub enum SectionKind {
     DocNames = 3,
     /// Document lengths (the D table's length column).
     DocLens = 4,
-    /// Per-term document frequencies.
+    /// A spill run's per-term posting counts. An index segment derives them
+    /// from its offsets; an older one that carries this section has it
+    /// verified at open, then ignored.
     DocFreqs = 5,
     /// Per-term posting offsets (prefix sums over posting counts).
     Offsets = 6,
@@ -668,14 +670,6 @@ impl SegmentReader {
             desc.entries.clone(),
         ))
     }
-
-    /// The codec a column section was written with.
-    pub fn column_codec(&self, kind: SectionKind) -> Result<Codec, SegmentError> {
-        self.columns
-            .get(&kind)
-            .map(|d| d.codec)
-            .ok_or(SegmentError::Corrupt("missing required column section"))
-    }
 }
 
 /// Validates a column section's header and prefix-sum directory. All sizes
@@ -797,12 +791,10 @@ mod tests {
         assert_eq!(back.block_size(), col.block_size());
         assert_eq!(back.block_count(), col.block_count());
         assert_eq!(back.read_all(), col.read_all());
-        // Random range access through the directory.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        back.read_range(512, 700, &mut a).unwrap();
-        col.read_range(512, 700, &mut b).unwrap();
-        assert_eq!(a, b);
+        // Random block access through the directory.
+        for i in [3, 0, 7, 2] {
+            assert_eq!(back.block(i), col.block(i), "block {i}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -853,8 +845,8 @@ mod tests {
         scan.seek(2 * back.block_size()).unwrap();
         let eof = crate::StorageError::Io(std::io::ErrorKind::UnexpectedEof);
         assert_eq!(scan.next_into(&mut v), Err(eof.clone()));
-        // The un-pooled range read returns the same typed error.
-        assert_eq!(back.read_range(2 * back.block_size(), 64, &mut v), Err(eof));
+        // The un-pooled block read returns the same typed error.
+        assert_eq!(back.fetch(2).err(), Some(eof));
         std::fs::remove_file(&path).unwrap();
     }
 

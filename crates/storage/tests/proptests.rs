@@ -73,17 +73,20 @@ proptest! {
     }
 
     #[test]
-    fn read_range_matches_slice(
+    fn pfor_delta_scan_from_an_entry_point_matches_slice(
         values in prop::collection::vec(any::<u32>(), 1..3000),
         start_stride in 0usize..20,
-        len in 0usize..700,
+        len in 1usize..700,
     ) {
         let col = Column::from_values("c", Codec::PforDelta { width: 8 }, &values);
         let start = (start_stride * ENTRY_POINT_STRIDE).min(values.len());
         let start = start - start % ENTRY_POINT_STRIDE;
         let len = len.min(values.len() - start);
+        let bm = BufferManager::with_mode(DiskModel::instant(), BufferMode::Hot, 0);
+        let mut scan = ColumnScan::new(&col, &bm, len.max(1));
+        scan.seek(start).unwrap();
         let mut out = Vec::new();
-        col.read_range(start, len, &mut out).unwrap();
+        scan.next_into(&mut out).unwrap();
         prop_assert_eq!(&out[..], &values[start..start + len]);
     }
 

@@ -61,15 +61,12 @@ fn assert_metadata_matches_source(c: &SyntheticCollection, idx: &InvertedIndex) 
     }
     assert_eq!(idx.doc_name(c.docs.len() as u32), None);
     assert_eq!(idx.doc_name(u32::MAX), None);
-    let mut freqs = vec![0u32; c.vocab.len()];
-    for &(t, _) in c.docs.iter().flat_map(|doc| &doc.terms) {
-        freqs[t as usize] += 1;
-    }
+    // `ftd` is not stored: it is the length of the term's range.
     let mut next = 0;
-    for (t, &df) in freqs.iter().enumerate() {
-        let range = idx.term_range(t as u32);
-        assert_eq!(idx.doc_freq(t as u32), df, "term {t}");
-        assert_eq!(range.len(), df as usize, "term {t}");
+    for t in 0..c.vocab.len() as u32 {
+        let (range, df) = (idx.term_range(t), c.document_frequency(t));
+        assert_eq!(idx.doc_freq(t) as usize, df, "term {t}");
+        assert_eq!(range.len(), df, "term {t}");
         assert_eq!(range.start, next, "term {t}");
         next = range.end;
     }
@@ -134,21 +131,31 @@ fn in_memory_and_spilled_builds_agree_at_tiny_across_budgets_and_configs() {
 #[test]
 fn metadata_matches_the_source_collection_built_spilled_and_reopened() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
-    let (batch, spilled, runs) =
-        build_in_memory_and_spilled(&c, &IndexConfig::compressed(), 8 * 1024);
-    assert!(runs > 1, "the spilled index must come from the merge path");
     let path = std::env::temp_dir().join(format!("x100-meta-source-{}", std::process::id()));
-    batch.write_segment(&path).unwrap();
-    // The writer streams the index's own pages, so the file's page counts
-    // are the built index's: lookups must cross a page boundary in both.
-    let reader = SegmentReader::open(&path).unwrap();
-    for kind in [SectionKind::Terms, SectionKind::DocNames] {
-        let pages = reader.open_column(kind, "pages").unwrap().block_count();
-        assert!(pages >= 2, "{kind:?} fits one page");
-    }
-    let reopened = InvertedIndex::open_segment(&path).unwrap();
-    for idx in [&batch, &spilled, &reopened] {
-        assert_metadata_matches_source(&c, idx);
+    for config in [
+        IndexConfig::uncompressed(),
+        IndexConfig::compressed(),
+        IndexConfig::materialized_q8(),
+    ] {
+        let (batch, spilled, runs) = build_in_memory_and_spilled(&c, &config, 8 * 1024);
+        let (_, spilled_64k, runs_64k) = build_in_memory_and_spilled(&c, &config, 64 * 1024);
+        assert!(
+            runs > 1 && runs_64k > 1,
+            "spilled indexes must come from the merge"
+        );
+        batch.write_segment(&path).unwrap();
+        // The writer streams the index's own pages, so the file's page
+        // counts are the built index's: lookups must cross a page boundary
+        // in both.
+        let reader = SegmentReader::open(&path).unwrap();
+        for kind in [SectionKind::Terms, SectionKind::DocNames] {
+            let pages = reader.open_column(kind, "pages").unwrap().block_count();
+            assert!(pages >= 2, "{kind:?} fits one page");
+        }
+        let reopened = InvertedIndex::open_segment(&path).unwrap();
+        for idx in [&batch, &spilled, &spilled_64k, &reopened] {
+            assert_metadata_matches_source(&c, idx);
+        }
     }
     std::fs::remove_file(&path).unwrap();
 }
