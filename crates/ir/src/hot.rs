@@ -41,8 +41,10 @@
 //! On x86_64, when the CPU has AVX2 (detected at runtime), the per-term
 //! scoring loop over each conjunctive batch runs 8 lanes wide; conversion
 //! (`i32 -> f32`), divide, multiply and add are all IEEE-exact operations,
-//! so the wide kernels are bit-identical to the scalar loop (pinned by
-//! `tests/simd_scoring.rs` against the forced-scalar fallback).
+//! so the wide kernels are bit-identical to the scalar loop. So is the
+//! union drain's threshold mask ([`nle_mask`]), a compare 8 slots wide.
+//! Both are pinned by `tests/simd_scoring.rs` against the forced-scalar
+//! fallback.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -92,6 +94,11 @@ impl Window {
 
     /// The value at absolute position `pos`, refilling the window if `pos`
     /// is not staged.
+    ///
+    /// # Errors
+    /// [`StorageError::OutOfBounds`] for `pos >= col.len()` — a corrupt
+    /// posting's docid looked up in the doc-len column, say — and whatever
+    /// pinning or decoding the block returns.
     pub(crate) fn value_at(
         &mut self,
         col: &Column,
@@ -104,6 +111,14 @@ impl Window {
         let off = pos.wrapping_sub(self.start);
         if off < self.stage.len() {
             return Ok(self.stage[off]);
+        }
+        // Past the end, the refill below would clamp to the column's end
+        // and stage a window that stops short of `pos`.
+        if pos >= col.len() {
+            return Err(StorageError::OutOfBounds {
+                position: pos,
+                len: col.len(),
+            });
         }
         let aligned = pos - pos % ENTRY_POINT_STRIDE;
         let block_size = col.block_size();
@@ -334,6 +349,8 @@ pub struct QueryScratch {
     len_window: Window,
     /// Lifetime count of rows offered to the scoring fold. Monotone.
     rows_scored: u64,
+    /// Lifetime count of rows handed to [`heap_offer`]. Monotone.
+    heap_offers: u64,
     /// One bit per union window slot some term hit; zero between windows.
     union_present: Vec<u64>,
 }
@@ -401,10 +418,12 @@ impl QueryScratch {
         }
     }
 
-    /// Cumulative hot-path work counters since this scratch was created.
-    /// Both meters are monotone; callers diff two snapshots to attribute
-    /// work to a span of queries. The stride count covers the two
-    /// metadata windows as well as the posting cursors', on every index.
+    /// Cumulative hot-path work counters since this scratch was created:
+    /// `window_refills`, `rows_scored` and `heap_offers` (see
+    /// [`HotPathStats`]). All three meters are monotone; callers diff two
+    /// snapshots to attribute work to a span of queries. The stride count
+    /// covers the two metadata windows as well as the posting cursors', on
+    /// every index.
     pub fn hot_stats(&self) -> HotPathStats {
         let mut refills = self.off_window.refills + self.len_window.refills;
         for c in &self.cursors {
@@ -413,18 +432,24 @@ impl QueryScratch {
         HotPathStats {
             window_refills: refills,
             rows_scored: self.rows_scored,
+            heap_offers: self.heap_offers,
         }
     }
 }
 
 /// Cumulative work counters for one scratch arena: `window_refills` counts
 /// 128-value strides decoded into column windows (a wide refill
-/// of `vector_size` values counts every stride it spans) and
-/// `rows_scored` counts candidate rows pushed through the scoring fold.
+/// of `vector_size` values counts every stride it spans),
+/// `rows_scored` counts candidate rows pushed through the scoring fold, and
+/// `heap_offers` counts the rows of those that reached the top-k heap: every
+/// intersection row, and the union rows that survived the drain's threshold
+/// mask (counted once per 64-slot word). `heap_offers / rows_scored` is the
+/// share of scored rows the heap had to look at.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPathStats {
     pub window_refills: u64,
     pub rows_scored: u64,
+    pub heap_offers: u64,
 }
 
 /// A pool of [`QueryScratch`] arenas: how a [`crate::QueryExecutor`]
@@ -741,8 +766,12 @@ fn run_boolean(
 /// each term in query order walks its staged windows as two plain slices
 /// and adds the contribution of each posting below `base + UNION_WINDOW`
 /// straight into its docid's slot of an `f32` accumulator, marking the
-/// slot in a presence bitmap; the set bits, ascending, are then offered to
-/// the heap, leaving `+0.0` behind.
+/// slot in a presence bitmap. The drain ([`drain_masked`]) then walks the
+/// bitmap a 64-slot word at a time: once the heap is full, it compares the
+/// word's slots against the heap floor 8 at a time ([`nle_mask`]) and
+/// offers only the present rows that can enter the top `n`, each at the
+/// arrival index it would have had in an unmasked drain, then clears the
+/// word's slots back to `+0.0`.
 /// `base` is live, not a grid: docid ranges no list touches cost nothing.
 /// Computed BM25 first stages the length normalizer of every 128-docid
 /// stride of D the window's postings touch, once per window.
@@ -778,6 +807,7 @@ fn run_ranked(
         heap,
         len_window,
         union_present: present,
+        heap_offers,
         ..
     } = scratch;
     let k = terms.len();
@@ -811,6 +841,7 @@ fn run_ranked(
             flush_batch(
                 mode, coefs, lens, batch, v, k, norms, scores, heap, n, &mut seq,
             )?;
+            *heap_offers += batch_docids.len() as u64;
             batch_docids.clear();
             if next.is_none() {
                 return Ok(seq);
@@ -873,10 +904,7 @@ fn run_ranked(
                 c.load(doc_col, buffers, v)?;
             }
         }
-        drain_window(base, scores, present, |docid, score| {
-            seq += 1;
-            heap_offer(heap, n, HeapRow { score, seq, docid });
-        });
+        *heap_offers += drain_masked(base, scores, present, heap, n, &mut seq);
     }
     Ok(seq)
 }
@@ -930,8 +958,8 @@ fn accumulate(
 /// D that a leading in-window posting of `docs` touches and `staged` (bit
 /// `r` for the stride at `nbase + 128 r`) does not yet mark: a stride is
 /// staged whole and once, however many terms touch it. The last stride of
-/// D stops at `num_docs`, unless a (corrupt) posting points past it — that
-/// lookup fails as it always did.
+/// D stops at `num_docs`, unless a (corrupt) posting points past it: that
+/// docid's lookup returns [`StorageError::OutOfBounds`], and so does the query.
 fn stage_norms(
     docs: &[u32],
     base: u32,
@@ -955,18 +983,81 @@ fn stage_norms(
     Ok(())
 }
 
-/// Walks the window's presence bitmap in ascending slot order, handing
-/// each present docid and its accumulated score to `emit`, and leaves the
-/// accumulator `+0.0` and the bitmap zero behind.
-fn drain_window(base: u32, acc: &mut [f32], present: &mut [u64], mut emit: impl FnMut(u32, f32)) {
-    for (w, word) in present.iter_mut().enumerate() {
-        let mut bits = std::mem::take(word);
-        while bits != 0 {
-            let slot = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            emit(base + slot as u32, std::mem::take(&mut acc[slot]));
+/// Drains the union window at `base` into the top-`n` heap, one 64-slot
+/// word of the presence bitmap at a time, and leaves the accumulator `+0.0`
+/// and the bitmap zero behind. Returns how many rows reached
+/// [`heap_offer`].
+///
+/// Every present row takes the arrival index it would take if all of them
+/// were offered in ascending slot order: a word starting at `seq` gives its
+/// `i`-th set bit `seq + i + 1` (a popcount of the bits below it), then
+/// advances `seq` by its popcount. Until the heap is full every present row
+/// is offered. Once it is, a word offers only the rows that [`nle_mask`]
+/// admits against the heap floor as the word starts, `!(score <= floor)`:
+/// the floor only rises (the root is the total-order minimum of a set that
+/// only gains larger rows), and `heap_offer` re-checks each row, so a row
+/// the mask drops is one that `heap_offer` would reject, or admit only to
+/// evict at once, at any later floor. Heap contents, tie order and the
+/// returned candidate count are those of offering every row.
+fn drain_masked(
+    base: u32,
+    acc: &mut [f32],
+    present: &mut [u64],
+    heap: &mut Vec<HeapRow>,
+    n: usize,
+    seq: &mut u64,
+) -> u64 {
+    let mut offers = 0;
+    let (words, _) = acc.as_chunks_mut::<64>();
+    for (w, (slots, word)) in words.iter_mut().zip(present.iter_mut()).enumerate() {
+        let pw = std::mem::take(word);
+        if pw == 0 {
+            continue;
         }
+        let mut candidates = if n == 0 {
+            0
+        } else if heap.len() < n {
+            pw
+        } else {
+            pw & nle_mask(slots, heap[0].score)
+        };
+        offers += u64::from(candidates.count_ones());
+        while candidates != 0 {
+            let bit = candidates.trailing_zeros();
+            candidates &= candidates - 1;
+            let below = pw & ((1 << bit) - 1);
+            let row = HeapRow {
+                score: slots[bit as usize],
+                seq: *seq + u64::from(below.count_ones()) + 1,
+                docid: base + (w * 64) as u32 + bit,
+            };
+            heap_offer(heap, n, row);
+        }
+        *seq += u64::from(pw.count_ones());
+        slots.fill(0.0);
     }
+    offers
+}
+
+/// The ranked union's threshold mask over one 64-slot word of its
+/// accumulator: bit `i` is set iff `!(slots[i] <= t)`, exactly the rows that
+/// the heap's IEEE cheap-reject does *not* reject at floor `t`. So a NaN
+/// slot or a NaN floor sets the bit, and `+0.0` against a `-0.0` floor does
+/// not. Dispatches to the AVX2 kernel when active; the two are
+/// bit-identical (pinned by `tests/simd_scoring.rs`).
+pub fn nle_mask(slots: &[f32; 64], t: f32) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if x100_compress::simd_active() {
+        // Safety: `simd_active` implies AVX2 was detected at runtime.
+        return unsafe { simd::nle_mask_avx2(slots, t) };
+    }
+    nle_mask_scalar(slots, t)
+}
+
+// `!(x <= t)` is not `x > t`: it also holds for a NaN, as the mask must.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn nle_mask_scalar(slots: &[f32; 64], t: f32) -> u64 {
+    (0..64).fold(0, |mask, i| mask | u64::from(!(slots[i] <= t)) << i)
 }
 
 /// Scores one assembled intersection batch (its `k` terms' payloads
@@ -1077,13 +1168,33 @@ fn score_materialized_scalar(acc: &mut [f32], payloads: &[u32], f32_bits: bool) 
     }
 }
 
-/// AVX2 scoring kernels: 8 candidate rows per iteration, scalar tail.
-/// Every operation used — `cvtepi32_ps`, `div_ps`, `mul_ps`, `add_ps` —
-/// is IEEE-exact, and multiplies/adds are kept separate (no FMA), so the
-/// lanes compute bit-for-bit what the scalar loop computes.
+/// AVX2 kernels. The scoring kernels take 8 candidate rows per iteration,
+/// scalar tail. Every operation they use — `cvtepi32_ps`, `div_ps`,
+/// `mul_ps`, `add_ps` — is IEEE-exact, and multiplies/adds are kept
+/// separate (no FMA), so the lanes compute bit-for-bit what the scalar loop
+/// computes. The drain's threshold mask compares 8 slots at a time.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use std::arch::x86_64::*;
+
+    /// `_CMP_NLE_UQ` is `!(x <= t)`, true on unordered operands: the
+    /// scalar mask's predicate lane for lane. (`_CMP_GT_OQ` would drop a
+    /// NaN sum that the heap admits.) The 8 loads of 8 slots each stay
+    /// inside the 64-slot array.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn nle_mask_avx2(slots: &[f32; 64], t: f32) -> u64 {
+        let t = _mm256_set1_ps(t);
+        let mut mask = 0;
+        for i in 0..8 {
+            let x = _mm256_loadu_ps(slots.as_ptr().add(8 * i));
+            let nle = _mm256_cmp_ps::<_CMP_NLE_UQ>(x, t);
+            mask |= u64::from(_mm256_movemask_ps(nle) as u8) << (8 * i);
+        }
+        mask
+    }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn score_computed_avx2(
@@ -1194,12 +1305,207 @@ mod tests {
         }
     }
 
-    /// Drains the window at `base`: the `(docid, score)` rows `run_ranked`
-    /// offers to the heap, ascending.
+    /// Drains the window at `base` into a heap with room for every slot:
+    /// the `(docid, score)` rows `run_ranked` offers to the heap, in
+    /// arrival (ascending docid) order.
     fn drain_rows(base: u32, acc: &mut [f32], present: &mut [u64]) -> Vec<(u32, f32)> {
-        let mut rows = Vec::new();
-        drain_window(base, acc, present, |d, s| rows.push((d, s)));
-        rows
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        let offers = drain_masked(base, acc, present, &mut heap, UNION_WINDOW, &mut seq);
+        assert_eq!((offers, heap.len() as u64), (seq, seq), "every row offered");
+        heap.sort_by_key(|r| r.seq);
+        heap.iter().map(|r| (r.docid, r.score)).collect()
+    }
+
+    /// The drain the masked one must equal: every present row offered to
+    /// the heap in ascending slot order, at the next arrival index.
+    fn drain_every_row(
+        base: u32,
+        acc: &mut [f32],
+        present: &mut [u64],
+        heap: &mut Vec<HeapRow>,
+        n: usize,
+        seq: &mut u64,
+    ) {
+        for (w, word) in present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                *seq += 1;
+                let score = std::mem::take(&mut acc[slot]);
+                let docid = base + slot as u32;
+                heap_offer(
+                    heap,
+                    n,
+                    HeapRow {
+                        score,
+                        seq: *seq,
+                        docid,
+                    },
+                );
+            }
+        }
+    }
+
+    /// A heap's rows as `(docid, score bits, seq)`, in result order.
+    fn heap_rows(heap: &[HeapRow]) -> Vec<(u32, u32, u64)> {
+        let mut rows = heap.to_vec();
+        rows.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq)));
+        rows.iter()
+            .map(|r| (r.docid, r.score.to_bits(), r.seq))
+            .collect()
+    }
+
+    /// An empty window with `rows` present: `(slot, score)`.
+    fn window(rows: &[(usize, f32)]) -> (Vec<f32>, Vec<u64>) {
+        let mut acc = vec![0.0f32; UNION_WINDOW];
+        let mut present = vec![0u64; UNION_WINDOW / 64];
+        for &(slot, score) in rows {
+            acc[slot] = score;
+            present[slot / 64] |= 1 << (slot % 64);
+        }
+        (acc, present)
+    }
+
+    /// Drains `rows` as one window at `base` into `heap`, checking that the
+    /// accumulator and bitmap are left clear; returns the rows offered.
+    fn drain(
+        base: u32,
+        rows: &[(usize, f32)],
+        heap: &mut Vec<HeapRow>,
+        n: usize,
+        seq: &mut u64,
+    ) -> u64 {
+        let (mut acc, mut present) = window(rows);
+        let offers = drain_masked(base, &mut acc, &mut present, heap, n, seq);
+        assert!(acc.iter().all(|s| s.to_bits() == 0) && present.iter().all(|&w| w == 0));
+        offers
+    }
+
+    #[test]
+    fn masked_drain_rejects_a_tie_at_the_floor_and_keeps_the_incumbent() {
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        assert_eq!(drain(0, &[(5, 2.0), (9, 1.0)], &mut heap, 2, &mut seq), 2);
+        // Floor 1.0: the tie in slot 3 and the 0.5 are masked out, the
+        // 1.5 is offered and displaces docid 9.
+        let rows = [(3, 1.0), (64, 0.5), (70, 1.5)];
+        assert_eq!(drain(100, &rows, &mut heap, 2, &mut seq), 1);
+        assert_eq!(seq, 5);
+        assert_eq!(
+            heap_rows(&heap),
+            [(5, 2.0f32.to_bits(), 1), (170, 1.5f32.to_bits(), 5)]
+        );
+        // A tie with the new floor keeps the incumbent too.
+        assert_eq!(drain(300, &[(0, 1.5)], &mut heap, 2, &mut seq), 0);
+        assert_eq!(heap_rows(&heap)[1], (170, 1.5f32.to_bits(), 5));
+        assert_eq!(seq, 6);
+    }
+
+    #[test]
+    fn masked_drain_offers_every_row_of_the_word_in_which_the_heap_fills() {
+        // n = 3 fills at the third row of word 0: the word's later rows
+        // are offered all the same, and the heap rejects them itself.
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        let word0 = [(0, 4.0), (1, 3.0), (2, 2.0), (3, 1.0), (60, 5.0)];
+        // Word 1 sees the floor 3.0 that word 0 left: only 6.0 passes.
+        let word1 = [(64, 3.0), (65, 6.0), (127, 2.5)];
+        let rows: Vec<_> = word0.iter().chain(&word1).copied().collect();
+        assert_eq!(drain(0, &rows, &mut heap, 3, &mut seq), 6);
+        assert_eq!(seq, 8);
+        let kept: Vec<(u32, u64)> = heap_rows(&heap).iter().map(|r| (r.0, r.2)).collect();
+        assert_eq!(kept, [(65, 7), (60, 5), (0, 1)]);
+
+        // n = 70 fills in the middle of the window (word 1): word 0's 64
+        // rows and all of word 1's are offered, word 2 is masked.
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        let mut rows: Vec<(usize, f32)> = (0..80).map(|s| (s, 1.0 + s as f32)).collect();
+        rows.extend([(128, 5.0), (129, 500.0)]);
+        assert_eq!(drain(0, &rows, &mut heap, 70, &mut seq), 81);
+        assert_eq!((seq, heap.len()), (82, 70));
+        assert_eq!(heap_rows(&heap)[0], (129, 500.0f32.to_bits(), 82));
+    }
+
+    #[test]
+    fn masked_drain_keeps_a_negative_zero_floor_against_positive_zero_slots() {
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        assert_eq!(drain(0, &[(0, -0.0)], &mut heap, 1, &mut seq), 1);
+        // IEEE `+0.0 <= -0.0`: the heap would cheap-reject, so the mask
+        // drops them — the present +0.0 sums and the absent slots alike.
+        assert_eq!(
+            drain(64, &[(1, 0.0), (700, 0.0)], &mut heap, 1, &mut seq),
+            0
+        );
+        assert_eq!(seq, 3);
+        assert_eq!(heap_rows(&heap), [(0, (-0.0f32).to_bits(), 1)]);
+    }
+
+    #[test]
+    fn masked_drain_offers_a_nan_sum_as_the_heap_admits_it() {
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        assert_eq!(drain(0, &[(0, 1.0)], &mut heap, 1, &mut seq), 1);
+        assert_eq!(
+            drain(64, &[(2, f32::NAN), (3, 0.5)], &mut heap, 1, &mut seq),
+            1
+        );
+        // `NaN <= 1.0` is false: the heap takes it (a positive NaN is the
+        // total-order maximum), exactly as offering every row would.
+        assert_eq!(heap_rows(&heap), [(66, f32::NAN.to_bits(), 2)]);
+        // A NaN floor masks nothing: every row is offered and rejected.
+        assert_eq!(drain(128, &[(0, 9.0), (1, 0.0)], &mut heap, 1, &mut seq), 2);
+        assert_eq!(heap_rows(&heap), [(66, f32::NAN.to_bits(), 2)]);
+    }
+
+    #[test]
+    fn masked_drain_with_no_room_offers_nothing_but_counts_every_row() {
+        let (mut heap, mut seq) = (Vec::new(), 0);
+        let rows = [(0, 1.0), (63, 2.0), (64, 3.0), (2047, 4.0)];
+        assert_eq!(drain(0, &rows, &mut heap, 0, &mut seq), 0);
+        assert!(heap.is_empty());
+        assert_eq!(seq, 4);
+    }
+
+    #[test]
+    fn masked_drain_equals_offering_every_row_on_random_windows() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Few distinct scores, so ties at the floor are common; ±0.0 and
+        // NaN among them.
+        let palette = [0.0, -0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5, 7.0, f32::NAN];
+        let mut masked = 0;
+        for case in 0..200 {
+            let n = [0, 1, 2, 5, 20, 64, 100][case % 7];
+            let density = [1, 4, 16, 64][case / 7 % 4];
+            let (mut heap, mut seq) = (Vec::new(), 0);
+            let (mut ref_heap, mut ref_seq) = (Vec::new(), 0);
+            let mut offers = 0;
+            for win in 0..4u32 {
+                let rows: Vec<(usize, f32)> = (0..UNION_WINDOW)
+                    .filter_map(|slot| {
+                        let r = next();
+                        (r % 64 < density)
+                            .then(|| (slot, palette[(r >> 8) as usize % palette.len()]))
+                    })
+                    .collect();
+                let base = win * UNION_WINDOW as u32;
+                offers += drain(base, &rows, &mut heap, n, &mut seq);
+                let (mut acc, mut present) = window(&rows);
+                drain_every_row(base, &mut acc, &mut present, &mut ref_heap, n, &mut ref_seq);
+                assert_eq!(seq, ref_seq, "case {case} window {win}");
+                assert_eq!(
+                    heap_rows(&heap),
+                    heap_rows(&ref_heap),
+                    "case {case} window {win}"
+                );
+            }
+            assert!(offers <= seq);
+            masked += seq - offers;
+        }
+        assert!(masked > 0, "the mask dropped no row in any case");
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::segment::block_error;
 pub(crate) const PAGE_VALUES: usize = 1024;
 
 /// Bytes of embedded term id at the head of a vocabulary record.
-const TERM_ID_BYTES: usize = 4;
+pub(crate) const TERM_ID_BYTES: usize = 4;
 
 const _: () = assert!(PAGE_VALUES.is_multiple_of(ENTRY_POINT_STRIDE));
 
@@ -134,9 +134,11 @@ impl RecordPagesBuilder {
 
 /// A structural view over one record page, in place in its Raw block.
 ///
-/// Construction panics on malformed pages: every byte of the file was
-/// checksummed when the segment opened, so a page that violates its own
-/// framing is a writer bug, never bad input.
+/// Construction panics on malformed pages, and so does [`Self::record`]:
+/// a built index writes only well-formed pages, and a segment open rejects
+/// any page of a reopened one that breaks the framing
+/// ([`check_record_pages`]), so a failed assert here is a writer bug,
+/// never bad input.
 pub(crate) struct PageView<'a> {
     /// The record count, then the per-record end offsets.
     words: &'a [u32],
@@ -201,6 +203,52 @@ pub(crate) fn check_raw_pages(col: &Column) -> Result<(), SegmentError> {
         let expect = (col.len() - idx * PAGE_VALUES).min(PAGE_VALUES);
         if !matches!(&*block, CompressedBlock::Raw(page) if page.values().len() == expect) {
             return Err(SegmentError::Corrupt("metadata page is not a raw page"));
+        }
+    }
+    Ok(())
+}
+
+/// Checks every page of a record column (the vocabulary, `id_bytes` =
+/// [`TERM_ID_BYTES`], or the document names, 0) against the framing that
+/// [`PageView`] asserts, so no lookup can panic on a segment's pages: each
+/// is a Raw page of [`PAGE_VALUES`] values; its record count is in
+/// `1..=PAGE_VALUES - 2` and is the count its resident directory gives
+/// (`counts`, one per page); its end offsets ascend and stay inside the
+/// page; each record holds its `id_bytes` and then UTF-8.
+pub(crate) fn check_record_pages(
+    col: &Column,
+    counts: impl ExactSizeIterator<Item = u32>,
+    id_bytes: usize,
+) -> Result<(), SegmentError> {
+    let corrupt = |what| Err(SegmentError::Corrupt(what));
+    if counts.len() != col.block_count() {
+        return corrupt("record pages disagree with their directory");
+    }
+    for (idx, count) in counts.enumerate() {
+        let block = col.fetch(idx).map_err(block_error)?;
+        let words = match &*block {
+            CompressedBlock::Raw(page) if page.values().len() == PAGE_VALUES => page.values(),
+            _ => return corrupt("metadata page is not a raw page"),
+        };
+        let n = words[0] as usize;
+        if !(1..=PAGE_VALUES - 2).contains(&n) {
+            return corrupt("record page count out of range");
+        }
+        if n != count as usize {
+            return corrupt("record page count disagrees with its directory");
+        }
+        let data = &block.as_bytes()[block.sections().codes][4 * (1 + n)..];
+        let mut start = 0;
+        for &end in &words[1..=n] {
+            let end = end as usize;
+            if end < start || end > data.len() {
+                return corrupt("record page offsets out of order or past the page");
+            }
+            let record = &data[start..end];
+            if record.len() < id_bytes || std::str::from_utf8(&record[id_bytes..]).is_err() {
+                return corrupt("record is not UTF-8");
+            }
+            start = end;
         }
     }
     Ok(())
@@ -628,6 +676,11 @@ mod tests {
         assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), 300);
         assert_eq!(col.len(), counts.len() * PAGE_VALUES);
         check_raw_pages(&col).unwrap();
+        // Framed well, but these records are bytes, not names.
+        assert_eq!(
+            check_record_pages(&col, counts.iter().copied(), 0),
+            Err(SegmentError::Corrupt("record is not UTF-8"))
+        );
         let mut i = 0;
         for (page, &count) in counts.iter().enumerate() {
             let block = col.block(page);
@@ -658,6 +711,14 @@ mod tests {
         let (col, fences) =
             build_term_pages(vocab.iter().map(|(s, id)| (s.as_str(), *id))).unwrap();
         assert!(fences.first_keys.len() > 1, "fixture must span pages");
+        check_record_pages(&col, fences.counts.iter().copied(), TERM_ID_BYTES).unwrap();
+        let shifted = fences.counts.iter().map(|&c| c + 1);
+        assert_eq!(
+            check_record_pages(&col, shifted, TERM_ID_BYTES),
+            Err(SegmentError::Corrupt(
+                "record page count disagrees with its directory"
+            ))
+        );
         // First and last record of every page, located via the counts.
         let mut base = 0usize;
         for (p, &count) in fences.counts.iter().enumerate() {

@@ -44,7 +44,10 @@ use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWrit
 use crate::bm25::{CollectionStats, Quantizer};
 use crate::columns::{posting_codecs, score_codec};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
-use crate::paged::{check_raw_pages, col_value, NamesDir, PagedMetadata, TermFences, PAGE_VALUES};
+use crate::paged::{
+    check_raw_pages, check_record_pages, col_value, NamesDir, PagedMetadata, TermFences,
+    PAGE_VALUES, TERM_ID_BYTES,
+};
 
 /// Fixed size of the serialized [`SectionKind::Meta`] payload.
 const META_LEN: usize = 64;
@@ -355,7 +358,8 @@ fn open_segment_file(
     let meta = decode_meta(&r.read_section(SectionKind::Meta)?)?;
     // The four metadata columns are Raw pages of PAGE_VALUES u32s, every
     // block of them: lookups view a page's values in place. A dense
-    // column holds its declared count (`len`), a record column whole pages.
+    // column holds its declared count (`len`), a record column whole pages,
+    // checked with their resident directory once it is decoded.
     let metadata_column = |kind: SectionKind, name: &str, len: Option<usize>| {
         let col = r.open_column(kind, name)?;
         if col.codec() != Codec::Raw {
@@ -370,10 +374,11 @@ fn open_segment_file(
             Some(len) if col.len() != len => Err(SegmentError::Corrupt(
                 "metadata column length disagrees with the declared count",
             )),
+            Some(_) => check_raw_pages(&col).map(|()| col),
             None if !col.len().is_multiple_of(PAGE_VALUES) => {
                 Err(SegmentError::Corrupt("record pages are ragged"))
             }
-            _ => check_raw_pages(&col).map(|()| col),
+            None => Ok(col),
         }
     };
     let terms = metadata_column(SectionKind::Terms, "terms", None)?;
@@ -382,12 +387,15 @@ fn open_segment_file(
         meta.num_terms,
         terms.block_count(),
     )?;
+    check_record_pages(&terms, fences.counts.iter().copied(), TERM_ID_BYTES)?;
     let names = metadata_column(SectionKind::DocNames, "doc_names", None)?;
     let names_dir = NamesDir::decode(
         &r.read_section(SectionKind::NamesDir)?,
         meta.num_docs,
         names.block_count(),
     )?;
+    let name_counts = names_dir.starts.windows(2).map(|w| w[1] - w[0]);
+    check_record_pages(&names, name_counts, 0)?;
     let doc_lens = metadata_column(SectionKind::DocLens, "doc_lens", Some(meta.num_docs))?;
     let offsets = metadata_column(SectionKind::Offsets, "offsets", Some(meta.num_terms + 1))?;
     if col_value(&offsets, 0) != 0 {

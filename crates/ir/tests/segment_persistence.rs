@@ -685,14 +685,89 @@ fn metadata_section_labelled_raw_must_hold_raw_pages() {
     std::fs::remove_file(&relabelled).unwrap();
 }
 
+/// The byte offset, in a segment file, of the values of the first block
+/// of the column section `kind` — a Raw block, whose values are its codes.
+fn first_raw_block_values(bytes: &[u8], kind: u32) -> usize {
+    let col_off = u64_at(bytes, toc_slot(bytes, kind) + 8) as usize;
+    let blocks = u64_at(bytes, col_off + 24) as usize;
+    let first = col_off + 32 + (blocks + 1) * 8;
+    let first_len = u64_at(bytes, col_off + 40) as usize;
+    let block = CompressedBlock::from_bytes(&bytes[first..first + first_len]).unwrap();
+    assert!(
+        matches!(block, CompressedBlock::Raw(_)),
+        "section {kind} starts with a Raw block"
+    );
+    first + block.sections().codes.start
+}
+
+/// Record pages are checked at open, every page of both record columns,
+/// so `PageView`'s asserts cannot fire on a segment's pages. Each mutant
+/// below damages the first vocabulary or name page, every checksum
+/// re-sealed; each opened before, and its first lookup on that page
+/// panicked.
+#[test]
+fn resealed_record_page_damage_is_rejected_at_open() {
+    const TERMS: u32 = 2;
+    const DOC_NAMES: u32 = 3;
+    let pristine = pristine_segment(&IndexConfig::materialized_q8());
+    let word = |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    type Patch = fn(&mut [u8], usize, u32);
+    let cases: [(u32, Patch, &str); 5] = [
+        // The first term's end offset past the page.
+        (
+            TERMS,
+            |b, page, _| b[page + 4..page + 8].copy_from_slice(&u32::MAX.to_le_bytes()),
+            "record page offsets out of order or past the page",
+        ),
+        // The second term's end offset below the first's.
+        (
+            TERMS,
+            |b, page, _| b[page + 8..page + 12].copy_from_slice(&0u32.to_le_bytes()),
+            "record page offsets out of order or past the page",
+        ),
+        // An empty page.
+        (
+            TERMS,
+            |b, page, _| b[page..page + 4].fill(0),
+            "record page count out of range",
+        ),
+        // The first name's first byte is not UTF-8.
+        (
+            DOC_NAMES,
+            |b, page, n| b[page + 4 * (1 + n as usize)] = 0xFF,
+            "record is not UTF-8",
+        ),
+        // One record fewer than the names directory gives the page.
+        (
+            DOC_NAMES,
+            |b, page, n| b[page..page + 4].copy_from_slice(&(n - 1).to_le_bytes()),
+            "record page count disagrees with its directory",
+        ),
+    ];
+    for (kind, patch, expect) in cases {
+        let mut bytes = pristine.clone();
+        let page = first_raw_block_values(&bytes, kind);
+        let count = word(&bytes, page);
+        patch(&mut bytes, page, count);
+        reseal_section(&mut bytes, kind);
+        let path = temp_path("record-page");
+        std::fs::write(&path, &bytes).unwrap();
+        let result = InvertedIndex::open_segment(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            result.err(),
+            Some(SegmentError::Corrupt(expect)),
+            "{expect}"
+        );
+    }
+}
+
 /// A posting list stored out of docid order — here a Raw docid block with
 /// its first two values swapped, re-sealed so the segment still opens —
 /// must not panic any strategy, in debug builds either: the ranked union's
 /// next window then starts below the length stride the last one staged.
 #[test]
 fn non_ascending_posting_list_does_not_panic_the_ranked_union() {
-    const COL_DOCID: u32 = 7;
-    let vocab = vec!["a".to_owned(), "b".to_owned()];
     for config in [
         IndexConfig::uncompressed(),
         IndexConfig {
@@ -700,41 +775,8 @@ fn non_ascending_posting_list_does_not_panic_the_ranked_union() {
             ..IndexConfig::materialized_f32()
         },
     ] {
-        // `a` (tf 2) only in docs 5 and 300, `b` (tf 1) in every doc: the
-        // docid column starts with `a`'s list, [5, 300].
-        let mut b = IndexBuilder::new(vocab.len(), &config, SpillConfig::unbounded());
-        for d in 0..400u32 {
-            let terms: &[(u32, u32)] = if d == 5 || d == 300 {
-                &[(0, 2), (1, 1)]
-            } else {
-                &[(1, 1)]
-            };
-            let len = terms.iter().map(|&(_, tf)| tf).sum();
-            b.push_doc(&format!("doc-{d:04}"), terms, len).unwrap();
-        }
-        let path = temp_path("non-ascending");
-        b.finish(&vocab).unwrap().0.write_segment(&path).unwrap();
-
-        let mut bytes = std::fs::read(&path).unwrap();
-        let col_off = u64_at(&bytes, toc_slot(&bytes, COL_DOCID) + 8) as usize;
-        let blocks = u64_at(&bytes, col_off + 24) as usize;
-        // The first block image, a Raw one: its values are its codes.
-        let first = col_off + 32 + (blocks + 1) * 8;
-        let first_len = u64_at(&bytes, col_off + 40) as usize;
-        let block = CompressedBlock::from_bytes(&bytes[first..first + first_len]).unwrap();
-        assert!(
-            matches!(block, CompressedBlock::Raw(_)),
-            "docid column is Raw"
-        );
-        let values = first + block.sections().codes.start;
-        let list = [5u32.to_le_bytes(), 300u32.to_le_bytes()].concat();
-        assert_eq!(bytes[values..values + 8], list[..]);
-        bytes[values..values + 8].rotate_left(4);
-        reseal_section(&mut bytes, COL_DOCID);
-        std::fs::write(&path, &bytes).unwrap();
-        let index = InvertedIndex::open_segment(&path).expect("re-sealed segment opens");
-        std::fs::remove_file(&path).unwrap();
-
+        // `a`'s list stored as [300, 5].
+        let index = reopened_with_a_list_patched(&config, |list| list.rotate_left(4));
         let exec = QueryExecutor::new(Arc::new(index));
         let (mut hits, mut planned) = (Vec::new(), 0);
         for strategy in SearchStrategy::ALL {
@@ -753,6 +795,81 @@ fn non_ascending_posting_list_does_not_panic_the_ranked_union() {
         // The boolean pair and every computed-BM25 strategy plan on both.
         assert!(planned >= 5, "only {planned} strategies planned");
     }
+}
+
+/// A 400-doc, two-term index written as a segment with `patch` applied to
+/// `a`'s posting list, re-sealed, then reopened. `a` (tf 2) is only in docs
+/// 5 and 300, `b` (tf 1) in every doc, so the Raw docid column starts with
+/// `a`'s list, [5, 300]: the 8 bytes `patch` gets.
+fn reopened_with_a_list_patched(
+    config: &IndexConfig,
+    patch: impl FnOnce(&mut [u8]),
+) -> InvertedIndex {
+    const COL_DOCID: u32 = 7;
+    let vocab = vec!["a".to_owned(), "b".to_owned()];
+    let mut b = IndexBuilder::new(vocab.len(), config, SpillConfig::unbounded());
+    for d in 0..400u32 {
+        let terms: &[(u32, u32)] = if d == 5 || d == 300 {
+            &[(0, 2), (1, 1)]
+        } else {
+            &[(1, 1)]
+        };
+        let len = terms.iter().map(|&(_, tf)| tf).sum();
+        b.push_doc(&format!("doc-{d:04}"), terms, len).unwrap();
+    }
+    let path = temp_path("patched-list");
+    b.finish(&vocab).unwrap().0.write_segment(&path).unwrap();
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    let values = first_raw_block_values(&bytes, COL_DOCID);
+    let list = [5u32.to_le_bytes(), 300u32.to_le_bytes()].concat();
+    assert_eq!(bytes[values..values + 8], list[..]);
+    patch(&mut bytes[values..values + 8]);
+    reseal_section(&mut bytes, COL_DOCID);
+    std::fs::write(&path, &bytes).unwrap();
+    let index = InvertedIndex::open_segment(&path).expect("re-sealed segment opens");
+    std::fs::remove_file(&path).unwrap();
+    index
+}
+
+/// A posting whose docid is `num_docs` or more — here doc 300 of a Raw
+/// docid block rewritten to 1 000 in a 400-doc index, re-sealed so the
+/// segment opens — has no document length. Every computed-BM25 strategy
+/// looks that length up, in the union's length strides and in the
+/// intersection's batch, and must return the column's typed
+/// out-of-bounds error, in debug builds as well: the window refill used to
+/// clamp to the column's end and index past what it staged.
+#[test]
+fn docid_past_the_document_count_is_an_error_not_a_panic() {
+    let index = reopened_with_a_list_patched(&IndexConfig::uncompressed(), |list| {
+        list[4..].copy_from_slice(&1000u32.to_le_bytes())
+    });
+    let exec = QueryExecutor::new(Arc::new(index));
+    let mut hits = Vec::new();
+    let computed = SearchStrategy::ALL.into_iter().filter(|s| {
+        !s.needs_materialized() && !matches!(s, SearchStrategy::BoolAnd | SearchStrategy::BoolOr)
+    });
+    let mut checked = 0;
+    for strategy in computed {
+        for q in [&[0][..], &[0, 1], &[1, 0]] {
+            let err = exec.search_hits_into(q, strategy, 10, &mut hits).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(ExecError::Storage(StorageError::OutOfBounds {
+                        position: 400..,
+                        len: 400
+                    }))
+                ),
+                "{strategy:?} on {q:?}: {err:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(
+        checked, 9,
+        "Bm25, Bm25TwoPass and Bm25Pruned, three queries each"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@
 //! the ranked union sums into its window accumulator and never reaches
 //! the kernels. So the suite also asserts that, on every index, some
 //! two-pass query ends after its conjunctive pass with at least 8 matches
-//! — the wide kernel ran over full lanes, not only its scalar tail.
+//! — the wide kernel ran over full lanes, not only its scalar tail. The
+//! union's drain has a wide kernel of its own, the threshold mask
+//! [`nle_mask`]: the end-to-end differential runs it under both dispatches,
+//! and a direct test holds the two on adversarial `f32` words.
 //!
 //! The kernels keep multiply and add separate (no FMA contraction) and use
 //! only IEEE-exact vector operations (`cvtepi32_ps`, `div_ps`, `mul_ps`,
@@ -20,6 +23,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use x100_compress::{simd_active, simd_available, simd_force_scalar};
 use x100_corpus::{CollectionConfig, SyntheticCollection};
+use x100_ir::hot::nle_mask;
 use x100_ir::{IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy};
 
 /// The force-scalar switch is process-wide and tests run on parallel
@@ -123,4 +127,85 @@ fn forced_fallback_really_switches_the_dispatch() {
         simd_available(),
         "without the override, dispatch follows runtime detection"
     );
+}
+
+/// The drain's threshold mask, wide against forced-scalar and both against
+/// the predicate `!(x <= t)`, bit for bit: NaNs (both signs, quiet and
+/// signalling, with payloads), ±0.0, ±∞, subnormals, the extremes, and
+/// values equal to the floor or one ulp either side of it, as slots and as
+/// floors.
+#[test]
+// `!(x <= t)` is the mask's definition: unlike `x > t`, it holds for a NaN.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn nle_mask_wide_matches_scalar_on_adversarial_words() {
+    let _g = TOGGLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut specials = vec![
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7FC0_0001),
+        f32::from_bits(0x7F80_0001),
+        f32::from_bits(0xFF80_0001),
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::from_bits(0x007F_FFFF),
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        1.0,
+        -1.0,
+        7.25,
+    ];
+    let ulps: Vec<f32> = specials
+        .iter()
+        .filter(|x| x.is_finite())
+        .flat_map(|x| [x.next_up(), x.next_down()])
+        .collect();
+    specials.extend(ulps);
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut checked = 0;
+    for &t in &specials {
+        // Every slot the floor; each special in every lane position; and
+        // random mixes of the specials, the floor and arbitrary bits.
+        let mut words = vec![[t; 64]];
+        for shift in 0..64 {
+            words.push(std::array::from_fn(|i| {
+                specials[(i + shift) % specials.len()]
+            }));
+        }
+        for _ in 0..64 {
+            words.push(std::array::from_fn(|_| match next() % 4 {
+                0 => t,
+                1 => f32::from_bits(next() as u32),
+                _ => specials[next() as usize % specials.len()],
+            }));
+        }
+        for slots in &words {
+            let expect = (0..64).fold(0u64, |m, i| m | u64::from(!(slots[i] <= t)) << i);
+            simd_force_scalar(false);
+            let wide = nle_mask(slots, t);
+            simd_force_scalar(true);
+            let scalar = nle_mask(slots, t);
+            simd_force_scalar(false);
+            assert_eq!(
+                wide, scalar,
+                "wide vs scalar mask: floor {t:?} over {slots:?}"
+            );
+            assert_eq!(
+                scalar, expect,
+                "mask vs !(x <= t): floor {t:?} over {slots:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 5_000);
 }
