@@ -10,12 +10,13 @@
 //! must stay bit-identical (docids, `f32::to_bits` scores, tie-breaks) to
 //! [`crate::cluster::SimulatedCluster::search_scatter`].
 //!
-//! The coordinator treats every peer as failable (the lesson shared by
-//! conflict-aware network-configuration and decentralized-coordination
-//! work: one misbehaving party must not stop the collective):
+//! The gather is the caller: [`Coordinator::search`] launches each
+//! partition's first replica attempt on a detached thread, then drives
+//! every partition from one loop on the query's own thread, one channel
+//! carrying each attempt's outcome. It treats every peer as failable:
 //!
-//! * **Per-node deadlines** — every partition query carries a total time
-//!   budget; sockets never block past it.
+//! * **One deadline** — the query carries a total time budget shared by
+//!   every partition; sockets never block past it.
 //! * **Hedged retries** — if the serving replica has not answered within a
 //!   hedge delay (the partition's observed p99 once enough samples exist,
 //!   a configured initial value before that), the same request is
@@ -56,7 +57,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -640,7 +641,7 @@ fn serve_connection(mut stream: TcpStream, node: &Node, shutdown: &AtomicBool, f
 /// Tunables of the coordinator's failure handling.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Total time budget per partition query, across all replica attempts.
+    /// Total time budget per query, shared by all partitions and attempts.
     pub deadline: Duration,
     /// Hedge delay used until a partition has [`Self::hedge_min_samples`]
     /// observed latencies; after that the partition's p99 (raised to at
@@ -755,8 +756,10 @@ fn exchange(
     }
 }
 
-/// Per-partition serving state the coordinator and its detached attempt
-/// threads share.
+/// Per-partition serving state: the replica set and the counters behind
+/// [`Coordinator::stats`]. Only the `Arc<Replica>`s cross into attempt
+/// threads; the gather loops of concurrent queries update the rest.
+#[derive(Default)]
 struct PartitionState {
     id: usize,
     replicas: Vec<Arc<Replica>>,
@@ -781,6 +784,32 @@ impl PartitionState {
         order.sort_by_key(|&i| self.replicas[i].down.load(Ordering::SeqCst));
         order
     }
+
+    /// Counts a query this partition could not serve after `attempts`.
+    fn unavailable_after(&self, attempts: usize) -> NetError {
+        self.unavailable.fetch_add(1, Ordering::Relaxed);
+        NetError::PartitionUnavailable {
+            partition: self.id,
+            attempts,
+        }
+    }
+}
+
+/// One partition's progress through one gathered query.
+struct PartitionGather {
+    /// Replica indices in attempt order ([`PartitionState::replica_order`]).
+    order: Vec<usize>,
+    hedge_delay: Duration,
+    /// The first launch; [`PartitionAttempt::wall`] counts from here.
+    started: Instant,
+    launched: usize,
+    completed: usize,
+    hedged: bool,
+    failed_over: bool,
+    /// The latest launch plus the hedge delay, while a hedge is left.
+    hedge_at: Option<Instant>,
+    /// Set once resolved; a later outcome is a hedge loser's.
+    result: Option<Result<PartitionAttempt, NetError>>,
 }
 
 /// What one partition contributed to a gathered query.
@@ -856,17 +885,18 @@ pub struct CoordinatorStats {
     pub unavailable: u64,
 }
 
-/// The result of one replica attempt, raced through an mpsc channel.
+/// The result of one replica attempt, raced through the query's channel.
 struct AttemptOutcome {
+    partition: usize,
     replica: usize,
     result: Result<WireHits, NetError>,
 }
 
 /// The networked scatter-gather coordinator: one replica set per
-/// partition, per-node deadlines, p99-hedged retries, and failover, as
+/// partition, a deadline per query, p99-hedged retries, and failover, as
 /// described in the [module docs](self).
 pub struct Coordinator {
-    partitions: Vec<Arc<PartitionState>>,
+    partitions: Vec<PartitionState>,
     config: CoordinatorConfig,
     next_request_id: AtomicU64,
 }
@@ -883,21 +913,14 @@ impl Coordinator {
             .enumerate()
             .map(|(id, addrs)| {
                 assert!(!addrs.is_empty(), "partition {id} has no replicas");
-                Arc::new(PartitionState {
+                PartitionState {
                     id,
                     replicas: addrs
                         .into_iter()
                         .map(|a| Arc::new(Replica::new(a)))
                         .collect(),
-                    latency: Mutex::new(LatencyHistogram::new()),
-                    requests: AtomicU64::new(0),
-                    hedged: AtomicU64::new(0),
-                    failed_over: AtomicU64::new(0),
-                    unavailable: AtomicU64::new(0),
-                    io_reads: AtomicU64::new(0),
-                    io_bytes: AtomicU64::new(0),
-                    io_nanos: AtomicU64::new(0),
-                })
+                    ..PartitionState::default()
+                }
             })
             .collect();
         Coordinator {
@@ -925,14 +948,17 @@ impl Coordinator {
         merged
     }
 
-    /// Scatter-gathers one query over the socket layer. Per-partition
-    /// fan-out runs on scoped threads (as the in-process scatter does);
-    /// replica attempts within a partition run detached so a stalled
-    /// loser can never hold the query past its winner.
+    /// Scatter-gathers one query over the socket layer on the calling
+    /// thread: after launching every partition's first replica attempt,
+    /// one loop waits for the next outcome, the earliest due hedge or the
+    /// shared deadline, and drives each partition's hedge and failover.
+    /// An outcome for a resolved partition is a hedge loser and is dropped.
     ///
     /// Errors are typed, never panics: a partition whose replicas are all
-    /// exhausted yields [`NetError::PartitionUnavailable`]; a remote
-    /// planning error propagates as [`NetError::Remote`].
+    /// exhausted, or that is unresolved at the deadline, yields
+    /// [`NetError::PartitionUnavailable`]; a remote planning error
+    /// propagates as [`NetError::Remote`]. With several, the first in
+    /// partition order is returned.
     pub fn search(
         &self,
         terms: &[u32],
@@ -940,82 +966,60 @@ impl Coordinator {
         n: usize,
     ) -> Result<NetSearchOutcome, NetError> {
         let payload: Arc<Vec<u8>> = Arc::new(encode_search_request(terms, strategy, n));
-        let mut gathered: Vec<Result<(WireHits, PartitionAttempt), NetError>> =
-            Vec::with_capacity(self.partitions.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .partitions
-                .iter()
-                .map(|part| {
-                    let part = Arc::clone(part);
-                    let payload = Arc::clone(&payload);
-                    s.spawn(move || self.query_partition(&part, payload))
-                })
-                .collect();
-            // Partition order, exactly like the in-process gather.
-            for h in handles {
-                gathered.push(match h.join() {
-                    Ok(result) => result,
-                    // A coordinator-side fan-out panic is contained the
-                    // same way a node panic is in-process.
-                    Err(_) => Err(NetError::Malformed("partition fan-out thread died")),
-                });
-            }
-        });
-        let mut lists = Vec::with_capacity(gathered.len());
-        let mut partitions = Vec::with_capacity(gathered.len());
-        let mut passes = 1u8;
-        for result in gathered {
-            let (wire, attempt) = result?;
-            passes = passes.max(wire.passes);
-            lists.push(wire.hits);
-            partitions.push(attempt);
-        }
-        Ok(NetSearchOutcome {
-            hits: Self::merge_hits(lists, n),
-            passes,
-            partitions,
-        })
-    }
-
-    /// The per-partition deadline/hedge/failover state machine.
-    fn query_partition(
-        &self,
-        part: &Arc<PartitionState>,
-        payload: Arc<Vec<u8>>,
-    ) -> Result<(WireHits, PartitionAttempt), NetError> {
-        part.requests.fetch_add(1, Ordering::Relaxed);
         let deadline = Instant::now() + self.config.deadline;
-        let order = part.replica_order();
-        let hedge_delay = self.hedge_delay(part);
-        let started = Instant::now();
         let (tx, rx) = mpsc::channel::<AttemptOutcome>();
-        let mut launched = 0usize;
-        let mut completed = 0usize;
-        let mut hedged = false;
-        let mut failed_over = false;
-        self.launch_attempt(part, order[0], &payload, deadline, tx.clone());
-        launched += 1;
-        loop {
+        let mut gathers: Vec<PartitionGather> = self
+            .partitions
+            .iter()
+            .map(|part| {
+                part.requests.fetch_add(1, Ordering::Relaxed);
+                let mut g = PartitionGather {
+                    order: part.replica_order(),
+                    hedge_delay: self.hedge_delay(part),
+                    started: Instant::now(),
+                    launched: 0,
+                    completed: 0,
+                    hedged: false,
+                    failed_over: false,
+                    hedge_at: None,
+                    result: None,
+                };
+                self.launch_attempt(part, &mut g, &payload, deadline, &tx);
+                g
+            })
+            .collect();
+        let mut lists = vec![Vec::new(); gathers.len()];
+        let mut timed_out = false;
+        while gathers.iter().any(|g| g.result.is_none()) {
             let now = Instant::now();
-            let Some(until_deadline) = deadline.checked_duration_since(now) else {
-                part.unavailable.fetch_add(1, Ordering::Relaxed);
-                return Err(NetError::PartitionUnavailable {
-                    partition: part.id,
-                    attempts: launched,
-                });
+            let mut wake = deadline;
+            let open = self.partitions.iter().zip(&mut gathers);
+            for (part, g) in open.filter(|(_, g)| g.result.is_none()) {
+                if now >= deadline {
+                    g.result = Some(Err(part.unavailable_after(g.launched)));
+                } else if timed_out && g.hedge_at.is_some_and(|at| at <= now) {
+                    timed_out = false; // one hedge per empty receive
+                    g.hedged = true;
+                    part.hedged.fetch_add(1, Ordering::Relaxed);
+                    self.launch_attempt(part, g, &payload, deadline, &tx);
+                }
+                wake = g.hedge_at.map_or(wake, |at| wake.min(at));
+            }
+            // The gather holds `tx`, so the only receive error is the timeout.
+            // Hedges fire only after one: a waiting answer is applied instead.
+            let Ok(outcome) = rx.recv_timeout(wake.saturating_duration_since(now)) else {
+                timed_out = true;
+                continue;
             };
-            let wait = if !hedged && launched < order.len() {
-                until_deadline.min(hedge_delay)
-            } else {
-                until_deadline
-            };
-            match rx.recv_timeout(wait) {
-                Ok(AttemptOutcome {
-                    replica,
-                    result: Ok(wire),
-                }) => {
-                    let wall = started.elapsed();
+            timed_out = false;
+            let (partition, replica) = (outcome.partition, outcome.replica);
+            let (part, g) = (&self.partitions[partition], &mut gathers[partition]);
+            if g.result.is_some() {
+                continue; // a hedge loser
+            }
+            g.result = match outcome.result {
+                Ok(wire) => {
+                    let wall = g.started.elapsed();
                     part.latency
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
@@ -1030,79 +1034,66 @@ impl Coordinator {
                         Ordering::Relaxed,
                     );
                     let attempt = PartitionAttempt {
-                        partition: part.id,
+                        partition,
                         replica,
                         wall,
-                        hedged,
-                        failed_over,
+                        hedged: g.hedged,
+                        failed_over: g.failed_over,
                         passes: wire.passes,
                         io: wire.io,
                     };
-                    return Ok((wire, attempt));
+                    lists[partition] = wire.hits;
+                    Some(Ok(attempt))
                 }
-                Ok(AttemptOutcome {
-                    result: Err(NetError::Remote(msg)),
-                    ..
-                }) => {
-                    // Deterministic remote refusal: every replica holds the
-                    // same data, so retrying cannot change the answer.
-                    return Err(NetError::Remote(msg));
-                }
-                Ok(AttemptOutcome { result: Err(_), .. }) => {
-                    completed += 1;
-                    if launched < order.len() {
-                        failed_over = true;
+                // Deterministic remote refusal: every replica holds the
+                // same data, so retrying cannot change the answer.
+                Err(e @ NetError::Remote(_)) => Some(Err(e)),
+                Err(_) => {
+                    g.completed += 1;
+                    if g.launched < g.order.len() {
+                        g.failed_over = true;
                         part.failed_over.fetch_add(1, Ordering::Relaxed);
-                        self.launch_attempt(part, order[launched], &payload, deadline, tx.clone());
-                        launched += 1;
-                    } else if completed == launched {
-                        part.unavailable.fetch_add(1, Ordering::Relaxed);
-                        return Err(NetError::PartitionUnavailable {
-                            partition: part.id,
-                            attempts: launched,
-                        });
+                        self.launch_attempt(part, g, &payload, deadline, &tx);
+                        None
+                    } else {
+                        let exhausted = g.completed == g.launched;
+                        exhausted.then(|| Err(part.unavailable_after(g.launched)))
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    if !hedged && launched < order.len() {
-                        hedged = true;
-                        part.hedged.fetch_add(1, Ordering::Relaxed);
-                        self.launch_attempt(part, order[launched], &payload, deadline, tx.clone());
-                        launched += 1;
-                    }
-                    // Otherwise: keep waiting; the deadline check at the
-                    // top of the loop bounds us.
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Unreachable while we hold `tx`, but degrade to the
-                    // typed outcome rather than trusting that.
-                    part.unavailable.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::PartitionUnavailable {
-                        partition: part.id,
-                        attempts: launched,
-                    });
-                }
-            }
+            };
         }
+        // Partition order, exactly like the in-process gather.
+        let partitions = gathers
+            .into_iter()
+            .map(|g| g.result.expect("the gather resolves every partition"))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(NetSearchOutcome {
+            hits: Self::merge_hits(lists, n),
+            passes: partitions.iter().map(|p| p.passes).fold(1, u8::max),
+            partitions,
+        })
     }
 
-    /// Issues one replica attempt on a detached thread (never joined: a
-    /// loser must not be able to delay the query past its winner; its
-    /// socket timeout bounds its own lifetime). The thread owns the
-    /// health-state transition for its replica.
+    /// Issues the next replica attempt in `g`'s order on a detached thread
+    /// (never joined: a loser must not be able to delay the query past its
+    /// winner; its socket timeout bounds its own lifetime), and re-arms the
+    /// hedge timer while no hedge has fired and a replica is left. The
+    /// thread owns the health-state transition for its replica.
     fn launch_attempt(
         &self,
-        part: &Arc<PartitionState>,
-        replica: usize,
+        part: &PartitionState,
+        g: &mut PartitionGather,
         payload: &Arc<Vec<u8>>,
         deadline: Instant,
-        tx: mpsc::Sender<AttemptOutcome>,
+        tx: &mpsc::Sender<AttemptOutcome>,
     ) {
+        let (partition, replica) = (part.id, g.order[g.launched]);
+        g.launched += 1;
         let req_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let replica_state = Arc::clone(&part.replicas[replica]);
         let payload = Arc::clone(payload);
         let connect_timeout = self.config.connect_timeout;
-        let builder = std::thread::Builder::new().name(format!("attempt-p{}", part.id));
+        let builder = std::thread::Builder::new().name(format!("attempt-p{partition}"));
         let thread_tx = tx.clone();
         let spawned = builder.spawn(move || {
             let result = replica_state.request(&payload, req_id, deadline, connect_timeout);
@@ -1112,15 +1103,24 @@ impl Coordinator {
                 Err(NetError::Remote(_)) => {}
                 Err(_) => replica_state.down.store(true, Ordering::SeqCst),
             }
-            let _ = thread_tx.send(AttemptOutcome { replica, result });
+            let _ = thread_tx.send(AttemptOutcome {
+                partition,
+                replica,
+                result,
+            });
         });
         if spawned.is_err() {
             // Spawn failure behaves like an instantly-failed attempt.
             let _ = tx.send(AttemptOutcome {
+                partition,
                 replica,
                 result: Err(NetError::Io(io::Error::other("spawn failed"))),
             });
         }
+        // The timer starts once the attempt is in flight.
+        g.hedge_at = Instant::now()
+            .checked_add(g.hedge_delay)
+            .filter(|_| !g.hedged && g.launched < g.order.len());
     }
 
     /// The partition's hedge delay: its observed p99 once enough samples

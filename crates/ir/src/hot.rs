@@ -627,6 +627,18 @@ pub(crate) fn search_into(
         }
     }
     out.truncate(n);
+    // A corrupt posting list can name a docid past the document count.
+    // The computed strategies fail on its length lookup; the boolean and
+    // materialized ones read no length, so the hits are checked here, at
+    // most `n` compares outside every per-posting loop.
+    let num_docs = meta.num_docs();
+    if let Some(&(docid, _)) = out.iter().find(|h| h.0 as usize >= num_docs) {
+        out.clear();
+        return Err(ExecError::Storage(StorageError::OutOfBounds {
+            position: docid as usize,
+            len: num_docs,
+        }));
+    }
     Ok(passes)
 }
 

@@ -208,19 +208,25 @@ pub(crate) fn check_raw_pages(col: &Column) -> Result<(), SegmentError> {
     Ok(())
 }
 
-/// Checks every page of a record column (the vocabulary, `id_bytes` =
-/// [`TERM_ID_BYTES`], or the document names, 0) against the framing that
+/// Checks every page of a record column (the vocabulary, given its
+/// `fence_keys`, or the document names, `None`) against the framing that
 /// [`PageView`] asserts, so no lookup can panic on a segment's pages: each
 /// is a Raw page of [`PAGE_VALUES`] values; its record count is in
 /// `1..=PAGE_VALUES - 2` and is the count its resident directory gives
 /// (`counts`, one per page); its end offsets ascend and stay inside the
-/// page; each record holds its `id_bytes` and then UTF-8.
+/// page; each record holds its id ([`TERM_ID_BYTES`] in the vocabulary,
+/// none in the names) and then UTF-8. On the vocabulary it also checks
+/// what [`lookup_term`] relies on to find every term: each page's first
+/// term is its fence key, and terms strictly ascend within the page and
+/// stay below the next page's key.
 pub(crate) fn check_record_pages(
     col: &Column,
     counts: impl ExactSizeIterator<Item = u32>,
-    id_bytes: usize,
+    fence_keys: Option<&[String]>,
 ) -> Result<(), SegmentError> {
     let corrupt = |what| Err(SegmentError::Corrupt(what));
+    let id_bytes = fence_keys.map_or(0, |_| TERM_ID_BYTES);
+    let key = |p: usize| Some(fence_keys?.get(p)?.as_bytes());
     if counts.len() != col.block_count() {
         return corrupt("record pages disagree with their directory");
     }
@@ -238,8 +244,8 @@ pub(crate) fn check_record_pages(
             return corrupt("record page count disagrees with its directory");
         }
         let data = &block.as_bytes()[block.sections().codes][4 * (1 + n)..];
-        let mut start = 0;
-        for &end in &words[1..=n] {
+        let (mut start, mut prev) = (0, None);
+        for (i, &end) in words[1..=n].iter().enumerate() {
             let end = end as usize;
             if end < start || end > data.len() {
                 return corrupt("record page offsets out of order or past the page");
@@ -248,7 +254,22 @@ pub(crate) fn check_record_pages(
             if record.len() < id_bytes || std::str::from_utf8(&record[id_bytes..]).is_err() {
                 return corrupt("record is not UTF-8");
             }
-            start = end;
+            let text = &record[id_bytes..];
+            if fence_keys.is_some() {
+                if i == 0 && key(idx) != Some(text) {
+                    return corrupt("vocabulary page disagrees with its fence key");
+                }
+                if prev.is_some_and(|prev| prev >= text) {
+                    return corrupt("vocabulary terms not strictly ascending");
+                }
+            }
+            (start, prev) = (end, Some(text));
+        }
+        // The page's last term sorts below the next page's fence key.
+        if let (Some(last), Some(next)) = (prev, key(idx + 1)) {
+            if last >= next {
+                return corrupt("vocabulary terms not strictly ascending");
+            }
         }
     }
     Ok(())
@@ -678,7 +699,7 @@ mod tests {
         check_raw_pages(&col).unwrap();
         // Framed well, but these records are bytes, not names.
         assert_eq!(
-            check_record_pages(&col, counts.iter().copied(), 0),
+            check_record_pages(&col, counts.iter().copied(), None),
             Err(SegmentError::Corrupt("record is not UTF-8"))
         );
         let mut i = 0;
@@ -711,14 +732,35 @@ mod tests {
         let (col, fences) =
             build_term_pages(vocab.iter().map(|(s, id)| (s.as_str(), *id))).unwrap();
         assert!(fences.first_keys.len() > 1, "fixture must span pages");
-        check_record_pages(&col, fences.counts.iter().copied(), TERM_ID_BYTES).unwrap();
+        let keys = Some(&fences.first_keys[..]);
+        check_record_pages(&col, fences.counts.iter().copied(), keys).unwrap();
         let shifted = fences.counts.iter().map(|&c| c + 1);
         assert_eq!(
-            check_record_pages(&col, shifted, TERM_ID_BYTES),
+            check_record_pages(&col, shifted, keys),
             Err(SegmentError::Corrupt(
                 "record page count disagrees with its directory"
             ))
         );
+        // Page 1's fence key moved to its second term, then below page 0's
+        // last term: either way a lookup would miss a term the pages hold.
+        let first_of_page_1 = fences.counts[0] as usize;
+        let mut moved = fences.first_keys.clone();
+        for (at, err) in [
+            (
+                first_of_page_1 + 1,
+                "vocabulary page disagrees with its fence key",
+            ),
+            (
+                first_of_page_1 - 2,
+                "vocabulary terms not strictly ascending",
+            ),
+        ] {
+            moved[1] = vocab[at].0.clone();
+            assert_eq!(
+                check_record_pages(&col, fences.counts.iter().copied(), Some(&moved)),
+                Err(SegmentError::Corrupt(err))
+            );
+        }
         // First and last record of every page, located via the counts.
         let mut base = 0usize;
         for (p, &count) in fences.counts.iter().enumerate() {

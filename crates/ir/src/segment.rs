@@ -46,7 +46,7 @@ use crate::columns::{posting_codecs, score_codec};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
 use crate::paged::{
     check_raw_pages, check_record_pages, col_value, NamesDir, PagedMetadata, TermFences,
-    PAGE_VALUES, TERM_ID_BYTES,
+    PAGE_VALUES,
 };
 
 /// Fixed size of the serialized [`SectionKind::Meta`] payload.
@@ -387,7 +387,11 @@ fn open_segment_file(
         meta.num_terms,
         terms.block_count(),
     )?;
-    check_record_pages(&terms, fences.counts.iter().copied(), TERM_ID_BYTES)?;
+    check_record_pages(
+        &terms,
+        fences.counts.iter().copied(),
+        Some(&fences.first_keys),
+    )?;
     let names = metadata_column(SectionKind::DocNames, "doc_names", None)?;
     let names_dir = NamesDir::decode(
         &r.read_section(SectionKind::NamesDir)?,
@@ -395,7 +399,7 @@ fn open_segment_file(
         names.block_count(),
     )?;
     let name_counts = names_dir.starts.windows(2).map(|w| w[1] - w[0]);
-    check_record_pages(&names, name_counts, 0)?;
+    check_record_pages(&names, name_counts, None)?;
     let doc_lens = metadata_column(SectionKind::DocLens, "doc_lens", Some(meta.num_docs))?;
     let offsets = metadata_column(SectionKind::Offsets, "offsets", Some(meta.num_terms + 1))?;
     if col_value(&offsets, 0) != 0 {

@@ -563,6 +563,24 @@ fn resealed_fence_and_directory_damage_is_rejected() {
     reseal_section(&mut b, TERMS_FENCES);
     open_expecting_error(&b, "oversized fence key length");
 
+    // First fence key "term0" rewritten to "term1": the fences still
+    // decode, but the page they route "term0" to does not start with it,
+    // so a lookup of "term0" would silently miss.
+    let mut b = pristine.clone();
+    assert_eq!(&b[fences_off + 20..fences_off + 25], b"term0");
+    b[fences_off + 24] = b'1';
+    reseal_section(&mut b, TERMS_FENCES);
+    let path = temp_path("fence-key");
+    std::fs::write(&path, &b).unwrap();
+    let result = InvertedIndex::open_segment(&path);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        result.err(),
+        Some(SegmentError::Corrupt(
+            "vocabulary page disagrees with its fence key"
+        ))
+    );
+
     let dir_slot = toc_slot(&pristine, NAMES_DIR);
     let dir_off = u64_at(&pristine, dir_slot + 8) as usize;
     // Name-page count inflated: disagrees with the names column.
@@ -703,8 +721,8 @@ fn first_raw_block_values(bytes: &[u8], kind: u32) -> usize {
 /// Record pages are checked at open, every page of both record columns,
 /// so `PageView`'s asserts cannot fire on a segment's pages. Each mutant
 /// below damages the first vocabulary or name page, every checksum
-/// re-sealed; each opened before, and its first lookup on that page
-/// panicked.
+/// re-sealed; each opened before. Its first lookup on that page then
+/// panicked, or, for the swapped terms, missed a term the page holds.
 #[test]
 fn resealed_record_page_damage_is_rejected_at_open() {
     const TERMS: u32 = 2;
@@ -712,7 +730,7 @@ fn resealed_record_page_damage_is_rejected_at_open() {
     let pristine = pristine_segment(&IndexConfig::materialized_q8());
     let word = |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
     type Patch = fn(&mut [u8], usize, u32);
-    let cases: [(u32, Patch, &str); 5] = [
+    let cases: [(u32, Patch, &str); 6] = [
         // The first term's end offset past the page.
         (
             TERMS,
@@ -730,6 +748,13 @@ fn resealed_record_page_damage_is_rejected_at_open() {
             TERMS,
             |b, page, _| b[page..page + 4].fill(0),
             "record page count out of range",
+        ),
+        // Two adjacent terms of one length, past the first, swapped:
+        // the page's binary search relies on ascending terms.
+        (
+            TERMS,
+            swap_equal_length_records,
+            "vocabulary terms not strictly ascending",
         ),
         // The first name's first byte is not UTF-8.
         (
@@ -760,6 +785,18 @@ fn resealed_record_page_damage_is_rejected_at_open() {
             "{expect}"
         );
     }
+}
+
+/// Swaps the first two adjacent records of equal length after record 0
+/// in the record page whose values start at `page` and hold `n` records.
+fn swap_equal_length_records(b: &mut [u8], page: usize, n: u32) {
+    let end = |i: usize| u32::from_le_bytes(b[page + 4 * (1 + i)..][..4].try_into().unwrap());
+    let data = page + 4 * (1 + n as usize);
+    let i = (1..n as usize - 1)
+        .find(|&i| end(i) - end(i - 1) == end(i + 1) - end(i))
+        .expect("two adjacent records of one length");
+    let (start, mid, stop) = (end(i - 1) as usize, end(i) as usize, end(i + 1) as usize);
+    b[data + start..data + stop].rotate_left(mid - start);
 }
 
 /// A posting list stored out of docid order — here a Raw docid block with
@@ -834,41 +871,57 @@ fn reopened_with_a_list_patched(
 
 /// A posting whose docid is `num_docs` or more — here doc 300 of a Raw
 /// docid block rewritten to 1 000 in a 400-doc index, re-sealed so the
-/// segment opens — has no document length. Every computed-BM25 strategy
-/// looks that length up, in the union's length strides and in the
-/// intersection's batch, and must return the column's typed
-/// out-of-bounds error, in debug builds as well: the window refill used to
-/// clamp to the column's end and index past what it staged.
+/// segment opens — names no document. Every strategy must return the
+/// column's typed out-of-bounds error, in debug builds as well. The
+/// computed-BM25 strategies look its length up, in the union's length
+/// strides and in the intersection's batch: the window refill used to
+/// clamp to the column's end and index past what it staged. The boolean
+/// and materialized strategies read no length: they used to emit it as a
+/// hit, which a cluster node's global-id map then indexed past.
 #[test]
 fn docid_past_the_document_count_is_an_error_not_a_panic() {
-    let index = reopened_with_a_list_patched(&IndexConfig::uncompressed(), |list| {
-        list[4..].copy_from_slice(&1000u32.to_le_bytes())
-    });
-    let exec = QueryExecutor::new(Arc::new(index));
-    let mut hits = Vec::new();
-    let computed = SearchStrategy::ALL.into_iter().filter(|s| {
-        !s.needs_materialized() && !matches!(s, SearchStrategy::BoolAnd | SearchStrategy::BoolOr)
-    });
+    let materialized = IndexConfig {
+        compress: false,
+        ..IndexConfig::materialized_f32()
+    };
     let mut checked = 0;
-    for strategy in computed {
-        for q in [&[0][..], &[0, 1], &[1, 0]] {
-            let err = exec.search_hits_into(q, strategy, 10, &mut hits).err();
-            assert!(
-                matches!(
-                    err,
-                    Some(ExecError::Storage(StorageError::OutOfBounds {
-                        position: 400..,
-                        len: 400
-                    }))
-                ),
-                "{strategy:?} on {q:?}: {err:?}"
-            );
-            checked += 1;
+    for (config, wants_scores) in [(IndexConfig::uncompressed(), false), (materialized, true)] {
+        let index = reopened_with_a_list_patched(&config, |list| {
+            list[4..].copy_from_slice(&1000u32.to_le_bytes())
+        });
+        let exec = QueryExecutor::new(Arc::new(index));
+        let mut hits = Vec::new();
+        let strategies = SearchStrategy::ALL
+            .into_iter()
+            .filter(|s| s.needs_materialized() == wants_scores);
+        for strategy in strategies {
+            // The boolean strategies emit docids in order, so with `b`
+            // (every doc below 400) only `a` alone reaches doc 1 000.
+            let queries: &[&[u32]] =
+                if matches!(strategy, SearchStrategy::BoolAnd | SearchStrategy::BoolOr) {
+                    &[&[0]]
+                } else {
+                    &[&[0], &[0, 1], &[1, 0]]
+                };
+            for q in queries {
+                let err = exec.search_hits_into(q, strategy, 10, &mut hits).err();
+                assert!(
+                    matches!(
+                        err,
+                        Some(ExecError::Storage(StorageError::OutOfBounds {
+                            position: 400..,
+                            len: 400
+                        }))
+                    ),
+                    "{strategy:?} on {q:?}: {err:?}"
+                );
+                checked += 1;
+            }
         }
     }
     assert_eq!(
-        checked, 9,
-        "Bm25, Bm25TwoPass and Bm25Pruned, three queries each"
+        checked, 20,
+        "two boolean queries, six ranked strategies with three queries each"
     );
 }
 

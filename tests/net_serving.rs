@@ -7,7 +7,7 @@
 //! survives. When no replica survives, the failure must surface as a
 //! typed [`NetError`], never a panic reaching the coordinator.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_distributed::{
@@ -248,6 +248,91 @@ fn stalled_server_is_hedged_around_bit_identically() {
     // The healthy partition never needed help.
     assert_eq!(stats.partitions[1].hedged, 0);
     assert_eq!(stats.partitions[1].failed_over, 0);
+    // One winner per served request: a hedge loser that answers after its
+    // winner is dropped, not counted.
+    for p in &stats.partitions {
+        assert_eq!(
+            p.served_by_replica.iter().sum::<u64>(),
+            p.requests - p.unavailable,
+            "partition {}: {p:?}",
+            p.partition
+        );
+    }
+}
+
+#[test]
+fn fully_stalled_partition_is_unavailable_at_the_deadline() {
+    let (queries, cluster) = fixture(3);
+    let deadline = Duration::from_millis(300);
+    let config = CoordinatorConfig {
+        deadline,
+        ..test_config()
+    };
+    let net = NetCluster::serve(&cluster, 2, config).expect("spawn servers");
+    // Both replicas of partition 1 accept and never answer: the hedge
+    // fires, then the shared deadline ends the partition.
+    net.server(1, 0).set_fault(Fault::Stall);
+    net.server(1, 1).set_fault(Fault::Stall);
+
+    let started = Instant::now();
+    let result = net
+        .coordinator()
+        .search(&queries[0], SearchStrategy::Bm25, TOP_N);
+    let elapsed = started.elapsed();
+    match result {
+        Err(NetError::PartitionUnavailable {
+            partition,
+            attempts,
+        }) => {
+            assert_eq!(partition, 1);
+            assert_eq!(attempts, 2, "the hedge must have tried the second replica");
+        }
+        other => panic!("expected PartitionUnavailable, got {other:?}"),
+    }
+    assert!(
+        elapsed >= deadline,
+        "returned before the deadline: {elapsed:?}"
+    );
+    assert!(
+        elapsed < deadline + Duration::from_secs(2),
+        "the deadline must bound the query: {elapsed:?}"
+    );
+    let stats = net.coordinator().stats();
+    assert_eq!(stats.partitions[1].unavailable, 1);
+    assert_eq!(stats.partitions[1].hedged, 1);
+    for p in stats.partitions.iter().filter(|p| p.partition != 1) {
+        assert_eq!(p.unavailable, 0, "partition {} served: {p:?}", p.partition);
+        assert_eq!(p.served_by_replica.iter().sum::<u64>(), 1);
+    }
+}
+
+#[test]
+fn with_two_partitions_down_the_error_names_the_lower_one() {
+    let (queries, cluster) = fixture(3);
+    let net = NetCluster::serve(&cluster, 2, test_config()).expect("spawn servers");
+    for partition in [2, 1] {
+        net.kill_server(partition, 0);
+        net.kill_server(partition, 1);
+    }
+
+    match net
+        .coordinator()
+        .search(&queries[0], SearchStrategy::Bm25, TOP_N)
+    {
+        Err(NetError::PartitionUnavailable {
+            partition,
+            attempts,
+        }) => {
+            assert_eq!(partition, 1, "the first failure in partition order");
+            assert_eq!(attempts, 2);
+        }
+        other => panic!("expected PartitionUnavailable, got {other:?}"),
+    }
+    // Every partition resolved before the query returned.
+    let stats = net.coordinator().stats();
+    let unavailable: Vec<u64> = stats.partitions.iter().map(|p| p.unavailable).collect();
+    assert_eq!(unavailable, [0, 1, 1]);
+    assert_eq!(stats.partitions[0].served_by_replica.iter().sum::<u64>(), 1);
 }
 
 #[test]
