@@ -8,12 +8,11 @@
 //! actual single-node engine; only the *network* between nodes is modeled
 //! (see [`crate::schedule`]).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use x100_corpus::{CollectionStream, CollectionTail, Document, SyntheticCollection};
 use x100_ir::{
@@ -34,8 +33,8 @@ const NEVER_SPILLS: &str = "an unbounded budget never spills, so the build never
 pub enum ClusterError {
     /// The node's local search failed — the engine returned an error (e.g.
     /// a materialized-score strategy over a partition built without score
-    /// columns) or its fan-out worker panicked; the partition contributed
-    /// nothing to the merge.
+    /// columns) or the search panicked; the partition contributed nothing
+    /// to the merge.
     NodeFailed {
         /// Which partition failed.
         partition: usize,
@@ -133,9 +132,9 @@ pub struct MergedResult {
 pub struct NodeTiming {
     /// Node index.
     pub node: usize,
-    /// Wall-clock time of the node's local search, as observed by its
-    /// fan-out thread (includes thread scheduling, so under oversubscription
-    /// it exceeds `cpu_time`).
+    /// Wall-clock time of the node's local search, as observed by the
+    /// scatter around its call (at least `cpu_time`; under a preempted or
+    /// oversubscribed core it exceeds it).
     pub wall: Duration,
     /// The node engine's own CPU-side execution time.
     pub cpu_time: Duration,
@@ -152,8 +151,8 @@ pub struct NodeTiming {
 /// plus per-node latency accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScatterResponse {
-    /// Globally ranked hits, best first — bit-identical to
-    /// [`SimulatedCluster::search`] on the same query.
+    /// Globally ranked hits, best first: what [`SimulatedCluster::search`]
+    /// returns when no node failed.
     pub results: Vec<MergedResult>,
     /// One timing record per node, in node order. The slowest entry gates
     /// the query (§3.4's load-imbalance effect, now observable directly).
@@ -161,12 +160,12 @@ pub struct ScatterResponse {
     /// Time the coordinator spent merging the per-node top-N lists and
     /// naming the merged hits.
     pub merge_time: Duration,
-    /// Nodes whose local search errored or whose fan-out worker died
-    /// mid-query (empty on the happy path). A failed node contributed no
-    /// hits: `results` covers the surviving partitions only, and the caller
-    /// decides whether partial coverage is acceptable — the networked
-    /// coordinator consumes this shape by retrying the partition on a
-    /// replica instead.
+    /// Nodes whose local search errored or panicked mid-query (empty on
+    /// the happy path). A failed node contributed no hits: `results`
+    /// covers the surviving partitions only, and the caller decides
+    /// whether partial coverage is acceptable — the networked coordinator
+    /// consumes this shape by retrying the partition on a replica
+    /// instead.
     pub failures: Vec<ClusterError>,
 }
 
@@ -386,55 +385,53 @@ impl SimulatedCluster {
         &self.nodes
     }
 
-    /// Broadcast a query, merge per-node top-`n` into the global top-`n`.
+    /// Broadcast a query, merge per-node top-`n` into the global top-`n`:
+    /// [`Self::search_scatter`]'s results, for callers that need every
+    /// partition.
     ///
     /// Ties on score order by global docid, matching the single-node
-    /// engine's earlier-row preference. Nodes are searched sequentially on
-    /// the calling thread; [`Self::search_scatter`] is the concurrent
-    /// fan-out with identical results.
+    /// engine's earlier-row preference.
     ///
     /// # Panics
-    /// Panics if a node's search fails: this is the reference the scatter
-    /// path is tested against, and a merge over partial coverage would be
-    /// a silently wrong reference.
+    /// Panics if a node's search fails: a merge over partial coverage
+    /// would be a silently wrong answer.
     pub fn search(&self, terms: &[u32], strategy: SearchStrategy, n: usize) -> Vec<MergedResult> {
-        let per_node: Vec<_> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(
-                |(ni, node)| match Self::node_search(node, ni, terms, strategy, n) {
-                    Ok((hits, _)) => hits,
-                    Err(e) => panic!("sequential cluster search lost coverage: {e}"),
-                },
-            )
-            .collect();
-        self.merge_named(&per_node, n)
+        let resp = self.search_scatter(terms, strategy, n);
+        if let Some(e) = resp.failures.first() {
+            panic!("cluster search lost coverage: {e}");
+        }
+        resp.results
     }
 
-    /// One node's local top-`n` (node-local docids) plus its timing,
-    /// through [`Node::search_hits_into`] — the path every
-    /// [`crate::net::NodeServer`] serves.
+    /// One node's local top-`n` (node-local docids, into `out`) and its
+    /// timing, through [`Node::search_hits_into`] — the path every
+    /// [`crate::net::NodeServer`] serves — on the calling thread, its
+    /// failure contained: an engine error or a panic is the node's
+    /// [`ClusterError::NodeFailed`], and the caller keeps running.
     fn node_search(
         node: &Node,
         ni: usize,
         terms: &[u32],
         strategy: SearchStrategy,
         n: usize,
-    ) -> Result<(Vec<(u32, f32)>, NodeTiming), ClusterError> {
+        out: &mut Vec<(u32, f32)>,
+    ) -> Result<NodeTiming, ClusterError> {
         let started = Instant::now();
-        let mut hits = Vec::new();
-        let resp = node
-            .search_hits_into(terms, strategy, n, &mut hits)
-            .map_err(|_| ClusterError::NodeFailed { partition: ni })?;
-        let timing = NodeTiming {
-            node: ni,
-            wall: started.elapsed(),
-            cpu_time: resp.cpu_time,
-            io: resp.io,
-            passes: resp.passes,
-        };
-        Ok((hits, timing))
+        match catch_unwind(AssertUnwindSafe(|| {
+            node.search_hits_into(terms, strategy, n, out)
+        })) {
+            Ok(Ok(resp)) => Ok(NodeTiming {
+                node: ni,
+                wall: started.elapsed(),
+                cpu_time: resp.cpu_time,
+                io: resp.io,
+                passes: resp.passes,
+            }),
+            // A panic's payload is already printed by the default hook;
+            // what the caller needs is the typed fact that this partition
+            // reported nothing.
+            Ok(Err(_)) | Err(_) => Err(ClusterError::NodeFailed { partition: ni }),
+        }
     }
 
     /// The gather: maps each node's local hits (given in node order) to
@@ -471,18 +468,16 @@ impl SimulatedCluster {
             .collect()
     }
 
-    /// Scatter-gather search: the query fans out to every partition on its
-    /// own thread, each node runs [`Node::search_hits_into`] — the path
-    /// every [`crate::net::NodeServer`] serves — over its persistent buffer
-    /// pool, and the coordinator merges the per-node top-`n` lists into the
-    /// global top-`n` — the paper's §3.4 serving architecture ("broadcast
-    /// to all indexing nodes ... merged into a global top-N"), executed
-    /// rather than modeled.
-    ///
-    /// Results are bit-identical to the sequential [`Self::search`]: the
-    /// gather step collects per-node lists in node order before the same
-    /// deterministic merge, so thread completion order cannot leak into
-    /// the ranking.
+    /// Scatter-gather search: the query is broadcast to every partition,
+    /// each node runs [`Node::search_hits_into`] — the path every
+    /// [`crate::net::NodeServer`] serves — over its persistent buffer
+    /// pool, and the coordinator merges the per-node top-`n` lists into
+    /// the global top-`n` — the paper's §3.4 serving architecture
+    /// ("broadcast to all indexing nodes ... merged into a global top-N"),
+    /// executed rather than modeled. The nodes run one after another on
+    /// the calling thread: a node search costs less than a thread would,
+    /// and the per-node lists are gathered in node order before the one
+    /// deterministic merge.
     ///
     /// A node whose search *errors or panics* does not abort the query: it
     /// is reported as a [`ClusterError::NodeFailed`] entry in
@@ -499,40 +494,23 @@ impl SimulatedCluster {
         let mut per_node = Vec::with_capacity(self.nodes.len());
         let mut node_timings = Vec::with_capacity(self.nodes.len());
         let mut failures = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(ni, node)| {
-                    let node = Arc::clone(node);
-                    s.spawn(move || Self::node_search(&node, ni, terms, strategy, n))
-                })
-                .collect();
-            // `handles` is in node order; joining in order re-establishes a
-            // deterministic gather regardless of completion order.
-            for (ni, h) in handles.into_iter().enumerate() {
-                // A panicked worker's payload is already printed by the
-                // default hook; what the coordinator needs is the typed
-                // fact that this partition reported nothing.
-                let found = h
-                    .join()
-                    .unwrap_or(Err(ClusterError::NodeFailed { partition: ni }));
-                let (hits, timing) = found.unwrap_or_else(|e| {
+        for (ni, node) in self.nodes.iter().enumerate() {
+            let mut hits = Vec::new();
+            let timing =
+                Self::node_search(node, ni, terms, strategy, n, &mut hits).unwrap_or_else(|e| {
                     failures.push(e);
-                    let timing = NodeTiming {
+                    hits.clear();
+                    NodeTiming {
                         node: ni,
                         wall: Duration::ZERO,
                         cpu_time: Duration::ZERO,
                         io: IoStats::default(),
                         passes: 1,
-                    };
-                    (Vec::new(), timing)
+                    }
                 });
-                per_node.push(hits);
-                node_timings.push(timing);
-            }
-        });
+            per_node.push(hits);
+            node_timings.push(timing);
+        }
         let merge_started = Instant::now();
         let results = self.merge_named(&per_node, n);
         ScatterResponse {
@@ -546,12 +524,11 @@ impl SimulatedCluster {
     /// Measures, for each query, the *actual* per-node execution time of
     /// the local top-`n` search (hot data), as `compute[query][node]`:
     /// the matrix the discrete-event scheduler consumes. Each node is timed
-    /// through the path it serves, [`Node::search_hits_into`], one node
-    /// after another, so every measurement is one query on an otherwise
-    /// idle core — as on the paper's one-server-per-partition cluster —
-    /// and not a share of an oversubscribed one. A node runs on a thread of
-    /// its own only so that its panic is contained: an error or a panic is
-    /// reported as that node's [`ClusterError::NodeFailed`].
+    /// through the scatter's contained node call, one node after another
+    /// on the calling thread, so every measurement is one query on an
+    /// otherwise idle core — as on the paper's one-server-per-partition
+    /// cluster — and not a share of an oversubscribed one. An error or a
+    /// panic is reported as that node's [`ClusterError::NodeFailed`].
     pub fn measure_compute(
         &self,
         queries: &[Vec<u32>],
@@ -559,25 +536,15 @@ impl SimulatedCluster {
         n: usize,
     ) -> Result<Vec<Vec<Duration>>, ClusterError> {
         let mut compute = vec![Vec::new(); queries.len()];
+        let mut out = Vec::with_capacity(n);
         for (ni, node) in self.nodes.iter().enumerate() {
-            let measured = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let mut out = Vec::with_capacity(n);
-                    // Warm the node once so measurements reflect the
-                    // paper's hot-data condition.
-                    if let Some(q) = queries.first() {
-                        node.search_hits_into(q, strategy, n, &mut out)?;
-                    }
-                    for (row, q) in compute.iter_mut().zip(queries) {
-                        row.push(node.search_hits_into(q, strategy, n, &mut out)?.cpu_time);
-                    }
-                    Ok::<_, ExecError>(())
-                })
-                .join()
-            });
-            // A search error is a failed node, not a zero-cost query.
-            if !matches!(measured, Ok(Ok(()))) {
-                return Err(ClusterError::NodeFailed { partition: ni });
+            // Warm the node once so measurements reflect the paper's
+            // hot-data condition.
+            if let Some(q) = queries.first() {
+                Self::node_search(node, ni, q, strategy, n, &mut out)?;
+            }
+            for (row, q) in compute.iter_mut().zip(queries) {
+                row.push(Self::node_search(node, ni, q, strategy, n, &mut out)?.cpu_time);
             }
         }
         Ok(compute)
@@ -599,22 +566,20 @@ mod tests {
 
     #[test]
     fn merged_results_are_globally_ranked() {
-        // Both gathers name the merged hits after the merge, each from the
+        // The gather names the merged hits after the merge, each from the
         // node that returned it: the name and the node must be the global
         // docid's own.
         for k in [3, 4] {
             let (c, cluster) = setup(k);
             for q in c.eval_queries.iter().take(5) {
-                let sequential = cluster.search(&q.terms, SearchStrategy::Bm25, 20);
                 let scattered = cluster.search_scatter(&q.terms, SearchStrategy::Bm25, 20);
                 assert!(scattered.failures.is_empty());
-                for merged in [&sequential, &scattered.results] {
-                    assert!(!merged.is_empty() && merged.len() <= 20);
-                    assert!(merged.windows(2).all(|w| w[0].score >= w[1].score));
-                    for r in merged {
-                        assert_eq!(r.name, format!("doc-{:08}", r.docid));
-                        assert_eq!(r.node, partition_of(r.docid, k), "doc {}", r.docid);
-                    }
+                let merged = &scattered.results;
+                assert!(!merged.is_empty() && merged.len() <= 20);
+                assert!(merged.windows(2).all(|w| w[0].score >= w[1].score));
+                for r in merged {
+                    assert_eq!(r.name, format!("doc-{:08}", r.docid));
+                    assert_eq!(r.node, partition_of(r.docid, k), "doc {}", r.docid);
                 }
             }
         }
@@ -764,24 +729,14 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gather_is_bit_identical_to_sequential() {
-        let (c, cluster) = setup(4);
-        for q in &c.eval_queries {
-            let sequential = cluster.search(&q.terms, SearchStrategy::Bm25, 20);
-            let scattered = cluster.search_scatter(&q.terms, SearchStrategy::Bm25, 20);
-            assert_eq!(scattered.results, sequential);
-        }
-    }
-
-    #[test]
     fn scatter_records_one_timing_per_node() {
         let (c, cluster) = setup(3);
         let resp = cluster.search_scatter(&c.eval_queries[0].terms, SearchStrategy::Bm25, 10);
         assert_eq!(resp.node_timings.len(), 3);
         for (i, t) in resp.node_timings.iter().enumerate() {
             assert_eq!(t.node, i);
-            // The fan-out thread's wall window strictly contains the
-            // engine's own execution window.
+            // The scatter's wall window contains the engine's own
+            // execution window.
             assert!(
                 t.wall >= t.cpu_time,
                 "node {i}: wall {:?} < cpu {:?}",
@@ -872,7 +827,12 @@ mod tests {
         let q = &c.eval_queries[0].terms;
         let resp = cluster.search_scatter(q, SearchStrategy::Bm25, 10);
         assert!(resp.failures.is_empty());
-        assert_eq!(resp.results, cluster.search(q, SearchStrategy::Bm25, 10));
+        assert!(!resp.results.is_empty());
+        assert!(
+            resp.results.iter().all(|r| r.node < 3),
+            "{:?}",
+            resp.results
+        );
     }
 
     #[test]
@@ -907,10 +867,9 @@ mod tests {
 
     #[test]
     fn panicking_node_is_contained_and_reported() {
-        // A node-thread panic must not abort the scatter (the old
-        // `join().expect(...)` did): the query completes over the
-        // surviving partitions and the dead node surfaces as a typed
-        // `ClusterError::NodeFailed` the failover layer can consume.
+        // A node panic must not abort the scatter: the query completes
+        // over the surviving partitions and the dead node surfaces as a
+        // typed `ClusterError::NodeFailed` the failover layer can consume.
         let (c, cluster) = setup(3);
         let q = &c.eval_queries[0].terms;
         let healthy = cluster.search_scatter(q, SearchStrategy::Bm25, 20);
@@ -953,9 +912,18 @@ mod tests {
             Err(ClusterError::NodeFailed { partition: 1 })
         );
 
+        // Both panics unwound on this thread and were contained there:
+        // the caller is still running, not unwinding.
+        assert!(!std::thread::panicking());
+
+        // The disarmed node serves whole again, in both callers.
         cluster.nodes()[1].inject_search_panic_for_tests(false);
         let recovered = cluster.search_scatter(q, SearchStrategy::Bm25, 20);
         assert!(recovered.failures.is_empty());
         assert_eq!(recovered.results, healthy.results);
+        let m = cluster
+            .measure_compute(&queries, SearchStrategy::Bm25, 10)
+            .unwrap();
+        assert!(m.len() == 2 && m.iter().all(|row| row.len() == 3));
     }
 }

@@ -1,7 +1,7 @@
 //! Networked scatter-gather serving: real nodes behind TCP sockets.
 //!
-//! [`crate::cluster::SimulatedCluster`] fans a query out over threads in
-//! one process; this module promotes each partition to a real serving
+//! [`crate::cluster::SimulatedCluster`] searches every partition in one
+//! process; this module promotes each partition to a real serving
 //! endpoint — a [`NodeServer`] listening on its own socket, answering
 //! framed search requests from the partition's index — and a
 //! [`Coordinator`] that scatter-gathers over those sockets the way the
@@ -10,10 +10,14 @@
 //! must stay bit-identical (docids, `f32::to_bits` scores, tie-breaks) to
 //! [`crate::cluster::SimulatedCluster::search_scatter`].
 //!
-//! The gather is the caller: [`Coordinator::search`] launches each
-//! partition's first replica attempt on a detached thread, then drives
-//! every partition from one loop on the query's own thread, one channel
-//! carrying each attempt's outcome. It treats every peer as failable:
+//! The gather decides, its driver moves bytes. A private `Gather` holds
+//! every partition's replica order, hedge timer and failover, and the
+//! query's one deadline; it does no I/O, starts no thread and reads no
+//! clock — every input carries the time. [`Coordinator::search`] is its
+//! TCP driver: it starts each attempt the gather asks for on a detached
+//! thread, waits on one channel until the gather's next wake, and feeds
+//! back each outcome or the timeout. The tests drive the same `Gather`
+//! on a virtual clock. It treats every peer as failable:
 //!
 //! * **One deadline** — the query carries a total time budget shared by
 //!   every partition; sockets never block past it.
@@ -758,7 +762,7 @@ fn exchange(
 
 /// Per-partition serving state: the replica set and the counters behind
 /// [`Coordinator::stats`]. Only the `Arc<Replica>`s cross into attempt
-/// threads; the gather loops of concurrent queries update the rest.
+/// threads; the drivers of concurrent queries update the rest.
 #[derive(Default)]
 struct PartitionState {
     id: usize,
@@ -784,32 +788,216 @@ impl PartitionState {
         order.sort_by_key(|&i| self.replicas[i].down.load(Ordering::SeqCst));
         order
     }
+}
 
-    /// Counts a query this partition could not serve after `attempts`.
-    fn unavailable_after(&self, attempts: usize) -> NetError {
-        self.unavailable.fetch_add(1, Ordering::Relaxed);
-        NetError::PartitionUnavailable {
-            partition: self.id,
-            attempts,
-        }
+/// The partition's hedge delay: its observed p99 over `samples`
+/// successful attempts once there are enough, the configured initial
+/// delay before that.
+fn hedge_delay(samples: u64, p99: Duration, config: &CoordinatorConfig) -> Duration {
+    if samples >= config.hedge_min_samples {
+        // Not `clamp`, which panics when `deadline / 2 < 1 ms`.
+        p99.max(Duration::from_millis(1)).min(config.deadline / 2)
+    } else {
+        config.hedge_after
     }
 }
 
+// ---------------------------------------------------------------------------
+// Gather: the coordinator's decisions, without a clock or a socket
+// ---------------------------------------------------------------------------
+
+/// Why the [`Gather`] asks for an attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaunchKind {
+    /// The partition's first attempt.
+    First,
+    /// The partition's one hedge: its attempt outlived the hedge delay.
+    Hedge,
+    /// A retryable error moved the partition to its next replica.
+    Failover,
+}
+
+/// An attempt the [`Gather`] asks its driver to start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Launch {
+    partition: usize,
+    replica: usize,
+    kind: LaunchKind,
+}
+
+/// The answer that won a partition.
+#[derive(Debug)]
+struct Won<T> {
+    replica: usize,
+    /// From the partition's first launch in flight to this answer.
+    wall: Duration,
+    hedged: bool,
+    failed_over: bool,
+    answer: T,
+}
+
 /// One partition's progress through one gathered query.
-struct PartitionGather {
+struct PartitionGather<T> {
     /// Replica indices in attempt order ([`PartitionState::replica_order`]).
     order: Vec<usize>,
     hedge_delay: Duration,
-    /// The first launch; [`PartitionAttempt::wall`] counts from here.
-    started: Instant,
+    /// When the first launch went in flight.
+    started: Duration,
+    /// A launch asked for and not yet handed to the driver.
+    pending: Option<LaunchKind>,
     launched: usize,
     completed: usize,
     hedged: bool,
     failed_over: bool,
     /// The latest launch plus the hedge delay, while a hedge is left.
-    hedge_at: Option<Instant>,
+    hedge_at: Option<Duration>,
     /// Set once resolved; a later outcome is a hedge loser's.
-    result: Option<Result<PartitionAttempt, NetError>>,
+    result: Option<Result<Won<T>, NetError>>,
+}
+
+/// The decisions of one gathered query: every partition's replica order,
+/// hedge timer and failover, and the query's one deadline. It does no I/O,
+/// starts no thread and never reads a clock: times are offsets from the
+/// query's start, carried by every input.
+///
+/// A driver starts each [`Launch`] that [`Self::poll_launch`] hands out
+/// and reports it [`Self::in_flight`], then feeds back each attempt's
+/// outcome ([`Self::on_outcome`]), or [`Self::on_wake`] if none arrives
+/// by [`Self::next_wake`], until that is `None`.
+struct Gather<T> {
+    parts: Vec<PartitionGather<T>>,
+    deadline: Duration,
+}
+
+impl<T> Gather<T> {
+    /// A gather over `(replica order, hedge delay)` per partition, in
+    /// partition order, each with its first launch pending.
+    fn new(plans: impl IntoIterator<Item = (Vec<usize>, Duration)>, deadline: Duration) -> Self {
+        let parts = plans
+            .into_iter()
+            .map(|(order, hedge_delay)| PartitionGather {
+                order,
+                hedge_delay,
+                started: Duration::ZERO,
+                pending: Some(LaunchKind::First),
+                launched: 0,
+                completed: 0,
+                hedged: false,
+                failed_over: false,
+                hedge_at: None,
+                result: None,
+            })
+            .collect();
+        Gather { parts, deadline }
+    }
+
+    /// The next attempt to start, lowest partition first.
+    fn poll_launch(&mut self) -> Option<Launch> {
+        let mut parts = self.parts.iter_mut().enumerate();
+        let (partition, g) = parts.find(|(_, g)| g.pending.is_some())?;
+        g.launched += 1;
+        let (replica, kind) = (g.order[g.launched - 1], g.pending.take()?);
+        Some(Launch {
+            partition,
+            replica,
+            kind,
+        })
+    }
+
+    /// The partition's latest launch is in flight at `now`: its hedge
+    /// timer starts, while no hedge has fired and a replica is left.
+    fn in_flight(&mut self, partition: usize, now: Duration) {
+        let g = &mut self.parts[partition];
+        if g.launched == 1 {
+            g.started = now;
+        }
+        let left = !g.hedged && g.launched < g.order.len();
+        g.hedge_at = now.checked_add(g.hedge_delay).filter(|_| left);
+    }
+
+    /// The earliest pending hedge or the deadline; `None` once every
+    /// partition has resolved.
+    fn next_wake(&self) -> Option<Duration> {
+        let open = self.parts.iter().filter(|g| g.result.is_none());
+        open.map(|g| g.hedge_at.map_or(self.deadline, |at| at.min(self.deadline)))
+            .min()
+    }
+
+    /// Applies `replica`'s outcome for `partition`, delivered at `now`.
+    /// The first answer wins an open partition; an outcome for a resolved
+    /// one is a hedge loser's. [`NetError::Remote`] resolves the partition;
+    /// any other error fails over to the next replica or, with none left
+    /// and none in flight, makes it unavailable. At the deadline the query
+    /// expires instead. No hedge fires here: an answer already waiting is
+    /// applied first.
+    fn on_outcome(
+        &mut self,
+        partition: usize,
+        replica: usize,
+        outcome: Result<T, NetError>,
+        now: Duration,
+    ) {
+        if now >= self.deadline {
+            return self.expire();
+        }
+        let g = &mut self.parts[partition];
+        if g.result.is_some() {
+            return;
+        }
+        g.result = match outcome {
+            Ok(answer) => Some(Ok(Won {
+                replica,
+                wall: now.saturating_sub(g.started),
+                hedged: g.hedged,
+                failed_over: g.failed_over,
+                answer,
+            })),
+            Err(e @ NetError::Remote(_)) => Some(Err(e)),
+            Err(_) => {
+                g.completed += 1;
+                if g.launched < g.order.len() {
+                    (g.failed_over, g.pending) = (true, Some(LaunchKind::Failover));
+                }
+                let exhausted = g.launched == g.order.len() && g.completed == g.launched;
+                exhausted.then(|| Err(unavailable(partition, g.launched)))
+            }
+        };
+    }
+
+    /// Nothing arrived by [`Self::next_wake`]. At the deadline every open
+    /// partition becomes unavailable; before it, the first open partition
+    /// whose hedge is due hedges: one hedge per wake.
+    fn on_wake(&mut self, now: Duration) {
+        if now >= self.deadline {
+            return self.expire();
+        }
+        let mut open = self.parts.iter_mut().filter(|g| g.result.is_none());
+        if let Some(g) = open.find(|g| g.hedge_at.is_some_and(|at| at <= now)) {
+            (g.hedged, g.hedge_at, g.pending) = (true, None, Some(LaunchKind::Hedge));
+        }
+    }
+
+    fn expire(&mut self) {
+        for (partition, g) in self.parts.iter_mut().enumerate() {
+            let attempts = g.launched;
+            g.result
+                .get_or_insert_with(|| Err(unavailable(partition, attempts)));
+        }
+    }
+
+    /// Every partition's result, in partition order, once `next_wake` is
+    /// `None`.
+    fn finish(self) -> impl Iterator<Item = Result<Won<T>, NetError>> {
+        let results = self.parts.into_iter().map(|g| g.result);
+        results.map(|r| r.expect("the gather resolves every partition"))
+    }
+}
+
+fn unavailable(partition: usize, attempts: usize) -> NetError {
+    NetError::PartitionUnavailable {
+        partition,
+        attempts,
+    }
 }
 
 /// What one partition contributed to a gathered query.
@@ -819,7 +1007,8 @@ pub struct PartitionAttempt {
     pub partition: usize,
     /// Replica that served the winning response.
     pub replica: usize,
-    /// Wall time from first attempt to the winning response.
+    /// Wall time from the partition's first attempt in flight to the
+    /// winning response.
     pub wall: Duration,
     /// Whether a hedge fired for this query.
     pub hedged: bool,
@@ -949,10 +1138,13 @@ impl Coordinator {
     }
 
     /// Scatter-gathers one query over the socket layer on the calling
-    /// thread: after launching every partition's first replica attempt,
-    /// one loop waits for the next outcome, the earliest due hedge or the
-    /// shared deadline, and drives each partition's hedge and failover.
-    /// An outcome for a resolved partition is a hedge loser and is dropped.
+    /// thread. This is the TCP driver of the query's `Gather` (see the
+    /// [module docs](self)): the gather decides every launch, hedge,
+    /// failover and the deadline; the driver moves bytes. It starts each
+    /// launch on a detached thread, waits on one channel until the
+    /// gather's next wake, and feeds it each outcome or the timeout. It
+    /// keeps [`CoordinatorStats`] and the latency histogram behind the
+    /// hedge delay, and merges the winners' hits.
     ///
     /// Errors are typed, never panics: a partition whose replicas are all
     /// exhausted, or that is unresolved at the deadline, yields
@@ -966,107 +1158,83 @@ impl Coordinator {
         n: usize,
     ) -> Result<NetSearchOutcome, NetError> {
         let payload: Arc<Vec<u8>> = Arc::new(encode_search_request(terms, strategy, n));
-        let deadline = Instant::now() + self.config.deadline;
+        let start = Instant::now();
+        let deadline = start + self.config.deadline;
         let (tx, rx) = mpsc::channel::<AttemptOutcome>();
-        let mut gathers: Vec<PartitionGather> = self
-            .partitions
-            .iter()
-            .map(|part| {
-                part.requests.fetch_add(1, Ordering::Relaxed);
-                let mut g = PartitionGather {
-                    order: part.replica_order(),
-                    hedge_delay: self.hedge_delay(part),
-                    started: Instant::now(),
-                    launched: 0,
-                    completed: 0,
-                    hedged: false,
-                    failed_over: false,
-                    hedge_at: None,
-                    result: None,
+        let plans = self.partitions.iter().map(|part| {
+            let hist = part.latency.lock().unwrap_or_else(|e| e.into_inner());
+            let delay = hedge_delay(hist.count(), hist.p99(), &self.config);
+            (part.replica_order(), delay)
+        });
+        let mut gather = Gather::new(plans, self.config.deadline);
+        loop {
+            while let Some(launch) = gather.poll_launch() {
+                let part = &self.partitions[launch.partition];
+                let counter = match launch.kind {
+                    LaunchKind::First => &part.requests,
+                    LaunchKind::Hedge => &part.hedged,
+                    LaunchKind::Failover => &part.failed_over,
                 };
-                self.launch_attempt(part, &mut g, &payload, deadline, &tx);
-                g
-            })
-            .collect();
-        let mut lists = vec![Vec::new(); gathers.len()];
-        let mut timed_out = false;
-        while gathers.iter().any(|g| g.result.is_none()) {
-            let now = Instant::now();
-            let mut wake = deadline;
-            let open = self.partitions.iter().zip(&mut gathers);
-            for (part, g) in open.filter(|(_, g)| g.result.is_none()) {
-                if now >= deadline {
-                    g.result = Some(Err(part.unavailable_after(g.launched)));
-                } else if timed_out && g.hedge_at.is_some_and(|at| at <= now) {
-                    timed_out = false; // one hedge per empty receive
-                    g.hedged = true;
-                    part.hedged.fetch_add(1, Ordering::Relaxed);
-                    self.launch_attempt(part, g, &payload, deadline, &tx);
-                }
-                wake = g.hedge_at.map_or(wake, |at| wake.min(at));
+                counter.fetch_add(1, Ordering::Relaxed);
+                self.launch_attempt(part, launch.replica, &payload, deadline, &tx);
+                gather.in_flight(launch.partition, start.elapsed());
             }
-            // The gather holds `tx`, so the only receive error is the timeout.
-            // Hedges fire only after one: a waiting answer is applied instead.
-            let Ok(outcome) = rx.recv_timeout(wake.saturating_duration_since(now)) else {
-                timed_out = true;
-                continue;
+            let Some(wake) = gather.next_wake() else {
+                break;
             };
-            timed_out = false;
-            let (partition, replica) = (outcome.partition, outcome.replica);
-            let (part, g) = (&self.partitions[partition], &mut gathers[partition]);
-            if g.result.is_some() {
-                continue; // a hedge loser
+            // The driver holds `tx`, so the only receive error is the timeout.
+            match rx.recv_timeout(wake.saturating_sub(start.elapsed())) {
+                Ok(AttemptOutcome {
+                    partition,
+                    replica,
+                    result,
+                }) => gather.on_outcome(partition, replica, result, start.elapsed()),
+                Err(_) => gather.on_wake(start.elapsed()),
             }
-            g.result = match outcome.result {
-                Ok(wire) => {
-                    let wall = g.started.elapsed();
-                    part.latency
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .record(wall);
-                    part.replicas[replica]
-                        .served
-                        .fetch_add(1, Ordering::Relaxed);
-                    part.io_reads.fetch_add(wire.io.reads, Ordering::Relaxed);
-                    part.io_bytes.fetch_add(wire.io.bytes, Ordering::Relaxed);
-                    part.io_nanos.fetch_add(
-                        u64::try_from(wire.io.sim_time.as_nanos()).unwrap_or(u64::MAX),
-                        Ordering::Relaxed,
-                    );
-                    let attempt = PartitionAttempt {
-                        partition,
-                        replica,
-                        wall,
-                        hedged: g.hedged,
-                        failed_over: g.failed_over,
-                        passes: wire.passes,
-                        io: wire.io,
-                    };
-                    lists[partition] = wire.hits;
-                    Some(Ok(attempt))
-                }
-                // Deterministic remote refusal: every replica holds the
-                // same data, so retrying cannot change the answer.
-                Err(e @ NetError::Remote(_)) => Some(Err(e)),
-                Err(_) => {
-                    g.completed += 1;
-                    if g.launched < g.order.len() {
-                        g.failed_over = true;
-                        part.failed_over.fetch_add(1, Ordering::Relaxed);
-                        self.launch_attempt(part, g, &payload, deadline, &tx);
-                        None
-                    } else {
-                        let exhausted = g.completed == g.launched;
-                        exhausted.then(|| Err(part.unavailable_after(g.launched)))
-                    }
-                }
-            };
         }
         // Partition order, exactly like the in-process gather.
-        let partitions = gathers
-            .into_iter()
-            .map(|g| g.result.expect("the gather resolves every partition"))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut lists = Vec::with_capacity(self.partitions.len());
+        let mut partitions = Vec::with_capacity(self.partitions.len());
+        let mut first_error = None;
+        for (part, result) in self.partitions.iter().zip(gather.finish()) {
+            let won = match result {
+                Ok(won) => won,
+                Err(e) => {
+                    if matches!(e, NetError::PartitionUnavailable { .. }) {
+                        part.unavailable.fetch_add(1, Ordering::Relaxed);
+                    }
+                    first_error.get_or_insert(e);
+                    continue;
+                }
+            };
+            let io = won.answer.io;
+            part.latency
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .record(won.wall);
+            part.replicas[won.replica]
+                .served
+                .fetch_add(1, Ordering::Relaxed);
+            part.io_reads.fetch_add(io.reads, Ordering::Relaxed);
+            part.io_bytes.fetch_add(io.bytes, Ordering::Relaxed);
+            part.io_nanos.fetch_add(
+                u64::try_from(io.sim_time.as_nanos()).unwrap_or(u64::MAX),
+                Ordering::Relaxed,
+            );
+            partitions.push(PartitionAttempt {
+                partition: part.id,
+                replica: won.replica,
+                wall: won.wall,
+                hedged: won.hedged,
+                failed_over: won.failed_over,
+                passes: won.answer.passes,
+                io,
+            });
+            lists.push(won.answer.hits);
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
         Ok(NetSearchOutcome {
             hits: Self::merge_hits(lists, n),
             passes: partitions.iter().map(|p| p.passes).fold(1, u8::max),
@@ -1074,21 +1242,19 @@ impl Coordinator {
         })
     }
 
-    /// Issues the next replica attempt in `g`'s order on a detached thread
-    /// (never joined: a loser must not be able to delay the query past its
-    /// winner; its socket timeout bounds its own lifetime), and re-arms the
-    /// hedge timer while no hedge has fired and a replica is left. The
-    /// thread owns the health-state transition for its replica.
+    /// Starts one replica attempt on a detached thread (never joined: a
+    /// loser must not be able to delay the query past its winner; its
+    /// socket timeout bounds its own lifetime). The thread owns the
+    /// health-state transition for its replica.
     fn launch_attempt(
         &self,
         part: &PartitionState,
-        g: &mut PartitionGather,
+        replica: usize,
         payload: &Arc<Vec<u8>>,
         deadline: Instant,
         tx: &mpsc::Sender<AttemptOutcome>,
     ) {
-        let (partition, replica) = (part.id, g.order[g.launched]);
-        g.launched += 1;
+        let partition = part.id;
         let req_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let replica_state = Arc::clone(&part.replicas[replica]);
         let payload = Arc::clone(payload);
@@ -1116,24 +1282,6 @@ impl Coordinator {
                 replica,
                 result: Err(NetError::Io(io::Error::other("spawn failed"))),
             });
-        }
-        // The timer starts once the attempt is in flight.
-        g.hedge_at = Instant::now()
-            .checked_add(g.hedge_delay)
-            .filter(|_| !g.hedged && g.launched < g.order.len());
-    }
-
-    /// The partition's hedge delay: its observed p99 once enough samples
-    /// exist, the configured initial delay before that.
-    fn hedge_delay(&self, part: &PartitionState) -> Duration {
-        let hist = part.latency.lock().unwrap_or_else(|e| e.into_inner());
-        if hist.count() >= self.config.hedge_min_samples {
-            // Not `clamp`, which panics when `deadline / 2 < 1 ms`.
-            hist.p99()
-                .max(Duration::from_millis(1))
-                .min(self.config.deadline / 2)
-        } else {
-            self.config.hedge_after
         }
     }
 
@@ -1442,19 +1590,395 @@ mod tests {
     #[test]
     fn hedge_delay_never_exceeds_half_the_deadline() {
         // Under a 2 ms deadline the 1 ms floor and the cap cross; the cap
-        // wins. The address is never dialed.
+        // wins.
         for deadline in [Duration::from_millis(1), Duration::from_secs(2)] {
             let config = CoordinatorConfig {
                 deadline,
                 hedge_min_samples: 0,
                 ..CoordinatorConfig::default()
             };
-            let coord = Coordinator::new(vec![vec![([127, 0, 0, 1], 9).into()]], config);
-            let part = &coord.partitions[0];
             let floor = Duration::from_millis(1).min(deadline / 2);
-            assert_eq!(coord.hedge_delay(part), floor);
-            part.latency.lock().unwrap().record(Duration::from_secs(30));
-            assert_eq!(coord.hedge_delay(part), deadline / 2);
+            assert_eq!(hedge_delay(0, Duration::ZERO, &config), floor);
+            let slow = Duration::from_secs(30);
+            assert_eq!(hedge_delay(1, slow, &config), deadline / 2);
         }
+    }
+
+    /// Drains the gather's launches, each put in flight at `now`.
+    fn launches(g: &mut Gather<()>, now: Duration) -> Vec<Launch> {
+        std::iter::from_fn(|| {
+            let launch = g.poll_launch()?;
+            g.in_flight(launch.partition, now);
+            Some(launch)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn one_hedge_fires_per_wake_and_a_waiting_answer_is_applied() {
+        // Three partitions whose hedges fall due together at 5 ms.
+        let ms = Duration::from_millis;
+        let mut g = Gather::new((0..3).map(|_| (vec![0, 1], ms(5))), ms(100));
+        let first = launches(&mut g, ms(0));
+        assert!(first
+            .iter()
+            .all(|l| l.kind == LaunchKind::First && l.replica == 0));
+        assert_eq!(first.len(), 3);
+        assert_eq!(g.next_wake(), Some(ms(5)));
+        let hedge = |partition| Launch {
+            partition,
+            replica: 1,
+            kind: LaunchKind::Hedge,
+        };
+        // One wake, one hedge: the lowest due partition.
+        g.on_wake(ms(5));
+        assert_eq!(launches(&mut g, ms(5)), [hedge(0)]);
+        assert_eq!(g.next_wake(), Some(ms(5)), "two hedges are still due");
+        // An outcome fires no hedge, and the answer it carries is applied.
+        g.on_outcome(1, 0, Ok(()), ms(5));
+        assert_eq!(launches(&mut g, ms(5)), []);
+        // The next wake hedges the last due partition.
+        g.on_wake(ms(5));
+        assert_eq!(launches(&mut g, ms(5)), [hedge(2)]);
+        assert_eq!(g.next_wake(), Some(ms(100)));
+        // A loser changes nothing; the deadline expires the rest.
+        g.on_outcome(1, 1, Err(NetError::Timeout), ms(6));
+        g.on_wake(ms(100));
+        assert_eq!(g.next_wake(), None);
+        let results: Vec<_> = g.finish().collect();
+        assert!(matches!(
+            results[1],
+            Ok(Won {
+                replica: 0,
+                hedged: false,
+                ..
+            })
+        ));
+        for p in [0, 2] {
+            assert!(matches!(
+                results[p],
+                Err(NetError::PartitionUnavailable { partition, attempts: 2 }) if partition == p
+            ));
+        }
+    }
+
+    /// SplitMix64: the virtual-clock property's seeded draws.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A duration of `0..=max` whole microseconds.
+        fn upto(&mut self, max: Duration) -> Duration {
+            Duration::from_micros(self.below(max.as_micros() as u64 + 1))
+        }
+    }
+
+    /// How a replica answers in the virtual cluster.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        Answer,
+        Retryable,
+        Remote,
+        /// Never answers.
+        Stall,
+    }
+
+    /// One drawn case: the coordinator's configuration and its partitions.
+    #[derive(Debug)]
+    struct Case {
+        config: CoordinatorConfig,
+        partitions: Vec<Part>,
+    }
+
+    /// A partition's replica order, hedge delay, and each replica's
+    /// latency and fault.
+    #[derive(Debug)]
+    struct Part {
+        order: Vec<usize>,
+        delay: Duration,
+        replicas: Vec<(Duration, Fault)>,
+    }
+
+    fn draw(seed: u64) -> Case {
+        let mut rng = Rng(seed);
+        let ms = Duration::from_millis;
+        // A quarter of the deadlines fall under 2 ms, where the hedge
+        // delay's floor and cap cross.
+        let spread = if rng.below(4) == 0 { ms(1) } else { ms(1999) };
+        let deadline = ms(1) + rng.upto(spread);
+        let config = CoordinatorConfig {
+            deadline,
+            hedge_after: rng.upto(deadline * 2),
+            hedge_min_samples: rng.below(4),
+            ..CoordinatorConfig::default()
+        };
+        let replicas = 1 + rng.below(3) as usize;
+        let partitions = (0..1 + rng.below(6))
+            .map(|_| {
+                let mut order: Vec<usize> = (0..replicas).collect();
+                for i in (1..replicas).rev() {
+                    order.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                let (samples, p99) = (rng.below(6), rng.upto(deadline * 2));
+                let delay = hedge_delay(samples, p99, &config);
+                let replicas = (0..replicas)
+                    .map(|_| {
+                        // One latency in eight lands a first attempt's
+                        // answer exactly on the deadline.
+                        let latency = match rng.below(8) {
+                            0 => deadline,
+                            1 => Duration::ZERO,
+                            _ => rng.upto(deadline * 3 / 2),
+                        };
+                        let fault = match rng.below(6) {
+                            0..=2 => Fault::Answer,
+                            3 => Fault::Retryable,
+                            4 => Fault::Remote,
+                            _ => Fault::Stall,
+                        };
+                        (latency, fault)
+                    })
+                    .collect();
+                Part {
+                    order,
+                    delay,
+                    replicas,
+                }
+            })
+            .collect();
+        Case { config, partitions }
+    }
+
+    /// The input the virtual driver last gave the gather.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Input {
+        Start,
+        Wake,
+        Outcome { partition: usize, fault: Fault },
+    }
+
+    /// Drives one case's gather on a virtual clock — attempt outcomes are
+    /// events delivered from a heap in `(time, seq)` order, with no thread
+    /// and no sleep — and checks its invariants after every input.
+    fn run_case(seed: u64) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let case = draw(seed);
+        let deadline = case.config.deadline;
+        let ctx = |what: &str| format!("seed {seed}: {what}\n{case:#?}");
+        let parts = &case.partitions;
+        let mut gather: Gather<usize> = Gather::new(
+            parts.iter().map(|part| (part.order.clone(), part.delay)),
+            deadline,
+        );
+        let mut events = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = Duration::ZERO;
+        let mut input = Input::Start;
+        // Per partition: the launches, the armed hedge time, the retryable
+        // errors delivered, the first answer or refusal delivered before
+        // the deadline (step, replica, fault), and the step, time and
+        // result at resolution.
+        let mut launched: Vec<Vec<Launch>> = vec![Vec::new(); parts.len()];
+        let mut hedge_at: Vec<Option<Duration>> = vec![None; parts.len()];
+        let mut retryable = vec![0usize; parts.len()];
+        let mut first_final: Vec<Option<(usize, usize, Fault)>> = vec![None; parts.len()];
+        let mut resolved: Vec<Option<(usize, Duration, String)>> = vec![None; parts.len()];
+        // On a wake: the lowest open partition whose hedge is due.
+        let mut due = None;
+        for step in 0.. {
+            assert!(step < 1_000, "{}", ctx("the gather does not terminate"));
+            for (p, g) in gather.parts.iter().enumerate() {
+                if let (Some(result), None) = (&g.result, &resolved[p]) {
+                    resolved[p] = Some((step, now, format!("{result:?}")));
+                }
+            }
+            let mut hedged = Vec::new();
+            while let Some(l) = gather.poll_launch() {
+                let p = l.partition;
+                let Part {
+                    order,
+                    delay,
+                    replicas,
+                } = &parts[p];
+                assert!(
+                    resolved[p].is_none(),
+                    "{}",
+                    ctx("launch for a resolved partition")
+                );
+                assert_eq!(
+                    order.get(launched[p].len()),
+                    Some(&l.replica),
+                    "{}",
+                    ctx("launch out of order")
+                );
+                match l.kind {
+                    LaunchKind::First => assert!(input == Input::Start && launched[p].is_empty()),
+                    LaunchKind::Hedge => {
+                        hedged.push(p);
+                        assert_eq!(input, Input::Wake, "{}", ctx("hedge not on a wake"));
+                        assert!(
+                            hedge_at[p].is_some_and(|at| at <= now),
+                            "{}",
+                            ctx("early hedge")
+                        );
+                        assert!(launched[p].iter().all(|l| l.kind != LaunchKind::Hedge));
+                    }
+                    LaunchKind::Failover => {
+                        let after = Input::Outcome {
+                            partition: p,
+                            fault: Fault::Retryable,
+                        };
+                        assert_eq!(
+                            input,
+                            after,
+                            "{}",
+                            ctx("failover not after a retryable error")
+                        );
+                    }
+                }
+                launched[p].push(l);
+                gather.in_flight(p, now);
+                let hedged = launched[p].iter().any(|l| l.kind == LaunchKind::Hedge);
+                hedge_at[p] = (!hedged && launched[p].len() < order.len())
+                    .then(|| now.checked_add(*delay))
+                    .flatten();
+                let (latency, fault) = replicas[l.replica];
+                if fault != Fault::Stall {
+                    seq += 1;
+                    events.push(Reverse((now + latency, seq, p, l.replica)));
+                }
+            }
+            if input == Input::Wake {
+                let expected: Vec<usize> = due.into_iter().collect();
+                assert_eq!(hedged, expected, "{}", ctx("not one hedge per wake"));
+            }
+            let Some(wake) = gather.next_wake() else {
+                break;
+            };
+            let open = (0..parts.len()).filter(|&p| resolved[p].is_none());
+            let earliest = open
+                .filter_map(|p| hedge_at[p])
+                .fold(deadline, Duration::min);
+            assert_eq!(
+                wake,
+                earliest,
+                "{}",
+                ctx("not the earliest hedge or the deadline")
+            );
+            match events.peek() {
+                Some(&Reverse((at, _, p, replica))) if at <= wake.max(now) => {
+                    events.pop();
+                    now = at;
+                    let fault = parts[p].replicas[replica].1;
+                    let is_final = matches!(fault, Fault::Answer | Fault::Remote);
+                    if is_final && now < deadline && first_final[p].is_none() {
+                        first_final[p] = Some((step + 1, replica, fault));
+                    }
+                    retryable[p] += usize::from(fault == Fault::Retryable);
+                    let outcome = match fault {
+                        Fault::Answer => Ok(replica),
+                        Fault::Retryable => Err(NetError::Timeout),
+                        Fault::Remote => Err(NetError::Remote("refused".into())),
+                        Fault::Stall => unreachable!("a stall never answers"),
+                    };
+                    input = Input::Outcome {
+                        partition: p,
+                        fault,
+                    };
+                    gather.on_outcome(p, replica, outcome, now);
+                }
+                _ => {
+                    now = now.max(wake);
+                    due = (0..parts.len()).find(|&p| {
+                        now < deadline
+                            && resolved[p].is_none()
+                            && hedge_at[p].is_some_and(|at| at <= now)
+                    });
+                    input = Input::Wake;
+                    gather.on_wake(now);
+                }
+            }
+        }
+        let (mut hedges, mut failovers, mut launches) = (0, 0, 0);
+        for (p, result) in gather.finish().enumerate() {
+            let (step, at, seen) = resolved[p].clone().expect("resolved before the end");
+            assert!(at <= deadline, "{}", ctx("resolved after the deadline"));
+            assert_eq!(
+                format!("{result:?}"),
+                seen,
+                "{}",
+                ctx("a later outcome changed a result")
+            );
+            let attempts = launched[p].len();
+            // The first answer or refusal that reaches the open partition
+            // before the deadline resolves it; without one, it is
+            // unavailable, out of replicas or out of time.
+            match (result, first_final[p]) {
+                (Ok(won), Some((s, replica, Fault::Answer))) if s == step => {
+                    assert_eq!((won.replica, won.answer), (replica, replica));
+                    let hedged = launched[p].iter().any(|l| l.kind == LaunchKind::Hedge);
+                    assert_eq!(won.hedged, hedged, "{}", ctx("hedged flag"));
+                }
+                (Err(NetError::Remote(_)), Some((s, _, Fault::Remote))) if s == step => {}
+                (
+                    Err(NetError::PartitionUnavailable {
+                        partition,
+                        attempts: a,
+                    }),
+                    last,
+                ) if last.is_none_or(|(s, ..)| s > step) => {
+                    assert_eq!((partition, a), (p, attempts), "{}", ctx("attempts"));
+                    let exhausted = attempts == parts[p].order.len() && retryable[p] == attempts;
+                    let why = "unavailable with a replica left before the deadline";
+                    assert!(exhausted || at >= deadline, "{}", ctx(why));
+                }
+                (result, first) => panic!(
+                    "{}",
+                    ctx(&format!(
+                        "{result:?} at step {step}, first final reply {first:?}"
+                    ))
+                ),
+            }
+            launches += attempts;
+            hedges += launched[p]
+                .iter()
+                .filter(|l| l.kind == LaunchKind::Hedge)
+                .count();
+            failovers += launched[p]
+                .iter()
+                .filter(|l| l.kind == LaunchKind::Failover)
+                .count();
+        }
+        assert_eq!(
+            hedges + failovers,
+            launches - parts.len(),
+            "{}",
+            ctx("launch kinds")
+        );
+    }
+
+    #[test]
+    fn gather_on_a_virtual_clock_keeps_its_invariants() {
+        let started = Instant::now();
+        for seed in 0..4_000 {
+            // A panic inside the gather carries no seed of its own.
+            if std::panic::catch_unwind(|| run_case(seed)).is_err() {
+                panic!("virtual-clock case {seed} failed, as reported above");
+            }
+        }
+        eprintln!("4 000 virtual-clock cases in {:?}", started.elapsed());
     }
 }

@@ -418,10 +418,11 @@ impl QueryService for QueryExecutor {
     }
 }
 
-/// Scatter-gather serving: every admitted query fans out to all partitions
-/// ([`SimulatedCluster::search_scatter`]) and the worker acts as its
-/// coordinator. The I/O wait is the *slowest node's* simulated disk time —
-/// nodes read in parallel, so that is what gates the query.
+/// Scatter-gather serving: every admitted query is broadcast to all
+/// partitions ([`SimulatedCluster::search_scatter`], which runs the nodes
+/// one after another on this worker) and the worker acts as its
+/// coordinator. The I/O wait is the *slowest node's* simulated disk time:
+/// a model of a cluster whose nodes read in parallel, not a measurement.
 impl QueryService for std::sync::Arc<SimulatedCluster> {
     fn execute(&self, terms: &[u32], strategy: SearchStrategy, n: usize) -> ServedQuery {
         let resp = self.search_scatter(terms, strategy, n);

@@ -252,12 +252,14 @@ impl IndexBuilder {
     /// contents are inconsistent — a `DocFreqs` column length other than the
     /// vocabulary size, `docid` and `tf` lengths that disagree, or a term
     /// list that does not strictly ascend inside a run or where two runs
-    /// meet — is a typed [`SegmentError`].
+    /// meet — is a typed [`SegmentError`]. So is a vocabulary that does
+    /// not build: a duplicate term (`Corrupt`, "vocabulary terms not
+    /// strictly ascending"), or a term that cannot fit one 4 KiB
+    /// vocabulary page (`TooLarge`, "term record exceeds a vocabulary
+    /// page": 4084 bytes).
     ///
     /// # Panics
-    /// Panics if `vocab` does not cover the builder's vocabulary size, or
-    /// if a term cannot fit one 4 KiB vocabulary page ("term record exceeds
-    /// a vocabulary page": 4084 bytes).
+    /// Panics if `vocab` does not cover the builder's vocabulary size.
     pub fn finish(mut self, vocab: &[String]) -> Result<(InvertedIndex, SpillStats), SegmentError> {
         assert_eq!(
             vocab.len(),
@@ -301,7 +303,7 @@ impl IndexBuilder {
         };
         let cols = writer.finish();
         let names = self.doc_names.finish();
-        let index = InvertedIndex::from_columns(self.config, vocab, names, self.doc_lens, cols);
+        let index = InvertedIndex::from_columns(self.config, vocab, names, self.doc_lens, cols)?;
         Ok((index, stats))
     }
 }
@@ -410,9 +412,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "term record exceeds a vocabulary page")]
-    fn term_larger_than_a_page_panics() {
-        let _ = unbounded(2).finish(&["fits".to_owned(), "t".repeat(4085)]);
+    fn term_larger_than_a_page_is_an_error() {
+        let built = unbounded(2).finish(&["fits".to_owned(), "t".repeat(4085)]);
+        assert_eq!(
+            built.err(),
+            Some(SegmentError::TooLarge(
+                "term record exceeds a vocabulary page"
+            ))
+        );
+    }
+
+    #[test]
+    fn duplicate_vocabulary_term_is_an_error_at_finish() {
+        // A vocabulary with a duplicate term cannot be paged so that every
+        // term is found; the spilled finish builds the same pages.
+        let vocab = ["b", "a", "a"].map(str::to_owned);
+        for (spill, spills) in [
+            (SpillConfig::unbounded(), false),
+            (SpillConfig::with_budget(1), true),
+        ] {
+            let mut b = IndexBuilder::new(3, &IndexConfig::default(), spill);
+            b.push_doc("d0", &[(0, 1), (2, 1)], 2).unwrap();
+            b.push_doc("d1", &[(1, 2)], 2).unwrap();
+            assert_eq!(!b.runs.is_empty(), spills);
+            assert_eq!(
+                b.finish(&vocab).err(),
+                Some(SegmentError::Corrupt(
+                    "vocabulary terms not strictly ascending"
+                ))
+            );
+        }
     }
 
     #[test]

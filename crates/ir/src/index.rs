@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 use x100_compress::Codec;
 use x100_corpus::SyntheticCollection;
 use x100_storage::column::DEFAULT_BLOCK_SIZE;
-use x100_storage::{Column, ColumnBuilder, Table};
+use x100_storage::{Column, ColumnBuilder, SegmentError, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
 use crate::builder::NEVER_SPILLS;
@@ -134,6 +134,10 @@ impl InvertedIndex {
     ///
     /// Pushes every document through an unbudgeted [`crate::IndexBuilder`]:
     /// the builder is the only build path.
+    ///
+    /// # Panics
+    /// Panics if the vocabulary does not build: a duplicate term, or a
+    /// term longer than a vocabulary page (4084 bytes).
     pub fn build(collection: &SyntheticCollection, config: &IndexConfig) -> Self {
         let mut builder = crate::IndexBuilder::new(
             collection.vocab.len(),
@@ -141,7 +145,10 @@ impl InvertedIndex {
             crate::SpillConfig::unbounded(),
         );
         builder.push_docs(&collection.docs).expect(NEVER_SPILLS);
-        builder.finish(&collection.vocab).expect(NEVER_SPILLS).0
+        match builder.finish(&collection.vocab) {
+            Ok((index, _)) => index,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Assembles an index from already-compressed, (term, docid)-sorted
@@ -154,13 +161,17 @@ impl InvertedIndex {
     /// O(postings); the fitted quantizer and every score are bit-identical
     /// to what the old whole-column pass produced (same weights in the same
     /// order).
+    ///
+    /// # Errors
+    /// The vocabulary pages' errors ([`build_term_pages`]): a duplicate
+    /// term, or a term longer than a page.
     pub(crate) fn from_columns(
         config: IndexConfig,
         vocab: &[String],
         (names, names_dir): (Column, NamesDir),
         doc_lens: Vec<i32>,
         cols: IndexColumns,
-    ) -> Self {
+    ) -> Result<Self, SegmentError> {
         let IndexColumns { docid, tf, offsets } = cols;
         let num_terms = vocab.len();
         let num_docs = doc_lens.len();
@@ -232,8 +243,7 @@ impl InvertedIndex {
         let mut order: Vec<u32> = (0..num_terms as u32).collect();
         order.sort_unstable_by(|&a, &b| vocab[a as usize].cmp(&vocab[b as usize]));
         let (terms, fences) =
-            build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))
-                .unwrap_or_else(|e| panic!("{e}"));
+            build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))?;
         let num_postings = offsets[num_terms];
         let meta = PagedMetadata {
             terms,
@@ -252,13 +262,13 @@ impl InvertedIndex {
             lens_cache: OnceLock::new(),
         };
 
-        InvertedIndex {
+        Ok(InvertedIndex {
             config,
             td,
             meta,
             stats,
             quantizer,
-        }
+        })
     }
 
     /// Assembles an index from the decoded parts of a persisted segment

@@ -193,16 +193,29 @@ pub(crate) fn raw_page(block: &CompressedBlock) -> &[u32] {
 }
 
 /// Checks that every block of a metadata column is a Raw page of
-/// [`PAGE_VALUES`] values (the last may hold fewer). A section's header
+/// [`PAGE_VALUES`] values (the last may hold fewer), and, when
+/// `ascending`, that the column's values never descend. A section's header
 /// declares one codec but each block image carries its own, so a segment
 /// open calls this: a PFOR block under a Raw header is a typed error
-/// there, never a panic in [`raw_page`] later.
-pub(crate) fn check_raw_pages(col: &Column) -> Result<(), SegmentError> {
+/// there, never a panic in [`raw_page`] later. The offsets are checked
+/// `ascending` in the same pass: a descending pair would read as an empty
+/// term, an overlapping one as another term's postings.
+pub(crate) fn check_raw_pages(col: &Column, ascending: bool) -> Result<(), SegmentError> {
+    let mut last = 0;
     for idx in 0..col.block_count() {
         let block = col.fetch(idx).map_err(block_error)?;
         let expect = (col.len() - idx * PAGE_VALUES).min(PAGE_VALUES);
-        if !matches!(&*block, CompressedBlock::Raw(page) if page.values().len() == expect) {
-            return Err(SegmentError::Corrupt("metadata page is not a raw page"));
+        let values = match &*block {
+            CompressedBlock::Raw(page) if page.values().len() == expect => page.values(),
+            _ => return Err(SegmentError::Corrupt("metadata page is not a raw page")),
+        };
+        if ascending {
+            for &v in values {
+                if v < last {
+                    return Err(SegmentError::Corrupt("offsets do not ascend"));
+                }
+                last = v;
+            }
         }
     }
     Ok(())
@@ -457,8 +470,13 @@ impl NamesDir {
 }
 
 /// Builds the sorted, paged vocabulary column: records are
-/// `[u32 term id][UTF-8 term]`, already sorted lexicographically by the
-/// caller.
+/// `[u32 term id][UTF-8 term]`, sorted lexicographically by the caller.
+///
+/// # Errors
+/// A term not strictly greater than the one before (a duplicate, or
+/// unsorted input) is [`SegmentError::Corrupt`]: [`lookup_term`] could not
+/// find every term, and a segment open would reject the pages. A term
+/// whose record exceeds a page is [`SegmentError::TooLarge`].
 pub(crate) fn build_term_pages<'a>(
     sorted: impl Iterator<Item = (&'a str, u32)>,
 ) -> Result<(Column, TermFences), SegmentError> {
@@ -466,11 +484,14 @@ pub(crate) fn build_term_pages<'a>(
     let mut first_keys = Vec::new();
     let mut rec = Vec::new();
     let mut utf8_bytes = 0u64;
+    let mut prev: Option<&str> = None;
     for (s, id) in sorted {
-        debug_assert!(
-            first_keys.last().is_none_or(|k: &String| k.as_str() < s) || !rec.is_empty(),
-            "terms must arrive sorted"
-        );
+        if prev.is_some_and(|p| p >= s) {
+            return Err(SegmentError::Corrupt(
+                "vocabulary terms not strictly ascending",
+            ));
+        }
+        prev = Some(s);
         rec.clear();
         rec.extend_from_slice(&id.to_le_bytes());
         rec.extend_from_slice(s.as_bytes());
@@ -686,6 +707,23 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_or_duplicate_terms_do_not_build() {
+        // Second and third swapped: the check compares each term with the
+        // one before it, not with a page's first key.
+        let unsorted = [("a", 0), ("c", 1), ("b", 2), ("d", 3)];
+        let duplicate = [("a", 0), ("b", 1), ("b", 2)];
+        for vocab in [&unsorted[..], &duplicate[..]] {
+            assert_eq!(
+                build_term_pages(vocab.iter().copied()).err(),
+                Some(SegmentError::Corrupt(
+                    "vocabulary terms not strictly ascending"
+                ))
+            );
+        }
+        assert!(build_term_pages(duplicate[..2].iter().copied()).is_ok());
+    }
+
+    #[test]
     fn record_pages_roundtrip_including_empty_records() {
         let mut b = RecordPagesBuilder::new("r", "too big");
         let records: Vec<Vec<u8>> = (0..300).map(|i| vec![i as u8; i % 97]).collect();
@@ -696,7 +734,7 @@ mod tests {
         assert_eq!(total, records.iter().map(|r| r.len() as u64).sum::<u64>());
         assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), 300);
         assert_eq!(col.len(), counts.len() * PAGE_VALUES);
-        check_raw_pages(&col).unwrap();
+        check_raw_pages(&col, false).unwrap();
         // Framed well, but these records are bytes, not names.
         assert_eq!(
             check_record_pages(&col, counts.iter().copied(), None),

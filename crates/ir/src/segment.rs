@@ -374,7 +374,7 @@ fn open_segment_file(
             Some(len) if col.len() != len => Err(SegmentError::Corrupt(
                 "metadata column length disagrees with the declared count",
             )),
-            Some(_) => check_raw_pages(&col).map(|()| col),
+            Some(_) => check_raw_pages(&col, kind == SectionKind::Offsets).map(|()| col),
             None if !col.len().is_multiple_of(PAGE_VALUES) => {
                 Err(SegmentError::Corrupt("record pages are ragged"))
             }

@@ -603,6 +603,42 @@ fn resealed_fence_and_directory_damage_is_rejected() {
     open_expecting_error(&b, "names directory document count");
 }
 
+/// Term offsets must ascend, or a term's range reads wrong: term `t` as
+/// empty in the descending mutant, term `t + 1` as other terms' postings
+/// in the overlapping one. The open checks it in the pass that already
+/// reads every offsets page. Each mutant keeps `offsets[0] == 0` and the
+/// last offset at the posting count, every checksum re-sealed.
+#[test]
+fn resealed_offsets_that_do_not_ascend_are_rejected() {
+    let index = small_index(&IndexConfig::materialized_q8());
+    let plain = temp_path("plain");
+    index.write_segment(&plain).unwrap();
+    let offsets = offsets_of(&plain);
+    // A term with postings whose neighbours have postings too.
+    let t = (1..offsets.len() - 2)
+        .find(|&t| (t - 1..t + 2).all(|u| offsets[u] < offsets[u + 1]))
+        .expect("three consecutive terms with postings");
+    let mut descending = offsets.clone();
+    descending.swap(t, t + 1);
+    let mut overlapping = offsets.clone();
+    overlapping[t + 1] = offsets[t - 1];
+    for (what, mutant) in [("descending", descending), ("overlapping", overlapping)] {
+        let path = temp_path(what);
+        rewrite(
+            &plain,
+            &path,
+            &[(SectionKind::Offsets, paged(Codec::Raw, &mutant))],
+        );
+        assert_eq!(
+            InvertedIndex::open_segment(&path).err(),
+            Some(SegmentError::Corrupt("offsets do not ascend")),
+            "{what} pair at term {t}"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+    std::fs::remove_file(&plain).unwrap();
+}
+
 /// Kind 13 is reserved: version-2 segments stored the retired per-stride
 /// score bounds there, and no version-3 writer emits it. A version-3 file
 /// carrying it — here an extra column section relabelled 13, every

@@ -154,11 +154,13 @@ fn scatter_gather_node_workers_are_allocation_free() {
     let c = SyntheticCollection::generate(&CollectionConfig::tiny());
     let cluster = SimulatedCluster::build(&c, 3, &IndexConfig::materialized_q8());
     let queries: Vec<Vec<u32>> = c.eval_queries.iter().map(|q| q.terms.clone()).collect();
-    // One thread per node, as in `search_scatter`: each worker thread
-    // warms its node (pooling one scratch arena), then asserts its own
-    // per-thread counters stay untouched across warm queries. Spawning
-    // and the per-node result handling may allocate — only the node-local
-    // search itself is pinned.
+    // One thread per node, so that each node's search is counted by
+    // per-thread counters of its own (`search_scatter` itself runs the
+    // nodes one after another on the caller's thread): each thread warms
+    // its node (pooling one scratch arena), then asserts its counters
+    // stay untouched across warm queries. Spawning and the per-node
+    // result handling may allocate — only the node-local search itself
+    // is pinned.
     std::thread::scope(|s| {
         for (ni, node) in cluster.nodes().iter().enumerate() {
             let queries = &queries;
