@@ -438,8 +438,13 @@ impl SimulatedCluster {
     /// global docids, merges them with [`Coordinator::merge_hits`] — the
     /// one ordering contract, shared with the networked coordinator — and
     /// only then names the ≤ `n` merged hits, each from the node that
-    /// returned it.
-    fn merge_named(&self, per_node: &[Vec<(u32, f32)>], n: usize) -> Vec<MergedResult> {
+    /// returned it. A name that does not resolve fails its node: the
+    /// error is that node's index.
+    fn merge_named(
+        &self,
+        per_node: &[Vec<(u32, f32)>],
+        n: usize,
+    ) -> Result<Vec<MergedResult>, usize> {
         // (global docid, node, local docid) of every candidate.
         let mut owners = Vec::new();
         let mut lists = Vec::with_capacity(per_node.len());
@@ -458,12 +463,13 @@ impl SimulatedCluster {
             .map(|(docid, score)| {
                 let at = owners.partition_point(|o| o.0 < docid);
                 let (_, ni, local) = owners[at];
-                MergedResult {
+                let name = self.nodes[ni].index().doc_name(local).map_err(|_| ni)?;
+                Ok(MergedResult {
                     docid,
                     score,
-                    name: self.nodes[ni].index().doc_name(local).unwrap_or_default(),
+                    name: name.unwrap_or_default(),
                     node: ni,
-                }
+                })
             })
             .collect()
     }
@@ -512,7 +518,17 @@ impl SimulatedCluster {
             node_timings.push(timing);
         }
         let merge_started = Instant::now();
-        let results = self.merge_named(&per_node, n);
+        // A node whose hit could not be named failed: it contributes no
+        // hits, and the merge covers the rest.
+        let results = loop {
+            match self.merge_named(&per_node, n) {
+                Ok(results) => break results,
+                Err(ni) => {
+                    failures.push(ClusterError::NodeFailed { partition: ni });
+                    per_node[ni].clear();
+                }
+            }
+        };
         ScatterResponse {
             results,
             node_timings,
@@ -774,6 +790,47 @@ mod tests {
                 cluster.search(&q.terms, SearchStrategy::Bm25Materialized, 20)
             );
         }
+        for p in paths {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    /// A hit whose name page cannot be read — here every name page of node
+    /// 1, its block magic overwritten on disk after the open — fails its
+    /// node, like a failed search: never an empty name in the merge.
+    #[test]
+    fn unnamed_hit_fails_its_node() {
+        let (c, cluster) = setup(3);
+        let base =
+            std::env::temp_dir().join(format!("x100-cluster-unnamed-{}", std::process::id()));
+        let paths = cluster.persist_segments(&base).unwrap();
+        let reopened = SimulatedCluster::open_segments(&paths).unwrap();
+        let q = &c.eval_queries[0].terms;
+        let healthy = reopened.search_scatter(q, SearchStrategy::Bm25, 20);
+        assert!(healthy.failures.is_empty() && healthy.results.iter().any(|r| r.node == 1));
+
+        let mut bytes = std::fs::read(&paths[1]).unwrap();
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let (toc, count) = (u64_at(&bytes, 16) as usize, bytes[8] as usize);
+        let names = (0..count)
+            .map(|i| toc + 32 * i)
+            .find(|&slot| bytes[slot] == 3)
+            .map(|slot| u64_at(&bytes, slot + 8) as usize)
+            .expect("a document-name section");
+        let pages = u64_at(&bytes, names + 24) as usize;
+        let images = names + 32 + 8 * (pages + 1);
+        for p in 0..pages {
+            let at = images + u64_at(&bytes, names + 32 + 8 * p) as usize;
+            bytes[at..at + 4].fill(0xFF);
+        }
+        std::fs::write(&paths[1], &bytes).unwrap();
+
+        let resp = reopened.search_scatter(q, SearchStrategy::Bm25, 20);
+        assert_eq!(resp.failures, [ClusterError::NodeFailed { partition: 1 }]);
+        assert!(resp
+            .results
+            .iter()
+            .all(|r| r.node != 1 && !r.name.is_empty()));
         for p in paths {
             std::fs::remove_file(p).unwrap();
         }

@@ -691,15 +691,15 @@ impl Replica {
     }
 
     /// One request/response exchange against this replica, bounded by
-    /// `deadline`. Tries a pooled idle connection first; because an idle
-    /// connection may have been closed by the peer since, a failure on it
-    /// is retried once on a fresh connection, whose verdict is
-    /// authoritative.
+    /// `deadline` (unbounded when `None`). Tries a pooled idle connection
+    /// first; because an idle connection may have been closed by the peer
+    /// since, a failure on it is retried once on a fresh connection, whose
+    /// verdict is authoritative.
     fn request(
         &self,
         payload: &[u8],
         req_id: u64,
-        deadline: Instant,
+        deadline: Option<Instant>,
         connect_timeout: Duration,
     ) -> Result<WireHits, NetError> {
         let pooled = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
@@ -710,10 +710,8 @@ impl Replica {
             }
             // Stale pooled connection: fall through to a fresh one.
         }
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or(NetError::Timeout)?;
-        let mut conn = TcpStream::connect_timeout(&self.addr, connect_timeout.min(remaining))?;
+        let timeout = remaining(deadline)?.map_or(connect_timeout, |r| connect_timeout.min(r));
+        let mut conn = TcpStream::connect_timeout(&self.addr, timeout)?;
         let _ = conn.set_nodelay(true);
         let hits = exchange(&mut conn, payload, req_id, deadline)?;
         self.park(conn);
@@ -728,24 +726,25 @@ impl Replica {
     }
 }
 
+/// The time left before `deadline`, `None` for no deadline; a deadline
+/// that has passed is [`NetError::Timeout`].
+fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>, NetError> {
+    let left = |at: Instant| at.checked_duration_since(Instant::now());
+    deadline
+        .map(|at| left(at).filter(|d| !d.is_zero()).ok_or(NetError::Timeout))
+        .transpose()
+}
+
 /// Writes the request and reads the matching response on one connection.
 fn exchange(
     conn: &mut TcpStream,
     payload: &[u8],
     req_id: u64,
-    deadline: Instant,
+    deadline: Option<Instant>,
 ) -> Result<WireHits, NetError> {
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or(NetError::Timeout)?;
-    conn.set_write_timeout(Some(remaining))?;
+    conn.set_write_timeout(remaining(deadline)?)?;
     write_frame(conn, KIND_SEARCH, req_id, payload)?;
-    let remaining = deadline
-        .checked_duration_since(Instant::now())
-        .filter(|d| !d.is_zero())
-        .ok_or(NetError::Timeout)?;
-    conn.set_read_timeout(Some(remaining))?;
+    conn.set_read_timeout(remaining(deadline)?)?;
     let (kind, got_id, body) = read_frame(conn)?;
     if got_id != req_id {
         return Err(NetError::RequestIdMismatch {
@@ -1159,7 +1158,9 @@ impl Coordinator {
     ) -> Result<NetSearchOutcome, NetError> {
         let payload: Arc<Vec<u8>> = Arc::new(encode_search_request(terms, strategy, n));
         let start = Instant::now();
-        let deadline = start + self.config.deadline;
+        // A deadline past what an `Instant` can hold puts no timeout on
+        // the sockets; the gather keeps it as an offset either way.
+        let deadline = start.checked_add(self.config.deadline);
         let (tx, rx) = mpsc::channel::<AttemptOutcome>();
         let plans = self.partitions.iter().map(|part| {
             let hist = part.latency.lock().unwrap_or_else(|e| e.into_inner());
@@ -1251,7 +1252,7 @@ impl Coordinator {
         part: &PartitionState,
         replica: usize,
         payload: &Arc<Vec<u8>>,
-        deadline: Instant,
+        deadline: Option<Instant>,
         tx: &mpsc::Sender<AttemptOutcome>,
     ) {
         let partition = part.id;

@@ -83,7 +83,9 @@ pub mod prelude {
 pub enum ExecError {
     /// Underlying storage failure.
     Storage(x100_storage::StorageError),
-    /// Operator protocol misuse (e.g. `next()` before `open()`).
+    /// Operator protocol misuse (e.g. `next()` before `open()`), or an
+    /// input that breaks an operator's contract (a merge-join key that
+    /// does not strictly increase).
     Protocol(&'static str),
     /// Plan shape error caught at runtime (column index/type mismatch).
     Plan(String),

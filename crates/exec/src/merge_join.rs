@@ -9,8 +9,9 @@
 //!
 //! Both operators require each input stream to be **strictly increasing** on
 //! its key column — true by construction for posting lists, where a docid
-//! appears at most once per term. The restriction is checked in debug
-//! builds.
+//! appears at most once per term. The restriction is checked on every row,
+//! in every build: a posting list read from a damaged file may break it,
+//! and the join then returns [`ExecError::Protocol`].
 //!
 //! On the outer join, rows missing from one side carry that side's columns
 //! as zero. Term frequency 0 makes the BM25 contribution of a missing term
@@ -98,17 +99,18 @@ impl<'a> SideCursor<'a> {
         }
     }
 
-    fn step(&mut self) {
-        debug_assert!(self.batch.is_some());
+    /// Moves past the current row; a key not above the last one is an
+    /// error.
+    fn step(&mut self) -> Result<(), ExecError> {
         let key = self.key();
-        if let Some(last) = self.last_key {
-            debug_assert!(
-                key > last,
-                "merge-join input must be strictly increasing on the key"
-            );
+        if self.last_key.is_some_and(|last| key <= last) {
+            return Err(ExecError::Protocol(
+                "merge-join input must be strictly increasing on the key",
+            ));
         }
         self.last_key = Some(key);
         self.row += 1;
+        Ok(())
     }
 }
 
@@ -189,8 +191,8 @@ impl<'a> MergeJoinCore<'a> {
                         std::cmp::Ordering::Equal => {
                             self.left.emit_row(lsinks);
                             self.right.emit_row(rsinks);
-                            self.left.step();
-                            self.right.step();
+                            self.left.step()?;
+                            self.right.step()?;
                             produced += 1;
                         }
                         std::cmp::Ordering::Less => {
@@ -199,7 +201,7 @@ impl<'a> MergeJoinCore<'a> {
                                 SideCursor::emit_nulls(rsinks);
                                 produced += 1;
                             }
-                            self.left.step();
+                            self.left.step()?;
                         }
                         std::cmp::Ordering::Greater => {
                             if self.kind == JoinKind::FullOuter {
@@ -207,7 +209,7 @@ impl<'a> MergeJoinCore<'a> {
                                 self.right.emit_row(rsinks);
                                 produced += 1;
                             }
-                            self.right.step();
+                            self.right.step()?;
                         }
                     }
                 }
@@ -217,7 +219,7 @@ impl<'a> MergeJoinCore<'a> {
                     }
                     self.left.emit_row(lsinks);
                     SideCursor::emit_nulls(rsinks);
-                    self.left.step();
+                    self.left.step()?;
                     produced += 1;
                 }
                 (false, true) => {
@@ -226,7 +228,7 @@ impl<'a> MergeJoinCore<'a> {
                     }
                     SideCursor::emit_nulls(lsinks);
                     self.right.emit_row(rsinks);
-                    self.right.step();
+                    self.right.step()?;
                     produced += 1;
                 }
                 (false, false) => break,
@@ -448,6 +450,21 @@ mod tests {
     #[test]
     fn key_out_of_range_rejected() {
         assert!(MergeJoin::new(postings(&[]), postings(&[]), 5, 0, 64).is_err());
+    }
+
+    /// A key that repeats or descends — a damaged posting list — is a
+    /// typed error from either join, in every build, on either side.
+    #[test]
+    fn non_ascending_input_is_a_typed_error() {
+        let expect = Err(ExecError::Protocol(
+            "merge-join input must be strictly increasing on the key",
+        ));
+        for bad in [&[(1, 1), (5, 1), (3, 1)][..], &[(2, 1), (2, 1)]] {
+            let inner = MergeJoin::new(postings(bad), postings(&[(1, 1), (9, 1)]), 0, 0, 64);
+            assert_eq!(collect_batches(inner.unwrap()).map(|_| ()), expect);
+            let outer = MergeOuterJoin::new(postings(&[(4, 1)]), postings(bad), 0, 0, 64);
+            assert_eq!(collect_batches(outer.unwrap()).map(|_| ()), expect);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use x100_storage::{DiskModel, IoStats, SegmentError};
 
 use crate::columns::IndexColumnsWriter;
 use crate::index::{IndexConfig, InvertedIndex};
-use crate::paged::NamePagesBuilder;
+use crate::paged::RecordPagesBuilder;
 use crate::spill::{merge_runs, write_run, SpillConfig, SpillStats, RUN_WRITER_RESERVE};
 
 /// Why callers building under [`SpillConfig::unbounded`] may unwrap the
@@ -60,7 +60,7 @@ pub struct IndexBuilder {
     postings: Vec<Vec<u64>>,
     /// The D table's `name` column: names go straight into 4 KiB record
     /// pages as documents arrive, never held as one `String` each.
-    doc_names: NamePagesBuilder,
+    doc_names: RecordPagesBuilder,
     doc_lens: Vec<i32>,
     spill: SpillConfig,
     /// Bytes of packed postings currently resident in `postings`.
@@ -101,7 +101,7 @@ impl IndexBuilder {
             config: config.clone(),
             num_terms,
             postings: Vec::new(),
-            doc_names: NamePagesBuilder::new(),
+            doc_names: RecordPagesBuilder::new("doc_names", "document name exceeds a page"),
             doc_lens: Vec::new(),
             spill,
             mem_bytes: 0,
@@ -166,7 +166,9 @@ impl IndexBuilder {
             self.spill_run()?;
         }
         let docid = self.doc_lens.len() as u32;
-        self.doc_names.push(name).unwrap_or_else(|e| panic!("{e}"));
+        self.doc_names
+            .push(name.as_bytes())
+            .unwrap_or_else(|e| panic!("{e}"));
         for &(t, tf) in terms {
             let slot = t as usize;
             assert!(
@@ -375,8 +377,8 @@ mod tests {
         let (streamed, tail) = build_index_streaming(stream, &IndexConfig::compressed(), 64);
         assert_indexes_equal(&streamed, &batch, c.vocab.len());
         assert_eq!(tail.efficiency_log, c.efficiency_log);
-        assert_eq!(streamed.term_id("term3"), Some(3));
-        assert_eq!(streamed.doc_name(0).as_deref(), Some("doc-00000000"));
+        assert_eq!(streamed.term_id("term3"), Ok(Some(3)));
+        assert_eq!(streamed.doc_name(0), Ok(Some("doc-00000000".to_owned())));
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl<'a> QueryEngine<'a> {
             ranked.truncate(n);
             Ok(passes)
         })?;
-        Ok(self.named_response(ranked, meta))
+        self.named_response(ranked, meta)
     }
 
     /// Runs `query` between the I/O-counter and wall-clock snapshots every
@@ -304,26 +304,29 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Materializes `(docid, score)` hits into a full response: one D-table
-    /// name lookup per hit.
+    /// name lookup per hit. A name page that cannot be read is the query's
+    /// [`ExecError::Storage`].
     fn named_response(
         &self,
         hits: impl IntoIterator<Item = (u32, f32)>,
         meta: HitsResponse,
-    ) -> SearchResponse {
+    ) -> Result<SearchResponse, ExecError> {
         let results = hits
             .into_iter()
-            .map(|(docid, score)| SearchResult {
-                docid,
-                score,
-                name: self.index.doc_name(docid).unwrap_or_default(),
+            .map(|(docid, score)| {
+                Ok(SearchResult {
+                    docid,
+                    score,
+                    name: self.index.doc_name(docid)?.unwrap_or_default(),
+                })
             })
-            .collect();
-        SearchResponse {
+            .collect::<Result<_, ExecError>>()?;
+        Ok(SearchResponse {
             results,
             passes: meta.passes,
             io: meta.io,
             cpu_time: meta.cpu_time,
-        }
+        })
     }
 
     /// Runs one query through the fused allocation-free path
@@ -343,7 +346,7 @@ impl<'a> QueryEngine<'a> {
         // The hits are staged in the arena's own buffer, then named.
         let mut hits = std::mem::take(&mut scratch.hits);
         let meta = self.search_hits_into(term_ids, strategy, n, scratch, &mut hits);
-        let response = meta.map(|meta| self.named_response(hits.iter().copied(), meta));
+        let response = meta.and_then(|meta| self.named_response(hits.iter().copied(), meta));
         scratch.hits = hits;
         response
     }
@@ -577,7 +580,7 @@ impl<'a> QueryEngine<'a> {
             docids = Self::drain_docids(self.boolean_plan(query)?, n)?;
             Ok(1)
         })?;
-        Ok(self.named_response(docids, meta))
+        self.named_response(docids, meta)
     }
 
     /// Drains a plan producing one docid column into the first `n`
@@ -610,8 +613,7 @@ impl<'a> QueryEngine<'a> {
         match query {
             BooleanQuery::Term(t) => {
                 // Unknown terms scan the empty range: strictly nothing.
-                let term = self.index.term_id(t);
-                match term {
+                match self.index.term_id(t)? {
                     Some(t) => self.posting_scan(t, None),
                     None => Ok(Box::new(TableScan::with_range(
                         self.index.td(),
@@ -940,7 +942,7 @@ mod tests {
         assert!(resp.results.is_empty());
         // A string the vocabulary lacks resolves to no id, and a query left
         // with no ids is empty, not an error.
-        assert_eq!(idx.term_id("no-such-term"), None);
+        assert_eq!(idx.term_id("no-such-term"), Ok(None));
         assert!(engine
             .search(&[], SearchStrategy::Bm25, 10)
             .unwrap()

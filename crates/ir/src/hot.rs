@@ -887,7 +887,7 @@ fn run_ranked(
         };
         for (i, c) in cursors.iter_mut().enumerate() {
             // A live `cur` means the docid window is staged at `pos`.
-            while c.cur.is_some_and(|d| in_window(d, base)) {
+            while c.cur.is_some_and(|d| window_slot(d, base).is_some()) {
                 c.payload(pay_col, buffers, v)?;
                 let docs = &c.doc.stage[c.pos - c.doc.start..];
                 let docs = &docs[..docs.len().min(c.end - c.pos)];
@@ -925,12 +925,15 @@ fn run_ranked(
 const UNION_WINDOW: usize = 2048;
 const _: () = assert!(UNION_WINDOW / ENTRY_POINT_STRIDE < 32); // a u32 stride mask
 
-/// Whether docid `d` is in the union window at `base`. A distance, never
-/// `d < base + UNION_WINDOW`: that sum wraps near `u32::MAX`, silently in a
-/// release build. A docid below `base` (a corrupt, non-ascending list)
-/// wraps to a huge distance and waits for a later window.
-fn in_window(d: u32, base: u32) -> bool {
-    (d.wrapping_sub(base) as usize) < UNION_WINDOW
+/// Docid `d`'s slot in the union window at `base`, `None` outside it. A
+/// distance, never `d < base + UNION_WINDOW`: that sum wraps near
+/// `u32::MAX`, silently in a release build. The distance is taken in
+/// `usize`, where a docid below `base` (a corrupt, non-ascending list)
+/// wraps past every `u32` distance and waits for a later window; in `u32`
+/// a small docid under a base near `u32::MAX` would wrap into the window.
+fn window_slot(d: u32, base: u32) -> Option<usize> {
+    let slot = (d as usize).wrapping_sub(base as usize);
+    (slot < UNION_WINDOW).then_some(slot)
 }
 
 /// Adds `contrib(payload, slot)` of each leading posting of `docs`/`pays`
@@ -949,10 +952,9 @@ fn accumulate(
     // per posting would serialize dense lists on store forwarding.
     let (mut word, mut bits) = (0, 0);
     for (&d, &p) in docs.iter().zip(pays) {
-        if !in_window(d, base) {
+        let Some(slot) = window_slot(d, base) else {
             break;
-        }
-        let slot = (d - base) as usize;
+        };
         acc[slot] += contrib(p, slot);
         if slot / 64 != word {
             present[word] |= bits;
@@ -982,7 +984,7 @@ fn stage_norms(
 ) -> Result<(), StorageError> {
     let s = ENTRY_POINT_STRIDE;
     let nbase = base as usize / s * s;
-    for &d in docs.iter().take_while(|&&d| in_window(d, base)) {
+    for &d in docs.iter().take_while(|&&d| window_slot(d, base).is_some()) {
         let (d, first) = (d as usize, d as usize / s * s);
         let bit = 1 << ((first - nbase) / s);
         if *staged & bit == 0 {
@@ -1559,11 +1561,18 @@ mod tests {
         );
         let rows = drain_rows(base, &mut acc, &mut present);
         assert_eq!(rows, [(base, 7.0), (base + UNION_WINDOW as u32 - 1, 0.0)]);
-        assert!(!in_window(u32::MAX - 1, base) && in_window(u32::MAX, u32::MAX - 1));
+        assert_eq!(window_slot(u32::MAX - 1, base), None);
+        assert_eq!(window_slot(u32::MAX, u32::MAX - 1), Some(1));
         // A docid below the base (a corrupt, non-ascending list) is outside
         // every window that starts above it: it is left, not mis-slotted.
         assert_eq!(
             accumulate(&[base - 1], &[1], base, &mut acc, &mut present, q8),
+            0
+        );
+        // So is docid 0 under the top base, whose `u32` distance wraps to 1.
+        assert_eq!(window_slot(0, u32::MAX), None);
+        assert_eq!(
+            accumulate(&[0], &[1], u32::MAX, &mut acc, &mut present, q8),
             0
         );
         assert!(all_zero(&acc, &present));

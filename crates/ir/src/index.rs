@@ -26,12 +26,12 @@ use std::sync::{Arc, OnceLock};
 use x100_compress::Codec;
 use x100_corpus::SyntheticCollection;
 use x100_storage::column::DEFAULT_BLOCK_SIZE;
-use x100_storage::{Column, ColumnBuilder, SegmentError, Table};
+use x100_storage::{Column, ColumnBuilder, SegmentError, StorageError, Table};
 
 use crate::bm25::{term_weight, Bm25Params, CollectionStats, Quantizer};
 use crate::builder::NEVER_SPILLS;
 use crate::columns::{score_codec, IndexColumns};
-use crate::paged::{build_term_pages, NamesDir, PagedMetadata, PAGE_VALUES};
+use crate::paged::{build_term_pages, PageDir, PagedMetadata, Records, PAGE_VALUES};
 
 /// Which materialized score column to build (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,12 +163,13 @@ impl InvertedIndex {
     /// order).
     ///
     /// # Errors
-    /// The vocabulary pages' errors ([`build_term_pages`]): a duplicate
-    /// term, or a term longer than a page.
+    /// The vocabulary pages' errors: a duplicate term
+    /// ([`PageDir::scan`]), or a term longer than a page
+    /// ([`build_term_pages`]).
     pub(crate) fn from_columns(
         config: IndexConfig,
         vocab: &[String],
-        (names, names_dir): (Column, NamesDir),
+        names: Column,
         doc_lens: Vec<i32>,
         cols: IndexColumns,
     ) -> Result<Self, SegmentError> {
@@ -242,14 +243,13 @@ impl InvertedIndex {
         // carrying its term id.
         let mut order: Vec<u32> = (0..num_terms as u32).collect();
         order.sort_unstable_by(|&a, &b| vocab[a as usize].cmp(&vocab[b as usize]));
-        let (terms, fences) =
-            build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))?;
-        let num_postings = offsets[num_terms];
+        let terms = build_term_pages(order.iter().map(|&id| (vocab[id as usize].as_str(), id)))?;
+        // The same scan a segment open makes derives the directories.
         let meta = PagedMetadata {
+            terms_dir: PageDir::scan(&terms, Records::Terms, num_terms)?,
             terms,
-            fences,
+            names_dir: PageDir::scan(&names, Records::Names, num_docs)?,
             names,
-            names_dir,
             doc_lens: metadata_column("doc_lens", doc_lens.iter().map(|&l| l as u32)),
             offsets: metadata_column(
                 "offsets",
@@ -258,7 +258,7 @@ impl InvertedIndex {
                 }),
             ),
             num_terms,
-            num_postings,
+            num_postings: offsets[num_terms],
             lens_cache: OnceLock::new(),
         };
 
@@ -314,14 +314,27 @@ impl InvertedIndex {
     }
 
     /// TD row range of a term's posting list (empty for unseen terms).
+    ///
+    /// # Panics
+    /// Panics if the term's offsets page cannot be read: a segment open
+    /// checks every page, so only a file that changed underneath a running
+    /// process gets here. The fused query path reads offsets through
+    /// pinned windows and returns a typed error instead.
     pub fn term_range(&self, term: u32) -> Range<usize> {
-        self.meta.term_range(term)
+        self.meta
+            .term_range(term)
+            .unwrap_or_else(|e| panic!("offsets of term {term}: {e}"))
     }
 
-    /// Resolves a term string to its id: the resident fence keys select
-    /// one vocabulary page, a binary search over its records finds the
-    /// term.
-    pub fn term_id(&self, term: &str) -> Option<u32> {
+    /// Resolves a term string to its id: the first keys of the
+    /// vocabulary's page directory select one page, a binary search over
+    /// its records finds the term.
+    ///
+    /// # Errors
+    /// A vocabulary page that cannot be read, or that breaks its framing
+    /// (the file changed after the open checked it), is a typed
+    /// [`StorageError`].
+    pub fn term_id(&self, term: &str) -> Result<Option<u32>, StorageError> {
         self.meta.term_id(term)
     }
 
@@ -332,8 +345,13 @@ impl InvertedIndex {
     }
 
     /// Document name by docid (owned: the lookup stages the name's page
-    /// rather than keeping every name resident).
-    pub fn doc_name(&self, docid: u32) -> Option<String> {
+    /// rather than keeping every name resident); `None` past the last
+    /// document.
+    ///
+    /// # Errors
+    /// As [`Self::term_id`], for the name pages; a name that is not UTF-8
+    /// is one such error.
+    pub fn doc_name(&self, docid: u32) -> Result<Option<String>, StorageError> {
         self.meta.doc_name(docid)
     }
 
@@ -525,8 +543,8 @@ mod tests {
     #[test]
     fn term_dictionary_resolves() {
         let (_, idx) = tiny_index(IndexConfig::uncompressed());
-        assert_eq!(idx.term_id("term3"), Some(3));
-        assert_eq!(idx.term_id("no-such-term"), None);
+        assert_eq!(idx.term_id("term3"), Ok(Some(3)));
+        assert_eq!(idx.term_id("no-such-term"), Ok(None));
         assert_eq!(idx.term_range(9999), 0..0);
         assert_eq!(idx.doc_freq(9999), 0);
     }
@@ -534,7 +552,7 @@ mod tests {
     #[test]
     fn doc_metadata_accessible() {
         let (c, idx) = tiny_index(IndexConfig::uncompressed());
-        assert_eq!(idx.doc_name(0).as_deref(), Some("doc-00000000"));
+        assert_eq!(idx.doc_name(0), Ok(Some("doc-00000000".to_owned())));
         assert_eq!(idx.doc_lens().len(), c.docs.len());
         assert_eq!(idx.doc_lens()[5], c.docs[5].len as i32);
         let avg = idx.stats().avg_doc_len;

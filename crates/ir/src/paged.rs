@@ -1,6 +1,6 @@
 //! Paged index metadata: the vocabulary and document table as 4 KiB
 //! record pages served through the buffer pool, with small resident
-//! directories.
+//! directories derived from the pages.
 //!
 //! The index stores its variable-length metadata — the term strings and
 //! the document names — as ordinary u32 [`Column`]s whose blocks are
@@ -11,11 +11,12 @@
 //! in a built index and disk-backed in a reopened one; the segment writes
 //! them as they are. Every metadata column is Raw pages of
 //! [`PAGE_VALUES`] values, so a lookup reads one block and views it in
-//! place ([`raw_page`]). Beside them an index keeps only the per-page
-//! directories defined here — [`TermFences`] (the lexicographically first
-//! term of every vocabulary page) and [`NamesDir`] (the first docid of
-//! every name page) — which is what makes a segment open O(block
-//! directory) instead of O(collection).
+//! place ([`PageView`]).
+//!
+//! A record column is its own directory: [`PageDir::scan`] reads its pages
+//! once and derives the per-page record starts and, for the vocabulary,
+//! the first term of every page. A build and a segment open both call it,
+//! so nothing a reader can derive from the pages is stored beside them.
 //!
 //! # Page layout
 //!
@@ -33,13 +34,16 @@
 //! name, in docid order. A record that cannot fit a fresh page is a
 //! [`SegmentError::TooLarge`] when the page is built, so the reader never
 //! needs a record-spans-pages case.
+//!
+//! [`PageView::new`] is the one reader of a page's framing. It returns a
+//! typed error, never panics, so a page that changes on disk after the
+//! open checked it fails the lookup that reads it, not the worker.
 
-use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use x100_compress::{Codec, CompressedBlock, ENTRY_POINT_STRIDE};
-use x100_storage::{Column, ColumnBuilder, SegmentError};
+use x100_compress::{Codec, CodecError, CompressedBlock, ENTRY_POINT_STRIDE};
+use x100_storage::{Column, ColumnBuilder, SegmentError, StorageError};
 
 use crate::segment::block_error;
 
@@ -51,6 +55,12 @@ pub(crate) const TERM_ID_BYTES: usize = 4;
 
 const _: () = assert!(PAGE_VALUES.is_multiple_of(ENTRY_POINT_STRIDE));
 
+/// A metadata page that breaks its framing, as the storage error a block
+/// read returns.
+fn corrupt(what: &'static str) -> StorageError {
+    StorageError::Codec(CodecError::Corrupt(what))
+}
+
 /// Builds a records column page by page: records append into the current
 /// page, which seals as a full [`PAGE_VALUES`]-word column block the moment
 /// the next record would not fit.
@@ -61,9 +71,6 @@ pub(crate) struct RecordPagesBuilder {
     ends: Vec<u32>,
     /// The open page's packed record bytes.
     bytes: Vec<u8>,
-    /// Records per sealed page.
-    counts: Vec<u32>,
-    total_bytes: u64,
     too_large: &'static str,
 }
 
@@ -73,8 +80,6 @@ impl RecordPagesBuilder {
             builder: ColumnBuilder::with_block_size(name, Codec::Raw, PAGE_VALUES),
             ends: Vec::new(),
             bytes: Vec::new(),
-            counts: Vec::new(),
-            total_bytes: 0,
             too_large,
         }
     }
@@ -83,9 +88,8 @@ impl RecordPagesBuilder {
         1 + (self.ends.len() + 1) + (self.bytes.len() + extra).div_ceil(4) <= PAGE_VALUES
     }
 
-    /// Appends one record. Returns `true` when the record opened a new page
-    /// (callers use this to collect per-page directory entries).
-    pub(crate) fn push(&mut self, record: &[u8]) -> Result<bool, SegmentError> {
+    /// Appends one record.
+    pub(crate) fn push(&mut self, record: &[u8]) -> Result<(), SegmentError> {
         if !self.fits(record.len()) {
             if self.ends.is_empty() {
                 return Err(SegmentError::TooLarge(self.too_large));
@@ -95,11 +99,9 @@ impl RecordPagesBuilder {
                 return Err(SegmentError::TooLarge(self.too_large));
             }
         }
-        let first_of_page = self.ends.is_empty();
         self.bytes.extend_from_slice(record);
         self.ends.push(self.bytes.len() as u32);
-        self.total_bytes += record.len() as u64;
-        Ok(first_of_page)
+        Ok(())
     }
 
     fn seal_page(&mut self) {
@@ -117,98 +119,106 @@ impl RecordPagesBuilder {
         for _ in (1 + n + self.bytes.len().div_ceil(4))..PAGE_VALUES {
             self.builder.push(0);
         }
-        self.counts.push(n as u32);
         self.ends.clear();
         self.bytes.clear();
     }
 
-    /// Seals the open page (if any) and returns the finished column, the
-    /// per-page record counts, and the total record bytes written.
-    pub(crate) fn finish(mut self) -> (Column, Vec<u32>, u64) {
+    /// Seals the open page (if any) and returns the finished column.
+    pub(crate) fn finish(mut self) -> Column {
         if !self.ends.is_empty() {
             self.seal_page();
         }
-        (self.builder.finish(), self.counts, self.total_bytes)
+        self.builder.finish()
     }
 }
 
-/// A structural view over one record page, in place in its Raw block.
-///
-/// Construction panics on malformed pages, and so does [`Self::record`]:
-/// a built index writes only well-formed pages, and a segment open rejects
-/// any page of a reopened one that breaks the framing
-/// ([`check_record_pages`]), so a failed assert here is a writer bug,
-/// never bad input.
+/// A structural view over one record page, in place in its Raw block: the
+/// only reader of a page's record count and end offsets.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PageView<'a> {
-    /// The record count, then the per-record end offsets.
-    words: &'a [u32],
-    /// The data area: the page's bytes after `words`.
+    /// The per-record end offsets: ascending, the last inside `data`.
+    ends: &'a [u32],
+    /// The data area: the page's bytes after the count and the ends.
     data: &'a [u8],
 }
 
 impl<'a> PageView<'a> {
-    pub(crate) fn new(page: &'a CompressedBlock) -> Self {
-        let words = raw_page(page);
-        assert_eq!(words.len(), PAGE_VALUES, "record page has the wrong extent");
-        let count = words[0] as usize;
-        assert!(
-            (1..=PAGE_VALUES - 2).contains(&count),
-            "record page count out of range"
-        );
-        let total = words[count] as usize;
-        assert!(
-            1 + count + total.div_ceil(4) <= PAGE_VALUES,
-            "record page overflows its extent"
-        );
+    /// Checks `page`'s framing: a Raw block of [`PAGE_VALUES`] values, a
+    /// record count in `1..=PAGE_VALUES - 2`, and end offsets that each
+    /// ascend and stay inside the data area. A fault is
+    /// [`StorageError::Codec`], like any block that does not validate.
+    pub(crate) fn new(page: &'a CompressedBlock) -> Result<Self, StorageError> {
+        let words = raw_page(page)?;
+        let (&count, rest) = words
+            .split_first()
+            .filter(|_| words.len() == PAGE_VALUES)
+            .ok_or(corrupt("metadata page is not a raw page"))?;
+        let count = count as usize;
+        let ends = rest
+            .get(..count)
+            .filter(|_| count > 0 && count < PAGE_VALUES - 1)
+            .ok_or(corrupt("record page count out of range"))?;
         // A Raw block's values are its image's little-endian bytes.
-        let bytes = &page.as_bytes()[page.sections().codes];
-        PageView {
-            words: &words[..=count],
-            data: &bytes[4 * (1 + count)..],
+        let data = page
+            .as_bytes()
+            .get(page.sections().codes)
+            .and_then(|bytes| bytes.get(4 * (1 + count)..))
+            .ok_or(corrupt("metadata page is not a raw page"))?;
+        let mut start = 0;
+        for &end in ends {
+            if end < start || end as usize > data.len() {
+                return Err(corrupt("record page offsets out of order or past the page"));
+            }
+            start = end;
         }
+        Ok(PageView { ends, data })
     }
 
     pub(crate) fn record_count(&self) -> usize {
-        self.words.len() - 1
+        self.ends.len()
     }
 
-    /// Record `j`'s bytes.
-    pub(crate) fn record(&self, j: usize) -> &'a [u8] {
-        assert!(j < self.record_count(), "record index out of range");
-        let start = if j == 0 { 0 } else { self.words[j] as usize };
-        &self.data[start..self.words[j + 1] as usize]
+    /// Record `j`'s bytes, or `None` past the page's last record.
+    pub(crate) fn record(&self, j: usize) -> Option<&'a [u8]> {
+        let start = match j.checked_sub(1) {
+            Some(i) => *self.ends.get(i)?,
+            None => 0,
+        };
+        self.data.get(start as usize..*self.ends.get(j)? as usize)
+    }
+
+    /// Every record's bytes, in page order.
+    pub(crate) fn records(self) -> impl Iterator<Item = &'a [u8]> {
+        (0..self.record_count()).map_while(move |j| self.record(j))
     }
 }
 
-/// The values of one metadata page, viewed in place.
-///
-/// # Panics
-/// Panics if the block is not Raw: a built index writes only Raw pages
-/// and a segment open rejects any other block ([`check_raw_pages`]).
-pub(crate) fn raw_page(block: &CompressedBlock) -> &[u32] {
+/// The values of one metadata page, viewed in place; a block that is not
+/// Raw is a typed error.
+pub(crate) fn raw_page(block: &CompressedBlock) -> Result<&[u32], StorageError> {
     match block {
-        CompressedBlock::Raw(page) => page.values(),
-        other => panic!("metadata page is not raw: {other:?}"),
+        CompressedBlock::Raw(page) => Ok(page.values()),
+        _ => Err(corrupt("metadata page is not a raw page")),
     }
 }
 
-/// Checks that every block of a metadata column is a Raw page of
+/// Checks that every block of a dense metadata column is a Raw page of
 /// [`PAGE_VALUES`] values (the last may hold fewer), and, when
 /// `ascending`, that the column's values never descend. A section's header
 /// declares one codec but each block image carries its own, so a segment
 /// open calls this: a PFOR block under a Raw header is a typed error
-/// there, never a panic in [`raw_page`] later. The offsets are checked
-/// `ascending` in the same pass: a descending pair would read as an empty
-/// term, an overlapping one as another term's postings.
+/// there. The offsets are checked `ascending` in the same pass: a
+/// descending pair would read as an empty term, an overlapping one as
+/// another term's postings.
 pub(crate) fn check_raw_pages(col: &Column, ascending: bool) -> Result<(), SegmentError> {
     let mut last = 0;
     for idx in 0..col.block_count() {
         let block = col.fetch(idx).map_err(block_error)?;
         let expect = (col.len() - idx * PAGE_VALUES).min(PAGE_VALUES);
-        let values = match &*block {
-            CompressedBlock::Raw(page) if page.values().len() == expect => page.values(),
-            _ => return Err(SegmentError::Corrupt("metadata page is not a raw page")),
-        };
+        let values = raw_page(&block)
+            .ok()
+            .filter(|values| values.len() == expect)
+            .ok_or(SegmentError::Corrupt("metadata page is not a raw page"))?;
         if ascending {
             for &v in values {
                 if v < last {
@@ -221,382 +231,193 @@ pub(crate) fn check_raw_pages(col: &Column, ascending: bool) -> Result<(), Segme
     Ok(())
 }
 
-/// Checks every page of a record column (the vocabulary, given its
-/// `fence_keys`, or the document names, `None`) against the framing that
-/// [`PageView`] asserts, so no lookup can panic on a segment's pages: each
-/// is a Raw page of [`PAGE_VALUES`] values; its record count is in
-/// `1..=PAGE_VALUES - 2` and is the count its resident directory gives
-/// (`counts`, one per page); its end offsets ascend and stay inside the
-/// page; each record holds its id ([`TERM_ID_BYTES`] in the vocabulary,
-/// none in the names) and then UTF-8. On the vocabulary it also checks
-/// what [`lookup_term`] relies on to find every term: each page's first
-/// term is its fence key, and terms strictly ascend within the page and
-/// stay below the next page's key.
-pub(crate) fn check_record_pages(
-    col: &Column,
-    counts: impl ExactSizeIterator<Item = u32>,
-    fence_keys: Option<&[String]>,
-) -> Result<(), SegmentError> {
-    let corrupt = |what| Err(SegmentError::Corrupt(what));
-    let id_bytes = fence_keys.map_or(0, |_| TERM_ID_BYTES);
-    let key = |p: usize| Some(fence_keys?.get(p)?.as_bytes());
-    if counts.len() != col.block_count() {
-        return corrupt("record pages disagree with their directory");
-    }
-    for (idx, count) in counts.enumerate() {
-        let block = col.fetch(idx).map_err(block_error)?;
-        let words = match &*block {
-            CompressedBlock::Raw(page) if page.values().len() == PAGE_VALUES => page.values(),
-            _ => return corrupt("metadata page is not a raw page"),
-        };
-        let n = words[0] as usize;
-        if !(1..=PAGE_VALUES - 2).contains(&n) {
-            return corrupt("record page count out of range");
-        }
-        if n != count as usize {
-            return corrupt("record page count disagrees with its directory");
-        }
-        let data = &block.as_bytes()[block.sections().codes][4 * (1 + n)..];
-        let (mut start, mut prev) = (0, None);
-        for (i, &end) in words[1..=n].iter().enumerate() {
-            let end = end as usize;
-            if end < start || end > data.len() {
-                return corrupt("record page offsets out of order or past the page");
-            }
-            let record = &data[start..end];
-            if record.len() < id_bytes || std::str::from_utf8(&record[id_bytes..]).is_err() {
-                return corrupt("record is not UTF-8");
-            }
-            let text = &record[id_bytes..];
-            if fence_keys.is_some() {
-                if i == 0 && key(idx) != Some(text) {
-                    return corrupt("vocabulary page disagrees with its fence key");
-                }
-                if prev.is_some_and(|prev| prev >= text) {
-                    return corrupt("vocabulary terms not strictly ascending");
-                }
-            }
-            (start, prev) = (end, Some(text));
-        }
-        // The page's last term sorts below the next page's fence key.
-        if let (Some(last), Some(next)) = (prev, key(idx + 1)) {
-            if last >= next {
-                return corrupt("vocabulary terms not strictly ascending");
-            }
-        }
-    }
-    Ok(())
-}
-
 /// One value of a paged u32 column — an un-pooled read of the enclosing
 /// page, indexed in place. Every index's `term_range()` comes through
 /// here; the fused query path reads through the pinned windows in
 /// `QueryScratch` instead.
-pub(crate) fn col_value(col: &Column, idx: usize) -> u32 {
-    raw_page(&col.block(idx / PAGE_VALUES))[idx % PAGE_VALUES]
-}
-
-/// The resident fence-key index over the paged vocabulary: the
-/// lexicographically first term and the record count of every page.
-#[derive(Debug)]
-pub(crate) struct TermFences {
-    /// Total UTF-8 bytes across all term strings (accounting only).
-    pub(crate) total_bytes: u64,
-    /// First (lexicographically lowest) term of each page, ascending.
-    pub(crate) first_keys: Vec<String>,
-    /// Records per page, aligned with `first_keys`.
-    pub(crate) counts: Vec<u32>,
-}
-
-impl TermFences {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.total_bytes.to_le_bytes());
-        out.extend_from_slice(&(self.first_keys.len() as u32).to_le_bytes());
-        for (key, &count) in self.first_keys.iter().zip(&self.counts) {
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
-        }
-        out
-    }
-
-    /// Decodes and cross-validates the fences against the vocabulary page
-    /// count and the declared term count.
-    pub(crate) fn decode(
-        bytes: &[u8],
-        num_terms: usize,
-        pages: usize,
-    ) -> Result<Self, SegmentError> {
-        if bytes.len() < 12 {
-            return Err(SegmentError::Corrupt("term fences truncated"));
-        }
-        let total_bytes = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let page_count = usize::try_from(u32::from_le_bytes(bytes[8..12].try_into().unwrap()))
-            .map_err(|_| SegmentError::Corrupt("fence page count out of range"))?;
-        if page_count != pages {
-            return Err(SegmentError::Corrupt(
-                "fence count disagrees with vocabulary pages",
-            ));
-        }
-        let mut rest = &bytes[12..];
-        let mut first_keys = Vec::with_capacity(page_count.min(rest.len() / 8 + 1));
-        let mut counts = Vec::with_capacity(page_count.min(rest.len() / 8 + 1));
-        let mut records = 0u64;
-        for _ in 0..page_count {
-            if rest.len() < 8 {
-                return Err(SegmentError::Corrupt("term fences truncated"));
-            }
-            let count = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-            if count == 0 {
-                return Err(SegmentError::Corrupt("empty vocabulary page"));
-            }
-            let key_len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
-            rest = &rest[8..];
-            if rest.len() < key_len {
-                return Err(SegmentError::Corrupt("term fences truncated"));
-            }
-            let key = std::str::from_utf8(&rest[..key_len])
-                .map_err(|_| SegmentError::Corrupt("fence key is not UTF-8"))?;
-            if first_keys
-                .last()
-                .is_some_and(|prev: &String| prev.as_str() >= key)
-            {
-                return Err(SegmentError::Corrupt("fence keys not strictly ascending"));
-            }
-            first_keys.push(key.to_owned());
-            counts.push(count);
-            records += u64::from(count);
-            rest = &rest[key_len..];
-        }
-        if !rest.is_empty() {
-            return Err(SegmentError::Corrupt("trailing bytes after term fences"));
-        }
-        if records != num_terms as u64 {
-            return Err(SegmentError::Corrupt(
-                "fence counts disagree with the term count",
-            ));
-        }
-        Ok(TermFences {
-            total_bytes,
-            first_keys,
-            counts,
+pub(crate) fn col_value(col: &Column, idx: usize) -> Result<u32, StorageError> {
+    let page = col.fetch(idx / PAGE_VALUES)?;
+    raw_page(&page)?
+        .get(idx % PAGE_VALUES)
+        .copied()
+        .ok_or(StorageError::OutOfBounds {
+            position: idx,
+            len: col.len(),
         })
-    }
-
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.first_keys
-            .iter()
-            .map(|k| k.len() + std::mem::size_of::<String>())
-            .sum::<usize>()
-            + self.counts.len() * 4
-    }
 }
 
-/// The resident directory over the paged document names: the first docid
-/// of each page (pages hold consecutive docids).
+/// Which record column a [`PageDir`] describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Records {
+    /// The vocabulary: `[u32 term id][UTF-8 term]`, terms strictly
+    /// ascending within and across pages.
+    Terms,
+    /// The document names: UTF-8, in docid order.
+    Names,
+}
+
+/// The resident directory of a record column, derived from its pages by
+/// [`PageDir::scan`].
 #[derive(Debug)]
-pub(crate) struct NamesDir {
-    /// Total UTF-8 bytes across all document names (accounting only).
-    pub(crate) total_bytes: u64,
-    /// First docid of each page, plus a final entry equal to `num_docs`.
+pub(crate) struct PageDir {
+    /// Records before each page, then the record total: `pages + 1`
+    /// prefix sums.
     pub(crate) starts: Vec<u32>,
+    /// The first term of each page (the vocabulary's fence keys); empty
+    /// for the names.
+    pub(crate) keys: Vec<String>,
+    /// UTF-8 bytes across every record's text (accounting only).
+    pub(crate) text_bytes: u64,
 }
 
-impl NamesDir {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.total_bytes.to_le_bytes());
-        out.extend_from_slice(&((self.starts.len() - 1) as u32).to_le_bytes());
-        for &s in &self.starts {
-            out.extend_from_slice(&s.to_le_bytes());
+impl PageDir {
+    /// Reads every page of `col` once, through [`PageView`], and derives
+    /// its directory. Checks the framing; that each record holds its id
+    /// ([`TERM_ID_BYTES`] in the vocabulary, none in the names) and then
+    /// UTF-8; that terms strictly ascend within and across pages, which
+    /// [`lookup_term`] relies on to find every term; and that the pages
+    /// hold `total` records, the declared term or document count.
+    pub(crate) fn scan(col: &Column, records: Records, total: usize) -> Result<Self, SegmentError> {
+        let mut dir = PageDir {
+            starts: Vec::with_capacity(col.block_count() + 1),
+            keys: Vec::new(),
+            text_bytes: 0,
+        };
+        dir.starts.push(0);
+        let (mut count, mut last_term) = (0, None::<String>);
+        for idx in 0..col.block_count() {
+            let block = col.fetch(idx).map_err(block_error)?;
+            let view = PageView::new(&block).map_err(block_error)?;
+            let mut prev = last_term.as_deref();
+            for (j, record) in view.records().enumerate() {
+                let text = match records {
+                    Records::Terms => record.split_first_chunk::<TERM_ID_BYTES>().map(|(_, t)| t),
+                    Records::Names => Some(record),
+                };
+                let text = text
+                    .and_then(|t| std::str::from_utf8(t).ok())
+                    .ok_or(SegmentError::Corrupt("record is not UTF-8"))?;
+                if records == Records::Terms {
+                    if prev.is_some_and(|p| p >= text) {
+                        return Err(SegmentError::Corrupt(
+                            "vocabulary terms not strictly ascending",
+                        ));
+                    }
+                    if j == 0 {
+                        dir.keys.push(text.to_owned());
+                    }
+                    prev = Some(text);
+                }
+                dir.text_bytes += text.len() as u64;
+            }
+            last_term = prev.map(str::to_owned);
+            count += view.record_count();
+            let start = u32::try_from(count).ok().filter(|_| count <= total).ok_or(
+                SegmentError::Corrupt("record pages disagree with the declared count"),
+            )?;
+            dir.starts.push(start);
         }
-        out
+        if count != total {
+            return Err(SegmentError::Corrupt(
+                "record pages disagree with the declared count",
+            ));
+        }
+        Ok(dir)
     }
 
-    /// Decodes and cross-validates the directory against the name page
-    /// count and the declared document count.
-    pub(crate) fn decode(
-        bytes: &[u8],
-        num_docs: usize,
-        pages: usize,
-    ) -> Result<Self, SegmentError> {
-        if bytes.len() < 12 {
-            return Err(SegmentError::Corrupt("names directory truncated"));
-        }
-        let total_bytes = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let page_count = usize::try_from(u32::from_le_bytes(bytes[8..12].try_into().unwrap()))
-            .map_err(|_| SegmentError::Corrupt("names page count out of range"))?;
-        if page_count != pages {
-            return Err(SegmentError::Corrupt(
-                "names directory disagrees with name pages",
-            ));
-        }
-        let expect = (page_count + 1)
-            .checked_mul(4)
-            .and_then(|n| n.checked_add(12))
-            .ok_or(SegmentError::Corrupt("names page count overflows"))?;
-        if bytes.len() != expect {
-            return Err(SegmentError::Corrupt(
-                "names directory has the wrong length",
-            ));
-        }
-        let starts: Vec<u32> = bytes[12..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if starts[0] != 0 {
-            return Err(SegmentError::Corrupt("names directory must start at zero"));
-        }
-        if starts.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(SegmentError::Corrupt(
-                "names directory not strictly ascending",
-            ));
-        }
-        if u64::from(*starts.last().expect("pages + 1 >= 1")) != num_docs as u64 {
-            return Err(SegmentError::Corrupt(
-                "names directory disagrees with the document count",
-            ));
-        }
-        Ok(NamesDir {
-            total_bytes,
-            starts,
-        })
-    }
-
+    /// Bytes the directory holds resident.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.starts.len() * 4
+        let keys = self
+            .keys
+            .iter()
+            .map(|k| k.len() + std::mem::size_of::<String>());
+        keys.sum::<usize>() + self.starts.len() * 4
     }
 }
 
 /// Builds the sorted, paged vocabulary column: records are
-/// `[u32 term id][UTF-8 term]`, sorted lexicographically by the caller.
+/// `[u32 term id][UTF-8 term]`, sorted lexicographically by the caller;
+/// [`PageDir::scan`] checks the order.
 ///
 /// # Errors
-/// A term not strictly greater than the one before (a duplicate, or
-/// unsorted input) is [`SegmentError::Corrupt`]: [`lookup_term`] could not
-/// find every term, and a segment open would reject the pages. A term
-/// whose record exceeds a page is [`SegmentError::TooLarge`].
+/// A term whose record exceeds a page is [`SegmentError::TooLarge`].
 pub(crate) fn build_term_pages<'a>(
     sorted: impl Iterator<Item = (&'a str, u32)>,
-) -> Result<(Column, TermFences), SegmentError> {
+) -> Result<Column, SegmentError> {
     let mut pages = RecordPagesBuilder::new("terms", "term record exceeds a vocabulary page");
-    let mut first_keys = Vec::new();
     let mut rec = Vec::new();
-    let mut utf8_bytes = 0u64;
-    let mut prev: Option<&str> = None;
     for (s, id) in sorted {
-        if prev.is_some_and(|p| p >= s) {
-            return Err(SegmentError::Corrupt(
-                "vocabulary terms not strictly ascending",
-            ));
-        }
-        prev = Some(s);
         rec.clear();
         rec.extend_from_slice(&id.to_le_bytes());
         rec.extend_from_slice(s.as_bytes());
-        utf8_bytes += s.len() as u64;
-        if pages.push(&rec)? {
-            first_keys.push(s.to_owned());
-        }
+        pages.push(&rec)?;
     }
-    let (col, counts, _) = pages.finish();
-    Ok((
-        col,
-        TermFences {
-            total_bytes: utf8_bytes,
-            first_keys,
-            counts,
-        },
-    ))
+    Ok(pages.finish())
 }
 
-/// Builds the paged document-name column incrementally: records are the
-/// UTF-8 names, pushed in docid order.
-#[derive(Debug)]
-pub(crate) struct NamePagesBuilder(RecordPagesBuilder);
-
-impl NamePagesBuilder {
-    pub(crate) fn new() -> Self {
-        NamePagesBuilder(RecordPagesBuilder::new(
-            "doc_names",
-            "document name exceeds a page",
-        ))
-    }
-
-    /// Appends the next docid's name.
-    pub(crate) fn push(&mut self, name: &str) -> Result<(), SegmentError> {
-        self.0.push(name.as_bytes()).map(|_| ())
-    }
-
-    pub(crate) fn finish(self) -> (Column, NamesDir) {
-        let (col, counts, total_bytes) = self.0.finish();
-        let mut starts = Vec::with_capacity(counts.len() + 1);
-        starts.push(0u32);
-        for &c in &counts {
-            let prev = *starts.last().expect("starts begins nonempty");
-            starts.push(prev + c);
-        }
-        (
-            col,
-            NamesDir {
-                total_bytes,
-                starts,
-            },
-        )
-    }
-}
-
-/// Binary-searches the paged vocabulary: the fence keys select the one
-/// page that can hold `term`, then a binary search over that page's
-/// records finds it; the record's embedded id is the answer. Cold path —
-/// reads one page per call.
-pub(crate) fn lookup_term(terms: &Column, fences: &TermFences, term: &str) -> Option<u32> {
-    let p = fences.first_keys.partition_point(|k| k.as_str() <= term);
-    if p == 0 {
-        return None;
-    }
-    let page = terms.block(p - 1);
-    let view = PageView::new(&page);
+/// Binary-searches the paged vocabulary: the directory's first keys
+/// select the one page that can hold `term`, then a binary search over
+/// that page's records finds it; the record's embedded id is the answer.
+/// Cold path — reads one page per call.
+pub(crate) fn lookup_term(
+    terms: &Column,
+    dir: &PageDir,
+    term: &str,
+) -> Result<Option<u32>, StorageError> {
+    let p = dir.keys.partition_point(|k| k.as_str() <= term);
+    let Some(p) = p.checked_sub(1) else {
+        return Ok(None);
+    };
+    let page = terms.fetch(p)?;
+    let view = PageView::new(&page)?;
     let (mut lo, mut hi) = (0usize, view.record_count());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let rec = view.record(mid);
-        match rec[TERM_ID_BYTES..].cmp(term.as_bytes()) {
+        let (id, text) = view
+            .record(mid)
+            .and_then(|rec| rec.split_first_chunk::<TERM_ID_BYTES>())
+            .ok_or(corrupt("vocabulary record is shorter than its id"))?;
+        match text.cmp(term.as_bytes()) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => {
-                return Some(u32::from_le_bytes(rec[..TERM_ID_BYTES].try_into().unwrap()))
-            }
+            std::cmp::Ordering::Equal => return Ok(Some(u32::from_le_bytes(*id))),
         }
     }
-    None
+    Ok(None)
 }
 
 /// Fetches one document name from the paged name column. Cold path —
 /// reads one page per call.
-pub(crate) fn lookup_name(names: &Column, dir: &NamesDir, docid: u32) -> Option<String> {
-    let &num_docs = dir.starts.last().expect("directory is never empty");
-    if docid >= num_docs {
-        return None;
+pub(crate) fn lookup_name(
+    names: &Column,
+    dir: &PageDir,
+    docid: u32,
+) -> Result<Option<String>, StorageError> {
+    // `starts` ascends from 0, so a docid below the total has a page.
+    let p = dir.starts.partition_point(|&s| s <= docid);
+    if p == dir.starts.len() {
+        return Ok(None);
     }
-    let p = dir.starts.partition_point(|&s| s <= docid) - 1;
-    let page = names.block(p);
-    let rec = PageView::new(&page).record((docid - dir.starts[p]) as usize);
-    let name = std::str::from_utf8(rec).expect("doc-name page holds the UTF-8 that was written");
-    Some(name.to_owned())
+    let first = dir.starts[p - 1];
+    let page = names.fetch(p - 1)?;
+    let record = PageView::new(&page)?
+        .record((docid - first) as usize)
+        .ok_or(corrupt("record page count disagrees with its directory"))?;
+    let name = std::str::from_utf8(record).map_err(|_| corrupt("record is not UTF-8"))?;
+    Ok(Some(name.to_owned()))
 }
 
 /// Everything an index keeps of its metadata: four columns — memory-backed
 /// when built in this process, disk-backed when reopened from a segment —
-/// plus the two small resident directories. A term's document frequency is
-/// not among them: it is the length of the term's offset range.
+/// plus the two small directories derived from the record columns. A
+/// term's document frequency is not among them: it is the length of the
+/// term's offset range.
 #[derive(Debug)]
 pub(crate) struct PagedMetadata {
     pub(crate) terms: Column,
-    pub(crate) fences: TermFences,
+    pub(crate) terms_dir: PageDir,
     pub(crate) names: Column,
-    pub(crate) names_dir: NamesDir,
+    pub(crate) names_dir: PageDir,
     pub(crate) doc_lens: Column,
     pub(crate) offsets: Column,
     pub(crate) num_terms: usize,
@@ -608,21 +429,19 @@ pub(crate) struct PagedMetadata {
 }
 
 impl PagedMetadata {
-    pub(crate) fn term_id(&self, term: &str) -> Option<u32> {
-        lookup_term(&self.terms, &self.fences, term)
+    pub(crate) fn term_id(&self, term: &str) -> Result<Option<u32>, StorageError> {
+        lookup_term(&self.terms, &self.terms_dir, term)
     }
 
-    pub(crate) fn doc_name(&self, docid: u32) -> Option<String> {
+    pub(crate) fn doc_name(&self, docid: u32) -> Result<Option<String>, StorageError> {
         lookup_name(&self.names, &self.names_dir, docid)
     }
 
     /// A term's TD row range, un-pooled: the oracle's reader of the
     /// offset column.
-    pub(crate) fn term_range(&self, term: u32) -> Range<usize> {
-        let Ok(range) = self.range_of(term, |i| Ok::<_, Infallible>(col_value(&self.offsets, i)));
-        range
+    pub(crate) fn term_range(&self, term: u32) -> Result<Range<usize>, StorageError> {
+        self.range_of(term, |i| col_value(&self.offsets, i))
     }
-
     /// The term-range rule, over the offsets `offset(i)` some reader
     /// supplies: an unknown term's range is empty, `end` is clamped to the
     /// posting count, and a descending pair (which a valid segment cannot
@@ -657,10 +476,10 @@ impl PagedMetadata {
         })
     }
 
-    /// Bytes of metadata held outside the columns: the fence keys and the
-    /// two page directories.
+    /// Bytes of metadata held outside the columns: the two derived page
+    /// directories.
     pub(crate) fn resident_meta_bytes(&self) -> usize {
-        self.fences.resident_bytes() + self.names_dir.resident_bytes()
+        self.terms_dir.resident_bytes() + self.names_dir.resident_bytes()
     }
 
     /// Bytes the version-1 fully materialized open held resident for the
@@ -669,8 +488,8 @@ impl PagedMetadata {
     pub(crate) fn full_materialized_bytes(&self) -> usize {
         let num_docs = self.num_docs();
         let vocab =
-            self.fences.total_bytes as usize + self.num_terms * std::mem::size_of::<String>();
-        let names = self.names_dir.total_bytes as usize + num_docs * 8;
+            self.terms_dir.text_bytes as usize + self.num_terms * std::mem::size_of::<String>();
+        let names = self.names_dir.text_bytes as usize + num_docs * 8;
         vocab + names + num_docs * 4 + self.num_terms * 4 + (self.num_terms + 1) * 8
     }
 }
@@ -680,16 +499,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn name_pages(names: &[String]) -> (Column, NamesDir) {
-        let mut b = NamePagesBuilder::new();
+    fn name_pages(names: &[String]) -> (Column, PageDir) {
+        let mut b = RecordPagesBuilder::new("doc_names", "document name exceeds a page");
         for n in names {
-            b.push(n).unwrap();
+            b.push(n.as_bytes()).unwrap();
         }
-        b.finish()
+        let col = b.finish();
+        let dir = PageDir::scan(&col, Records::Names, names.len()).unwrap();
+        (col, dir)
     }
 
-    fn paged_vocab(terms: &[(&str, u32)]) -> (Column, TermFences) {
-        build_term_pages(terms.iter().map(|&(s, id)| (s, id))).unwrap()
+    /// The vocabulary pages of `terms`, in the given order, and their
+    /// directory.
+    fn vocab_pages<'a>(
+        terms: impl ExactSizeIterator<Item = (&'a str, u32)>,
+    ) -> Result<(Column, PageDir), SegmentError> {
+        let total = terms.len();
+        let col = build_term_pages(terms)?;
+        let dir = PageDir::scan(&col, Records::Terms, total)?;
+        Ok((col, dir))
+    }
+
+    fn paged_vocab(terms: &[(String, u32)]) -> (Column, PageDir) {
+        vocab_pages(terms.iter().map(|(s, id)| (s.as_str(), *id))).unwrap()
     }
 
     /// A vocabulary large enough to span several pages, with ids assigned
@@ -714,13 +546,27 @@ mod tests {
         let duplicate = [("a", 0), ("b", 1), ("b", 2)];
         for vocab in [&unsorted[..], &duplicate[..]] {
             assert_eq!(
-                build_term_pages(vocab.iter().copied()).err(),
+                vocab_pages(vocab.iter().copied()).err(),
                 Some(SegmentError::Corrupt(
                     "vocabulary terms not strictly ascending"
                 ))
             );
         }
-        assert!(build_term_pages(duplicate[..2].iter().copied()).is_ok());
+        assert!(vocab_pages(duplicate[..2].iter().copied()).is_ok());
+        // Across a page boundary: equal-length terms page identically
+        // whatever their order, and page 1's first term swapped with page
+        // 0's last keeps each page ascending on its own.
+        let mut vocab: Vec<(String, u32)> = (0..2000).map(|i| (format!("t{i:06}"), i)).collect();
+        let (_, dir) = paged_vocab(&vocab);
+        let boundary = dir.starts[1] as usize;
+        vocab.swap(boundary - 1, boundary);
+        let records = vocab.iter().map(|(s, id)| (s.as_str(), *id));
+        assert_eq!(
+            vocab_pages(records).err(),
+            Some(SegmentError::Corrupt(
+                "vocabulary terms not strictly ascending"
+            ))
+        );
     }
 
     #[test]
@@ -730,23 +576,19 @@ mod tests {
         for r in &records {
             b.push(r).unwrap();
         }
-        let (col, counts, total) = b.finish();
-        assert_eq!(total, records.iter().map(|r| r.len() as u64).sum::<u64>());
-        assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), 300);
-        assert_eq!(col.len(), counts.len() * PAGE_VALUES);
+        let col = b.finish();
+        assert_eq!(col.len(), col.block_count() * PAGE_VALUES);
         check_raw_pages(&col, false).unwrap();
         // Framed well, but these records are bytes, not names.
         assert_eq!(
-            check_record_pages(&col, counts.iter().copied(), None),
-            Err(SegmentError::Corrupt("record is not UTF-8"))
+            PageDir::scan(&col, Records::Names, records.len()).err(),
+            Some(SegmentError::Corrupt("record is not UTF-8"))
         );
         let mut i = 0;
-        for (page, &count) in counts.iter().enumerate() {
+        for page in 0..col.block_count() {
             let block = col.block(page);
-            let view = PageView::new(&block);
-            assert_eq!(view.record_count(), count as usize);
-            for j in 0..view.record_count() {
-                assert_eq!(view.record(j), records[i], "record {i}");
+            for record in PageView::new(&block).unwrap().records() {
+                assert_eq!(record, records[i], "record {i}");
                 i += 1;
             }
         }
@@ -764,90 +606,127 @@ mod tests {
         ));
     }
 
+    /// Every framing fault is a typed error from [`PageView::new`], checked
+    /// at every end offset, not only the last: a middle end below the one
+    /// before would otherwise slice backwards in [`PageView::record`].
+    #[test]
+    fn page_view_rejects_every_framing_fault() {
+        let mut b = RecordPagesBuilder::new("r", "too big");
+        for r in ["alpha", "beta", "gamma", "delta"] {
+            b.push(r.as_bytes()).unwrap();
+        }
+        let good = b.finish().read_all();
+        let page = |values: &[u32], codec| {
+            let mut b = ColumnBuilder::with_block_size("r", codec, PAGE_VALUES);
+            b.extend(values);
+            b.finish().block(0)
+        };
+        let block = page(&good, Codec::Raw);
+        let view = PageView::new(&block).unwrap();
+        assert_eq!(view.record(1), Some(&b"beta"[..]));
+        assert_eq!(view.record(4), None);
+        let mutant = |at: usize, v: u32| {
+            let mut values = good.clone();
+            values[at] = v;
+            values
+        };
+        let cases: [(Vec<u32>, Codec, &str); 7] = [
+            (
+                good.clone(),
+                Codec::Pfor { width: 0 },
+                "metadata page is not a raw page",
+            ),
+            (
+                good[..PAGE_VALUES / 2].to_vec(),
+                Codec::Raw,
+                "metadata page is not a raw page",
+            ),
+            (mutant(0, 0), Codec::Raw, "record page count out of range"),
+            (
+                mutant(0, PAGE_VALUES as u32 - 1),
+                Codec::Raw,
+                "record page count out of range",
+            ),
+            (
+                mutant(0, u32::MAX),
+                Codec::Raw,
+                "record page count out of range",
+            ),
+            (
+                mutant(2, 1),
+                Codec::Raw,
+                "record page offsets out of order or past the page",
+            ),
+            (
+                mutant(4, 1 << 20),
+                Codec::Raw,
+                "record page offsets out of order or past the page",
+            ),
+        ];
+        for (values, codec, what) in cases {
+            let block = page(&values, codec);
+            assert_eq!(PageView::new(&block).err(), Some(corrupt(what)), "{what}");
+        }
+    }
+
     #[test]
     fn boundary_terms_of_every_page_resolve() {
         let vocab = multi_page_vocab();
-        let (col, fences) =
-            build_term_pages(vocab.iter().map(|(s, id)| (s.as_str(), *id))).unwrap();
-        assert!(fences.first_keys.len() > 1, "fixture must span pages");
-        let keys = Some(&fences.first_keys[..]);
-        check_record_pages(&col, fences.counts.iter().copied(), keys).unwrap();
-        let shifted = fences.counts.iter().map(|&c| c + 1);
+        let (col, dir) = paged_vocab(&vocab);
+        assert!(dir.keys.len() > 1, "fixture must span pages");
+        assert_eq!(dir.starts.len(), dir.keys.len() + 1);
         assert_eq!(
-            check_record_pages(&col, shifted, keys),
-            Err(SegmentError::Corrupt(
-                "record page count disagrees with its directory"
-            ))
+            dir.text_bytes,
+            vocab.iter().map(|(s, _)| s.len() as u64).sum::<u64>()
         );
-        // Page 1's fence key moved to its second term, then below page 0's
-        // last term: either way a lookup would miss a term the pages hold.
-        let first_of_page_1 = fences.counts[0] as usize;
-        let mut moved = fences.first_keys.clone();
-        for (at, err) in [
-            (
-                first_of_page_1 + 1,
-                "vocabulary page disagrees with its fence key",
-            ),
-            (
-                first_of_page_1 - 2,
-                "vocabulary terms not strictly ascending",
-            ),
-        ] {
-            moved[1] = vocab[at].0.clone();
-            assert_eq!(
-                check_record_pages(&col, fences.counts.iter().copied(), Some(&moved)),
-                Err(SegmentError::Corrupt(err))
-            );
-        }
-        // First and last record of every page, located via the counts.
-        let mut base = 0usize;
-        for (p, &count) in fences.counts.iter().enumerate() {
-            for j in [0, count as usize - 1] {
-                let (s, id) = &vocab[base + j];
+        // First and last record of every page, located via the starts.
+        for (p, w) in dir.starts.windows(2).enumerate() {
+            assert_eq!(dir.keys[p], vocab[w[0] as usize].0, "page {p}");
+            for at in [w[0], w[1] - 1] {
+                let (s, id) = &vocab[at as usize];
                 assert_eq!(
-                    lookup_term(&col, &fences, s),
-                    Some(*id),
-                    "page {p} slot {j}"
+                    lookup_term(&col, &dir, s),
+                    Ok(Some(*id)),
+                    "page {p} term {at}"
                 );
             }
-            base += count as usize;
         }
     }
 
     #[test]
     fn absent_terms_between_fence_keys_miss() {
         let vocab = multi_page_vocab();
-        let (col, fences) =
-            build_term_pages(vocab.iter().map(|(s, id)| (s.as_str(), *id))).unwrap();
+        let (col, dir) = paged_vocab(&vocab);
         // Probes lexicographically adjacent to real terms, before the first
         // key and after the last — all absent.
-        assert_eq!(lookup_term(&col, &fences, ""), None);
-        assert_eq!(lookup_term(&col, &fences, "term-"), None);
-        assert_eq!(lookup_term(&col, &fences, "zzzz"), None);
-        for key in &fences.first_keys {
+        assert_eq!(lookup_term(&col, &dir, ""), Ok(None));
+        assert_eq!(lookup_term(&col, &dir, "term-"), Ok(None));
+        assert_eq!(lookup_term(&col, &dir, "zzzz"), Ok(None));
+        for key in &dir.keys {
             let just_after = format!("{key}\u{1}");
             assert_eq!(
-                lookup_term(&col, &fences, &just_after),
-                None,
+                lookup_term(&col, &dir, &just_after),
+                Ok(None),
                 "{just_after}"
             );
             let mut just_before = key.clone();
             just_before.pop();
             if !vocab.iter().any(|(s, _)| *s == just_before) {
-                assert_eq!(lookup_term(&col, &fences, &just_before), None);
+                assert_eq!(lookup_term(&col, &dir, &just_before), Ok(None));
             }
         }
     }
 
     #[test]
     fn single_term_and_empty_vocabularies() {
-        let (col, fences) = paged_vocab(&[("only", 7)]);
-        assert_eq!(lookup_term(&col, &fences, "only"), Some(7));
-        assert_eq!(lookup_term(&col, &fences, "onl"), None);
-        assert_eq!(lookup_term(&col, &fences, "onlyy"), None);
-        let (col, fences) = paged_vocab(&[]);
+        let (col, dir) = paged_vocab(&[("only".to_owned(), 7)]);
+        assert_eq!(lookup_term(&col, &dir, "only"), Ok(Some(7)));
+        assert_eq!(lookup_term(&col, &dir, "onl"), Ok(None));
+        assert_eq!(lookup_term(&col, &dir, "onlyy"), Ok(None));
+        let (col, dir) = paged_vocab(&[]);
         assert!(col.is_empty());
-        assert_eq!(lookup_term(&col, &fences, "anything"), None);
+        assert_eq!(dir.starts, [0]);
+        assert_eq!(lookup_term(&col, &dir, "anything"), Ok(None));
     }
 
     #[test]
@@ -855,35 +734,24 @@ mod tests {
         let names: Vec<String> = (0..2500).map(|i| format!("doc-{i:08}")).collect();
         let (col, dir) = name_pages(&names);
         assert!(dir.starts.len() > 2, "fixture must span pages");
+        assert!(dir.keys.is_empty());
         for d in [0u32, 1, 137, 2499] {
             assert_eq!(
-                lookup_name(&col, &dir, d).as_deref(),
-                Some(names[d as usize].as_str())
+                lookup_name(&col, &dir, d),
+                Ok(Some(names[d as usize].clone()))
             );
         }
-        assert_eq!(lookup_name(&col, &dir, 2500), None);
-        assert_eq!(lookup_name(&col, &dir, u32::MAX), None);
-    }
-
-    #[test]
-    fn fences_and_dir_roundtrip_through_their_sections() {
-        let vocab = multi_page_vocab();
-        let (col, fences) =
-            build_term_pages(vocab.iter().map(|(s, id)| (s.as_str(), *id))).unwrap();
-        let back = TermFences::decode(&fences.encode(), vocab.len(), col.block_count()).unwrap();
-        assert_eq!(back.first_keys, fences.first_keys);
-        assert_eq!(back.counts, fences.counts);
-        assert_eq!(back.total_bytes, fences.total_bytes);
-        let names: Vec<String> = (0..999).map(|i| format!("n{i}")).collect();
-        let (ncol, dir) = name_pages(&names);
-        let back = NamesDir::decode(&dir.encode(), names.len(), ncol.block_count()).unwrap();
-        assert_eq!(back.starts, dir.starts);
-        assert_eq!(back.total_bytes, dir.total_bytes);
-        // Wrong declared counts are typed corruption.
-        assert!(TermFences::decode(&fences.encode(), vocab.len() + 1, col.block_count()).is_err());
-        assert!(TermFences::decode(&fences.encode(), vocab.len(), col.block_count() + 1).is_err());
-        assert!(NamesDir::decode(&dir.encode(), names.len() - 1, ncol.block_count()).is_err());
-        assert!(NamesDir::decode(&dir.encode(), names.len(), ncol.block_count() + 1).is_err());
+        assert_eq!(lookup_name(&col, &dir, 2500), Ok(None));
+        assert_eq!(lookup_name(&col, &dir, u32::MAX), Ok(None));
+        // The pages hold a different count than the index declares.
+        for total in [names.len() - 1, names.len() + 1] {
+            assert_eq!(
+                PageDir::scan(&col, Records::Names, total).err(),
+                Some(SegmentError::Corrupt(
+                    "record pages disagree with the declared count"
+                ))
+            );
+        }
     }
 
     proptest! {
@@ -911,7 +779,7 @@ mod tests {
             sorted.dedup();
             let probes: Vec<String> = probe_seeds.iter().map(|&s| word(s)).collect();
             let ids: Vec<u32> = (0..sorted.len() as u32).map(|i| i.wrapping_mul(97) ^ 5).collect();
-            let (col, fences) = build_term_pages(
+            let (col, dir) = vocab_pages(
                 sorted.iter().zip(&ids).map(|(s, &id)| (s.as_str(), id)),
             ).unwrap();
             for probe in probes.iter().chain(sorted.iter()) {
@@ -919,7 +787,7 @@ mod tests {
                     .binary_search_by(|s| s.as_str().cmp(probe))
                     .ok()
                     .map(|i| ids[i]);
-                prop_assert_eq!(lookup_term(&col, &fences, probe), expect, "{}", probe);
+                prop_assert_eq!(lookup_term(&col, &dir, probe), Ok(expect), "{}", probe);
             }
         }
     }

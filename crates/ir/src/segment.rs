@@ -9,26 +9,24 @@
 //! cross-section consistency checks that make a reopened index safe to
 //! serve.
 //!
-//! Since format version 2 a segment open is **O(block directory), not
-//! O(collection)**: the vocabulary, document names, document lengths and
-//! term offsets are all stored as disk-backed columns of Raw pages whose
-//! blocks are `pread` on touch, exactly like posting blocks. The only
-//! metadata materialized at open time are two small directories — the
-//! per-page fence keys of the sorted vocabulary
-//! ([`SectionKind::TermsFences`]) and the first-docid table of the name
-//! pages ([`SectionKind::NamesDir`]) — whose size is reported in
-//! [`SegmentOpenStats`].
+//! The vocabulary, document names, document lengths and term offsets are
+//! all stored as disk-backed columns of Raw pages whose blocks are `pread`
+//! on touch, exactly like posting blocks. The open reads every metadata
+//! page once to check it, and keeps resident only the two small
+//! directories it derives from the record pages while it checks them —
+//! the first term of every vocabulary page and the first docid of every
+//! name page — whose size is reported in [`SegmentOpenStats`]. Nothing a
+//! reader can derive from the pages is stored beside them.
 //!
 //! Document frequencies are not stored: a term's `ftd` is the length of
-//! its offset range. Segments written before that carry a
-//! [`SectionKind::DocFreqs`] column; the reader verifies it like every
-//! section, and nothing here reads it.
+//! its offset range. Only a spill run carries a [`SectionKind::DocFreqs`]
+//! column, by design; an index segment that carries one has it verified
+//! like every section, and nothing here reads it.
 //!
 //! A reopened index is **bit-identical** to the one written: posting and
 //! score blocks come back byte-for-byte, the quantizer and the collection
 //! statistics are restored from their exact bits, and the metadata
-//! columns and directories are written as the index holds them, so
-//! re-persisting a reopened index reproduces the file.
+//! columns are written as the index holds them, so re-persisting a reopened index reproduces the file.
 //!
 //! Persistence is crash-safe: the segment streams into a sibling temp
 //! file, is fsynced by [`SegmentWriter::finish`], and only then atomically
@@ -38,16 +36,13 @@
 
 use std::path::{Path, PathBuf};
 
-use x100_compress::Codec;
+use x100_compress::{Codec, CodecError};
 use x100_storage::{Column, SectionKind, SegmentError, SegmentReader, SegmentWriter, StorageError};
 
 use crate::bm25::{CollectionStats, Quantizer};
 use crate::columns::{posting_codecs, score_codec};
 use crate::index::{IndexConfig, InvertedIndex, Materialize};
-use crate::paged::{
-    check_raw_pages, check_record_pages, col_value, NamesDir, PagedMetadata, TermFences,
-    PAGE_VALUES,
-};
+use crate::paged::{check_raw_pages, col_value, PageDir, PagedMetadata, Records, PAGE_VALUES};
 
 /// Fixed size of the serialized [`SectionKind::Meta`] payload.
 const META_LEN: usize = 64;
@@ -56,8 +51,8 @@ const META_LEN: usize = 64;
 /// would have held resident for the same metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentOpenStats {
-    /// Bytes of metadata pinned in memory by the open: the vocabulary
-    /// fence keys and the document-name page directory.
+    /// Bytes of metadata pinned in memory by the open: the page
+    /// directories derived from the vocabulary and document-name pages.
     pub resident_meta_bytes: usize,
     /// Bytes of block-directory entries (offset + length per block) across
     /// every disk-backed column of the segment.
@@ -193,16 +188,13 @@ fn write_segment_file(
             "posting count exceeds the u32 offset column",
         ));
     }
-    // The metadata is written as the index holds it: four paged columns
-    // and two directories.
+    // The metadata is written as the index holds it: four paged columns.
     let meta = index.meta();
     let tmp = temp_sibling(path);
     let written = (|| {
         let mut w = SegmentWriter::create(&tmp)?;
         w.write_section(SectionKind::Meta, &encode_meta(index))?;
-        w.write_section(SectionKind::TermsFences, &meta.fences.encode())?;
         w.write_column_section(SectionKind::Terms, &meta.terms)?;
-        w.write_section(SectionKind::NamesDir, &meta.names_dir.encode())?;
         w.write_column_section(SectionKind::DocNames, &meta.names)?;
         w.write_column_section(SectionKind::DocLens, &meta.doc_lens)?;
         w.write_column_section(SectionKind::Offsets, &meta.offsets)?;
@@ -342,11 +334,13 @@ fn decode_u32s(bytes: &[u8], count: usize) -> Result<Vec<u32>, SegmentError> {
 }
 
 /// A block read failure after a segment open verified the file: the file
-/// changed or the device faulted underneath the reader.
+/// changed or the device faulted underneath the reader. A metadata page
+/// that breaks its framing keeps the name `paged::PageView` gave it.
 pub(crate) fn block_error(e: StorageError) -> SegmentError {
     match e {
         StorageError::Io(std::io::ErrorKind::UnexpectedEof) => SegmentError::Truncated,
         StorageError::Io(kind) => SegmentError::Io(kind.to_string()),
+        StorageError::Codec(CodecError::Corrupt(what)) => SegmentError::Corrupt(what),
         _ => SegmentError::Corrupt("block does not decode"),
     }
 }
@@ -359,7 +353,7 @@ fn open_segment_file(
     // The four metadata columns are Raw pages of PAGE_VALUES u32s, every
     // block of them: lookups view a page's values in place. A dense
     // column holds its declared count (`len`), a record column whole pages,
-    // checked with their resident directory once it is decoded.
+    // which its scan checks while deriving the column's directory.
     let metadata_column = |kind: SectionKind, name: &str, len: Option<usize>| {
         let col = r.open_column(kind, name)?;
         if col.codec() != Codec::Raw {
@@ -382,30 +376,16 @@ fn open_segment_file(
         }
     };
     let terms = metadata_column(SectionKind::Terms, "terms", None)?;
-    let fences = TermFences::decode(
-        &r.read_section(SectionKind::TermsFences)?,
-        meta.num_terms,
-        terms.block_count(),
-    )?;
-    check_record_pages(
-        &terms,
-        fences.counts.iter().copied(),
-        Some(&fences.first_keys),
-    )?;
+    let terms_dir = PageDir::scan(&terms, Records::Terms, meta.num_terms)?;
     let names = metadata_column(SectionKind::DocNames, "doc_names", None)?;
-    let names_dir = NamesDir::decode(
-        &r.read_section(SectionKind::NamesDir)?,
-        meta.num_docs,
-        names.block_count(),
-    )?;
-    let name_counts = names_dir.starts.windows(2).map(|w| w[1] - w[0]);
-    check_record_pages(&names, name_counts, None)?;
+    let names_dir = PageDir::scan(&names, Records::Names, meta.num_docs)?;
     let doc_lens = metadata_column(SectionKind::DocLens, "doc_lens", Some(meta.num_docs))?;
     let offsets = metadata_column(SectionKind::Offsets, "offsets", Some(meta.num_terms + 1))?;
-    if col_value(&offsets, 0) != 0 {
+    let offset = |i| col_value(&offsets, i).map_err(block_error);
+    if offset(0)? != 0 {
         return Err(SegmentError::Corrupt("offsets must start at zero"));
     }
-    if col_value(&offsets, meta.num_terms) as usize != meta.num_postings {
+    if offset(meta.num_terms)? as usize != meta.num_postings {
         return Err(SegmentError::Corrupt(
             "offsets do not cover the posting count",
         ));
@@ -447,8 +427,8 @@ fn open_segment_file(
             None
         }
     };
-    // A segment written before document frequencies were derived carries
-    // a `DocFreqs` column: the reader verified it, and nothing reads it.
+    // A `DocFreqs` column, if any, was verified by the reader; nothing
+    // here reads it.
     let global_ids = if r.has_section(SectionKind::GlobalIds) {
         Some(decode_u32s(
             &r.read_section(SectionKind::GlobalIds)?,
@@ -459,7 +439,7 @@ fn open_segment_file(
     };
     let paged = PagedMetadata {
         terms,
-        fences,
+        terms_dir,
         names,
         names_dir,
         doc_lens,
@@ -533,9 +513,12 @@ mod tests {
             assert_eq!(back.doc_freq(t), idx.doc_freq(t));
         }
         for d in 0..c.docs.len() as u32 {
-            assert_eq!(back.doc_name(d), idx.doc_name(d));
+            assert_eq!(back.doc_name(d).unwrap(), idx.doc_name(d).unwrap());
         }
-        assert_eq!(back.term_id("term3"), idx.term_id("term3"));
+        assert_eq!(
+            back.term_id("term3").unwrap(),
+            idx.term_id("term3").unwrap()
+        );
         // Posting columns decode bit-identically (lazily, from disk).
         for name in ["docid", "tf", "score"] {
             assert_eq!(

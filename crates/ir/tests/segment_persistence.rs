@@ -11,11 +11,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use x100_compress::{Codec, CompressedBlock};
+use x100_compress::{Codec, CodecError, CompressedBlock};
 use x100_corpus::{CollectionConfig, SyntheticCollection};
 use x100_ir::{
-    ExecError, IndexBuilder, IndexConfig, InvertedIndex, QueryExecutor, SearchStrategy,
-    SegmentError, SpillConfig,
+    ExecError, IndexBuilder, IndexConfig, InvertedIndex, QueryEngine, QueryExecutor,
+    SearchStrategy, SegmentError, SpillConfig,
 };
 use x100_storage::{
     fnv1a64, BufferManager, BufferMode, Column, ColumnBuilder, DiskModel, SectionKind,
@@ -240,9 +240,7 @@ fn rewrite(src: &Path, dst: &Path, columns: &[(SectionKind, Column)]) {
     let mut w = SegmentWriter::create(dst).unwrap();
     for kind in [
         SectionKind::Meta,
-        SectionKind::TermsFences,
         SectionKind::Terms,
-        SectionKind::NamesDir,
         SectionKind::DocNames,
         SectionKind::DocLens,
         SectionKind::Offsets,
@@ -495,8 +493,8 @@ fn resealed_oversized_declarations_are_rejected() {
     reseal_section(&mut b, META);
     open_expecting_error(&b, "oversized declared term count");
 
-    // The Terms column header claiming ~2^60 values: the page count no
-    // longer matches the fence directory.
+    // The Terms column header claiming ~2^60 values: the block count no
+    // longer matches the value count.
     let mut b = pristine.clone();
     let terms_slot = toc_slot(&b, TERMS);
     let terms_off = u64_at(&b, terms_slot + 8) as usize;
@@ -531,76 +529,6 @@ fn resealed_oversized_declarations_are_rejected() {
     std::fs::write(&path, &pristine).unwrap();
     InvertedIndex::open_segment(&path).expect("pristine segment must open");
     std::fs::remove_file(&path).unwrap();
-}
-
-/// Structural damage to the new resident directories — the vocabulary
-/// fence keys and the document-name page table — with every checksum
-/// re-sealed, so the directory validators themselves must reject it.
-#[test]
-fn resealed_fence_and_directory_damage_is_rejected() {
-    const TERMS_FENCES: u32 = 11;
-    const NAMES_DIR: u32 = 12;
-    let pristine = pristine_segment(&IndexConfig::materialized_q8());
-
-    let fences_slot = toc_slot(&pristine, TERMS_FENCES);
-    let fences_off = u64_at(&pristine, fences_slot + 8) as usize;
-    // Fence page count inflated: disagrees with the terms column.
-    let mut b = pristine.clone();
-    b[fences_off + 8..fences_off + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal_section(&mut b, TERMS_FENCES);
-    open_expecting_error(&b, "oversized fence page count");
-
-    // First page's record count zeroed: fence counts no longer sum to the
-    // declared term count (and empty pages are illegal).
-    let mut b = pristine.clone();
-    b[fences_off + 12..fences_off + 16].copy_from_slice(&0u32.to_le_bytes());
-    reseal_section(&mut b, TERMS_FENCES);
-    open_expecting_error(&b, "zeroed fence record count");
-
-    // First fence key's length pushed past the section payload.
-    let mut b = pristine.clone();
-    b[fences_off + 16..fences_off + 20].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal_section(&mut b, TERMS_FENCES);
-    open_expecting_error(&b, "oversized fence key length");
-
-    // First fence key "term0" rewritten to "term1": the fences still
-    // decode, but the page they route "term0" to does not start with it,
-    // so a lookup of "term0" would silently miss.
-    let mut b = pristine.clone();
-    assert_eq!(&b[fences_off + 20..fences_off + 25], b"term0");
-    b[fences_off + 24] = b'1';
-    reseal_section(&mut b, TERMS_FENCES);
-    let path = temp_path("fence-key");
-    std::fs::write(&path, &b).unwrap();
-    let result = InvertedIndex::open_segment(&path);
-    std::fs::remove_file(&path).unwrap();
-    assert_eq!(
-        result.err(),
-        Some(SegmentError::Corrupt(
-            "vocabulary page disagrees with its fence key"
-        ))
-    );
-
-    let dir_slot = toc_slot(&pristine, NAMES_DIR);
-    let dir_off = u64_at(&pristine, dir_slot + 8) as usize;
-    // Name-page count inflated: disagrees with the names column.
-    let mut b = pristine.clone();
-    b[dir_off + 8..dir_off + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal_section(&mut b, NAMES_DIR);
-    open_expecting_error(&b, "oversized names page count");
-
-    // First start moved off zero: the directory must start at docid 0.
-    let mut b = pristine.clone();
-    b[dir_off + 12..dir_off + 16].copy_from_slice(&7u32.to_le_bytes());
-    reseal_section(&mut b, NAMES_DIR);
-    open_expecting_error(&b, "names directory not starting at zero");
-
-    // Final start (== num_docs) inflated: disagrees with META.
-    let mut b = pristine.clone();
-    let dir_len = u64_at(&pristine, dir_slot + 16) as usize;
-    b[dir_off + dir_len - 4..dir_off + dir_len].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal_section(&mut b, NAMES_DIR);
-    open_expecting_error(&b, "names directory document count");
 }
 
 /// Term offsets must ascend, or a term's range reads wrong: term `t` as
@@ -639,15 +567,17 @@ fn resealed_offsets_that_do_not_ascend_are_rejected() {
     std::fs::remove_file(&plain).unwrap();
 }
 
-/// Kind 13 is reserved: version-2 segments stored the retired per-stride
-/// score bounds there, and no version-3 writer emits it. A version-3 file
-/// carrying it — here an extra column section relabelled 13, every
-/// checksum re-sealed — is an unknown section kind, a typed `Corrupt`.
+/// Kinds 11 to 13 are reserved: version-3 segments stored the vocabulary's
+/// fence keys (11) and the name pages' directory (12), which a reader now
+/// derives from the pages, and version-2 segments the retired per-stride
+/// score bounds (13). No version-4 writer emits them. A version-4 file
+/// carrying one — here an extra column section relabelled, every checksum
+/// re-sealed — is an unknown section kind, a typed `Corrupt`.
 #[test]
 fn reserved_section_kind_13_is_rejected() {
     const GLOBAL_IDS: u32 = 10;
     let index = small_index(&IndexConfig::materialized_q8());
-    let (plain, extra) = (temp_path("plain"), temp_path("kind-13"));
+    let (plain, extra) = (temp_path("plain"), temp_path("reserved-kind"));
     index.write_segment(&plain).unwrap();
 
     // Every section of the plain segment, then one more raw column (four
@@ -656,20 +586,25 @@ fn reserved_section_kind_13_is_rejected() {
     let bounds = paged(Codec::Raw, &vec![7; index.num_postings().div_ceil(128) * 4]);
     rewrite(&plain, &extra, &[(SectionKind::GlobalIds, bounds)]);
     SegmentReader::open(&extra).expect("the unrelabelled file opens");
+    let unrelabelled = std::fs::read(&extra).unwrap();
 
-    let mut bytes = std::fs::read(&extra).unwrap();
-    let slot = toc_slot(&bytes, GLOBAL_IDS);
-    bytes[slot..slot + 4].copy_from_slice(&13u32.to_le_bytes());
-    reseal_toc(&mut bytes);
-    std::fs::write(&extra, &bytes).unwrap();
-    assert_eq!(
-        SegmentReader::open(&extra).err(),
-        Some(SegmentError::Corrupt("unknown section kind"))
-    );
-    assert_eq!(
-        InvertedIndex::open_segment(&extra).err(),
-        Some(SegmentError::Corrupt("unknown section kind"))
-    );
+    for kind in [11u32, 12, 13] {
+        let mut bytes = unrelabelled.clone();
+        let slot = toc_slot(&bytes, GLOBAL_IDS);
+        bytes[slot..slot + 4].copy_from_slice(&kind.to_le_bytes());
+        reseal_toc(&mut bytes);
+        std::fs::write(&extra, &bytes).unwrap();
+        assert_eq!(
+            SegmentReader::open(&extra).err(),
+            Some(SegmentError::Corrupt("unknown section kind")),
+            "kind {kind}"
+        );
+        assert_eq!(
+            InvertedIndex::open_segment(&extra).err(),
+            Some(SegmentError::Corrupt("unknown section kind")),
+            "kind {kind}"
+        );
+    }
     std::fs::remove_file(&plain).unwrap();
     std::fs::remove_file(&extra).unwrap();
 }
@@ -755,10 +690,11 @@ fn first_raw_block_values(bytes: &[u8], kind: u32) -> usize {
 }
 
 /// Record pages are checked at open, every page of both record columns,
-/// so `PageView`'s asserts cannot fire on a segment's pages. Each mutant
-/// below damages the first vocabulary or name page, every checksum
-/// re-sealed; each opened before. Its first lookup on that page then
-/// panicked, or, for the swapped terms, missed a term the page holds.
+/// by the scan that derives their directories. Each mutant below damages
+/// the first vocabulary or name page, every checksum re-sealed, and must
+/// fail the open with the fault named: a lookup on that page would
+/// otherwise return an error, or, for the swapped terms, miss a term the
+/// page holds.
 #[test]
 fn resealed_record_page_damage_is_rejected_at_open() {
     const TERMS: u32 = 2;
@@ -798,11 +734,11 @@ fn resealed_record_page_damage_is_rejected_at_open() {
             |b, page, n| b[page + 4 * (1 + n as usize)] = 0xFF,
             "record is not UTF-8",
         ),
-        // One record fewer than the names directory gives the page.
+        // One record fewer than the document count declares.
         (
             DOC_NAMES,
             |b, page, n| b[page..page + 4].copy_from_slice(&(n - 1).to_le_bytes()),
-            "record page count disagrees with its directory",
+            "record pages disagree with the declared count",
         ),
     ];
     for (kind, patch, expect) in cases {
@@ -958,6 +894,158 @@ fn docid_past_the_document_count_is_an_error_not_a_panic() {
     assert_eq!(
         checked, 20,
         "two boolean queries, six ranked strategies with three queries each"
+    );
+}
+
+/// A page rewritten on disk after a successful open — inside its body (the
+/// record count) or over its block header (the image magic) — is a typed
+/// error from the lookup that reads it: the open checked the pages once,
+/// and every later read goes through the same typed page parser.
+#[test]
+fn record_page_rewritten_after_open_is_a_typed_error() {
+    const TERMS: u32 = 2;
+    const DOC_NAMES: u32 = 3;
+    let pristine = pristine_segment(&IndexConfig::compressed());
+    let mut probes = 0;
+    for kind in [TERMS, DOC_NAMES] {
+        let values = first_raw_block_values(&pristine, kind);
+        let col_off = u64_at(&pristine, toc_slot(&pristine, kind) + 8) as usize;
+        let header = col_off + 32 + (u64_at(&pristine, col_off + 24) as usize + 1) * 8;
+        for (at, what) in [(values, "record count"), (header, "block magic")] {
+            let path = temp_path("rewritten-page");
+            std::fs::write(&path, &pristine).unwrap();
+            let index = InvertedIndex::open_segment(&path).unwrap();
+            assert_eq!(index.term_id("term3"), Ok(Some(3)));
+            assert_eq!(index.doc_name(3), Ok(Some("doc-0003".to_owned())));
+            let mut bytes = pristine.clone();
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let result = match kind {
+                TERMS => index.term_id("term3").map(|_| ()),
+                _ => index.doc_name(3).map(|_| ()),
+            };
+            assert!(result.is_err(), "section {kind}, {what}: {result:?}");
+            if at == values {
+                assert_eq!(
+                    result,
+                    Err(StorageError::Codec(CodecError::Corrupt(
+                        "record page count out of range"
+                    )))
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+            probes += 1;
+        }
+    }
+    assert_eq!(probes, 4);
+}
+
+/// xorshift64*: the word-mutant property's fixed-seed generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Opens `bytes` as a segment and, if it opens, serves it every way a
+/// caller can: every strategy through the fused executor and through the
+/// relational engine, and the vocabulary and name lookups. Each step may
+/// return a value or a typed error; a panic escapes to the caller.
+fn open_and_serve(path: &Path, bytes: &[u8]) -> bool {
+    std::fs::write(path, bytes).unwrap();
+    let Ok(index) = InvertedIndex::open_segment(path) else {
+        return false;
+    };
+    let index = Arc::new(index);
+    let exec = QueryExecutor::new(Arc::clone(&index));
+    let engine = QueryEngine::new(&index);
+    let queries: [&[u32]; 4] = [&[0], &[1, 2, 3], &[5, 0, 9], &[23, 7]];
+    for strategy in SearchStrategy::ALL {
+        for q in queries {
+            let _ = exec.search(q, strategy, 10);
+            let _ = engine.search(q, strategy, 10);
+        }
+    }
+    for t in 0..24 {
+        let _ = index.term_id(&format!("term{t}"));
+    }
+    let _ = index.term_id("absent");
+    for d in 0..=40 {
+        let _ = index.doc_name(d);
+    }
+    true
+}
+
+/// Generated segment mutants: one `u32` word of one section replaced, the
+/// section and TOC checksums re-sealed, so the open's structural checks —
+/// not the checksums — meet every mutant. Spread over every section of the
+/// four index configurations at a fixed seed, each mutant must fail the
+/// open with a typed `SegmentError` or open and serve (see
+/// [`open_and_serve`]) without a panic.
+#[test]
+fn resealed_word_mutants_fail_typed_or_serve_without_a_panic() {
+    const PER_SECTION: usize = 40;
+    let mut rng = Rng(0x5EED_5E67_4E27_0001);
+    let path = temp_path("word-mutant");
+    let (mut mutants, mut opened, mut panics) = (0, 0, Vec::new());
+    let started = std::time::Instant::now();
+    for config in [
+        IndexConfig::uncompressed(),
+        IndexConfig::compressed(),
+        IndexConfig::materialized_f32(),
+        IndexConfig::materialized_q8(),
+    ] {
+        let pristine = pristine_segment(&config);
+        let (toc_offset, count) = toc_layout(&pristine);
+        for slot in (0..count).map(|i| toc_offset + i * 32) {
+            let kind = u32::from_le_bytes(pristine[slot..slot + 4].try_into().unwrap());
+            let (offset, len) = (
+                u64_at(&pristine, slot + 8) as usize,
+                u64_at(&pristine, slot + 16) as usize,
+            );
+            for _ in 0..PER_SECTION {
+                let at = offset + 4 * rng.below(len / 4);
+                let old = u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+                let new = match rng.below(4) {
+                    0 => rng.next() as u32,
+                    1 => old.wrapping_add(1 + rng.below(3) as u32),
+                    2 => old.wrapping_sub(1 + rng.below(3) as u32),
+                    _ => [0, 1, u32::MAX, u32::MAX / 2][rng.below(4)],
+                };
+                let mut bytes = pristine.clone();
+                bytes[at..at + 4].copy_from_slice(&new.to_le_bytes());
+                reseal_section(&mut bytes, kind);
+                mutants += 1;
+                match std::panic::catch_unwind(|| open_and_serve(&path, &bytes)) {
+                    Ok(served) => opened += usize::from(served),
+                    Err(_) => panics.push(format!(
+                        "{config:?}: section {kind}, byte {at}, {old} -> {new}"
+                    )),
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    eprintln!(
+        "{mutants} word mutants, {opened} opened and served, {} panics, in {:?}",
+        panics.len(),
+        started.elapsed()
+    );
+    assert!(mutants >= 1000, "only {mutants} mutants");
+    assert!(opened > 0, "no mutant opened: nothing was served");
+    assert!(
+        panics.is_empty(),
+        "{} mutants panicked: {panics:#?}",
+        panics.len()
     );
 }
 

@@ -2,11 +2,12 @@
 //! served back through the buffer pool.
 //!
 //! A segment is the durable form of a built index. Everything the serving
-//! path needs lives in a single file as 64-byte-aligned **sections**: small
-//! metadata sections (vocabulary, document table, posting offsets) plus one
-//! section per compressed column. A column section carries a **prefix-sum
-//! block directory** — `block_count + 1` byte offsets — so any block's file
-//! extent is two array lookups, O(1), with no scan over preceding blocks.
+//! path needs lives in a single file as 64-byte-aligned **sections**: a
+//! small meta section plus one section per column — the posting columns
+//! and the paged metadata (vocabulary, document table, posting offsets).
+//! A column section carries a **prefix-sum block directory** —
+//! `block_count + 1` byte offsets — so any block's file extent is two
+//! array lookups, O(1), with no scan over preceding blocks.
 //!
 //! Integrity: a magic + versioned header, an FNV-1a-64 checksum per
 //! section, a checksummed table of contents, and **open-time verification
@@ -56,9 +57,11 @@ pub const SEGMENT_MAGIC: u32 = 0x5831_5347;
 /// Current segment format version. Version 2 promoted the vocabulary,
 /// document-table and offset sections to paged column sections and widened
 /// the meta section; version 3 stores every block as its aligned in-memory
-/// image (see [`x100_compress::block`]). Older files are rejected with
-/// [`SegmentError::BadVersion`] (rebuild and re-persist to upgrade).
-pub const SEGMENT_VERSION: u16 = 3;
+/// image (see [`x100_compress::block`]); version 4 drops the two page
+/// directories stored beside the vocabulary and name pages (tags 11 and
+/// 12), which a reader derives from the pages. Older files are rejected
+/// with [`SegmentError::BadVersion`] (rebuild and re-persist to upgrade).
+pub const SEGMENT_VERSION: u16 = 4;
 
 /// Every section (and the TOC) starts at a multiple of this.
 pub const SECTION_ALIGN: u64 = 64;
@@ -116,7 +119,7 @@ impl From<std::io::Error> for SegmentError {
 pub enum SectionKind {
     /// Index-level configuration and counts (interpreted by the IR layer).
     Meta = 1,
-    /// The vocabulary, term id order.
+    /// The vocabulary's record pages, in term order.
     Terms = 2,
     /// Document names (the D table's name pages).
     DocNames = 3,
@@ -136,16 +139,12 @@ pub enum SectionKind {
     ColScore = 9,
     /// Global document ids, present only in per-partition segments.
     GlobalIds = 10,
-    /// Resident fence keys over the paged vocabulary: first term per page
-    /// plus per-page record counts, small enough to pin in memory.
-    TermsFences = 11,
-    /// Resident directory over the paged document names: first docid per
-    /// page, small enough to pin in memory.
-    NamesDir = 12,
-    // Tag 13 stays reserved: version-2 segments used it for the retired
-    // per-stride score bounds (`BlockMax`). No version-3 writer emits it,
-    // so a version-3 file carrying it is an unknown kind, rejected as
-    // corrupt.
+    // Tags 11 to 13 stay reserved. Versions 2 and 3 stored the vocabulary's
+    // fence keys (11) and the name pages' first-docid table (12), which a
+    // reader now derives from the pages; version 2 also stored the retired
+    // per-stride score bounds (`BlockMax`, 13). No version-4 writer emits
+    // them, so a version-4 file carrying one is an unknown kind, rejected
+    // as corrupt.
 }
 
 impl SectionKind {
@@ -161,8 +160,6 @@ impl SectionKind {
             8 => SectionKind::ColTf,
             9 => SectionKind::ColScore,
             10 => SectionKind::GlobalIds,
-            11 => SectionKind::TermsFences,
-            12 => SectionKind::NamesDir,
             _ => return None,
         })
     }
@@ -1059,5 +1056,12 @@ mod tests {
     #[test]
     fn open_rejects_version_two_files() {
         open_rejects_version(2);
+    }
+
+    /// Version-3 files store the vocabulary's fence keys and the name
+    /// pages' directory beside the pages.
+    #[test]
+    fn open_rejects_version_three_files() {
+        open_rejects_version(3);
     }
 }

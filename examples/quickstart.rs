@@ -39,7 +39,10 @@ fn main() {
     println!("\nrelational plan (as in the paper, §3.2):");
     println!("{}", engine.plan_text(&terms, SearchStrategy::Bm25, 10));
 
-    let ids: Vec<u32> = terms.iter().filter_map(|t| index.term_id(t)).collect();
+    let ids: Vec<u32> = terms
+        .iter()
+        .filter_map(|t| index.term_id(t).expect("a built index's vocabulary reads"))
+        .collect();
     let results = engine
         .search(&ids, SearchStrategy::Bm25, 10)
         .expect("a BM25 query over a compressed index")

@@ -21,7 +21,12 @@ fn run_query(engine: &QueryEngine<'_>, terms: &[&str], strategy: SearchStrategy)
 
     let ids: Vec<u32> = terms
         .iter()
-        .filter_map(|t| engine.index().term_id(t))
+        .filter_map(|t| {
+            engine
+                .index()
+                .term_id(t)
+                .expect("a built index's vocabulary reads")
+        })
         .collect();
     match engine.search(&ids, strategy, 10) {
         Ok(resp) => {

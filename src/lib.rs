@@ -33,7 +33,7 @@
 //! // Resolve the query's terms, then run a BM25 top-20 query.
 //! let terms: Vec<u32> = ["term3", "term17"]
 //!     .iter()
-//!     .filter_map(|t| index.term_id(t))
+//!     .filter_map(|t| index.term_id(t).unwrap())
 //!     .collect();
 //! let results = engine.search(&terms, SearchStrategy::Bm25, 20).unwrap().results;
 //! assert!(results.len() <= 20);

@@ -96,6 +96,26 @@ fn networked_results_bit_identical_across_all_strategies() {
     assert_eq!(stats.failed_over, 0);
 }
 
+/// A deadline too large for an `Instant` (here `Duration::MAX`) puts no
+/// timeout on the sockets; it must not overflow, and the answers stay
+/// bit-identical.
+#[test]
+fn unbounded_deadline_serves_bit_identically() {
+    let (queries, cluster) = fixture(2);
+    let config = CoordinatorConfig {
+        deadline: Duration::MAX,
+        ..test_config()
+    };
+    let net = NetCluster::serve(&cluster, 1, config).expect("spawn servers");
+    for terms in queries.iter().take(5) {
+        let outcome = net
+            .coordinator()
+            .search(terms, SearchStrategy::Bm25, TOP_N)
+            .expect("healthy cluster serves");
+        assert_bit_identical(&cluster, &outcome, terms, SearchStrategy::Bm25);
+    }
+}
+
 #[test]
 fn killed_server_fails_over_bit_identically() {
     let (queries, cluster) = fixture(3);

@@ -48,19 +48,19 @@ fn assert_indexes_equal(a: &InvertedIndex, b: &InvertedIndex, vocab_len: usize) 
 /// source collection is the arbiter.
 fn assert_metadata_matches_source(c: &SyntheticCollection, idx: &InvertedIndex) {
     assert_eq!(idx.num_terms(), c.vocab.len());
-    assert_eq!(idx.term_id(""), None);
+    assert_eq!(idx.term_id(""), Ok(None));
     for (t, s) in c.vocab.iter().enumerate() {
-        assert_eq!(idx.term_id(s), Some(t as u32), "{s}");
+        assert_eq!(idx.term_id(s), Ok(Some(t as u32)), "{s}");
         // Sorts right after `s`, so every page boundary gets a probe.
-        assert_eq!(idx.term_id(&format!("{s}\u{1}")), None, "{s}+1");
+        assert_eq!(idx.term_id(&format!("{s}\u{1}")), Ok(None), "{s}+1");
     }
     assert_eq!(idx.num_docs(), c.docs.len());
     for (d, doc) in c.docs.iter().enumerate() {
-        assert_eq!(idx.doc_name(d as u32).as_deref(), Some(doc.name.as_str()));
+        assert_eq!(idx.doc_name(d as u32), Ok(Some(doc.name.clone())));
         assert_eq!(idx.doc_lens()[d], doc.len as i32, "doc {d}");
     }
-    assert_eq!(idx.doc_name(c.docs.len() as u32), None);
-    assert_eq!(idx.doc_name(u32::MAX), None);
+    assert_eq!(idx.doc_name(c.docs.len() as u32), Ok(None));
+    assert_eq!(idx.doc_name(u32::MAX), Ok(None));
     // `ftd` is not stored: it is the length of the term's range.
     let mut next = 0;
     for t in 0..c.vocab.len() as u32 {
