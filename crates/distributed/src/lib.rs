@@ -27,6 +27,8 @@
 //! deadlines, hedged retries, and replica failover, using the in-process
 //! cluster as its bit-identical differential oracle.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod cluster;
 pub mod net;
 pub mod partition;

@@ -14,10 +14,12 @@
 //! every partition's replica order, hedge timer and failover, and the
 //! query's one deadline; it does no I/O, starts no thread and reads no
 //! clock — every input carries the time. [`Coordinator::search`] is its
-//! TCP driver: it starts each attempt the gather asks for on a detached
-//! thread, waits on one channel until the gather's next wake, and feeds
-//! back each outcome or the timeout. The tests drive the same `Gather`
-//! on a virtual clock. It treats every peer as failable:
+//! TCP driver, and the query's own thread is the only one it uses: it
+//! writes each attempt the gather asks for on a pooled nonblocking
+//! connection, waits on every attempt's socket at once with one `poll(2)`
+//! until the gather's next wake, and feeds back each complete answer or
+//! the timeout. The tests drive the same `Gather` on a virtual clock. It
+//! treats every peer as failable:
 //!
 //! * **One deadline** — the query carries a total time budget shared by
 //!   every partition; sockets never block past it.
@@ -60,8 +62,9 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -200,25 +203,44 @@ impl From<io::Error> for NetError {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-fn write_frame(w: &mut impl Write, kind: u8, req_id: u64, payload: &[u8]) -> Result<(), NetError> {
+/// Encodes one frame, header then payload, into `out` (cleared first).
+fn encode_frame(out: &mut Vec<u8>, kind: u8, req_id: u64, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4] = PROTOCOL_VERSION;
-    header[5] = kind;
+    out.clear();
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     // [6..8) reserved, zero.
-    header[8..16].copy_from_slice(&req_id.to_le_bytes());
-    header[16..24].copy_from_slice(&fnv1a64(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    out.extend_from_slice(&[PROTOCOL_VERSION, kind, 0, 0]);
+    out.extend_from_slice(&req_id.to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
-/// Reads and validates one frame: `(kind, request id, payload)`.
-fn read_frame(r: &mut impl Read) -> Result<(u8, u64, Vec<u8>), NetError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+/// Writes one frame with a single write, so that under `TCP_NODELAY` it
+/// leaves as one segment; `buf` is the scratch it is encoded in.
+fn write_frame(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    kind: u8,
+    req_id: u64,
+    payload: &[u8],
+) -> io::Result<()> {
+    encode_frame(buf, kind, req_id, payload);
+    w.write_all(buf)
+}
+
+/// A parsed frame: `(kind, request id, payload, bytes it spans)`.
+type Frame<'a> = (u8, u64, &'a [u8], usize);
+
+/// Parses and validates the frame at the front of `buf`, or `None` while
+/// `buf` holds only a prefix of one. The header is checked as soon as it
+/// is whole, so a bad length, version, kind or reserved byte fails before
+/// its payload arrives. Both ends read through it, keeping partial bytes
+/// between reads.
+fn parse_frame(buf: &[u8]) -> Result<Option<Frame<'_>>, NetError> {
+    let Some(header) = buf.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
     if len > MAX_PAYLOAD {
         return Err(NetError::FrameTooLarge { len: len as u64 });
@@ -234,15 +256,35 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, u64, Vec<u8>), NetError> {
     if header[6] != 0 || header[7] != 0 {
         return Err(NetError::Malformed("reserved header bytes set"));
     }
+    let Some(payload) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
+        return Ok(None);
+    };
     let req_id = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let expected = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let got = fnv1a64(&payload);
+    let got = fnv1a64(payload);
     if got != expected {
         return Err(NetError::ChecksumMismatch { expected, got });
     }
-    Ok((kind, req_id, payload))
+    Ok(Some((kind, req_id, payload, HEADER_LEN + len)))
+}
+
+/// Bytes one read asks for.
+const READ_CHUNK: usize = 4096;
+
+/// Appends what one `read` returns to `buf`; `Ok(0)` is end of stream.
+fn read_some(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let filled = buf.len();
+    buf.resize(filled + READ_CHUNK, 0);
+    let read = r.read(&mut buf[filled..]);
+    buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+    read
+}
+
+/// A read or write that found nothing to do: the socket would block, or
+/// a blocking read's timeout (the node's poll tick) passed.
+fn idle(e: &io::Error) -> bool {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
 }
 
 /// Little-endian payload reader with bounds-checked, typed failures.
@@ -279,6 +321,17 @@ impl<'a> PayloadReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A declared count of `width`-byte items, checked against the bytes
+    /// left before anything is reserved for them.
+    fn count(&mut self, width: usize) -> Result<usize, NetError> {
+        let count = self.u32()? as usize;
+        let left = self.bytes.len() - self.pos;
+        if count.checked_mul(width).is_none_or(|need| need > left) {
+            return Err(NetError::Malformed("declared count exceeds the payload"));
+        }
+        Ok(count)
+    }
+
     fn finish(&self) -> Result<(), NetError> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -310,8 +363,8 @@ fn decode_search_request(payload: &[u8]) -> Result<SearchRequest, NetError> {
     let strategy = SearchStrategy::from_wire_tag(r.u8()?)
         .ok_or(NetError::Malformed("unknown strategy tag"))?;
     let n = r.u32()? as usize;
-    let count = r.u32()? as usize;
-    let mut terms = Vec::with_capacity(count.min(MAX_PAYLOAD / 4));
+    let count = r.count(4)?;
+    let mut terms = Vec::with_capacity(count);
     for _ in 0..count {
         terms.push(r.u32()?);
     }
@@ -359,8 +412,8 @@ fn decode_hits(payload: &[u8]) -> Result<WireHits, NetError> {
         bytes: r.u64()?,
         sim_time: Duration::from_nanos(r.u64()?),
     };
-    let count = r.u32()? as usize;
-    let mut hits = Vec::with_capacity(count.min(MAX_PAYLOAD / 8));
+    let count = r.count(8)?;
+    let mut hits = Vec::with_capacity(count);
     for _ in 0..count {
         let docid = r.u32()?;
         let score = f32::from_bits(r.u32()?);
@@ -545,22 +598,28 @@ impl Drop for NodeServer {
 /// Per-connection server loop: read a request frame, run the partition's
 /// local search, answer with globally-mapped hits (or a typed error
 /// frame). Returns — dropping the connection — on client disconnect,
-/// protocol garbage, or shutdown.
+/// protocol garbage, or shutdown. A request's bytes may arrive across
+/// several poll ticks: what has arrived stays in `received` until its
+/// frame is whole.
 fn serve_connection(mut stream: TcpStream, node: &Node, shutdown: &AtomicBool, fault: &AtomicU8) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(SERVER_POLL)).is_err() {
         return;
     }
-    let mut hits: Vec<(u32, f32)> = Vec::new();
-    let mut response = Vec::new();
+    let (mut received, mut frame, mut response, mut hits) = (vec![], vec![], vec![], vec![]);
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let (kind, req_id, payload) = match read_frame(&mut stream) {
-            Ok(frame) => frame,
-            Err(NetError::Timeout) => continue, // poll tick: re-check shutdown
-            Err(_) => return,                   // disconnect or unrecoverable garbage: drop
+        let (kind, req_id, payload, used) = match parse_frame(&received) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => match read_some(&mut stream, &mut received) {
+                Ok(0) => return, // disconnect
+                Ok(_) => continue,
+                Err(e) if idle(&e) => continue, // poll tick: re-check shutdown
+                Err(_) => return,
+            },
+            Err(_) => return, // unrecoverable garbage: drop
         };
         match Fault::from_u8(fault.load(Ordering::SeqCst)) {
             Fault::None => {}
@@ -579,37 +638,30 @@ fn serve_connection(mut stream: TcpStream, node: &Node, shutdown: &AtomicBool, f
                 // A syntactically framed but checksum-corrupt answer: the
                 // client must detect it as ChecksumMismatch, never decode
                 // garbage hits.
-                let payload = encode_error("garbage fault");
-                let mut header = [0u8; HEADER_LEN];
-                header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                header[4] = PROTOCOL_VERSION;
-                header[5] = KIND_ERROR;
-                header[8..16].copy_from_slice(&req_id.to_le_bytes());
-                header[16..24].copy_from_slice(&(fnv1a64(&payload) ^ 0xDEAD_BEEF).to_le_bytes());
-                let _ = stream.write_all(&header);
-                let _ = stream.write_all(&payload);
-                let _ = stream.flush();
+                let garbage = encode_error("garbage fault");
+                encode_frame(&mut frame, KIND_ERROR, req_id, &garbage);
+                frame[16] ^= 0xFF;
+                let _ = stream.write_all(&frame);
                 return;
             }
         }
         if kind != KIND_SEARCH {
             return;
         }
-        let request = match decode_search_request(&payload) {
+        let decoded = decode_search_request(payload);
+        received.drain(..used);
+        let request = match decoded {
             Ok(req) => req,
             Err(e) => {
-                let _ = write_frame(
-                    &mut stream,
-                    KIND_ERROR,
-                    req_id,
-                    &encode_error(&e.to_string()),
-                );
+                let error = encode_error(&e.to_string());
+                let _ = write_frame(&mut stream, &mut frame, KIND_ERROR, req_id, &error);
                 return;
             }
         };
         // An injected panic unwinds this worker here; the dropped stream
         // is the client's failover signal.
-        match node.search_hits_into(&request.terms, request.strategy, request.n, &mut hits) {
+        let search = node.search_hits_into(&request.terms, request.strategy, request.n, &mut hits);
+        let kind = match search {
             Ok(meta) => {
                 // Local → global docid translation happens on the node;
                 // the in-process gather translates the same hits before
@@ -618,22 +670,15 @@ fn serve_connection(mut stream: TcpStream, node: &Node, shutdown: &AtomicBool, f
                     hit.0 = node.global_id(hit.0);
                 }
                 encode_hits(&hits, meta.passes, meta.cpu_time, &meta.io, &mut response);
-                if write_frame(&mut stream, KIND_HITS, req_id, &response).is_err() {
-                    return;
-                }
+                KIND_HITS
             }
             Err(e) => {
-                if write_frame(
-                    &mut stream,
-                    KIND_ERROR,
-                    req_id,
-                    &encode_error(&e.to_string()),
-                )
-                .is_err()
-                {
-                    return;
-                }
+                response = encode_error(&e.to_string());
+                KIND_ERROR
             }
+        };
+        if write_frame(&mut stream, &mut frame, kind, req_id, &response).is_err() {
+            return;
         }
     }
 }
@@ -671,8 +716,8 @@ impl Default for CoordinatorConfig {
 }
 
 /// One replica endpoint of a partition, with health state and a pool of
-/// idle connections (a connection re-enters the pool only after a fully
-/// completed exchange, so no stale bytes can linger on it).
+/// idle nonblocking connections (a connection re-enters the pool only
+/// after a fully completed exchange, so no stale bytes can linger on it).
 struct Replica {
     addr: SocketAddr,
     down: AtomicBool,
@@ -690,34 +735,6 @@ impl Replica {
         }
     }
 
-    /// One request/response exchange against this replica, bounded by
-    /// `deadline` (unbounded when `None`). Tries a pooled idle connection
-    /// first; because an idle connection may have been closed by the peer
-    /// since, a failure on it is retried once on a fresh connection, whose
-    /// verdict is authoritative.
-    fn request(
-        &self,
-        payload: &[u8],
-        req_id: u64,
-        deadline: Option<Instant>,
-        connect_timeout: Duration,
-    ) -> Result<WireHits, NetError> {
-        let pooled = self.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        if let Some(mut conn) = pooled {
-            if let Ok(hits) = exchange(&mut conn, payload, req_id, deadline) {
-                self.park(conn);
-                return Ok(hits);
-            }
-            // Stale pooled connection: fall through to a fresh one.
-        }
-        let timeout = remaining(deadline)?.map_or(connect_timeout, |r| connect_timeout.min(r));
-        let mut conn = TcpStream::connect_timeout(&self.addr, timeout)?;
-        let _ = conn.set_nodelay(true);
-        let hits = exchange(&mut conn, payload, req_id, deadline)?;
-        self.park(conn);
-        Ok(hits)
-    }
-
     fn park(&self, conn: TcpStream) {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         if idle.len() < 8 {
@@ -726,46 +743,117 @@ impl Replica {
     }
 }
 
-/// The time left before `deadline`, `None` for no deadline; a deadline
-/// that has passed is [`NetError::Timeout`].
-fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>, NetError> {
-    let left = |at: Instant| at.checked_duration_since(Instant::now());
-    deadline
-        .map(|at| left(at).filter(|d| !d.is_zero()).ok_or(NetError::Timeout))
-        .transpose()
+/// One replica attempt in flight on the query's thread: its connection,
+/// how much of its request frame is written, and the response bytes read
+/// so far.
+struct Attempt {
+    partition: usize,
+    replica: usize,
+    req_id: u64,
+    /// `None` until connected.
+    conn: Option<TcpStream>,
+    /// Taken from the idle pool: the peer may have closed it since.
+    pooled: bool,
+    frame: Vec<u8>,
+    written: usize,
+    response: Vec<u8>,
 }
 
-/// Writes the request and reads the matching response on one connection.
-fn exchange(
-    conn: &mut TcpStream,
-    payload: &[u8],
-    req_id: u64,
-    deadline: Option<Instant>,
-) -> Result<WireHits, NetError> {
-    conn.set_write_timeout(remaining(deadline)?)?;
-    write_frame(conn, KIND_SEARCH, req_id, payload)?;
-    conn.set_read_timeout(remaining(deadline)?)?;
-    let (kind, got_id, body) = read_frame(conn)?;
-    if got_id != req_id {
-        return Err(NetError::RequestIdMismatch {
-            expected: req_id,
-            got: got_id,
-        });
+impl Attempt {
+    /// What `poll` waits for on this attempt's socket.
+    fn poll_fd(&self) -> PollFd {
+        let writing = self.written < self.frame.len();
+        PollFd {
+            fd: self.conn.as_ref().map_or(-1, AsRawFd::as_raw_fd),
+            events: if writing { POLLOUT } else { POLLIN },
+            revents: 0,
+        }
     }
-    match kind {
-        KIND_HITS => decode_hits(&body),
-        KIND_ERROR => Err(NetError::Remote(decode_error(&body)?)),
-        other => Err(NetError::BadKind { got: other }),
+
+    /// Writes what the socket takes of the request or, once it is all
+    /// written, reads what has arrived of the response: the outcome once
+    /// the response frame is whole, `None` before.
+    fn exchange(&mut self) -> Option<Result<WireHits, NetError>> {
+        let conn = self.conn.as_mut().expect("connected before its exchange");
+        let writing = self.written < self.frame.len();
+        let moved = if writing {
+            let wrote = conn.write(&self.frame[self.written..]);
+            wrote.inspect(|n| self.written += n)
+        } else {
+            read_some(conn, &mut self.response)
+        };
+        match moved {
+            // The peer closed the connection.
+            Ok(0) => return Some(Err(io::Error::from(io::ErrorKind::UnexpectedEof).into())),
+            Ok(_) if writing => return None,
+            Ok(_) => {}
+            Err(e) if idle(&e) => return None,
+            Err(e) => return Some(Err(e.into())),
+        }
+        let frame = parse_frame(&self.response).transpose()?;
+        Some(frame.and_then(|(kind, got, body, used)| {
+            if got != self.req_id {
+                return Err(NetError::RequestIdMismatch {
+                    expected: self.req_id,
+                    got,
+                });
+            }
+            if used != self.response.len() {
+                return Err(NetError::Malformed("bytes after the response frame"));
+            }
+            match kind {
+                KIND_HITS => decode_hits(body),
+                KIND_ERROR => Err(NetError::Remote(decode_error(body)?)),
+                other => Err(NetError::BadKind { got: other }),
+            }
+        }))
+    }
+}
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Waits until a socket of `fds` is ready, or `timeout` has passed: the
+/// number of ready sockets, each flagged in its `revents`. The timeout is
+/// rounded up to whole milliseconds, as rounding down would wake before
+/// the gather's wake and spin; an interrupted wait is resumed.
+fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    let ms = c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+    loop {
+        // SAFETY: the pointer and length describe `fds`, an exclusively
+        // borrowed slice of `#[repr(C)]` `pollfd` records that outlives
+        // the call, and `poll` writes only their `revents`. Every `fd` is
+        // the socket of an attempt the caller still owns, so none is
+        // closed during the call.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+        if let Ok(ready) = usize::try_from(ready) {
+            return Ok(ready);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
     }
 }
 
 /// Per-partition serving state: the replica set and the counters behind
-/// [`Coordinator::stats`]. Only the `Arc<Replica>`s cross into attempt
-/// threads; the drivers of concurrent queries update the rest.
+/// [`Coordinator::stats`], shared by the drivers of concurrent queries.
 #[derive(Default)]
 struct PartitionState {
     id: usize,
-    replicas: Vec<Arc<Replica>>,
+    replicas: Vec<Replica>,
     /// Successful attempt wall latencies; feeds the p99 hedge delay and
     /// the per-node tail-latency attribution.
     latency: Mutex<LatencyHistogram>,
@@ -1073,13 +1161,6 @@ pub struct CoordinatorStats {
     pub unavailable: u64,
 }
 
-/// The result of one replica attempt, raced through the query's channel.
-struct AttemptOutcome {
-    partition: usize,
-    replica: usize,
-    result: Result<WireHits, NetError>,
-}
-
 /// The networked scatter-gather coordinator: one replica set per
 /// partition, a deadline per query, p99-hedged retries, and failover, as
 /// described in the [module docs](self).
@@ -1103,10 +1184,7 @@ impl Coordinator {
                 assert!(!addrs.is_empty(), "partition {id} has no replicas");
                 PartitionState {
                     id,
-                    replicas: addrs
-                        .into_iter()
-                        .map(|a| Arc::new(Replica::new(a)))
-                        .collect(),
+                    replicas: addrs.into_iter().map(Replica::new).collect(),
                     ..PartitionState::default()
                 }
             })
@@ -1137,13 +1215,15 @@ impl Coordinator {
     }
 
     /// Scatter-gathers one query over the socket layer on the calling
-    /// thread. This is the TCP driver of the query's `Gather` (see the
-    /// [module docs](self)): the gather decides every launch, hedge,
-    /// failover and the deadline; the driver moves bytes. It starts each
-    /// launch on a detached thread, waits on one channel until the
-    /// gather's next wake, and feeds it each outcome or the timeout. It
-    /// keeps [`CoordinatorStats`] and the latency histogram behind the
-    /// hedge delay, and merges the winners' hits.
+    /// thread, the only one it uses. This is the TCP driver of the query's
+    /// `Gather` (see the [module docs](self)): the gather decides every
+    /// launch, hedge, failover and the deadline; the driver moves bytes. It
+    /// writes each launch's request on a pooled nonblocking connection,
+    /// waits on every attempt's socket with one `poll(2)` until the
+    /// gather's next wake, and feeds it each complete answer or the
+    /// timeout. It keeps [`CoordinatorStats`], the replicas' health and
+    /// the latency histogram behind the hedge delay, and merges the
+    /// winners' hits.
     ///
     /// Errors are typed, never panics: a partition whose replicas are all
     /// exhausted, or that is unresolved at the deadline, yields
@@ -1156,18 +1236,16 @@ impl Coordinator {
         strategy: SearchStrategy,
         n: usize,
     ) -> Result<NetSearchOutcome, NetError> {
-        let payload: Arc<Vec<u8>> = Arc::new(encode_search_request(terms, strategy, n));
+        let payload = encode_search_request(terms, strategy, n);
         let start = Instant::now();
-        // A deadline past what an `Instant` can hold puts no timeout on
-        // the sockets; the gather keeps it as an offset either way.
-        let deadline = start.checked_add(self.config.deadline);
-        let (tx, rx) = mpsc::channel::<AttemptOutcome>();
         let plans = self.partitions.iter().map(|part| {
             let hist = part.latency.lock().unwrap_or_else(|e| e.into_inner());
             let delay = hedge_delay(hist.count(), hist.p99(), &self.config);
             (part.replica_order(), delay)
         });
         let mut gather = Gather::new(plans, self.config.deadline);
+        let mut flight: Vec<Attempt> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
         loop {
             while let Some(launch) = gather.poll_launch() {
                 let part = &self.partitions[launch.partition];
@@ -1177,20 +1255,56 @@ impl Coordinator {
                     LaunchKind::Failover => &part.failed_over,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
-                self.launch_attempt(part, launch.replica, &payload, deadline, &tx);
+                let req_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
+                let mut frame = Vec::new();
+                encode_frame(&mut frame, KIND_SEARCH, req_id, &payload);
+                let idle = &part.replicas[launch.replica].idle;
+                let conn = idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
+                let mut attempt = Attempt {
+                    partition: launch.partition,
+                    replica: launch.replica,
+                    req_id,
+                    pooled: conn.is_some(),
+                    conn,
+                    frame,
+                    written: 0,
+                    response: Vec::new(),
+                };
                 gather.in_flight(launch.partition, start.elapsed());
+                match self.advance(&mut attempt, start) {
+                    Some(outcome) => self.settle(attempt, outcome, &mut gather, start),
+                    None => flight.push(attempt),
+                }
             }
             let Some(wake) = gather.next_wake() else {
                 break;
             };
-            // The driver holds `tx`, so the only receive error is the timeout.
-            match rx.recv_timeout(wake.saturating_sub(start.elapsed())) {
-                Ok(AttemptOutcome {
-                    partition,
-                    replica,
-                    result,
-                }) => gather.on_outcome(partition, replica, result, start.elapsed()),
-                Err(_) => gather.on_wake(start.elapsed()),
+            fds.clear();
+            fds.extend(flight.iter().map(Attempt::poll_fd));
+            wait(&mut fds, wake.saturating_sub(start.elapsed()))?;
+            // Back to front, so that `swap_remove` moves visited attempts only.
+            for (i, fd) in fds.iter().enumerate().rev() {
+                if fd.revents != 0 {
+                    if let Some(outcome) = self.advance(&mut flight[i], start) {
+                        let attempt = flight.swap_remove(i);
+                        self.settle(attempt, outcome, &mut gather, start);
+                    }
+                }
+            }
+            // After the answers that arrived, so that sockets that stay
+            // ready cannot hold off a hedge or the deadline.
+            if gather.next_wake().is_some_and(|at| start.elapsed() >= at) {
+                gather.on_wake(start.elapsed());
+            }
+        }
+        // What is still in flight is dropped with its connection: hedge
+        // losers, and at the deadline attempts that timed out, whose
+        // replicas go down.
+        if start.elapsed() >= self.config.deadline {
+            for a in &flight {
+                self.partitions[a.partition].replicas[a.replica]
+                    .down
+                    .store(true, Ordering::SeqCst);
             }
         }
         // Partition order, exactly like the in-process gather.
@@ -1243,47 +1357,65 @@ impl Coordinator {
         })
     }
 
-    /// Starts one replica attempt on a detached thread (never joined: a
-    /// loser must not be able to delay the query past its winner; its
-    /// socket timeout bounds its own lifetime). The thread owns the
-    /// health-state transition for its replica.
-    fn launch_attempt(
-        &self,
-        part: &PartitionState,
-        replica: usize,
-        payload: &Arc<Vec<u8>>,
-        deadline: Option<Instant>,
-        tx: &mpsc::Sender<AttemptOutcome>,
-    ) {
-        let partition = part.id;
-        let req_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let replica_state = Arc::clone(&part.replicas[replica]);
-        let payload = Arc::clone(payload);
-        let connect_timeout = self.config.connect_timeout;
-        let builder = std::thread::Builder::new().name(format!("attempt-p{partition}"));
-        let thread_tx = tx.clone();
-        let spawned = builder.spawn(move || {
-            let result = replica_state.request(&payload, req_id, deadline, connect_timeout);
-            match &result {
-                Ok(_) => replica_state.down.store(false, Ordering::SeqCst),
-                // A remote planning error is a healthy transport.
-                Err(NetError::Remote(_)) => {}
-                Err(_) => replica_state.down.store(true, Ordering::SeqCst),
+    /// Moves `a` as far as its socket allows without blocking, connecting
+    /// it first if it has no connection: its outcome once complete. A
+    /// transport failure on a pooled connection before any response byte
+    /// is the peer having closed it while idle, so the attempt is retried
+    /// once on a fresh connection, whose verdict is authoritative.
+    fn advance(&self, a: &mut Attempt, start: Instant) -> Option<Result<WireHits, NetError>> {
+        loop {
+            if a.conn.is_none() {
+                let addr = self.partitions[a.partition].replicas[a.replica].addr;
+                match self.connect(addr, start.elapsed()) {
+                    Ok(conn) => a.conn = Some(conn),
+                    Err(e) => return Some(Err(e)),
+                }
             }
-            let _ = thread_tx.send(AttemptOutcome {
-                partition,
-                replica,
-                result,
-            });
-        });
-        if spawned.is_err() {
-            // Spawn failure behaves like an instantly-failed attempt.
-            let _ = tx.send(AttemptOutcome {
-                partition,
-                replica,
-                result: Err(NetError::Io(io::Error::other("spawn failed"))),
-            });
+            match a.exchange() {
+                Some(Err(NetError::Io(_))) if a.pooled && a.response.is_empty() => {
+                    (a.conn, a.pooled, a.written) = (None, false, 0);
+                }
+                outcome => return outcome,
+            }
         }
+    }
+
+    /// A fresh connection to `addr`: connected blocking, within the connect
+    /// timeout and what is left at `now` of the deadline, then switched to
+    /// nonblocking.
+    fn connect(&self, addr: SocketAddr, now: Duration) -> Result<TcpStream, NetError> {
+        let left = self.config.deadline.saturating_sub(now);
+        let timeout = self.config.connect_timeout.min(left);
+        if timeout.is_zero() {
+            return Err(NetError::Timeout);
+        }
+        let conn = TcpStream::connect_timeout(&addr, timeout)?;
+        conn.set_nodelay(true)?;
+        conn.set_nonblocking(true)?;
+        Ok(conn)
+    }
+
+    /// Applies a finished attempt's outcome: to its replica's health (an
+    /// answer marks it up, a transport or protocol failure down, and a
+    /// remote refusal is a healthy transport), to the idle pool, which
+    /// takes the connection back after a complete exchange, and to the
+    /// gather.
+    fn settle(
+        &self,
+        a: Attempt,
+        outcome: Result<WireHits, NetError>,
+        gather: &mut Gather<WireHits>,
+        start: Instant,
+    ) {
+        let replica = &self.partitions[a.partition].replicas[a.replica];
+        let remote = matches!(outcome, Err(NetError::Remote(_)));
+        if !remote {
+            replica.down.store(outcome.is_err(), Ordering::SeqCst);
+        }
+        if let Some(conn) = a.conn.filter(|_| remote || outcome.is_ok()) {
+            replica.park(conn);
+        }
+        gather.on_outcome(a.partition, a.replica, outcome, start.elapsed());
     }
 
     /// Point-in-time serving statistics, per partition and total.
@@ -1447,10 +1579,10 @@ mod tests {
     fn frames_roundtrip() {
         let payload = encode_search_request(&[3, 1, 4, 1, 5], SearchStrategy::Bm25TwoPass, 20);
         let mut wire = Vec::new();
-        write_frame(&mut wire, KIND_SEARCH, 42, &payload).unwrap();
-        let (kind, id, body) = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!((kind, id), (KIND_SEARCH, 42));
-        let req = decode_search_request(&body).unwrap();
+        encode_frame(&mut wire, KIND_SEARCH, 42, &payload);
+        let (kind, id, body, used) = parse_frame(&wire).unwrap().unwrap();
+        assert_eq!((kind, id, used), (KIND_SEARCH, 42, wire.len()));
+        let req = decode_search_request(body).unwrap();
         assert_eq!(req.terms, vec![3, 1, 4, 1, 5]);
         assert_eq!(req.strategy, SearchStrategy::Bm25TwoPass);
         assert_eq!(req.n, 20);
@@ -1486,7 +1618,7 @@ mod tests {
     fn corrupt_frames_surface_typed_errors_never_panic() {
         let payload = encode_search_request(&[1, 2], SearchStrategy::Bm25, 10);
         let mut wire = Vec::new();
-        write_frame(&mut wire, KIND_SEARCH, 7, &payload).unwrap();
+        encode_frame(&mut wire, KIND_SEARCH, 7, &payload);
 
         // Every single-byte flip decodes to a typed error or (for payload
         // bytes whose flip keeps the checksum math consistent — none, the
@@ -1494,8 +1626,8 @@ mod tests {
         for i in 0..wire.len() {
             let mut bad = wire.clone();
             bad[i] ^= 0xFF;
-            match read_frame(&mut bad.as_slice()) {
-                Ok((kind, id, body)) => {
+            match parse_frame(&bad) {
+                Ok(Some((kind, id, body, _))) => {
                     // Only the request-id bytes can flip without breaking
                     // any validated field.
                     assert!((8..16).contains(&i), "byte {i} flip silently accepted");
@@ -1503,22 +1635,25 @@ mod tests {
                     assert_ne!(id, 7);
                     assert_eq!(body, payload);
                 }
+                // A longer declared length waits for more bytes.
+                Ok(None) => assert!(i < 4, "byte {i} flip made the frame look incomplete"),
                 Err(e) => {
                     let _ = e.to_string(); // display must not panic either
                 }
             }
         }
 
-        // Every truncation is a typed error.
+        // Every truncation is incomplete, never a frame: a reader waits
+        // for the rest.
         for len in 0..wire.len() {
-            assert!(read_frame(&mut wire[..len].as_ref()).is_err());
+            assert!(matches!(parse_frame(&wire[..len]), Ok(None)));
         }
 
         // An oversized declared length is rejected before allocation.
         let mut bomb = wire.clone();
         bomb[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_frame(&mut bomb.as_slice()),
+            parse_frame(&bomb[..HEADER_LEN]),
             Err(NetError::FrameTooLarge { .. })
         ));
     }
@@ -1552,6 +1687,147 @@ mod tests {
         ));
         // Hits with a short body.
         assert!(decode_hits(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn a_declared_count_beyond_the_payload_fails_before_reserving() {
+        // A 9-byte request declaring u32::MAX terms, and a hits payload
+        // declaring u32::MAX hits: each is refused by its own message, not
+        // after reserving room for what it declared.
+        let too_many = |r: Result<_, NetError>| {
+            matches!(
+                r,
+                Err(NetError::Malformed("declared count exceeds the payload"))
+            )
+        };
+        let mut request = encode_search_request(&[], SearchStrategy::Bm25, 10);
+        assert_eq!(request.len(), 9);
+        request[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(too_many(decode_search_request(&request).map(|_| ())));
+        let mut hits = Vec::new();
+        encode_hits(&[], 1, Duration::ZERO, &IoStats::default(), &mut hits);
+        let at = hits.len() - 4;
+        hits[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(too_many(decode_hits(&hits).map(|_| ())));
+    }
+
+    /// A `Write` that counts its calls.
+    #[derive(Default)]
+    struct CountingWrite {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let mut hits = Vec::new();
+        encode_hits(
+            &[(3, 0.5)],
+            1,
+            Duration::ZERO,
+            &IoStats::default(),
+            &mut hits,
+        );
+        let frames = [
+            (
+                KIND_SEARCH,
+                encode_search_request(&[1, 2], SearchStrategy::Bm25, 10),
+            ),
+            (KIND_HITS, hits),
+            (KIND_ERROR, encode_error("refused")),
+        ];
+        let mut buf = Vec::new();
+        for (kind, payload) in frames {
+            let mut w = CountingWrite::default();
+            write_frame(&mut w, &mut buf, kind, 5, &payload).unwrap();
+            assert_eq!(w.calls, 1, "frame kind {kind}");
+            let (got, id, body, used) = parse_frame(&w.bytes).unwrap().unwrap();
+            assert_eq!(
+                (got, id, body, used),
+                (kind, 5, &payload[..], w.bytes.len())
+            );
+        }
+    }
+
+    #[test]
+    fn a_request_straddling_poll_ticks_is_answered() {
+        // The header, then the payload three poll ticks later: the node
+        // keeps the header it read and answers the whole request.
+        let c = x100_corpus::SyntheticCollection::generate(&x100_corpus::CollectionConfig::tiny());
+        let cluster = SimulatedCluster::build(&c, 1, &x100_ir::IndexConfig::compressed());
+        let server = NodeServer::spawn(Arc::clone(&cluster.nodes()[0]), 0).unwrap();
+        let payload = encode_search_request(&c.eval_queries[0].terms, SearchStrategy::Bm25, 10);
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, KIND_SEARCH, 99, &payload);
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.write_all(&frame[..HEADER_LEN]).unwrap();
+        std::thread::sleep(3 * SERVER_POLL);
+        conn.write_all(&frame[HEADER_LEN..]).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut response = Vec::new();
+        while parse_frame(&response).unwrap().is_none() {
+            assert_ne!(read_some(&mut conn, &mut response).unwrap(), 0, "closed");
+        }
+        let (kind, id, body, _) = parse_frame(&response).unwrap().unwrap();
+        assert_eq!((kind, id), (KIND_HITS, 99));
+        assert!(!decode_hits(body).unwrap().hits.is_empty());
+        server.kill();
+    }
+
+    #[test]
+    fn a_remote_refusal_on_a_pooled_connection_is_asked_once_and_parked() {
+        // A fake node: hits for its first request, a refusal for every
+        // later one, counting requests and accepted connections.
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let requests = Arc::new(AtomicU64::new(0));
+        let conns = Arc::new(AtomicU64::new(0));
+        let (served, accepted) = (Arc::clone(&requests), Arc::clone(&conns));
+        std::thread::spawn(move || {
+            for mut conn in listener.incoming().map_while(Result::ok) {
+                accepted.fetch_add(1, Ordering::SeqCst);
+                let served = Arc::clone(&served);
+                std::thread::spawn(move || {
+                    let (mut received, mut frame, mut hits) = (Vec::new(), Vec::new(), Vec::new());
+                    encode_hits(&[], 1, Duration::ZERO, &IoStats::default(), &mut hits);
+                    loop {
+                        let Ok(Some((_, id, _, used))) = parse_frame(&received) else {
+                            match read_some(&mut conn, &mut received) {
+                                Ok(n) if n > 0 => continue,
+                                _ => return,
+                            }
+                        };
+                        received.drain(..used);
+                        let answer = match served.fetch_add(1, Ordering::SeqCst) {
+                            0 => (KIND_HITS, hits.clone()),
+                            _ => (KIND_ERROR, encode_error("refused")),
+                        };
+                        write_frame(&mut conn, &mut frame, answer.0, id, &answer.1).unwrap();
+                    }
+                });
+            }
+        });
+        let coordinator = Coordinator::new(vec![vec![addr]], CoordinatorConfig::default());
+        let search = || coordinator.search(&[1], SearchStrategy::Bm25, 10);
+        assert!(search().unwrap().hits.is_empty());
+        assert!(matches!(search(), Err(NetError::Remote(msg)) if msg == "refused"));
+        let counts = (
+            requests.load(Ordering::SeqCst),
+            conns.load(Ordering::SeqCst),
+        );
+        assert_eq!(counts, (2, 1), "(requests, connections)");
     }
 
     #[test]

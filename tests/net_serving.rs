@@ -7,6 +7,7 @@
 //! survives. When no replica survives, the failure must surface as a
 //! typed [`NetError`], never a panic reaching the coordinator.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use x100_corpus::{CollectionConfig, SyntheticCollection};
@@ -188,7 +189,7 @@ fn replica_killed_with_queries_in_flight_fails_over_bit_identically() {
     let log: Vec<Vec<u32>> = queries
         .iter()
         .cycle()
-        .take(queries.len() * 40)
+        .take(queries.len() * 160)
         .cloned()
         .collect();
 
@@ -238,6 +239,112 @@ fn replica_killed_with_queries_in_flight_fails_over_bit_identically() {
             .expect("the surviving replica serves");
         assert_eq!(&bits(&outcome.hits), want);
         assert_eq!(outcome.partitions[0].replica, 1);
+    }
+}
+
+/// Runs 4 threads × at least 200 queries through one coordinator, each
+/// thread with its own strategy, and checks every answer against the
+/// in-process oracle. With `kill`, that replica is killed once partition 0
+/// has taken a quarter of the queries, and every thread runs 50 more
+/// queries after the kill has landed.
+fn concurrent_queries_bit_identical(kill: Option<(usize, usize)>) -> NetCluster {
+    const THREADS: usize = 4;
+    const QUERIES: usize = 200;
+    let (queries, cluster) = fixture(3);
+    let net = NetCluster::serve(&cluster, 2, test_config()).expect("spawn servers");
+    let strategies: Vec<SearchStrategy> = SearchStrategy::ALL.into_iter().take(THREADS).collect();
+    let bits = |hits: &[(u32, f32)]| -> Vec<(u32, u32)> {
+        hits.iter().map(|h| (h.0, h.1.to_bits())).collect()
+    };
+    let oracle: Vec<Vec<Vec<(u32, u32)>>> = strategies
+        .iter()
+        .map(|&strategy| {
+            let scatter = |terms: &Vec<u32>| cluster.search_scatter(terms, strategy, TOP_N);
+            let hits = |r: &x100_distributed::ScatterResponse| {
+                r.results
+                    .iter()
+                    .map(|h| (h.docid, h.score.to_bits()))
+                    .collect()
+            };
+            queries.iter().map(|terms| hits(&scatter(terms))).collect()
+        })
+        .collect();
+    let killed = AtomicBool::new(kill.is_none());
+    let ran = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for (t, &strategy) in strategies.iter().enumerate() {
+            let (net, queries, oracle, killed, ran) = (&net, &queries, &oracle[t], &killed, &ran);
+            s.spawn(move || {
+                let mut after_kill = 0;
+                for i in 0.. {
+                    after_kill += usize::from(killed.load(Ordering::SeqCst));
+                    if i >= QUERIES && after_kill > QUERIES / 4 {
+                        break;
+                    }
+                    let q = (i * THREADS + t) % queries.len();
+                    let outcome = net
+                        .coordinator()
+                        .search(&queries[q], strategy, TOP_N)
+                        .expect("a replica of every partition serves");
+                    assert_eq!(bits(&outcome.hits), oracle[q], "{strategy:?} query {q}");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        if let Some((partition, replica)) = kill {
+            let requests = || net.coordinator().stats().partitions[partition].requests;
+            while requests() < (THREADS * QUERIES / 4) as u64 {
+                std::thread::yield_now();
+            }
+            net.kill_server(partition, replica);
+            killed.store(true, Ordering::SeqCst);
+        }
+    });
+    let stats = net.coordinator().stats();
+    assert_eq!(stats.unavailable, 0);
+    for p in &stats.partitions {
+        assert_eq!(p.requests, ran.load(Ordering::SeqCst));
+        assert_eq!(p.served_by_replica.iter().sum::<u64>(), p.requests);
+    }
+    net
+}
+
+/// Concurrent queries share the replicas' idle pools and each run a poll
+/// set of their own.
+#[test]
+fn concurrent_queries_through_one_coordinator_are_bit_identical() {
+    let net = concurrent_queries_bit_identical(None);
+    assert_eq!(net.coordinator().stats().failed_over, 0);
+}
+
+#[test]
+fn concurrent_queries_survive_a_replica_killed_partway() {
+    let net = concurrent_queries_bit_identical(Some((0, 0)));
+    let stats = net.coordinator().stats();
+    assert!(stats.hedged + stats.failed_over >= 1, "{stats:?}");
+    assert!(stats.partitions[0].replicas_down[0]);
+}
+
+/// A request larger than a socket's send buffer is written over several
+/// ready events, and the node reads it over several reads.
+#[test]
+fn a_request_larger_than_the_send_buffer_is_answered_bit_identically() {
+    let (queries, cluster) = fixture(2);
+    let net = NetCluster::serve(&cluster, 1, test_config()).expect("spawn servers");
+    // A real query and 4 MiB of term ids past every vocabulary, which the
+    // nodes skip as unknown.
+    let mut terms = queries[0].clone();
+    terms.extend(u32::MAX - (1 << 20)..u32::MAX);
+    let oracle = cluster.search_scatter(&terms, SearchStrategy::Bm25, TOP_N);
+    let outcome = net
+        .coordinator()
+        .search(&terms, SearchStrategy::Bm25, TOP_N);
+    match (outcome, oracle.failures.first()) {
+        (Ok(outcome), None) => {
+            assert_bit_identical(&cluster, &outcome, &terms, SearchStrategy::Bm25)
+        }
+        (Err(NetError::Remote(msg)), Some(e)) => assert_eq!(msg, e.to_string()),
+        (outcome, failure) => panic!("{outcome:?} where the oracle saw {failure:?}"),
     }
 }
 
